@@ -1,48 +1,30 @@
 #!/usr/bin/env python3
-"""Run the three desk-scale sweeps (centered, metastable, off-center).
+"""Run every shipped sweep config (scripts/configs/*.txt) through the CLI.
 
-Writes per-run CSV/JSON plus an aggregate sweep.csv for each mode under
-results/<mode>/.  Parameters follow the feasibility analysis for beta = 2:
-|j| = 0.02 keeps ell = 1 (and the off-center extension 1 + x0 = 1.2) inside
-the maximal half-length ell_j ~ 1.95.
+Each config runs as ``mesostefan sweep --config <file>`` with the repository
+root as the working directory, so the results land in the config's
+``outdir`` (results/<mode>/): ``sweep.csv`` plus ``eps_<eps>/row.json`` per
+scale.  The exit code is the largest one of the runs.
 """
 
+import glob
 import os
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
+sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from mesostefan.cli import run
-from mesostefan.config import RunConfig
-from mesostefan.profiles import dump_json
+from mesostefan.cli import main as cli_main  # noqa: E402
 
 
-def main():
-    base = os.path.join(os.path.dirname(__file__), "..", "results")
-    common = dict(beta=2.0, ell=1.0, eps_list=[0.1, 0.05, 0.025],
-                  spacing=0.05, n0=2, workers=1)
-    modes = [
-        ("antisym", dict(j=-0.02, x0=0.0)),
-        ("metastable", dict(j=+0.02, x0=0.0)),
-        ("asym", dict(j=-0.02, x0=0.2)),
-    ]
-    for mode, extra in modes:
-        outdir = os.path.join(base, mode)
-        os.makedirs(outdir, exist_ok=True)
-        cfg = RunConfig(mode=mode, outdir=outdir, **common, **extra)
-        report = run(cfg)
-        with open(os.path.join(outdir, "sweep.csv"), "w") as fh:
-            fh.write(report.to_csv())
-        for row in report.rows:
-            dump_json(os.path.join(outdir, f"row_eps_{row.eps:g}.json"), {
-                "eps": row.eps, "hydro_m": row.hydro_m,
-                "hydro_h": row.hydro_h, "lam_gap_ratio": row.lam_gap_ratio,
-                "C_instanton": row.c_instanton, "I_eps": row.i_eps,
-                "eps_x_eps": row.eps_x_eps, "iters": row.iters,
-            })
-        print(f"== {mode} ==")
-        print(report.to_csv())
+def main() -> int:
+    os.chdir(ROOT)
+    codes = []
+    for path in sorted(glob.glob(os.path.join("scripts", "configs", "*.txt"))):
+        print(f"== {path} ==")
+        codes.append(cli_main(["sweep", "--config", path]))
+    return max(codes, default=0)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -1,33 +1,53 @@
 """Macroscopic stationary free-boundary solutions.
 
-The field h solves dh/dx = -j / mobility(m(h)) outward from the interface,
-with m recovered from h through the envelope branch inverse (stable branch)
-or the metastable branch inverse.  Every stable solution is a translated
-restriction of the maximal one, which saturates m -> +-1 linearly at +-ell_j.
+On the outer branch h = potential_prime(m) and mobility(m) dh/dx = |j|, so
+dx/dm = D(m)/|j| with the outer diffusivity D(m) = 1 - beta (1 - m^2).  The
+profile is therefore the cubic x(m) = [X(m) - X(m_beta)]/|j| with
+X(m) = (1 - beta) m + beta m^3 / 3, and m(x) is its largest real root.  The
+metastable branch follows the same cubic from m_beta down to the spinodal
+m_star.  Every stable solution is a translated restriction of the maximal
+one, which saturates m -> +-1 linearly at +-ell_j.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import BranchRangeError, DomainError, InfeasibleError
-from .thermo import (
-    ThermoParams,
-    envelope_prime_inverse,
-    metastable_branch_limit,
-    metastable_inverse,
-    mobility,
-    potential_prime,
-)
+from .thermo import ThermoParams, potential_prime
 
 SATURATION_GAP = 1e-6   # stop the maximal solution at m = 1 - SATURATION_GAP
-_ODE_RTOL = 1e-10
-_ODE_ATOL = 1e-12
+
+
+def _cubic(params: ThermoParams, m):
+    """X(m) = (1 - beta) m + beta m^3 / 3; X' is the outer diffusivity."""
+    return (1.0 - params.beta) * m + params.beta * m ** 3 / 3.0
+
+
+def _largest_root(params: ThermoParams, level):
+    """Largest real m with X(m) = level, by the trigonometric Cardano formula.
+
+    X(m) = level reads m^3 - 3 m_star^2 m = 3 level / beta.  With
+    c = 3 level / (2 beta m_star^3) the largest root is
+    2 m_star cos(arccos(c) / 3) for c <= 1 and 2 m_star cosh(arccosh(c) / 3)
+    beyond.  Levels of both branches have c >= -1 (X(m) >= X(m_star) for
+    m >= m_star); rounding below -1 is clipped.
+    """
+    ms = params.m_star
+    c = np.maximum(1.5 * level / (params.beta * ms ** 3), -1.0)
+    trig = np.cos(np.arccos(np.minimum(c, 1.0)) / 3.0)
+    hyp = np.cosh(np.arccosh(np.maximum(c, 1.0)) / 3.0)
+    return 2.0 * ms * np.where(c > 1.0, hyp, trig)
+
+
+def _branch_magnitude(params: ThermoParams, dist, slope):
+    """|m| at distance ``dist`` >= 0 from the interface, where
+    X(|m|) = X(m_beta) + slope * dist; exactly m_beta at the interface."""
+    root = _largest_root(params, _cubic(params, params.m_beta) + slope * dist)
+    return np.where(dist > 0.0, root, params.m_beta)
 
 
 @dataclass(frozen=True)
@@ -36,29 +56,29 @@ class MaximalSolution:
 
     params: ThermoParams
     j: float
-    ell_j: float            # stopping abscissa where m reaches 1 - gap
-    _h_pos: Callable        # dense h(x) for x in [0, ell_j], j < 0 branch
+    ell_j: float            # abscissa where m reaches 1 - SATURATION_GAP
 
-    def h_of_x(self, x):
-        x = np.asarray(x, dtype=float)
+    def _magnitude(self, x):
         if np.any(np.abs(x) > self.ell_j * (1 + 1e-12)):
             raise InfeasibleError("abscissa beyond the maximal interval",
                                   ell_j=self.ell_j)
+        dist = np.minimum(np.abs(x), self.ell_j)
+        return _branch_magnitude(self.params, dist, abs(self.j))
+
+    def h_of_x(self, x):
+        x = np.asarray(x, dtype=float)
         sgn = 1.0 if self.j < 0 else -1.0
-        out = sgn * np.sign(x) * self._h_pos(np.clip(np.abs(x), 0.0, self.ell_j))
+        h_right = np.maximum(potential_prime(self.params, self._magnitude(x)), 0.0)
+        out = sgn * np.sign(x) * h_right
         return out if out.ndim else float(out)
 
     def m_of_x(self, x):
         x = np.asarray(x, dtype=float)
-        h = np.atleast_1d(self.h_of_x(x))
         sgn = 1.0 if self.j < 0 else -1.0
-        side = sgn * np.sign(np.atleast_1d(x))
-        side[side == 0.0] = 1.0  # interface point reported on the upper side
-        out = np.array([
-            envelope_prime_inverse(self.params, hv, side=sv)
-            for hv, sv in zip(h, side)
-        ])
-        return out if np.asarray(x).ndim else float(out[0])
+        # the interface point is reported on the upper side
+        side = np.where(x == 0.0, 1.0, sgn * np.sign(x))
+        out = side * self._magnitude(x)
+        return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -67,26 +87,25 @@ class MetastableMaximal:
 
     params: ThermoParams
     j: float                # > 0
-    ell_break: float        # abscissa where the field reaches the branch edge
-    _h_pos: Callable        # dense h(x) <= 0 for x in [0, ell_break]
+    ell_break: float        # abscissa where m reaches the spinodal m_star
 
-    def h_of_x(self, x):
-        x = np.asarray(x, dtype=float)
+    def _magnitude(self, x):
         if np.any(np.abs(x) > self.ell_break * (1 + 1e-12)):
             raise BranchRangeError("abscissa beyond the metastable range",
                                    breakdown=self.ell_break)
-        out = np.sign(x) * self._h_pos(np.clip(np.abs(x), 0.0, self.ell_break))
+        dist = np.minimum(np.abs(x), self.ell_break)
+        return _branch_magnitude(self.params, dist, -self.j)
+
+    def h_of_x(self, x):
+        x = np.asarray(x, dtype=float)
+        h_right = np.minimum(potential_prime(self.params, self._magnitude(x)), 0.0)
+        out = np.sign(x) * h_right
         return out if out.ndim else float(out)
 
     def m_of_x(self, x):
         x = np.asarray(x, dtype=float)
-        h = np.atleast_1d(self.h_of_x(x))
-        branch = np.where(np.atleast_1d(x) >= 0.0, 1.0, -1.0)
-        out = np.array([
-            metastable_inverse(self.params, hv, bv)
-            for hv, bv in zip(h, branch)
-        ])
-        return out if np.asarray(x).ndim else float(out[0])
+        out = np.where(x >= 0.0, 1.0, -1.0) * self._magnitude(x)
+        return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -112,80 +131,42 @@ class StefanSolution:
 
 
 def solve_maximal(params: ThermoParams, j) -> MaximalSolution:
-    """Integrate the field outward from the interface until saturation.
+    """Maximal stable solution for the current j.
 
-    Adaptive embedded Runge-Kutta on h with m(h) via the branch inverse;
-    stops when m reaches 1 - 1e-6 and reports the stopping abscissa.
+    Right of the interface (for j < 0) the profile is
+    x(m) = [X(m) - X(m_beta)]/|j|; it stops where m reaches 1 - 1e-6, at
+    ell_j = [X(1 - SATURATION_GAP) - X(m_beta)]/|j|.
     """
     if j == 0.0 or not np.isfinite(j):
         raise DomainError("zero or non-finite current has no maximal solution")
-    ja = abs(j)
-    h_stop = float(potential_prime(params, 1.0 - SATURATION_GAP))
-
-    def rhs(x, h):
-        m = envelope_prime_inverse(params, max(h[0], 0.0), side=+1)
-        return [ja / float(mobility(params, m))]
-
-    def event(x, h):
-        return h[0] - h_stop
-
-    event.terminal = True
-    event.direction = 1.0
-    # mobility * curvature <= 1 on the outer branch, so ell_j <= (1 - m_beta)/|j|
-    x_max = 1.05 * (1.0 - params.m_beta) / ja + 1.0
-    sol = solve_ivp(rhs, (0.0, x_max), [0.0], events=event,
-                    rtol=_ODE_RTOL, atol=_ODE_ATOL, dense_output=True,
-                    method="RK45")
-    if sol.t_events[0].size == 0:
-        raise DomainError("maximal solution did not reach saturation")
-    ell_j = float(sol.t_events[0][0])
-    dense = sol.sol
-
-    def h_pos(x):
-        x = np.asarray(x, dtype=float)
-        return np.maximum(dense(np.clip(x, 0.0, ell_j))[0], 0.0)
-
-    return MaximalSolution(params, float(j), ell_j, h_pos)
+    width = _cubic(params, 1.0 - SATURATION_GAP) - _cubic(params, params.m_beta)
+    if width <= 0.0:
+        raise DomainError(f"m_beta = {params.m_beta!r} is already past the "
+                          f"saturation cutoff 1 - {SATURATION_GAP:g}")
+    return MaximalSolution(params, float(j), float(width / abs(j)))
 
 
 def _metastable_maximal(params: ThermoParams, j) -> MetastableMaximal:
+    """Metastable solution x(m) = [X(m_beta) - X(m)]/j for j > 0, from m_beta
+    down to m_star, reached at ell_break = [X(m_beta) - X(m_star)]/j."""
     if j <= 0.0 or not np.isfinite(j):
         raise DomainError("metastable arrangement needs a positive current")
-    h_edge = -metastable_branch_limit(params)
-
-    def rhs(x, h):
-        # trial stages can overshoot the branch edge; clamp them back inside
-        hv = float(np.clip(h[0], h_edge * (1.0 - 1e-12), 0.0))
-        m = metastable_inverse(params, hv, +1)
-        return [-j / float(mobility(params, m))]
-
-    def event(x, h):
-        return h[0] - h_edge * (1.0 - 1e-9)
-
-    event.terminal = True
-    event.direction = -1.0
-    x_max = 2.0 * abs(h_edge) / j + 1.0
-    sol = solve_ivp(rhs, (0.0, x_max), [0.0], events=event,
-                    rtol=_ODE_RTOL, atol=_ODE_ATOL, dense_output=True,
-                    method="RK45")
-    if sol.t_events[0].size == 0:
-        raise DomainError("metastable solution did not reach the branch edge")
-    ell_break = float(sol.t_events[0][0])
-    dense = sol.sol
-
-    def h_pos(x):
-        x = np.asarray(x, dtype=float)
-        return np.minimum(dense(np.clip(x, 0.0, ell_break))[0], 0.0)
-
-    return MetastableMaximal(params, float(j), ell_break, h_pos)
+    width = _cubic(params, params.m_beta) - _cubic(params, params.m_star)
+    return MetastableMaximal(params, float(j), float(width / j))
 
 
-def _sample_with_jump(x0, ell, n_samples):
-    """Uniform macroscopic samples on [-ell, ell] with x0 duplicated."""
+def _sample_with_jump(maximal, x0, ell, n_samples, upper_sign):
+    """Uniform samples on [-ell, ell] of the maximal solution translated to
+    x0, with x0 duplicated: m jumps there from -upper_sign m_beta to
+    +upper_sign m_beta."""
     base = np.linspace(-ell, ell, n_samples)
-    lower = base[base < x0]
-    upper = base[base > x0]
-    return (np.concatenate([lower, [x0]]), np.concatenate([[x0], upper]))
+    lower = np.concatenate([base[base < x0], [x0]])
+    x = np.concatenate([lower, [x0], base[base > x0]])
+    h = maximal.h_of_x(x - x0)
+    m = maximal.m_of_x(x - x0)
+    m_beta = maximal.params.m_beta
+    m[lower.size - 1], m[lower.size] = -upper_sign * m_beta, upper_sign * m_beta
+    return x, h, m
 
 
 def solve_fixed_interface(params: ThermoParams, j, x0, ell,
@@ -207,86 +188,36 @@ def solve_fixed_interface(params: ThermoParams, j, x0, ell,
             f"maximal interval (ell_j = {maximal.ell_j:.6g})",
             ell_j=maximal.ell_j,
         )
-    lower, upper = _sample_with_jump(x0, ell, n_samples)
     sgn = 1.0 if j < 0 else -1.0
-    h_lower = np.atleast_1d(maximal.h_of_x(lower - x0))
-    h_upper = np.atleast_1d(maximal.h_of_x(upper - x0))
-    m_lower = np.array([
-        envelope_prime_inverse(params, hv, side=-sgn) for hv in h_lower
-    ])
-    m_upper = np.array([
-        envelope_prime_inverse(params, hv, side=+sgn) for hv in h_upper
-    ])
-    x = np.concatenate([lower, upper])
-    h = np.concatenate([h_lower, h_upper])
-    m = np.concatenate([m_lower, m_upper])
+    x, h, m = _sample_with_jump(maximal, x0, ell, n_samples, sgn)
     return StefanSolution(params, float(j), float(x0), float(ell),
                           maximal.ell_j, "stable", x, h, m)
 
 
-def solve_dirichlet(params: ThermoParams, m_minus, m_plus, ell,
-                    tol=1e-10, max_iter=200):
-    """Two-parameter shooting for boundary data outside the plateau.
+def solve_dirichlet(params: ThermoParams, m_minus, m_plus, ell):
+    """Current and interface position for boundary data outside the plateau.
 
-    Outer bisection on |j| matches the profile width; the translation then
-    matches the boundary values.  Returns (j, x0, solution).
+    For j < 0 the profile reaches m_plus at distance
+    [X(m_plus) - X(m_beta)]/|j| right of the interface and m_minus at
+    [X(|m_minus|) - X(m_beta)]/|j| left of it.  The two distances add up to
+    2 ell, so |j| = [X(m_plus) + X(|m_minus|) - 2 X(m_beta)]/(2 ell) and
+    x0 = ell - [X(m_plus) - X(m_beta)]/|j|.  Data with m_minus > 0 > m_plus
+    go through the symmetry (h, m, j) -> (-h, -m, -j) at fixed x.  Returns
+    (j, x0, solution).
     """
+    if ell <= 0.0:
+        raise DomainError("half-length must be positive")
+    flip = 1.0
+    if -1.0 < m_plus < -params.m_beta and params.m_beta < m_minus < 1.0:
+        flip, m_minus, m_plus = -1.0, -m_minus, -m_plus
     if not (-1.0 < m_minus < -params.m_beta and params.m_beta < m_plus < 1.0):
-        if -1.0 < m_plus < -params.m_beta and params.m_beta < m_minus < 1.0:
-            j, x0, sol = solve_dirichlet(params, -m_minus, -m_plus, ell,
-                                         tol, max_iter)
-            return -j, -x0, solve_fixed_interface(params, -j, -x0, ell)
         raise DomainError("boundary data must straddle the plateau")
-
-    def width_of(ja):
-        mx = solve_maximal(params, -ja)
-        t_plus = _abscissa_of_m(params, mx, m_plus)
-        t_minus = _abscissa_of_m(params, mx, -m_minus)
-        return t_plus + t_minus, t_plus, mx
-
-    # bracket |j|: width scales like 1/|j|
-    ja = 1.0
-    w, _, _ = width_of(ja)
-    while w < 2.0 * ell:
-        ja *= 0.5
-        w, _, _ = width_of(ja)
-        if ja < 1e-12:
-            raise DomainError("could not bracket the current")
-    lo, hi = ja, 2.0 * ja
-    w_hi, _, _ = width_of(hi)
-    while w_hi > 2.0 * ell:
-        hi *= 2.0
-        w_hi, _, _ = width_of(hi)
-        if hi > 1e12:
-            raise DomainError("could not bracket the current")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        w, t_plus, mx = width_of(mid)
-        if abs(w - 2.0 * ell) < tol:
-            break
-        if w > 2.0 * ell:
-            lo = mid
-        else:
-            hi = mid
-    else:
-        raise DomainError("width bisection did not converge")
-    j = -mid
-    x0 = ell - t_plus
-    return j, x0, solve_fixed_interface(params, j, x0, ell, maximal=mx)
-
-
-def _abscissa_of_m(params, maximal: MaximalSolution, m_target) -> float:
-    """Positive abscissa where the maximal profile reaches m_target."""
-    if not params.m_beta < m_target < 1.0:
-        raise DomainError("target must lie strictly between m_beta and 1")
-    h_target = float(potential_prime(params, m_target))
-    from .thermo import _bisect
-
-    f = lambda x: float(maximal._h_pos(x)) - h_target
-    if f(maximal.ell_j) < 0.0:
-        raise InfeasibleError("target beyond the maximal solution",
-                              ell_j=maximal.ell_j)
-    return float(_bisect(f, 0.0, maximal.ell_j, tol=1e-14))
+    x_beta = _cubic(params, params.m_beta)
+    rise_plus = _cubic(params, m_plus) - x_beta
+    rise_minus = _cubic(params, -m_minus) - x_beta
+    ja = (rise_plus + rise_minus) / (2.0 * ell)
+    j, x0 = -flip * float(ja), float(ell - rise_plus / ja)
+    return j, x0, solve_fixed_interface(params, j, x0, ell)
 
 
 def solve_metastable(params: ThermoParams, j, ell, n_samples=801,
@@ -313,12 +244,6 @@ def solve_metastable(params: ThermoParams, j, ell, n_samples=801,
             f"(at {maximal.ell_break:.6g})",
             breakdown=maximal.ell_break,
         )
-    lower, upper = _sample_with_jump(0.0, ell, n_samples)
-    h = np.concatenate([maximal.h_of_x(lower), maximal.h_of_x(upper)])
-    m = np.concatenate([
-        [metastable_inverse(params, hv, -1) for hv in maximal.h_of_x(lower)],
-        [metastable_inverse(params, hv, +1) for hv in maximal.h_of_x(upper)],
-    ])
-    x = np.concatenate([lower, upper])
+    x, h, m = _sample_with_jump(maximal, 0.0, ell, n_samples, +1.0)
     return StefanSolution(params, float(j), 0.0, float(ell),
-                          maximal.ell_break, "metastable", x, h, np.asarray(m))
+                          maximal.ell_break, "metastable", x, h, m)

@@ -1,9 +1,10 @@
 """Pointwise mean-field thermodynamics for inverse temperature beta > 1.
 
 Potential, entropy, convex envelope, Legendre-dual pressure, mobility and
-diffusion coefficients, plus the scalar branch inverses used by the
-macroscopic free-boundary solvers.  All root finders are bisection to a
-bracket of width ~1e-15 followed by one Newton polish.
+diffusion coefficients, plus the scalar branch inverses of potential_prime.
+m_beta, the mean-field root and the branch inverses are found by bisection to
+a bracket of width ~1e-15 followed by one Newton polish; the pressure is
+closed form at the mean-field root.
 """
 
 from __future__ import annotations
@@ -148,28 +149,18 @@ def convex_envelope_prime(params: ThermoParams, s):
 
 
 def pressure(params: ThermoParams, h) -> float:
-    """Legendre transform sup_s { h s - envelope(s) } by golden-section search."""
+    """Legendre transform sup_s { h s - envelope(s) } in closed form.
+
+    The supremum sits where the envelope's slope equals h; the envelope is
+    even, so the pressure is |h| m - potential(m) with m >= m_beta solving
+    potential_prime(m) = |h|, i.e. the mean-field root m = tanh(beta(m + |h|))
+    (m_beta at h = 0).  That form stays defined when m rounds to 1.
+    """
     if not np.isfinite(h):
         raise DomainError("field must be finite")
-    obj = lambda s: h * s - float(convex_envelope(params, s))
-    lo, hi = -1.0 + 1e-12, 1.0 - 1e-12
-    # golden-section maximization of a concave objective
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = obj(c), obj(d)
-    for _ in range(200):
-        if hi - lo < 1e-14:
-            break
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = obj(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = obj(d)
-    return max(fc, fd)
+    ha = abs(h)
+    m = mean_field_root(params, ha).value
+    return float(ha * m - potential(params, m))
 
 
 def envelope_prime_inverse(params: ThermoParams, h, side=None) -> float:

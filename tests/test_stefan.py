@@ -8,7 +8,7 @@ from mesostefan.errors import BranchRangeError, DomainError, InfeasibleError
 from mesostefan.stefan import (SATURATION_GAP, solve_dirichlet,
                                solve_fixed_interface, solve_maximal,
                                solve_metastable)
-from mesostefan.thermo import (metastable_branch_limit,
+from mesostefan.thermo import (make_params, metastable_branch_limit,
                                metastable_diffusivity, mobility,
                                potential_prime)
 
@@ -38,6 +38,24 @@ def test_maximal_abscissa_oracle(params2, maximal_stable):
         assert x_found == pytest.approx(x_oracle, abs=1e-5)
         assert maximal_stable.m_of_x(x_oracle) == pytest.approx(m_target,
                                                                 abs=1e-7)
+
+
+@pytest.mark.parametrize("beta", [1.2, 4.0])
+def test_maximal_abscissa_oracle_other_beta(beta):
+    """Near beta = 1 the profile passes m = 2 m_star, where the cubic root
+    formula switches from the trigonometric to the hyperbolic form."""
+    p = make_params(beta)
+    mx = solve_maximal(p, -0.1)
+    for m_target in p.m_beta + (1.0 - p.m_beta) * np.array([0.2, 0.6, 0.99]):
+        x_oracle = ell_oracle(p, -0.1, m_target)
+        assert mx.m_of_x(x_oracle) == pytest.approx(m_target, abs=1e-9)
+        assert mx.m_of_x(-x_oracle) == pytest.approx(-m_target, abs=1e-9)
+
+
+def test_maximal_rejects_saturated_m_beta():
+    """From beta ~ 7.6 on, m_beta itself exceeds 1 - SATURATION_GAP."""
+    with pytest.raises(DomainError):
+        solve_maximal(make_params(10.0), -0.02)
 
 
 def test_edge_slope_is_current(params2):
@@ -148,6 +166,15 @@ def test_dirichlet_mirrored(params2):
     assert sol.m[0] > params2.m_beta > -params2.m_beta > sol.m[-1]
 
 
+@pytest.mark.parametrize("m_minus,m_plus", [(-0.97, 0.985), (0.99, -0.96)])
+def test_dirichlet_matches_boundary_data(params2, m_minus, m_plus):
+    j, x0, sol = solve_dirichlet(params2, m_minus, m_plus, 1.0)
+    assert (sol.j, sol.x0) == (j, x0)
+    assert (sol.x[0], sol.x[-1]) == (-1.0, 1.0)
+    assert abs(sol.m[0] - m_minus) < 1e-12
+    assert abs(sol.m[-1] - m_plus) < 1e-12
+
+
 def test_dirichlet_rejects_plateau_data(params2):
     with pytest.raises(DomainError):
         solve_dirichlet(params2, -0.5, 0.98, 1.0)
@@ -170,6 +197,26 @@ def test_metastable_breakdown_oracle(params2, maximal_meta):
     val, _ = quad(lambda m: metastable_diffusivity(params2, m),
                   params2.m_star, params2.m_beta, epsabs=1e-13, epsrel=1e-13)
     assert maximal_meta.ell_break == pytest.approx(val / 0.02, abs=1e-6)
+
+
+def test_metastable_abscissa_oracle(params2, maximal_meta):
+    """x(m) = (1/j) int_m^{m_beta} D on the metastable branch, both sides."""
+    for m_target in (0.75, 0.85, 0.95):
+        x_oracle = -ell_oracle(params2, maximal_meta.j, m_target)
+        assert maximal_meta.m_of_x(x_oracle) == pytest.approx(m_target,
+                                                              abs=1e-9)
+        assert maximal_meta.m_of_x(-x_oracle) == pytest.approx(-m_target,
+                                                               abs=1e-9)
+
+
+def test_metastable_flux_constancy(params2, maximal_meta):
+    """chi(m) dh/dx = -j at samples on both sides (centered differences)."""
+    dx = 1e-5
+    xs = np.linspace(-4.5, 4.5, 37)
+    xs = xs[np.abs(xs) > 0.05]
+    dh = (maximal_meta.h_of_x(xs + dx) - maximal_meta.h_of_x(xs - dx)) / (2 * dx)
+    chi = mobility(params2, maximal_meta.m_of_x(xs))
+    assert np.max(np.abs(chi * dh + maximal_meta.j)) < 1e-7
 
 
 def test_metastable_breakdown_error(params2, maximal_meta):
@@ -196,6 +243,23 @@ def test_metastable_mirrored(params2, maximal_meta):
 def test_metastable_field_within_branch_limit(params2, maximal_meta):
     sol = solve_metastable(params2, 0.02, 1.0, maximal=maximal_meta)
     assert np.max(np.abs(sol.h)) < metastable_branch_limit(params2)
+
+
+@pytest.mark.parametrize("branch", ["stable", "stable_j_pos", "metastable"])
+def test_sampling_scalar_and_array_shapes(params2, maximal_stable,
+                                          maximal_meta, branch):
+    mx = {"stable": maximal_stable,
+          "stable_j_pos": solve_maximal(params2, 0.02),
+          "metastable": maximal_meta}[branch]
+    for f in (mx.h_of_x, mx.m_of_x):
+        assert type(f(0.3)) is float
+        assert type(f(np.float64(-0.3))) is float
+        assert f(np.array([0.3])).shape == (1,)
+        assert f(np.zeros((2, 3))).shape == (2, 3)
+        assert f(np.empty(0)).shape == (0,)
+        assert f(np.array([-0.3, 0.3]))[1] == f(0.3)
+    assert mx.m_of_x(0.0) == params2.m_beta
+    assert mx.h_of_x(0.0) == 0.0
 
 
 def test_csv_round_trip(params2, maximal_stable):

@@ -197,6 +197,14 @@ def test_pressure_against_grid_oracle():
     assert pressure(p, h) == pytest.approx(oracle, abs=1e-8)
 
 
+def test_pressure_far_field():
+    """Where the maximizer rounds to m = 1 the pressure is |h| - potential(1)."""
+    p = make_params(2.0)
+    for h in (5.0, 8.4, 1e3):
+        assert pressure(p, h) == pytest.approx(h + 0.5, abs=1e-8)
+        assert pressure(p, -h) == pressure(p, h)
+
+
 def test_legendre_duality_round_trip():
     """Recover the envelope from the pressure by maximizing over the field."""
     p = make_params(2.0)
