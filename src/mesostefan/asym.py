@@ -118,6 +118,18 @@ def _require_aligned(value, spacing, what):
     return int(round(ratio))
 
 
+def problem_grids(eps, x0, spacing) -> tuple[Grid, Grid]:
+    """The extended grid eps^-1[-1, 1 + 2 x0] and the restricted eps^-1[-1, 1].
+
+    eps^-1 and eps^-1 x0 must be spacing multiples, so that the restricted
+    domain's right end and the interface are points of both grids.
+    """
+    _require_aligned(1.0 / eps, spacing, "eps^-1")
+    _require_aligned(x0 / eps, spacing, "eps^-1 x0")
+    return (build_grid(eps, 1.0, 1.0 + 2.0 * x0, spacing),
+            build_grid(eps, 1.0, 1.0, spacing))
+
+
 def boundary_correction(kernel: Kernel, ext_grid: Grid, m_star: np.ndarray,
                         n_res: int) -> np.ndarray:
     """Reflection-mismatch field near the right end of the restricted domain.
@@ -163,16 +175,13 @@ def build_problem(params: ThermoParams, kernel: Kernel, eps, j, x0,
             f"(ell_j = {macro.ell_j:.6g})"
         )
     ell_star = 1.0 + 2.0 * x0
-    _require_aligned(1.0 / eps, kernel.spacing, "eps^-1")
-    _require_aligned(x0 / eps, kernel.spacing, "eps^-1 x0")
+    ext_grid, res_grid = problem_grids(eps, x0, kernel.spacing)
 
     extended = solve_stable(params, kernel, eps, j, ell_half, tol=tol,
                             inner_tol=inner_tol, n0=n0,
                             instanton=instanton, macro=macro)
-    ext_grid = build_grid(eps, 1.0, ell_star, kernel.spacing)
     if ext_grid.n != extended.state.grid.n:
         raise GridError("extended grid relabeling mismatch")
-    res_grid = build_grid(eps, 1.0, 1.0, kernel.spacing)
     n_res = res_grid.n
     h_star = extended.state.h
     m_star = extended.state.m

@@ -211,7 +211,6 @@ def cmd_solve(args) -> int:
         "ell": cfg.ell, "spacing": cfg.spacing, "n0": cfg.n0,
         "monotone": res.monotone,
         "I_eps": res.increase_interval,
-        "hydro_error": row.hydro_m,
         "hydro_error_m": row.hydro_m, "hydro_error_h": row.hydro_h,
         "one_minus_lambda_over_eps": row.lam_gap_ratio,
         "iterations": row.iters,
@@ -238,7 +237,6 @@ def cmd_solve_asym(args) -> int:
         "beta": cfg.beta, "eps": args.eps, "j": cfg.j, "x0": cfg.x0,
         "x_eps": res.field_zero, "eps_x_eps": res.eps_field_zero,
         "m_zero": res.m_zero,
-        "hydro_error": row.hydro_m,
         "hydro_error_m": row.hydro_m, "hydro_error_h": row.hydro_h,
         "iterations": res.iterations,
         "seed_residual": prob.seed_residual,
@@ -367,7 +365,10 @@ def validate(cfg: RunConfig) -> list:
                 f"eps = {eps}: gluing point {xi:.2f} collides with the "
                 f"boundary (half-domain {half:.2f}); shrink eps or n0")
         try:
-            build_grid(eps, cfg.ell, cfg.ell, cfg.spacing)
+            if cfg.mode == "asym":
+                asym.problem_grids(eps, cfg.x0, cfg.spacing)
+            else:
+                build_grid(eps, cfg.ell, cfg.ell, cfg.spacing)
         except GridError as exc:
             findings.append(f"eps = {eps}: {exc}")
     return findings

@@ -216,37 +216,6 @@ def convolve(kernel: Kernel, profile: Profile, boundary: str = "neumann") -> Pro
     return Profile(profile.grid, out)
 
 
-def neumann_matrix(kernel: Kernel, grid: Grid) -> np.ndarray:
-    """Dense matrix W with (W f)_i = trapezoid quadrature of J^neum(x_i, y) f(y).
-
-    Matches :func:`conv_values` with ``boundary="neumann"`` to rounding.
-    Intended for Newton solves and small dense spectral work; guarded to
-    10^4 points.
-    """
-    _check_match(kernel, grid)
-    if grid.n > 10_000:
-        raise GridError("dense reflected-kernel matrix capped at 10^4 points")
-    x = grid.points
-    a2, b2 = 2.0 * grid.a, 2.0 * grid.b
-    shape_fn = KERNEL_SHAPES[kernel.shape]
-    diff = x[:, None] - x[None, :]
-    w = shape_fn(diff) + shape_fn(x[:, None] + x[None, :] - b2) \
-        + shape_fn(x[:, None] + x[None, :] - a2)
-    trap = np.full(grid.n, grid.spacing)
-    trap[0] *= 0.5
-    trap[-1] *= 0.5
-    # renormalize exactly as the sampled kernel does
-    norm = kernel.weights.sum() / (kernel.samples * _trap_weights(kernel)).sum()
-    return w * trap[None, :] * norm
-
-
-def _trap_weights(kernel: Kernel) -> np.ndarray:
-    t = np.full(kernel.samples.size, kernel.spacing)
-    t[0] *= 0.5
-    t[-1] *= 0.5
-    return t
-
-
 def trapezoid(grid: Grid, values: np.ndarray) -> float:
     """Trapezoid integral of sampled values over the grid."""
     return float(np.trapezoid(values, dx=grid.spacing))

@@ -29,7 +29,12 @@ class ThermoParams:
 
 
 def _bisect(f, lo, hi, f_lo=None, f_hi=None, tol=1e-15, max_iter=200):
-    """Bisection to bracket width ``tol`` plus one Newton polish on f."""
+    """Bisection to bracket width ``tol`` plus one Newton polish on f.
+
+    The polish differences f at points inside the initial [lo, hi], so f is
+    never evaluated outside the interval it was bracketed on.
+    """
+    lo0, hi0 = lo, hi
     f_lo = f(lo) if f_lo is None else f_lo
     f_hi = f(hi) if f_hi is None else f_hi
     if f_lo == 0.0:
@@ -51,8 +56,9 @@ def _bisect(f, lo, hi, f_lo=None, f_hi=None, tol=1e-15, max_iter=200):
             lo, f_lo = mid, f_mid
     root = 0.5 * (lo + hi)
     # one-step secant/Newton polish keeps the residual at rounding level
-    h = max(1e-9, 1e-9 * abs(root))
-    df = (f(root + h) - f(root - h)) / (2 * h)
+    h = min(max(1e-9, 1e-9 * abs(root)),
+            0.5 * (root - lo0), 0.5 * (hi0 - root))
+    df = (f(root + h) - f(root - h)) / (2 * h) if h > 0.0 else 0.0
     if df != 0.0 and np.isfinite(df):
         polished = root - f(root) / df
         if lo <= polished <= hi:

@@ -1,0 +1,34 @@
+"""Dense reference operators that the solvers only apply matrix-free."""
+
+import numpy as np
+
+from mesostefan.grids import KERNEL_SHAPES
+
+
+def neumann_matrix(kernel, grid):
+    """Dense W with (W f)_i = trapezoid quadrature of J^neum(x_i, y) f(y).
+
+    Built from the kernel shape with the images about both endpoints written
+    out, so it checks :func:`mesostefan.grids.conv_values` (``"neumann"``)
+    independently of its padding.  O(n^2) memory: small grids only.
+    """
+    assert abs(kernel.spacing - grid.spacing) <= 1e-12 * max(1.0, grid.spacing)
+    x = grid.points
+    a2, b2 = 2.0 * grid.a, 2.0 * grid.b
+    shape_fn = KERNEL_SHAPES[kernel.shape]
+    diff = x[:, None] - x[None, :]
+    w = shape_fn(diff) + shape_fn(x[:, None] + x[None, :] - b2) \
+        + shape_fn(x[:, None] + x[None, :] - a2)
+    trap = np.full(grid.n, grid.spacing)
+    trap[0] *= 0.5
+    trap[-1] *= 0.5
+    # renormalize exactly as the sampled kernel does
+    norm = kernel.weights.sum() / (kernel.samples * _trap_weights(kernel)).sum()
+    return w * trap[None, :] * norm
+
+
+def _trap_weights(kernel):
+    t = np.full(kernel.samples.size, kernel.spacing)
+    t[0] *= 0.5
+    t[-1] *= 0.5
+    return t

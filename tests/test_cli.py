@@ -186,6 +186,20 @@ def test_validate_findings(params2):
     assert any("zero-current" in f for f in notes)
 
 
+def test_validate_matches_off_center_grid_checks():
+    """eps^-1 = 33.3 is not a spacing multiple: the off-center solver
+    rejects it, so validate must report it rather than call it feasible."""
+    cfg = RunConfig(beta=2.0, j=-0.02, x0=0.2, mode="asym",
+                    eps_list=[0.03], n0=2)
+    findings = validate(cfg)
+    assert any("eps = 0.03" in f and "grid multiple" in f for f in findings)
+    row, = run(cfg).rows
+    assert row.iters == -EXIT_CONFIG
+    shipped = RunConfig(beta=2.0, j=-0.02, x0=0.2, mode="asym",
+                        eps_list=[0.1, 0.05, 0.025], n0=2)
+    assert validate(shipped) == []
+
+
 def test_validate_command_exit_codes(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("beta = 0.5\n")

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from scipy.stats import linregress
 
-from mesostefan.errors import SaturationError
+from mesostefan import antisym, meso, spectral
+from mesostefan.errors import ConvergenceError, SaturationError
 from mesostefan.grids import build_grid, conv_values
-from mesostefan.meso import (_continuation_solve, _newton_step, _sparse_w,
-                             apply_linearized, effective_field, inner_solve,
+from mesostefan.meso import (apply_linearized, effective_field, inner_solve,
                              residual)
 from mesostefan.thermo import mobility
+from oracles import neumann_matrix
 
 
 @pytest.fixture(scope="module")
@@ -146,21 +147,82 @@ def test_inner_solve_saturation(params2, kernel05, wide_grid):
                     np.full(wide_grid.n, 30.0), np.zeros(wide_grid.n))
 
 
-def test_newton_step_improves(params2, kernel05, wide_grid, instanton_state):
+@pytest.fixture
+def newton_calls(monkeypatch):
+    """Counts the hand-overs from the damped iteration to Newton-GMRES."""
+    calls = []
+    newton = meso._newton_krylov
+
+    def counted(*args):
+        calls.append(args[2].n)
+        return newton(*args)
+
+    monkeypatch.setattr(meso, "_newton_krylov", counted)
+    return calls
+
+
+@pytest.mark.parametrize("eps,n", [(0.025, 1601), (0.0025, 16001)],
+                         ids=["n1601", "n16001"])
+def test_inner_solve_stall_converges(params2, kernel05, inst05, maximal_stable,
+                                     newton_calls, eps, n):
+    """A push along the 1 - C eps interface mode stalls the damped iteration;
+    Newton-GMRES finishes the solve at any size (no dense-matrix cap)."""
+    res = antisym.solve_stable(params2, kernel05, eps, -0.02, 1.0, n0=2,
+                               instanton=inst05, macro=maximal_stable)
+    st = res.state
+    u = spectral.leading_eigenpair(st).u
+    m0 = st.m + 1e-3 * u / np.max(np.abs(u))
+    newton_calls.clear()
+    st2 = inner_solve(params2, kernel05, st.grid, st.h, m0)
+    assert st.grid.n == n
+    assert newton_calls == [n]
+    assert st2.residual_norm < 1e-12
+    assert residual(params2, kernel05, st.grid, st.h, st2.m) < 1e-12
+    assert np.max(np.abs(st2.m - st.m)) <= 1e-8
+
+
+@pytest.mark.parametrize("eps,half,n", [(0.05, 1.0, 801), (0.01, 3.0, 12001)],
+                         ids=["n801", "n12001"])
+def test_inner_solve_without_fixed_point_saturates(params2, kernel05, inst05,
+                                                   newton_calls, eps, half, n):
+    """A constant field drives the interface out of the domain: there is no
+    fixed point near the seed, and the stall ends in SaturationError."""
+    grid = build_grid(eps, half, half, 0.05)
+    assert grid.n == n
+    m0 = np.interp(grid.points, inst05.x, inst05.profile)
+    with pytest.raises(SaturationError):
+        inner_solve(params2, kernel05, grid, np.full(grid.n, 0.002), m0)
+    assert newton_calls == [n]
+
+
+def test_newton_jacobian_matches_dense_oracle(params2, kernel05):
+    grid = build_grid(0.25, 1.0, 1.2, 0.05)
+    x = grid.points
+    p = params2.beta / np.cosh(0.8 * np.tanh(x / 2.0) + 0.1) ** 2
+    dense = np.eye(grid.n) - p[:, None] * neumann_matrix(kernel05, grid)
+    op = meso._jacobian(kernel05, grid, p)
+    cols = np.column_stack([op.matvec(e) for e in np.eye(grid.n)])
+    assert np.max(np.abs(cols - dense)) < 1e-13
+
+
+def test_newton_step_improves(params2, kernel05, wide_grid, instanton_state,
+                              monkeypatch):
+    """One Newton-GMRES step cuts the residual twentyfold; an exhausted step
+    budget raises ConvergenceError carrying the last iterate."""
     st = instanton_state
     m_bad = st.m + 0.02 * np.exp(-(wide_grid.points / 4.0) ** 2)
-    w = _sparse_w(kernel05, wide_grid)
     r0 = residual(params2, kernel05, wide_grid, st.h, m_bad)
-    m1 = _newton_step(params2, kernel05, wide_grid, st.h, m_bad, w)
-    r1 = residual(params2, kernel05, wide_grid, st.h, m1)
+    monkeypatch.setattr(meso, "_NEWTON_STEPS", 1)
+    with pytest.raises(ConvergenceError) as info:
+        meso._newton_krylov(params2, kernel05, wide_grid, st.h, m_bad, 1e-12)
+    r1 = residual(params2, kernel05, wide_grid, st.h, info.value.last)
     assert r1 < 0.05 * r0
 
 
 def test_continuation_path(params2, kernel05, wide_grid, instanton_state):
-    """Field-path homotopy reaches a distant target field from the seed."""
+    """The solve reaches a distant target field from the seed."""
     st = instanton_state
     target = st.h + 0.05 * np.tanh(wide_grid.points / 5.0)
-    m, _ = _continuation_solve(params2, kernel05, wide_grid, target, st.m,
-                               tol=1e-12)
+    m = inner_solve(params2, kernel05, wide_grid, target, st.m).m
     assert residual(params2, kernel05, wide_grid, target, m) < 1e-12
     assert np.max(np.abs(m - st.m)) < 0.5

@@ -406,3 +406,18 @@ def test_metastable_inverse_residual_property(beta, frac):
     m = metastable_inverse(p, h, +1)
     assert p.m_star < m <= p.m_beta + 1e-12
     assert abs(float(potential_prime(p, m)) - h) < 1e-12
+
+
+@pytest.mark.parametrize("h", [4.5, 6.0])
+def test_branch_inverses_near_saturation(params2, h):
+    """Roots within 1e-9 of m = 1: the Newton polish must stay inside the
+    bracket instead of probing atanh beyond 1."""
+    ref = mean_field_root(params2, h).value
+    for m in (envelope_prime_inverse(params2, h),
+              metastable_inverse(params2, h, +1)):
+        assert params2.m_beta < m < 1.0
+        # one ulp of m moves potential_prime by potential_double_prime * ulp,
+        # which exceeds 1e-9 h at h = 6 (1 - m ~ 1.4e-12)
+        ulp_floor = potential_double_prime(params2, m) * np.spacing(m)
+        assert abs(potential_prime(params2, m) - h) <= max(1e-9 * h, ulp_floor)
+        assert abs(m - ref) <= 2 * np.spacing(ref)
