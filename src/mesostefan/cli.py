@@ -17,8 +17,8 @@ import numpy as np
 
 from . import antisym, asym, instanton as instanton_mod, meso, spectral, stefan
 from .config import RunConfig, load_config
-from .errors import (BranchRangeError, ConvergenceError, DomainError,
-                     GridError, InfeasibleError, MesostefanError)
+from .errors import (BranchRangeError, DomainError, GridError,
+                     InfeasibleError, MesostefanError)
 from .grids import Grid, Profile, build_grid, build_kernel
 from .profiles import dump_json, fmt, load_state, save_profile, save_state
 from .thermo import (convex_envelope, make_params, potential, pressure)
@@ -42,6 +42,7 @@ class SweepRow:
     i_eps: float = float("nan")
     eps_x_eps: float = float("nan")
     iters: int = 0
+    error: str = ""             # exception class and message of a failed row
     wall_time: float = 0.0      # not serialized: timing is not reproducible
 
     def csv_line(self) -> str:
@@ -138,18 +139,49 @@ def cmd_stefan(args) -> int:
     return EXIT_OK
 
 
+def _macro(params, cfg: RunConfig):
+    """The macroscopic solution a mode starts from and is compared with."""
+    if cfg.mode == "metastable":
+        return stefan._metastable_maximal(params, cfg.j)
+    if cfg.mode in ("antisym", "asym"):
+        return stefan.solve_maximal(params, cfg.j)
+    raise DomainError(f"unknown mode {cfg.mode!r}")
+
+
+def _shared_inputs(cfg: RunConfig) -> dict:
+    """The instanton and macroscopic solution, which every scale shares.
+
+    A failure leaves the value out: each scale's own solve then raises it
+    again and records it in its row.
+    """
+    shared = {}
+    try:
+        params = make_params(cfg.beta)
+        kernel = build_kernel(cfg.spacing, cfg.kernel)
+        shared["instanton"] = instanton_mod.compute_instanton(
+            params, kernel, half_width=cfg.instanton_halfwidth)
+        shared["macro"] = _macro(params, cfg)
+    except MesostefanError:
+        pass
+    return shared
+
+
 def _solve_one(cfg: RunConfig, eps, shared=None):
-    """One full mesoscopic solve at a single scale; returns (row, artifacts)."""
+    """One full mesoscopic solve at a single scale; returns (row, artifacts).
+
+    ``shared`` may carry the "instanton" and "macro" of the config (see
+    :func:`_shared_inputs`); missing ones are computed here.
+    """
+    shared = shared or {}
     params = make_params(cfg.beta)
     kernel = build_kernel(cfg.spacing, cfg.kernel)
-    inst = (shared or {}).get("instanton") or instanton_mod.compute_instanton(
+    inst = shared.get("instanton") or instanton_mod.compute_instanton(
         params, kernel, half_width=cfg.instanton_halfwidth)
+    macro = shared.get("macro") or _macro(params, cfg)
     t0 = time.perf_counter()
     row = SweepRow(eps=eps, mode=cfg.mode)
     row.c_instanton = abs(cfg.j) * inst.mean / inst.norm_sq
-    artifacts = {}
     if cfg.mode == "antisym":
-        macro = (shared or {}).get("macro") or stefan.solve_maximal(params, cfg.j)
         res = antisym.solve_stable(params, kernel, eps, cfg.j, cfg.ell,
                                    tol=cfg.outer_tol, inner_tol=cfg.inner_tol,
                                    n0=cfg.n0, instanton=inst, macro=macro)
@@ -161,8 +193,6 @@ def _solve_one(cfg: RunConfig, eps, shared=None):
         row.iters = len(res.trace.increments)
         artifacts = {"result": res, "spectral": sp}
     elif cfg.mode == "metastable":
-        macro = (shared or {}).get("macro") or stefan._metastable_maximal(
-            params, cfg.j)
         res = antisym.solve_metastable(params, kernel, eps, cfg.j, cfg.ell,
                                        tol=cfg.outer_tol,
                                        inner_tol=cfg.inner_tol,
@@ -175,8 +205,7 @@ def _solve_one(cfg: RunConfig, eps, shared=None):
         row.i_eps = res.increase_interval
         row.iters = len(res.trace.increments)
         artifacts = {"result": res, "spectral": sp}
-    elif cfg.mode == "asym":
-        macro = (shared or {}).get("macro") or stefan.solve_maximal(params, cfg.j)
+    else:
         res = asym.solve_off_center(params, kernel, eps, cfg.j, cfg.x0,
                                     tol=cfg.outer_tol,
                                     inner_tol=cfg.inner_tol, n0=cfg.n0,
@@ -191,8 +220,6 @@ def _solve_one(cfg: RunConfig, eps, shared=None):
         row.eps_x_eps = res.eps_field_zero
         row.iters = res.iterations
         artifacts = {"result": res, "spectral": sp}
-    else:
-        raise DomainError(f"unknown mode {cfg.mode!r}")
     row.wall_time = time.perf_counter() - t0
     return row, artifacts
 
@@ -273,34 +300,40 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _sweep_job(cfg_dict, eps):
+def _sweep_job(cfg_dict, eps, shared=None):
     cfg = RunConfig(**cfg_dict)
     try:
-        row, _ = _solve_one(cfg, eps)
+        row, _ = _solve_one(cfg, eps, shared)
         return row
-    except (InfeasibleError, BranchRangeError):
-        return SweepRow(eps=eps, mode=cfg.mode, iters=-EXIT_INFEASIBLE)
-    except (DomainError, GridError):
-        return SweepRow(eps=eps, mode=cfg.mode, iters=-EXIT_CONFIG)
-    except (ConvergenceError, MesostefanError):
-        return SweepRow(eps=eps, mode=cfg.mode, iters=-EXIT_NUMERICAL)
+    except (InfeasibleError, BranchRangeError) as exc:
+        code, err = EXIT_INFEASIBLE, exc
+    except (DomainError, GridError) as exc:
+        code, err = EXIT_CONFIG, exc
+    except MesostefanError as exc:
+        code, err = EXIT_NUMERICAL, exc
+    return SweepRow(eps=eps, mode=cfg.mode, iters=-code,
+                    error=f"{type(err).__name__}: {err}")
 
 
 def run(cfg: RunConfig) -> SweepReport:
     """Execute the configured pipeline at every scale in eps_list.
 
-    Failures become rows with a negative error code in the iteration
-    column; the aggregate is written once by the coordinator.
+    The instanton and the macroscopic solution are computed once and handed
+    to every scale.  Failures become rows with a negative error code in the
+    iteration column and the exception in ``error``; the aggregate is
+    written once by the coordinator.
     """
     report = SweepReport()
     cfg_dict = cfg.__dict__.copy()
+    shared = _shared_inputs(cfg)
     if cfg.workers > 1 and len(cfg.eps_list) > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = [pool.submit(_sweep_job, cfg_dict, eps)
+            futures = [pool.submit(_sweep_job, cfg_dict, eps, shared)
                        for eps in cfg.eps_list]
             report.rows = [f.result() for f in futures]
     else:
-        report.rows = [_sweep_job(cfg_dict, eps) for eps in cfg.eps_list]
+        report.rows = [_sweep_job(cfg_dict, eps, shared)
+                       for eps in cfg.eps_list]
     return report
 
 
@@ -310,13 +343,16 @@ def cmd_sweep(args) -> int:
     report = run(cfg)
     for row in report.rows:
         run_dir = _outdir(os.path.join(out, f"eps_{row.eps:g}"))
-        dump_json(os.path.join(run_dir, "row.json"), {
+        record = {
             "eps": row.eps, "mode": row.mode, "hydro_m": row.hydro_m,
             "hydro_h": row.hydro_h, "lam_gap_ratio": row.lam_gap_ratio,
             "C_instanton": row.c_instanton,
             "I_eps": row.i_eps, "eps_x_eps": row.eps_x_eps,
             "iters": row.iters,
-        })
+        }
+        if row.error:
+            record["error"] = row.error
+        dump_json(os.path.join(run_dir, "row.json"), record)
     with open(os.path.join(out, "sweep.csv"), "w") as fh:
         fh.write(report.to_csv())
     print(report.to_csv(), end="")

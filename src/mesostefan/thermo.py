@@ -66,6 +66,19 @@ def _bisect(f, lo, hi, f_lo=None, f_hi=None, tol=1e-15, max_iter=200):
     return root
 
 
+def _root_below_one(f, lo) -> float:
+    """Root of f on [lo, 1 - 1e-16] for f rising through zero toward m = 1.
+
+    When f has not reached zero at 1 - 1e-16 (tanh or atanh saturated in
+    floating point) the root is 1 to rounding and 1 - 1e-16 is returned.
+    """
+    hi = 1.0 - 1e-16
+    f_hi = f(hi)
+    if f_hi <= 0.0:
+        return hi
+    return _bisect(f, lo, hi, f_hi=f_hi)
+
+
 def solve_m_beta(beta) -> float:
     """Unique positive root of m = tanh(beta m); requires beta > 1."""
     if not np.isfinite(beta) or beta <= 1.0:
@@ -128,11 +141,7 @@ def mean_field_root(params: ThermoParams, h) -> MeanFieldRoot:
     ha = abs(h)
     beta = params.beta
     f = lambda m: m - math.tanh(beta * (m + ha))
-    hi = 1.0 - 1e-16
-    if f(hi) <= 0.0:
-        # tanh saturated in floating point: the root is 1 to rounding
-        return MeanFieldRoot(sign * hi, False)
-    root = _bisect(f, params.m_beta - 1e-12, hi)
+    root = _root_below_one(f, params.m_beta - 1e-12)
     return MeanFieldRoot(float(sign * root), False)
 
 
@@ -187,7 +196,7 @@ def envelope_prime_inverse(params: ThermoParams, h, side=None) -> float:
     f = lambda m: -m + math.atanh(m) / beta - h
     # potential_prime(m_beta) is only zero to rounding; start the bracket a
     # hair below the plateau edge so arbitrarily small h > 0 still brackets
-    root = _bisect(f, params.m_beta - 1e-9, 1.0 - 1e-16)
+    root = _root_below_one(f, params.m_beta - 1e-9)
     return float(max(root, params.m_beta))
 
 
@@ -219,8 +228,7 @@ def metastable_inverse(params: ThermoParams, h, branch_sign) -> float:
             breakdown=h_lo,
         )
     f = lambda m: -m + math.atanh(m) / beta - h
-    root = _bisect(f, lo, 1.0 - 1e-16)
-    return float(root)
+    return float(_root_below_one(f, lo))
 
 
 def mobility(params: ThermoParams, m):

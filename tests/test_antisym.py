@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import ELL, EPS_SWEEP, J_STABLE, N0, geometric_mean
+from mesostefan import antisym
 from mesostefan.antisym import (build_seed, fixed_point_defect, flux_defect,
                                 hydrodynamic_error, solve_metastable,
                                 solve_stable, t_map)
@@ -167,6 +168,51 @@ def test_stable_preconditions(params2, kernel05, inst05, maximal_stable):
     with pytest.raises(DomainError):
         solve_stable(params2, kernel05, 0.1, J_STABLE, 2.5,
                      instanton=inst05, macro=maximal_stable)
+
+
+# ------------------------------------------------------ inexact inner solves
+
+def _forcing_rule_holds(trace, tol, inner_tol=1e-12):
+    assert len(trace.inner_tols) == len(trace.increments)
+    assert trace.inner_tols[-1] == inner_tol
+    for inc, itol in zip(trace.increments, trace.inner_tols):
+        expect = inner_tol if inc < tol else max(inner_tol,
+                                                 antisym.FORCING * inc)
+        assert itol == expect
+
+
+def test_inner_tolerance_follows_increment(stable_sweep):
+    """Each solve runs at max(inner_tol, FORCING * inc) until inc < tol."""
+    for eps in EPS_SWEEP:
+        _forcing_rule_holds(stable_sweep[eps].trace, 1e-10)
+
+
+def test_loose_outer_tolerance_keeps_inner_residual(params2, kernel05, inst05,
+                                                    maximal_stable):
+    """Steps with inc < tol solve at inner_tol, so the returned residual does
+    not grow to FORCING * tol when tol is loose."""
+    res = solve_stable(params2, kernel05, 0.05, J_STABLE, ELL, tol=1e-8,
+                       n0=N0, instanton=inst05, macro=maximal_stable)
+    incs = res.trace.increments
+    assert any(1e-10 < inc < 1e-8 for inc in incs)
+    _forcing_rule_holds(res.trace, 1e-8)
+    assert res.state.residual_norm <= 1e-12
+    assert fixed_point_defect(res) <= 1e-9
+
+
+def test_no_stop_on_inexact_pair(params2, kernel05, inst05, monkeypatch):
+    """With a loose forcing an inexact solve can leave m unchanged, so the
+    next increment is exactly 0; stopping there returned a defect of 8.8e-4.
+    The loop must first re-solve that pair at inner_tol."""
+    args = (params2, kernel05, 0.1, 0.02258, ELL)
+    ref = solve_metastable(*args, n0=N0, instanton=inst05)
+    monkeypatch.setattr(antisym, "FORCING", 0.1)
+    res = solve_metastable(*args, n0=N0, instanton=inst05)
+    assert 0.0 in res.trace.increments
+    assert fixed_point_defect(res) <= 1e-9
+    assert res.state.residual_norm <= 1e-12
+    assert np.max(np.abs(res.state.m - ref.state.m)) <= 1e-8
+    assert np.max(np.abs(res.state.h - ref.state.h)) <= 1e-8
 
 
 # -------------------------------------------------------- metastable branch

@@ -85,7 +85,8 @@ def test_solve_command_round_trip(tmp_path):
     assert summary["monotone"] is True
     assert summary["residual"] < 1e-8
     trace = (out / "trace.csv").read_text().splitlines()
-    assert trace[0] == "k,increment,ratio,residual"
+    assert trace[0] == "k,increment,ratio,residual,inner_tol"
+    assert float(trace[-1].split(",")[-1]) == 1e-12
 
 
 def test_solve_asym_command(tmp_path):
@@ -171,6 +172,58 @@ def test_sweep_worker_pool_matches_serial(tmp_path):
     cfg.workers = 1
     serial = run(cfg)
     assert parallel.to_csv() == serial.to_csv()
+
+
+def test_sweep_computes_shared_inputs_once(monkeypatch):
+    """One instanton and one macroscopic solution per config, and the same
+    rows as scales that compute their own."""
+    from mesostefan import cli, instanton, stefan
+
+    calls = {"instanton": 0, "macro": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mode, j, x0, macro_fn in (("antisym", -0.02, 0.0, "solve_maximal"),
+                                  ("metastable", 0.02, 0.0,
+                                   "_metastable_maximal"),
+                                  ("asym", -0.02, 0.2, "solve_maximal")):
+        cfg = RunConfig(beta=2.0, j=j, x0=x0, ell=1.0, mode=mode,
+                        eps_list=[0.1, 0.05], n0=2)
+        alone = [cli._sweep_job(cfg.__dict__.copy(), eps).csv_line()
+                 for eps in cfg.eps_list]
+        with monkeypatch.context() as mp:
+            calls.update(instanton=0, macro=0)
+            mp.setattr(instanton, "compute_instanton",
+                       counted("instanton", instanton.compute_instanton))
+            mp.setattr(stefan, macro_fn,
+                       counted("macro", getattr(stefan, macro_fn)))
+            report = run(cfg)
+        assert calls == {"instanton": 1, "macro": 1}, mode
+        assert [r.csv_line() for r in report.rows] == alone
+
+
+def test_failed_sweep_row_records_error(tmp_path):
+    """eps = 0.03 fails the off-center grid check: the -2 row's row.json says
+    why, and sweep.csv keeps its columns."""
+    out = tmp_path / "asym"
+    cfg_file = tmp_path / "asym.txt"
+    cfg_file.write_text(
+        f"beta = 2.0\nj = -0.02\nx0 = 0.2\nmode = asym\n"
+        f"eps_list = 0.05, 0.03\nn0 = 2\noutdir = {out}\n")
+    assert main(["sweep", "--config", str(cfg_file)]) == EXIT_CONFIG
+    ok = json.loads((out / "eps_0.05" / "row.json").read_text())
+    bad = json.loads((out / "eps_0.03" / "row.json").read_text())
+    assert "error" not in ok
+    assert bad["iters"] == -EXIT_CONFIG
+    assert bad["error"] == ("GridError: eps^-1 must be a grid multiple "
+                            "of the spacing")
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert lines[0] == SWEEP_HEADER
+    assert lines[2].endswith(f",{-EXIT_CONFIG}")
 
 
 def test_validate_findings(params2):

@@ -421,3 +421,15 @@ def test_branch_inverses_near_saturation(params2, h):
         ulp_floor = potential_double_prime(params2, m) * np.spacing(m)
         assert abs(potential_prime(params2, m) - h) <= max(1e-9 * h, ulp_floor)
         assert abs(m - ref) <= 2 * np.spacing(ref)
+
+
+@pytest.mark.parametrize("h", [9.0, 20.0])
+def test_branch_inverses_past_saturation(params2, h):
+    """Past h ~ 8.35 at beta = 2, potential_prime(1 - 1e-16) < h in floating
+    point: the root is 1 to rounding, as for the mean-field root."""
+    hi = 1.0 - 1e-16
+    assert mean_field_root(params2, h).value == hi
+    assert envelope_prime_inverse(params2, h) == hi
+    assert envelope_prime_inverse(params2, -h) == -hi
+    assert metastable_inverse(params2, h, +1) == hi
+    assert metastable_inverse(params2, -h, -1) == -hi
