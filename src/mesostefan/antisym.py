@@ -15,6 +15,12 @@ fall by more than half on the eps ladder.  Two rules keep the returned pair
 as accurate as with exact solves: a step whose increment is already below
 the outer tolerance solves at inner_tol, and the loop stops only on an
 increment measured from a pair that was itself solved at inner_tol.
+
+check_stable and check_metastable hold every check a solve makes before its
+first outer step (current sign, eps <= 0.2, ell against ell_j or ell_break,
+grid, gluing point, instanton window).  The solvers call them first and
+``mesostefan validate`` runs them at each scale, so the two cannot disagree.
+IterationTrace is the record of both this outer loop and the off-center one.
 """
 
 from __future__ import annotations
@@ -58,11 +64,22 @@ class CompositeSeed:
 
 @dataclass
 class IterationTrace:
-    increments: list = field(default_factory=list)      # sup|h_{k+1} - h_k|
-    m_increments: list = field(default_factory=list)
-    ratios: list = field(default_factory=list)
+    """What an outer loop did, one entry per outer step.
+
+    ``residuals`` has one more entry than ``increments``: the residual of the
+    starting pair, then that of each step's auxiliary solve.
+    """
+
+    increments: list = field(default_factory=list)   # outer increment of step k
     residuals: list = field(default_factory=list)
     inner_tols: list = field(default_factory=list)   # tolerance of step k's solve
+
+    @property
+    def ratios(self) -> list:
+        """ratios[k - 1] = increments[k] / increments[k - 1]; NaN after a
+        zero increment."""
+        inc = self.increments
+        return [b / a if a > 0 else float("nan") for a, b in zip(inc, inc[1:])]
 
     def to_csv(self) -> str:
         """One row per outer step k: the increment, its ratio to the previous
@@ -70,11 +87,9 @@ class IterationTrace:
         tolerance the increment set for step k's auxiliary solve."""
         buf = io.StringIO()
         buf.write("k,increment,ratio,residual,inner_tol\n")
-        for k, inc in enumerate(self.increments):
-            prev = self.increments[k - 1] if k > 0 else 0.0
-            rat = inc / prev if prev > 0 else float("nan")
-            res = self.residuals[k] if k < len(self.residuals) else float("nan")
-            itol = self.inner_tols[k] if k < len(self.inner_tols) else float("nan")
+        rows = zip(self.increments, [float("nan")] + self.ratios,
+                   self.residuals, self.inner_tols)
+        for k, (inc, rat, res, itol) in enumerate(rows):
             buf.write(f"{k},{inc:.17g},{rat:.17g},{res:.17g},{itol:.17g}\n")
         return buf.getvalue()
 
@@ -92,16 +107,14 @@ class AntisymResult:
     increase_interval: float | None    # meso length of the central rise (metastable)
 
 
-def build_seed(params: ThermoParams, kernel: Kernel, instanton: Instanton,
-               macro, eps, j, ell, n0=DEFAULT_N0) -> CompositeSeed:
-    """Composite odd seed on eps^-1[-ell, ell].
+def _seed_layout(spacing, instanton: Instanton, eps, ell, n0):
+    """Grid, interface abscissa and gluing index of the composite seed.
 
-    The interface profile fills [0, xi] with xi = x_eps + 2 n0 snapped up to
-    the grid; the macroscopic solution, evaluated at eps(x - xi), fills the
-    rest.  Requires the instanton to be sampled at the solver spacing so the
-    splice introduces no interpolation error.
+    GridError when eps^-1 [-ell, ell] has no grid at the spacing, the
+    instanton has another spacing, or the gluing point xi = x_eps + 2 n0
+    passes half the half-domain or the end of the instanton window.
     """
-    grid = build_grid(eps, ell, ell, kernel.spacing)
+    grid = build_grid(eps, ell, ell, spacing)
     if abs(instanton.spacing - grid.spacing) > 1e-12:
         raise GridError("instanton spacing must match the solver spacing")
     x_eps = threshold_abscissa(instanton, eps)
@@ -112,13 +125,26 @@ def build_seed(params: ThermoParams, kernel: Kernel, instanton: Instanton,
             f"gluing point {xi:.2f} collides with the boundary "
             f"(eps^-1 ell / 2 = {0.5 * half:.2f}); shrink eps or n0"
         )
-    c = grid.center_index
     xi_index = int(np.ceil(xi / grid.spacing - 1e-12))
-    xi_snap = xi_index * grid.spacing
-
-    ic = instanton.center_index
-    if xi_index > ic:
+    if xi_index > instanton.center_index:
         raise GridError("instanton window too small for the gluing point")
+    return grid, x_eps, xi_index
+
+
+def build_seed(params: ThermoParams, kernel: Kernel, instanton: Instanton,
+               macro, eps, j, ell, n0=DEFAULT_N0) -> CompositeSeed:
+    """Composite odd seed on eps^-1[-ell, ell].
+
+    The interface profile fills [0, xi] with xi = x_eps + 2 n0 snapped up to
+    the grid; the macroscopic solution, evaluated at eps(x - xi) > 0, fills
+    the rest.  Requires the instanton to be sampled at the solver spacing so
+    the splice introduces no interpolation error.
+    """
+    grid, x_eps, xi_index = _seed_layout(kernel.spacing, instanton, eps, ell,
+                                         n0)
+    c = grid.center_index
+    xi_snap = xi_index * grid.spacing
+    ic = instanton.center_index
     m0 = np.empty(grid.n)
     x_rel = grid.spacing * (np.arange(grid.n) - c)  # exactly symmetric coords
     m0[c:c + xi_index + 1] = instanton.profile[ic:ic + xi_index + 1]
@@ -148,24 +174,45 @@ def _odd_part(values: np.ndarray) -> np.ndarray:
     return 0.5 * (values - values[::-1])
 
 
+def check_stable(kernel: Kernel, eps, j, ell, n0, instanton: Instanton,
+                 macro: MaximalSolution) -> None:
+    """Raise what :func:`solve_stable` raises before iterating."""
+    if j == 0.0:
+        raise DomainError("j = 0 is the zero-current critical-point case: "
+                          "solve the auxiliary fixed point with h = 0 instead")
+    _check_length(kernel, eps, ell, n0, instanton, "the maximal ell_j",
+                  macro.ell_j)
+
+
+def check_metastable(kernel: Kernel, eps, j, ell, n0, instanton: Instanton,
+                     macro: MetastableMaximal) -> None:
+    """Raise what :func:`solve_metastable` raises before iterating."""
+    if j <= 0.0:
+        raise DomainError("metastable arrangement needs j > 0")
+    _check_length(kernel, eps, ell, n0, instanton,
+                  "the metastable breakdown", macro.ell_break)
+
+
+def _check_length(kernel, eps, ell, n0, instanton, what, limit):
+    """eps <= 0.2, ell below the macroscopic limit, and a seed that fits."""
+    if eps > 0.2:
+        raise DomainError("scale parameter must satisfy eps <= 0.2")
+    if ell >= limit:
+        raise DomainError(f"half-length {ell} must stay below {what} "
+                          f"= {limit:.6g}")
+    _seed_layout(kernel.spacing, instanton, eps, ell, n0)
+
+
 def solve_stable(params: ThermoParams, kernel: Kernel, eps, j, ell,
                  tol=1e-10, inner_tol=1e-12, max_outer=80, n0=DEFAULT_N0,
                  instanton: Instanton | None = None,
                  macro: MaximalSolution | None = None) -> AntisymResult:
     """Stable-branch antisymmetric solve: strictly monotone m for j != 0."""
-    if j == 0.0:
-        raise DomainError("zero current: use inner_solve with h = 0 instead")
-    if eps > 0.2:
-        raise DomainError("scale parameter must satisfy eps <= 0.2")
     from .instanton import compute_instanton
 
-    instanton = instanton or compute_instanton(params, kernel)
     macro = macro or solve_maximal(params, j)
-    if ell >= macro.ell_j:
-        raise DomainError(
-            f"half-length {ell} must stay below the maximal ell_j "
-            f"= {macro.ell_j:.6g}"
-        )
+    instanton = instanton or compute_instanton(params, kernel)
+    check_stable(kernel, eps, j, ell, n0, instanton, macro)
     if j > 0:
         # mirrored arrangement: solve with -j and flip
         res = solve_stable(params, kernel, eps, -j, ell, tol, inner_tol,
@@ -189,33 +236,14 @@ def solve_metastable(params: ThermoParams, kernel: Kernel, eps, j, ell,
     The field decreases while m decreases, rises across the interface, and
     decreases again; the central rise has vanishing macroscopic length.
     """
-    if j <= 0.0:
-        raise DomainError("metastable arrangement needs j > 0")
-    if eps > 0.2:
-        raise DomainError("scale parameter must satisfy eps <= 0.2")
     from .instanton import compute_instanton
 
-    instanton = instanton or compute_instanton(params, kernel)
     macro = macro or _metastable_maximal(params, j)
-    if ell >= macro.ell_break:
-        raise DomainError(
-            f"half-length {ell} reaches the metastable breakdown at "
-            f"{macro.ell_break:.6g}"
-        )
-    seed = build_seed(params, kernel, instanton, _MetaRight(macro), eps, j,
-                      ell, n0)
+    instanton = instanton or compute_instanton(params, kernel)
+    check_metastable(kernel, eps, j, ell, n0, instanton, macro)
+    seed = build_seed(params, kernel, instanton, macro, eps, j, ell, n0)
     return _iterate(params, kernel, seed, eps, j, ell, "metastable",
                     tol, inner_tol, max_outer)
-
-
-class _MetaRight:
-    """Right half of the metastable macroscopic pair as a seed callable."""
-
-    def __init__(self, maximal: MetastableMaximal):
-        self._mx = maximal
-
-    def m_of_x(self, x):
-        return self._mx.m_of_x(np.maximum(np.asarray(x, float), 0.0))
 
 
 def _iterate(params, kernel, seed, eps, j, ell, branch, tol, inner_tol,
@@ -230,20 +258,18 @@ def _iterate(params, kernel, seed, eps, j, ell, branch, tol, inner_tol,
     otherwise yield inc = 0 and stop on an unconverged field.
     """
     grid = seed.grid
-    trace = IterationTrace()
+    trace = IterationTrace(residuals=[0.0])
     h = seed.h0
     m = seed.m0
     exact = True
-    trace.residuals.append(0.0)
     bad_ratio_run = 0
     for _ in range(max_outer):
         h_next = t_map(params, grid, m, eps, j)
         inc = float(np.max(np.abs(h_next - h)))
         trace.increments.append(inc)
         if len(trace.increments) >= 2 and trace.increments[-2] > 0:
-            ratio = inc / trace.increments[-2]
-            trace.ratios.append(ratio)
-            bad_ratio_run = bad_ratio_run + 1 if ratio >= 1.0 else 0
+            bad_ratio_run = bad_ratio_run + 1 \
+                if inc >= trace.increments[-2] else 0
             if bad_ratio_run >= 10:
                 raise ConvergenceError(
                     "outer iteration stopped contracting", last=trace)
@@ -251,7 +277,6 @@ def _iterate(params, kernel, seed, eps, j, ell, branch, tol, inner_tol,
         state = inner_solve(params, kernel, grid, h_next, m, tol=step_tol)
         m_next = _odd_part(state.m)
         trace.inner_tols.append(step_tol)
-        trace.m_increments.append(float(np.max(np.abs(m_next - m))))
         trace.residuals.append(state.residual_norm)
         converged = inc < tol and exact
         h, m, exact = h_next, m_next, step_tol == inner_tol

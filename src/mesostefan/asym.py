@@ -8,6 +8,10 @@ has an eigenvalue 1 - O(eps) whose inversion would blow up the iteration,
 so each new field is projected against the extended problem's maximal
 eigenvector; convergence is then geometric with ratio O(eps) in a
 boundary-anchored exponentially weighted norm.
+
+check_off_center holds every check build_problem makes before the extended
+solve; ``mesostefan validate`` runs it at each scale.  The projected loop
+records into the same IterationTrace as the antisymmetric one.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ from .instanton import Instanton
 from .meso import MesoState, inner_solve, make_state, residual
 from .spectral import SpectralResult, leading_eigenpair
 from .stefan import MaximalSolution, solve_maximal
-from .antisym import AntisymResult, solve_stable
+from .antisym import (AntisymResult, CompositeSeed, IterationTrace,
+                      check_stable, solve_stable)
 from .thermo import ThermoParams, mobility
 
 #: cap on a_plus * (1 - x0) / eps so the boundary weight stays well inside
@@ -115,19 +120,6 @@ def _require_aligned(value, spacing, what):
     ratio = value / spacing
     if abs(ratio - round(ratio)) > 1e-9:
         raise GridError(f"{what} must be a grid multiple of the spacing")
-    return int(round(ratio))
-
-
-def problem_grids(eps, x0, spacing) -> tuple[Grid, Grid]:
-    """The extended grid eps^-1[-1, 1 + 2 x0] and the restricted eps^-1[-1, 1].
-
-    eps^-1 and eps^-1 x0 must be spacing multiples, so that the restricted
-    domain's right end and the interface are points of both grids.
-    """
-    _require_aligned(1.0 / eps, spacing, "eps^-1")
-    _require_aligned(x0 / eps, spacing, "eps^-1 x0")
-    return (build_grid(eps, 1.0, 1.0 + 2.0 * x0, spacing),
-            build_grid(eps, 1.0, 1.0, spacing))
 
 
 def boundary_correction(kernel: Kernel, ext_grid: Grid, m_star: np.ndarray,
@@ -153,29 +145,43 @@ def boundary_correction(kernel: Kernel, ext_grid: Grid, m_star: np.ndarray,
     return r
 
 
+def check_off_center(kernel: Kernel, eps, j, x0, n0, instanton: Instanton,
+                     macro: MaximalSolution) -> tuple[Grid, Grid]:
+    """Raise what :func:`build_problem` raises before the extended solve;
+    return the extended grid eps^-1[-1, 1 + 2 x0] and the restricted one.
+
+    Needs 0 < x0 < 1, an extended run on eps^-1[-(1 + x0), 1 + x0] that
+    passes :func:`antisym.check_stable`, eps^-1 and eps^-1 x0 on the grid
+    (so the restricted right end and the interface are points of both
+    grids), and an extension of at least one kernel range past eps^-1.
+    """
+    if not 0.0 < x0 < 1.0:
+        raise DomainError("interface offset must lie in (0, 1); for x0 < 0 "
+                          "flip the signs of x and j (mirror symmetry)")
+    check_stable(kernel, eps, j, 1.0 + x0, n0, instanton, macro)
+    _require_aligned(1.0 / eps, kernel.spacing, "eps^-1")
+    _require_aligned(x0 / eps, kernel.spacing, "eps^-1 x0")
+    ext_grid = build_grid(eps, 1.0, 1.0 + 2.0 * x0, kernel.spacing)
+    res_grid = build_grid(eps, 1.0, 1.0, kernel.spacing)
+    if res_grid.n - 1 + kernel.half_points >= ext_grid.n:
+        raise GridError("extended domain too short for the boundary correction")
+    return ext_grid, res_grid
+
+
 def build_problem(params: ThermoParams, kernel: Kernel, eps, j, x0,
                   tol=1e-10, inner_tol=1e-12, n0=2,
                   instanton: Instanton | None = None,
                   macro: MaximalSolution | None = None,
                   a_plus: float | None = None) -> OffCenterProblem:
     """Assemble the extended solution, its eigenpair, and the quasi-solution."""
-    if not 0.0 < abs(x0) < 1.0:
-        raise DomainError("interface offset must lie in (-1, 1) minus 0")
-    if x0 < 0.0:
-        raise DomainError("negative offsets by mirror symmetry: flip the sign "
-                          "of x and j")
     from .instanton import compute_instanton
 
-    instanton = instanton or compute_instanton(params, kernel)
     macro = macro or solve_maximal(params, j)
+    instanton = instanton or compute_instanton(params, kernel)
+    ext_grid, res_grid = check_off_center(kernel, eps, j, x0, n0, instanton,
+                                          macro)
     ell_half = 1.0 + x0                       # half-length of the extended run
-    if ell_half >= macro.ell_j:
-        raise DomainError(
-            f"extended half-length {ell_half} needs ell_j > itself "
-            f"(ell_j = {macro.ell_j:.6g})"
-        )
     ell_star = 1.0 + 2.0 * x0
-    ext_grid, res_grid = problem_grids(eps, x0, kernel.spacing)
 
     extended = solve_stable(params, kernel, eps, j, ell_half, tol=tol,
                             inner_tol=inner_tol, n0=n0,
@@ -203,8 +209,7 @@ def build_problem(params: ThermoParams, kernel: Kernel, eps, j, x0,
     weight = build_weight(res_grid, x0, a_plus)
     interface_index = res_grid.index_of(round(x0 / eps / res_grid.spacing)
                                         * res_grid.spacing)
-    for arr in (r_eps,):
-        arr.setflags(write=False)
+    r_eps.setflags(write=False)
     return OffCenterProblem(params, kernel, float(eps), float(j), float(x0),
                             float(ell_star), extended, ext_grid, res_grid,
                             h_star, m_star, u_star, r_eps, h_eps, m_eps,
@@ -238,13 +243,15 @@ def projected_iterate(problem: OffCenterProblem, m_n: np.ndarray,
 class OffCenterResult:
     problem: OffCenterProblem
     state: MesoState
-    weighted_increments: list
-    sup_increments: list
-    ratios: list
-    iterations: int
+    trace: IterationTrace      # weighted increments N(h_{k+1} - h_k)
     field_zero: float          # x with h(x) = 0 (mesoscopic)
     m_zero: float              # x with m(x) = 0
     eps_field_zero: float      # eps * field_zero
+
+    @property
+    def seed(self) -> CompositeSeed:
+        """The extended run's seed, whose gluing point bounds the interface."""
+        return self.problem.extended.seed
 
 
 def solve_off_center(params: ThermoParams, kernel: Kernel, eps, j, x0,
@@ -254,37 +261,36 @@ def solve_off_center(params: ThermoParams, kernel: Kernel, eps, j, x0,
                      problem: OffCenterProblem | None = None) -> OffCenterResult:
     """Iterate the projected map from the quasi-solution to convergence.
 
-    Convergence is measured in the weighted norm; the final field's zero is
-    located near the interface by bracketing plus linear interpolation, and
-    the magnetization zero is reported separately (the two need not
-    coincide).
+    Convergence is measured in the weighted norm, and the trace records
+    those increments with the same fields as the antisymmetric loop (the
+    first residual is the quasi-solution's; every solve runs at inner_tol).
+    The final field's zero is located near the interface by bracketing plus
+    linear interpolation, and the magnetization zero is reported separately
+    (the two need not coincide).
     """
     problem = problem or build_problem(params, kernel, eps, j, x0,
                                        inner_tol=inner_tol, n0=n0,
                                        instanton=instanton, macro=macro)
-    weight = problem.weight
-    h_prev = problem.h_eps
-    m_prev = problem.m_eps
-    weighted_incs, sup_incs, ratios = [], [], []
-    state = None
-    for it in range(1, max_outer + 1):
-        h_next, state = projected_iterate(problem, m_prev, inner_tol)
-        n_inc = weight.norm(h_next - h_prev)
-        weighted_incs.append(n_inc)
-        sup_incs.append(float(np.max(np.abs(h_next - h_prev))))
-        if len(weighted_incs) >= 2 and weighted_incs[-2] > 0:
-            ratios.append(n_inc / weighted_incs[-2])
-        h_prev, m_prev = h_next, state.m
-        if n_inc < tol:
+    trace = IterationTrace(residuals=[problem.seed_residual])
+    h, m = problem.h_eps, problem.m_eps
+    for _ in range(max_outer):
+        h_next, state = projected_iterate(problem, m, inner_tol)
+        inc = problem.weight.norm(h_next - h)
+        trace.increments.append(inc)
+        trace.residuals.append(state.residual_norm)
+        trace.inner_tols.append(inner_tol)
+        h, m = h_next, state.m
+        if inc < tol:
             break
     else:
         raise ConvergenceError(
-            f"projected iteration did not reach {tol} in {max_outer} steps")
+            f"projected iteration did not reach {tol} in {max_outer} steps",
+            last=trace)
 
     field_zero = _zero_near(problem, state.h)
     m_zero = _zero_near(problem, state.m)
-    return OffCenterResult(problem, state, weighted_incs, sup_incs, ratios,
-                           it, field_zero, m_zero, problem.eps * field_zero)
+    return OffCenterResult(problem, state, trace, field_zero, m_zero,
+                           problem.eps * field_zero)
 
 
 def _zero_near(problem: OffCenterProblem, values: np.ndarray,

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -19,14 +18,17 @@ from . import antisym, asym, instanton as instanton_mod, meso, spectral, stefan
 from .config import RunConfig, load_config
 from .errors import (BranchRangeError, DomainError, GridError,
                      InfeasibleError, MesostefanError)
-from .grids import Grid, Profile, build_grid, build_kernel
-from .profiles import dump_json, fmt, load_state, save_profile, save_state
+from .grids import Profile, build_grid, build_kernel
+from .profiles import (dump_json, fmt, grid_from_points, load_state,
+                       save_profile, save_state)
 from .thermo import (convex_envelope, make_params, potential, pressure)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
+_EXIT_PREFIX = {EXIT_CONFIG: "config error", EXIT_INFEASIBLE: "infeasible",
+                EXIT_NUMERICAL: "numerical failure"}
 
 SWEEP_HEADER = "eps,mode,hydro_m,hydro_h,lam_gap_ratio,I_eps,eps_x_eps,iters"
 
@@ -43,7 +45,6 @@ class SweepRow:
     eps_x_eps: float = float("nan")
     iters: int = 0
     error: str = ""             # exception class and message of a failed row
-    wall_time: float = 0.0      # not serialized: timing is not reproducible
 
     def csv_line(self) -> str:
         return ",".join([
@@ -94,7 +95,7 @@ def cmd_instanton(args) -> int:
     inst = instanton_mod.compute_instanton(params, kernel,
                                            half_width=args.halfwidth)
     out = _outdir(args.out)
-    grid = _line_grid(inst.x, args.spacing)
+    grid = grid_from_points(inst.x, args.spacing)
     save_profile(os.path.join(out, "instanton.csv"),
                  Profile(grid, inst.profile))
     save_profile(os.path.join(out, "instanton_derivative.csv"),
@@ -108,12 +109,6 @@ def cmd_instanton(args) -> int:
     })
     print(f"decay_rate = {fmt(inst.decay_rate)}  residual = {fmt(inst.residual)}")
     return EXIT_OK
-
-
-def _line_grid(x: np.ndarray, spacing) -> Grid:
-    pts = np.asarray(x, dtype=float)
-    pts.setflags(write=False)
-    return Grid(0.5, -pts[0] * 0.5, pts[-1] * 0.5, float(spacing), pts)
 
 
 def cmd_stefan(args) -> int:
@@ -139,100 +134,91 @@ def cmd_stefan(args) -> int:
     return EXIT_OK
 
 
-def _macro(params, cfg: RunConfig):
-    """The macroscopic solution a mode starts from and is compared with."""
+def _failure(exc: MesostefanError, where="") -> tuple[int, str]:
+    """Exit code of a package error and its message with the code's prefix:
+    ``main`` exits with the code, a sweep row stores its negative, and
+    ``validate`` reports the message."""
+    if isinstance(exc, (InfeasibleError, BranchRangeError)):
+        code = EXIT_INFEASIBLE
+    elif isinstance(exc, (DomainError, GridError)):
+        code = EXIT_CONFIG
+    else:
+        code = EXIT_NUMERICAL
+    return code, f"{_EXIT_PREFIX[code]}: {where}{exc}"
+
+
+def _mode(cfg: RunConfig):
+    """The mode's maximal macroscopic solution, precondition check, solver,
+    and the solver's fifth argument (ell, or x0 off center), looked up when
+    called."""
+    if cfg.mode == "antisym":
+        return (stefan.solve_maximal, antisym.check_stable,
+                antisym.solve_stable, cfg.ell)
     if cfg.mode == "metastable":
-        return stefan._metastable_maximal(params, cfg.j)
-    if cfg.mode in ("antisym", "asym"):
-        return stefan.solve_maximal(params, cfg.j)
+        return (stefan._metastable_maximal, antisym.check_metastable,
+                antisym.solve_metastable, cfg.ell)
+    if cfg.mode == "asym":
+        return (stefan.solve_maximal, asym.check_off_center,
+                asym.solve_off_center, cfg.x0)
     raise DomainError(f"unknown mode {cfg.mode!r}")
 
 
-def _shared_inputs(cfg: RunConfig) -> dict:
-    """The instanton and macroscopic solution, which every scale shares.
-
-    A failure leaves the value out: each scale's own solve then raises it
-    again and records it in its row.
-    """
-    shared = {}
-    try:
-        params = make_params(cfg.beta)
-        kernel = build_kernel(cfg.spacing, cfg.kernel)
-        shared["instanton"] = instanton_mod.compute_instanton(
-            params, kernel, half_width=cfg.instanton_halfwidth)
-        shared["macro"] = _macro(params, cfg)
-    except MesostefanError:
-        pass
-    return shared
-
-
-def _solve_one(cfg: RunConfig, eps, shared=None):
-    """One full mesoscopic solve at a single scale; returns (row, artifacts).
-
-    ``shared`` may carry the "instanton" and "macro" of the config (see
-    :func:`_shared_inputs`); missing ones are computed here.
-    """
-    shared = shared or {}
+def _shared_inputs(cfg: RunConfig) -> tuple:
+    """(params, kernel, macro, instanton), which every scale of a config
+    shares; raises what computing them raises."""
     params = make_params(cfg.beta)
     kernel = build_kernel(cfg.spacing, cfg.kernel)
-    inst = shared.get("instanton") or instanton_mod.compute_instanton(
-        params, kernel, half_width=cfg.instanton_halfwidth)
-    macro = shared.get("macro") or _macro(params, cfg)
-    t0 = time.perf_counter()
-    row = SweepRow(eps=eps, mode=cfg.mode)
+    macro = _mode(cfg)[0](params, cfg.j)
+    inst = instanton_mod.compute_instanton(params, kernel,
+                                           half_width=cfg.instanton_halfwidth)
+    return params, kernel, macro, inst
+
+
+def _solve_one(cfg: RunConfig, eps, shared: tuple):
+    """One mesoscopic solve at a single scale; returns (row, result).
+
+    Every mode runs the same pipeline on the shared inputs: the mode's
+    solver, the hydrodynamic error against the Stefan limit shifted to the
+    interface (x0 off center, 0 for antisym and metastable whatever
+    ``cfg.x0`` says), and the leading eigenpair.  Only the solver, the
+    shift and the extra column (I_eps for metastable, eps_x_eps off center)
+    depend on the mode.
+    """
+    _, _, solve, arg = _mode(cfg)
+    params, kernel, macro, inst = shared
+    res = solve(params, kernel, eps, cfg.j, arg,
+                tol=cfg.outer_tol, inner_tol=cfg.inner_tol, n0=cfg.n0,
+                instanton=inst, macro=macro)
+    x0 = cfg.x0 if cfg.mode == "asym" else 0.0
+    row = SweepRow(eps=eps, mode=cfg.mode, iters=len(res.trace.increments))
     row.c_instanton = abs(cfg.j) * inst.mean / inst.norm_sq
-    if cfg.mode == "antisym":
-        res = antisym.solve_stable(params, kernel, eps, cfg.j, cfg.ell,
-                                   tol=cfg.outer_tol, inner_tol=cfg.inner_tol,
-                                   n0=cfg.n0, instanton=inst, macro=macro)
-        row.hydro_m, row.hydro_h = antisym.hydrodynamic_error(
-            res.state, macro.m_of_x, macro.h_of_x, eps, 0.0,
-            eps * res.seed.xi_eps)
-        sp = spectral.leading_eigenpair(res.state, tol=cfg.spectral_tol)
-        row.lam_gap_ratio = (1.0 - sp.lambda_) / eps
-        row.iters = len(res.trace.increments)
-        artifacts = {"result": res, "spectral": sp}
-    elif cfg.mode == "metastable":
-        res = antisym.solve_metastable(params, kernel, eps, cfg.j, cfg.ell,
-                                       tol=cfg.outer_tol,
-                                       inner_tol=cfg.inner_tol,
-                                       n0=cfg.n0, instanton=inst, macro=macro)
-        row.hydro_m, row.hydro_h = antisym.hydrodynamic_error(
-            res.state, macro.m_of_x, macro.h_of_x, eps, 0.0,
-            eps * res.seed.xi_eps)
-        sp = spectral.leading_eigenpair(res.state, tol=cfg.spectral_tol)
-        row.lam_gap_ratio = (1.0 - sp.lambda_) / eps
+    row.hydro_m, row.hydro_h = antisym.hydrodynamic_error(
+        res.state, lambda xi: macro.m_of_x(np.asarray(xi) - x0),
+        lambda xi: macro.h_of_x(np.asarray(xi) - x0), eps, x0,
+        eps * res.seed.xi_eps)
+    sp = spectral.leading_eigenpair(res.state, tol=cfg.spectral_tol)
+    row.lam_gap_ratio = (1.0 - sp.lambda_) / eps
+    if cfg.mode == "metastable":
         row.i_eps = res.increase_interval
-        row.iters = len(res.trace.increments)
-        artifacts = {"result": res, "spectral": sp}
-    else:
-        res = asym.solve_off_center(params, kernel, eps, cfg.j, cfg.x0,
-                                    tol=cfg.outer_tol,
-                                    inner_tol=cfg.inner_tol, n0=cfg.n0,
-                                    instanton=inst, macro=macro)
-        m_of = lambda xi: macro.m_of_x(np.asarray(xi) - cfg.x0)
-        h_of = lambda xi: macro.h_of_x(np.asarray(xi) - cfg.x0)
-        row.hydro_m, row.hydro_h = antisym.hydrodynamic_error(
-            res.state, m_of, h_of, eps, cfg.x0,
-            eps * res.problem.extended.seed.xi_eps)
-        sp = spectral.leading_eigenpair(res.state, tol=cfg.spectral_tol)
-        row.lam_gap_ratio = (1.0 - sp.lambda_) / eps
+    elif cfg.mode == "asym":
         row.eps_x_eps = res.eps_field_zero
-        row.iters = res.iterations
-        artifacts = {"result": res, "spectral": sp}
-    row.wall_time = time.perf_counter() - t0
-    return row, artifacts
+    return row, res
+
+
+def _save_run(out, res):
+    """The state and the outer-loop trace of a solve."""
+    st = res.state
+    save_state(os.path.join(out, "state.csv"), st.grid, st.h, st.m)
+    with open(os.path.join(out, "trace.csv"), "w") as fh:
+        fh.write(res.trace.to_csv())
 
 
 def cmd_solve(args) -> int:
     cfg = _config_from_args(args, mode=args.mode)
     out = _outdir(args.out)
-    row, artifacts = _solve_one(cfg, args.eps)
-    res = artifacts["result"]
+    row, res = _solve_one(cfg, args.eps, _shared_inputs(cfg))
     st = res.state
-    save_state(os.path.join(out, "state.csv"), st.grid, st.h, st.m)
-    with open(os.path.join(out, "trace.csv"), "w") as fh:
-        fh.write(res.trace.to_csv())
+    _save_run(out, res)
     dump_json(os.path.join(out, "solve.json"), {
         "mode": cfg.mode, "beta": cfg.beta, "eps": args.eps, "j": cfg.j,
         "ell": cfg.ell, "spacing": cfg.spacing, "n0": cfg.n0,
@@ -251,11 +237,9 @@ def cmd_solve(args) -> int:
 def cmd_solve_asym(args) -> int:
     cfg = _config_from_args(args, mode="asym")
     out = _outdir(args.out)
-    row, artifacts = _solve_one(cfg, args.eps)
-    res = artifacts["result"]
-    st = res.state
+    row, res = _solve_one(cfg, args.eps, _shared_inputs(cfg))
     prob = res.problem
-    save_state(os.path.join(out, "state.csv"), st.grid, st.h, st.m)
+    _save_run(out, res)
     save_profile(os.path.join(out, "u_star.csv"),
                  Profile(prob.ext_grid, prob.u_star.u))
     save_profile(os.path.join(out, "r_eps.csv"),
@@ -265,10 +249,10 @@ def cmd_solve_asym(args) -> int:
         "x_eps": res.field_zero, "eps_x_eps": res.eps_field_zero,
         "m_zero": res.m_zero,
         "hydro_error_m": row.hydro_m, "hydro_error_h": row.hydro_h,
-        "iterations": res.iterations,
+        "iterations": row.iters,
         "seed_residual": prob.seed_residual,
         "lambda_star": prob.u_star.lambda_,
-        "G_report": asym.admissibility_report(prob, st.h),
+        "G_report": asym.admissibility_report(prob, res.state.h),
     })
     print(f"eps * x_eps = {fmt(res.eps_field_zero)}  (target x0 = {cfg.x0})")
     return EXIT_OK
@@ -300,32 +284,38 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _sweep_job(cfg_dict, eps, shared=None):
+def _error_row(cfg: RunConfig, eps, exc: MesostefanError) -> SweepRow:
+    code, _ = _failure(exc)
+    return SweepRow(eps=eps, mode=cfg.mode, iters=-code,
+                    error=f"{type(exc).__name__}: {exc}")
+
+
+def _sweep_job(cfg_dict, eps, shared: tuple | None = None) -> SweepRow:
+    """The sweep row of one scale; without ``shared`` it computes the
+    shared inputs itself."""
     cfg = RunConfig(**cfg_dict)
     try:
-        row, _ = _solve_one(cfg, eps, shared)
+        row, _ = _solve_one(cfg, eps, shared or _shared_inputs(cfg))
         return row
-    except (InfeasibleError, BranchRangeError) as exc:
-        code, err = EXIT_INFEASIBLE, exc
-    except (DomainError, GridError) as exc:
-        code, err = EXIT_CONFIG, exc
     except MesostefanError as exc:
-        code, err = EXIT_NUMERICAL, exc
-    return SweepRow(eps=eps, mode=cfg.mode, iters=-code,
-                    error=f"{type(err).__name__}: {err}")
+        return _error_row(cfg, eps, exc)
 
 
 def run(cfg: RunConfig) -> SweepReport:
     """Execute the configured pipeline at every scale in eps_list.
 
-    The instanton and the macroscopic solution are computed once and handed
-    to every scale.  Failures become rows with a negative error code in the
-    iteration column and the exception in ``error``; the aggregate is
-    written once by the coordinator.
+    The shared inputs are computed once and handed to every scale; if they
+    fail, every scale gets the same error row.  Failures become rows with a
+    negative error code in the iteration column and the exception in
+    ``error``; the aggregate is written once by the coordinator.
     """
     report = SweepReport()
     cfg_dict = cfg.__dict__.copy()
-    shared = _shared_inputs(cfg)
+    try:
+        shared = _shared_inputs(cfg)
+    except MesostefanError as exc:
+        report.rows = [_error_row(cfg, eps, exc) for eps in cfg.eps_list]
+        return report
     if cfg.workers > 1 and len(cfg.eps_list) > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             futures = [pool.submit(_sweep_job, cfg_dict, eps, shared)
@@ -363,50 +353,27 @@ def cmd_sweep(args) -> int:
 
 
 def validate(cfg: RunConfig) -> list:
-    """Feasibility findings for a configuration (reports, never raises)."""
+    """Findings that fail a sweep row before its solve iterates.
+
+    Computes the shared inputs, then runs the mode's precondition check at
+    each eps: ``antisym.check_stable``, ``antisym.check_metastable`` or
+    ``asym.check_off_center``, which the solvers call first.  A finding
+    starts with the prefix ``main`` prints for the exit code the row would
+    carry ("config error", "infeasible", "numerical failure").  Package
+    errors are reported, never raised; a solve can still fail while
+    iterating (exit code 4).
+    """
+    try:
+        _, kernel, macro, inst = _shared_inputs(cfg)
+    except MesostefanError as exc:
+        return [_failure(exc)[1]]
+    _, check, _, arg = _mode(cfg)
     findings = []
-    if cfg.beta <= 1.0:
-        findings.append("config error: beta must exceed 1")
-        return findings
-    params = make_params(cfg.beta)
-    if cfg.j == 0.0:
-        findings.append(
-            "j = 0 is the zero-current critical-point case: solve the "
-            "auxiliary fixed point with h = 0 instead of the outer iteration")
-        return findings
-    if cfg.mode == "metastable":
-        if cfg.j < 0:
-            findings.append("config error: metastable mode needs j > 0")
-            return findings
-        mx = stefan._metastable_maximal(params, cfg.j)
-        if cfg.ell >= mx.ell_break:
-            findings.append(
-                f"infeasible: ell = {cfg.ell} reaches the metastable "
-                f"breakdown length {mx.ell_break:.6g}")
-    else:
-        mx = stefan.solve_maximal(params, cfg.j)
-        need = cfg.ell if cfg.mode == "antisym" else 1.0 + abs(cfg.x0)
-        if need >= mx.ell_j:
-            findings.append(
-                f"infeasible: required half-length {need} exceeds the "
-                f"maximal ell_j = {mx.ell_j:.6g}")
-    kernel = build_kernel(cfg.spacing, cfg.kernel)
-    inst = instanton_mod.compute_instanton(params, kernel,
-                                           half_width=cfg.instanton_halfwidth)
     for eps in cfg.eps_list:
-        half = (cfg.ell if cfg.mode != "asym" else 1.0 + abs(cfg.x0)) / eps
-        xi = instanton_mod.threshold_abscissa(inst, eps) + 2.0 * cfg.n0
-        if xi >= 0.5 * half:
-            findings.append(
-                f"eps = {eps}: gluing point {xi:.2f} collides with the "
-                f"boundary (half-domain {half:.2f}); shrink eps or n0")
         try:
-            if cfg.mode == "asym":
-                asym.problem_grids(eps, cfg.x0, cfg.spacing)
-            else:
-                build_grid(eps, cfg.ell, cfg.ell, cfg.spacing)
-        except GridError as exc:
-            findings.append(f"eps = {eps}: {exc}")
+            check(kernel, eps, cfg.j, arg, cfg.n0, inst, macro)
+        except MesostefanError as exc:
+            findings.append(_failure(exc, f"eps = {eps}: ")[1])
     return findings
 
 
@@ -502,15 +469,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InfeasibleError, BranchRangeError) as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except (DomainError, GridError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except MesostefanError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        code, message = _failure(exc)
+        print(message, file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -39,27 +39,39 @@ def _sidecar(path) -> str:
 
 
 def load_profile(path) -> Profile:
-    x, v = load_columns(path, ("x", "value"))
+    return Profile(*_load_on_grid(path, ("value",)))
+
+
+def _load_on_grid(path, names) -> tuple:
+    """The grid of a profile or state file and its value columns.
+
+    The grid comes from the sidecar descriptor, whose points must match the
+    x column (GridError otherwise), or, without a sidecar, from the x column.
+    """
+    x, *values = load_columns(path, ("x",) + tuple(names))
     side = _sidecar(path)
-    if os.path.exists(side):
-        with open(side) as fh:
-            d = json.load(fh)
-        grid = build_grid(d["epsilon"], d["left"], d["right"], d["spacing"])
-        if grid.n != x.size:
-            raise GridError("grid descriptor does not match profile length")
-    else:
-        grid = _grid_from_points(x)
-    return Profile(grid, v)
+    if not os.path.exists(side):
+        return (grid_from_points(x, float(x[1] - x[0])), *values)
+    with open(side) as fh:
+        d = json.load(fh)
+    grid = build_grid(d["epsilon"], d["left"], d["right"], d["spacing"])
+    if grid.n != x.size or np.max(np.abs(grid.points - x)) \
+            > 1e-9 * max(1.0, grid.b):
+        raise GridError(f"x column of {path} does not match its grid "
+                        f"descriptor {side}")
+    return (grid, *values)
 
 
-def _grid_from_points(x: np.ndarray) -> Grid:
-    spacing = float(x[1] - x[0])
-    if np.max(np.abs(np.diff(x) - spacing)) > 1e-9 * max(1.0, spacing):
-        raise GridError("points are not equispaced")
+def grid_from_points(x: np.ndarray, spacing) -> Grid:
+    """Grid whose points are the equispaced ``x`` at the given spacing.
+
+    epsilon is not recoverable from bare points; a neutral 0.5 is recorded.
+    """
     pts = np.asarray(x, dtype=float)
+    if np.max(np.abs(np.diff(pts) - spacing)) > 1e-9 * max(1.0, spacing):
+        raise GridError("points are not equispaced")
     pts.setflags(write=False)
-    # epsilon is not recoverable from bare points; record a neutral 0.5
-    return Grid(0.5, -pts[0] * 0.5, pts[-1] * 0.5, spacing, pts)
+    return Grid(0.5, -pts[0] * 0.5, pts[-1] * 0.5, float(spacing), pts)
 
 
 def load_columns(path, names) -> tuple[np.ndarray, ...]:
@@ -93,15 +105,8 @@ def save_state(path, grid: Grid, h, m):
 
 
 def load_state(path):
-    x, h, m = load_columns(path, ("x", "h", "m"))
-    side = _sidecar(path)
-    if os.path.exists(side):
-        with open(side) as fh:
-            d = json.load(fh)
-        grid = build_grid(d["epsilon"], d["left"], d["right"], d["spacing"])
-    else:
-        grid = _grid_from_points(x)
-    return grid, h, m
+    """(grid, h, m) of a state file; see :func:`_load_on_grid`."""
+    return _load_on_grid(path, ("h", "m"))
 
 
 def dump_json(path, payload: dict):

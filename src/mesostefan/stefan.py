@@ -138,7 +138,7 @@ def solve_maximal(params: ThermoParams, j) -> MaximalSolution:
     ell_j = [X(1 - SATURATION_GAP) - X(m_beta)]/|j|.
     """
     if j == 0.0 or not np.isfinite(j):
-        raise DomainError("zero or non-finite current has no maximal solution")
+        raise DomainError("zero-current or non-finite j: no maximal solution")
     width = _cubic(params, 1.0 - SATURATION_GAP) - _cubic(params, params.m_beta)
     if width <= 0.0:
         raise DomainError(f"m_beta = {params.m_beta!r} is already past the "

@@ -83,8 +83,7 @@ def solve_m_beta(beta) -> float:
     """Unique positive root of m = tanh(beta m); requires beta > 1."""
     if not np.isfinite(beta) or beta <= 1.0:
         raise DomainError(f"beta must exceed 1, got {beta}")
-    root = _bisect(lambda m: m - math.tanh(beta * m), 1e-8, 1.0 - 1e-16)
-    return float(root)
+    return float(_root_below_one(lambda m: m - math.tanh(beta * m), 1e-8))
 
 
 def make_params(beta) -> ThermoParams:

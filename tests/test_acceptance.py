@@ -152,7 +152,7 @@ def test_criterion_08_geometric_convergence(stable_sweep, asym_sweep):
     worst_asym = 0.0
     for eps in EPS_SWEEP:
         limit = max(0.9, 5.0 * eps)
-        ratios = asym_sweep[eps].ratios
+        ratios = asym_sweep[eps].trace.ratios
         ok &= all(r <= limit for r in ratios)
         worst_asym = max(worst_asym, max(ratios))
     report(8, f"contraction after burn-in <= 0.9 with geometric mean "

@@ -215,6 +215,55 @@ def test_no_stop_on_inexact_pair(params2, kernel05, inst05, monkeypatch):
     assert np.max(np.abs(res.state.h - ref.state.h)) <= 1e-8
 
 
+def test_ratios_pair_with_increments_after_zero(params2, kernel05, inst05,
+                                                monkeypatch):
+    """ratios[k - 1] is increments[k] / increments[k - 1] at every k, NaN
+    after the exact-zero increment the loose forcing produces."""
+    monkeypatch.setattr(antisym, "FORCING", 0.1)
+    res = solve_metastable(params2, kernel05, 0.1, 0.02258, ELL, n0=N0,
+                           instanton=inst05)
+    inc = res.trace.increments
+    ratios = res.trace.ratios
+    assert inc[2] == 0.0
+    assert len(ratios) == len(inc) - 1
+    assert np.isnan(ratios[2])
+    for k in range(1, len(inc)):
+        if np.isfinite(ratios[k - 1]):
+            assert ratios[k - 1] == inc[k] / inc[k - 1]
+    assert sum(np.isfinite(ratios)) == len(inc) - 2
+
+
+def test_checks_match_solver_errors(params2, kernel05, inst05,
+                                    maximal_stable, maximal_meta):
+    """check_stable / check_metastable raise exactly what the solves raise
+    before iterating, and pass where the solves start."""
+    cases = [
+        (antisym.check_stable, solve_stable, maximal_stable, 0.25, J_STABLE,
+         ELL, N0, DomainError),                  # eps > 0.2
+        (antisym.check_stable, solve_stable, maximal_stable, 0.1, J_STABLE,
+         2.5, N0, DomainError),                  # ell >= ell_j
+        (antisym.check_stable, solve_stable, maximal_stable, 0.03, J_STABLE,
+         ELL, N0, GridError),                    # grid spacing adjusted
+        (antisym.check_stable, solve_stable, maximal_stable, 0.1, J_STABLE,
+         ELL, 10, GridError),                    # gluing point collides
+        (antisym.check_metastable, solve_metastable, maximal_meta, 0.1, 0.02,
+         5.0, N0, DomainError),                  # ell >= ell_break
+        (antisym.check_metastable, solve_metastable, maximal_meta, 0.02,
+         0.02, ELL, 10, GridError),              # instanton window
+    ]
+    for check, solve, macro, eps, j, ell, n0, err in cases:
+        with pytest.raises(err) as from_check:
+            check(kernel05, eps, j, ell, n0, inst05, macro)
+        with pytest.raises(err) as from_solve:
+            solve(params2, kernel05, eps, j, ell, n0=n0, instanton=inst05,
+                  macro=macro)
+        assert str(from_check.value) == str(from_solve.value)
+    assert antisym.check_stable(kernel05, 0.1, J_STABLE, ELL, N0, inst05,
+                                maximal_stable) is None
+    assert antisym.check_metastable(kernel05, 0.1, 0.02, ELL, N0, inst05,
+                                    maximal_meta) is None
+
+
 # -------------------------------------------------------- metastable branch
 
 def test_metastable_field_decreasing(metastable_sweep):

@@ -5,8 +5,9 @@ import pytest
 
 from conftest import EPS_SWEEP, J_STABLE, N0, X0
 from mesostefan.asym import (admissibility_report, build_problem,
-                             default_a_plus, projected_iterate)
-from mesostefan.errors import DomainError
+                             check_off_center, default_a_plus,
+                             projected_iterate)
+from mesostefan.errors import DomainError, GridError
 from mesostefan.grids import conv_values
 from mesostefan.meso import residual
 
@@ -22,6 +23,44 @@ def test_problem_preconditions(params2, kernel05):
         build_problem(params2, kernel05, 0.1, J_STABLE, 0.0)
     with pytest.raises(DomainError):
         build_problem(params2, kernel05, 0.1, -0.05, X0)   # 1 + x0 > ell_j
+
+
+def test_check_matches_problem_errors(params2, kernel05, inst05,
+                                      maximal_stable, problem01):
+    """check_off_center raises exactly what build_problem raises before the
+    extended solve, and returns the grids build_problem uses."""
+    cases = [(0.1, 0.0, DomainError), (0.1, -0.2, DomainError),
+             (0.25, X0, DomainError),            # eps > 0.2 (extended run)
+             (0.03, X0, GridError),              # eps^-1 not aligned
+             (0.1, 0.025, GridError)]            # extension below one range
+    for eps, x0, err in cases:
+        with pytest.raises(err) as from_check:
+            check_off_center(kernel05, eps, J_STABLE, x0, N0, inst05,
+                             maximal_stable)
+        with pytest.raises(err) as from_problem:
+            build_problem(params2, kernel05, eps, J_STABLE, x0, n0=N0,
+                          instanton=inst05, macro=maximal_stable)
+        assert str(from_check.value) == str(from_problem.value)
+    ext, res = check_off_center(kernel05, 0.1, J_STABLE, X0, N0, inst05,
+                                maximal_stable)
+    assert np.array_equal(ext.points, problem01.ext_grid.points)
+    assert np.array_equal(res.points, problem01.res_grid.points)
+
+
+def test_trace_records_weighted_increments(asym_sweep):
+    """The projected loop records into IterationTrace: weighted increments
+    below tol at the end, the quasi-solution's residual first, then one
+    residual and one inner tolerance per step."""
+    for eps in EPS_SWEEP:
+        res = asym_sweep[eps]
+        tr = res.trace
+        assert tr.increments[-1] < 1e-9
+        assert all(inc >= 1e-9 for inc in tr.increments[:-1])
+        assert tr.residuals[0] == res.problem.seed_residual
+        assert len(tr.residuals) == len(tr.increments) + 1
+        assert max(tr.residuals[1:]) <= 1e-12
+        assert tr.inner_tols == [1e-12] * len(tr.increments)
+        assert res.seed is res.problem.extended.seed
 
 
 def test_quasi_solution_residual(asym_sweep):
@@ -117,9 +156,9 @@ def test_weighted_contraction(asym_sweep):
     for eps in EPS_SWEEP:
         res = asym_sweep[eps]
         limit = max(0.9, 5.0 * eps)
-        assert all(r <= limit for r in res.ratios)
+        assert all(r <= limit for r in res.trace.ratios)
         # the contraction constant itself scales like eps
-        assert res.ratios[0] < 1.0 * eps
+        assert res.trace.ratios[0] < 1.0 * eps
 
 
 def test_field_zero_location(asym_sweep, kernel05):

@@ -1,16 +1,22 @@
 """Command-line harness: subcommands, config parsing, exit codes, outputs."""
 
+import glob
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from mesostefan import cli
 from mesostefan.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK,
                             SWEEP_HEADER, main, run, validate)
 from mesostefan.config import RunConfig, parse_config
-from mesostefan.errors import DomainError
+from mesostefan.errors import DomainError, GridError
 from mesostefan.profiles import load_profile, load_state
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "scripts", "configs")
 
 
 def test_parse_config_defaults_and_comments():
@@ -206,6 +212,14 @@ def test_sweep_computes_shared_inputs_once(monkeypatch):
         assert [r.csv_line() for r in report.rows] == alone
 
 
+@pytest.mark.parametrize("mode, j", [("antisym", -0.02), ("metastable", 0.02)])
+def test_x0_does_not_shift_centered_modes(mode, j):
+    """The Stefan limit is shifted to x0 only off center."""
+    rows = [run(RunConfig(beta=2.0, j=j, x0=x0, mode=mode, eps_list=[0.1],
+                          n0=2)).to_csv() for x0 in (0.0, 0.3)]
+    assert rows[0] == rows[1]
+
+
 def test_failed_sweep_row_records_error(tmp_path):
     """eps = 0.03 fails the off-center grid check: the -2 row's row.json says
     why, and sweep.csv keeps its columns."""
@@ -253,6 +267,89 @@ def test_validate_matches_off_center_grid_checks():
     assert validate(shipped) == []
 
 
+def _finding_code(finding) -> int:
+    codes = [code for code, prefix in cli._EXIT_PREFIX.items()
+             if finding.startswith(prefix + ": ")]
+    assert len(codes) == 1, finding
+    return codes[0]
+
+
+@pytest.mark.parametrize("mode, x0, eps", [("asym", 0.0, 0.1),
+                                           ("asym", -0.2, 0.1),
+                                           ("antisym", 0.0, 0.25)])
+def test_validate_reports_solver_preconditions(mode, x0, eps):
+    """Configs the solvers reject before iterating are findings whose prefix
+    names the exit code of their sweep row."""
+    cfg = RunConfig(beta=2.0, j=-0.02, x0=x0, mode=mode, eps_list=[eps], n0=2)
+    finding, = validate(cfg)
+    row, = run(cfg).rows
+    assert row.iters == -EXIT_CONFIG
+    assert _finding_code(finding) == EXIT_CONFIG
+    assert finding.endswith(row.error.split(": ", 1)[1])
+
+
+def test_validate_reports_saturated_beta(tmp_path, capsys):
+    """beta = 20 saturates m_beta: the maximal solution's error is a finding,
+    not an exit from main."""
+    cfg = RunConfig(beta=20.0, j=-0.02, eps_list=[0.1], n0=2)
+    finding, = validate(cfg)
+    assert finding.startswith("config error: ")
+    assert "past the saturation cutoff" in finding
+    path = tmp_path / "b20.txt"
+    path.write_text("beta = 20.0\nj = -0.02\nn0 = 2\n")
+    assert main(["validate", "--config", str(path)]) == EXIT_OK
+    assert "past the saturation cutoff" in capsys.readouterr().out
+
+
+def test_shipped_configs_are_feasible(capsys):
+    paths = sorted(glob.glob(os.path.join(CONFIGS, "*.txt")))
+    assert len(paths) == 3
+    for path in paths:
+        assert main(["validate", "--config", path]) == EXIT_OK
+        assert capsys.readouterr().out == "configuration is feasible\n"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(mode=st.sampled_from(("antisym", "metastable", "asym")),
+       j_abs=st.sampled_from((0.02, 0.03, 0.2, 0.0)),
+       flip=st.booleans(),
+       ell=st.sampled_from((1.0, 0.5, 1.9, 5.0)),
+       x0=st.sampled_from((0.2, 0.5, 0.025, 0.0, -0.2, 0.95)),
+       eps_list=st.lists(st.sampled_from((0.1, 0.05, 0.2, 0.25, 0.03, 0.02)),
+                         min_size=1, max_size=2, unique=True
+                         ).map(lambda e: sorted(e, reverse=True)),
+       n0=st.sampled_from((2, 1, 5, 10)))
+@example(mode="asym", j_abs=0.02, flip=False, ell=1.0, x0=0.0,
+         eps_list=[0.1], n0=2)
+@example(mode="asym", j_abs=0.02, flip=False, ell=1.0, x0=-0.2,
+         eps_list=[0.1], n0=2)
+@example(mode="antisym", j_abs=0.02, flip=False, ell=1.0, x0=0.0,
+         eps_list=[0.25], n0=2)
+@example(mode="metastable", j_abs=0.02, flip=False, ell=1.0, x0=0.0,
+         eps_list=[0.02], n0=10)
+def test_validate_agrees_with_run(mode, j_abs, flip, ell, x0, eps_list, n0):
+    """An empty validate means no config error (-2) or infeasible (-3) row;
+    every such row's eps has a finding with the same exit-code prefix, and
+    a row that solves has none.  The current has the sign the mode needs
+    (j > 0 metastable, j < 0 otherwise) unless ``flip``."""
+    j = j_abs * (1.0 if mode == "metastable" else -1.0) * (-1.0 if flip else 1.0)
+    cfg = RunConfig(beta=2.0, j=j, ell=ell, x0=x0, mode=mode,
+                    eps_list=eps_list, n0=n0)
+    findings = validate(cfg)
+    rows = run(cfg).rows
+    if not findings:
+        assert all(r.iters not in (-EXIT_CONFIG, -EXIT_INFEASIBLE)
+                   for r in rows)
+    for row in rows:
+        # a finding without "eps = " comes from the shared inputs: all scales
+        mine = [_finding_code(f) for f in findings
+                if f"eps = {row.eps}: " in f or "eps = " not in f]
+        if row.iters in (-EXIT_CONFIG, -EXIT_INFEASIBLE):
+            assert mine == [-row.iters], (row, findings)
+        elif row.iters >= 0:
+            assert mine == [], (row, findings)
+
+
 def test_validate_command_exit_codes(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("beta = 0.5\n")
@@ -260,6 +357,37 @@ def test_validate_command_exit_codes(tmp_path):
     good = tmp_path / "good.txt"
     good.write_text("beta = 2.0\nj = -0.02\nn0 = 2\n")
     assert main(["validate", "--config", str(good)]) == EXIT_OK
+
+
+def test_solve_asym_writes_trace(tmp_path):
+    """solve-asym writes the same trace.csv as solve, one row per step."""
+    out = tmp_path / "asym"
+    assert main(["solve-asym", "--beta", "2", "--eps", "0.1", "--j", "-0.02",
+                 "--x0", "0.2", "--n0", "2", "--out", str(out)]) == EXIT_OK
+    summary = json.loads((out / "solve_asym.json").read_text())
+    trace = (out / "trace.csv").read_text().splitlines()
+    assert trace[0] == "k,increment,ratio,residual,inner_tol"
+    assert len(trace) - 1 == summary["iterations"]
+    assert float(trace[1].split(",")[3]) == summary["seed_residual"]
+    assert float(trace[-1].split(",")[1]) < 1e-9
+
+
+def test_state_sidecar_mismatch_is_config_error(tmp_path, capsys):
+    """A grid sidecar from another eps next to a state file is a GridError
+    (exit 2), not a crash."""
+    runs = {}
+    for eps in ("0.1", "0.05"):
+        runs[eps] = tmp_path / eps
+        main(["solve", "--beta", "2", "--eps", eps, "--j", "-0.02",
+              "--ell", "1", "--n0", "2", "--out", str(runs[eps])])
+    shutil.copy(runs["0.05"] / "state.grid.json", runs["0.1"] / "state.grid.json")
+    state = str(runs["0.1"] / "state.csv")
+    with pytest.raises(GridError, match="does not match its grid descriptor"):
+        load_state(state)
+    code = main(["spectrum", "--state", state, "--beta", "2", "--j", "-0.02",
+                 "--out", str(tmp_path / "spec")])
+    assert code == EXIT_CONFIG
+    assert "config error: x column of" in capsys.readouterr().err
 
 
 def test_profile_csv_round_trip(tmp_path):

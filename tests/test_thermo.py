@@ -72,6 +72,18 @@ def test_m_beta_rejects_subcritical():
             solve_m_beta(beta)
 
 
+@pytest.mark.parametrize("beta", [20.0, 40.0])
+def test_m_beta_saturated(beta):
+    """tanh(beta (1 - 1e-16)) rounds to 1 for beta >= 20: m_beta is 1 to
+    rounding, and the maximal solution reports that it is saturated."""
+    from mesostefan.stefan import solve_maximal
+
+    params = make_params(beta)
+    assert params.m_beta == 1.0 - 1e-16
+    with pytest.raises(DomainError, match="past the saturation cutoff"):
+        solve_maximal(params, -0.02)
+
+
 # ---------------------------------------------------------------- potential
 
 def test_potential_at_zero():
