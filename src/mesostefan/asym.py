@@ -16,14 +16,14 @@ records into the same IterationTrace as the antisymmetric one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, GridError
 from .grids import Grid, Kernel, build_grid
 from .instanton import Instanton
-from .meso import MesoState, inner_solve, make_state, residual
+from .meso import MesoState, inner_solve, residual
 from .spectral import SpectralResult, leading_eigenpair
 from .stefan import MaximalSolution, solve_maximal
 from .antisym import (AntisymResult, CompositeSeed, IterationTrace,
@@ -192,7 +192,9 @@ def build_problem(params: ThermoParams, kernel: Kernel, eps, j, x0,
     h_star = extended.state.h
     m_star = extended.state.m
 
-    ext_state = make_state(params, kernel, ext_grid, h_star, m_star)
+    # conv_values reads only the spacing and the width, which both grids
+    # share, so the extended state needs no second convolution
+    ext_state = replace(extended.state, grid=ext_grid)
     i_center_ext = extended.state.grid.center_index
     u_star = leading_eigenpair(ext_state, symmetrize_about=i_center_ext)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError
@@ -26,6 +27,9 @@ class RunConfig:
     instanton_halfwidth: float = 20.0
 
     def validate_fields(self):
+        floats = [getattr(self, name) for name in _FLOAT_KEYS] + self.eps_list
+        if not all(math.isfinite(v) for v in floats):
+            raise DomainError("numeric values must be finite")
         if self.beta <= 1.0:
             raise DomainError("beta must exceed 1")
         for name in ("inner_tol", "outer_tol", "spectral_tol"):
@@ -35,6 +39,8 @@ class RunConfig:
             raise DomainError("eps_list must be strictly decreasing")
         if self.mode not in ("antisym", "metastable", "asym"):
             raise DomainError(f"unknown mode {self.mode!r}")
+        if self.workers <= 0:
+            raise DomainError("workers must be positive")
         return self
 
 
@@ -57,14 +63,20 @@ def parse_config(text: str) -> RunConfig:
         value = value.strip()
         if not hasattr(cfg, key):
             raise DomainError(f"line {lineno}: unknown key {key!r}")
-        if key in _FLOAT_KEYS:
-            setattr(cfg, key, float(value))
-        elif key in _INT_KEYS:
-            setattr(cfg, key, int(value))
-        elif key in _LIST_KEYS:
-            setattr(cfg, key, [float(tok) for tok in value.split(",") if tok.strip()])
-        else:
-            setattr(cfg, key, value)
+        try:
+            if key in _FLOAT_KEYS:
+                setattr(cfg, key, float(value))
+            elif key in _INT_KEYS:
+                setattr(cfg, key, int(value))
+            elif key in _LIST_KEYS:
+                setattr(cfg, key, [float(tok) for tok in value.split(",")
+                                   if tok.strip()])
+            else:
+                setattr(cfg, key, value)
+        except ValueError:
+            kind = "an integer" if key in _INT_KEYS else "a number"
+            raise DomainError(f"line {lineno}: {key} = {value!r} is not "
+                              f"{kind}") from None
     return cfg.validate_fields()
 
 

@@ -98,15 +98,14 @@ def compute_instanton(params: ThermoParams, kernel: Kernel, half_width=20.0,
     m[clamp] = mb * np.sign(x[clamp])
 
     residual = np.inf
+    target = np.tanh(beta * conv_values_filled(kernel, m, -mb, mb))
     for _ in range(max_iter):
-        target = np.tanh(beta * conv_values_filled(kernel, m, -mb, mb))
         m_new = (1.0 - omega) * m + omega * target
         m_new[clamp] = mb * np.sign(x[clamp])
-        m_new = 0.5 * (m_new - m_new[::-1])
-        m = m_new
-        residual = float(np.max(np.abs(
-            (m - np.tanh(beta * conv_values_filled(kernel, m, -mb, mb)))[interior]
-        )))
+        m = 0.5 * (m_new - m_new[::-1])
+        # the image of the new iterate is both its residual and the next target
+        target = np.tanh(beta * conv_values_filled(kernel, m, -mb, mb))
+        residual = float(np.max(np.abs((m - target)[interior])))
         if residual < tol:
             break
     else:

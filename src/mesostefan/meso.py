@@ -58,7 +58,12 @@ def make_state(params: ThermoParams, kernel: Kernel, grid: Grid,
                h: np.ndarray, m: np.ndarray) -> MesoState:
     h = np.asarray(h, dtype=float)
     m = np.asarray(m, dtype=float)
-    arg = _field_argument(params, kernel, grid, h, m)
+    return _state_at(params, kernel, grid, h, m,
+                     _field_argument(params, kernel, grid, h, m))
+
+
+def _state_at(params, kernel, grid, h, m, arg) -> MesoState:
+    """The state of (h, m) given arg = beta (J^neum*m + h) at that m."""
     p = params.beta / np.cosh(arg) ** 2
     res = float(np.max(np.abs(m - np.tanh(arg))))
     h.setflags(write=False)
@@ -100,8 +105,9 @@ def _jacobian(kernel, grid, p):
 def _newton_krylov(params, kernel, grid, h, m, tol):
     """Newton on F(m) = m - tanh(beta(J^neum*m + h)), each step by GMRES.
 
-    The Jacobian is applied through :func:`conv_values`, so a step costs
-    O(n * taps) per Krylov vector and no matrix is formed.
+    The Jacobian is applied through :func:`conv_values`, so a step costs one
+    blocked convolution, O(n * BLOCK * Q), per Krylov vector and no matrix
+    is formed.  Returns the converged m and beta (J^neum*m + h) there.
     """
     beta = params.beta
     res = np.inf
@@ -110,7 +116,7 @@ def _newton_krylov(params, kernel, grid, h, m, tol):
         f = m - np.tanh(arg)
         res = float(np.max(np.abs(f)))
         if res < tol:
-            return m
+            return m, arg
         p = beta / np.cosh(arg) ** 2
         delta, _ = gmres(_jacobian(kernel, grid, p), -f,
                          rtol=_GMRES_RTOL, restart=_GMRES_RESTART,
@@ -124,7 +130,10 @@ def _newton_krylov(params, kernel, grid, h, m, tol):
 
 
 def _picard(params, kernel, grid, h, m, tol):
-    """Damped fixed-point iteration; hands a stall to Newton-GMRES."""
+    """Damped fixed-point iteration; hands a stall to Newton-GMRES.
+
+    Returns the converged m and beta (J^neum*m + h) there.
+    """
     beta = params.beta
     omega = _OMEGA
     res_prev = np.inf
@@ -134,7 +143,7 @@ def _picard(params, kernel, grid, h, m, tol):
         target = np.tanh(arg)
         res = float(np.max(np.abs(m - target)))
         if res < tol:
-            return m
+            return m, arg
         if res > res_prev:
             omega = max(0.05, 0.5 * omega)
         stall = stall + 1 if res > _STALL_RATIO * res_prev else 0
@@ -168,5 +177,5 @@ def inner_solve(params: ThermoParams, kernel: Kernel, grid: Grid,
     m = np.asarray(m_init, dtype=float).copy()
     if np.max(np.abs(m)) >= SATURATION_LIMIT:
         raise SaturationError("seed already saturated")
-    m = _picard(params, kernel, grid, h, m, tol)
-    return make_state(params, kernel, grid, h, m)
+    m, arg = _picard(params, kernel, grid, h, m, tol)
+    return _state_at(params, kernel, grid, h, m, arg)

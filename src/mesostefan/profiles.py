@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import os
+import warnings
 
 import numpy as np
 
@@ -75,19 +76,26 @@ def grid_from_points(x: np.ndarray, spacing) -> Grid:
 
 
 def load_columns(path, names) -> tuple[np.ndarray, ...]:
+    """The named columns of a headed CSV file.
+
+    A bad token, a ragged row, no rows or rows whose length differs from
+    the header raise GridError naming the file.
+    """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        cols = {n: [] for n in header}
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            for n, tok in zip(header, line.split(",")):
-                cols[n].append(float(tok))
-    missing = [n for n in names if n not in cols]
+        try:
+            with warnings.catch_warnings():   # no rows: reported below
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise GridError(f"cannot parse {path}: {exc}") from None
+    if data.shape[0] == 0 or data.shape[1] != len(header):
+        raise GridError(f"{path} needs rows of {len(header)} values "
+                        f"({','.join(header)})")
+    missing = [n for n in names if n not in header]
     if missing:
         raise GridError(f"columns {missing} missing from {path}")
-    return tuple(np.array(cols[n]) for n in names)
+    return tuple(data[:, header.index(n)].copy() for n in names)
 
 
 def state_to_csv(grid: Grid, h: np.ndarray, m: np.ndarray) -> str:

@@ -1,4 +1,5 @@
-"""Dense reference operators that the solvers only apply matrix-free."""
+"""Dense reference operators that the solvers only apply matrix-free, and
+the direct padded convolution that the blocked product replaces."""
 
 import numpy as np
 
@@ -32,3 +33,22 @@ def _trap_weights(kernel):
     t[0] *= 0.5
     t[-1] *= 0.5
     return t
+
+
+def convolve_reference(kernel, values, mode, fills=(0.0, 0.0)):
+    """Convolution by ``np.convolve`` on the explicitly padded values.
+
+    ``mode`` is ``"neumann"`` (mirror images about both end points, as in
+    :func:`mesostefan.grids.conv_values`), ``"free"`` (zeros) or
+    ``"filled"`` (the constants ``fills``, as in
+    :func:`mesostefan.grids.conv_values_filled`).
+    """
+    k = kernel.half_points
+    values = np.asarray(values, dtype=float)
+    if mode == "neumann":
+        left, right = values[1:k + 1][::-1], values[-k - 1:-1][::-1]
+    else:
+        fill = fills if mode == "filled" else (0.0, 0.0)
+        left, right = np.full(k, fill[0]), np.full(k, fill[1])
+    padded = np.concatenate([left, values, right])
+    return np.convolve(padded, kernel.weights, mode="valid")

@@ -3,7 +3,10 @@
 import glob
 import json
 import os
+import re
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -46,6 +49,48 @@ def test_parse_config_rejects_bad_input():
         parse_config("mode = bogus")
     with pytest.raises(DomainError):
         parse_config("beta = 0.9")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("beta = abc", "line 1: beta = 'abc' is not a number"),
+    ("j = -0.02\nn0 = 2.5", "line 2: n0 = '2.5' is not an integer"),
+    ("eps_list = 0.1, x", "line 1: eps_list = '0.1, x' is not a number"),
+    ("workers = two", "line 1: workers = 'two' is not an integer"),
+    ("workers = 0", "workers must be positive"),
+    ("workers = -3", "workers must be positive"),
+    ("beta = nan", "must be finite"),
+    ("j = inf", "must be finite"),
+    ("eps_list = 0.1, nan", "must be finite"),
+    ("spacing = -inf", "must be finite"),
+], ids=["beta-abc", "n0-float", "eps-token", "workers-word", "workers-0",
+        "workers-negative", "beta-nan", "j-inf", "eps-nan", "spacing-inf"])
+@pytest.mark.parametrize("command", ["validate", "sweep"])
+def test_bad_config_values_exit_config(tmp_path, capsys, command, text,
+                                       message):
+    """Unparsable or out-of-range values are config errors (exit 2) in both
+    commands, not tracebacks."""
+    cfg = tmp_path / "bad.txt"
+    cfg.write_text(text + "\n" + f"outdir = {tmp_path / 'out'}\n")
+    with pytest.raises(DomainError, match=re.escape(message)):
+        parse_config(cfg.read_text())
+    assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_bad_config_value_exit_code_of_the_process(tmp_path):
+    """The same through the interpreter: exit status 2, no traceback."""
+    cfg = tmp_path / "bad.txt"
+    cfg.write_text("beta = abc\n")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "mesostefan.cli", "validate", "--config",
+         str(cfg)], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.path.abspath(src)})
+    assert proc.returncode == EXIT_CONFIG
+    assert "Traceback" not in proc.stderr
+    assert "line 1: beta = 'abc' is not a number" in proc.stderr
 
 
 def test_thermo_command(tmp_path):
@@ -388,6 +433,45 @@ def test_state_sidecar_mismatch_is_config_error(tmp_path, capsys):
                  "--out", str(tmp_path / "spec")])
     assert code == EXIT_CONFIG
     assert "config error: x column of" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda rows: rows[:5] + ["0.1,abc,0.3"] + rows[6:], "cannot parse"),
+    (lambda rows: rows[:5] + ["0.1,0.2"] + rows[6:], "cannot parse"),
+    (lambda rows: rows[:5] + ["0.1,0.2,0.3,0.4"] + rows[6:], "cannot parse"),
+    (lambda rows: rows[:1], "needs rows of 3 values"),
+    (lambda rows: ["x,h,m,extra"] + rows[1:], "needs rows of 4 values"),
+], ids=["bad-token", "short-row", "long-row", "no-rows", "long-header"])
+def test_malformed_state_is_config_error(tmp_path, capsys, edit, message):
+    """A bad token, a ragged row, no rows or a header that does not fit the
+    rows is a GridError naming the file (exit 2), not a crash."""
+    run_dir = tmp_path / "run"
+    main(["solve", "--beta", "2", "--eps", "0.1", "--j", "-0.02",
+          "--ell", "1", "--n0", "2", "--out", str(run_dir)])
+    state = run_dir / "state.csv"
+    rows = state.read_text().splitlines()
+    state.write_text("\n".join(edit(rows)) + "\n")
+    with pytest.raises(GridError, match=message) as info:
+        load_state(str(state))
+    assert str(state) in str(info.value)
+    code = main(["spectrum", "--state", str(state), "--beta", "2",
+                 "--j", "-0.02", "--out", str(tmp_path / "spec")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(state) in err
+
+
+def test_state_columns_parse_like_float(tmp_path):
+    """np.loadtxt reads the 17-digit columns to the same doubles as float()."""
+    run_dir = tmp_path / "run"
+    main(["solve", "--beta", "2", "--eps", "0.05", "--j", "-0.02",
+          "--ell", "1", "--n0", "2", "--out", str(run_dir)])
+    path = run_dir / "state.csv"
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    by_float = np.array([[float(tok) for tok in row] for row in rows])
+    _, h, m = load_state(str(path))
+    assert np.array_equal(np.stack([h, m], axis=1).view(np.int64),
+                          by_float[:, 1:].view(np.int64))
 
 
 def test_profile_csv_round_trip(tmp_path):

@@ -7,10 +7,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from mesostefan.errors import GridError
-from mesostefan.grids import (KERNEL_SHAPES, Profile, build_grid, build_kernel,
-                              conv_values, convolve, cumulative_from_center,
-                              trapezoid)
-from oracles import neumann_matrix
+from mesostefan.grids import (BLOCK, KERNEL_SHAPES, Grid, Profile,
+                              build_grid, build_kernel, conv_values,
+                              conv_values_filled, convolve,
+                              cumulative_from_center, trapezoid)
+from oracles import convolve_reference, neumann_matrix
+
+#: 21, 41, 161, 321 and 641 taps
+ORACLE_SPACINGS = (0.1, 0.05, 0.0125, 0.00625, 0.003125)
+CONV_MODES = ("neumann", "free", "filled")
 
 
 def test_build_grid_basic():
@@ -219,3 +224,87 @@ def test_trapezoid_matches_numpy():
     f = g.points ** 2
     assert trapezoid(g, f) == pytest.approx(
         np.trapezoid(f, dx=g.spacing), abs=0)
+
+
+def _line(n, spacing):
+    """Grid of n points at the spacing; conv_values reads only the spacing
+    and the width, so no epsilon or half-lengths need to fit."""
+    pts = spacing * (np.arange(n) - 0.5 * (n - 1))
+    return Grid(0.5, 1.0, 1.0, spacing, pts)
+
+
+def _block_sizes(kernel, mode):
+    """n below BLOCK, at BLOCK and at q BLOCK - 1, q BLOCK, q BLOCK + 1 that
+    the mode accepts (neumann needs a width of two kernel ranges), plus two
+    solver-sized grids."""
+    sizes = [1, 2, BLOCK // 2, BLOCK - 1, BLOCK]
+    sizes += [q * BLOCK + d for q in range(1, 14) for d in (-1, 0, 1)]
+    sizes += [4001, 16001]
+    n_min = 2 * kernel.half_points + 1 if mode == "neumann" else 1
+    return sorted({n for n in sizes if n >= n_min})
+
+
+def _blocked(kernel, values, mode, fills):
+    if mode == "filled":
+        return conv_values_filled(kernel, values, *fills)
+    return conv_values(kernel, _line(values.size, kernel.spacing), values,
+                       mode)
+
+
+@pytest.mark.parametrize("mode", CONV_MODES)
+@pytest.mark.parametrize("spacing", ORACLE_SPACINGS)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_blocked_convolution_matches_direct(spacing, mode, data):
+    """The blocked Toeplitz product equals the direct padded convolution to
+    rounding, at every block boundary and in every padding mode."""
+    kernel = build_kernel(spacing)
+    n = data.draw(st.sampled_from(_block_sizes(kernel, mode)), label="n")
+    seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+    fills = data.draw(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                      label="fills")
+    values = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+    ref = convolve_reference(kernel, values, mode, fills)
+    out = _blocked(kernel, values, mode, fills)
+    assert out.shape == (n,)
+    assert np.all(np.abs(out - ref) <= 4e-15 * (1.0 + np.abs(ref)))
+
+
+@pytest.mark.parametrize("spacing", ORACLE_SPACINGS)
+def test_blocked_convolution_every_boundary_size(spacing):
+    """Each size of _block_sizes once per mode on one fixed profile."""
+    kernel = build_kernel(spacing)
+    for mode in CONV_MODES:
+        for n in _block_sizes(kernel, mode):
+            x = np.linspace(-3.0, 2.0, n)
+            values = np.tanh(x) + 0.1 * np.sin(7.0 * x)
+            ref = convolve_reference(kernel, values, mode, (-0.9, 0.8))
+            out = _blocked(kernel, values, mode, (-0.9, 0.8))
+            assert np.all(np.abs(out - ref) <= 4e-15 * (1.0 + np.abs(ref))), \
+                (mode, n)
+
+
+@pytest.mark.parametrize("spacing", ORACLE_SPACINGS)
+def test_toeplitz_slabs_are_read_only(spacing):
+    kernel = build_kernel(spacing)
+    taps = kernel.weights.size
+    n_slabs = -(-(BLOCK + taps - 1) // BLOCK)
+    assert kernel.slabs.shape == (n_slabs, BLOCK, BLOCK)
+    assert not kernel.slabs.flags.writeable
+    with pytest.raises(ValueError):
+        kernel.slabs[0, 0, 0] = 1.0
+    # every tap appears once per output column of a block
+    assert np.allclose(kernel.slabs.sum(axis=(0, 1)), 1.0, rtol=0,
+                       atol=1e-15)
+
+
+def test_convolution_leaves_input_untouched():
+    kernel = build_kernel(0.05)
+    g = build_grid(0.1, 1.0, 1.0, 0.05)
+    values = np.sin(g.points)
+    values.setflags(write=False)
+    before = values.copy()
+    for mode in ("neumann", "free"):
+        conv_values(kernel, g, values, mode)
+    conv_values_filled(kernel, values, -1.0, 1.0)
+    assert np.array_equal(values, before)

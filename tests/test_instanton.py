@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import linregress
 
+from mesostefan import instanton
 from mesostefan.errors import ConvergenceError, DomainError, GridError
 from mesostefan.grids import build_kernel
 from mesostefan.instanton import (apply_transfer, compute_instanton,
@@ -128,3 +129,20 @@ def test_odd_contraction_diagnostic(inst05, kernel05):
 def test_nonconvergence_raises(params2, kernel05):
     with pytest.raises(ConvergenceError):
         compute_instanton(params2, kernel05, tol=1e-12, max_iter=3)
+
+
+@pytest.mark.parametrize("max_iter", [1, 3, 10])
+def test_one_convolution_per_step(params2, kernel05, monkeypatch, max_iter):
+    """The residual's image of each iterate is the next step's target, so k
+    steps convolve k + 1 times (the seed's target plus one per step)."""
+    calls = []
+    real = instanton.conv_values_filled
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(instanton, "conv_values_filled", counted)
+    with pytest.raises(ConvergenceError):
+        compute_instanton(params2, kernel05, tol=1e-12, max_iter=max_iter)
+    assert len(calls) == max_iter + 1

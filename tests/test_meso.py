@@ -99,6 +99,28 @@ def test_inner_solve_fixed_point_seed(params2, kernel05, wide_grid):
     assert np.array_equal(st.m, m0)   # already below tolerance: unchanged
 
 
+def test_inner_solve_reuses_last_convolution(params2, kernel05, wide_grid,
+                                             monkeypatch):
+    """Seeded at an exact fixed point, the solve convolves once: the state's
+    weight and residual come from the Picard step's own field argument."""
+    m0 = 0.6 * np.tanh(wide_grid.points / 3.0)
+    h = effective_field(params2, kernel05, wide_grid, m0)
+    calls = []
+    real = meso.conv_values
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(meso, "conv_values", counted)
+    st = inner_solve(params2, kernel05, wide_grid, h, m0)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    ref = meso.make_state(params2, kernel05, wide_grid, h, m0)
+    assert np.array_equal(st.p, ref.p)
+    assert st.residual_norm == ref.residual_norm
+
+
 def test_inner_solve_zero_field(instanton_state, inst05):
     st = instanton_state
     m_ref = np.interp(st.grid.points, inst05.x, inst05.profile)
