@@ -67,12 +67,27 @@ class IterationTrace:
     """What an outer loop did, one entry per outer step.
 
     ``residuals`` has one more entry than ``increments``: the residual of the
-    starting pair, then that of each step's auxiliary solve.
+    starting pair, then that of each step's auxiliary solve.  The solve
+    records (tolerance, Picard steps, path) have one entry per step.
     """
 
     increments: list = field(default_factory=list)   # outer increment of step k
     residuals: list = field(default_factory=list)
     inner_tols: list = field(default_factory=list)   # tolerance of step k's solve
+    picard_steps: list = field(default_factory=list)  # its fixed-point updates
+    inner_paths: list = field(default_factory=list)  # "picard" or "newton"
+
+    def add_solve(self, state: MesoState, inner_tol) -> None:
+        """Record step k's auxiliary solve, run to ``inner_tol``."""
+        self.residuals.append(state.residual_norm)
+        self.inner_tols.append(inner_tol)
+        self.picard_steps.append(state.record.picard_steps)
+        self.inner_paths.append(state.record.path)
+
+    @property
+    def newton_handoffs(self) -> int:
+        """Auxiliary solves that stalled and were finished by Newton-GMRES."""
+        return self.inner_paths.count("newton")
 
     @property
     def ratios(self) -> list:
@@ -84,13 +99,17 @@ class IterationTrace:
     def to_csv(self) -> str:
         """One row per outer step k: the increment, its ratio to the previous
         one, the residual of the pair it was measured from, and the
-        tolerance the increment set for step k's auxiliary solve."""
+        tolerance, Picard steps and finishing path of step k's auxiliary
+        solve."""
         buf = io.StringIO()
-        buf.write("k,increment,ratio,residual,inner_tol\n")
+        buf.write("k,increment,ratio,residual,inner_tol,picard_steps,"
+                  "inner_path\n")
         rows = zip(self.increments, [float("nan")] + self.ratios,
-                   self.residuals, self.inner_tols)
-        for k, (inc, rat, res, itol) in enumerate(rows):
-            buf.write(f"{k},{inc:.17g},{rat:.17g},{res:.17g},{itol:.17g}\n")
+                   self.residuals, self.inner_tols, self.picard_steps,
+                   self.inner_paths)
+        for k, (inc, rat, res, itol, steps, path) in enumerate(rows):
+            buf.write(f"{k},{inc:.17g},{rat:.17g},{res:.17g},{itol:.17g},"
+                      f"{steps},{path}\n")
         return buf.getvalue()
 
 
@@ -276,8 +295,7 @@ def _iterate(params, kernel, seed, eps, j, ell, branch, tol, inner_tol,
         step_tol = inner_tol if inc < tol else max(inner_tol, FORCING * inc)
         state = inner_solve(params, kernel, grid, h_next, m, tol=step_tol)
         m_next = _odd_part(state.m)
-        trace.inner_tols.append(step_tol)
-        trace.residuals.append(state.residual_norm)
+        trace.add_solve(state, step_tol)
         converged = inc < tol and exact
         h, m, exact = h_next, m_next, step_tol == inner_tol
         if converged:

@@ -279,8 +279,7 @@ def solve_off_center(params: ThermoParams, kernel: Kernel, eps, j, x0,
         h_next, state = projected_iterate(problem, m, inner_tol)
         inc = problem.weight.norm(h_next - h)
         trace.increments.append(inc)
-        trace.residuals.append(state.residual_norm)
-        trace.inner_tols.append(inner_tol)
+        trace.add_solve(state, inner_tol)
         h, m = h_next, state.m
         if inc < tol:
             break

@@ -44,6 +44,8 @@ class SweepRow:
     i_eps: float = float("nan")
     eps_x_eps: float = float("nan")
     iters: int = 0
+    picard_steps: int = 0       # over every auxiliary solve of the row
+    newton_handoffs: int = 0    # auxiliary solves finished by Newton-GMRES
     error: str = ""             # exception class and message of a failed row
 
     def csv_line(self) -> str:
@@ -134,10 +136,17 @@ def cmd_stefan(args) -> int:
     return EXIT_OK
 
 
-def _failure(exc: MesostefanError, where="") -> tuple[int, str]:
-    """Exit code of a package error and its message with the code's prefix:
+#: errors a sweep row records instead of raising: the package's own, with
+#: their exit codes, and numpy's and scipy's numerical errors, with code 4
+_ROW_ERRORS = (MesostefanError, FloatingPointError, np.linalg.LinAlgError,
+               ValueError)
+
+
+def _failure(exc: Exception, where="") -> tuple[int, str]:
+    """Exit code of an error and its message with the code's prefix:
     ``main`` exits with the code, a sweep row stores its negative, and
-    ``validate`` reports the message."""
+    ``validate`` reports the message.  Anything but a configuration or
+    feasibility error is a numerical failure."""
     if isinstance(exc, (InfeasibleError, BranchRangeError)):
         code = EXIT_INFEASIBLE
     elif isinstance(exc, (DomainError, GridError)):
@@ -191,6 +200,11 @@ def _solve_one(cfg: RunConfig, eps, shared: tuple):
                 instanton=inst, macro=macro)
     x0 = cfg.x0 if cfg.mode == "asym" else 0.0
     row = SweepRow(eps=eps, mode=cfg.mode, iters=len(res.trace.increments))
+    # off center, the extended antisymmetric solve ran auxiliary solves too
+    traces = [res.trace] if cfg.mode != "asym" \
+        else [res.problem.extended.trace, res.trace]
+    row.picard_steps = sum(sum(t.picard_steps) for t in traces)
+    row.newton_handoffs = sum(t.newton_handoffs for t in traces)
     row.c_instanton = abs(cfg.j) * inst.mean / inst.norm_sq
     row.hydro_m, row.hydro_h = antisym.hydrodynamic_error(
         res.state, lambda xi: macro.m_of_x(np.asarray(xi) - x0),
@@ -284,7 +298,7 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _error_row(cfg: RunConfig, eps, exc: MesostefanError) -> SweepRow:
+def _error_row(cfg: RunConfig, eps, exc: Exception) -> SweepRow:
     code, _ = _failure(exc)
     return SweepRow(eps=eps, mode=cfg.mode, iters=-code,
                     error=f"{type(exc).__name__}: {exc}")
@@ -292,12 +306,13 @@ def _error_row(cfg: RunConfig, eps, exc: MesostefanError) -> SweepRow:
 
 def _sweep_job(cfg_dict, eps, shared: tuple | None = None) -> SweepRow:
     """The sweep row of one scale; without ``shared`` it computes the
-    shared inputs itself."""
+    shared inputs itself.  An error in :data:`_ROW_ERRORS` becomes an error
+    row, so one failing scale never stops the others or the worker pool."""
     cfg = RunConfig(**cfg_dict)
     try:
         row, _ = _solve_one(cfg, eps, shared or _shared_inputs(cfg))
         return row
-    except MesostefanError as exc:
+    except _ROW_ERRORS as exc:
         return _error_row(cfg, eps, exc)
 
 
@@ -313,7 +328,7 @@ def run(cfg: RunConfig) -> SweepReport:
     cfg_dict = cfg.__dict__.copy()
     try:
         shared = _shared_inputs(cfg)
-    except MesostefanError as exc:
+    except _ROW_ERRORS as exc:
         report.rows = [_error_row(cfg, eps, exc) for eps in cfg.eps_list]
         return report
     if cfg.workers > 1 and len(cfg.eps_list) > 1:
@@ -342,6 +357,9 @@ def cmd_sweep(args) -> int:
         }
         if row.error:
             record["error"] = row.error
+        else:
+            record.update(picard_steps=row.picard_steps,
+                          newton_handoffs=row.newton_handoffs)
         dump_json(os.path.join(run_dir, "row.json"), record)
     with open(os.path.join(out, "sweep.csv"), "w") as fh:
         fh.write(report.to_csv())
@@ -363,17 +381,22 @@ def validate(cfg: RunConfig) -> list:
     errors are reported, never raised; a solve can still fail while
     iterating (exit code 4).
     """
+    return [message for _, message in _findings(cfg)]
+
+
+def _findings(cfg: RunConfig) -> list:
+    """The findings of :func:`validate` as (exit code, message) pairs."""
     try:
         _, kernel, macro, inst = _shared_inputs(cfg)
     except MesostefanError as exc:
-        return [_failure(exc)[1]]
+        return [_failure(exc)]
     _, check, _, arg = _mode(cfg)
     findings = []
     for eps in cfg.eps_list:
         try:
             check(kernel, eps, cfg.j, arg, cfg.n0, inst, macro)
         except MesostefanError as exc:
-            findings.append(_failure(exc, f"eps = {eps}: ")[1])
+            findings.append(_failure(exc, f"eps = {eps}: "))
     return findings
 
 
@@ -383,12 +406,12 @@ def cmd_validate(args) -> int:
     except (DomainError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    findings = validate(cfg)
+    findings = _findings(cfg)
     if not findings:
         print("configuration is feasible")
-    for f in findings:
-        print(f"- {f}")
-    return EXIT_OK
+    for _, message in findings:
+        print(f"- {message}")
+    return max((code for code, _ in findings), default=EXIT_OK)
 
 
 def _config_from_args(args, mode) -> RunConfig:

@@ -1,8 +1,10 @@
 """The standing interface profile of the zero-current problem.
 
-Damped Picard iteration for the odd fixed point of m -> tanh(beta J*m) on a
+Plain Picard iteration for the odd fixed point of m -> tanh(beta J*m) on a
 truncated line, with a Dirichlet-style clamp to +-m_beta outside a one-unit
-collar.  The profile, its derivative, the weighted normalization constants
+collar.  On odd functions the map contracts at the sub-dominant eigenvalue
+of its linearization (about 0.31 per step at beta = 2), so no damping is
+needed.  The profile, its derivative, the weighted normalization constants
 and decay diagnostics feed the composite seeds and the spectral checks.
 """
 
@@ -65,13 +67,14 @@ def _interior(x: np.ndarray, half_width: float) -> np.ndarray:
 
 
 def compute_instanton(params: ThermoParams, kernel: Kernel, half_width=20.0,
-                      tol=1e-12, max_iter=50_000, omega=0.5,
+                      tol=1e-12, max_iter=50_000,
                       seed="sign") -> Instanton:
     """Solve the odd fixed point m = tanh(beta J*m) on [-X, X].
 
-    Oddness is enforced by explicit anti-symmetrization each step, which pins
-    the translation freedom of the infinite-line problem.  Outside
-    [-X+1, X-1] the profile is clamped to +-m_beta.
+    Each Picard step sets m to the odd part of tanh(beta J*m), clamped to
+    +-m_beta outside [-X+1, X-1].  Taking the odd part pins the translation
+    freedom of the infinite-line problem, whose derivative mode (eigenvalue
+    1) is even and so never enters the iteration.
     """
     if params.beta <= 1.0:
         raise DomainError("interface profile needs beta > 1")
@@ -100,9 +103,8 @@ def compute_instanton(params: ThermoParams, kernel: Kernel, half_width=20.0,
     residual = np.inf
     target = np.tanh(beta * conv_values_filled(kernel, m, -mb, mb))
     for _ in range(max_iter):
-        m_new = (1.0 - omega) * m + omega * target
-        m_new[clamp] = mb * np.sign(x[clamp])
-        m = 0.5 * (m_new - m_new[::-1])
+        target[clamp] = mb * np.sign(x[clamp])
+        m = 0.5 * (target - target[::-1])
         # the image of the new iterate is both its residual and the next target
         target = np.tanh(beta * conv_values_filled(kernel, m, -mb, mb))
         residual = float(np.max(np.abs((m - target)[interior])))

@@ -5,9 +5,11 @@ p = beta / cosh^2(beta J^neum*m + beta h).  At exact fixed points of
 m = tanh(beta J^neum*m + beta h) the weight coincides with the mobility
 chi(m), which the solvers exploit throughout.
 
-The auxiliary solve :func:`inner_solve` runs damped fixed-point iteration and,
-when that stalls on the slow interface mode, Newton's method with each step
-solved by GMRES on the matrix-free Jacobian I - diag(p) J^neum.
+The auxiliary solve :func:`inner_solve` runs plain fixed-point (Picard)
+iteration and, when that stalls on the slow interface mode, Newton's method
+with each step solved by GMRES on the matrix-free Jacobian I - diag(p) J^neum.
+Its :class:`InnerRecord` says how many Picard steps it took and which path
+finished it.
 """
 
 from __future__ import annotations
@@ -22,14 +24,23 @@ from .grids import Grid, Kernel, conv_values
 from .thermo import ThermoParams
 
 SATURATION_LIMIT = 1.0 - 1e-8
-_MAX_ITER = 20_000        # damped fixed-point steps
-_OMEGA = 0.7              # initial damping factor
+_MAX_ITER = 20_000        # fixed-point steps
+_OMEGA = 1.0              # initial step factor, halved when the residual grows
 _STALL_RATIO = 0.999      # residual ratio counted as a stalled step
 _STALL_STEPS = 50         # consecutive stalled steps before Newton takes over
 _NEWTON_STEPS = 30
 _GMRES_RTOL = 1e-10
 _GMRES_RESTART = 100
 _GMRES_CYCLES = 10
+
+
+@dataclass(frozen=True)
+class InnerRecord:
+    """What an auxiliary solve did: its fixed-point updates of m and the path
+    that finished it, "picard" or "newton" (Newton-GMRES after a stall)."""
+
+    picard_steps: int
+    path: str
 
 
 @dataclass(frozen=True)
@@ -43,6 +54,7 @@ class MesoState:
     m: np.ndarray
     p: np.ndarray
     residual_norm: float
+    record: InnerRecord | None = None    # set by inner_solve
 
     def weighted_dot(self, f, g) -> float:
         """Inner product with weight 1/p (trapezoid quadrature)."""
@@ -62,14 +74,14 @@ def make_state(params: ThermoParams, kernel: Kernel, grid: Grid,
                      _field_argument(params, kernel, grid, h, m))
 
 
-def _state_at(params, kernel, grid, h, m, arg) -> MesoState:
+def _state_at(params, kernel, grid, h, m, arg, record=None) -> MesoState:
     """The state of (h, m) given arg = beta (J^neum*m + h) at that m."""
     p = params.beta / np.cosh(arg) ** 2
     res = float(np.max(np.abs(m - np.tanh(arg))))
     h.setflags(write=False)
     m.setflags(write=False)
     p.setflags(write=False)
-    return MesoState(params, kernel, grid, h, m, p, res)
+    return MesoState(params, kernel, grid, h, m, p, res, record)
 
 
 def effective_field(params: ThermoParams, kernel: Kernel, grid: Grid,
@@ -130,25 +142,27 @@ def _newton_krylov(params, kernel, grid, h, m, tol):
 
 
 def _picard(params, kernel, grid, h, m, tol):
-    """Damped fixed-point iteration; hands a stall to Newton-GMRES.
+    """Fixed-point iteration; hands a stall to Newton-GMRES.
 
-    Returns the converged m and beta (J^neum*m + h) there.
+    Returns the converged m, beta (J^neum*m + h) there and the solve's
+    :class:`InnerRecord`.
     """
     beta = params.beta
     omega = _OMEGA
     res_prev = np.inf
     stall = 0
-    for _ in range(_MAX_ITER):
+    for step in range(_MAX_ITER):
         arg = beta * (conv_values(kernel, grid, m, "neumann") + h)
         target = np.tanh(arg)
         res = float(np.max(np.abs(m - target)))
         if res < tol:
-            return m, arg
+            return m, arg, InnerRecord(step, "picard")
         if res > res_prev:
             omega = max(0.05, 0.5 * omega)
         stall = stall + 1 if res > _STALL_RATIO * res_prev else 0
         if stall >= _STALL_STEPS:
-            return _newton_krylov(params, kernel, grid, h, m, tol)
+            m, arg = _newton_krylov(params, kernel, grid, h, m, tol)
+            return m, arg, InnerRecord(step, "newton")
         res_prev = res
         m = (1.0 - omega) * m + omega * target
         if np.max(np.abs(m)) >= SATURATION_LIMIT:
@@ -163,19 +177,23 @@ def inner_solve(params: ThermoParams, kernel: Kernel, grid: Grid,
                 h: np.ndarray, m_init: np.ndarray, tol=1e-12) -> MesoState:
     """Find m with m = tanh(beta J^neum*m + beta h) near the seed.
 
-    Damped fixed-point iteration (factor 0.7, halved whenever the residual
-    grows).  Its error decays like the leading eigenvalue of p J^neum, which
-    sits at 1 - C eps near an interface, so when the residual stops falling
-    the iterate is handed to Newton's method, each step solved by GMRES on
-    the matrix-free Jacobian I - diag(p) J^neum.  Both stages stop at the
+    Plain fixed-point iteration m <- tanh(beta (J^neum*m + h)), whose step
+    is halved whenever the residual grows.  On odd data its error decays at
+    the sub-dominant eigenvalue of p J^neum (about 0.31 at beta = 2).  Along
+    the leading eigenvector, which sits at 1 - C eps near an interface, it
+    decays only like 1 - C eps, so when the residual stops falling the
+    iterate is handed to Newton's method, each step solved by GMRES on the
+    matrix-free Jacobian I - diag(p) J^neum.  Both stages stop at the
     sup-norm residual ``tol``, raise :class:`SaturationError` when an
     iterate leaves |m| < SATURATION_LIMIT and :class:`ConvergenceError`
-    when their step budget runs out.  The result is seed-dependent: only
-    closeness to the seed is guaranteed, not global uniqueness.
+    when their step budget runs out.  The state's ``record`` counts the
+    fixed-point updates and names the path that finished the solve.  The
+    result is seed-dependent: only closeness to the seed is guaranteed, not
+    global uniqueness.
     """
     h = np.asarray(h, dtype=float)
     m = np.asarray(m_init, dtype=float).copy()
     if np.max(np.abs(m)) >= SATURATION_LIMIT:
         raise SaturationError("seed already saturated")
-    m, arg = _picard(params, kernel, grid, h, m, tol)
-    return _state_at(params, kernel, grid, h, m, arg)
+    m, arg, record = _picard(params, kernel, grid, h, m, tol)
+    return _state_at(params, kernel, grid, h, m, arg, record)

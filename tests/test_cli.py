@@ -13,10 +13,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mesostefan import cli
-from mesostefan.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK,
-                            SWEEP_HEADER, main, run, validate)
+from mesostefan import antisym
+from mesostefan.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_NUMERICAL,
+                            EXIT_OK, SWEEP_HEADER, main, run, validate)
 from mesostefan.config import RunConfig, parse_config
-from mesostefan.errors import DomainError, GridError
+from mesostefan.errors import DomainError, GridError, InfeasibleError
 from mesostefan.profiles import load_profile, load_state
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "scripts", "configs")
@@ -123,6 +124,17 @@ def test_stefan_command_and_infeasible_exit(tmp_path):
     assert data["ell_j"] == pytest.approx(1.9467161267, abs=1e-6)
 
 
+TRACE_HEADER = "k,increment,ratio,residual,inner_tol,picard_steps,inner_path"
+
+
+def _solve_records_are_picard(trace):
+    """Every step's auxiliary solve took a whole number of Picard steps, at
+    least one somewhere, and none stalled into Newton-GMRES."""
+    steps = [int(line.split(",")[5]) for line in trace[1:]]
+    assert min(steps) >= 0 and sum(steps) > 0
+    assert {line.split(",")[6] for line in trace[1:]} == {"picard"}
+
+
 def test_solve_command_round_trip(tmp_path):
     out = tmp_path / "run"
     code = main(["solve", "--mode", "antisym", "--beta", "2", "--eps", "0.1",
@@ -136,8 +148,9 @@ def test_solve_command_round_trip(tmp_path):
     assert summary["monotone"] is True
     assert summary["residual"] < 1e-8
     trace = (out / "trace.csv").read_text().splitlines()
-    assert trace[0] == "k,increment,ratio,residual,inner_tol"
-    assert float(trace[-1].split(",")[-1]) == 1e-12
+    assert trace[0] == TRACE_HEADER
+    assert float(trace[-1].split(",")[4]) == 1e-12
+    _solve_records_are_picard(trace)
 
 
 def test_solve_asym_command(tmp_path):
@@ -285,6 +298,99 @@ def test_failed_sweep_row_records_error(tmp_path):
     assert lines[2].endswith(f",{-EXIT_CONFIG}")
 
 
+@pytest.mark.parametrize("exc_type", [FloatingPointError,
+                                      np.linalg.LinAlgError, ValueError])
+def test_non_package_error_becomes_row(tmp_path, monkeypatch, exc_type):
+    """A numpy/scipy error at one eps is an exit-4 row naming its class; the
+    other scales still solve and record their solves."""
+    solve = antisym.solve_stable
+
+    def failing(params, kernel, eps, *args, **kwargs):
+        if eps == 0.05:
+            raise exc_type("injected")
+        return solve(params, kernel, eps, *args, **kwargs)
+
+    monkeypatch.setattr(antisym, "solve_stable", failing)
+    out = tmp_path / "sweep"
+    cfg_file = tmp_path / "cfg.txt"
+    cfg_file.write_text("beta = 2.0\nj = -0.02\nmode = antisym\n"
+                        f"eps_list = 0.1, 0.05\nn0 = 2\noutdir = {out}\n")
+    assert main(["sweep", "--config", str(cfg_file)]) == EXIT_NUMERICAL
+    ok = json.loads((out / "eps_0.1" / "row.json").read_text())
+    bad = json.loads((out / "eps_0.05" / "row.json").read_text())
+    assert "error" not in ok and ok["iters"] > 0
+    assert ok["picard_steps"] > 0 and ok["newton_handoffs"] == 0
+    assert bad["iters"] == -EXIT_NUMERICAL
+    assert bad["error"] == f"{exc_type.__name__}: injected"
+    assert "picard_steps" not in bad
+
+
+def test_non_package_error_in_shared_inputs_fills_rows(monkeypatch):
+    """The same error in the inputs every scale shares is every row's."""
+    from mesostefan import instanton
+
+    def failing(*args, **kwargs):
+        raise FloatingPointError("injected")
+
+    monkeypatch.setattr(instanton, "compute_instanton", failing)
+    rows = run(RunConfig(beta=2.0, j=-0.02, eps_list=[0.1, 0.05], n0=2)).rows
+    assert [r.iters for r in rows] == [-EXIT_NUMERICAL] * 2
+    assert {r.error for r in rows} == {"FloatingPointError: injected"}
+
+
+@pytest.mark.parametrize("mode, j, x0", [("antisym", -0.02, 0.0),
+                                         ("metastable", 0.02, 0.0),
+                                         ("asym", -0.02, 0.2)])
+def test_row_json_records_inner_solves(tmp_path, mode, j, x0):
+    """row.json totals the Picard steps of the row's auxiliary solves, off
+    center including the extended solve's, and counts Newton hand-offs;
+    sweep.csv keeps its columns."""
+    out = tmp_path / mode
+    cfg = RunConfig(beta=2.0, j=j, x0=x0, mode=mode, eps_list=[0.1], n0=2,
+                    outdir=str(out))
+    row, res = cli._solve_one(cfg, 0.1, cli._shared_inputs(cfg))
+    traces = [res.trace] + ([res.problem.extended.trace] if mode == "asym"
+                            else [])
+    assert row.picard_steps == sum(sum(t.picard_steps) for t in traces) > 0
+    assert row.newton_handoffs == 0
+    assert all(t.inner_paths == ["picard"] * len(t.increments)
+               for t in traces)
+    cfg_file = tmp_path / "cfg.txt"
+    cfg_file.write_text(f"beta = 2.0\nj = {j}\nx0 = {x0}\nmode = {mode}\n"
+                        f"eps_list = 0.1\nn0 = 2\noutdir = {out}\n")
+    assert main(["sweep", "--config", str(cfg_file)]) == EXIT_OK
+    record = json.loads((out / "eps_0.1" / "row.json").read_text())
+    assert record["picard_steps"] == row.picard_steps
+    assert record["newton_handoffs"] == 0
+    assert (out / "sweep.csv").read_text().splitlines()[0] == SWEEP_HEADER
+
+
+@pytest.mark.parametrize("errors, code", [
+    ({}, EXIT_OK),
+    ({0.1: GridError}, EXIT_CONFIG),
+    ({0.05: InfeasibleError}, EXIT_INFEASIBLE),
+    ({0.1: DomainError, 0.05: InfeasibleError}, EXIT_INFEASIBLE),
+])
+def test_validate_exits_with_highest_finding_code(tmp_path, monkeypatch,
+                                                  capsys, errors, code):
+    check = antisym.check_stable
+
+    def checked(kernel, eps, *args):
+        if eps in errors:
+            raise errors[eps]("injected")
+        return check(kernel, eps, *args)
+
+    monkeypatch.setattr(antisym, "check_stable", checked)
+    path = tmp_path / "cfg.txt"
+    path.write_text("beta = 2.0\nj = -0.02\neps_list = 0.1, 0.05\nn0 = 2\n")
+    assert main(["validate", "--config", str(path)]) == code
+    printed = capsys.readouterr().out
+    if errors:
+        assert printed.count("- ") == len(errors)
+    else:
+        assert printed == "configuration is feasible\n"
+
+
 def test_validate_findings(params2):
     cfg = RunConfig(beta=2.0, j=-0.2, ell=1.0, mode="antisym",
                     eps_list=[0.1], n0=2)
@@ -335,14 +441,14 @@ def test_validate_reports_solver_preconditions(mode, x0, eps):
 
 def test_validate_reports_saturated_beta(tmp_path, capsys):
     """beta = 20 saturates m_beta: the maximal solution's error is a finding,
-    not an exit from main."""
+    printed like the others, and validate exits with its code."""
     cfg = RunConfig(beta=20.0, j=-0.02, eps_list=[0.1], n0=2)
     finding, = validate(cfg)
     assert finding.startswith("config error: ")
     assert "past the saturation cutoff" in finding
     path = tmp_path / "b20.txt"
     path.write_text("beta = 20.0\nj = -0.02\nn0 = 2\n")
-    assert main(["validate", "--config", str(path)]) == EXIT_OK
+    assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
     assert "past the saturation cutoff" in capsys.readouterr().out
 
 
@@ -411,8 +517,9 @@ def test_solve_asym_writes_trace(tmp_path):
                  "--x0", "0.2", "--n0", "2", "--out", str(out)]) == EXIT_OK
     summary = json.loads((out / "solve_asym.json").read_text())
     trace = (out / "trace.csv").read_text().splitlines()
-    assert trace[0] == "k,increment,ratio,residual,inner_tol"
+    assert trace[0] == TRACE_HEADER
     assert len(trace) - 1 == summary["iterations"]
+    _solve_records_are_picard(trace)
     assert float(trace[1].split(",")[3]) == summary["seed_residual"]
     assert float(trace[-1].split(",")[1]) < 1e-9
 

@@ -7,8 +7,8 @@ from scipy.stats import linregress
 from mesostefan import antisym, meso, spectral
 from mesostefan.errors import ConvergenceError, SaturationError
 from mesostefan.grids import build_grid, conv_values
-from mesostefan.meso import (apply_linearized, effective_field, inner_solve,
-                             residual)
+from mesostefan.meso import (InnerRecord, apply_linearized, effective_field,
+                             inner_solve, residual)
 from mesostefan.thermo import mobility
 from oracles import neumann_matrix
 
@@ -97,6 +97,7 @@ def test_inner_solve_fixed_point_seed(params2, kernel05, wide_grid):
     h = effective_field(params2, kernel05, wide_grid, m0)
     st = inner_solve(params2, kernel05, wide_grid, h, m0)
     assert np.array_equal(st.m, m0)   # already below tolerance: unchanged
+    assert st.record == InnerRecord(0, "picard")
 
 
 def test_inner_solve_reuses_last_convolution(params2, kernel05, wide_grid,
@@ -171,7 +172,7 @@ def test_inner_solve_saturation(params2, kernel05, wide_grid):
 
 @pytest.fixture
 def newton_calls(monkeypatch):
-    """Counts the hand-overs from the damped iteration to Newton-GMRES."""
+    """Counts the hand-overs from the fixed-point iteration to Newton-GMRES."""
     calls = []
     newton = meso._newton_krylov
 
@@ -187,7 +188,7 @@ def newton_calls(monkeypatch):
                          ids=["n1601", "n16001"])
 def test_inner_solve_stall_converges(params2, kernel05, inst05, maximal_stable,
                                      newton_calls, eps, n):
-    """A push along the 1 - C eps interface mode stalls the damped iteration;
+    """A push along the 1 - C eps interface mode stalls the Picard iteration;
     Newton-GMRES finishes the solve at any size (no dense-matrix cap)."""
     res = antisym.solve_stable(params2, kernel05, eps, -0.02, 1.0, n0=2,
                                instanton=inst05, macro=maximal_stable)
@@ -198,6 +199,7 @@ def test_inner_solve_stall_converges(params2, kernel05, inst05, maximal_stable,
     st2 = inner_solve(params2, kernel05, st.grid, st.h, m0)
     assert st.grid.n == n
     assert newton_calls == [n]
+    assert st2.record.path == "newton"
     assert st2.residual_norm < 1e-12
     assert residual(params2, kernel05, st.grid, st.h, st2.m) < 1e-12
     assert np.max(np.abs(st2.m - st.m)) <= 1e-8
@@ -248,3 +250,47 @@ def test_continuation_path(params2, kernel05, wide_grid, instanton_state):
     m = inner_solve(params2, kernel05, wide_grid, target, st.m).m
     assert residual(params2, kernel05, wide_grid, target, m) < 1e-12
     assert np.max(np.abs(m - st.m)) < 0.5
+
+
+def test_picard_record_counts_updates(params2, kernel05, wide_grid,
+                                      instanton_state, monkeypatch):
+    """The record counts the fixed-point updates: one convolution each, plus
+    the one that finds the residual below tol."""
+    st = instanton_state
+    bump = 0.01 * np.sin(np.pi * wide_grid.points / wide_grid.b)
+    calls = []
+    real = meso.conv_values
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(meso, "conv_values", counted)
+    st2 = inner_solve(params2, kernel05, wide_grid, st.h + bump, st.m)
+    assert st2.record.path == "picard"
+    assert st2.record.picard_steps == len(calls) - 1 > 0
+
+
+def test_picard_contracts_at_the_subdominant_rate(params2, kernel05,
+                                                  instanton_state,
+                                                  monkeypatch):
+    """On odd data plain Picard contracts at lambda_2 of p J^neum, about 0.31
+    at beta = 2; damping by 0.7 would give 0.3 + 0.7 lambda_2 = 0.52."""
+    st = instanton_state
+    lam2 = spectral.second_eigenvalue(st, spectral.leading_eigenpair(st))
+    x = st.grid.points
+    m0 = st.m + 1e-3 * np.sin(np.pi * x / st.grid.b) * np.exp(-(x / 4.0) ** 2)
+    res = []
+    real = meso.conv_values
+
+    def recorded(kernel, grid, m, mode):
+        out = real(kernel, grid, m, mode)
+        arg = params2.beta * (out + st.h)
+        res.append(float(np.max(np.abs(m - np.tanh(arg)))))
+        return out
+
+    monkeypatch.setattr(meso, "conv_values", recorded)
+    inner_solve(params2, kernel05, st.grid, st.h, m0)
+    rate = (res[-1] / res[4]) ** (1.0 / (len(res) - 5))
+    assert 0.25 < lam2 < 0.35
+    assert abs(rate - lam2) < 0.02
