@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, GridError
-from .grids import Grid, Kernel, build_grid
+from .grids import Grid, Kernel, build_grid, conv_values
 from .instanton import Instanton
 from .meso import MesoState, inner_solve, residual
 from .spectral import SpectralResult, leading_eigenpair
@@ -103,7 +103,7 @@ class OffCenterProblem:
     res_grid: Grid
     h_star: np.ndarray               # on ext_grid
     m_star: np.ndarray
-    u_star: SpectralResult           # of the extended state, symmetrized
+    u_star: SpectralResult           # of the extended state
     r_eps: np.ndarray                # boundary correction on res_grid
     h_eps: np.ndarray                # quasi-solution field on res_grid
     m_eps: np.ndarray
@@ -122,27 +122,17 @@ def _require_aligned(value, spacing, what):
         raise GridError(f"{what} must be a grid multiple of the spacing")
 
 
-def boundary_correction(kernel: Kernel, ext_grid: Grid, m_star: np.ndarray,
-                        n_res: int) -> np.ndarray:
+def boundary_correction(kernel: Kernel, ext_grid: Grid, res_grid: Grid,
+                        m_star: np.ndarray) -> np.ndarray:
     """Reflection-mismatch field near the right end of the restricted domain.
 
-    Quadrature of J(x, y) [m*(y) - m*(2 eps^-1 - y)] over the kernel range
-    beyond eps^-1, with the same discrete weights as the convolutions, so
-    that h* + R is an exact fixed-point field for the restricted kernel.
+    The extended minus the restricted reflected convolution of m*, so that
+    h* + R is an exact fixed-point field for the restricted kernel.  The two
+    agree exactly more than one kernel range left of eps^-1.
     """
-    k = kernel.half_points
-    i_edge = n_res - 1          # index of eps^-1 in the extended grid
-    if i_edge + k >= ext_grid.n:
-        raise GridError("extended domain too short for the boundary correction")
-    r = np.zeros(n_res)
-    w = kernel.weights
-    for dk in range(1, k + 1):
-        dm = m_star[i_edge + dk] - m_star[i_edge - dk]
-        for i_x in range(i_edge - k + dk, i_edge + 1):
-            off = i_edge + dk - i_x
-            if off <= k:
-                r[i_x] += w[k + off] * dm
-    return r
+    n_res = res_grid.n
+    return (conv_values(kernel, ext_grid, m_star, "neumann")[:n_res]
+            - conv_values(kernel, res_grid, m_star[:n_res], "neumann"))
 
 
 def check_off_center(kernel: Kernel, eps, j, x0, n0, instanton: Instanton,
@@ -171,8 +161,7 @@ def check_off_center(kernel: Kernel, eps, j, x0, n0, instanton: Instanton,
 def build_problem(params: ThermoParams, kernel: Kernel, eps, j, x0,
                   tol=1e-10, inner_tol=1e-12, n0=2,
                   instanton: Instanton | None = None,
-                  macro: MaximalSolution | None = None,
-                  a_plus: float | None = None) -> OffCenterProblem:
+                  macro: MaximalSolution | None = None) -> OffCenterProblem:
     """Assemble the extended solution, its eigenpair, and the quasi-solution."""
     from .instanton import compute_instanton
 
@@ -194,11 +183,9 @@ def build_problem(params: ThermoParams, kernel: Kernel, eps, j, x0,
 
     # conv_values reads only the spacing and the width, which both grids
     # share, so the extended state needs no second convolution
-    ext_state = replace(extended.state, grid=ext_grid)
-    i_center_ext = extended.state.grid.center_index
-    u_star = leading_eigenpair(ext_state, symmetrize_about=i_center_ext)
+    u_star = leading_eigenpair(replace(extended.state, grid=ext_grid))
 
-    r_eps = boundary_correction(kernel, ext_grid, m_star, n_res)
+    r_eps = boundary_correction(kernel, ext_grid, res_grid, m_star)
     h_eps = h_star[:n_res] + r_eps
     m_eps = m_star[:n_res]
     seed_res = residual(params, kernel, res_grid, h_eps, m_eps)
@@ -206,9 +193,7 @@ def build_problem(params: ThermoParams, kernel: Kernel, eps, j, x0,
         raise ConvergenceError(
             f"quasi-solution residual {seed_res:.3e} exceeds 1e-9")
 
-    if a_plus is None:
-        a_plus = default_a_plus(instanton, eps, x0)
-    weight = build_weight(res_grid, x0, a_plus)
+    weight = build_weight(res_grid, x0, default_a_plus(instanton, eps, x0))
     interface_index = res_grid.index_of(round(x0 / eps / res_grid.spacing)
                                         * res_grid.spacing)
     r_eps.setflags(write=False)
@@ -259,20 +244,20 @@ class OffCenterResult:
 def solve_off_center(params: ThermoParams, kernel: Kernel, eps, j, x0,
                      tol=1e-9, inner_tol=1e-12, max_outer=60, n0=2,
                      instanton: Instanton | None = None,
-                     macro: MaximalSolution | None = None,
-                     problem: OffCenterProblem | None = None) -> OffCenterResult:
+                     macro: MaximalSolution | None = None) -> OffCenterResult:
     """Iterate the projected map from the quasi-solution to convergence.
 
     Convergence is measured in the weighted norm, and the trace records
     those increments with the same fields as the antisymmetric loop (the
     first residual is the quasi-solution's; every solve runs at inner_tol).
-    The final field's zero is located near the interface by bracketing plus
-    linear interpolation, and the magnetization zero is reported separately
-    (the two need not coincide).
+    ``tol`` is also the outer tolerance of the extended antisymmetric solve
+    that :func:`build_problem` runs.  The final field's zero is located near
+    the interface by bracketing plus linear interpolation, and the
+    magnetization zero is reported separately (the two need not coincide).
     """
-    problem = problem or build_problem(params, kernel, eps, j, x0,
-                                       inner_tol=inner_tol, n0=n0,
-                                       instanton=instanton, macro=macro)
+    problem = build_problem(params, kernel, eps, j, x0, tol=tol,
+                            inner_tol=inner_tol, n0=n0, instanton=instanton,
+                            macro=macro)
     trace = IterationTrace(residuals=[problem.seed_residual])
     h, m = problem.h_eps, problem.m_eps
     for _ in range(max_outer):

@@ -82,8 +82,8 @@ def cmd_thermo(args) -> int:
     hs = np.linspace(-1.0, 1.0, 401)
     with open(os.path.join(out, "pressure.csv"), "w") as fh:
         fh.write("h,pressure\n")
-        for hv in hs:
-            fh.write(f"{fmt(hv)},{fmt(pressure(params, hv))}\n")
+        for hv, pv in zip(hs, pressure(params, hs)):
+            fh.write(f"{fmt(hv)},{fmt(pv)}\n")
     dump_json(os.path.join(out, "thermo.json"),
               {"beta": params.beta, "m_beta": params.m_beta,
                "m_star": params.m_star})

@@ -5,9 +5,10 @@ p = beta / cosh^2(beta J^neum*m + beta h).  At exact fixed points of
 m = tanh(beta J^neum*m + beta h) the weight coincides with the mobility
 chi(m), which the solvers exploit throughout.
 
-The auxiliary solve :func:`inner_solve` runs plain fixed-point (Picard)
-iteration and, when that stalls on the slow interface mode, Newton's method
-with each step solved by GMRES on the matrix-free Jacobian I - diag(p) J^neum.
+The auxiliary solve :func:`inner_solve` runs plain, undamped fixed-point
+(Picard) iteration and, when that stalls on the slow interface mode,
+Newton's method with each step solved by GMRES on the matrix-free Jacobian
+I - diag(p) J^neum.
 Its :class:`InnerRecord` says how many Picard steps it took and which path
 finished it.
 """
@@ -25,7 +26,6 @@ from .thermo import ThermoParams
 
 SATURATION_LIMIT = 1.0 - 1e-8
 _MAX_ITER = 20_000        # fixed-point steps
-_OMEGA = 1.0              # initial step factor, halved when the residual grows
 _STALL_RATIO = 0.999      # residual ratio counted as a stalled step
 _STALL_STEPS = 50         # consecutive stalled steps before Newton takes over
 _NEWTON_STEPS = 30
@@ -148,7 +148,6 @@ def _picard(params, kernel, grid, h, m, tol):
     :class:`InnerRecord`.
     """
     beta = params.beta
-    omega = _OMEGA
     res_prev = np.inf
     stall = 0
     for step in range(_MAX_ITER):
@@ -157,14 +156,12 @@ def _picard(params, kernel, grid, h, m, tol):
         res = float(np.max(np.abs(m - target)))
         if res < tol:
             return m, arg, InnerRecord(step, "picard")
-        if res > res_prev:
-            omega = max(0.05, 0.5 * omega)
         stall = stall + 1 if res > _STALL_RATIO * res_prev else 0
         if stall >= _STALL_STEPS:
             m, arg = _newton_krylov(params, kernel, grid, h, m, tol)
             return m, arg, InnerRecord(step, "newton")
         res_prev = res
-        m = (1.0 - omega) * m + omega * target
+        m = target
         if np.max(np.abs(m)) >= SATURATION_LIMIT:
             raise SaturationError("iterate saturated: |m| -> 1")
     raise ConvergenceError(
@@ -177,11 +174,11 @@ def inner_solve(params: ThermoParams, kernel: Kernel, grid: Grid,
                 h: np.ndarray, m_init: np.ndarray, tol=1e-12) -> MesoState:
     """Find m with m = tanh(beta J^neum*m + beta h) near the seed.
 
-    Plain fixed-point iteration m <- tanh(beta (J^neum*m + h)), whose step
-    is halved whenever the residual grows.  On odd data its error decays at
-    the sub-dominant eigenvalue of p J^neum (about 0.31 at beta = 2).  Along
-    the leading eigenvector, which sits at 1 - C eps near an interface, it
-    decays only like 1 - C eps, so when the residual stops falling the
+    Plain fixed-point iteration: each step sets m <- tanh(beta (J^neum*m +
+    h)), with no damping.  On odd data its error decays at the sub-dominant
+    eigenvalue of p J^neum (about 0.31 at beta = 2).  Along the leading
+    eigenvector, which sits at 1 - C eps near an interface, it decays only
+    like 1 - C eps, so when the residual stops falling for 50 steps the
     iterate is handed to Newton's method, each step solved by GMRES on the
     matrix-free Jacobian I - diag(p) J^neum.  Both stages stop at the
     sup-norm residual ``tol``, raise :class:`SaturationError` when an

@@ -32,16 +32,17 @@ def _normalize(state: MesoState, u: np.ndarray) -> np.ndarray:
     return u / np.sqrt(state.weighted_dot(u, u))
 
 
-def leading_eigenpair(state: MesoState, tol=1e-12, max_iter=100_000,
-                      symmetrize_about: int | None = None) -> SpectralResult:
+def leading_eigenpair(state: MesoState, tol=1e-12,
+                      max_iter=100_000) -> SpectralResult:
     """Power iteration with weighted normalization.
 
     Stops when both the Rayleigh quotient is stationary to ``tol`` and the
     operator residual sup|A u - rq u| drops below ``tol`` (the eigenvector
     itself must be converged, not just the eigenvalue, because downstream
-    deflations inherit its error).  ``symmetrize_about`` mirrors the iterate
-    about a grid index each step; use it when the problem is symmetric about
-    an interior interface so rounding cannot seed asymmetric contamination.
+    deflations inherit its error).  On a state symmetric about an interior
+    interface the iterate stays symmetric to rounding: the start p is
+    symmetric, and rounding along the antisymmetric modes decays because
+    their eigenvalues sit far below the leading one.
     """
     if np.any(state.p <= 0.0):
         raise DomainError("linearization weight must be positive")
@@ -54,9 +55,6 @@ def leading_eigenpair(state: MesoState, tol=1e-12, max_iter=100_000,
         rq = state.weighted_dot(u, au)
         res = float(np.max(np.abs(au - rq * u)))
         u_next = _normalize(state, au)
-        if symmetrize_about is not None:
-            u_next = _mirror_average(u_next, symmetrize_about)
-            u_next = _normalize(state, u_next)
         if res < tol * max(1.0, abs(rq)) and abs(rq - rq_prev) < tol:
             u = u_next
             break
@@ -71,14 +69,6 @@ def leading_eigenpair(state: MesoState, tol=1e-12, max_iter=100_000,
     res = float(np.max(np.abs(apply_linearized(state, u) - rq * u)))
     u.setflags(write=False)
     return SpectralResult(float(rq), u, None, it, res)
-
-
-def _mirror_average(values: np.ndarray, center: int) -> np.ndarray:
-    out = values.copy()
-    k = min(center, values.size - 1 - center)
-    seg = values[center - k:center + k + 1]
-    out[center - k:center + k + 1] = 0.5 * (seg + seg[::-1])
-    return out
 
 
 def deflate(state: MesoState, result: SpectralResult,

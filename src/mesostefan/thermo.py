@@ -2,9 +2,10 @@
 
 Potential, entropy, convex envelope, Legendre-dual pressure, mobility and
 diffusion coefficients, plus the scalar branch inverses of potential_prime.
-m_beta, the mean-field root and the branch inverses are found by bisection to
-a bracket of width ~1e-15 followed by one Newton polish; the pressure is
-closed form at the mean-field root.
+m_beta, the mean-field root, the pressure's maximizer and both branch
+inverses are all the largest root of m = tanh(beta (m + h)), found by one
+vectorised Newton iteration from m = 1; the pressure is closed form at that
+root.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BranchRangeError, DomainError
+from .errors import BranchRangeError, ConvergenceError, DomainError
 from .grids import Kernel, Profile, conv_values, trapezoid
 
 
@@ -28,62 +29,38 @@ class ThermoParams:
     m_star: float   # spinodal value sqrt(1 - 1/beta)
 
 
-def _bisect(f, lo, hi, f_lo=None, f_hi=None, tol=1e-15, max_iter=200):
-    """Bisection to bracket width ``tol`` plus one Newton polish on f.
+_TOP = 1.0 - 1e-16      # largest root returned where tanh saturates
+_MAX_NEWTON = 100
 
-    The polish differences f at points inside the initial [lo, hi], so f is
-    never evaluated outside the interval it was bracketed on.
+
+def _largest_root(beta, h):
+    """Largest root of m = tanh(beta (m + h)), element-wise over ``h``.
+
+    Newton's method on f(m) = m - tanh(beta (m + h)) from m = 1 - 1e-16.
+    Where m + h > 0, f is convex, so the iterates fall monotonically onto
+    the largest root; that covers every h > -metastable_branch_limit.  Each
+    entry stops when a step no longer lowers it.  Where tanh has saturated
+    (f(1 - 1e-16) <= 0) the root is 1 to rounding and 1 - 1e-16 is returned.
     """
-    lo0, hi0 = lo, hi
-    f_lo = f(lo) if f_lo is None else f_lo
-    f_hi = f(hi) if f_hi is None else f_hi
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if f_lo * f_hi > 0.0:
-        raise DomainError(f"root not bracketed on [{lo}, {hi}]")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < tol:
-            break
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if f_lo * f_mid < 0.0:
-            hi, f_hi = mid, f_mid
-        else:
-            lo, f_lo = mid, f_mid
-    root = 0.5 * (lo + hi)
-    # one-step secant/Newton polish keeps the residual at rounding level
-    h = min(max(1e-9, 1e-9 * abs(root)),
-            0.5 * (root - lo0), 0.5 * (hi0 - root))
-    df = (f(root + h) - f(root - h)) / (2 * h) if h > 0.0 else 0.0
-    if df != 0.0 and np.isfinite(df):
-        polished = root - f(root) / df
-        if lo <= polished <= hi:
-            root = polished
-    return root
-
-
-def _root_below_one(f, lo) -> float:
-    """Root of f on [lo, 1 - 1e-16] for f rising through zero toward m = 1.
-
-    When f has not reached zero at 1 - 1e-16 (tanh or atanh saturated in
-    floating point) the root is 1 to rounding and 1 - 1e-16 is returned.
-    """
-    hi = 1.0 - 1e-16
-    f_hi = f(hi)
-    if f_hi <= 0.0:
-        return hi
-    return _bisect(f, lo, hi, f_hi=f_hi)
+    h = np.asarray(h, dtype=float)
+    m = np.full(h.shape, _TOP)
+    for _ in range(_MAX_NEWTON):
+        t = np.tanh(beta * (m + h))
+        m_next = m - (m - t) / (1.0 - beta * (1.0 - t * t))
+        lower = m_next < m
+        if not lower.any():
+            return m
+        m = np.where(lower, m_next, m)
+    raise ConvergenceError(
+        f"Newton iteration for the mean-field root did not settle in "
+        f"{_MAX_NEWTON} steps (beta {beta})", last=m)
 
 
 def solve_m_beta(beta) -> float:
     """Unique positive root of m = tanh(beta m); requires beta > 1."""
     if not np.isfinite(beta) or beta <= 1.0:
         raise DomainError(f"beta must exceed 1, got {beta}")
-    return float(_root_below_one(lambda m: m - math.tanh(beta * m), 1e-8))
+    return float(_largest_root(beta, 0.0))
 
 
 def make_params(beta) -> ThermoParams:
@@ -137,11 +114,8 @@ def mean_field_root(params: ThermoParams, h) -> MeanFieldRoot:
     if h == 0.0:
         return MeanFieldRoot(params.m_beta, True)
     sign = 1.0 if h > 0 else -1.0
-    ha = abs(h)
-    beta = params.beta
-    f = lambda m: m - math.tanh(beta * (m + ha))
-    root = _root_below_one(f, params.m_beta - 1e-12)
-    return MeanFieldRoot(float(sign * root), False)
+    return MeanFieldRoot(sign * float(_largest_root(params.beta, abs(h))),
+                         False)
 
 
 def convex_envelope(params: ThermoParams, s):
@@ -162,19 +136,22 @@ def convex_envelope_prime(params: ThermoParams, s):
     return out if out.ndim else float(out)
 
 
-def pressure(params: ThermoParams, h) -> float:
+def pressure(params: ThermoParams, h):
     """Legendre transform sup_s { h s - envelope(s) } in closed form.
 
     The supremum sits where the envelope's slope equals h; the envelope is
     even, so the pressure is |h| m - potential(m) with m >= m_beta solving
     potential_prime(m) = |h|, i.e. the mean-field root m = tanh(beta(m + |h|))
-    (m_beta at h = 0).  That form stays defined when m rounds to 1.
+    (m_beta at h = 0).  That form stays defined when m rounds to 1.  Accepts
+    arrays of fields; a scalar field gives a float.
     """
-    if not np.isfinite(h):
+    h = np.asarray(h, dtype=float)
+    if not np.all(np.isfinite(h)):
         raise DomainError("field must be finite")
-    ha = abs(h)
-    m = mean_field_root(params, ha).value
-    return float(ha * m - potential(params, m))
+    ha = np.abs(h)
+    m = _largest_root(params.beta, ha)
+    out = ha * m - potential(params, m)
+    return out if out.ndim else float(out)
 
 
 def envelope_prime_inverse(params: ThermoParams, h, side=None) -> float:
@@ -191,12 +168,9 @@ def envelope_prime_inverse(params: ThermoParams, h, side=None) -> float:
         raise DomainError("field must be finite")
     if h < 0.0:
         return -envelope_prime_inverse(params, -h, side)
-    beta = params.beta
-    f = lambda m: -m + math.atanh(m) / beta - h
-    # potential_prime(m_beta) is only zero to rounding; start the bracket a
-    # hair below the plateau edge so arbitrarily small h > 0 still brackets
-    root = _root_below_one(f, params.m_beta - 1e-9)
-    return float(max(root, params.m_beta))
+    # potential_prime(m) = h is m = tanh(beta (m + h)); for tiny h > 0 the
+    # root can round below the plateau edge, which is clamped
+    return max(float(_largest_root(params.beta, h)), params.m_beta)
 
 
 def metastable_branch_limit(params: ThermoParams) -> float:
@@ -226,8 +200,7 @@ def metastable_inverse(params: ThermoParams, h, branch_sign) -> float:
             f"field {h} below the branch image (limit {h_lo:.6g})",
             breakdown=h_lo,
         )
-    f = lambda m: -m + math.atanh(m) / beta - h
-    return float(_root_below_one(f, lo))
+    return float(_largest_root(beta, h))
 
 
 def mobility(params: ThermoParams, m):

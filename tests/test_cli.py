@@ -365,6 +365,20 @@ def test_row_json_records_inner_solves(tmp_path, mode, j, x0):
     assert (out / "sweep.csv").read_text().splitlines()[0] == SWEEP_HEADER
 
 
+def test_asym_outer_tol_reaches_extended_solve():
+    """An off-center row's outer tolerance also stops the extended
+    antisymmetric solve, which takes fewer steps at a looser one."""
+    steps = {}
+    for tol in (1e-6, 1e-10):
+        cfg = RunConfig(beta=2.0, j=-0.02, x0=0.2, mode="asym",
+                        eps_list=[0.05], n0=2, outer_tol=tol)
+        _, res = cli._solve_one(cfg, 0.05, cli._shared_inputs(cfg))
+        ext = res.problem.extended.trace
+        assert ext.increments[-1] < tol
+        steps[tol] = len(ext.increments)
+    assert steps[1e-6] < steps[1e-10]
+
+
 @pytest.mark.parametrize("errors, code", [
     ({}, EXIT_OK),
     ({0.1: GridError}, EXIT_CONFIG),

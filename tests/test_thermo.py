@@ -16,6 +16,7 @@ from mesostefan.thermo import (Diffusivity, convex_envelope,
                                metastable_diffusivity, mobility, potential,
                                potential_double_prime, potential_prime,
                                pressure, solve_m_beta)
+from mesostefan.thermo import _largest_root
 
 
 # ----------------------------------------------------------------- oracles
@@ -64,6 +65,10 @@ def test_m_beta_against_bisection_oracle():
     oracle15 = bisect_oracle(lambda m: m - math.tanh(1.5 * m), 0.5, 1.0)
     assert solve_m_beta(1.5) == pytest.approx(oracle15, abs=1e-13)
     assert solve_m_beta(1.5) == pytest.approx(0.8586, abs=1e-3)
+    # close to beta = 1 the root is small and m - tanh(beta m) is flat there
+    for beta in (1.0001, 1.001):
+        oracle = bisect_oracle(lambda m: m - math.tanh(beta * m), 1e-3, 1.0)
+        assert solve_m_beta(beta) == pytest.approx(oracle, abs=1e-13)
 
 
 def test_m_beta_rejects_subcritical():
@@ -161,6 +166,39 @@ def test_mean_field_root_monotone_property(h1, h2):
     p = make_params(2.0)
     lo, hi = sorted((h1, h2))
     assert mean_field_root(p, lo).value <= mean_field_root(p, hi).value + 1e-12
+
+
+# ------------------------------------------------------------ shared root
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=1.05, max_value=10.0), st.data())
+def test_largest_root_property(beta, data):
+    """On the whole admissible range h > -metastable_branch_limit the root
+    solves m = tanh(beta (m + h)) to rounding, lies on the outer branch
+    m >= m_star, and f = m - tanh(beta (m + h)) stays positive above it."""
+    p = make_params(beta)
+    limit = metastable_branch_limit(p)
+    h = data.draw(st.floats(min_value=-0.999 * limit, max_value=20.0))
+    m = float(_largest_root(beta, h))
+    assert abs(m - math.tanh(beta * (m + h))) <= 2 * np.spacing(1.0)
+    assert m >= p.m_star
+    above = m + (1.0 - m) * np.array([0.01, 0.1, 0.5, 0.9, 0.99])
+    above = above[(above > m) & (above < 1.0)]
+    assert np.all(above - np.tanh(beta * (above + h)) > 0.0)
+
+
+def test_largest_root_and_pressure_arrays_match_scalar_calls():
+    p = make_params(1.3)
+    limit = metastable_branch_limit(p)
+    hs = np.concatenate([np.linspace(-0.999 * limit, 25.0, 501), [0.0]])
+    roots = _largest_root(p.beta, hs)
+    assert roots.shape == hs.shape
+    assert np.array_equal(roots, [float(_largest_root(p.beta, h)) for h in hs])
+    fields = np.linspace(-30.0, 30.0, 401).reshape(1, -1)
+    table = pressure(p, fields)
+    assert table.shape == fields.shape
+    assert np.array_equal(table[0], [pressure(p, h) for h in fields[0]])
+    assert isinstance(pressure(p, 0.3), float)
 
 
 # ------------------------------------------------------------ envelope
