@@ -30,8 +30,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, GridError, SaturationError
-from .grids import Grid, Kernel, build_grid, cumulative_from_center
+from .errors import (ConvergenceError, DomainError, GridError,
+                     InfeasibleError, SaturationError)
+from .grids import Grid, Kernel, build_grid, trapezoid_antiderivative
 from .instanton import Instanton, threshold_abscissa
 from .meso import MesoState, effective_field, inner_solve, make_state
 from .stefan import (
@@ -129,11 +130,13 @@ class AntisymResult:
 def _seed_layout(spacing, instanton: Instanton, eps, ell, n0):
     """Grid, interface abscissa and gluing index of the composite seed.
 
-    GridError when eps^-1 [-ell, ell] has no grid at the spacing, the
-    instanton has another spacing, or the gluing point xi = x_eps + 2 n0
-    passes half the half-domain or the end of the instanton window.
+    GridError when eps^-1 [-ell, ell] has no grid at the spacing or none
+    with x = 0 among its points (the seed is odd about it), the instanton
+    has another spacing, or the gluing point xi = x_eps + 2 n0 passes half
+    the half-domain or the end of the instanton window.
     """
     grid = build_grid(eps, ell, ell, spacing)
+    grid.index_of(0.0)
     if abs(instanton.spacing - grid.spacing) > 1e-12:
         raise GridError("instanton spacing must match the solver spacing")
     x_eps = threshold_abscissa(instanton, eps)
@@ -183,8 +186,8 @@ def t_map(params: ThermoParams, grid: Grid, m: np.ndarray, eps, j) -> np.ndarray
     chi = np.asarray(mobility(params, m), dtype=float)
     if np.min(chi) < MOBILITY_FLOOR:
         raise SaturationError("mobility below floor: profile saturating")
-    h = -eps * j * cumulative_from_center(grid, 1.0 / chi)
-    h = 0.5 * (h - h[::-1])
+    h = _odd_part(-eps * j * trapezoid_antiderivative(grid, 1.0 / chi,
+                                                      grid.center_index))
     h[grid.center_index] = 0.0
     return h
 
@@ -217,8 +220,8 @@ def _check_length(kernel, eps, ell, n0, instanton, what, limit):
     if eps > 0.2:
         raise DomainError("scale parameter must satisfy eps <= 0.2")
     if ell >= limit:
-        raise DomainError(f"half-length {ell} must stay below {what} "
-                          f"= {limit:.6g}")
+        raise InfeasibleError(f"half-length {ell} must stay below {what} "
+                              f"= {limit:.6g}", ell_j=limit)
     _seed_layout(kernel.spacing, instanton, eps, ell, n0)
 
 
@@ -338,21 +341,21 @@ def fixed_point_defect(result: AntisymResult) -> float:
     return float(np.max(np.abs(st.h - h_rebuilt)))
 
 
-def flux_defect(result: AntisymResult) -> tuple[float, float]:
+def flux_defect(state: MesoState, eps, j) -> tuple[float, float]:
     """Pointwise transport-law defect chi(m) dh/dx + eps j and its estimate.
 
-    Returns (sup defect, sup quadrature-error estimate).  The estimate is
-    the exact discrepancy of differentiating the trapezoid antiderivative:
-    |eps j| chi |second difference of 1/chi| / 4.
+    Returns (sup defect, sup quadrature-error estimate) over the interior
+    points.  The estimate is the exact discrepancy of differentiating the
+    trapezoid antiderivative: |eps j| chi |second difference of 1/chi| / 4.
+    A constant shift of h (the off-center projection) changes neither.
     """
-    st = result.state
-    chi = np.asarray(mobility(st.params, st.m))
-    dh = np.gradient(st.h, st.grid.spacing, edge_order=2)
-    defect = np.abs(chi * dh + result.eps * result.j)
+    chi = np.asarray(mobility(state.params, state.m))
+    dh = np.gradient(state.h, state.grid.spacing, edge_order=2)
+    defect = np.abs(chi * dh + eps * j)
     g = 1.0 / chi
     d2g = np.zeros_like(g)
     d2g[1:-1] = np.abs(g[2:] - 2.0 * g[1:-1] + g[:-2])
-    est = np.abs(result.eps * result.j) * chi * d2g / 4.0
+    est = np.abs(eps * j) * chi * d2g / 4.0
     interior = slice(1, -1)
     return (float(np.max(defect[interior])),
             float(np.max(est[interior])))

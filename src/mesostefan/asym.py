@@ -21,7 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, GridError
-from .grids import Grid, Kernel, build_grid, conv_values
+from .grids import (Grid, Kernel, build_grid, conv_values,
+                    trapezoid_antiderivative)
 from .instanton import Instanton
 from .meso import MesoState, inner_solve, residual
 from .spectral import SpectralResult, leading_eigenpair
@@ -42,8 +43,6 @@ class ExponentialWeight:
     a_plus: float
     a_minus: float
     center: float      # interface abscissa (mesoscopic)
-    left_end: float
-    right_end: float
     values: np.ndarray
 
     def norm(self, f) -> float:
@@ -73,7 +72,7 @@ def build_weight(grid: Grid, x0, a_plus) -> ExponentialWeight:
     vals = vals * np.exp(a_plus * (grid.b - center))
     vals.setflags(write=False)
     return ExponentialWeight(float(a_plus), float(a_minus), float(center),
-                             grid.a, grid.b, vals)
+                             vals)
 
 
 def default_a_plus(instanton: Instanton, eps, x0) -> float:
@@ -116,12 +115,6 @@ class OffCenterProblem:
         return self.u_star.u[: self.res_grid.n]
 
 
-def _require_aligned(value, spacing, what):
-    ratio = value / spacing
-    if abs(ratio - round(ratio)) > 1e-9:
-        raise GridError(f"{what} must be a grid multiple of the spacing")
-
-
 def boundary_correction(kernel: Kernel, ext_grid: Grid, res_grid: Grid,
                         m_star: np.ndarray) -> np.ndarray:
     """Reflection-mismatch field near the right end of the restricted domain.
@@ -131,8 +124,8 @@ def boundary_correction(kernel: Kernel, ext_grid: Grid, res_grid: Grid,
     agree exactly more than one kernel range left of eps^-1.
     """
     n_res = res_grid.n
-    return (conv_values(kernel, ext_grid, m_star, "neumann")[:n_res]
-            - conv_values(kernel, res_grid, m_star[:n_res], "neumann"))
+    return (conv_values(kernel, ext_grid, m_star)[:n_res]
+            - conv_values(kernel, res_grid, m_star[:n_res]))
 
 
 def check_off_center(kernel: Kernel, eps, j, x0, n0, instanton: Instanton,
@@ -141,18 +134,18 @@ def check_off_center(kernel: Kernel, eps, j, x0, n0, instanton: Instanton,
     return the extended grid eps^-1[-1, 1 + 2 x0] and the restricted one.
 
     Needs 0 < x0 < 1, an extended run on eps^-1[-(1 + x0), 1 + x0] that
-    passes :func:`antisym.check_stable`, eps^-1 and eps^-1 x0 on the grid
-    (so the restricted right end and the interface are points of both
-    grids), and an extension of at least one kernel range past eps^-1.
+    passes :func:`antisym.check_stable`, a restricted grid on
+    eps^-1[-1, 1] with eps^-1 x0 among its points (both grids then share
+    their left end, the restricted right end and the interface), and an
+    extension of at least one kernel range past eps^-1.
     """
     if not 0.0 < x0 < 1.0:
         raise DomainError("interface offset must lie in (0, 1); for x0 < 0 "
                           "flip the signs of x and j (mirror symmetry)")
     check_stable(kernel, eps, j, 1.0 + x0, n0, instanton, macro)
-    _require_aligned(1.0 / eps, kernel.spacing, "eps^-1")
-    _require_aligned(x0 / eps, kernel.spacing, "eps^-1 x0")
-    ext_grid = build_grid(eps, 1.0, 1.0 + 2.0 * x0, kernel.spacing)
     res_grid = build_grid(eps, 1.0, 1.0, kernel.spacing)
+    res_grid.index_of(x0 / eps)
+    ext_grid = build_grid(eps, 1.0, 1.0 + 2.0 * x0, kernel.spacing)
     if res_grid.n - 1 + kernel.half_points >= ext_grid.n:
         raise GridError("extended domain too short for the boundary correction")
     return ext_grid, res_grid
@@ -194,8 +187,7 @@ def build_problem(params: ThermoParams, kernel: Kernel, eps, j, x0,
             f"quasi-solution residual {seed_res:.3e} exceeds 1e-9")
 
     weight = build_weight(res_grid, x0, default_a_plus(instanton, eps, x0))
-    interface_index = res_grid.index_of(round(x0 / eps / res_grid.spacing)
-                                        * res_grid.spacing)
+    interface_index = res_grid.index_of(x0 / eps)
     r_eps.setflags(write=False)
     return OffCenterProblem(params, kernel, float(eps), float(j), float(x0),
                             float(ell_star), extended, ext_grid, res_grid,
@@ -211,12 +203,10 @@ def projected_iterate(problem: OffCenterProblem, m_n: np.ndarray,
     component along the extended maximal eigenvector (plain integrals), and
     solves the auxiliary fixed point from the previous magnetization.
     """
-    from scipy.integrate import cumulative_trapezoid
-
     grid = problem.res_grid
     chi = np.asarray(mobility(problem.params, m_n))
-    cum = cumulative_trapezoid(1.0 / chi, dx=grid.spacing, initial=0.0)
-    h_hat = -problem.eps * problem.j * (cum - cum[problem.interface_index])
+    h_hat = -problem.eps * problem.j * trapezoid_antiderivative(
+        grid, 1.0 / chi, problem.interface_index)
     u = problem.u_star_restricted
     du = grid.spacing
     proj = np.trapezoid(h_hat * u, dx=du) / np.trapezoid(u, dx=du)

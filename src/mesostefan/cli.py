@@ -377,9 +377,9 @@ def validate(cfg: RunConfig) -> list:
     each eps: ``antisym.check_stable``, ``antisym.check_metastable`` or
     ``asym.check_off_center``, which the solvers call first.  A finding
     starts with the prefix ``main`` prints for the exit code the row would
-    carry ("config error", "infeasible", "numerical failure").  Package
-    errors are reported, never raised; a solve can still fail while
-    iterating (exit code 4).
+    carry ("config error", "infeasible", "numerical failure").  The errors
+    a sweep row records are reported, never raised; a solve can still fail
+    while iterating (exit code 4).
     """
     return [message for _, message in _findings(cfg)]
 
@@ -388,14 +388,14 @@ def _findings(cfg: RunConfig) -> list:
     """The findings of :func:`validate` as (exit code, message) pairs."""
     try:
         _, kernel, macro, inst = _shared_inputs(cfg)
-    except MesostefanError as exc:
+    except _ROW_ERRORS as exc:
         return [_failure(exc)]
     _, check, _, arg = _mode(cfg)
     findings = []
     for eps in cfg.eps_list:
         try:
             check(kernel, eps, cfg.j, arg, cfg.n0, inst, macro)
-        except MesostefanError as exc:
+        except _ROW_ERRORS as exc:
             findings.append(_failure(exc, f"eps = {eps}: "))
     return findings
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import DomainError
 
@@ -35,6 +35,8 @@ class RunConfig:
         for name in ("inner_tol", "outer_tol", "spectral_tol"):
             if getattr(self, name) <= 0:
                 raise DomainError(f"{name} must be positive")
+        if not self.eps_list:
+            raise DomainError("eps_list must name at least one scale")
         if any(e2 >= e1 for e1, e2 in zip(self.eps_list, self.eps_list[1:])):
             raise DomainError("eps_list must be strictly decreasing")
         if self.mode not in ("antisym", "metastable", "asym"):
@@ -48,6 +50,7 @@ _FLOAT_KEYS = {"beta", "j", "x0", "ell", "spacing", "inner_tol", "outer_tol",
                "spectral_tol", "instanton_halfwidth"}
 _INT_KEYS = {"n0", "workers"}
 _LIST_KEYS = {"eps_list"}
+_KEYS = {f.name for f in fields(RunConfig)}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -61,7 +64,7 @@ def parse_config(text: str) -> RunConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if not hasattr(cfg, key):
+        if key not in _KEYS:
             raise DomainError(f"line {lineno}: unknown key {key!r}")
         try:
             if key in _FLOAT_KEYS:

@@ -2,9 +2,10 @@
 
 The mesoscopic domain is eps^-1 * [-left, right] in kernel-range units.  The
 kernel J is an even probability density supported on [-1, 1]; convolution is
-trapezoid quadrature, either with zero extension ("free"), with reflected
-images about both endpoints ("neumann") or with constant extension
-(:func:`conv_values_filled`).
+trapezoid quadrature, with reflected images about both endpoints
+(:func:`conv_values`, J^neum) or with constant extension
+(:func:`conv_values_filled`; fills of 0 give the zero-extended line).  A
+grid's width must be a whole number of cells: no spacing is adjusted.
 
 Every convolution runs as a blocked Toeplitz matrix product.  The padded
 values are written into one zero-tailed buffer and viewed as rows of
@@ -12,7 +13,7 @@ BLOCK points; output block b is sum_q P[b + q] @ T[q], where the Q =
 ceil((BLOCK + taps - 1) / BLOCK) slabs T[q] are BLOCK x BLOCK Toeplitz
 pieces of the kernel built once per :class:`Kernel`.  That is Q matrix
 products through BLAS per CHUNK_ROWS row blocks, n * BLOCK * Q
-multiply-adds in all.
+multiply-adds in all; the padded buffer and the output share one allocation.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from .errors import GridError
 KERNEL_RANGE = 1.0
 BLOCK = 64        # points per row of the blocked Toeplitz product
 CHUNK_ROWS = 128  # rows per matrix product: 64 KB operands stay in cache
-DEFAULT_POINT_CAP = 10_000_000
+POINT_CAP = 10_000_000   # grid points, and instanton points
+TAP_CAP = 20_001         # kernel taps: the Toeplitz slabs take 512 B per tap
 MAX_SPACING = 0.1  # at least 10 samples per unit kernel range
 
 
@@ -97,7 +99,8 @@ class Grid:
     def index_of(self, x: float) -> int:
         i = int(round((x - self.a) / self.spacing))
         if i < 0 or i >= self.n or abs(self.points[i] - x) > 1e-9 * max(1.0, abs(x)):
-            raise GridError(f"x={x} is not a grid point")
+            raise GridError(f"x = {x:.10g} is not a point of the grid from "
+                            f"{self.a:.10g} at spacing {self.spacing:.6g}")
         return i
 
     def descriptor(self) -> str:
@@ -130,10 +133,6 @@ class Kernel:
     def half_points(self) -> int:
         return (self.samples.size - 1) // 2
 
-    @property
-    def range(self) -> float:
-        return KERNEL_RANGE
-
 
 @dataclass(frozen=True)
 class Profile:
@@ -147,12 +146,11 @@ class Profile:
             raise GridError("profile values do not match grid size")
 
 
-def build_grid(epsilon, half_length_left, half_length_right, spacing,
-               point_cap=DEFAULT_POINT_CAP) -> Grid:
+def build_grid(epsilon, half_length_left, half_length_right, spacing) -> Grid:
     """Grid covering eps^-1 * [-left, right] with endpoints included.
 
-    The spacing is adjusted downward by at most 1% so that an integer number
-    of cells fits.
+    The width eps^-1 (left + right) must be a whole number of cells of the
+    spacing, to a relative 1e-9; the grid is then exact at that spacing.
     """
     vals = (epsilon, half_length_left, half_length_right, spacing)
     if not all(np.isfinite(v) for v in vals):
@@ -167,16 +165,19 @@ def build_grid(epsilon, half_length_left, half_length_right, spacing,
     a = -half_length_left / epsilon
     b = half_length_right / epsilon
     width = b - a
-    n_cells = int(math.ceil(width / spacing - 1e-9))
-    adjusted = width / n_cells
-    if adjusted < 0.99 * spacing:
+    cells = width / spacing
+    if not cells < POINT_CAP:
+        raise GridError(f"grid would need {cells + 1:.6g} points "
+                        f"(cap {POINT_CAP})")
+    n_cells = round(cells)
+    if abs(cells - n_cells) > 1e-9 * max(1.0, cells):
         raise GridError(
-            f"spacing {spacing} cannot fit {width} within a 1% adjustment"
-        )
-    if n_cells + 1 > point_cap:
-        raise GridError(f"grid would need {n_cells + 1} points (cap {point_cap})")
+            f"ell/eps = ({half_length_left:.6g} + {half_length_right:.6g})"
+            f"/{epsilon:.6g} = {width:.10g} is not a whole number of cells "
+            f"of spacing {spacing:.6g}")
     if n_cells + 1 < 3:
         raise GridError("grid needs at least 3 points")
+    adjusted = width / n_cells
     points = a + adjusted * np.arange(n_cells + 1)
     points.setflags(write=False)
     return Grid(float(epsilon), float(half_length_left), float(half_length_right),
@@ -189,7 +190,11 @@ def build_kernel(grid_spacing, shape="cos2") -> Kernel:
         raise GridError(f"unknown kernel shape {shape!r}")
     if not np.isfinite(grid_spacing) or grid_spacing <= 0:
         raise GridError("spacing must be positive and finite")
-    n_half = int(math.ceil(KERNEL_RANGE / grid_spacing - 1e-9))
+    half = KERNEL_RANGE / grid_spacing - 1e-9
+    if not half <= TAP_CAP // 2:
+        raise GridError(f"spacing {grid_spacing} needs more than {TAP_CAP} "
+                        f"kernel taps")
+    n_half = math.ceil(half)
     if n_half < 10:
         raise GridError("need at least 10 kernel samples per unit range")
     offsets = grid_spacing * np.arange(-n_half, n_half + 1)
@@ -210,21 +215,15 @@ def _check_match(kernel: Kernel, grid: Grid):
         )
 
 
-def conv_values(kernel: Kernel, grid: Grid, values: np.ndarray,
-                boundary: str = "neumann") -> np.ndarray:
-    """Convolve raw sample values with the kernel.
+def conv_values(kernel: Kernel, grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Reflected-kernel convolution J^neum * values of raw sample values.
 
-    ``free`` treats the profile as 0 outside the domain; ``neumann`` adds the
-    reflected images about both endpoints.  With trapezoid weights and a
-    kernel vanishing at +-1 this equals the quadrature of the reflected-kernel
-    integral exactly.
+    The profile is extended by its mirror images about both endpoints.
+    With trapezoid weights and a kernel vanishing at +-1 this equals the
+    quadrature of the reflected-kernel integral exactly.
     """
     _check_match(kernel, grid)
     values = np.asarray(values, dtype=float)
-    if boundary == "free":
-        return _blocked_convolution(kernel, values, 0.0, 0.0)
-    if boundary != "neumann":
-        raise GridError(f"unknown boundary mode {boundary!r}")
     if grid.b - grid.a < 2.0 * KERNEL_RANGE:
         raise GridError("neumann convolution needs half-widths >= kernel range")
     k = kernel.half_points
@@ -234,7 +233,8 @@ def conv_values(kernel: Kernel, grid: Grid, values: np.ndarray,
 
 def conv_values_filled(kernel: Kernel, values: np.ndarray,
                        left_fill: float, right_fill: float) -> np.ndarray:
-    """Free-line convolution with constant extension on both sides."""
+    """Free-line convolution with constant extension on both sides; fills
+    of 0 give the zero-extended line."""
     return _blocked_convolution(kernel, np.asarray(values, dtype=float),
                                 left_fill, right_fill)
 
@@ -246,19 +246,22 @@ def _blocked_convolution(kernel: Kernel, values: np.ndarray,
     Each pad is k values or one constant.  The padded values go into a
     zero-tailed buffer of whole BLOCK-point rows P, and output block b is
     sum_q P[b + q] @ T[q] over the kernel's slabs, formed CHUNK_ROWS blocks
-    at a time so that the products and their sum run in cache.
+    at a time so that the products and their sum run in cache.  P and the
+    output share one allocation: two cost fresh page faults on every call.
     """
     k = kernel.half_points
     n = values.size
     slabs = kernel.slabs
     n_out = -(-n // BLOCK)
-    buf = np.empty((n_out + slabs.shape[0] - 1) * BLOCK)
+    n_buf = (n_out + slabs.shape[0] - 1) * BLOCK
+    both = np.empty(n_buf + n_out * BLOCK)
+    buf = both[:n_buf]
     buf[:k] = left_pad
     buf[k:k + n] = values
     buf[k + n:n + 2 * k] = right_pad
     buf[n + 2 * k:] = 0.0
     rows = buf.reshape(-1, BLOCK)
-    out = np.empty((n_out, BLOCK))
+    out = both[n_buf:].reshape(n_out, BLOCK)
     for c0 in range(0, n_out, CHUNK_ROWS):
         c1 = min(c0 + CHUNK_ROWS, n_out)
         part = out[c0:c1]
@@ -268,20 +271,17 @@ def _blocked_convolution(kernel: Kernel, values: np.ndarray,
     return out.reshape(-1)[:n]
 
 
-def convolve(kernel: Kernel, profile: Profile, boundary: str = "neumann") -> Profile:
-    """Profile-level wrapper around :func:`conv_values`."""
-    out = conv_values(kernel, profile.grid, profile.values, boundary)
-    return Profile(profile.grid, out)
-
-
 def trapezoid(grid: Grid, values: np.ndarray) -> float:
     """Trapezoid integral of sampled values over the grid."""
     return float(np.trapezoid(values, dx=grid.spacing))
 
 
-def cumulative_from_center(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Trapezoid antiderivative vanishing at the grid point closest to 0."""
-    from scipy.integrate import cumulative_trapezoid
-
-    c = cumulative_trapezoid(values, dx=grid.spacing, initial=0.0)
-    return c - c[grid.center_index]
+def trapezoid_antiderivative(grid: Grid, values: np.ndarray,
+                             anchor: int) -> np.ndarray:
+    """Trapezoid antiderivative vanishing at the grid point ``anchor``:
+    scipy's cumulative_trapezoid(values, dx=spacing, initial=0) minus its
+    value there."""
+    c = np.empty(values.size)
+    c[0] = 0.0
+    np.cumsum(grid.spacing * (values[1:] + values[:-1]) / 2.0, out=c[1:])
+    return c - c[anchor]

@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import linregress
 
 from .errors import ConvergenceError, DomainError, GridError
-from .grids import Kernel, conv_values_filled
+from .grids import POINT_CAP, Kernel, conv_values_filled
 from .thermo import ThermoParams, mobility
 
 MIN_HALF_WIDTH = 20.0
@@ -84,6 +83,9 @@ def compute_instanton(params: ThermoParams, kernel: Kernel, half_width=20.0,
         raise GridError(f"spacing must be <= {MAX_SPACING}")
 
     spacing = kernel.spacing
+    if not 2.0 * half_width / spacing < POINT_CAP:
+        raise GridError(f"half width {half_width} needs more than {POINT_CAP} "
+                        f"points at spacing {spacing}")
     n_half = int(round(half_width / spacing))
     x = spacing * np.arange(-n_half, n_half + 1)
     mb = params.m_beta
@@ -128,21 +130,24 @@ def compute_instanton(params: ThermoParams, kernel: Kernel, half_width=20.0,
                      norm_sq, mean, residual, mb)
 
 
-def _fit_decay(x, m, m_beta, v_hi=1e-2, v_lo=1e-11):
-    """Linear fit of log(m_beta - m) on the right tail.
-
-    The window is selected by magnitude (v in [v_lo, v_hi]) rather than by
-    fixed abscissas: beyond ~1e-12 the gap drowns in rounding for sharp
-    profiles, so a fixed window would regress on noise.
-    """
+def _fit_decay(x, m, m_beta):
+    """:func:`decay_fit` of the gap v = m_beta - m on the right tail where
+    1e-11 < v < 1e-2: a window by magnitude, not by fixed abscissas, since
+    beyond ~1e-12 the gap drowns in rounding for sharp profiles."""
     right = x > 0
     v = m_beta - m[right]
-    xs = x[right]
-    mask = (v > v_lo) & (v < v_hi)
+    mask = (v > 1e-11) & (v < 1e-2)
     if mask.sum() < 5:
         raise ConvergenceError("decay window too short for a fit")
-    fit = linregress(xs[mask], np.log(v[mask]))
-    return float(-fit.slope), float(fit.rvalue ** 2)
+    return decay_fit(x[right][mask], v[mask])
+
+
+def decay_fit(x, values) -> tuple[float, float]:
+    """(a, r^2) of the least-squares line log(values) ~ c - a x, with the
+    arithmetic of scipy.stats.linregress (np.cov, bias=1; r within +-1)."""
+    ssxm, ssxym, _, ssym = np.cov(x, np.log(values), bias=1).flat
+    r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
+    return float(-(ssxym / ssxm)), float(r ** 2)
 
 
 def threshold_abscissa(instanton: Instanton, eps) -> float:

@@ -63,7 +63,7 @@ class MesoState:
 
 
 def _field_argument(params, kernel, grid, h, m):
-    return params.beta * (conv_values(kernel, grid, m, "neumann") + h)
+    return params.beta * (conv_values(kernel, grid, m) + h)
 
 
 def make_state(params: ThermoParams, kernel: Kernel, grid: Grid,
@@ -90,7 +90,7 @@ def effective_field(params: ThermoParams, kernel: Kernel, grid: Grid,
     m = np.asarray(m, dtype=float)
     if np.max(np.abs(m)) >= 1.0:
         raise DomainError("magnetization saturates; no finite field")
-    return np.arctanh(m) / params.beta - conv_values(kernel, grid, m, "neumann")
+    return np.arctanh(m) / params.beta - conv_values(kernel, grid, m)
 
 
 def residual(params: ThermoParams, kernel: Kernel, grid: Grid,
@@ -104,14 +104,14 @@ def residual(params: ThermoParams, kernel: Kernel, grid: Grid,
 def apply_linearized(state: MesoState, psi: np.ndarray) -> np.ndarray:
     """One application of the linearized fixed-point map p * (J^neum * psi)."""
     return state.p * conv_values(state.kernel, state.grid,
-                                 np.asarray(psi, float), "neumann")
+                                 np.asarray(psi, float))
 
 
 def _jacobian(kernel, grid, p):
     """Matrix-free I - diag(p) J^neum: the Jacobian of the residual map."""
     return LinearOperator(
         (grid.n, grid.n), dtype=float,
-        matvec=lambda v: v - p * conv_values(kernel, grid, v, "neumann"))
+        matvec=lambda v: v - p * conv_values(kernel, grid, v))
 
 
 def _newton_krylov(params, kernel, grid, h, m, tol):
@@ -124,7 +124,7 @@ def _newton_krylov(params, kernel, grid, h, m, tol):
     beta = params.beta
     res = np.inf
     for _ in range(_NEWTON_STEPS):
-        arg = beta * (conv_values(kernel, grid, m, "neumann") + h)
+        arg = beta * (conv_values(kernel, grid, m) + h)
         f = m - np.tanh(arg)
         res = float(np.max(np.abs(f)))
         if res < tol:
@@ -151,7 +151,7 @@ def _picard(params, kernel, grid, h, m, tol):
     res_prev = np.inf
     stall = 0
     for step in range(_MAX_ITER):
-        arg = beta * (conv_values(kernel, grid, m, "neumann") + h)
+        arg = beta * (conv_values(kernel, grid, m) + h)
         target = np.tanh(arg)
         res = float(np.max(np.abs(m - target)))
         if res < tol:

@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import linregress
 
 from .errors import ConvergenceError, DomainError
-from .instanton import Instanton
+from .instanton import Instanton, decay_fit
 from .meso import MesoState, apply_linearized
 
 
@@ -143,9 +142,7 @@ def eigenvector_shape_report(state: MesoState, result: SpectralResult,
     u_max = float(np.max(result.u))
     tail = (np.abs(x_rel) > window) & (result.u > 1e-10 * u_max)
     if tail.sum() >= 8:
-        fit = linregress(np.abs(x_rel[tail]), np.log(result.u[tail]))
-        tail_rate = float(-fit.slope)
-        tail_r2 = float(fit.rvalue ** 2)
+        tail_rate, tail_r2 = decay_fit(np.abs(x_rel[tail]), result.u[tail])
     else:
         tail_rate, tail_r2 = float("nan"), float("nan")
     return {

@@ -139,10 +139,12 @@ def solve_maximal(params: ThermoParams, j) -> MaximalSolution:
     """
     if j == 0.0 or not np.isfinite(j):
         raise DomainError("zero-current or non-finite j: no maximal solution")
-    width = _cubic(params, 1.0 - SATURATION_GAP) - _cubic(params, params.m_beta)
-    if width <= 0.0:
+    # tested on m_beta itself: past beta ~ 1e10 the cubic's difference no
+    # longer resolves 1 - SATURATION_GAP - m_beta and comes out positive
+    if params.m_beta >= 1.0 - SATURATION_GAP:
         raise DomainError(f"m_beta = {params.m_beta!r} is already past the "
                           f"saturation cutoff 1 - {SATURATION_GAP:g}")
+    width = _cubic(params, 1.0 - SATURATION_GAP) - _cubic(params, params.m_beta)
     return MaximalSolution(params, float(j), float(width / abs(j)))
 
 

@@ -1,11 +1,10 @@
 """Pointwise mean-field thermodynamics for inverse temperature beta > 1.
 
 Potential, entropy, convex envelope, Legendre-dual pressure, mobility and
-diffusion coefficients, plus the scalar branch inverses of potential_prime.
-m_beta, the mean-field root, the pressure's maximizer and both branch
-inverses are all the largest root of m = tanh(beta (m + h)), found by one
-vectorised Newton iteration from m = 1; the pressure is closed form at that
-root.
+diffusion coefficients.  m_beta, the pressure's maximizer and the inverse of
+potential_prime on the outer branch (h > 0) and the metastable one
+(-metastable_branch_limit < h <= 0) are all bulk_root(beta, h), the largest
+root of m = tanh(beta (m + h)); the pressure is closed form at that root.
 """
 
 from __future__ import annotations
@@ -33,16 +32,24 @@ _TOP = 1.0 - 1e-16      # largest root returned where tanh saturates
 _MAX_NEWTON = 100
 
 
-def _largest_root(beta, h):
-    """Largest root of m = tanh(beta (m + h)), element-wise over ``h``.
+def bulk_root(beta, h):
+    """Largest (outer-branch) root of m = tanh(beta (m + h)), element-wise
+    over ``h``.
 
     Newton's method on f(m) = m - tanh(beta (m + h)) from m = 1 - 1e-16.
     Where m + h > 0, f is convex, so the iterates fall monotonically onto
-    the largest root; that covers every h > -metastable_branch_limit.  Each
-    entry stops when a step no longer lowers it.  Where tanh has saturated
+    the largest root; that covers every h > -metastable_branch_limit, and
+    a field at or below it raises :class:`BranchRangeError`.  Each entry
+    stops when a step no longer lowers it.  Where tanh has saturated
     (f(1 - 1e-16) <= 0) the root is 1 to rounding and 1 - 1e-16 is returned.
     """
     h = np.asarray(h, dtype=float)
+    if np.any(h < 0.0):
+        lo = math.sqrt(1.0 - 1.0 / beta) * (1.0 + 1e-14)
+        h_lo = -lo + math.atanh(lo) / beta
+        if np.any(h <= h_lo):
+            raise BranchRangeError(f"field {np.min(h)} below the branch image "
+                                   f"(limit {h_lo:.6g})", breakdown=h_lo)
     m = np.full(h.shape, _TOP)
     for _ in range(_MAX_NEWTON):
         t = np.tanh(beta * (m + h))
@@ -60,7 +67,7 @@ def solve_m_beta(beta) -> float:
     """Unique positive root of m = tanh(beta m); requires beta > 1."""
     if not np.isfinite(beta) or beta <= 1.0:
         raise DomainError(f"beta must exceed 1, got {beta}")
-    return float(_largest_root(beta, 0.0))
+    return float(bulk_root(beta, 0.0))
 
 
 def make_params(beta) -> ThermoParams:
@@ -100,24 +107,6 @@ def potential_double_prime(params: ThermoParams, m):
     return -1.0 + 1.0 / (params.beta * (1.0 - m * m))
 
 
-class MeanFieldRoot(NamedTuple):
-    value: float
-    degenerate: bool
-
-
-def mean_field_root(params: ThermoParams, h) -> MeanFieldRoot:
-    """Root of m = tanh(beta(m+h)) minimizing potential(m) - h m.
-
-    At h = 0 both +-m_beta minimize; the positive one is returned with the
-    degeneracy flag set.
-    """
-    if h == 0.0:
-        return MeanFieldRoot(params.m_beta, True)
-    sign = 1.0 if h > 0 else -1.0
-    return MeanFieldRoot(sign * float(_largest_root(params.beta, abs(h))),
-                         False)
-
-
 def convex_envelope(params: ThermoParams, s):
     """Convex envelope of the potential: flat at potential(m_beta) on the
     plateau [-m_beta, m_beta], equal to the potential outside."""
@@ -141,66 +130,22 @@ def pressure(params: ThermoParams, h):
 
     The supremum sits where the envelope's slope equals h; the envelope is
     even, so the pressure is |h| m - potential(m) with m >= m_beta solving
-    potential_prime(m) = |h|, i.e. the mean-field root m = tanh(beta(m + |h|))
-    (m_beta at h = 0).  That form stays defined when m rounds to 1.  Accepts
+    potential_prime(m) = |h|, i.e. m = bulk_root(beta, |h|) (m_beta at
+    h = 0).  That form stays defined when m rounds to 1.  Accepts
     arrays of fields; a scalar field gives a float.
     """
     h = np.asarray(h, dtype=float)
     if not np.all(np.isfinite(h)):
         raise DomainError("field must be finite")
     ha = np.abs(h)
-    m = _largest_root(params.beta, ha)
+    m = bulk_root(params.beta, ha)
     out = ha * m - potential(params, m)
     return out if out.ndim else float(out)
-
-
-def envelope_prime_inverse(params: ThermoParams, h, side=None) -> float:
-    """The magnetization with |m| > m_beta solving potential_prime(m) = h.
-
-    For h = 0 the inverse is the whole plateau; ``side`` (+1 or -1) selects
-    which edge to return in that case.
-    """
-    if h == 0.0:
-        if side is None:
-            raise DomainError("h = 0 needs an explicit side (+1 or -1)")
-        return float(side) * params.m_beta
-    if not np.isfinite(h):
-        raise DomainError("field must be finite")
-    if h < 0.0:
-        return -envelope_prime_inverse(params, -h, side)
-    # potential_prime(m) = h is m = tanh(beta (m + h)); for tiny h > 0 the
-    # root can round below the plateau edge, which is clamped
-    return max(float(_largest_root(params.beta, h)), params.m_beta)
 
 
 def metastable_branch_limit(params: ThermoParams) -> float:
     """|potential_prime(m_star)|: half-width of the metastable field range."""
     return float(-potential_prime(params, params.m_star))
-
-
-def metastable_inverse(params: ThermoParams, h, branch_sign) -> float:
-    """Root of potential_prime(m) = h on one convexity branch.
-
-    branch_sign +1 selects (m_star, 1), -1 selects (-1, -m_star).  Raises
-    :class:`BranchRangeError` when h leaves the branch image; this breakdown
-    is what bounds the solvable metastable domain.
-    """
-    if branch_sign not in (1, -1, 1.0, -1.0, "+", "-"):
-        raise DomainError("branch_sign must be +1 or -1")
-    sign = 1.0 if branch_sign in (1, 1.0, "+") else -1.0
-    if sign < 0:
-        return -metastable_inverse(params, -h, +1)
-    if not np.isfinite(h):
-        raise DomainError("field must be finite")
-    beta = params.beta
-    lo = params.m_star * (1.0 + 1e-14)
-    h_lo = -lo + math.atanh(lo) / beta
-    if h <= h_lo:
-        raise BranchRangeError(
-            f"field {h} below the branch image (limit {h_lo:.6g})",
-            breakdown=h_lo,
-        )
-    return float(_largest_root(beta, h))
 
 
 def mobility(params: ThermoParams, m):
@@ -244,6 +189,6 @@ def free_energy(params: ThermoParams, kernel: Kernel, profile: Profile) -> float
     _check_open_unit(m)
     grid = profile.grid
     bulk = trapezoid(grid, potential(params, m))
-    conv = conv_values(kernel, grid, m, boundary="neumann")
+    conv = conv_values(kernel, grid, m)
     interaction = 0.5 * (trapezoid(grid, m * m) - trapezoid(grid, m * conv))
     return float(bulk + interaction)

@@ -40,31 +40,16 @@ def test_criterion_02_mesoscopic_transport_law(stable_sweep, metastable_sweep,
                                                asym_sweep):
     ok = True
     worst = 0.0
-    for sweep in (stable_sweep, metastable_sweep):
-        for eps in EPS_SWEEP:
-            defect, est = flux_defect(sweep[eps])
-            ok &= defect <= 10.0 * est
-            worst = max(worst, defect / est)
-    for eps in EPS_SWEEP:
-        res = asym_sweep[eps]
-        defect, est = _asym_flux_defect(res)
+    runs = [(r.state, r.eps, r.j) for sweep in (stable_sweep, metastable_sweep)
+            for r in (sweep[eps] for eps in EPS_SWEEP)]
+    runs += [(r.state, r.problem.eps, r.problem.j)
+             for r in (asym_sweep[eps] for eps in EPS_SWEEP)]
+    for state, eps, j in runs:
+        defect, est = flux_defect(state, eps, j)
         ok &= defect <= 10.0 * est
         worst = max(worst, defect / est)
     report(2, f"chi(m) dh/dx = -eps j within 10x the quadrature estimate "
               f"(worst ratio {worst:.2f})", ok)
-
-
-def _asym_flux_defect(res):
-    from mesostefan.thermo import mobility
-
-    st = res.state
-    chi = np.asarray(mobility(st.params, st.m))
-    dh = np.gradient(st.h, st.grid.spacing, edge_order=2)
-    defect = np.abs(chi * dh + res.problem.eps * res.problem.j)[1:-1]
-    g = 1.0 / chi
-    d2g = np.abs(g[2:] - 2.0 * g[1:-1] + g[:-2])
-    est = np.abs(res.problem.eps * res.problem.j) * chi[1:-1] * d2g / 4.0
-    return float(np.max(defect)), float(np.max(est))
 
 
 def test_criterion_03_monotonicity(stable_sweep):

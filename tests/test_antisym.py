@@ -8,7 +8,7 @@ from mesostefan import antisym
 from mesostefan.antisym import (build_seed, fixed_point_defect, flux_defect,
                                 hydrodynamic_error, solve_metastable,
                                 solve_stable, t_map)
-from mesostefan.errors import DomainError, GridError
+from mesostefan.errors import DomainError, GridError, InfeasibleError
 from mesostefan.meso import residual
 
 
@@ -114,7 +114,8 @@ def test_stable_contraction(stable_sweep):
 
 def test_stable_flux_law(stable_sweep):
     for eps in EPS_SWEEP:
-        defect, est = flux_defect(stable_sweep[eps])
+        res = stable_sweep[eps]
+        defect, est = flux_defect(res.state, res.eps, res.j)
         assert defect <= 10.0 * est
 
 
@@ -165,9 +166,10 @@ def test_stable_preconditions(params2, kernel05, inst05, maximal_stable):
         solve_stable(params2, kernel05, 0.1, 0.0, ELL)
     with pytest.raises(DomainError):
         solve_stable(params2, kernel05, 0.3, J_STABLE, ELL)
-    with pytest.raises(DomainError):
+    with pytest.raises(InfeasibleError) as exc:
         solve_stable(params2, kernel05, 0.1, J_STABLE, 2.5,
                      instanton=inst05, macro=maximal_stable)
+    assert exc.value.ell_j == maximal_stable.ell_j
 
 
 # ------------------------------------------------------ inexact inner solves
@@ -241,13 +243,15 @@ def test_checks_match_solver_errors(params2, kernel05, inst05,
         (antisym.check_stable, solve_stable, maximal_stable, 0.25, J_STABLE,
          ELL, N0, DomainError),                  # eps > 0.2
         (antisym.check_stable, solve_stable, maximal_stable, 0.1, J_STABLE,
-         2.5, N0, DomainError),                  # ell >= ell_j
+         2.5, N0, InfeasibleError),              # ell >= ell_j
         (antisym.check_stable, solve_stable, maximal_stable, 0.03, J_STABLE,
-         ELL, N0, GridError),                    # grid spacing adjusted
+         ELL, N0, GridError),                    # not a whole number of cells
+        (antisym.check_stable, solve_stable, maximal_stable, 0.1, J_STABLE,
+         1.0025, N0, GridError),                 # odd cell count: no x = 0
         (antisym.check_stable, solve_stable, maximal_stable, 0.1, J_STABLE,
          ELL, 10, GridError),                    # gluing point collides
         (antisym.check_metastable, solve_metastable, maximal_meta, 0.1, 0.02,
-         5.0, N0, DomainError),                  # ell >= ell_break
+         5.0, N0, InfeasibleError),              # ell >= ell_break
         (antisym.check_metastable, solve_metastable, maximal_meta, 0.02,
          0.02, ELL, 10, GridError),              # instanton window
     ]

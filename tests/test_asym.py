@@ -7,7 +7,7 @@ from conftest import EPS_SWEEP, J_STABLE, N0, X0
 from mesostefan.asym import (admissibility_report, build_problem,
                              check_off_center, default_a_plus,
                              projected_iterate)
-from mesostefan.errors import DomainError, GridError
+from mesostefan.errors import DomainError, GridError, InfeasibleError
 from mesostefan.grids import conv_values
 from mesostefan.meso import residual
 
@@ -21,7 +21,7 @@ def problem01(params2, kernel05, inst05, maximal_stable):
 def test_problem_preconditions(params2, kernel05):
     with pytest.raises(DomainError):
         build_problem(params2, kernel05, 0.1, J_STABLE, 0.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(InfeasibleError):
         build_problem(params2, kernel05, 0.1, -0.05, X0)   # 1 + x0 > ell_j
 
 
@@ -31,7 +31,8 @@ def test_check_matches_problem_errors(params2, kernel05, inst05,
     extended solve, and returns the grids build_problem uses."""
     cases = [(0.1, 0.0, DomainError), (0.1, -0.2, DomainError),
              (0.25, X0, DomainError),            # eps > 0.2 (extended run)
-             (0.03, X0, GridError),              # eps^-1 not aligned
+             (0.03, X0, GridError),              # 2 eps^-1 not whole cells
+             (0.1, 0.2025, GridError),           # interface off the grid
              (0.1, 0.025, GridError)]            # extension below one range
     for eps, x0, err in cases:
         with pytest.raises(err) as from_check:
@@ -86,9 +87,8 @@ def test_boundary_correction_matches_operator_difference(problem01, params2,
     """R equals the extended-minus-restricted reflected convolutions of m*."""
     prob = problem01
     n_res = prob.res_grid.n
-    ext_conv = conv_values(kernel05, prob.ext_grid, prob.m_star, "neumann")
-    res_conv = conv_values(kernel05, prob.res_grid, prob.m_star[:n_res],
-                           "neumann")
+    ext_conv = conv_values(kernel05, prob.ext_grid, prob.m_star)
+    res_conv = conv_values(kernel05, prob.res_grid, prob.m_star[:n_res])
     diff = ext_conv[:n_res] - res_conv
     assert np.max(np.abs(prob.r_eps - diff)) < 1e-14
 

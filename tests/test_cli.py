@@ -7,10 +7,11 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from mesostefan import cli
 from mesostefan import antisym
@@ -63,8 +64,11 @@ def test_parse_config_rejects_bad_input():
     ("j = inf", "must be finite"),
     ("eps_list = 0.1, nan", "must be finite"),
     ("spacing = -inf", "must be finite"),
+    ("eps_list = ", "eps_list must name at least one scale"),
+    ("validate_fields = 1", "line 1: unknown key 'validate_fields'"),
 ], ids=["beta-abc", "n0-float", "eps-token", "workers-word", "workers-0",
-        "workers-negative", "beta-nan", "j-inf", "eps-nan", "spacing-inf"])
+        "workers-negative", "beta-nan", "j-inf", "eps-nan", "spacing-inf",
+        "eps-empty", "method-name-key"])
 @pytest.mark.parametrize("command", ["validate", "sweep"])
 def test_bad_config_values_exit_config(tmp_path, capsys, command, text,
                                        message):
@@ -78,6 +82,18 @@ def test_bad_config_values_exit_config(tmp_path, capsys, command, text,
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_import_loads_no_scipy_stats_or_integrate():
+    """The package needs SciPy only for GMRES (scipy.sparse.linalg)."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    probe = ("import sys, mesostefan.cli; print(sorted({m for m in "
+             "sys.modules if m.startswith(('scipy.stats', "
+             "'scipy.integrate'))}))")
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True, env=env)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_bad_config_value_exit_code_of_the_process(tmp_path):
@@ -212,10 +228,10 @@ def test_sweep_records_failures_as_rows(tmp_path):
         f"beta = 2.0\nj = -0.2\nell = 1.0\nmode = antisym\n"
         f"eps_list = 0.1\nn0 = 2\noutdir = {out}\n")
     code = main(["sweep", "--config", str(cfg_file)])
-    assert code == EXIT_CONFIG or code == EXIT_INFEASIBLE
+    assert code == EXIT_INFEASIBLE
     lines = (out / "sweep.csv").read_text().splitlines()
     assert len(lines) == 2
-    assert int(lines[1].split(",")[-1]) < 0
+    assert int(lines[1].split(",")[-1]) == -EXIT_INFEASIBLE
 
 
 def test_three_scale_sweep_hydro_decreasing():
@@ -291,8 +307,8 @@ def test_failed_sweep_row_records_error(tmp_path):
     bad = json.loads((out / "eps_0.03" / "row.json").read_text())
     assert "error" not in ok
     assert bad["iters"] == -EXIT_CONFIG
-    assert bad["error"] == ("GridError: eps^-1 must be a grid multiple "
-                            "of the spacing")
+    assert bad["error"] == ("GridError: ell/eps = (1 + 1)/0.03 = 66.66666667 "
+                            "is not a whole number of cells of spacing 0.05")
     lines = (out / "sweep.csv").read_text().splitlines()
     assert lines[0] == SWEEP_HEADER
     assert lines[2].endswith(f",{-EXIT_CONFIG}")
@@ -410,6 +426,7 @@ def test_validate_findings(params2):
                     eps_list=[0.1], n0=2)
     findings = validate(cfg)
     assert any("ell_j" in f or "maximal" in f for f in findings)
+    assert all(f.startswith("infeasible: ") for f in findings)
     cfg_ok = RunConfig(beta=2.0, j=-0.02, ell=1.0, mode="antisym",
                        eps_list=[0.1], n0=2)
     assert validate(cfg_ok) == []
@@ -424,7 +441,8 @@ def test_validate_matches_off_center_grid_checks():
     cfg = RunConfig(beta=2.0, j=-0.02, x0=0.2, mode="asym",
                     eps_list=[0.03], n0=2)
     findings = validate(cfg)
-    assert any("eps = 0.03" in f and "grid multiple" in f for f in findings)
+    assert any("eps = 0.03" in f and "whole number of cells" in f
+               for f in findings)
     row, = run(cfg).rows
     assert row.iters == -EXIT_CONFIG
     shipped = RunConfig(beta=2.0, j=-0.02, x0=0.2, mode="asym",
@@ -607,3 +625,73 @@ def test_profile_csv_round_trip(tmp_path):
     assert np.array_equal(back.values, values)
     assert back.grid.epsilon == g.epsilon
     assert back.grid.n == g.n
+
+
+#: values per config key: valid ones, and the malformed, non-finite, out of
+#: range and extreme ones a config file can hold.  No drawn size makes a
+#: grid, kernel or instanton larger than the shipped ones by more than 4x.
+_CONFIG_VALUES = {
+    "beta": ("2.0", "1.5", "1.0", "-1", "nan", "inf", "1e300", "20", "x"),
+    "j": ("-0.02", "0.02", "0", "-0.2", "1e300", "-1e-300", "x"),
+    "x0": ("0", "0.2", "0.2025", "-0.2", "1", "1e300", "2.5e-324"),
+    "ell": ("1.0", "1.0025", "0.9731", "2.5", "0", "-1", "1e-300", "1e300"),
+    "eps_list": ("0.1", "0.1, 0.05", "0.05, 0.1", "", ",", "0.3", "0",
+                 "-0.1", "1e-300", "0.1, nan", "0.1 0.05", "x"),
+    "spacing": ("0.05", "0.1", "0.025", "0.03", "0.2", "0", "-1", "1e-300",
+                "nan"),
+    "inner_tol": ("1e-12", "1e-6", "0", "-1"),
+    "outer_tol": ("1e-10", "1e-4", "0", "inf"),
+    "spectral_tol": ("1e-12", "1e-3", "0"),
+    "kernel": ("cos2", "quartic", "nope", ""),
+    "n0": ("2", "0", "-3", "10", "1000000", "2.5", "1e3", "x"),
+    "mode": ("antisym", "metastable", "asym", "bogus", ""),
+    "workers": ("1", "2", "0", "-1", "1.5"),
+    "instanton_halfwidth": ("20", "25", "19.5", "0", "-5", "nan"),
+}
+_CONFIG_LINES = st.one_of(
+    st.sampled_from(sorted(_CONFIG_VALUES)).flatmap(
+        lambda key: st.sampled_from(_CONFIG_VALUES[key]).map(
+            lambda value: f"{key} = {value}")),
+    st.sampled_from(("foo = 1", "validate_fields = 1", "__class__ = 1",
+                     "outdir", "= 2", "beta == 2", "# comment", "",
+                     "beta = 2 # trailing", "\x00", "eps_list = 0.1,,0.05")),
+    st.text(alphabet="abj=.,#01 -\t", max_size=12),
+)
+
+
+#: drawn lines, alone or overriding a feasible one-scale config
+_CONFIG_TEXTS = st.tuples(
+    st.sampled_from(([], ["beta = 2.0", "j = -0.02", "eps_list = 0.1",
+                          "n0 = 2"])),
+    st.lists(_CONFIG_LINES, max_size=3)).map(lambda t: t[0] + t[1])
+
+
+def _exit_code(argv, capsys) -> int:
+    """main's exit code with warnings at their default, as outside pytest;
+    an exception escaping main is the traceback the test rules out."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        code = main(argv)
+    capsys.readouterr()
+    return code
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=_CONFIG_TEXTS)
+@example(lines=["spacing = 1e-300"])
+@example(lines=["spacing = 1e-9"])
+@example(lines=["instanton_halfwidth = 1e12"])
+@example(lines=["eps_list = "])
+@example(lines=["validate_fields = 1"])
+@example(lines=["ell = 1.0025", "eps_list = 0.1", "n0 = 2"])
+@example(lines=["ell = 1e-300", "eps_list = 0.1"])
+def test_config_text_never_gives_a_traceback(tmp_path, capsys, lines):
+    """validate and sweep exit with 0, 2, 3 or 4 on any config text."""
+    path = tmp_path / "cfg.txt"
+    out = tmp_path / "out"
+    path.write_text("\n".join(lines) + f"\noutdir = {out}\n")
+    for command in ("validate", "sweep"):
+        assert _exit_code([command, "--config", str(path)], capsys) in (
+            EXIT_OK, EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_NUMERICAL)
+    shutil.rmtree(out, ignore_errors=True)

@@ -4,13 +4,13 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mesostefan.errors import GridError
-from mesostefan.grids import (BLOCK, KERNEL_SHAPES, Grid, Profile,
-                              build_grid, build_kernel, conv_values,
-                              conv_values_filled, convolve,
-                              cumulative_from_center, trapezoid)
+from mesostefan.grids import (BLOCK, KERNEL_SHAPES, POINT_CAP, TAP_CAP, Grid,
+                              Profile, build_grid, build_kernel, conv_values,
+                              conv_values_filled, trapezoid,
+                              trapezoid_antiderivative)
 from oracles import convolve_reference, neumann_matrix
 
 #: 21, 41, 161, 321 and 641 taps
@@ -51,14 +51,35 @@ def test_build_grid_rejects_bad_inputs(bad):
 
 
 def test_build_grid_point_cap():
-    with pytest.raises(GridError):
-        build_grid(0.001, 100.0, 100.0, 0.01, point_cap=1000)
+    """2e7 cells pass the cap; the check comes before any allocation."""
+    with pytest.raises(GridError, match=f"cap {POINT_CAP}"):
+        build_grid(0.001, 100.0, 100.0, 0.01)
 
 
 def test_build_grid_spacing_adjustment_limit():
-    # width 0.37 at spacing 0.1 would need a 7.5% shrink to fit 4 cells
-    with pytest.raises(GridError):
-        build_grid(0.5, 0.0925, 0.0925, 0.1)
+    """A width that is not a whole number of cells is rejected with a
+    message naming ell/eps and the spacing, however small the misfit: no
+    spacing is adjusted.  Aligned widths give the exact spacing."""
+    # width 0.37 at spacing 0.1 would need a 7.5% shrink to fit 4 cells;
+    # width 19.462 at 0.05 a 0.06% shrink to fit 390
+    for eps, half, spacing, text in ((0.5, 0.0925, 0.1, "0.37"),
+                                     (0.1, 0.9731, 0.05, "19.462")):
+        with pytest.raises(GridError, match=rf"ell/eps = .*{text} is not a "
+                                            rf"whole number of cells of "
+                                            rf"spacing {spacing}"):
+            build_grid(eps, half, half, spacing)
+    g = build_grid(0.1, 1.0, 1.0, 0.05)
+    assert g.spacing == 20.0 / 400
+    assert build_grid(0.001, 1.0, 1.4, 0.05).n == 48001
+
+
+def test_build_kernel_tap_cap():
+    """Spacings that would need more than TAP_CAP taps are rejected before
+    any sample is allocated, down to denormal spacings."""
+    assert build_kernel(2.0 / (TAP_CAP - 1)).samples.size == TAP_CAP
+    for spacing in (1e-5, 1e-9, 1e-300, 5e-324):
+        with pytest.raises(GridError, match=f"more than {TAP_CAP}"):
+            build_kernel(spacing)
 
 
 def test_grid_descriptor_json():
@@ -99,7 +120,7 @@ def test_kernel_symmetry_property(spacing):
 def test_neumann_preserves_constants():
     g = build_grid(0.1, 1.0, 1.3, 0.05)
     k = build_kernel(0.05)
-    out = conv_values(k, g, np.ones(g.n), "neumann")
+    out = conv_values(k, g, np.ones(g.n))
     assert np.max(np.abs(out - 1.0)) < 1e-10
 
 
@@ -108,7 +129,7 @@ def test_neumann_odd_in_odd_out():
     k = build_kernel(0.05)
     f = np.tanh(g.points / 3.0) + 0.2 * np.sin(g.points)
     f = 0.5 * (f - f[::-1])
-    out = conv_values(k, g, f, "neumann")
+    out = conv_values(k, g, f)
     assert np.max(np.abs(out + out[::-1])) < 1e-12
 
 
@@ -116,8 +137,8 @@ def test_reflection_commutes_on_symmetric_domain():
     g = build_grid(0.1, 1.0, 1.0, 0.05)
     k = build_kernel(0.05)
     f = np.exp(-((g.points - 2.0) / 3.0) ** 2)
-    lhs = conv_values(k, g, f, "neumann")[::-1]
-    rhs = conv_values(k, g, f[::-1], "neumann")
+    lhs = conv_values(k, g, f)[::-1]
+    rhs = conv_values(k, g, f[::-1])
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -127,7 +148,7 @@ def test_free_step_midpoint():
     k = build_kernel(0.05)
     f = np.where(g.points > 0, 1.0, 0.0)
     f[g.center_index] = 0.5
-    out = conv_values(k, g, f, "free")
+    out = conv_values_filled(k, f, 0.0, 0.0)
     # oracle: explicit weighted sum at x = 0
     c = g.center_index
     kk = k.half_points
@@ -142,26 +163,24 @@ def test_free_step_midpoint():
 def test_free_mode_zero_outside():
     g = build_grid(0.1, 1.0, 1.0, 0.05)
     k = build_kernel(0.05)
-    out = conv_values(k, g, np.ones(g.n), "free")
+    out = conv_values_filled(k, np.ones(g.n), 0.0, 0.0)
     assert out[0] < 1.0  # boundary sees the zero extension
     assert abs(out[g.center_index] - 1.0) < 1e-12
 
 
-def test_convolve_profile_api_and_mismatch():
+def test_conv_values_rejects_spacing_mismatch():
     g = build_grid(0.1, 1.0, 1.0, 0.05)
     k_bad = build_kernel(0.04)
-    p = Profile(g, np.ones(g.n))
-    out = convolve(build_kernel(0.05), p)
-    assert isinstance(out, Profile)
+    assert np.allclose(conv_values(build_kernel(0.05), g, np.ones(g.n)), 1.0)
     with pytest.raises(GridError):
-        convolve(k_bad, p)
+        conv_values(k_bad, g, np.ones(g.n))
 
 
 def test_neumann_requires_wide_domain():
     g = build_grid(0.5, 0.4, 0.4, 0.05)  # total width 1.6 < 2 kernel ranges
     k = build_kernel(0.05)
     with pytest.raises(GridError):
-        conv_values(k, g, np.ones(g.n), "neumann")
+        conv_values(k, g, np.ones(g.n))
 
 
 def test_matrix_matches_convolution():
@@ -169,7 +188,7 @@ def test_matrix_matches_convolution():
     k = build_kernel(0.05)
     f = np.sin(0.4 * g.points) + 0.3 * np.cos(g.points)
     w = neumann_matrix(k, g)
-    assert np.max(np.abs(w @ f - conv_values(k, g, f, "neumann"))) < 1e-13
+    assert np.max(np.abs(w @ f - conv_values(k, g, f))) < 1e-13
 
 
 def test_refinement_second_order_at_boundaries():
@@ -181,7 +200,7 @@ def test_refinement_second_order_at_boundaries():
         g = build_grid(0.5, 2.5, 2.5, dx)
         k = build_kernel(dx)
         f = np.sin(0.3 * g.points + 0.2)   # nonzero slope at both boundaries
-        out = conv_values(k, g, f, "neumann")
+        out = conv_values(k, g, f)
         stride = int(round(0.1 / dx))
         outs.append(out[::stride])
     diffs = [np.max(np.abs(a - b)) for a, b in zip(outs, outs[1:])]
@@ -192,25 +211,40 @@ def test_refinement_second_order_at_boundaries():
 
 @settings(max_examples=15, deadline=None)
 @given(st.floats(min_value=0.3, max_value=0.9),
-       st.floats(min_value=1.0, max_value=3.0))
-def test_neumann_constant_property(eps, half):
-    try:
-        g = build_grid(eps, half, half, 0.05)
-    except GridError:
-        assume(False)  # width incompatible with a <=1% spacing adjustment
-        return
-    k = build_kernel(g.spacing)   # grid may have adjusted the spacing
+       st.integers(min_value=22, max_value=200))
+def test_neumann_constant_property(eps, cells):
+    """On grids of a whole number of cells per half-length (so at least two
+    kernel ranges wide), reflection preserves constants."""
+    half = cells * 0.05 * eps
+    g = build_grid(eps, half, half, 0.05)
+    assert g.n == 2 * cells + 1
+    k = build_kernel(g.spacing)
     c = 0.73
-    out = conv_values(k, g, np.full(g.n, c), "neumann")
+    out = conv_values(k, g, np.full(g.n, c))
     assert np.max(np.abs(out - c)) < 1e-10
 
 
 def test_cumulative_from_center_odd():
     g = build_grid(0.1, 1.0, 1.0, 0.05)
     f = np.cosh(g.points / 7.0)  # even integrand
-    c = cumulative_from_center(g, f)
+    c = trapezoid_antiderivative(g, f, g.center_index)
     assert abs(c[g.center_index]) == 0.0
     assert np.max(np.abs(c + c[::-1])) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 401, 4001])
+def test_antiderivative_matches_scipy_bitwise(n):
+    """The numpy antiderivative is scipy's cumulative_trapezoid, bit for
+    bit, shifted to vanish at the anchor."""
+    from scipy.integrate import cumulative_trapezoid
+
+    pts = 0.05 * (np.arange(n) - (n - 1) // 2)
+    g = Grid(0.5, 1.0, 1.0, 0.05, pts)
+    f = 1.0 / (2.0 * (1.0 - 0.9 * np.tanh(pts / 3.0 + 0.1) ** 2))
+    for anchor in {0, (n - 1) // 2, n - 1}:
+        ref = cumulative_trapezoid(f, dx=0.05, initial=0.0)
+        ref = ref - ref[anchor]
+        assert np.array_equal(trapezoid_antiderivative(g, f, anchor), ref)
 
 
 def test_profile_shape_guard():
@@ -247,8 +281,9 @@ def _block_sizes(kernel, mode):
 def _blocked(kernel, values, mode, fills):
     if mode == "filled":
         return conv_values_filled(kernel, values, *fills)
-    return conv_values(kernel, _line(values.size, kernel.spacing), values,
-                       mode)
+    if mode == "free":
+        return conv_values_filled(kernel, values, 0.0, 0.0)
+    return conv_values(kernel, _line(values.size, kernel.spacing), values)
 
 
 @pytest.mark.parametrize("mode", CONV_MODES)
@@ -304,7 +339,7 @@ def test_convolution_leaves_input_untouched():
     values = np.sin(g.points)
     values.setflags(write=False)
     before = values.copy()
-    for mode in ("neumann", "free"):
-        conv_values(kernel, g, values, mode)
-    conv_values_filled(kernel, values, -1.0, 1.0)
+    conv_values(kernel, g, values)
+    for fills in ((0.0, 0.0), (-1.0, 1.0)):
+        conv_values_filled(kernel, values, *fills)
     assert np.array_equal(values, before)

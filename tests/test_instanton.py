@@ -73,6 +73,24 @@ def test_decay_regression(inst05):
     assert inst05.decay_r2 > 0.999
 
 
+def test_decay_fit_matches_linregress_bitwise(inst05):
+    """decay_fit is scipy.stats.linregress on log(values), bit for bit: on
+    the instanton's own fit window and on noisy exponential tails."""
+    right = inst05.x > 0
+    v = inst05.m_beta - inst05.profile[right]
+    mask = (v > 1e-11) & (v < 1e-2)
+    xs, vs = inst05.x[right][mask], v[mask]
+    fit = linregress(xs, np.log(vs))
+    assert (inst05.decay_rate, inst05.decay_r2) == (-fit.slope,
+                                                    fit.rvalue ** 2)
+    rng = np.random.default_rng(7)
+    for n in (5, 8, 200, 4001):
+        x = np.sort(rng.uniform(0.0, 30.0, n))
+        values = np.exp(0.3 - 1.7 * x + 0.05 * rng.standard_normal(n))
+        fit = linregress(x, np.log(values))
+        assert instanton.decay_fit(x, values) == (-fit.slope, fit.rvalue ** 2)
+
+
 def test_normalization_constants_stable_under_refinement(inst05, inst025):
     assert abs(inst025.mean - inst05.mean) / inst025.mean < 0.005
     assert abs(inst025.norm_sq - inst05.norm_sq) / inst025.norm_sq < 0.005

@@ -87,7 +87,7 @@ def test_weighted_self_adjointness(instanton_state):
     scale = np.max(np.abs(f)) * np.max(np.abs(g))
     assert abs(lhs - rhs) < 1e-10 * scale
     # both equal the plain reflected-kernel bilinear form
-    direct = np.trapezoid(f * conv_values(st.kernel, st.grid, g, "neumann"),
+    direct = np.trapezoid(f * conv_values(st.kernel, st.grid, g),
                           dx=st.grid.spacing)
     assert lhs == pytest.approx(direct, abs=1e-12)
 
@@ -283,8 +283,8 @@ def test_picard_contracts_at_the_subdominant_rate(params2, kernel05,
     res = []
     real = meso.conv_values
 
-    def recorded(kernel, grid, m, mode):
-        out = real(kernel, grid, m, mode)
+    def recorded(kernel, grid, m):
+        out = real(kernel, grid, m)
         arg = params2.beta * (out + st.h)
         res.append(float(np.max(np.abs(m - np.tanh(arg)))))
         return out

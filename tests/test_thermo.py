@@ -8,15 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from mesostefan.errors import BranchRangeError, DomainError
 from mesostefan.grids import Profile, build_grid, build_kernel, KERNEL_SHAPES
-from mesostefan.thermo import (Diffusivity, convex_envelope,
-                               convex_envelope_prime, diffusivity,
-                               envelope_prime_inverse, entropy, free_energy,
-                               make_params, mean_field_root,
-                               metastable_branch_limit, metastable_inverse,
+from mesostefan.thermo import (Diffusivity, bulk_root, convex_envelope,
+                               convex_envelope_prime, diffusivity, entropy,
+                               free_energy, make_params,
+                               metastable_branch_limit,
                                metastable_diffusivity, mobility, potential,
                                potential_double_prime, potential_prime,
                                pressure, solve_m_beta)
-from mesostefan.thermo import _largest_root
 
 
 # ----------------------------------------------------------------- oracles
@@ -77,7 +75,7 @@ def test_m_beta_rejects_subcritical():
             solve_m_beta(beta)
 
 
-@pytest.mark.parametrize("beta", [20.0, 40.0])
+@pytest.mark.parametrize("beta", [20.0, 40.0, 1e10, 1e300])
 def test_m_beta_saturated(beta):
     """tanh(beta (1 - 1e-16)) rounds to 1 for beta >= 20: m_beta is 1 to
     rounding, and the maximal solution reports that it is saturated."""
@@ -133,39 +131,42 @@ def test_convexity_pattern():
 # ----------------------------------------------------------- mean-field root
 
 def test_mean_field_root_degenerate():
+    """At h = 0 both +-m_beta minimize potential(m) - h m; the root is the
+    positive one, m_beta itself."""
     p = make_params(2.0)
-    root = mean_field_root(p, 0.0)
-    assert root.degenerate
-    assert root.value == p.m_beta
+    assert float(bulk_root(p.beta, 0.0)) == p.m_beta
+    assert potential(p, p.m_beta) == potential(p, -p.m_beta)
 
 
 def test_mean_field_root_argmin_oracle():
     p = make_params(2.0)
     h = 0.1
-    root = mean_field_root(p, h)
-    assert not root.degenerate
-    assert abs(root.value) > p.m_beta
-    assert abs(root.value - math.tanh(2.0 * (root.value + h))) < 1e-14
+    root = float(bulk_root(p.beta, h))
+    assert abs(root) > p.m_beta
+    assert abs(root - math.tanh(2.0 * (root + h))) < 1e-14
     s = np.linspace(-1 + 1e-6, 1 - 1e-6, 2_000_001)
     objective = potential(p, s) - h * s
     s_min = s[int(np.argmin(objective))]
-    assert abs(root.value - s_min) < 2e-6
+    assert abs(root - s_min) < 2e-6
 
 
 def test_mean_field_root_saturates():
     p = make_params(2.0)
-    vals = [mean_field_root(p, h).value for h in (1.0, 5.0, 20.0)]
+    vals = [float(bulk_root(p.beta, h)) for h in (1.0, 5.0, 20.0)]
     assert vals[0] < vals[1] < vals[2] < 1.0
     assert vals[2] > 0.999999
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.floats(min_value=-2.0, max_value=2.0),
-       st.floats(min_value=-2.0, max_value=2.0))
-def test_mean_field_root_monotone_property(h1, h2):
+@given(st.floats(min_value=-0.999, max_value=2.0),
+       st.floats(min_value=-0.999, max_value=2.0))
+def test_mean_field_root_monotone_property(f1, f2):
+    """The root increases with h over its whole range (fields drawn as
+    multiples of the metastable branch limit below 0)."""
     p = make_params(2.0)
-    lo, hi = sorted((h1, h2))
-    assert mean_field_root(p, lo).value <= mean_field_root(p, hi).value + 1e-12
+    limit = metastable_branch_limit(p)
+    lo, hi = sorted(f * limit if f < 0 else f for f in (f1, f2))
+    assert bulk_root(p.beta, lo) <= bulk_root(p.beta, hi) + 1e-12
 
 
 # ------------------------------------------------------------ shared root
@@ -179,7 +180,7 @@ def test_largest_root_property(beta, data):
     p = make_params(beta)
     limit = metastable_branch_limit(p)
     h = data.draw(st.floats(min_value=-0.999 * limit, max_value=20.0))
-    m = float(_largest_root(beta, h))
+    m = float(bulk_root(beta, h))
     assert abs(m - math.tanh(beta * (m + h))) <= 2 * np.spacing(1.0)
     assert m >= p.m_star
     above = m + (1.0 - m) * np.array([0.01, 0.1, 0.5, 0.9, 0.99])
@@ -191,9 +192,9 @@ def test_largest_root_and_pressure_arrays_match_scalar_calls():
     p = make_params(1.3)
     limit = metastable_branch_limit(p)
     hs = np.concatenate([np.linspace(-0.999 * limit, 25.0, 501), [0.0]])
-    roots = _largest_root(p.beta, hs)
+    roots = bulk_root(p.beta, hs)
     assert roots.shape == hs.shape
-    assert np.array_equal(roots, [float(_largest_root(p.beta, h)) for h in hs])
+    assert np.array_equal(roots, [float(bulk_root(p.beta, h)) for h in hs])
     fields = np.linspace(-30.0, 30.0, 401).reshape(1, -1)
     table = pressure(p, fields)
     assert table.shape == fields.shape
@@ -285,41 +286,44 @@ def test_legendre_duality_round_trip():
 # -------------------------------------------------------- branch inverses
 
 def test_envelope_prime_inverse_oracle():
+    """For h > 0 the root inverts potential_prime outside the plateau."""
     p = make_params(2.0)
     h = 0.05
     oracle = bisect_oracle(lambda m: float(potential_prime(p, m)) - h,
                            p.m_beta, 1 - 1e-12)
-    got = envelope_prime_inverse(p, h)
+    got = float(bulk_root(p.beta, h))
     assert got == pytest.approx(oracle, abs=1e-12)
     assert p.m_beta < got < 1.0
     assert abs(float(potential_prime(p, got)) - h) < 1e-12
 
 
 def test_envelope_prime_inverse_edges():
+    """Both sides of h = 0 meet at the plateau edge m_beta."""
     p = make_params(2.0)
-    assert envelope_prime_inverse(p, 1e-13) == pytest.approx(p.m_beta, abs=1e-9)
-    assert envelope_prime_inverse(p, -0.05) == -envelope_prime_inverse(p, 0.05)
-    assert envelope_prime_inverse(p, 0.0, side=-1) == -p.m_beta
-    with pytest.raises(DomainError):
-        envelope_prime_inverse(p, 0.0)
+    assert bulk_root(p.beta, 1e-13) == pytest.approx(p.m_beta, abs=1e-9)
+    assert bulk_root(p.beta, -1e-13) == pytest.approx(p.m_beta, abs=1e-9)
+    assert float(bulk_root(p.beta, 0.0)) == p.m_beta
 
 
 def test_metastable_inverse():
+    """For -limit < h < 0 the root inverts potential_prime on the metastable
+    branch (m_star, m_beta)."""
     p = make_params(2.0)
-    assert metastable_inverse(p, 0.0, +1) == pytest.approx(p.m_beta, abs=1e-12)
-    got = metastable_inverse(p, -0.01, +1)
+    got = float(bulk_root(p.beta, -0.01))
     oracle = bisect_oracle(lambda m: float(potential_prime(p, m)) + 0.01,
                            p.m_star + 1e-12, 1 - 1e-12)
     assert got == pytest.approx(oracle, abs=1e-12)
     assert p.m_star < got < p.m_beta
-    assert metastable_inverse(p, 0.01, -1) == -metastable_inverse(p, -0.01, +1)
 
 
 def test_metastable_inverse_range_error():
+    """Below the branch image the outer root does not exist."""
     p = make_params(2.0)
     limit = metastable_branch_limit(p)
-    with pytest.raises(BranchRangeError):
-        metastable_inverse(p, -(limit + 1e-6), +1)
+    for h in (-(limit + 1e-6), np.array([0.3, -(limit + 0.1)])):
+        with pytest.raises(BranchRangeError) as exc:
+            bulk_root(p.beta, h)
+        assert exc.value.breakdown == pytest.approx(-limit, rel=1e-12)
 
 
 # ---------------------------------------------------------- coefficients
@@ -438,12 +442,11 @@ def test_spinodal_inside_plateau_property(beta):
        st.floats(min_value=1e-6, max_value=2.0))
 def test_envelope_inverse_residual_property(beta, h):
     p = make_params(beta)
-    m = envelope_prime_inverse(p, h)
+    m = float(bulk_root(beta, h))
     # near saturation the field residual is bounded below by the local slope
     # times one ulp of m, so the tolerance has to carry that factor
     slope = abs(float(potential_double_prime(p, m)))
     assert abs(float(potential_prime(p, m)) - h) < 1e-12 + 4e-15 * slope
-    assert envelope_prime_inverse(p, -h) == -m
 
 
 @settings(max_examples=50, deadline=None)
@@ -453,33 +456,26 @@ def test_metastable_inverse_residual_property(beta, frac):
     """Roots across the admissible branch range solve the defining equation."""
     p = make_params(beta)
     h = -frac * metastable_branch_limit(p)
-    m = metastable_inverse(p, h, +1)
+    m = float(bulk_root(beta, h))
     assert p.m_star < m <= p.m_beta + 1e-12
     assert abs(float(potential_prime(p, m)) - h) < 1e-12
 
 
 @pytest.mark.parametrize("h", [4.5, 6.0])
 def test_branch_inverses_near_saturation(params2, h):
-    """Roots within 1e-9 of m = 1: the Newton polish must stay inside the
-    bracket instead of probing atanh beyond 1."""
-    ref = mean_field_root(params2, h).value
-    for m in (envelope_prime_inverse(params2, h),
-              metastable_inverse(params2, h, +1)):
-        assert params2.m_beta < m < 1.0
-        # one ulp of m moves potential_prime by potential_double_prime * ulp,
-        # which exceeds 1e-9 h at h = 6 (1 - m ~ 1.4e-12)
-        ulp_floor = potential_double_prime(params2, m) * np.spacing(m)
-        assert abs(potential_prime(params2, m) - h) <= max(1e-9 * h, ulp_floor)
-        assert abs(m - ref) <= 2 * np.spacing(ref)
+    """Roots within 1e-9 of m = 1 stay below 1 and solve the equation to
+    within one ulp of m."""
+    m = float(bulk_root(params2.beta, h))
+    assert params2.m_beta < m < 1.0
+    # one ulp of m moves potential_prime by potential_double_prime * ulp,
+    # which exceeds 1e-9 h at h = 6 (1 - m ~ 1.4e-12)
+    ulp_floor = potential_double_prime(params2, m) * np.spacing(m)
+    assert abs(potential_prime(params2, m) - h) <= max(1e-9 * h, ulp_floor)
 
 
 @pytest.mark.parametrize("h", [9.0, 20.0])
 def test_branch_inverses_past_saturation(params2, h):
     """Past h ~ 8.35 at beta = 2, potential_prime(1 - 1e-16) < h in floating
-    point: the root is 1 to rounding, as for the mean-field root."""
-    hi = 1.0 - 1e-16
-    assert mean_field_root(params2, h).value == hi
-    assert envelope_prime_inverse(params2, h) == hi
-    assert envelope_prime_inverse(params2, -h) == -hi
-    assert metastable_inverse(params2, h, +1) == hi
-    assert metastable_inverse(params2, -h, -1) == -hi
+    point: the root is 1 to rounding."""
+    assert float(bulk_root(params2.beta, h)) == 1.0 - 1e-16
+    assert np.all(bulk_root(params2.beta, [h, 2.0 * h]) == 1.0 - 1e-16)
