@@ -9,14 +9,14 @@ from .config import RunConfig, load_config, parse_config
 from .errors import (BranchRangeError, ConvergenceError, DomainError,
                      GridError, InfeasibleError, MesostefanError,
                      SaturationError)
-from .grids import Grid, Kernel, Profile, build_grid, build_kernel
+from .grids import Grid, Kernel, build_grid, build_kernel
 from .thermo import ThermoParams, make_params
 
 __all__ = [
     "BranchRangeError", "ConvergenceError", "DomainError", "Grid",
-    "GridError", "InfeasibleError", "Kernel", "MesostefanError", "Profile",
-    "RunConfig", "SaturationError", "ThermoParams", "build_grid",
-    "build_kernel", "load_config", "make_params", "parse_config",
+    "GridError", "InfeasibleError", "Kernel", "MesostefanError", "RunConfig",
+    "SaturationError", "ThermoParams", "build_grid", "build_kernel",
+    "load_config", "make_params", "parse_config",
 ]
 
 __version__ = "0.1.0"

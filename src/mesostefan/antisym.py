@@ -48,6 +48,7 @@ DEFAULT_N0 = 10
 MONOTONE_FLOOR = 1e-14
 INCREASE_THRESHOLD = 1e-12
 FORCING = 0.01        # inner tolerance per unit of outer increment
+MAX_OUTER = 80        # outer steps before ConvergenceError
 
 
 @dataclass(frozen=True)
@@ -132,8 +133,9 @@ def _seed_layout(spacing, instanton: Instanton, eps, ell, n0):
 
     GridError when eps^-1 [-ell, ell] has no grid at the spacing or none
     with x = 0 among its points (the seed is odd about it), the instanton
-    has another spacing, or the gluing point xi = x_eps + 2 n0 passes half
-    the half-domain or the end of the instanton window.
+    has another spacing, n0 < 0 (the gluing point xi = x_eps + 2 n0 would
+    sit left of the interface), or xi passes half the half-domain or the
+    end of the instanton window.
     """
     grid = build_grid(eps, ell, ell, spacing)
     grid.index_of(0.0)
@@ -141,6 +143,10 @@ def _seed_layout(spacing, instanton: Instanton, eps, ell, n0):
         raise GridError("instanton spacing must match the solver spacing")
     x_eps = threshold_abscissa(instanton, eps)
     xi = x_eps + 2.0 * n0
+    if n0 < 0:
+        raise GridError(f"n0 = {n0} < 0 puts the gluing point x_eps + 2 n0 "
+                        f"= {xi:.2f} left of the interface abscissa "
+                        f"x_eps = {x_eps:.2f}")
     half = ell / eps
     if xi >= 0.5 * half:
         raise GridError(
@@ -226,7 +232,7 @@ def _check_length(kernel, eps, ell, n0, instanton, what, limit):
 
 
 def solve_stable(params: ThermoParams, kernel: Kernel, eps, j, ell,
-                 tol=1e-10, inner_tol=1e-12, max_outer=80, n0=DEFAULT_N0,
+                 tol=1e-10, inner_tol=1e-12, n0=DEFAULT_N0,
                  instanton: Instanton | None = None,
                  macro: MaximalSolution | None = None) -> AntisymResult:
     """Stable-branch antisymmetric solve: strictly monotone m for j != 0."""
@@ -237,21 +243,20 @@ def solve_stable(params: ThermoParams, kernel: Kernel, eps, j, ell,
     check_stable(kernel, eps, j, ell, n0, instanton, macro)
     if j > 0:
         # mirrored arrangement: solve with -j and flip
-        res = solve_stable(params, kernel, eps, -j, ell, tol, inner_tol,
-                           max_outer, n0, instanton,
-                           solve_maximal(params, -j))
+        res = solve_stable(params, kernel, eps, -j, ell, tol, inner_tol, n0,
+                           instanton, solve_maximal(params, -j))
         st = res.state
         flipped = make_state(params, kernel, st.grid, -st.h, -st.m)
         return AntisymResult(flipped, res.trace, res.seed, "stable", eps, j,
                              ell, res.monotone, None)
     seed = build_seed(params, kernel, instanton, macro, eps, j, ell, n0)
     return _iterate(params, kernel, seed, eps, j, ell, "stable",
-                    tol, inner_tol, max_outer)
+                    tol, inner_tol)
 
 
 def solve_metastable(params: ThermoParams, kernel: Kernel, eps, j, ell,
-                     tol=1e-10, inner_tol=1e-12, max_outer=80,
-                     n0=DEFAULT_N0, instanton: Instanton | None = None,
+                     tol=1e-10, inner_tol=1e-12, n0=DEFAULT_N0,
+                     instanton: Instanton | None = None,
                      macro: MetastableMaximal | None = None) -> AntisymResult:
     """Metastable antisymmetric solve for j > 0 (x0 = 0 only).
 
@@ -265,11 +270,10 @@ def solve_metastable(params: ThermoParams, kernel: Kernel, eps, j, ell,
     check_metastable(kernel, eps, j, ell, n0, instanton, macro)
     seed = build_seed(params, kernel, instanton, macro, eps, j, ell, n0)
     return _iterate(params, kernel, seed, eps, j, ell, "metastable",
-                    tol, inner_tol, max_outer)
+                    tol, inner_tol)
 
 
-def _iterate(params, kernel, seed, eps, j, ell, branch, tol, inner_tol,
-             max_outer):
+def _iterate(params, kernel, seed, eps, j, ell, branch, tol, inner_tol):
     """Outer iteration h -> T(m(h)) with inexact auxiliary solves.
 
     Step k measures inc = sup|T(m) - h| from the current pair (h, m) and
@@ -285,7 +289,7 @@ def _iterate(params, kernel, seed, eps, j, ell, branch, tol, inner_tol,
     m = seed.m0
     exact = True
     bad_ratio_run = 0
-    for _ in range(max_outer):
+    for _ in range(MAX_OUTER):
         h_next = t_map(params, grid, m, eps, j)
         inc = float(np.max(np.abs(h_next - h)))
         trace.increments.append(inc)
@@ -309,7 +313,7 @@ def _iterate(params, kernel, seed, eps, j, ell, branch, tol, inner_tol,
             return AntisymResult(final, trace, seed, branch, float(eps),
                                  float(j), float(ell), mono, rise)
     raise ConvergenceError(
-        f"outer iteration did not reach {tol} in {max_outer} steps",
+        f"outer iteration did not reach {tol} in {MAX_OUTER} steps",
         last=trace,
     )
 

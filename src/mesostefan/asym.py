@@ -34,6 +34,9 @@ from .thermo import ThermoParams, mobility
 #: cap on a_plus * (1 - x0) / eps so the boundary weight stays well inside
 #: float range and rounding at the interface cannot dominate the norm
 WEIGHT_EXPONENT_CAP = 12.0
+MAX_OUTER = 60          # projected steps before ConvergenceError
+ZERO_HALFWIDTH = 2.0    # meso distance from the interface searched for zeros
+WEIGHTED_BOUND = 0.1    # admissible weighted distance to the quasi-solution
 
 
 @dataclass(frozen=True)
@@ -232,7 +235,7 @@ class OffCenterResult:
 
 
 def solve_off_center(params: ThermoParams, kernel: Kernel, eps, j, x0,
-                     tol=1e-9, inner_tol=1e-12, max_outer=60, n0=2,
+                     tol=1e-9, inner_tol=1e-12, n0=2,
                      instanton: Instanton | None = None,
                      macro: MaximalSolution | None = None) -> OffCenterResult:
     """Iterate the projected map from the quasi-solution to convergence.
@@ -250,7 +253,7 @@ def solve_off_center(params: ThermoParams, kernel: Kernel, eps, j, x0,
                             macro=macro)
     trace = IterationTrace(residuals=[problem.seed_residual])
     h, m = problem.h_eps, problem.m_eps
-    for _ in range(max_outer):
+    for _ in range(MAX_OUTER):
         h_next, state = projected_iterate(problem, m, inner_tol)
         inc = problem.weight.norm(h_next - h)
         trace.increments.append(inc)
@@ -260,7 +263,7 @@ def solve_off_center(params: ThermoParams, kernel: Kernel, eps, j, x0,
             break
     else:
         raise ConvergenceError(
-            f"projected iteration did not reach {tol} in {max_outer} steps",
+            f"projected iteration did not reach {tol} in {MAX_OUTER} steps",
             last=trace)
 
     field_zero = _zero_near(problem, state.h)
@@ -269,12 +272,12 @@ def solve_off_center(params: ThermoParams, kernel: Kernel, eps, j, x0,
                            problem.eps * field_zero)
 
 
-def _zero_near(problem: OffCenterProblem, values: np.ndarray,
-               halfwidth=2.0) -> float:
-    """Bracketed sign change + linear interpolation near the interface."""
+def _zero_near(problem: OffCenterProblem, values: np.ndarray) -> float:
+    """Bracketed sign change + linear interpolation within ZERO_HALFWIDTH
+    of the interface."""
     grid = problem.res_grid
     c = problem.interface_index
-    k = int(round(halfwidth / grid.spacing))
+    k = int(round(ZERO_HALFWIDTH / grid.spacing))
     lo = max(0, c - k)
     hi = min(grid.n - 1, c + k)
     seg = values[lo:hi + 1]
@@ -282,7 +285,7 @@ def _zero_near(problem: OffCenterProblem, values: np.ndarray,
     idx = np.where(sign[:-1] * sign[1:] <= 0)[0]
     if idx.size == 0:
         raise ConvergenceError(
-            f"no zero within {halfwidth} of the interface")
+            f"no zero within {ZERO_HALFWIDTH} of the interface")
     i = lo + int(idx[0])
     v0, v1 = values[i], values[i + 1]
     x0p, x1p = grid.points[i], grid.points[i + 1]
@@ -291,14 +294,13 @@ def _zero_near(problem: OffCenterProblem, values: np.ndarray,
     return float(x0p - v0 * (x1p - x0p) / (v1 - v0))
 
 
-def admissibility_report(problem: OffCenterProblem, h: np.ndarray,
-                         b=0.1) -> dict:
+def admissibility_report(problem: OffCenterProblem, h: np.ndarray) -> dict:
     """Diagnostics against the four admissible-region conditions.
 
-    Conditions: weighted distance to the quasi-solution below b, plain
-    orthogonality to the extended eigenvector, derivative of the difference
-    below eps everywhere, and below eps^2 inside the interface window of
-    half-width log(1/eps)^2.
+    Conditions: weighted distance to the quasi-solution below
+    WEIGHTED_BOUND, plain orthogonality to the extended eigenvector,
+    derivative of the difference below eps everywhere, and below eps^2
+    inside the interface window of half-width log(1/eps)^2.
     """
     grid = problem.res_grid
     eps = problem.eps
@@ -312,8 +314,8 @@ def admissibility_report(problem: OffCenterProblem, h: np.ndarray,
     d_win = float(np.max(np.abs(d_diff[win])))
     return {
         "weighted_distance": n_val,
-        "weighted_bound": float(b),
-        "weighted_ok": bool(n_val <= b),
+        "weighted_bound": WEIGHTED_BOUND,
+        "weighted_ok": bool(n_val <= WEIGHTED_BOUND),
         "orthogonality": ortho,
         "derivative_sup": d_sup,
         "derivative_bound": eps,

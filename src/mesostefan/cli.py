@@ -18,7 +18,7 @@ from . import antisym, asym, instanton as instanton_mod, meso, spectral, stefan
 from .config import RunConfig, load_config
 from .errors import (BranchRangeError, DomainError, GridError,
                      InfeasibleError, MesostefanError)
-from .grids import Profile, build_grid, build_kernel
+from .grids import build_grid, build_kernel
 from .profiles import (dump_json, fmt, grid_from_points, load_state,
                        save_profile, save_state)
 from .thermo import (convex_envelope, make_params, potential, pressure)
@@ -98,10 +98,9 @@ def cmd_instanton(args) -> int:
                                            half_width=args.halfwidth)
     out = _outdir(args.out)
     grid = grid_from_points(inst.x, args.spacing)
-    save_profile(os.path.join(out, "instanton.csv"),
-                 Profile(grid, inst.profile))
-    save_profile(os.path.join(out, "instanton_derivative.csv"),
-                 Profile(grid, inst.derivative))
+    save_profile(os.path.join(out, "instanton.csv"), grid, inst.profile)
+    save_profile(os.path.join(out, "instanton_derivative.csv"), grid,
+                 inst.derivative)
     dump_json(os.path.join(out, "instanton.json"), {
         "m_beta": inst.m_beta,
         "decay_rate": inst.decay_rate,
@@ -254,10 +253,9 @@ def cmd_solve_asym(args) -> int:
     row, res = _solve_one(cfg, args.eps, _shared_inputs(cfg))
     prob = res.problem
     _save_run(out, res)
-    save_profile(os.path.join(out, "u_star.csv"),
-                 Profile(prob.ext_grid, prob.u_star.u))
-    save_profile(os.path.join(out, "r_eps.csv"),
-                 Profile(prob.res_grid, prob.r_eps))
+    save_profile(os.path.join(out, "u_star.csv"), prob.ext_grid,
+                 prob.u_star.u)
+    save_profile(os.path.join(out, "r_eps.csv"), prob.res_grid, prob.r_eps)
     dump_json(os.path.join(out, "solve_asym.json"), {
         "beta": cfg.beta, "eps": args.eps, "j": cfg.j, "x0": cfg.x0,
         "x_eps": res.field_zero, "eps_x_eps": res.eps_field_zero,
@@ -371,21 +369,17 @@ def cmd_sweep(args) -> int:
 
 
 def validate(cfg: RunConfig) -> list:
-    """Findings that fail a sweep row before its solve iterates.
+    """Findings that fail a sweep row before its solve iterates, as
+    (exit code, message) pairs.
 
     Computes the shared inputs, then runs the mode's precondition check at
     each eps: ``antisym.check_stable``, ``antisym.check_metastable`` or
-    ``asym.check_off_center``, which the solvers call first.  A finding
-    starts with the prefix ``main`` prints for the exit code the row would
-    carry ("config error", "infeasible", "numerical failure").  The errors
-    a sweep row records are reported, never raised; a solve can still fail
-    while iterating (exit code 4).
+    ``asym.check_off_center``, which the solvers call first.  The code is
+    the one the row would carry, and the message starts with the prefix
+    ``main`` prints for it ("config error", "infeasible", "numerical
+    failure").  The errors a sweep row records are reported, never raised;
+    a solve can still fail while iterating (exit code 4).
     """
-    return [message for _, message in _findings(cfg)]
-
-
-def _findings(cfg: RunConfig) -> list:
-    """The findings of :func:`validate` as (exit code, message) pairs."""
     try:
         _, kernel, macro, inst = _shared_inputs(cfg)
     except _ROW_ERRORS as exc:
@@ -406,7 +400,7 @@ def cmd_validate(args) -> int:
     except (DomainError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    findings = _findings(cfg)
+    findings = validate(cfg)
     if not findings:
         print("configuration is feasible")
     for _, message in findings:

@@ -134,18 +134,6 @@ class Kernel:
         return (self.samples.size - 1) // 2
 
 
-@dataclass(frozen=True)
-class Profile:
-    """Real-valued function sampled on a Grid."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.values.shape != self.grid.points.shape:
-            raise GridError("profile values do not match grid size")
-
-
 def build_grid(epsilon, half_length_left, half_length_right, spacing) -> Grid:
     """Grid covering eps^-1 * [-left, right] with endpoints included.
 
@@ -269,11 +257,6 @@ def _blocked_convolution(kernel: Kernel, values: np.ndarray,
         for q in range(1, slabs.shape[0]):
             part += rows[c0 + q:c1 + q] @ slabs[q]
     return out.reshape(-1)[:n]
-
-
-def trapezoid(grid: Grid, values: np.ndarray) -> float:
-    """Trapezoid integral of sampled values over the grid."""
-    return float(np.trapezoid(values, dx=grid.spacing))
 
 
 def trapezoid_antiderivative(grid: Grid, values: np.ndarray,

@@ -5,7 +5,10 @@ truncated line, with a Dirichlet-style clamp to +-m_beta outside a one-unit
 collar.  On odd functions the map contracts at the sub-dominant eigenvalue
 of its linearization (about 0.31 per step at beta = 2), so no damping is
 needed.  The profile, its derivative, the weighted normalization constants
-and decay diagnostics feed the composite seeds and the spectral checks.
+and the fitted tail decay rate feed the composite seeds, the sweeps' C
+column and the spectral checks.  A saturated m_beta (1 to rounding, from
+beta ~ 18.5 on) is refused before the first step: the mobility
+beta (1 - m^2) of the profile would vanish.
 """
 
 from __future__ import annotations
@@ -16,10 +19,12 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, GridError
 from .grids import POINT_CAP, Kernel, conv_values_filled
-from .thermo import ThermoParams, mobility
+from .thermo import SATURATED_ROOT, ThermoParams, mobility
 
 MIN_HALF_WIDTH = 20.0
 MAX_SPACING = 0.05
+_TOL = 1e-12          # sup-norm residual off the clamp collar
+_MAX_ITER = 50_000    # Picard steps
 
 
 @dataclass(frozen=True)
@@ -51,9 +56,6 @@ class Instanton:
         """Derivative normalized to unit weighted square integral."""
         return self.derivative / np.sqrt(self.norm_sq)
 
-    def weighted_dot(self, f, g) -> float:
-        return float(np.trapezoid(f * g / self.p_bar, dx=self.spacing))
-
 
 def _derivative_4th(values: np.ndarray, spacing: float,
                     left_fill: float, right_fill: float) -> np.ndarray:
@@ -66,7 +68,6 @@ def _interior(x: np.ndarray, half_width: float) -> np.ndarray:
 
 
 def compute_instanton(params: ThermoParams, kernel: Kernel, half_width=20.0,
-                      tol=1e-12, max_iter=50_000,
                       seed="sign") -> Instanton:
     """Solve the odd fixed point m = tanh(beta J*m) on [-X, X].
 
@@ -77,6 +78,9 @@ def compute_instanton(params: ThermoParams, kernel: Kernel, half_width=20.0,
     """
     if params.beta <= 1.0:
         raise DomainError("interface profile needs beta > 1")
+    if params.m_beta >= SATURATED_ROOT:
+        raise DomainError(f"m_beta is 1 to rounding at beta = {params.beta:g}: "
+                          "the profile's mobility would vanish")
     if half_width < MIN_HALF_WIDTH:
         raise GridError(f"half width must be >= {MIN_HALF_WIDTH}")
     if kernel.spacing > MAX_SPACING + 1e-12:
@@ -104,17 +108,17 @@ def compute_instanton(params: ThermoParams, kernel: Kernel, half_width=20.0,
 
     residual = np.inf
     target = np.tanh(beta * conv_values_filled(kernel, m, -mb, mb))
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         target[clamp] = mb * np.sign(x[clamp])
         m = 0.5 * (target - target[::-1])
         # the image of the new iterate is both its residual and the next target
         target = np.tanh(beta * conv_values_filled(kernel, m, -mb, mb))
         residual = float(np.max(np.abs((m - target)[interior])))
-        if residual < tol:
+        if residual < _TOL:
             break
     else:
         raise ConvergenceError(
-            f"interface profile did not reach {tol} in {max_iter} steps "
+            f"interface profile did not reach {_TOL} in {_MAX_ITER} steps "
             f"(residual {residual:.3e})"
         )
 
@@ -175,49 +179,3 @@ def apply_transfer(instanton: Instanton, kernel: Kernel,
                    psi: np.ndarray) -> np.ndarray:
     """One application of the free-line linearized map p_bar (J * psi)."""
     return instanton.p_bar * conv_values_filled(kernel, psi, 0.0, 0.0)
-
-
-def project_out_unit_mode(instanton: Instanton, f: np.ndarray) -> np.ndarray:
-    """Remove the component along the normalized derivative (weighted)."""
-    md = instanton.unit_derivative()
-    return f - instanton.weighted_dot(f, md) * md
-
-
-def projected_decay_norms(instanton: Instanton, kernel: Kernel,
-                          f: np.ndarray, n_terms=20) -> np.ndarray:
-    """Sup norms of repeated transfer applications to the projected part.
-
-    These decay geometrically: the unit eigenvalue lives only on the
-    derivative direction, which the projection removes.
-    """
-    g = project_out_unit_mode(instanton, np.asarray(f, dtype=float))
-    norms = [float(np.max(np.abs(g)))]
-    for _ in range(n_terms):
-        g = apply_transfer(instanton, kernel, g)
-        norms.append(float(np.max(np.abs(g))))
-    return np.array(norms)
-
-
-def odd_contraction_factor(instanton: Instanton, kernel: Kernel, n0,
-                           test_profiles=None) -> float:
-    """Worst measured ratio |A^n0 psi| / |psi| over odd test profiles.
-
-    Diagnostic backing the choice of the gluing offset n0: the transfer
-    operator must contract odd functions after n0 applications.
-    """
-    x = instanton.x
-    if test_profiles is None:
-        test_profiles = [
-            np.sign(x) * (np.abs(x) > 1e-14),
-            np.tanh(x),
-            np.sin(np.pi * x / x[-1]),
-            x / x[-1],
-        ]
-    worst = 0.0
-    for psi in test_profiles:
-        g = np.asarray(psi, dtype=float)
-        base = float(np.max(np.abs(g)))
-        for _ in range(int(n0)):
-            g = apply_transfer(instanton, kernel, g)
-        worst = max(worst, float(np.max(np.abs(g))) / base)
-    return worst

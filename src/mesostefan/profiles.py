@@ -13,25 +13,32 @@ import warnings
 import numpy as np
 
 from .errors import GridError
-from .grids import Grid, Profile, build_grid
+from .grids import Grid, build_grid
 
 
 def fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def profile_to_csv(profile: Profile) -> str:
-    lines = ["x,value"]
-    lines += [f"{fmt(x)},{fmt(v)}"
-              for x, v in zip(profile.grid.points, profile.values)]
-    return "\n".join(lines) + "\n"
+def save_profile(path, grid: Grid, values):
+    """Write ``x,value`` rows and the grid's sidecar descriptor."""
+    _save_columns(path, "x,value", grid, values)
 
 
-def save_profile(path, profile: Profile):
+def save_state(path, grid: Grid, h, m):
+    """Write ``x,h,m`` rows and the grid's sidecar descriptor."""
+    _save_columns(path, "x,h,m", grid, h, m)
+
+
+def _save_columns(path, header, grid: Grid, *columns):
+    row = ",".join(["%.17g"] * (1 + len(columns)))   # fmt, one row at a time
+    lines = [header]
+    lines += [row % values
+              for values in zip(grid.points, *columns, strict=True)]
     with open(path, "w") as fh:
-        fh.write(profile_to_csv(profile))
+        fh.write("\n".join(lines) + "\n")
     with open(_sidecar(path), "w") as fh:
-        fh.write(profile.grid.descriptor() + "\n")
+        fh.write(grid.descriptor() + "\n")
 
 
 def _sidecar(path) -> str:
@@ -39,20 +46,16 @@ def _sidecar(path) -> str:
     return root + ".grid.json"
 
 
-def load_profile(path) -> Profile:
-    return Profile(*_load_on_grid(path, ("value",)))
-
-
-def _load_on_grid(path, names) -> tuple:
-    """The grid of a profile or state file and its value columns.
+def load_state(path):
+    """(grid, h, m) of a state file.
 
     The grid comes from the sidecar descriptor, whose points must match the
     x column (GridError otherwise), or, without a sidecar, from the x column.
     """
-    x, *values = load_columns(path, ("x",) + tuple(names))
+    x, h, m = load_columns(path, ("x", "h", "m"))
     side = _sidecar(path)
     if not os.path.exists(side):
-        return (grid_from_points(x, float(x[1] - x[0])), *values)
+        return grid_from_points(x, float(x[1] - x[0])), h, m
     with open(side) as fh:
         d = json.load(fh)
     grid = build_grid(d["epsilon"], d["left"], d["right"], d["spacing"])
@@ -60,7 +63,7 @@ def _load_on_grid(path, names) -> tuple:
             > 1e-9 * max(1.0, grid.b):
         raise GridError(f"x column of {path} does not match its grid "
                         f"descriptor {side}")
-    return (grid, *values)
+    return grid, h, m
 
 
 def grid_from_points(x: np.ndarray, spacing) -> Grid:
@@ -96,25 +99,6 @@ def load_columns(path, names) -> tuple[np.ndarray, ...]:
     if missing:
         raise GridError(f"columns {missing} missing from {path}")
     return tuple(data[:, header.index(n)].copy() for n in names)
-
-
-def state_to_csv(grid: Grid, h: np.ndarray, m: np.ndarray) -> str:
-    lines = ["x,h,m"]
-    lines += [f"{fmt(x)},{fmt(a)},{fmt(b)}"
-              for x, a, b in zip(grid.points, h, m)]
-    return "\n".join(lines) + "\n"
-
-
-def save_state(path, grid: Grid, h, m):
-    with open(path, "w") as fh:
-        fh.write(state_to_csv(grid, h, m))
-    with open(_sidecar(path), "w") as fh:
-        fh.write(grid.descriptor() + "\n")
-
-
-def load_state(path):
-    """(grid, h, m) of a state file; see :func:`_load_on_grid`."""
-    return _load_on_grid(path, ("h", "m"))
 
 
 def dump_json(path, payload: dict):

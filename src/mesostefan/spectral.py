@@ -17,12 +17,15 @@ from .errors import ConvergenceError, DomainError
 from .instanton import Instanton, decay_fit
 from .meso import MesoState, apply_linearized
 
+_POWER_STEPS = 100_000    # power iteration steps for the leading pair
+_LAMBDA2_TOL = 1e-10      # relative Rayleigh-quotient change that stops lambda2
+_LAMBDA2_STEPS = 5000
+
 
 @dataclass(frozen=True)
 class SpectralResult:
     lambda_: float
     u: np.ndarray            # positive, normalized <u^2>_{1/p} = 1
-    lambda2: float | None
     iterations: int
     residual: float          # sup |A u - lambda u|
 
@@ -31,8 +34,7 @@ def _normalize(state: MesoState, u: np.ndarray) -> np.ndarray:
     return u / np.sqrt(state.weighted_dot(u, u))
 
 
-def leading_eigenpair(state: MesoState, tol=1e-12,
-                      max_iter=100_000) -> SpectralResult:
+def leading_eigenpair(state: MesoState, tol=1e-12) -> SpectralResult:
     """Power iteration with weighted normalization.
 
     Stops when both the Rayleigh quotient is stationary to ``tol`` and the
@@ -49,7 +51,7 @@ def leading_eigenpair(state: MesoState, tol=1e-12,
     rq_prev = np.inf
     rq = 0.0
     res = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, _POWER_STEPS + 1):
         au = apply_linearized(state, u)
         rq = state.weighted_dot(u, au)
         res = float(np.max(np.abs(au - rq * u)))
@@ -67,7 +69,7 @@ def leading_eigenpair(state: MesoState, tol=1e-12,
         u = -u
     res = float(np.max(np.abs(apply_linearized(state, u) - rq * u)))
     u.setflags(write=False)
-    return SpectralResult(float(rq), u, None, it, res)
+    return SpectralResult(float(rq), u, it, res)
 
 
 def deflate(state: MesoState, result: SpectralResult,
@@ -78,15 +80,14 @@ def deflate(state: MesoState, result: SpectralResult,
     return psi - coeff * u
 
 
-def second_eigenvalue(state: MesoState, result: SpectralResult,
-                      tol=1e-10, max_iter=5000) -> float:
+def second_eigenvalue(state: MesoState, result: SpectralResult) -> float:
     """Dominant growth rate on the complement of the maximal eigenvector."""
     rng_free = np.cos(1.7 * np.arange(state.grid.n))  # fixed deterministic seed
     psi = deflate(state, result, rng_free)
     psi = psi / np.max(np.abs(psi))
     rq_prev = np.inf
     rq = 0.0
-    for _ in range(max_iter):
+    for _ in range(_LAMBDA2_STEPS):
         ap = apply_linearized(state, psi)
         ap = deflate(state, result, ap)
         rq = state.weighted_dot(psi, ap) / state.weighted_dot(psi, psi)
@@ -94,55 +95,33 @@ def second_eigenvalue(state: MesoState, result: SpectralResult,
         if nrm == 0.0:
             return 0.0
         psi = ap / nrm
-        if abs(rq - rq_prev) < tol * max(1.0, abs(rq)):
+        if abs(rq - rq_prev) < _LAMBDA2_TOL * max(1.0, abs(rq)):
             break
         rq_prev = rq
     return float(abs(rq))
 
 
-def resolvent_solve(state: MesoState, result: SpectralResult,
-                    f: np.ndarray, tol=1e-9, max_terms=100_000) -> np.ndarray:
-    """Solve (A - 1) x = f_perp with x orthogonal to the maximal eigenvector.
-
-    Uses the geometric series -(sum A^n) f_perp, re-deflating each term; on
-    the complement the series contracts at the sub-dominant rate.
-    """
-    f_perp = deflate(state, result, np.asarray(f, dtype=float))
-    term = f_perp.copy()
-    x = -term.copy()
-    for _ in range(max_terms):
-        term = deflate(state, result, apply_linearized(state, term))
-        x -= term
-        if np.max(np.abs(term)) < 0.05 * tol:
-            lhs = apply_linearized(state, x) - x
-            if np.max(np.abs(lhs - f_perp)) < tol:
-                return x
-    raise ConvergenceError("geometric resolvent series did not converge "
-                           "(spectral gap too small?)", last=x)
-
-
 def eigenvector_shape_report(state: MesoState, result: SpectralResult,
-                             instanton: Instanton, x0_meso=0.0,
-                             window=None) -> dict:
-    """Compare the maximal eigenvector with the normalized interface slope.
+                             instanton: Instanton) -> dict:
+    """Compare the maximal eigenvector of a centered state with the
+    normalized interface slope.
 
-    Reports the sup difference over an interface window scaling like
-    log(1/eps) and a log-linear fit of the eigenvector tail beyond it.
+    Reports the sup difference over an interface window of
+    max(1, 2 log(1/eps) / a) mesoscopic units, a the instanton decay rate,
+    and a log-linear fit of the eigenvector tail beyond it.
     """
     grid = state.grid
-    eps = grid.epsilon
-    if window is None:
-        window = max(1.0, 2.0 * np.log(1.0 / eps) / instanton.decay_rate)
-    x_rel = grid.points - x0_meso
-    md_unit = np.interp(x_rel, instanton.x, instanton.unit_derivative(),
+    window = max(1.0, 2.0 * np.log(1.0 / grid.epsilon) / instanton.decay_rate)
+    x = grid.points
+    md_unit = np.interp(x, instanton.x, instanton.unit_derivative(),
                         left=0.0, right=0.0)
-    inside = np.abs(x_rel) <= window
+    inside = np.abs(x) <= window
     sup_diff = float(np.max(np.abs(result.u[inside] - md_unit[inside])))
 
     u_max = float(np.max(result.u))
-    tail = (np.abs(x_rel) > window) & (result.u > 1e-10 * u_max)
+    tail = (np.abs(x) > window) & (result.u > 1e-10 * u_max)
     if tail.sum() >= 8:
-        tail_rate, tail_r2 = decay_fit(np.abs(x_rel[tail]), result.u[tail])
+        tail_rate, tail_r2 = decay_fit(np.abs(x[tail]), result.u[tail])
     else:
         tail_rate, tail_r2 = float("nan"), float("nan")
     return {

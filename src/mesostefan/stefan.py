@@ -20,6 +20,7 @@ from .errors import BranchRangeError, DomainError, InfeasibleError
 from .thermo import ThermoParams, potential_prime
 
 SATURATION_GAP = 1e-6   # stop the maximal solution at m = 1 - SATURATION_GAP
+N_SAMPLES = 801         # uniform samples of a sampled solution on [-ell, ell]
 
 
 def _cubic(params: ThermoParams, m):
@@ -130,6 +131,18 @@ class StefanSolution:
         return buf.getvalue()
 
 
+def _check_m_beta(params: ThermoParams) -> None:
+    """DomainError when m_beta is past the saturation cutoff (beta > 7.25).
+
+    Tested on m_beta itself: past beta ~ 1e10 the cubic's differences no
+    longer resolve 1 - SATURATION_GAP - m_beta or m_beta - m_star, and the
+    widths come out positive or 0.
+    """
+    if params.m_beta >= 1.0 - SATURATION_GAP:
+        raise DomainError(f"m_beta = {params.m_beta!r} is already past the "
+                          f"saturation cutoff 1 - {SATURATION_GAP:g}")
+
+
 def solve_maximal(params: ThermoParams, j) -> MaximalSolution:
     """Maximal stable solution for the current j.
 
@@ -139,11 +152,7 @@ def solve_maximal(params: ThermoParams, j) -> MaximalSolution:
     """
     if j == 0.0 or not np.isfinite(j):
         raise DomainError("zero-current or non-finite j: no maximal solution")
-    # tested on m_beta itself: past beta ~ 1e10 the cubic's difference no
-    # longer resolves 1 - SATURATION_GAP - m_beta and comes out positive
-    if params.m_beta >= 1.0 - SATURATION_GAP:
-        raise DomainError(f"m_beta = {params.m_beta!r} is already past the "
-                          f"saturation cutoff 1 - {SATURATION_GAP:g}")
+    _check_m_beta(params)
     width = _cubic(params, 1.0 - SATURATION_GAP) - _cubic(params, params.m_beta)
     return MaximalSolution(params, float(j), float(width / abs(j)))
 
@@ -153,15 +162,16 @@ def _metastable_maximal(params: ThermoParams, j) -> MetastableMaximal:
     down to m_star, reached at ell_break = [X(m_beta) - X(m_star)]/j."""
     if j <= 0.0 or not np.isfinite(j):
         raise DomainError("metastable arrangement needs a positive current")
+    _check_m_beta(params)
     width = _cubic(params, params.m_beta) - _cubic(params, params.m_star)
     return MetastableMaximal(params, float(j), float(width / j))
 
 
-def _sample_with_jump(maximal, x0, ell, n_samples, upper_sign):
-    """Uniform samples on [-ell, ell] of the maximal solution translated to
-    x0, with x0 duplicated: m jumps there from -upper_sign m_beta to
-    +upper_sign m_beta."""
-    base = np.linspace(-ell, ell, n_samples)
+def _sample_with_jump(maximal, x0, ell, upper_sign):
+    """N_SAMPLES uniform samples on [-ell, ell] of the maximal solution
+    translated to x0, with x0 duplicated: m jumps there from
+    -upper_sign m_beta to +upper_sign m_beta."""
+    base = np.linspace(-ell, ell, N_SAMPLES)
     lower = np.concatenate([base[base < x0], [x0]])
     x = np.concatenate([lower, [x0], base[base > x0]])
     h = maximal.h_of_x(x - x0)
@@ -171,9 +181,8 @@ def _sample_with_jump(maximal, x0, ell, n_samples, upper_sign):
     return x, h, m
 
 
-def solve_fixed_interface(params: ThermoParams, j, x0, ell,
-                          n_samples=801,
-                          maximal: MaximalSolution | None = None) -> StefanSolution:
+def solve_fixed_interface(params: ThermoParams, j, x0,
+                          ell) -> StefanSolution:
     """Restriction/translation of the maximal solution to (-ell, ell).
 
     m jumps across the plateau at x0 (from -m_beta to +m_beta for j < 0);
@@ -183,7 +192,7 @@ def solve_fixed_interface(params: ThermoParams, j, x0, ell,
         raise DomainError("half-length must be positive")
     if not -ell < x0 < ell:
         raise DomainError("interface must be interior to the domain")
-    maximal = maximal if maximal is not None else solve_maximal(params, j)
+    maximal = solve_maximal(params, j)
     if ell + abs(x0) > maximal.ell_j:
         raise InfeasibleError(
             f"domain half-length {ell} with interface {x0} exceeds the "
@@ -191,61 +200,22 @@ def solve_fixed_interface(params: ThermoParams, j, x0, ell,
             ell_j=maximal.ell_j,
         )
     sgn = 1.0 if j < 0 else -1.0
-    x, h, m = _sample_with_jump(maximal, x0, ell, n_samples, sgn)
+    x, h, m = _sample_with_jump(maximal, x0, ell, sgn)
     return StefanSolution(params, float(j), float(x0), float(ell),
                           maximal.ell_j, "stable", x, h, m)
 
 
-def solve_dirichlet(params: ThermoParams, m_minus, m_plus, ell):
-    """Current and interface position for boundary data outside the plateau.
-
-    For j < 0 the profile reaches m_plus at distance
-    [X(m_plus) - X(m_beta)]/|j| right of the interface and m_minus at
-    [X(|m_minus|) - X(m_beta)]/|j| left of it.  The two distances add up to
-    2 ell, so |j| = [X(m_plus) + X(|m_minus|) - 2 X(m_beta)]/(2 ell) and
-    x0 = ell - [X(m_plus) - X(m_beta)]/|j|.  Data with m_minus > 0 > m_plus
-    go through the symmetry (h, m, j) -> (-h, -m, -j) at fixed x.  Returns
-    (j, x0, solution).
-    """
-    if ell <= 0.0:
-        raise DomainError("half-length must be positive")
-    flip = 1.0
-    if -1.0 < m_plus < -params.m_beta and params.m_beta < m_minus < 1.0:
-        flip, m_minus, m_plus = -1.0, -m_minus, -m_plus
-    if not (-1.0 < m_minus < -params.m_beta and params.m_beta < m_plus < 1.0):
-        raise DomainError("boundary data must straddle the plateau")
-    x_beta = _cubic(params, params.m_beta)
-    rise_plus = _cubic(params, m_plus) - x_beta
-    rise_minus = _cubic(params, -m_minus) - x_beta
-    ja = (rise_plus + rise_minus) / (2.0 * ell)
-    j, x0 = -flip * float(ja), float(ell - rise_plus / ja)
-    return j, x0, solve_fixed_interface(params, j, x0, ell)
-
-
-def solve_metastable(params: ThermoParams, j, ell, n_samples=801,
-                     mirrored=False,
-                     maximal: MetastableMaximal | None = None) -> StefanSolution:
+def solve_metastable(params: ThermoParams, j, ell) -> StefanSolution:
     """Metastable arrangement for j > 0: the field decreases through 0 and m
     jumps upward across the plateau at the origin, staying in the metastable
-    bands on both sides.
-
-    ``mirrored=True`` returns the sign-flipped arrangement (current -j).
-    """
-    if mirrored:
-        base = solve_metastable(params, -j if j < 0 else j, ell,
-                                n_samples=n_samples, maximal=maximal)
-        return StefanSolution(params, -base.j, base.x0, base.ell, base.ell_j,
-                              base.branch, base.x, -base.h, -base.m)
-    if j <= 0.0:
-        raise DomainError("metastable arrangement needs j > 0 "
-                          "(use mirrored=True for the flipped one)")
-    maximal = maximal if maximal is not None else _metastable_maximal(params, j)
+    bands on both sides."""
+    maximal = _metastable_maximal(params, j)
     if ell >= maximal.ell_break:
         raise BranchRangeError(
             f"half-length {ell} reaches the branch breakdown "
             f"(at {maximal.ell_break:.6g})",
             breakdown=maximal.ell_break,
         )
-    x, h, m = _sample_with_jump(maximal, 0.0, ell, n_samples, +1.0)
+    x, h, m = _sample_with_jump(maximal, 0.0, ell, +1.0)
     return StefanSolution(params, float(j), 0.0, float(ell),
                           maximal.ell_break, "metastable", x, h, m)

@@ -1,22 +1,20 @@
 """Pointwise mean-field thermodynamics for inverse temperature beta > 1.
 
-Potential, entropy, convex envelope, Legendre-dual pressure, mobility and
-diffusion coefficients.  m_beta, the pressure's maximizer and the inverse of
-potential_prime on the outer branch (h > 0) and the metastable one
-(-metastable_branch_limit < h <= 0) are all bulk_root(beta, h), the largest
-root of m = tanh(beta (m + h)); the pressure is closed form at that root.
+Potential, entropy, convex envelope, Legendre-dual pressure and mobility.
+m_beta, the pressure's maximizer and the inverse of potential_prime on the
+outer branch (h > 0) and the metastable one (-|potential_prime(m_star)| <
+h <= 0) are all bulk_root(beta, h), the largest root of
+m = tanh(beta (m + h)); the pressure is closed form at that root.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BranchRangeError, ConvergenceError, DomainError
-from .grids import Kernel, Profile, conv_values, trapezoid
 
 
 @dataclass(frozen=True)
@@ -28,7 +26,7 @@ class ThermoParams:
     m_star: float   # spinodal value sqrt(1 - 1/beta)
 
 
-_TOP = 1.0 - 1e-16      # largest root returned where tanh saturates
+SATURATED_ROOT = 1.0 - 1e-16   # largest root returned where tanh saturates
 _MAX_NEWTON = 100
 
 
@@ -38,7 +36,7 @@ def bulk_root(beta, h):
 
     Newton's method on f(m) = m - tanh(beta (m + h)) from m = 1 - 1e-16.
     Where m + h > 0, f is convex, so the iterates fall monotonically onto
-    the largest root; that covers every h > -metastable_branch_limit, and
+    the largest root; that covers every h > -|potential_prime(m_star)|, and
     a field at or below it raises :class:`BranchRangeError`.  Each entry
     stops when a step no longer lowers it.  Where tanh has saturated
     (f(1 - 1e-16) <= 0) the root is 1 to rounding and 1 - 1e-16 is returned.
@@ -50,7 +48,7 @@ def bulk_root(beta, h):
         if np.any(h <= h_lo):
             raise BranchRangeError(f"field {np.min(h)} below the branch image "
                                    f"(limit {h_lo:.6g})", breakdown=h_lo)
-    m = np.full(h.shape, _TOP)
+    m = np.full(h.shape, SATURATED_ROOT)
     for _ in range(_MAX_NEWTON):
         t = np.tanh(beta * (m + h))
         m_next = m - (m - t) / (1.0 - beta * (1.0 - t * t))
@@ -101,12 +99,6 @@ def potential_prime(params: ThermoParams, m):
     return -m + np.arctanh(m) / params.beta
 
 
-def potential_double_prime(params: ThermoParams, m):
-    m = np.asarray(m, dtype=float)
-    _check_open_unit(m)
-    return -1.0 + 1.0 / (params.beta * (1.0 - m * m))
-
-
 def convex_envelope(params: ThermoParams, s):
     """Convex envelope of the potential: flat at potential(m_beta) on the
     plateau [-m_beta, m_beta], equal to the potential outside."""
@@ -114,14 +106,6 @@ def convex_envelope(params: ThermoParams, s):
     _check_open_unit(s)
     flat = potential(params, params.m_beta)
     out = np.where(np.abs(s) >= params.m_beta, potential(params, s), flat)
-    return out if out.ndim else float(out)
-
-
-def convex_envelope_prime(params: ThermoParams, s):
-    """Derivative of the envelope: 0 on the plateau, potential_prime outside."""
-    s = np.asarray(s, dtype=float)
-    _check_open_unit(s)
-    out = np.where(np.abs(s) >= params.m_beta, potential_prime(params, s), 0.0)
     return out if out.ndim else float(out)
 
 
@@ -143,52 +127,8 @@ def pressure(params: ThermoParams, h):
     return out if out.ndim else float(out)
 
 
-def metastable_branch_limit(params: ThermoParams) -> float:
-    """|potential_prime(m_star)|: half-width of the metastable field range."""
-    return float(-potential_prime(params, params.m_star))
-
-
 def mobility(params: ThermoParams, m):
     """Transport coefficient beta (1 - m^2); positive on (-1, 1)."""
     m = np.asarray(m, dtype=float)
     out = params.beta * (1.0 - m * m)
     return out if out.ndim else float(out)
-
-
-class Diffusivity(NamedTuple):
-    value: float
-    on_plateau: bool
-
-
-def diffusivity(params: ThermoParams, m) -> Diffusivity:
-    """mobility * envelope curvature; exactly 0 (flagged) on the plateau."""
-    ma = abs(float(m))
-    if ma >= 1.0:
-        raise DomainError("m must lie inside (-1, 1)")
-    if ma <= params.m_beta:
-        return Diffusivity(0.0, True)
-    val = float(mobility(params, m)) * float(potential_double_prime(params, m))
-    return Diffusivity(val, False)
-
-
-def metastable_diffusivity(params: ThermoParams, m):
-    """1 - beta (1 - m^2); equals mobility * potential curvature pointwise."""
-    m = np.asarray(m, dtype=float)
-    out = 1.0 - params.beta * (1.0 - m * m)
-    return out if out.ndim else float(out)
-
-
-def free_energy(params: ThermoParams, kernel: Kernel, profile: Profile) -> float:
-    """Bulk potential plus the nonlocal quadratic interaction energy.
-
-    Uses the algebraic identity
-    (1/4) iint J^neum (m(x)-m(y))^2 = (1/2) [ int m^2 - int m (J^neum * m) ],
-    valid because the reflected kernel preserves constants.
-    """
-    m = profile.values
-    _check_open_unit(m)
-    grid = profile.grid
-    bulk = trapezoid(grid, potential(params, m))
-    conv = conv_values(kernel, grid, m)
-    interaction = 0.5 * (trapezoid(grid, m * m) - trapezoid(grid, m * conv))
-    return float(bulk + interaction)

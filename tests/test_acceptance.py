@@ -15,10 +15,10 @@ import pytest
 from conftest import EPS_SWEEP, J_STABLE, X0, geometric_mean
 from mesostefan.antisym import (fixed_point_defect, flux_defect,
                                 hydrodynamic_error)
-from mesostefan.grids import Profile, build_grid, build_kernel, KERNEL_SHAPES
+from mesostefan.grids import (build_grid, build_kernel, conv_values,
+                              KERNEL_SHAPES)
 from mesostefan.instanton import apply_transfer, compute_instanton
-from mesostefan.thermo import (convex_envelope, free_energy, potential,
-                               pressure)
+from mesostefan.thermo import convex_envelope, potential, pressure
 
 SPECTRAL_GAP_MARGIN = 0.25     # criterion 7: lambda2 <= 1 - g with g = 0.25
 
@@ -224,11 +224,13 @@ def test_criterion_11_thermodynamic_oracles(params2, kernel05):
         np.asarray(convex_envelope(params2, queries))
         - np.interp(queries, hx, hy))))
 
-    # interaction energy against the O(n^2) double sum on 201 points
+    # energy with the interaction (1/2)[int m^2 - int m (J^neum * m)] through
+    # conv_values, against the O(n^2) double sum on 201 points
     g = build_grid(0.1, 1.0, 1.0, 0.1)
     k = build_kernel(0.1)
     m = params2.m_beta * np.tanh(g.points / 2.0)
-    fe = free_energy(params2, k, Profile(g, m))
+    fe = np.trapezoid(potential(params2, m)
+                      + 0.5 * (m * m - m * conv_values(k, g, m)), dx=g.spacing)
     shape = KERNEL_SHAPES[k.shape]
     offs = k.spacing * np.arange(-k.half_points, k.half_points + 1)
     tw = np.where(np.abs(np.arange(-k.half_points, k.half_points + 1))

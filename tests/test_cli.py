@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -19,7 +20,7 @@ from mesostefan.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_NUMERICAL,
                             EXIT_OK, SWEEP_HEADER, main, run, validate)
 from mesostefan.config import RunConfig, parse_config
 from mesostefan.errors import DomainError, GridError, InfeasibleError
-from mesostefan.profiles import load_profile, load_state
+from mesostefan.profiles import load_columns, load_state
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "scripts", "configs")
 
@@ -124,8 +125,8 @@ def test_instanton_command(tmp_path):
     assert main(["instanton", "--beta", "2", "--out", str(out)]) == EXIT_OK
     data = json.loads((out / "instanton.json").read_text())
     assert data["residual"] < 1e-10
-    prof = load_profile(str(out / "instanton.csv"))
-    assert prof.values[0] == pytest.approx(-data["m_beta"], abs=1e-9)
+    value, = load_columns(str(out / "instanton.csv"), ("value",))
+    assert value[0] == pytest.approx(-data["m_beta"], abs=1e-9)
 
 
 def test_stefan_command_and_infeasible_exit(tmp_path):
@@ -138,6 +139,53 @@ def test_stefan_command_and_infeasible_exit(tmp_path):
     data = json.loads((out / "stefan.json").read_text())
     assert data["feasible"] is False
     assert data["ell_j"] == pytest.approx(1.9467161267, abs=1e-6)
+
+
+@pytest.mark.parametrize("beta", ["19", "1e300"])
+def test_instanton_command_refuses_saturated_beta(tmp_path, capsys, beta):
+    """A saturated m_beta is a config error before any step: no 50 000-step
+    run to exit 4 (beta = 1e300), no NaN constants written (beta = 19)."""
+    out = tmp_path / "i"
+    start = time.perf_counter()
+    assert main(["instanton", "--beta", beta, "--out", str(out)]) \
+        == EXIT_CONFIG
+    assert time.perf_counter() - start < 1.0
+    assert "config error: m_beta is 1 to rounding" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode, j", [("antisym", -0.02), ("metastable", 0.02)])
+def test_saturated_beta_is_a_config_error_in_every_mode(mode, j):
+    """At beta = 1e10 both maximal solutions refuse the saturated m_beta; the
+    metastable one used to report ell_break = 0, an infeasible (-3) row."""
+    cfg = RunConfig(beta=1e10, j=j, mode=mode, eps_list=[0.1, 0.05], n0=2)
+    assert [r.iters for r in run(cfg).rows] == [-EXIT_CONFIG, -EXIT_CONFIG]
+    finding, = validate(cfg)
+    assert _finding_code(finding) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("n0", [-1, -3, -20, -1000])
+def test_negative_n0_is_a_config_error(tmp_path, capsys, n0):
+    """n0 < 0 glues the seed left of the interface: solve, sweep and
+    validate all report it as a config error naming the gluing point."""
+    argv = ["solve", "--eps", "0.1", "--j", "-0.02", "--ell", "1",
+            "--n0", str(n0), "--out", str(tmp_path / "run")]
+    assert main(argv) == EXIT_CONFIG
+    assert "gluing point x_eps + 2 n0" in capsys.readouterr().err
+    cfg = RunConfig(j=-0.02, ell=1.0, eps_list=[0.1], n0=n0)
+    row, = run(cfg).rows
+    assert row.iters == -EXIT_CONFIG
+    assert row.error.startswith("GridError: n0 = ")
+    finding, = validate(cfg)
+    assert _finding_code(finding) == EXIT_CONFIG
+    assert "gluing point" in finding[1]
+
+
+def test_zero_n0_still_solves(tmp_path):
+    cfg = RunConfig(j=-0.02, ell=1.0, eps_list=[0.1], n0=0)
+    assert validate(cfg) == []
+    row, = run(cfg).rows
+    assert row.iters > 0 and row.error == ""
 
 
 TRACE_HEADER = "k,increment,ratio,residual,inner_tol,picard_steps,inner_path"
@@ -425,14 +473,15 @@ def test_validate_findings(params2):
     cfg = RunConfig(beta=2.0, j=-0.2, ell=1.0, mode="antisym",
                     eps_list=[0.1], n0=2)
     findings = validate(cfg)
-    assert any("ell_j" in f or "maximal" in f for f in findings)
-    assert all(f.startswith("infeasible: ") for f in findings)
+    assert any("ell_j" in f or "maximal" in f for _, f in findings)
+    assert all(code == EXIT_INFEASIBLE and f.startswith("infeasible: ")
+               for code, f in findings)
     cfg_ok = RunConfig(beta=2.0, j=-0.02, ell=1.0, mode="antisym",
                        eps_list=[0.1], n0=2)
     assert validate(cfg_ok) == []
     cfg_zero = RunConfig(j=0.0)
     notes = validate(cfg_zero)
-    assert any("zero-current" in f for f in notes)
+    assert any("zero-current" in f for _, f in notes)
 
 
 def test_validate_matches_off_center_grid_checks():
@@ -442,7 +491,7 @@ def test_validate_matches_off_center_grid_checks():
                     eps_list=[0.03], n0=2)
     findings = validate(cfg)
     assert any("eps = 0.03" in f and "whole number of cells" in f
-               for f in findings)
+               for _, f in findings)
     row, = run(cfg).rows
     assert row.iters == -EXIT_CONFIG
     shipped = RunConfig(beta=2.0, j=-0.02, x0=0.2, mode="asym",
@@ -451,10 +500,10 @@ def test_validate_matches_off_center_grid_checks():
 
 
 def _finding_code(finding) -> int:
-    codes = [code for code, prefix in cli._EXIT_PREFIX.items()
-             if finding.startswith(prefix + ": ")]
-    assert len(codes) == 1, finding
-    return codes[0]
+    """The exit code of a finding, whose message starts with its prefix."""
+    code, message = finding
+    assert message.startswith(cli._EXIT_PREFIX[code] + ": "), finding
+    return code
 
 
 @pytest.mark.parametrize("mode, x0, eps", [("asym", 0.0, 0.1),
@@ -468,7 +517,7 @@ def test_validate_reports_solver_preconditions(mode, x0, eps):
     row, = run(cfg).rows
     assert row.iters == -EXIT_CONFIG
     assert _finding_code(finding) == EXIT_CONFIG
-    assert finding.endswith(row.error.split(": ", 1)[1])
+    assert finding[1].endswith(row.error.split(": ", 1)[1])
 
 
 def test_validate_reports_saturated_beta(tmp_path, capsys):
@@ -476,8 +525,8 @@ def test_validate_reports_saturated_beta(tmp_path, capsys):
     printed like the others, and validate exits with its code."""
     cfg = RunConfig(beta=20.0, j=-0.02, eps_list=[0.1], n0=2)
     finding, = validate(cfg)
-    assert finding.startswith("config error: ")
-    assert "past the saturation cutoff" in finding
+    assert _finding_code(finding) == EXIT_CONFIG
+    assert "past the saturation cutoff" in finding[1]
     path = tmp_path / "b20.txt"
     path.write_text("beta = 20.0\nj = -0.02\nn0 = 2\n")
     assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
@@ -526,7 +575,7 @@ def test_validate_agrees_with_run(mode, j_abs, flip, ell, x0, eps_list, n0):
     for row in rows:
         # a finding without "eps = " comes from the shared inputs: all scales
         mine = [_finding_code(f) for f in findings
-                if f"eps = {row.eps}: " in f or "eps = " not in f]
+                if f"eps = {row.eps}: " in f[1] or "eps = " not in f[1]]
         if row.iters in (-EXIT_CONFIG, -EXIT_INFEASIBLE):
             assert mine == [-row.iters], (row, findings)
         elif row.iters >= 0:
@@ -614,17 +663,22 @@ def test_state_columns_parse_like_float(tmp_path):
 
 
 def test_profile_csv_round_trip(tmp_path):
-    from mesostefan.grids import Profile, build_grid
+    from mesostefan.grids import build_grid
     from mesostefan.profiles import save_profile
 
     g = build_grid(0.1, 1.0, 1.0, 0.05)
     values = np.sin(g.points / 3.0) * 1e-7 + 0.123456789012345678
     path = str(tmp_path / "p.csv")
-    save_profile(path, Profile(g, values))
-    back = load_profile(path)
-    assert np.array_equal(back.values, values)
-    assert back.grid.epsilon == g.epsilon
-    assert back.grid.n == g.n
+    save_profile(path, g, values)
+    x, back = load_columns(path, ("x", "value"))
+    assert np.array_equal(back, values)
+    assert np.array_equal(x, g.points)
+    grid = json.loads((tmp_path / "p.grid.json").read_text())
+    assert grid["epsilon"] == g.epsilon
+    assert grid["n"] == g.n
+    with pytest.raises(ValueError):      # values must match the grid
+        save_profile(str(tmp_path / "q.csv"), g, values[:-1])
+    assert not (tmp_path / "q.csv").exists()
 
 
 #: values per config key: valid ones, and the malformed, non-finite, out of

@@ -8,9 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from mesostefan.errors import GridError
 from mesostefan.grids import (BLOCK, KERNEL_SHAPES, POINT_CAP, TAP_CAP, Grid,
-                              Profile, build_grid, build_kernel, conv_values,
-                              conv_values_filled, trapezoid,
-                              trapezoid_antiderivative)
+                              build_grid, build_kernel, conv_values,
+                              conv_values_filled, trapezoid_antiderivative)
 from oracles import convolve_reference, neumann_matrix
 
 #: 21, 41, 161, 321 and 641 taps
@@ -245,19 +244,6 @@ def test_antiderivative_matches_scipy_bitwise(n):
         ref = cumulative_trapezoid(f, dx=0.05, initial=0.0)
         ref = ref - ref[anchor]
         assert np.array_equal(trapezoid_antiderivative(g, f, anchor), ref)
-
-
-def test_profile_shape_guard():
-    g = build_grid(0.1, 1.0, 1.0, 0.05)
-    with pytest.raises(GridError):
-        Profile(g, np.zeros(g.n - 1))
-
-
-def test_trapezoid_matches_numpy():
-    g = build_grid(0.1, 1.0, 1.0, 0.05)
-    f = g.points ** 2
-    assert trapezoid(g, f) == pytest.approx(
-        np.trapezoid(f, dx=g.spacing), abs=0)
 
 
 def _line(n, spacing):

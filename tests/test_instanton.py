@@ -8,9 +8,7 @@ from mesostefan import instanton
 from mesostefan.errors import ConvergenceError, DomainError, GridError
 from mesostefan.grids import build_kernel
 from mesostefan.instanton import (apply_transfer, compute_instanton,
-                                  odd_contraction_factor,
-                                  projected_decay_norms,
-                                  project_out_unit_mode, threshold_abscissa)
+                                  threshold_abscissa)
 from mesostefan.thermo import make_params
 
 
@@ -37,6 +35,28 @@ def test_profile_reaches_equilibrium_value(inst05, params2):
 def test_two_seed_agreement(params2, kernel05, inst05):
     other = compute_instanton(params2, kernel05, seed="tanh")
     assert np.max(np.abs(other.profile - inst05.profile)) < 1e-8
+
+
+@pytest.mark.parametrize("beta", [19.0, 1e300])
+def test_saturated_m_beta_refused_before_iterating(beta, monkeypatch):
+    """m_beta = 1 - 1e-16 (1 to rounding, from beta ~ 18.5) is refused
+    before the first convolution: at beta = 19 the profile's mobility
+    reached 0 and mean and norm_sq came out NaN, and at 1e300 the
+    iteration ran its whole step budget."""
+    calls = []
+    monkeypatch.setattr(instanton, "conv_values_filled",
+                        lambda *args: calls.append(1))
+    with pytest.raises(DomainError, match="m_beta is 1 to rounding"):
+        compute_instanton(make_params(beta), build_kernel(0.05))
+    assert calls == []
+
+
+@pytest.mark.parametrize("beta", [2.0, 4.0, 8.0, 12.0])
+def test_unsaturated_betas_converge(beta):
+    """Below the refusal threshold the iteration runs to its tolerance."""
+    inst = compute_instanton(make_params(beta), build_kernel(0.05))
+    assert inst.residual < 1e-12
+    assert np.isfinite(inst.mean) and np.isfinite(inst.norm_sq)
 
 
 def test_preconditions():
@@ -109,44 +129,10 @@ def test_eigenrelation_fine(inst_fine):
     assert np.max(np.abs(err[interior])) < 1e-6
 
 
-def test_projected_decay_unit_mode(inst05, kernel05):
-    norms = projected_decay_norms(inst05, kernel05, inst05.derivative, 8)
-    assert np.all(norms < 1e-10)
-
-
-def test_projected_decay_odd_bump(inst05, kernel05):
-    f = np.sign(inst05.x) * np.exp(-(np.abs(inst05.x) - 1.5) ** 2)
-    norms = projected_decay_norms(inst05, kernel05, f, 12)
-    # geometric fit over the leading terms, before rounding flattens the tail
-    lead = norms[:8]
-    fit = linregress(np.arange(lead.size), np.log(lead))
-    assert -fit.slope > 0.0
-    assert fit.rvalue ** 2 > 0.9
-
-
-def test_projected_decay_constant(inst05, kernel05):
-    norms = projected_decay_norms(inst05, kernel05, np.ones(inst05.x.size), 25)
-    ratios = norms[1:] / norms[:-1]
-    assert np.all(ratios[2:] < 1.0 + 1e-9)
-
-
-def test_projection_removes_derivative_component(inst05):
-    f = 0.7 * inst05.derivative + np.cos(inst05.x / 5.0) * 0.1
-    g = project_out_unit_mode(inst05, f)
-    md = inst05.unit_derivative()
-    assert abs(inst05.weighted_dot(g, md)) < 1e-12
-
-
-def test_odd_contraction_diagnostic(inst05, kernel05):
-    r1 = odd_contraction_factor(inst05, kernel05, 1)
-    r2 = odd_contraction_factor(inst05, kernel05, 2)
-    assert r2 < r1 < 1.0
-    assert r2 < 0.5
-
-
-def test_nonconvergence_raises(params2, kernel05):
+def test_nonconvergence_raises(params2, kernel05, monkeypatch):
+    monkeypatch.setattr(instanton, "_MAX_ITER", 3)
     with pytest.raises(ConvergenceError):
-        compute_instanton(params2, kernel05, tol=1e-12, max_iter=3)
+        compute_instanton(params2, kernel05)
 
 
 @pytest.mark.parametrize("max_iter", [1, 3, 10])
@@ -161,8 +147,9 @@ def test_one_convolution_per_step(params2, kernel05, monkeypatch, max_iter):
         return real(*args)
 
     monkeypatch.setattr(instanton, "conv_values_filled", counted)
+    monkeypatch.setattr(instanton, "_MAX_ITER", max_iter)
     with pytest.raises(ConvergenceError):
-        compute_instanton(params2, kernel05, tol=1e-12, max_iter=max_iter)
+        compute_instanton(params2, kernel05)
     assert len(calls) == max_iter + 1
 
 

@@ -1,4 +1,4 @@
-"""Spectral analysis of the linearized map: eigenpair, gap, resolvent."""
+"""Spectral analysis of the linearized map: eigenpair, gap, eigenvector shape."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,7 @@ from mesostefan.grids import build_grid
 from mesostefan.meso import (apply_linearized, effective_field, inner_solve,
                              make_state)
 from mesostefan.spectral import (deflate, eigenvector_shape_report,
-                                 leading_eigenpair, resolvent_solve,
-                                 second_eigenvalue)
+                                 leading_eigenpair, second_eigenvalue)
 from mesostefan.thermo import mobility
 
 
@@ -81,29 +80,6 @@ def test_positive_seed_stays_positive(fine_instanton_state):
         psi = apply_linearized(st, psi)
         assert np.all(psi > 0.0)
         psi = psi / np.max(psi)
-
-
-def test_resolvent_of_eigenvector_is_zero(fine_instanton_state, fine_pair):
-    x = resolvent_solve(fine_instanton_state, fine_pair, fine_pair.u.copy())
-    assert np.max(np.abs(x)) < 1e-9
-
-
-def test_resolvent_contract_and_locality(fine_instanton_state, fine_pair):
-    st = fine_instanton_state
-    f = np.exp(-((st.grid.points - 4.0) / 0.7) ** 2)
-    x = resolvent_solve(st, fine_pair, f, tol=1e-9)
-    f_perp = deflate(st, fine_pair, f)
-    lhs = apply_linearized(st, x) - x
-    assert np.max(np.abs(lhs - f_perp)) < 1e-9
-    # the response decays exponentially away from the bump; fit on the side
-    # away from the interface, above the rounding floor
-    from scipy.stats import linregress
-
-    mag = np.abs(x)
-    sel = (st.grid.points > 6.0) & (st.grid.points < 10.0) & (mag > 1e-12)
-    fit = linregress(st.grid.points[sel] - 4.0, np.log(mag[sel]))
-    assert -fit.slope > 0.5
-    assert fit.rvalue ** 2 > 0.95
 
 
 def test_shape_report_on_interface_state(fine_instanton_state, fine_pair,

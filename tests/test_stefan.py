@@ -5,17 +5,16 @@ import pytest
 from scipy.integrate import quad
 
 from mesostefan.errors import BranchRangeError, DomainError, InfeasibleError
-from mesostefan.stefan import (SATURATION_GAP, solve_dirichlet,
+from mesostefan.stefan import (SATURATION_GAP, _metastable_maximal,
                                solve_fixed_interface, solve_maximal,
                                solve_metastable)
-from mesostefan.thermo import (make_params, metastable_branch_limit,
-                               metastable_diffusivity, mobility,
-                               potential_prime)
+from mesostefan.thermo import make_params, mobility, potential_prime
 
 
 def ell_oracle(params, j, m_hi):
-    """Independent quadrature: x(m) = int of the outer diffusivity / |j|."""
-    val, _ = quad(lambda m: metastable_diffusivity(params, m),
+    """Independent quadrature: x(m) = (1/|j|) int_{m_beta}^{m} of the outer
+    diffusivity 1 - beta (1 - m^2)."""
+    val, _ = quad(lambda m: 1.0 - params.beta * (1.0 - m * m),
                   params.m_beta, m_hi, epsabs=1e-13, epsrel=1e-13)
     return val / abs(j)
 
@@ -53,9 +52,17 @@ def test_maximal_abscissa_oracle_other_beta(beta):
 
 
 def test_maximal_rejects_saturated_m_beta():
-    """From beta ~ 7.6 on, m_beta itself exceeds 1 - SATURATION_GAP."""
+    """From beta ~ 7.25 on, m_beta itself exceeds 1 - SATURATION_GAP."""
     with pytest.raises(DomainError):
         solve_maximal(make_params(10.0), -0.02)
+
+
+@pytest.mark.parametrize("beta", [10.0, 1e10, 1e300])
+def test_metastable_maximal_rejects_saturated_m_beta(beta):
+    """The metastable solution makes the stable one's m_beta test: at
+    beta = 1e10 its width used to round to ell_break = 0 ("infeasible")."""
+    with pytest.raises(DomainError, match="past the saturation cutoff"):
+        _metastable_maximal(make_params(beta), 0.02)
 
 
 def test_edge_slope_is_current(params2):
@@ -84,9 +91,8 @@ def test_maximal_oddness(params2, maximal_stable):
                          + maximal_stable.m_of_x(-xs))) == 0.0
 
 
-def test_fixed_interface_symmetric(params2, maximal_stable):
-    sol = solve_fixed_interface(params2, -0.02, 0.0, 1.0,
-                                maximal=maximal_stable)
+def test_fixed_interface_symmetric(params2):
+    sol = solve_fixed_interface(params2, -0.02, 0.0, 1.0)
     n = sol.x.size
     assert np.max(np.abs(sol.h + sol.h[::-1])) < 1e-12
     assert np.max(np.abs(sol.m + sol.m[::-1])) < 1e-12
@@ -97,9 +103,8 @@ def test_fixed_interface_symmetric(params2, maximal_stable):
     assert sol.m[jump[1]] == pytest.approx(+params2.m_beta, abs=1e-9)
 
 
-def test_fixed_interface_straddles_plateau(params2, maximal_stable):
-    sol = solve_fixed_interface(params2, -0.02, 0.2, 1.0,
-                                maximal=maximal_stable)
+def test_fixed_interface_straddles_plateau(params2):
+    sol = solve_fixed_interface(params2, -0.02, 0.2, 1.0)
     assert sol.m[0] < -params2.m_beta < params2.m_beta < sol.m[-1]
     assert np.all(np.abs(sol.m) >= params2.m_beta - 1e-12)
     # field strictly monotone and vanishing at the interface
@@ -109,8 +114,7 @@ def test_fixed_interface_straddles_plateau(params2, maximal_stable):
 
 def test_fixed_interface_restriction_property(params2, maximal_stable):
     """Samples coincide with the translated maximal solution pointwise."""
-    sol = solve_fixed_interface(params2, -0.02, 0.2, 1.0,
-                                maximal=maximal_stable)
+    sol = solve_fixed_interface(params2, -0.02, 0.2, 1.0)
     keep = sol.x != 0.2
     h_ref = maximal_stable.h_of_x(sol.x[keep] - 0.2)
     m_ref = maximal_stable.m_of_x(sol.x[keep] - 0.2)
@@ -132,56 +136,14 @@ def test_fixed_interface_flux_constancy(params2, maximal_stable):
 
 def test_fixed_interface_infeasible(params2, maximal_stable):
     with pytest.raises(InfeasibleError) as exc:
-        solve_fixed_interface(params2, -0.02, 0.2, 1.9, maximal=maximal_stable)
+        solve_fixed_interface(params2, -0.02, 0.2, 1.9)
     assert exc.value.ell_j == pytest.approx(maximal_stable.ell_j)
     with pytest.raises(DomainError):
-        solve_fixed_interface(params2, -0.02, 1.5, 1.0, maximal=maximal_stable)
+        solve_fixed_interface(params2, -0.02, 1.5, 1.0)
 
 
-def test_dirichlet_symmetric_data(params2):
-    j, x0, sol = solve_dirichlet(params2, -0.98, 0.98, 1.0)
-    assert abs(x0) < 1e-8
-    assert j < 0.0
-    assert sol.m[0] == pytest.approx(-0.98, abs=1e-6)
-    assert sol.m[-1] == pytest.approx(0.98, abs=1e-6)
-
-
-def test_dirichlet_round_trip(params2):
-    j, x0, _ = solve_dirichlet(params2, -0.97, 0.985, 1.0)
-    sol = solve_fixed_interface(params2, j, x0, 1.0)
-    assert sol.m[0] == pytest.approx(-0.97, abs=1e-6)
-    assert sol.m[-1] == pytest.approx(0.985, abs=1e-6)
-
-
-def test_dirichlet_small_data_small_current(params2):
-    j_small, _, _ = solve_dirichlet(params2, -(params2.m_beta + 1e-3),
-                                    params2.m_beta + 1e-3, 1.0)
-    j_big, _, _ = solve_dirichlet(params2, -0.99, 0.99, 1.0)
-    assert abs(j_small) < abs(j_big)
-
-
-def test_dirichlet_mirrored(params2):
-    j, x0, sol = solve_dirichlet(params2, 0.98, -0.98, 1.0)
-    assert j > 0.0
-    assert sol.m[0] > params2.m_beta > -params2.m_beta > sol.m[-1]
-
-
-@pytest.mark.parametrize("m_minus,m_plus", [(-0.97, 0.985), (0.99, -0.96)])
-def test_dirichlet_matches_boundary_data(params2, m_minus, m_plus):
-    j, x0, sol = solve_dirichlet(params2, m_minus, m_plus, 1.0)
-    assert (sol.j, sol.x0) == (j, x0)
-    assert (sol.x[0], sol.x[-1]) == (-1.0, 1.0)
-    assert abs(sol.m[0] - m_minus) < 1e-12
-    assert abs(sol.m[-1] - m_plus) < 1e-12
-
-
-def test_dirichlet_rejects_plateau_data(params2):
-    with pytest.raises(DomainError):
-        solve_dirichlet(params2, -0.5, 0.98, 1.0)
-
-
-def test_metastable_structure(params2, maximal_meta):
-    sol = solve_metastable(params2, 0.02, 1.0, maximal=maximal_meta)
+def test_metastable_structure(params2):
+    sol = solve_metastable(params2, 0.02, 1.0)
     assert np.all(np.diff(sol.h) <= 1e-15)
     jump = np.where(sol.x == 0.0)[0]
     assert sol.m[jump[0]] == pytest.approx(-params2.m_beta, abs=1e-9)
@@ -194,7 +156,7 @@ def test_metastable_structure(params2, maximal_meta):
 
 
 def test_metastable_breakdown_oracle(params2, maximal_meta):
-    val, _ = quad(lambda m: metastable_diffusivity(params2, m),
+    val, _ = quad(lambda m: 1.0 - params2.beta * (1.0 - m * m),
                   params2.m_star, params2.m_beta, epsabs=1e-13, epsrel=1e-13)
     assert maximal_meta.ell_break == pytest.approx(val / 0.02, abs=1e-6)
 
@@ -221,8 +183,7 @@ def test_metastable_flux_constancy(params2, maximal_meta):
 
 def test_metastable_breakdown_error(params2, maximal_meta):
     with pytest.raises(BranchRangeError) as exc:
-        solve_metastable(params2, 0.02, maximal_meta.ell_break + 0.1,
-                         maximal=maximal_meta)
+        solve_metastable(params2, 0.02, maximal_meta.ell_break + 0.1)
     assert exc.value.breakdown == pytest.approx(maximal_meta.ell_break)
 
 
@@ -231,18 +192,9 @@ def test_metastable_needs_positive_current(params2):
         solve_metastable(params2, -0.02, 1.0)
 
 
-def test_metastable_mirrored(params2, maximal_meta):
-    base = solve_metastable(params2, 0.02, 1.0, maximal=maximal_meta)
-    mirr = solve_metastable(params2, 0.02, 1.0, mirrored=True,
-                            maximal=maximal_meta)
-    assert mirr.j == -base.j
-    assert np.max(np.abs(mirr.m + base.m)) == 0.0
-    assert np.max(np.abs(mirr.h + base.h)) == 0.0
-
-
-def test_metastable_field_within_branch_limit(params2, maximal_meta):
-    sol = solve_metastable(params2, 0.02, 1.0, maximal=maximal_meta)
-    assert np.max(np.abs(sol.h)) < metastable_branch_limit(params2)
+def test_metastable_field_within_branch_limit(params2):
+    sol = solve_metastable(params2, 0.02, 1.0)
+    assert np.max(np.abs(sol.h)) < -potential_prime(params2, params2.m_star)
 
 
 @pytest.mark.parametrize("branch", ["stable", "stable_j_pos", "metastable"])
@@ -262,9 +214,8 @@ def test_sampling_scalar_and_array_shapes(params2, maximal_stable,
     assert mx.h_of_x(0.0) == 0.0
 
 
-def test_csv_round_trip(params2, maximal_stable):
-    sol = solve_fixed_interface(params2, -0.02, 0.2, 1.0,
-                                maximal=maximal_stable)
+def test_csv_round_trip(params2):
+    sol = solve_fixed_interface(params2, -0.02, 0.2, 1.0)
     text = sol.to_csv()
     rows = text.strip().splitlines()
     assert rows[0] == "x,h,m"

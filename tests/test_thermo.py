@@ -7,14 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mesostefan.errors import BranchRangeError, DomainError
-from mesostefan.grids import Profile, build_grid, build_kernel, KERNEL_SHAPES
-from mesostefan.thermo import (Diffusivity, bulk_root, convex_envelope,
-                               convex_envelope_prime, diffusivity, entropy,
-                               free_energy, make_params,
-                               metastable_branch_limit,
-                               metastable_diffusivity, mobility, potential,
-                               potential_double_prime, potential_prime,
-                               pressure, solve_m_beta)
+from mesostefan.grids import (build_grid, build_kernel, conv_values,
+                              KERNEL_SHAPES)
+from mesostefan.thermo import (bulk_root, convex_envelope, entropy,
+                               make_params, mobility, potential,
+                               potential_prime, pressure, solve_m_beta)
 
 
 # ----------------------------------------------------------------- oracles
@@ -162,9 +159,10 @@ def test_mean_field_root_saturates():
        st.floats(min_value=-0.999, max_value=2.0))
 def test_mean_field_root_monotone_property(f1, f2):
     """The root increases with h over its whole range (fields drawn as
-    multiples of the metastable branch limit below 0)."""
+    multiples of the metastable branch limit |potential_prime(m_star)| below
+    0)."""
     p = make_params(2.0)
-    limit = metastable_branch_limit(p)
+    limit = -float(potential_prime(p, p.m_star))
     lo, hi = sorted(f * limit if f < 0 else f for f in (f1, f2))
     assert bulk_root(p.beta, lo) <= bulk_root(p.beta, hi) + 1e-12
 
@@ -174,11 +172,11 @@ def test_mean_field_root_monotone_property(f1, f2):
 @settings(max_examples=200, deadline=None)
 @given(st.floats(min_value=1.05, max_value=10.0), st.data())
 def test_largest_root_property(beta, data):
-    """On the whole admissible range h > -metastable_branch_limit the root
+    """On the whole admissible range h > potential_prime(m_star) the root
     solves m = tanh(beta (m + h)) to rounding, lies on the outer branch
     m >= m_star, and f = m - tanh(beta (m + h)) stays positive above it."""
     p = make_params(beta)
-    limit = metastable_branch_limit(p)
+    limit = -float(potential_prime(p, p.m_star))
     h = data.draw(st.floats(min_value=-0.999 * limit, max_value=20.0))
     m = float(bulk_root(beta, h))
     assert abs(m - math.tanh(beta * (m + h))) <= 2 * np.spacing(1.0)
@@ -190,7 +188,7 @@ def test_largest_root_property(beta, data):
 
 def test_largest_root_and_pressure_arrays_match_scalar_calls():
     p = make_params(1.3)
-    limit = metastable_branch_limit(p)
+    limit = -float(potential_prime(p, p.m_star))
     hs = np.concatenate([np.linspace(-0.999 * limit, 25.0, 501), [0.0]])
     roots = bulk_root(p.beta, hs)
     assert roots.shape == hs.shape
@@ -209,16 +207,24 @@ def test_envelope_plateau_value():
     flat = potential(p, p.m_beta)
     assert convex_envelope(p, 0.0) == pytest.approx(flat, abs=0)
     assert convex_envelope(p, 0.0) < potential(p, 0.0)
-    assert convex_envelope_prime(p, p.m_beta) == pytest.approx(0.0, abs=1e-14)
+    # the plateau meets the potential where its slope vanishes
+    assert potential_prime(p, p.m_beta) == pytest.approx(0.0, abs=1e-14)
     assert convex_envelope(p, 0.99) == potential(p, 0.99)
 
 
 def test_envelope_continuity_at_plateau_edge():
+    """C^1 at the plateau edge: the one-sided second-order difference
+    quotients of the envelope at m_beta both vanish (the left one exactly,
+    the plateau being flat)."""
     p = make_params(2.0)
     mb = p.m_beta
-    assert abs(convex_envelope(p, mb - 1e-9) - convex_envelope(p, mb + 1e-9)) < 1e-10
-    assert abs(convex_envelope_prime(p, mb - 1e-9)) < 1e-10
-    assert abs(convex_envelope_prime(p, mb + 1e-9)) < 1e-8
+    env = lambda s: float(convex_envelope(p, s))
+    assert abs(env(mb - 1e-9) - env(mb + 1e-9)) < 1e-10
+    d = 1e-6
+    left = (3.0 * env(mb) - 4.0 * env(mb - d) + env(mb - 2.0 * d)) / (2.0 * d)
+    right = (-3.0 * env(mb) + 4.0 * env(mb + d) - env(mb + 2.0 * d)) / (2.0 * d)
+    assert abs(left) < 1e-10
+    assert abs(right) < 1e-8
 
 
 def test_envelope_against_hull_oracle():
@@ -319,7 +325,7 @@ def test_metastable_inverse():
 def test_metastable_inverse_range_error():
     """Below the branch image the outer root does not exist."""
     p = make_params(2.0)
-    limit = metastable_branch_limit(p)
+    limit = -float(potential_prime(p, p.m_star))
     for h in (-(limit + 1e-6), np.array([0.3, -(limit + 0.1)])):
         with pytest.raises(BranchRangeError) as exc:
             bulk_root(p.beta, h)
@@ -339,37 +345,29 @@ def test_mobility_values():
 
 
 def test_metastable_diffusivity_vanishes_at_spinodal():
+    """The outer diffusivity 1 - beta (1 - m^2) vanishes at m_star and is
+    positive above it."""
     p = make_params(2.0)
-    assert abs(metastable_diffusivity(p, p.m_star)) < 1e-14
+    assert abs(1.0 - p.beta * (1.0 - p.m_star ** 2)) < 1e-14
     m = np.linspace(p.m_star + 1e-6, 0.999, 64)
-    assert np.all(metastable_diffusivity(p, m) > 0.0)
-
-
-def test_diffusivity_identity():
-    """mobility * potential curvature equals the metastable coefficient."""
-    p = make_params(2.0)
-    m = np.linspace(p.m_star + 0.01, 0.999, 128)
-    lhs = mobility(p, m) * potential_double_prime(p, m)
-    assert np.max(np.abs(lhs - metastable_diffusivity(p, m))) < 1e-12
-
-
-def test_diffusivity_plateau_flag():
-    p = make_params(2.0)
-    d = diffusivity(p, 0.3)
-    assert d == Diffusivity(0.0, True)
-    d_out = diffusivity(p, 0.98)
-    assert not d_out.on_plateau and d_out.value > 0.0
+    assert np.all(1.0 - p.beta * (1.0 - m * m) > 0.0)
 
 
 # ---------------------------------------------------------- free energy
+#
+# The free energy is the bulk potential plus the interaction energy
+# (1/4) iint J^neum (m(x) - m(y))^2 = (1/2) [int m^2 - int m (J^neum * m)],
+# an identity that holds because the reflected kernel preserves constants.
 
 def test_free_energy_constant_profile():
     p = make_params(2.0)
     g = build_grid(0.1, 1.0, 1.0, 0.1)
     k = build_kernel(0.1)
-    c = 0.4
-    fe = free_energy(p, k, Profile(g, np.full(g.n, c)))
-    assert fe == pytest.approx((g.b - g.a) * float(potential(p, c)), rel=1e-13)
+    m = np.full(g.n, 0.4)
+    fe = np.trapezoid(potential(p, m) + 0.5 * (m * m - m * conv_values(k, g, m)),
+                      dx=g.spacing)
+    assert fe == pytest.approx((g.b - g.a) * float(potential(p, 0.4)),
+                               rel=1e-13)
 
 
 def test_free_energy_even():
@@ -377,8 +375,9 @@ def test_free_energy_even():
     g = build_grid(0.1, 1.0, 1.0, 0.1)
     k = build_kernel(0.1)
     m = 0.5 * np.tanh(g.points / 2.0) + 0.2 * np.exp(-g.points ** 2)
-    assert free_energy(p, k, Profile(g, m)) == pytest.approx(
-        free_energy(p, k, Profile(g, -m)), rel=1e-13)
+    fe = [np.trapezoid(potential(p, v) + 0.5 * (v * v - v * conv_values(k, g, v)),
+                       dx=g.spacing) for v in (m, -m)]
+    assert fe[0] == pytest.approx(fe[1], rel=1e-13)
 
 
 def test_free_energy_against_double_sum_oracle():
@@ -388,7 +387,8 @@ def test_free_energy_against_double_sum_oracle():
     k = build_kernel(0.1)
     m = np.where(g.points >= 0, p.m_beta, -p.m_beta)
     m[g.center_index] = 0.0
-    fe = free_energy(p, k, Profile(g, m))
+    fe = np.trapezoid(potential(p, m) + 0.5 * (m * m - m * conv_values(k, g, m)),
+                      dx=g.spacing)
 
     x = g.points
     shape = KERNEL_SHAPES[k.shape]
@@ -410,12 +410,10 @@ def test_free_energy_against_double_sum_oracle():
 
 
 def test_free_energy_rejects_saturated():
+    """The bulk term is undefined on a saturated profile."""
     p = make_params(2.0)
-    g = build_grid(0.1, 1.0, 1.0, 0.1)
-    k = build_kernel(0.1)
-    m = np.ones(g.n)
     with pytest.raises(DomainError):
-        free_energy(p, k, Profile(g, m))
+        potential(p, np.ones(201))
 
 
 # ------------------------------------------------------------- properties
@@ -433,8 +431,8 @@ def test_envelope_below_potential_property(beta, s):
 def test_spinodal_inside_plateau_property(beta):
     p = make_params(beta)
     assert p.m_star < p.m_beta
-    # curvature vanishes exactly at the spinodal points
-    assert abs(float(potential_double_prime(p, p.m_star))) < 1e-12
+    # the curvature -1 + 1/(beta (1 - m^2)) vanishes at the spinodal points
+    assert abs(-1.0 + 1.0 / (beta * (1.0 - p.m_star ** 2))) < 1e-12
 
 
 @settings(max_examples=50, deadline=None)
@@ -445,7 +443,7 @@ def test_envelope_inverse_residual_property(beta, h):
     m = float(bulk_root(beta, h))
     # near saturation the field residual is bounded below by the local slope
     # times one ulp of m, so the tolerance has to carry that factor
-    slope = abs(float(potential_double_prime(p, m)))
+    slope = abs(-1.0 + 1.0 / (beta * (1.0 - m * m)))
     assert abs(float(potential_prime(p, m)) - h) < 1e-12 + 4e-15 * slope
 
 
@@ -455,7 +453,7 @@ def test_envelope_inverse_residual_property(beta, h):
 def test_metastable_inverse_residual_property(beta, frac):
     """Roots across the admissible branch range solve the defining equation."""
     p = make_params(beta)
-    h = -frac * metastable_branch_limit(p)
+    h = frac * float(potential_prime(p, p.m_star))
     m = float(bulk_root(beta, h))
     assert p.m_star < m <= p.m_beta + 1e-12
     assert abs(float(potential_prime(p, m)) - h) < 1e-12
@@ -467,9 +465,9 @@ def test_branch_inverses_near_saturation(params2, h):
     within one ulp of m."""
     m = float(bulk_root(params2.beta, h))
     assert params2.m_beta < m < 1.0
-    # one ulp of m moves potential_prime by potential_double_prime * ulp,
+    # one ulp of m moves potential_prime by its slope times the ulp,
     # which exceeds 1e-9 h at h = 6 (1 - m ~ 1.4e-12)
-    ulp_floor = potential_double_prime(params2, m) * np.spacing(m)
+    ulp_floor = (-1.0 + 1.0 / (params2.beta * (1.0 - m * m))) * np.spacing(m)
     assert abs(potential_prime(params2, m) - h) <= max(1e-9 * h, ulp_floor)
 
 
