@@ -77,7 +77,7 @@ class IterationTrace:
     residuals: list = field(default_factory=list)
     inner_tols: list = field(default_factory=list)   # tolerance of step k's solve
     picard_steps: list = field(default_factory=list)  # its fixed-point updates
-    inner_paths: list = field(default_factory=list)  # "picard" or "newton"
+    inner_paths: list = field(default_factory=list)  # "picard" or "projected"
 
     def add_solve(self, state: MesoState, inner_tol) -> None:
         """Record step k's auxiliary solve, run to ``inner_tol``."""
@@ -87,9 +87,10 @@ class IterationTrace:
         self.inner_paths.append(state.record.path)
 
     @property
-    def newton_handoffs(self) -> int:
-        """Auxiliary solves that stalled and were finished by Newton-GMRES."""
-        return self.inner_paths.count("newton")
+    def projected_solves(self) -> int:
+        """Auxiliary solves that stalled and were finished by recursive
+        projection."""
+        return self.inner_paths.count("projected")
 
     @property
     def ratios(self) -> list:

@@ -45,7 +45,7 @@ class SweepRow:
     eps_x_eps: float = float("nan")
     iters: int = 0
     picard_steps: int = 0       # over every auxiliary solve of the row
-    newton_handoffs: int = 0    # auxiliary solves finished by Newton-GMRES
+    projected_solves: int = 0   # auxiliary solves finished by projection
     error: str = ""             # exception class and message of a failed row
 
     def csv_line(self) -> str:
@@ -136,7 +136,7 @@ def cmd_stefan(args) -> int:
 
 
 #: errors a sweep row records instead of raising: the package's own, with
-#: their exit codes, and numpy's and scipy's numerical errors, with code 4
+#: their exit codes, and numpy's numerical errors, with code 4
 _ROW_ERRORS = (MesostefanError, FloatingPointError, np.linalg.LinAlgError,
                ValueError)
 
@@ -203,7 +203,7 @@ def _solve_one(cfg: RunConfig, eps, shared: tuple):
     traces = [res.trace] if cfg.mode != "asym" \
         else [res.problem.extended.trace, res.trace]
     row.picard_steps = sum(sum(t.picard_steps) for t in traces)
-    row.newton_handoffs = sum(t.newton_handoffs for t in traces)
+    row.projected_solves = sum(t.projected_solves for t in traces)
     row.c_instanton = abs(cfg.j) * inst.mean / inst.norm_sq
     row.hydro_m, row.hydro_h = antisym.hydrodynamic_error(
         res.state, lambda xi: macro.m_of_x(np.asarray(xi) - x0),
@@ -357,7 +357,7 @@ def cmd_sweep(args) -> int:
             record["error"] = row.error
         else:
             record.update(picard_steps=row.picard_steps,
-                          newton_handoffs=row.newton_handoffs)
+                          projected_solves=row.projected_solves)
         dump_json(os.path.join(run_dir, "row.json"), record)
     with open(os.path.join(out, "sweep.csv"), "w") as fh:
         fh.write(report.to_csv())

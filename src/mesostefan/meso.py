@@ -7,10 +7,10 @@ chi(m), which the solvers exploit throughout.
 
 The auxiliary solve :func:`inner_solve` runs plain, undamped fixed-point
 (Picard) iteration and, when that stalls on the slow interface mode,
-Newton's method with each step solved by GMRES on the matrix-free Jacobian
-I - diag(p) J^neum.
-Its :class:`InnerRecord` says how many Picard steps it took and which path
-finished it.
+recursive projection (Shroff and Keller 1993): Picard on the complement of
+the leading eigenvector of p J^neum, one Newton step along it.
+Its :class:`InnerRecord` says how many fixed-point steps it took and which
+path finished it.
 """
 
 from __future__ import annotations
@@ -18,26 +18,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
+from . import spectral
 from .errors import ConvergenceError, DomainError, SaturationError
 from .grids import Grid, Kernel, conv_values
 from .thermo import ThermoParams
 
 SATURATION_LIMIT = 1.0 - 1e-8
 _MAX_ITER = 20_000        # fixed-point steps
-_STALL_RATIO = 0.999      # residual ratio counted as a stalled step
-_STALL_STEPS = 50         # consecutive stalled steps before Newton takes over
-_NEWTON_STEPS = 30
-_GMRES_RTOL = 1e-10
-_GMRES_RESTART = 100
-_GMRES_CYCLES = 10
+_STALL_RATIO = 0.9        # residual ratio counted as a stalled step
+_STALL_STEPS = 5          # consecutive stalled steps before the projection
+_PAIR_TOL = 1e-8          # pair's tolerance; 1e-12 takes the same steps
+_NO_GAP = 1e-14           # |1 - lambda| below this is 1 to rounding
 
 
 @dataclass(frozen=True)
 class InnerRecord:
     """What an auxiliary solve did: its fixed-point updates of m and the path
-    that finished it, "picard" or "newton" (Newton-GMRES after a stall)."""
+    that finished it, "picard" or "projected" (recursive projection after a
+    stall)."""
 
     picard_steps: int
     path: str
@@ -60,6 +59,11 @@ class MesoState:
         """Inner product with weight 1/p (trapezoid quadrature)."""
         w = f * g / self.p
         return float(np.trapezoid(w, dx=self.grid.spacing))
+
+    def apply_linearized(self, psi) -> np.ndarray:
+        """One application of the linearized fixed-point map p (J^neum psi)."""
+        return self.p * conv_values(self.kernel, self.grid,
+                                    np.asarray(psi, float))
 
 
 def _field_argument(params, kernel, grid, h, m):
@@ -101,48 +105,8 @@ def residual(params: ThermoParams, kernel: Kernel, grid: Grid,
     return float(np.max(np.abs(m - np.tanh(arg))))
 
 
-def apply_linearized(state: MesoState, psi: np.ndarray) -> np.ndarray:
-    """One application of the linearized fixed-point map p * (J^neum * psi)."""
-    return state.p * conv_values(state.kernel, state.grid,
-                                 np.asarray(psi, float))
-
-
-def _jacobian(kernel, grid, p):
-    """Matrix-free I - diag(p) J^neum: the Jacobian of the residual map."""
-    return LinearOperator(
-        (grid.n, grid.n), dtype=float,
-        matvec=lambda v: v - p * conv_values(kernel, grid, v))
-
-
-def _newton_krylov(params, kernel, grid, h, m, tol):
-    """Newton on F(m) = m - tanh(beta(J^neum*m + h)), each step by GMRES.
-
-    The Jacobian is applied through :func:`conv_values`, so a step costs one
-    blocked convolution, O(n * BLOCK * Q), per Krylov vector and no matrix
-    is formed.  Returns the converged m and beta (J^neum*m + h) there.
-    """
-    beta = params.beta
-    res = np.inf
-    for _ in range(_NEWTON_STEPS):
-        arg = beta * (conv_values(kernel, grid, m) + h)
-        f = m - np.tanh(arg)
-        res = float(np.max(np.abs(f)))
-        if res < tol:
-            return m, arg
-        p = beta / np.cosh(arg) ** 2
-        delta, _ = gmres(_jacobian(kernel, grid, p), -f,
-                         rtol=_GMRES_RTOL, restart=_GMRES_RESTART,
-                         maxiter=_GMRES_CYCLES)
-        m = m + delta
-        if np.max(np.abs(m)) >= SATURATION_LIMIT:
-            raise SaturationError("Newton iterate saturated: |m| -> 1")
-    raise ConvergenceError(
-        f"Newton-GMRES stuck at residual {res:.3e} after {_NEWTON_STEPS} "
-        f"steps (tol {tol})", last=m)
-
-
 def _picard(params, kernel, grid, h, m, tol):
-    """Fixed-point iteration; hands a stall to Newton-GMRES.
+    """Fixed-point iteration, projected along the slow mode after a stall.
 
     Returns the converged m, beta (J^neum*m + h) there and the solve's
     :class:`InnerRecord`.
@@ -150,17 +114,28 @@ def _picard(params, kernel, grid, h, m, tol):
     beta = params.beta
     res_prev = np.inf
     stall = 0
+    slow = None           # (state at the switch, u, lambda/(1 - lambda))
     for step in range(_MAX_ITER):
         arg = beta * (conv_values(kernel, grid, m) + h)
         target = np.tanh(arg)
         res = float(np.max(np.abs(m - target)))
         if res < tol:
-            return m, arg, InnerRecord(step, "picard")
+            return m, arg, InnerRecord(step, "picard" if slow is None
+                                       else "projected")
         stall = stall + 1 if res > _STALL_RATIO * res_prev else 0
-        if stall >= _STALL_STEPS:
-            m, arg = _newton_krylov(params, kernel, grid, h, m, tol)
-            return m, arg, InnerRecord(step, "newton")
         res_prev = res
+        if slow is None and stall >= _STALL_STEPS:
+            at = _state_at(params, kernel, grid, h, m, arg)
+            pair = spectral.leading_eigenpair(at, _PAIR_TOL)
+            if abs(1.0 - pair.lambda_) < _NO_GAP:
+                raise ConvergenceError(
+                    f"slow-mode eigenvalue {pair.lambda_!r} is 1 to "
+                    "rounding: no projected step", last=m)
+            slow = at, pair.u, pair.lambda_ / (1.0 - pair.lambda_)
+        if slow is not None:
+            # a Newton step along u, Picard on its weighted complement
+            at, u, gain = slow
+            target = target + gain * at.weighted_dot(target - m, u) * u
         m = target
         if np.max(np.abs(m)) >= SATURATION_LIMIT:
             raise SaturationError("iterate saturated: |m| -> 1")
@@ -174,19 +149,22 @@ def inner_solve(params: ThermoParams, kernel: Kernel, grid: Grid,
                 h: np.ndarray, m_init: np.ndarray, tol=1e-12) -> MesoState:
     """Find m with m = tanh(beta J^neum*m + beta h) near the seed.
 
-    Plain fixed-point iteration: each step sets m <- tanh(beta (J^neum*m +
-    h)), with no damping.  On odd data its error decays at the sub-dominant
-    eigenvalue of p J^neum (about 0.31 at beta = 2).  Along the leading
-    eigenvector, which sits at 1 - C eps near an interface, it decays only
-    like 1 - C eps, so when the residual stops falling for 50 steps the
-    iterate is handed to Newton's method, each step solved by GMRES on the
-    matrix-free Jacobian I - diag(p) J^neum.  Both stages stop at the
-    sup-norm residual ``tol``, raise :class:`SaturationError` when an
-    iterate leaves |m| < SATURATION_LIMIT and :class:`ConvergenceError`
-    when their step budget runs out.  The state's ``record`` counts the
-    fixed-point updates and names the path that finished the solve.  The
-    result is seed-dependent: only closeness to the seed is guaranteed, not
-    global uniqueness.
+    Plain fixed-point iteration: each step sets m <- F(m) = tanh(beta
+    (J^neum*m + h)), with no damping.  On odd data its error decays at the
+    sub-dominant eigenvalue of p J^neum (about 0.31 at beta = 2).  Along the
+    leading eigenvector u, which sits at lambda = 1 -+ C eps near an
+    interface, it decays only like lambda (and grows on the metastable
+    branch, lambda > 1).  So once the residual ratio has stayed above 0.9
+    for 5 steps, the leading pair is computed once at that iterate and every
+    later step is m <- F(m) + lambda/(1 - lambda) P(F(m) - m), P the
+    projection onto u in <.,.>_{1/p}: a Newton step along u, Picard on the
+    rest.  The solve stops at the sup-norm residual ``tol``, raises
+    :class:`SaturationError` when an iterate leaves |m| < SATURATION_LIMIT
+    and :class:`ConvergenceError` when its step budget runs out or lambda is
+    1 to rounding.  The state's ``record`` counts the fixed-point updates
+    and names the path that finished the solve.  The result is
+    seed-dependent: only closeness to the seed is guaranteed, not global
+    uniqueness.
     """
     h = np.asarray(h, dtype=float)
     m = np.asarray(m_init, dtype=float).copy()

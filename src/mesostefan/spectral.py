@@ -10,12 +10,15 @@ products.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .instanton import Instanton, decay_fit
-from .meso import MesoState, apply_linearized
+
+if TYPE_CHECKING:       # meso imports this module for its inner solve
+    from .meso import MesoState
 
 _POWER_STEPS = 100_000    # power iteration steps for the leading pair
 _LAMBDA2_TOL = 1e-10      # relative Rayleigh-quotient change that stops lambda2
@@ -52,7 +55,7 @@ def leading_eigenpair(state: MesoState, tol=1e-12) -> SpectralResult:
     rq = 0.0
     res = np.inf
     for it in range(1, _POWER_STEPS + 1):
-        au = apply_linearized(state, u)
+        au = state.apply_linearized(u)
         rq = state.weighted_dot(u, au)
         res = float(np.max(np.abs(au - rq * u)))
         u_next = _normalize(state, au)
@@ -67,7 +70,7 @@ def leading_eigenpair(state: MesoState, tol=1e-12) -> SpectralResult:
             f"residual {res:.3e})", last=u)
     if np.mean(u) < 0:
         u = -u
-    res = float(np.max(np.abs(apply_linearized(state, u) - rq * u)))
+    res = float(np.max(np.abs(state.apply_linearized(u) - rq * u)))
     u.setflags(write=False)
     return SpectralResult(float(rq), u, it, res)
 
@@ -88,7 +91,7 @@ def second_eigenvalue(state: MesoState, result: SpectralResult) -> float:
     rq_prev = np.inf
     rq = 0.0
     for _ in range(_LAMBDA2_STEPS):
-        ap = apply_linearized(state, psi)
+        ap = state.apply_linearized(psi)
         ap = deflate(state, result, ap)
         rq = state.weighted_dot(psi, ap) / state.weighted_dot(psi, psi)
         nrm = np.max(np.abs(ap))

@@ -1,5 +1,7 @@
 """Mesoscopic state machinery: effective field, auxiliary solve, linearization."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.stats import linregress
@@ -7,10 +9,9 @@ from scipy.stats import linregress
 from mesostefan import antisym, meso, spectral
 from mesostefan.errors import ConvergenceError, SaturationError
 from mesostefan.grids import build_grid, conv_values
-from mesostefan.meso import (InnerRecord, apply_linearized, effective_field,
-                             inner_solve, residual)
+from mesostefan.meso import (InnerRecord, effective_field, inner_solve,
+                             residual)
 from mesostefan.thermo import mobility
-from oracles import neumann_matrix
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +65,8 @@ def test_state_weight_matches_mobility_at_fixed_point(instanton_state):
 
 
 def test_apply_linearized_zero(instanton_state):
-    out = apply_linearized(instanton_state, np.zeros(instanton_state.grid.n))
+    st = instanton_state
+    out = st.apply_linearized(np.zeros(st.grid.n))
     assert np.max(np.abs(out)) == 0.0
 
 
@@ -72,7 +74,7 @@ def test_apply_linearized_derivative_eigenrelation(instanton_state, inst05):
     """The interface slope is fixed by the linearized map on the interior."""
     st = instanton_state
     md = np.interp(st.grid.points, inst05.x, inst05.derivative)
-    out = apply_linearized(st, md)
+    out = st.apply_linearized(md)
     interior = np.abs(st.grid.points) < st.grid.b - 2.0
     assert np.max(np.abs((out - md)[interior])) < 5e-3
 
@@ -82,8 +84,8 @@ def test_weighted_self_adjointness(instanton_state):
     x = st.grid.points
     f = np.exp(-((x - 1.0) / 2.0) ** 2)
     g = np.sin(0.7 * x) * np.exp(-(x / 6.0) ** 2)
-    lhs = st.weighted_dot(f, apply_linearized(st, g))
-    rhs = st.weighted_dot(g, apply_linearized(st, f))
+    lhs = st.weighted_dot(f, st.apply_linearized(g))
+    rhs = st.weighted_dot(g, st.apply_linearized(f))
     scale = np.max(np.abs(f)) * np.max(np.abs(g))
     assert abs(lhs - rhs) < 1e-10 * scale
     # both equal the plain reflected-kernel bilinear form
@@ -171,76 +173,118 @@ def test_inner_solve_saturation(params2, kernel05, wide_grid):
 
 
 @pytest.fixture
-def newton_calls(monkeypatch):
-    """Counts the hand-overs from the fixed-point iteration to Newton-GMRES."""
+def switches(monkeypatch):
+    """Grid sizes of the leading pairs computed by the package, one per
+    switch from plain Picard iteration to recursive projection."""
     calls = []
-    newton = meso._newton_krylov
+    pair = spectral.leading_eigenpair
+
+    def counted(state, *args):
+        calls.append(state.grid.n)
+        return pair(state, *args)
+
+    monkeypatch.setattr(spectral, "leading_eigenpair", counted)
+    return calls
+
+
+@pytest.fixture
+def convolutions(monkeypatch):
+    """Counts the kernel applications of the mesoscopic layer."""
+    calls = []
+    real = meso.conv_values
 
     def counted(*args):
-        calls.append(args[2].n)
-        return newton(*args)
+        calls.append(1)
+        return real(*args)
 
-    monkeypatch.setattr(meso, "_newton_krylov", counted)
+    monkeypatch.setattr(meso, "conv_values", counted)
     return calls
+
+
+def _pushed_along_slow_mode(res):
+    """The converged state and its solution pushed by 1e-3 u (sup norm)."""
+    st = res.state
+    pair = spectral.leading_eigenpair(st)
+    return st, pair, st.m + 1e-3 * pair.u / np.max(np.abs(pair.u))
 
 
 @pytest.mark.parametrize("eps,n", [(0.025, 1601), (0.0025, 16001)],
                          ids=["n1601", "n16001"])
 def test_inner_solve_stall_converges(params2, kernel05, inst05, maximal_stable,
-                                     newton_calls, eps, n):
+                                     switches, convolutions, eps, n):
     """A push along the 1 - C eps interface mode stalls the Picard iteration;
-    Newton-GMRES finishes the solve at any size (no dense-matrix cap)."""
+    recursive projection finishes the solve at any size, in at most 35
+    convolutions, the leading pair's included."""
     res = antisym.solve_stable(params2, kernel05, eps, -0.02, 1.0, n0=2,
                                instanton=inst05, macro=maximal_stable)
-    st = res.state
-    u = spectral.leading_eigenpair(st).u
-    m0 = st.m + 1e-3 * u / np.max(np.abs(u))
-    newton_calls.clear()
+    st, _, m0 = _pushed_along_slow_mode(res)
+    switches.clear()
+    convolutions.clear()
     st2 = inner_solve(params2, kernel05, st.grid, st.h, m0)
     assert st.grid.n == n
-    assert newton_calls == [n]
-    assert st2.record.path == "newton"
+    assert switches == [n]
+    assert st2.record.path == "projected"
+    assert len(convolutions) <= 35
     assert st2.residual_norm < 1e-12
     assert residual(params2, kernel05, st.grid, st.h, st2.m) < 1e-12
+    assert np.max(np.abs(st2.m - st.m)) <= 1e-8
+
+
+def test_inner_solve_metastable_push_converges(params2, kernel05,
+                                               metastable_sweep, switches):
+    """On the metastable branch the interface mode grows under Picard
+    iteration (lambda > 1); the projection turns it back to the fixed
+    point."""
+    st, pair, m0 = _pushed_along_slow_mode(metastable_sweep[0.025])
+    assert pair.lambda_ > 1.0
+    switches.clear()
+    st2 = inner_solve(params2, kernel05, st.grid, st.h, m0)
+    assert switches == [st.grid.n]
+    assert st2.record.path == "projected"
+    assert st2.residual_norm < 1e-12
     assert np.max(np.abs(st2.m - st.m)) <= 1e-8
 
 
 @pytest.mark.parametrize("eps,half,n", [(0.05, 1.0, 801), (0.01, 3.0, 12001)],
                          ids=["n801", "n12001"])
 def test_inner_solve_without_fixed_point_saturates(params2, kernel05, inst05,
-                                                   newton_calls, eps, half, n):
+                                                   switches, eps, half, n):
     """A constant field drives the interface out of the domain: there is no
-    fixed point near the seed, and the stall ends in SaturationError."""
+    fixed point near the seed, and the stall ends in SaturationError after
+    one switch to the projection."""
     grid = build_grid(eps, half, half, 0.05)
     assert grid.n == n
     m0 = np.interp(grid.points, inst05.x, inst05.profile)
     with pytest.raises(SaturationError):
         inner_solve(params2, kernel05, grid, np.full(grid.n, 0.002), m0)
-    assert newton_calls == [n]
+    assert switches == [n]
 
 
-def test_newton_jacobian_matches_dense_oracle(params2, kernel05):
-    grid = build_grid(0.25, 1.0, 1.2, 0.05)
-    x = grid.points
-    p = params2.beta / np.cosh(0.8 * np.tanh(x / 2.0) + 0.1) ** 2
-    dense = np.eye(grid.n) - p[:, None] * neumann_matrix(kernel05, grid)
-    op = meso._jacobian(kernel05, grid, p)
-    cols = np.column_stack([op.matvec(e) for e in np.eye(grid.n)])
-    assert np.max(np.abs(cols - dense)) < 1e-13
+def test_inner_solve_without_gap_raises(params2, kernel05, stable_sweep,
+                                        monkeypatch):
+    """A leading eigenvalue equal to 1 leaves no projected step: the solve
+    raises ConvergenceError carrying the iterate it stopped at."""
+    st, pair, m0 = _pushed_along_slow_mode(stable_sweep[0.025])
+    monkeypatch.setattr(spectral, "leading_eigenpair",
+                        lambda state, tol: replace(pair, lambda_=1.0))
+    with pytest.raises(ConvergenceError, match="1 to rounding") as info:
+        inner_solve(params2, kernel05, st.grid, st.h, m0)
+    last = info.value.last
+    assert last.shape == m0.shape
+    assert 0 < np.max(np.abs(last - st.m)) < np.max(np.abs(m0 - st.m))
 
 
-def test_newton_step_improves(params2, kernel05, wide_grid, instanton_state,
-                              monkeypatch):
-    """One Newton-GMRES step cuts the residual twentyfold; an exhausted step
-    budget raises ConvergenceError carrying the last iterate."""
-    st = instanton_state
-    m_bad = st.m + 0.02 * np.exp(-(wide_grid.points / 4.0) ** 2)
-    r0 = residual(params2, kernel05, wide_grid, st.h, m_bad)
-    monkeypatch.setattr(meso, "_NEWTON_STEPS", 1)
-    with pytest.raises(ConvergenceError) as info:
-        meso._newton_krylov(params2, kernel05, wide_grid, st.h, m_bad, 1e-12)
-    r1 = residual(params2, kernel05, wide_grid, st.h, info.value.last)
-    assert r1 < 0.05 * r0
+def test_inner_solve_budget_carries_last_iterate(params2, kernel05,
+                                                 stable_sweep, monkeypatch):
+    """An exhausted step budget raises ConvergenceError carrying the last
+    iterate, which the steps taken have moved toward the fixed point."""
+    st, _, m0 = _pushed_along_slow_mode(stable_sweep[0.025])
+    monkeypatch.setattr(meso, "_MAX_ITER", 8)
+    with pytest.raises(ConvergenceError, match="stuck") as info:
+        inner_solve(params2, kernel05, st.grid, st.h, m0)
+    r0 = residual(params2, kernel05, st.grid, st.h, m0)
+    r8 = residual(params2, kernel05, st.grid, st.h, info.value.last)
+    assert r8 < 0.1 * r0
 
 
 def test_continuation_path(params2, kernel05, wide_grid, instanton_state):
@@ -253,22 +297,15 @@ def test_continuation_path(params2, kernel05, wide_grid, instanton_state):
 
 
 def test_picard_record_counts_updates(params2, kernel05, wide_grid,
-                                      instanton_state, monkeypatch):
+                                      instanton_state, convolutions):
     """The record counts the fixed-point updates: one convolution each, plus
     the one that finds the residual below tol."""
     st = instanton_state
     bump = 0.01 * np.sin(np.pi * wide_grid.points / wide_grid.b)
-    calls = []
-    real = meso.conv_values
-
-    def counted(*args):
-        calls.append(1)
-        return real(*args)
-
-    monkeypatch.setattr(meso, "conv_values", counted)
+    convolutions.clear()
     st2 = inner_solve(params2, kernel05, wide_grid, st.h + bump, st.m)
     assert st2.record.path == "picard"
-    assert st2.record.picard_steps == len(calls) - 1 > 0
+    assert st2.record.picard_steps == len(convolutions) - 1 > 0
 
 
 def test_picard_contracts_at_the_subdominant_rate(params2, kernel05,

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from mesostefan.grids import build_grid
-from mesostefan.meso import (apply_linearized, effective_field, inner_solve,
-                             make_state)
+from mesostefan.meso import effective_field, inner_solve, make_state
 from mesostefan.spectral import (deflate, eigenvector_shape_report,
                                  leading_eigenpair, second_eigenvalue)
 from mesostefan.thermo import mobility
@@ -69,7 +68,7 @@ def test_rayleigh_lower_bound(fine_instanton_state, fine_pair, inst025):
     """Any trial function bounds the top eigenvalue from below."""
     st = fine_instanton_state
     md = np.interp(st.grid.points, inst025.x, inst025.unit_derivative())
-    rq = st.weighted_dot(md, apply_linearized(st, md)) / st.weighted_dot(md, md)
+    rq = st.weighted_dot(md, st.apply_linearized(md)) / st.weighted_dot(md, md)
     assert fine_pair.lambda_ >= rq - 1e-12
 
 
@@ -77,7 +76,7 @@ def test_positive_seed_stays_positive(fine_instanton_state):
     st = fine_instanton_state
     psi = st.p.copy()
     for _ in range(30):
-        psi = apply_linearized(st, psi)
+        psi = st.apply_linearized(psi)
         assert np.all(psi > 0.0)
         psi = psi / np.max(psi)
 
