@@ -85,7 +85,7 @@ def test_bad_config_values_exit_config(tmp_path, capsys, command, text,
     assert not (tmp_path / "out").exists()
 
 
-def test_cli_import_loads_no_scipy():
+def test_cli_import_loads_no_scipy_stats_or_integrate():
     """SciPy is a test oracle only: importing the CLI loads no module of
     it."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")

@@ -55,7 +55,7 @@ def _config(beta, kernel, mode, eps) -> RunConfig:
 
 @pytest.mark.parametrize("beta, kernel, mode, eps", CASES,
                          ids=["-".join(map(str, c)) for c in CASES])
-def test_row_keeps_its_picard_budget(beta, kernel, mode, eps):
+def test_row_solves_without_newton(beta, kernel, mode, eps):
     row, = run(_config(beta, kernel, mode, eps)).rows
     if (beta, kernel, mode, eps) in GLUING_COLLISIONS:
         assert row.iters == -EXIT_CONFIG
