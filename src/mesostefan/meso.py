@@ -16,6 +16,7 @@ path finished it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,10 +56,18 @@ class MesoState:
     residual_norm: float
     record: InnerRecord | None = None    # set by inner_solve
 
+    @cached_property
+    def quadrature(self) -> np.ndarray:
+        """Trapezoid weights over p, built on first use.  Products against
+        them run in einsum: a BLAS dot's sum depends on its thread count."""
+        q = self.grid.spacing / self.p
+        q[[0, -1]] *= 0.5
+        q.setflags(write=False)
+        return q
+
     def weighted_dot(self, f, g) -> float:
         """Inner product with weight 1/p (trapezoid quadrature)."""
-        w = f * g / self.p
-        return float(np.trapezoid(w, dx=self.grid.spacing))
+        return float(np.einsum("i,i,i->", f, self.quadrature, g))
 
     def apply_linearized(self, psi) -> np.ndarray:
         """One application of the linearized fixed-point map p (J^neum psi)."""
@@ -74,14 +83,14 @@ def make_state(params: ThermoParams, kernel: Kernel, grid: Grid,
                h: np.ndarray, m: np.ndarray) -> MesoState:
     h = np.asarray(h, dtype=float)
     m = np.asarray(m, dtype=float)
-    return _state_at(params, kernel, grid, h, m,
-                     _field_argument(params, kernel, grid, h, m))
+    arg = _field_argument(params, kernel, grid, h, m)
+    return _state_at(params, kernel, grid, h, m, arg,
+                     float(np.max(np.abs(m - np.tanh(arg)))))
 
 
-def _state_at(params, kernel, grid, h, m, arg, record=None) -> MesoState:
-    """The state of (h, m) given arg = beta (J^neum*m + h) at that m."""
+def _state_at(params, kernel, grid, h, m, arg, res, record=None) -> MesoState:
+    """The state of (h, m) from arg = beta (J^neum*m + h) and its residual."""
     p = params.beta / np.cosh(arg) ** 2
-    res = float(np.max(np.abs(m - np.tanh(arg))))
     h.setflags(write=False)
     m.setflags(write=False)
     p.setflags(write=False)
@@ -108,8 +117,8 @@ def residual(params: ThermoParams, kernel: Kernel, grid: Grid,
 def _picard(params, kernel, grid, h, m, tol):
     """Fixed-point iteration, projected along the slow mode after a stall.
 
-    Returns the converged m, beta (J^neum*m + h) there and the solve's
-    :class:`InnerRecord`.
+    Returns the converged m, beta (J^neum*m + h) there, its residual and
+    the solve's :class:`InnerRecord`.
     """
     beta = params.beta
     res_prev = np.inf
@@ -120,12 +129,12 @@ def _picard(params, kernel, grid, h, m, tol):
         target = np.tanh(arg)
         res = float(np.max(np.abs(m - target)))
         if res < tol:
-            return m, arg, InnerRecord(step, "picard" if slow is None
-                                       else "projected")
+            return m, arg, res, InnerRecord(step, "picard" if slow is None
+                                            else "projected")
         stall = stall + 1 if res > _STALL_RATIO * res_prev else 0
         res_prev = res
         if slow is None and stall >= _STALL_STEPS:
-            at = _state_at(params, kernel, grid, h, m, arg)
+            at = _state_at(params, kernel, grid, h, m, arg, res)
             pair = spectral.leading_eigenpair(at, _PAIR_TOL)
             if abs(1.0 - pair.lambda_) < _NO_GAP:
                 raise ConvergenceError(
@@ -170,5 +179,5 @@ def inner_solve(params: ThermoParams, kernel: Kernel, grid: Grid,
     m = np.asarray(m_init, dtype=float).copy()
     if np.max(np.abs(m)) >= SATURATION_LIMIT:
         raise SaturationError("seed already saturated")
-    m, arg, record = _picard(params, kernel, grid, h, m, tol)
-    return _state_at(params, kernel, grid, h, m, arg, record)
+    m, arg, res, record = _picard(params, kernel, grid, h, m, tol)
+    return _state_at(params, kernel, grid, h, m, arg, res, record)

@@ -3,11 +3,17 @@
 import numpy as np
 import pytest
 
-from mesostefan.grids import build_grid
+from mesostefan import antisym, asym, spectral, stefan
+from mesostefan.errors import ConvergenceError
+from mesostefan.grids import build_grid, build_kernel
+from mesostefan.instanton import compute_instanton
 from mesostefan.meso import effective_field, inner_solve, make_state
-from mesostefan.spectral import (deflate, eigenvector_shape_report,
-                                 leading_eigenpair, second_eigenvalue)
-from mesostefan.thermo import mobility
+from mesostefan.spectral import (eigenvector_shape_report, leading_eigenpair,
+                                 second_eigenvalue)
+from mesostefan.thermo import make_params, mobility
+from oracles import neumann_matrix
+
+from conftest import ELL, J_META, J_STABLE, N0, X0
 
 
 @pytest.fixture(scope="module")
@@ -59,11 +65,6 @@ def test_second_eigenvalue_below_leading(fine_instanton_state, fine_pair):
     assert lam2 > 0.0
 
 
-def test_deflation_annihilates_eigenvector(fine_instanton_state, fine_pair):
-    out = deflate(fine_instanton_state, fine_pair, fine_pair.u.copy())
-    assert np.max(np.abs(out)) < 1e-10
-
-
 def test_rayleigh_lower_bound(fine_instanton_state, fine_pair, inst025):
     """Any trial function bounds the top eigenvalue from below."""
     st = fine_instanton_state
@@ -103,3 +104,63 @@ def test_sweep_gap_stays_open(spectral_sweep):
     lam2s = [spectral_sweep[e]["lambda2"] for e in (0.1, 0.05, 0.025)]
     assert lams[0] < lams[1] < lams[2] < 1.0
     assert max(lam2s) < 0.75
+
+
+def _symmetrized(state):
+    """Dense D^(1/2) A D^(-1/2) of A = p J^neum, D = trapezoid weights / p:
+    symmetric exactly when A is self-adjoint in <.,.>_{1/p}."""
+    grid = state.grid
+    trap = np.full(grid.n, grid.spacing)
+    trap[[0, -1]] *= 0.5
+    root_d = np.sqrt(trap / state.p)
+    a = state.p[:, None] * neumann_matrix(state.kernel, grid)
+    return root_d[:, None] * a / root_d[None, :]
+
+
+def _solve(beta, shape, mode, eps):
+    """Solved state at spacing 0.05, |j| = 0.02, ell = 1, x0 = 0.2."""
+    params, kernel = make_params(beta), build_kernel(0.05, shape)
+    inst = compute_instanton(params, kernel)
+    if mode == "metastable":
+        return antisym.solve_metastable(
+            params, kernel, eps, J_META, ELL, n0=N0, instanton=inst,
+            macro=stefan._metastable_maximal(params, J_META)).state
+    macro = stefan.solve_maximal(params, J_STABLE)
+    if mode == "asym":
+        return asym.solve_off_center(params, kernel, eps, J_STABLE, X0, n0=N0,
+                                     instanton=inst, macro=macro).state
+    return antisym.solve_stable(params, kernel, eps, J_STABLE, ELL, n0=N0,
+                                instanton=inst, macro=macro).state
+
+
+@pytest.mark.parametrize("shape", ["cos2", "quartic"])
+@pytest.mark.parametrize("mode", ["antisym", "metastable", "asym"])
+def test_linearization_self_adjoint_in_weighted_product(shape, mode):
+    """The reflected trapezoid convolution keeps p J^neum self-adjoint in
+    <.,.>_{1/p}, rows at the ends included: the Lanczos recurrence for
+    lambda2 relies on it."""
+    s = _symmetrized(_solve(2.0, shape, mode, 0.05))
+    assert np.max(np.abs(s - s.T)) <= 1e-15 * np.max(np.abs(s))
+
+
+@pytest.mark.parametrize("beta, mode", [(2.0, "antisym"), (1.2, "antisym"),
+                                        (2.0, "metastable")])
+def test_second_eigenvalue_matches_dense(beta, mode):
+    """lambda2 is the largest-magnitude eigenvalue after the leading one, at
+    eps = 0.025 (n = 1601), to 1e-12 relative."""
+    state = _solve(beta, "cos2", mode, 0.025)
+    assert state.grid.n == 1601
+    s = _symmetrized(state)
+    dense = np.linalg.eigvalsh(0.5 * (s + s.T))
+    dense = dense[np.argsort(-np.abs(dense))]
+    pair = leading_eigenpair(state)
+    assert pair.lambda_ == pytest.approx(dense[0], rel=1e-12)
+    assert second_eigenvalue(state, pair) == pytest.approx(abs(dense[1]),
+                                                           rel=1e-12)
+
+
+def test_second_eigenvalue_budget_raises(fine_instanton_state, fine_pair,
+                                         monkeypatch):
+    monkeypatch.setattr(spectral, "_LAMBDA2_STEPS", 3)
+    with pytest.raises(ConvergenceError, match="Lanczos"):
+        second_eigenvalue(fine_instanton_state, fine_pair)
