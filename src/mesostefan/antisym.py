@@ -7,14 +7,14 @@ composite seed (interface profile near the origin, scaled macroscopic
 solution beyond) and contracts geometrically.
 
 The auxiliary solves are inexact: each one stops at the sup-norm residual
-max(inner_tol, FORCING * inc), where inc = sup|h_next - h| is the outer
+max(INNER_TOL, FORCING * inc), where inc = sup|h_next - h| is the outer
 increment that produced its field (a forcing term in the sense of Eisenstat
 and Walker).  While the field is still far from its fixed point a looser
 magnetization costs the outer map nothing it can resolve, and Picard steps
 fall by more than half on the eps ladder.  Two rules keep the returned pair
 as accurate as with exact solves: a step whose increment is already below
-the outer tolerance solves at inner_tol, and the loop stops only on an
-increment measured from a pair that was itself solved at inner_tol.
+OUTER_TOL solves at INNER_TOL, and the loop stops only on an increment
+measured from a pair that was itself solved at INNER_TOL.
 
 check_stable and check_metastable hold every check a solve makes before its
 first outer step (current sign, eps <= 0.2, ell against ell_j or ell_break,
@@ -44,9 +44,11 @@ from .stefan import (
 from .thermo import ThermoParams, mobility
 
 MOBILITY_FLOOR = 1e-6
-DEFAULT_N0 = 10
+DEFAULT_N0 = 2        # seed gluing point xi = x_eps + 2 n0
 MONOTONE_FLOOR = 1e-14
 INCREASE_THRESHOLD = 1e-12
+OUTER_TOL = 1e-10     # sup-norm outer increment that stops the loop
+INNER_TOL = 1e-12     # auxiliary residual of the returned pair
 FORCING = 0.01        # inner tolerance per unit of outer increment
 MAX_OUTER = 80        # outer steps before ConvergenceError
 
@@ -233,7 +235,7 @@ def _check_length(kernel, eps, ell, n0, instanton, what, limit):
 
 
 def solve_stable(params: ThermoParams, kernel: Kernel, eps, j, ell,
-                 tol=1e-10, inner_tol=1e-12, n0=DEFAULT_N0,
+                 n0=DEFAULT_N0,
                  instanton: Instanton | None = None,
                  macro: MaximalSolution | None = None) -> AntisymResult:
     """Stable-branch antisymmetric solve: strictly monotone m for j != 0."""
@@ -244,19 +246,18 @@ def solve_stable(params: ThermoParams, kernel: Kernel, eps, j, ell,
     check_stable(kernel, eps, j, ell, n0, instanton, macro)
     if j > 0:
         # mirrored arrangement: solve with -j and flip
-        res = solve_stable(params, kernel, eps, -j, ell, tol, inner_tol, n0,
-                           instanton, solve_maximal(params, -j))
+        res = solve_stable(params, kernel, eps, -j, ell, n0, instanton,
+                           solve_maximal(params, -j))
         st = res.state
         flipped = make_state(params, kernel, st.grid, -st.h, -st.m)
         return AntisymResult(flipped, res.trace, res.seed, "stable", eps, j,
                              ell, res.monotone, None)
     seed = build_seed(params, kernel, instanton, macro, eps, j, ell, n0)
-    return _iterate(params, kernel, seed, eps, j, ell, "stable",
-                    tol, inner_tol)
+    return _iterate(params, kernel, seed, eps, j, ell, "stable")
 
 
 def solve_metastable(params: ThermoParams, kernel: Kernel, eps, j, ell,
-                     tol=1e-10, inner_tol=1e-12, n0=DEFAULT_N0,
+                     n0=DEFAULT_N0,
                      instanton: Instanton | None = None,
                      macro: MetastableMaximal | None = None) -> AntisymResult:
     """Metastable antisymmetric solve for j > 0 (x0 = 0 only).
@@ -270,20 +271,20 @@ def solve_metastable(params: ThermoParams, kernel: Kernel, eps, j, ell,
     instanton = instanton or compute_instanton(params, kernel)
     check_metastable(kernel, eps, j, ell, n0, instanton, macro)
     seed = build_seed(params, kernel, instanton, macro, eps, j, ell, n0)
-    return _iterate(params, kernel, seed, eps, j, ell, "metastable",
-                    tol, inner_tol)
+    return _iterate(params, kernel, seed, eps, j, ell, "metastable")
 
 
-def _iterate(params, kernel, seed, eps, j, ell, branch, tol, inner_tol):
+def _iterate(params, kernel, seed, eps, j, ell, branch):
     """Outer iteration h -> T(m(h)) with inexact auxiliary solves.
 
     Step k measures inc = sup|T(m) - h| from the current pair (h, m) and
-    solves the auxiliary problem at h_next = T(m) to max(inner_tol,
-    FORCING * inc), or to inner_tol once inc < tol.  The loop returns the
-    new pair when inc < tol and (h, m) was itself solved to inner_tol (the
+    solves the auxiliary problem at h_next = T(m) to max(INNER_TOL,
+    FORCING * inc), or to INNER_TOL once inc < OUTER_TOL.  It returns the
+    new pair when inc < OUTER_TOL and (h, m) was solved to INNER_TOL (the
     seed is an exact pair): an inexact solve that left m unchanged would
     otherwise yield inc = 0 and stop on an unconverged field.
     """
+    tol, inner_tol = OUTER_TOL, INNER_TOL
     grid = seed.grid
     trace = IterationTrace(residuals=[0.0])
     h = seed.h0

@@ -27,8 +27,7 @@ from .instanton import Instanton
 from .meso import MesoState, inner_solve, residual
 from .spectral import SpectralResult, leading_eigenpair
 from .stefan import MaximalSolution, solve_maximal
-from .antisym import (AntisymResult, CompositeSeed, IterationTrace,
-                      check_stable, solve_stable)
+from . import antisym
 from .thermo import ThermoParams, mobility
 
 #: cap on a_plus * (1 - x0) / eps so the boundary weight stays well inside
@@ -100,7 +99,7 @@ class OffCenterProblem:
     j: float
     x0: float
     ell_star: float
-    extended: AntisymResult          # solve on eps^-1[-1, ell*] (true coords)
+    extended: antisym.AntisymResult  # solve on eps^-1[-1, ell*] (true coords)
     ext_grid: Grid
     res_grid: Grid
     h_star: np.ndarray               # on ext_grid
@@ -145,7 +144,7 @@ def check_off_center(kernel: Kernel, eps, j, x0, n0, instanton: Instanton,
     if not 0.0 < x0 < 1.0:
         raise DomainError("interface offset must lie in (0, 1); for x0 < 0 "
                           "flip the signs of x and j (mirror symmetry)")
-    check_stable(kernel, eps, j, 1.0 + x0, n0, instanton, macro)
+    antisym.check_stable(kernel, eps, j, 1.0 + x0, n0, instanton, macro)
     res_grid = build_grid(eps, 1.0, 1.0, kernel.spacing)
     res_grid.index_of(x0 / eps)
     ext_grid = build_grid(eps, 1.0, 1.0 + 2.0 * x0, kernel.spacing)
@@ -155,7 +154,7 @@ def check_off_center(kernel: Kernel, eps, j, x0, n0, instanton: Instanton,
 
 
 def build_problem(params: ThermoParams, kernel: Kernel, eps, j, x0,
-                  tol=1e-10, inner_tol=1e-12, n0=2,
+                  n0=antisym.DEFAULT_N0,
                   instanton: Instanton | None = None,
                   macro: MaximalSolution | None = None) -> OffCenterProblem:
     """Assemble the extended solution, its eigenpair, and the quasi-solution."""
@@ -168,9 +167,8 @@ def build_problem(params: ThermoParams, kernel: Kernel, eps, j, x0,
     ell_half = 1.0 + x0                       # half-length of the extended run
     ell_star = 1.0 + 2.0 * x0
 
-    extended = solve_stable(params, kernel, eps, j, ell_half, tol=tol,
-                            inner_tol=inner_tol, n0=n0,
-                            instanton=instanton, macro=macro)
+    extended = antisym.solve_stable(params, kernel, eps, j, ell_half, n0=n0,
+                                    instanton=instanton, macro=macro)
     if ext_grid.n != extended.state.grid.n:
         raise GridError("extended grid relabeling mismatch")
     n_res = res_grid.n
@@ -198,8 +196,7 @@ def build_problem(params: ThermoParams, kernel: Kernel, eps, j, x0,
                             weight, interface_index, seed_res)
 
 
-def projected_iterate(problem: OffCenterProblem, m_n: np.ndarray,
-                      inner_tol=1e-12):
+def projected_iterate(problem: OffCenterProblem, m_n: np.ndarray):
     """One step of the projected map.
 
     Integrates the current law from the interface, then removes the
@@ -215,7 +212,7 @@ def projected_iterate(problem: OffCenterProblem, m_n: np.ndarray,
     proj = np.trapezoid(h_hat * u, dx=du) / np.trapezoid(u, dx=du)
     h_next = h_hat - proj
     state = inner_solve(problem.params, problem.kernel, grid, h_next, m_n,
-                        tol=inner_tol)
+                        tol=antisym.INNER_TOL)
     return h_next, state
 
 
@@ -223,41 +220,41 @@ def projected_iterate(problem: OffCenterProblem, m_n: np.ndarray,
 class OffCenterResult:
     problem: OffCenterProblem
     state: MesoState
-    trace: IterationTrace      # weighted increments N(h_{k+1} - h_k)
+    trace: antisym.IterationTrace  # weighted increments N(h_{k+1} - h_k)
     field_zero: float          # x with h(x) = 0 (mesoscopic)
     m_zero: float              # x with m(x) = 0
     eps_field_zero: float      # eps * field_zero
 
     @property
-    def seed(self) -> CompositeSeed:
+    def seed(self) -> antisym.CompositeSeed:
         """The extended run's seed, whose gluing point bounds the interface."""
         return self.problem.extended.seed
 
 
 def solve_off_center(params: ThermoParams, kernel: Kernel, eps, j, x0,
-                     tol=1e-9, inner_tol=1e-12, n0=2,
+                     n0=antisym.DEFAULT_N0,
                      instanton: Instanton | None = None,
                      macro: MaximalSolution | None = None) -> OffCenterResult:
     """Iterate the projected map from the quasi-solution to convergence.
 
-    Convergence is measured in the weighted norm, and the trace records
-    those increments with the same fields as the antisymmetric loop (the
-    first residual is the quasi-solution's; every solve runs at inner_tol).
-    ``tol`` is also the outer tolerance of the extended antisymmetric solve
-    that :func:`build_problem` runs.  The final field's zero is located near
-    the interface by bracketing plus linear interpolation, and the
+    It stops on a weighted increment below ``antisym.OUTER_TOL``, the outer
+    tolerance of the extended solve that :func:`build_problem` runs too.
+    The trace records those increments with the same fields as the
+    antisymmetric loop (the first residual is the quasi-solution's; every
+    solve runs at INNER_TOL).  The final field's zero is located near the
+    interface by bracketing plus linear interpolation, and the
     magnetization zero is reported separately (the two need not coincide).
     """
-    problem = build_problem(params, kernel, eps, j, x0, tol=tol,
-                            inner_tol=inner_tol, n0=n0, instanton=instanton,
-                            macro=macro)
-    trace = IterationTrace(residuals=[problem.seed_residual])
+    problem = build_problem(params, kernel, eps, j, x0, n0=n0,
+                            instanton=instanton, macro=macro)
+    tol = antisym.OUTER_TOL
+    trace = antisym.IterationTrace(residuals=[problem.seed_residual])
     h, m = problem.h_eps, problem.m_eps
     for _ in range(MAX_OUTER):
-        h_next, state = projected_iterate(problem, m, inner_tol)
+        h_next, state = projected_iterate(problem, m)
         inc = problem.weight.norm(h_next - h)
         trace.increments.append(inc)
-        trace.add_solve(state, inner_tol)
+        trace.add_solve(state, antisym.INNER_TOL)
         h, m = h_next, state.m
         if inc < tol:
             break

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,8 +93,7 @@ def cmd_thermo(args) -> int:
 def cmd_instanton(args) -> int:
     params = make_params(args.beta)
     kernel = build_kernel(args.spacing, args.kernel)
-    inst = instanton_mod.compute_instanton(params, kernel,
-                                           half_width=args.halfwidth)
+    inst = instanton_mod.compute_instanton(params, kernel)
     out = _outdir(args.out)
     grid = grid_from_points(inst.x, args.spacing)
     save_profile(os.path.join(out, "instanton.csv"), grid, inst.profile)
@@ -177,8 +175,7 @@ def _shared_inputs(cfg: RunConfig) -> tuple:
     params = make_params(cfg.beta)
     kernel = build_kernel(cfg.spacing, cfg.kernel)
     macro = _mode(cfg)[0](params, cfg.j)
-    inst = instanton_mod.compute_instanton(params, kernel,
-                                           half_width=cfg.instanton_halfwidth)
+    inst = instanton_mod.compute_instanton(params, kernel)
     return params, kernel, macro, inst
 
 
@@ -194,9 +191,8 @@ def _solve_one(cfg: RunConfig, eps, shared: tuple):
     """
     _, _, solve, arg = _mode(cfg)
     params, kernel, macro, inst = shared
-    res = solve(params, kernel, eps, cfg.j, arg,
-                tol=cfg.outer_tol, inner_tol=cfg.inner_tol, n0=cfg.n0,
-                instanton=inst, macro=macro)
+    res = solve(params, kernel, eps, cfg.j, arg, n0=cfg.n0, instanton=inst,
+                macro=macro)
     x0 = cfg.x0 if cfg.mode == "asym" else 0.0
     row = SweepRow(eps=eps, mode=cfg.mode, iters=len(res.trace.increments))
     # off center, the extended antisymmetric solve ran auxiliary solves too
@@ -209,7 +205,7 @@ def _solve_one(cfg: RunConfig, eps, shared: tuple):
         res.state, lambda xi: macro.m_of_x(np.asarray(xi) - x0),
         lambda xi: macro.h_of_x(np.asarray(xi) - x0), eps, x0,
         eps * res.seed.xi_eps)
-    sp = spectral.leading_eigenpair(res.state, tol=cfg.spectral_tol)
+    sp = spectral.leading_eigenpair(res.state)
     row.lam_gap_ratio = (1.0 - sp.lambda_) / eps
     if cfg.mode == "metastable":
         row.i_eps = res.increase_interval
@@ -302,41 +298,27 @@ def _error_row(cfg: RunConfig, eps, exc: Exception) -> SweepRow:
                     error=f"{type(exc).__name__}: {exc}")
 
 
-def _sweep_job(cfg_dict, eps, shared: tuple | None = None) -> SweepRow:
-    """The sweep row of one scale; without ``shared`` it computes the
-    shared inputs itself.  An error in :data:`_ROW_ERRORS` becomes an error
-    row, so one failing scale never stops the others or the worker pool."""
-    cfg = RunConfig(**cfg_dict)
-    try:
-        row, _ = _solve_one(cfg, eps, shared or _shared_inputs(cfg))
-        return row
-    except _ROW_ERRORS as exc:
-        return _error_row(cfg, eps, exc)
-
-
 def run(cfg: RunConfig) -> SweepReport:
     """Execute the configured pipeline at every scale in eps_list.
 
     The shared inputs are computed once and handed to every scale; if they
-    fail, every scale gets the same error row.  Failures become rows with a
-    negative error code in the iteration column and the exception in
-    ``error``; the aggregate is written once by the coordinator.
+    fail, every scale gets the same error row.  An error in
+    :data:`_ROW_ERRORS` becomes a row with a negative error code in the
+    iteration column and the exception in ``error``, so one failing scale
+    never stops the others.
     """
     report = SweepReport()
-    cfg_dict = cfg.__dict__.copy()
     try:
         shared = _shared_inputs(cfg)
     except _ROW_ERRORS as exc:
         report.rows = [_error_row(cfg, eps, exc) for eps in cfg.eps_list]
         return report
-    if cfg.workers > 1 and len(cfg.eps_list) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = [pool.submit(_sweep_job, cfg_dict, eps, shared)
-                       for eps in cfg.eps_list]
-            report.rows = [f.result() for f in futures]
-    else:
-        report.rows = [_sweep_job(cfg_dict, eps, shared)
-                       for eps in cfg.eps_list]
+    for eps in cfg.eps_list:
+        try:
+            row, _ = _solve_one(cfg, eps, shared)
+        except _ROW_ERRORS as exc:
+            row = _error_row(cfg, eps, exc)
+        report.rows.append(row)
     return report
 
 
@@ -436,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("instanton", help="standing interface profile")
     _add_common(p)
-    p.add_argument("--halfwidth", type=float, default=20.0)
     p.set_defaults(func=cmd_instanton)
 
     p = sub.add_parser("stefan", help="macroscopic free-boundary solution")
@@ -454,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--j", type=float, required=True)
     p.add_argument("--ell", type=float, required=True)
-    p.add_argument("--n0", type=int, default=10)
+    p.add_argument("--n0", type=int, default=antisym.DEFAULT_N0)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("solve-asym", help="off-center interface solve")
@@ -462,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--j", type=float, required=True)
     p.add_argument("--x0", type=float, required=True)
-    p.add_argument("--n0", type=int, default=2)
+    p.add_argument("--n0", type=int, default=antisym.DEFAULT_N0)
     p.set_defaults(func=cmd_solve_asym)
 
     p = sub.add_parser("spectrum", help="spectral report for a stored state")

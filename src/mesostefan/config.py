@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
+from .antisym import DEFAULT_N0
 from .errors import DomainError
 
 
@@ -16,15 +17,10 @@ class RunConfig:
     ell: float = 1.0
     eps_list: list = field(default_factory=lambda: [0.1, 0.05, 0.025])
     spacing: float = 0.05
-    inner_tol: float = 1e-12
-    outer_tol: float = 1e-10
-    spectral_tol: float = 1e-12
     kernel: str = "cos2"
-    n0: int = 10
+    n0: int = DEFAULT_N0
     mode: str = "antisym"           # antisym | metastable | asym
     outdir: str = "runs"
-    workers: int = 1
-    instanton_halfwidth: float = 20.0
 
     def validate_fields(self):
         floats = [getattr(self, name) for name in _FLOAT_KEYS] + self.eps_list
@@ -32,23 +28,17 @@ class RunConfig:
             raise DomainError("numeric values must be finite")
         if self.beta <= 1.0:
             raise DomainError("beta must exceed 1")
-        for name in ("inner_tol", "outer_tol", "spectral_tol"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be positive")
         if not self.eps_list:
             raise DomainError("eps_list must name at least one scale")
         if any(e2 >= e1 for e1, e2 in zip(self.eps_list, self.eps_list[1:])):
             raise DomainError("eps_list must be strictly decreasing")
         if self.mode not in ("antisym", "metastable", "asym"):
             raise DomainError(f"unknown mode {self.mode!r}")
-        if self.workers <= 0:
-            raise DomainError("workers must be positive")
         return self
 
 
-_FLOAT_KEYS = {"beta", "j", "x0", "ell", "spacing", "inner_tol", "outer_tol",
-               "spectral_tol", "instanton_halfwidth"}
-_INT_KEYS = {"n0", "workers"}
+_FLOAT_KEYS = {"beta", "j", "x0", "ell", "spacing"}
+_INT_KEYS = {"n0"}
 _LIST_KEYS = {"eps_list"}
 _KEYS = {f.name for f in fields(RunConfig)}
 

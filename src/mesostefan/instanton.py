@@ -21,7 +21,7 @@ from .errors import ConvergenceError, DomainError, GridError
 from .grids import POINT_CAP, Kernel, conv_values_filled
 from .thermo import SATURATED_ROOT, ThermoParams, mobility
 
-MIN_HALF_WIDTH = 20.0
+HALF_WIDTH = 20.0     # X of the truncated line [-X, X]
 MAX_SPACING = 0.05
 _TOL = 1e-12          # sup-norm residual off the clamp collar
 _MAX_ITER = 50_000    # Picard steps
@@ -63,13 +63,9 @@ def _derivative_4th(values: np.ndarray, spacing: float,
     return (-v[4:] + 8.0 * v[3:-1] - 8.0 * v[1:-3] + v[:-4]) / (12.0 * spacing)
 
 
-def _interior(x: np.ndarray, half_width: float) -> np.ndarray:
-    return np.abs(x) <= half_width - 1.0 + 1e-12
-
-
-def compute_instanton(params: ThermoParams, kernel: Kernel, half_width=20.0,
+def compute_instanton(params: ThermoParams, kernel: Kernel,
                       seed="sign") -> Instanton:
-    """Solve the odd fixed point m = tanh(beta J*m) on [-X, X].
+    """Solve the odd fixed point m = tanh(beta J*m) on [-X, X], X = HALF_WIDTH.
 
     Each Picard step sets m to the odd part of tanh(beta J*m), clamped to
     +-m_beta outside [-X+1, X-1].  Taking the odd part pins the translation
@@ -81,16 +77,14 @@ def compute_instanton(params: ThermoParams, kernel: Kernel, half_width=20.0,
     if params.m_beta >= SATURATED_ROOT:
         raise DomainError(f"m_beta is 1 to rounding at beta = {params.beta:g}: "
                           "the profile's mobility would vanish")
-    if half_width < MIN_HALF_WIDTH:
-        raise GridError(f"half width must be >= {MIN_HALF_WIDTH}")
     if kernel.spacing > MAX_SPACING + 1e-12:
         raise GridError(f"spacing must be <= {MAX_SPACING}")
 
     spacing = kernel.spacing
-    if not 2.0 * half_width / spacing < POINT_CAP:
-        raise GridError(f"half width {half_width} needs more than {POINT_CAP} "
+    if not 2.0 * HALF_WIDTH / spacing < POINT_CAP:
+        raise GridError(f"half width {HALF_WIDTH} needs more than {POINT_CAP} "
                         f"points at spacing {spacing}")
-    n_half = int(round(half_width / spacing))
+    n_half = int(round(HALF_WIDTH / spacing))
     x = spacing * np.arange(-n_half, n_half + 1)
     mb = params.m_beta
     beta = params.beta
@@ -102,7 +96,7 @@ def compute_instanton(params: ThermoParams, kernel: Kernel, half_width=20.0,
     else:
         raise DomainError(f"unknown seed {seed!r}")
 
-    interior = _interior(x, half_width)
+    interior = np.abs(x) <= HALF_WIDTH - 1.0 + 1e-12
     clamp = ~interior
     m[clamp] = mb * np.sign(x[clamp])
 

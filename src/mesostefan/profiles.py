@@ -49,13 +49,14 @@ def _sidecar(path) -> str:
 def load_state(path):
     """(grid, h, m) of a state file.
 
-    The grid comes from the sidecar descriptor, whose points must match the
-    x column (GridError otherwise), or, without a sidecar, from the x column.
+    The grid comes from the sidecar descriptor, which must exist (bare
+    points do not give eps) and whose points must match the x column;
+    GridError otherwise.
     """
     x, h, m = load_columns(path, ("x", "h", "m"))
     side = _sidecar(path)
     if not os.path.exists(side):
-        return grid_from_points(x, float(x[1] - x[0])), h, m
+        raise GridError(f"{path} has no grid descriptor {side}")
     with open(side) as fh:
         d = json.load(fh)
     grid = build_grid(d["epsilon"], d["left"], d["right"], d["spacing"])

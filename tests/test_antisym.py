@@ -190,11 +190,13 @@ def test_inner_tolerance_follows_increment(stable_sweep):
 
 
 def test_loose_outer_tolerance_keeps_inner_residual(params2, kernel05, inst05,
-                                                    maximal_stable):
-    """Steps with inc < tol solve at inner_tol, so the returned residual does
-    not grow to FORCING * tol when tol is loose."""
-    res = solve_stable(params2, kernel05, 0.05, J_STABLE, ELL, tol=1e-8,
-                       n0=N0, instanton=inst05, macro=maximal_stable)
+                                                    maximal_stable,
+                                                    monkeypatch):
+    """Steps with inc < OUTER_TOL solve at INNER_TOL, so the returned
+    residual does not grow to FORCING * OUTER_TOL when OUTER_TOL is loose."""
+    monkeypatch.setattr(antisym, "OUTER_TOL", 1e-8)
+    res = solve_stable(params2, kernel05, 0.05, J_STABLE, ELL, n0=N0,
+                       instanton=inst05, macro=maximal_stable)
     incs = res.trace.increments
     assert any(1e-10 < inc < 1e-8 for inc in incs)
     _forcing_rule_holds(res.trace, 1e-8)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import EPS_SWEEP, J_STABLE, N0, X0
+from mesostefan import antisym
 from mesostefan.asym import (admissibility_report, build_problem,
                              check_off_center, default_a_plus,
                              projected_iterate)
@@ -50,17 +51,17 @@ def test_check_matches_problem_errors(params2, kernel05, inst05,
 
 def test_trace_records_weighted_increments(asym_sweep):
     """The projected loop records into IterationTrace: weighted increments
-    below tol at the end, the quasi-solution's residual first, then one
-    residual and one inner tolerance per step."""
+    below OUTER_TOL at the end, the quasi-solution's residual first, then
+    one residual and one inner tolerance per step."""
     for eps in EPS_SWEEP:
         res = asym_sweep[eps]
         tr = res.trace
-        assert tr.increments[-1] < 1e-9
-        assert all(inc >= 1e-9 for inc in tr.increments[:-1])
+        assert tr.increments[-1] < antisym.OUTER_TOL
+        assert all(inc >= antisym.OUTER_TOL for inc in tr.increments[:-1])
         assert tr.residuals[0] == res.problem.seed_residual
         assert len(tr.residuals) == len(tr.increments) + 1
-        assert max(tr.residuals[1:]) <= 1e-12
-        assert tr.inner_tols == [1e-12] * len(tr.increments)
+        assert max(tr.residuals[1:]) <= antisym.INNER_TOL
+        assert tr.inner_tols == [antisym.INNER_TOL] * len(tr.increments)
         assert res.seed is res.problem.extended.seed
 
 

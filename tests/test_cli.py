@@ -1,6 +1,7 @@
 """Command-line harness: subcommands, config parsing, exit codes, outputs."""
 
 import glob
+import inspect
 import json
 import os
 import re
@@ -14,8 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from mesostefan import cli
-from mesostefan import antisym
+from mesostefan import antisym, asym, cli
 from mesostefan.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_NUMERICAL,
                             EXIT_OK, SWEEP_HEADER, main, run, validate)
 from mesostefan.config import RunConfig, parse_config
@@ -58,9 +58,13 @@ def test_parse_config_rejects_bad_input():
     ("beta = abc", "line 1: beta = 'abc' is not a number"),
     ("j = -0.02\nn0 = 2.5", "line 2: n0 = '2.5' is not an integer"),
     ("eps_list = 0.1, x", "line 1: eps_list = '0.1, x' is not a number"),
-    ("workers = two", "line 1: workers = 'two' is not an integer"),
-    ("workers = 0", "workers must be positive"),
-    ("workers = -3", "workers must be positive"),
+    ("workers = two", "line 1: unknown key 'workers'"),
+    ("workers = 0", "line 1: unknown key 'workers'"),
+    ("workers = -3", "line 1: unknown key 'workers'"),
+    ("inner_tol = 1e-12", "line 1: unknown key 'inner_tol'"),
+    ("outer_tol = 1e-10", "line 1: unknown key 'outer_tol'"),
+    ("spectral_tol = 1e-12", "line 1: unknown key 'spectral_tol'"),
+    ("instanton_halfwidth = 20", "line 1: unknown key 'instanton_halfwidth'"),
     ("beta = nan", "must be finite"),
     ("j = inf", "must be finite"),
     ("eps_list = 0.1, nan", "must be finite"),
@@ -68,13 +72,15 @@ def test_parse_config_rejects_bad_input():
     ("eps_list = ", "eps_list must name at least one scale"),
     ("validate_fields = 1", "line 1: unknown key 'validate_fields'"),
 ], ids=["beta-abc", "n0-float", "eps-token", "workers-word", "workers-0",
-        "workers-negative", "beta-nan", "j-inf", "eps-nan", "spacing-inf",
-        "eps-empty", "method-name-key"])
+        "workers-negative", "inner_tol-key", "outer_tol-key",
+        "spectral_tol-key", "instanton_halfwidth-key", "beta-nan", "j-inf",
+        "eps-nan", "spacing-inf", "eps-empty", "method-name-key"])
 @pytest.mark.parametrize("command", ["validate", "sweep"])
 def test_bad_config_values_exit_config(tmp_path, capsys, command, text,
                                        message):
-    """Unparsable or out-of-range values are config errors (exit 2) in both
-    commands, not tracebacks."""
+    """Unparsable or out-of-range values, and keys that are not settings
+    (the run knobs removed from the format among them), are config errors
+    (exit 2) in both commands, not tracebacks."""
     cfg = tmp_path / "bad.txt"
     cfg.write_text(text + "\n" + f"outdir = {tmp_path / 'out'}\n")
     with pytest.raises(DomainError, match=re.escape(message)):
@@ -86,11 +92,13 @@ def test_bad_config_values_exit_config(tmp_path, capsys, command, text,
 
 
 def test_cli_import_loads_no_scipy_stats_or_integrate():
-    """SciPy is a test oracle only: importing the CLI loads no module of
-    it."""
+    """SciPy is a test oracle only, and a sweep runs its scales in one
+    process: importing the CLI loads no module of SciPy, concurrent or
+    multiprocessing."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     probe = ("import sys, mesostefan.cli; print(sorted({m for m in "
-             "sys.modules if m.split('.')[0] == 'scipy'}))")
+             "sys.modules if m.split('.')[0] in "
+             "('scipy', 'concurrent', 'multiprocessing')}))")
     env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, check=True, env=env)
@@ -293,15 +301,6 @@ def test_three_scale_sweep_hydro_decreasing():
     assert all(np.isfinite(row.c_instanton) for row in report.rows)
 
 
-def test_sweep_worker_pool_matches_serial(tmp_path):
-    cfg = RunConfig(beta=2.0, j=-0.02, ell=1.0, mode="antisym",
-                    eps_list=[0.1, 0.05], n0=2, workers=2)
-    parallel = run(cfg)
-    cfg.workers = 1
-    serial = run(cfg)
-    assert parallel.to_csv() == serial.to_csv()
-
-
 def test_sweep_computes_shared_inputs_once(monkeypatch):
     """One instanton and one macroscopic solution per config, and the same
     rows as scales that compute their own."""
@@ -321,8 +320,8 @@ def test_sweep_computes_shared_inputs_once(monkeypatch):
                                   ("asym", -0.02, 0.2, "solve_maximal")):
         cfg = RunConfig(beta=2.0, j=j, x0=x0, ell=1.0, mode=mode,
                         eps_list=[0.1, 0.05], n0=2)
-        alone = [cli._sweep_job(cfg.__dict__.copy(), eps).csv_line()
-                 for eps in cfg.eps_list]
+        alone = [cli._solve_one(cfg, eps, cli._shared_inputs(cfg))[0]
+                 .csv_line() for eps in cfg.eps_list]
         with monkeypatch.context() as mp:
             calls.update(instanton=0, macro=0)
             mp.setattr(instanton, "compute_instanton",
@@ -429,16 +428,19 @@ def test_row_json_records_inner_solves(tmp_path, mode, j, x0):
     assert (out / "sweep.csv").read_text().splitlines()[0] == SWEEP_HEADER
 
 
-def test_asym_outer_tol_reaches_extended_solve():
-    """An off-center row's outer tolerance also stops the extended
-    antisymmetric solve, which takes fewer steps at a looser one."""
+def test_asym_outer_tol_reaches_extended_solve(monkeypatch):
+    """antisym.OUTER_TOL, read when the loops run, stops both the projected
+    loop and the extended antisymmetric solve, which takes fewer steps at a
+    looser one."""
     steps = {}
+    cfg = RunConfig(beta=2.0, j=-0.02, x0=0.2, mode="asym", eps_list=[0.05],
+                    n0=2)
     for tol in (1e-6, 1e-10):
-        cfg = RunConfig(beta=2.0, j=-0.02, x0=0.2, mode="asym",
-                        eps_list=[0.05], n0=2, outer_tol=tol)
+        monkeypatch.setattr(antisym, "OUTER_TOL", tol)
         _, res = cli._solve_one(cfg, 0.05, cli._shared_inputs(cfg))
         ext = res.problem.extended.trace
         assert ext.increments[-1] < tol
+        assert res.trace.increments[-1] < tol
         steps[tol] = len(ext.increments)
     assert steps[1e-6] < steps[1e-10]
 
@@ -541,6 +543,39 @@ def test_shipped_configs_are_feasible(capsys):
         assert capsys.readouterr().out == "configuration is feasible\n"
 
 
+@pytest.mark.parametrize("text", ["mode = antisym\nj = -0.02",
+                                  "mode = metastable\nj = 0.02",
+                                  "mode = asym\nj = -0.02\nx0 = 0.2"],
+                         ids=["antisym", "metastable", "asym"])
+def test_config_defaults_are_feasible(tmp_path, capsys, text):
+    """A config that leaves n0, beta, ell, eps_list and spacing out is
+    feasible at every default scale."""
+    path = tmp_path / "cfg.txt"
+    path.write_text(text + "\n")
+    assert main(["validate", "--config", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out == "configuration is feasible\n"
+
+
+def test_one_n0_default(tmp_path):
+    """The config, both --n0 flags and the solvers default to the same n0,
+    and solve runs without the flag."""
+    parser = cli.build_parser()
+    for argv in (["solve", "--eps", "0.05", "--j", "-0.02", "--ell", "1"],
+                 ["solve-asym", "--eps", "0.05", "--j", "-0.02",
+                  "--x0", "0.2"]):
+        assert parser.parse_args(argv).n0 == antisym.DEFAULT_N0
+    assert RunConfig().n0 == antisym.DEFAULT_N0
+    for solver in (antisym.solve_stable, antisym.solve_metastable,
+                   asym.build_problem, asym.solve_off_center):
+        n0 = inspect.signature(solver).parameters["n0"]
+        assert n0.default == antisym.DEFAULT_N0, solver.__name__
+    out = tmp_path / "run"
+    assert main(["solve", "--eps", "0.05", "--j", "-0.02", "--ell", "1",
+                 "--out", str(out)]) == EXIT_OK
+    assert json.loads((out / "solve.json").read_text())["n0"] \
+        == antisym.DEFAULT_N0
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(mode=st.sampled_from(("antisym", "metastable", "asym")),
        j_abs=st.sampled_from((0.02, 0.03, 0.2, 0.0)),
@@ -623,6 +658,26 @@ def test_state_sidecar_mismatch_is_config_error(tmp_path, capsys):
     assert "config error: x column of" in capsys.readouterr().err
 
 
+def test_state_without_sidecar_is_config_error(tmp_path, capsys):
+    """Bare points do not give eps: a state without its grid sidecar is a
+    GridError naming the file (exit 2), not a spectrum at a made-up eps."""
+    run_dir = tmp_path / "run"
+    main(["solve", "--beta", "2", "--eps", "0.05", "--j", "-0.02",
+          "--ell", "1", "--n0", "2", "--out", str(run_dir)])
+    (run_dir / "state.grid.json").unlink()
+    state = str(run_dir / "state.csv")
+    with pytest.raises(GridError, match="has no grid descriptor") as info:
+        load_state(state)
+    assert state in str(info.value)
+    spec_out = tmp_path / "spec"
+    code = main(["spectrum", "--state", state, "--beta", "2", "--j", "-0.02",
+                 "--out", str(spec_out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and state in err
+    assert not spec_out.exists()
+
+
 @pytest.mark.parametrize("edit,message", [
     (lambda rows: rows[:5] + ["0.1,abc,0.3"] + rows[6:], "cannot parse"),
     (lambda rows: rows[:5] + ["0.1,0.2"] + rows[6:], "cannot parse"),
@@ -693,14 +748,9 @@ _CONFIG_VALUES = {
                  "-0.1", "1e-300", "0.1, nan", "0.1 0.05", "x"),
     "spacing": ("0.05", "0.1", "0.025", "0.03", "0.2", "0", "-1", "1e-300",
                 "nan"),
-    "inner_tol": ("1e-12", "1e-6", "0", "-1"),
-    "outer_tol": ("1e-10", "1e-4", "0", "inf"),
-    "spectral_tol": ("1e-12", "1e-3", "0"),
     "kernel": ("cos2", "quartic", "nope", ""),
     "n0": ("2", "0", "-3", "10", "1000000", "2.5", "1e3", "x"),
     "mode": ("antisym", "metastable", "asym", "bogus", ""),
-    "workers": ("1", "2", "0", "-1", "1.5"),
-    "instanton_halfwidth": ("20", "25", "19.5", "0", "-5", "nan"),
 }
 _CONFIG_LINES = st.one_of(
     st.sampled_from(sorted(_CONFIG_VALUES)).flatmap(
@@ -735,7 +785,6 @@ def _exit_code(argv, capsys) -> int:
 @given(lines=_CONFIG_TEXTS)
 @example(lines=["spacing = 1e-300"])
 @example(lines=["spacing = 1e-9"])
-@example(lines=["instanton_halfwidth = 1e12"])
 @example(lines=["eps_list = "])
 @example(lines=["validate_fields = 1"])
 @example(lines=["ell = 1.0025", "eps_list = 0.1", "n0 = 2"])

@@ -62,8 +62,6 @@ def test_unsaturated_betas_converge(beta):
 def test_preconditions():
     p = make_params(2.0)
     with pytest.raises(GridError):
-        compute_instanton(p, build_kernel(0.05), half_width=10.0)
-    with pytest.raises(GridError):
         compute_instanton(p, build_kernel(0.08))
     with pytest.raises(DomainError):
         compute_instanton(make_params(1.2), build_kernel(0.05), seed="bogus")
