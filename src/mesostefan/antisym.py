@@ -249,7 +249,7 @@ def solve_stable(params: ThermoParams, kernel: Kernel, eps, j, ell,
         res = solve_stable(params, kernel, eps, -j, ell, n0, instanton,
                            solve_maximal(params, -j))
         st = res.state
-        flipped = make_state(params, kernel, st.grid, -st.h, -st.m)
+        flipped = make_state(params, kernel, st.grid, -st.h, -st.m, -st.conv)
         return AntisymResult(flipped, res.trace, res.seed, "stable", eps, j,
                              ell, res.monotone, None)
     seed = build_seed(params, kernel, instanton, macro, eps, j, ell, n0)
@@ -282,13 +282,17 @@ def _iterate(params, kernel, seed, eps, j, ell, branch):
     FORCING * inc), or to INNER_TOL once inc < OUTER_TOL.  It returns the
     new pair when inc < OUTER_TOL and (h, m) was solved to INNER_TOL (the
     seed is an exact pair): an inexact solve that left m unchanged would
-    otherwise yield inc = 0 and stop on an unconverged field.
+    otherwise yield inc = 0 and stop on an unconverged field.  The odd part
+    of a solve's J^neum*m is J^neum of the odd part of its m (the grid is
+    symmetric), so every solve after the first, and the returned state,
+    start from the previous solve's convolution instead of forming one.
     """
     tol, inner_tol = OUTER_TOL, INNER_TOL
     grid = seed.grid
     trace = IterationTrace(residuals=[0.0])
     h = seed.h0
     m = seed.m0
+    conv = None
     exact = True
     bad_ratio_run = 0
     for _ in range(MAX_OUTER):
@@ -302,13 +306,15 @@ def _iterate(params, kernel, seed, eps, j, ell, branch):
                 raise ConvergenceError(
                     "outer iteration stopped contracting", last=trace)
         step_tol = inner_tol if inc < tol else max(inner_tol, FORCING * inc)
-        state = inner_solve(params, kernel, grid, h_next, m, tol=step_tol)
-        m_next = _odd_part(state.m)
+        state = inner_solve(params, kernel, grid, h_next, m, tol=step_tol,
+                            conv_init=conv)
         trace.add_solve(state, step_tol)
         converged = inc < tol and exact
-        h, m, exact = h_next, m_next, step_tol == inner_tol
+        h, exact = h_next, step_tol == inner_tol
+        m, conv = _odd_part(state.m), _odd_part(state.conv)
+        del state         # its arrays would outlive the next solve's start
         if converged:
-            final = make_state(params, kernel, grid, h, m)
+            final = make_state(params, kernel, grid, h, m, conv)
             mono = _is_monotone(final.m, increasing=(j < 0))
             rise = _central_increase_length(grid, final.m) \
                 if branch == "metastable" else None

@@ -196,12 +196,14 @@ def build_problem(params: ThermoParams, kernel: Kernel, eps, j, x0,
                             weight, interface_index, seed_res)
 
 
-def projected_iterate(problem: OffCenterProblem, m_n: np.ndarray):
+def projected_iterate(problem: OffCenterProblem, m_n: np.ndarray,
+                      conv_n=None):
     """One step of the projected map.
 
     Integrates the current law from the interface, then removes the
     component along the extended maximal eigenvector (plain integrals), and
-    solves the auxiliary fixed point from the previous magnetization.
+    solves the auxiliary fixed point from the previous magnetization, whose
+    convolution J^neum*m_n is ``conv_n`` when the caller has it.
     """
     grid = problem.res_grid
     chi = np.asarray(mobility(problem.params, m_n))
@@ -212,7 +214,7 @@ def projected_iterate(problem: OffCenterProblem, m_n: np.ndarray):
     proj = np.trapezoid(h_hat * u, dx=du) / np.trapezoid(u, dx=du)
     h_next = h_hat - proj
     state = inner_solve(problem.params, problem.kernel, grid, h_next, m_n,
-                        tol=antisym.INNER_TOL)
+                        tol=antisym.INNER_TOL, conv_init=conv_n)
     return h_next, state
 
 
@@ -249,13 +251,13 @@ def solve_off_center(params: ThermoParams, kernel: Kernel, eps, j, x0,
                             instanton=instanton, macro=macro)
     tol = antisym.OUTER_TOL
     trace = antisym.IterationTrace(residuals=[problem.seed_residual])
-    h, m = problem.h_eps, problem.m_eps
+    h, m, conv = problem.h_eps, problem.m_eps, None
     for _ in range(MAX_OUTER):
-        h_next, state = projected_iterate(problem, m)
+        h_next, state = projected_iterate(problem, m, conv)
         inc = problem.weight.norm(h_next - h)
         trace.increments.append(inc)
         trace.add_solve(state, antisym.INNER_TOL)
-        h, m = h_next, state.m
+        h, m, conv = h_next, state.m, state.conv
         if inc < tol:
             break
     else:

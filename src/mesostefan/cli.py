@@ -377,12 +377,7 @@ def validate(cfg: RunConfig) -> list:
 
 
 def cmd_validate(args) -> int:
-    try:
-        cfg = load_config(args.config)
-    except (DomainError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    findings = validate(cfg)
+    findings = validate(load_config(args.config))
     if not findings:
         print("configuration is feasible")
     for _, message in findings:

@@ -74,5 +74,14 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    with open(path) as fh:
-        return parse_config(fh.read())
+    """The config in the file at ``path``; a file that cannot be read is a
+    DomainError, like text that does not parse."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise DomainError(f"cannot read {path}: {exc.strerror or exc}") \
+            from None
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"cannot parse {path}: {exc}") from None
+    return parse_config(text)

@@ -8,12 +8,14 @@ trapezoid quadrature, with reflected images about both endpoints
 grid's width must be a whole number of cells: no spacing is adjusted.
 
 Every convolution runs as a blocked Toeplitz matrix product.  The padded
-values are written into one zero-tailed buffer and viewed as rows of
-BLOCK points; output block b is sum_q P[b + q] @ T[q], where the Q =
-ceil((BLOCK + taps - 1) / BLOCK) slabs T[q] are BLOCK x BLOCK Toeplitz
-pieces of the kernel built once per :class:`Kernel`.  That is Q matrix
-products through BLAS per CHUNK_ROWS row blocks, n * BLOCK * Q
-multiply-adds in all; the padded buffer and the output share one allocation.
+values are written into one zero-tailed buffer and viewed as rows of B
+points, B = :func:`block_size` of the kernel's taps: taps - 1 rounded up
+to a multiple of 8, at most BLOCK.  Output block b is sum_q P[b + q] @ T[q],
+where the Q = ceil((B + taps - 1) / B) slabs T[q] are B x B Toeplitz pieces
+of the kernel built once per :class:`Kernel`.  That is Q matrix products
+through BLAS per CHUNK_ROWS row blocks, n * B * Q multiply-adds in all: 80 n
+at 41 taps (B = 40, Q = 2), where B = 64 would take 128 n.  The padded
+buffer and the output share one allocation.
 """
 
 from __future__ import annotations
@@ -28,26 +30,38 @@ import numpy as np
 from .errors import GridError
 
 KERNEL_RANGE = 1.0
-BLOCK = 64        # points per row of the blocked Toeplitz product
-CHUNK_ROWS = 128  # rows per matrix product: 64 KB operands stay in cache
+BLOCK = 64        # most points per row of the blocked Toeplitz product
+CHUNK_ROWS = 128  # rows per matrix product: <= 64 KB operands stay in cache
 POINT_CAP = 10_000_000   # grid points, and instanton points
 TAP_CAP = 20_001         # kernel taps: the Toeplitz slabs take 512 B per tap
 MAX_SPACING = 0.1  # at least 10 samples per unit kernel range
 
 
+def block_size(taps: int) -> int:
+    """Points per row block for a kernel of ``taps`` taps.
+
+    The slabs then cover the taps - 1 off-diagonals in Q = 2 products
+    whenever taps - 1 <= BLOCK; multiples of 8 keep the rows aligned for
+    BLAS.  21 taps give 24, 41 give 40, and 58 or more give BLOCK.
+    """
+    return min(BLOCK, 8 * -(-(taps - 1) // 8))
+
+
 def _toeplitz_slabs(weights: np.ndarray) -> np.ndarray:
-    """Read-only (Q, BLOCK, BLOCK) slabs with T[q][s, r] = w[taps-1-(qB+s-r)].
+    """Read-only (Q, B, B) slabs with T[q][s, r] = w[taps-1-(qB+s-r)],
+    B = block_size(taps).
 
     Entries whose tap index falls outside [0, taps) are zero, so a row
     block P[b] of the padded values times T[0] + ... + P[b+Q-1] T[Q-1] is
     the convolution on output block b.
     """
     taps = weights.size
-    n_slabs = -(-(BLOCK + taps - 1) // BLOCK)
+    block = block_size(taps)
+    n_slabs = -(-(block + taps - 1) // block)
     q = np.arange(n_slabs)[:, None, None]
-    s = np.arange(BLOCK)[None, :, None]
-    r = np.arange(BLOCK)[None, None, :]
-    t = q * BLOCK + s - r
+    s = np.arange(block)[None, :, None]
+    r = np.arange(block)[None, None, :]
+    t = q * block + s - r
     inside = (t >= 0) & (t < taps)
     slabs = np.where(inside, weights[::-1][np.clip(t, 0, taps - 1)], 0.0)
     slabs.setflags(write=False)
@@ -124,7 +138,7 @@ class Kernel:
     shape: str
     samples: np.ndarray   # raw J values at offsets k*spacing, k=-K..K
     weights: np.ndarray   # quadrature weights, sum(weights) == 1 exactly
-    # read-only (Q, BLOCK, BLOCK) Toeplitz slabs of the weights
+    # read-only (Q, B, B) Toeplitz slabs of the weights, B = block_size
     slabs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -233,24 +247,26 @@ def _blocked_convolution(kernel: Kernel, values: np.ndarray,
     """Convolution of ``values`` extended by k pad values on each side.
 
     Each pad is k values or one constant.  The padded values go into a
-    zero-tailed buffer of whole BLOCK-point rows P, and output block b is
-    sum_q P[b + q] @ T[q] over the kernel's slabs, formed CHUNK_ROWS blocks
-    at a time so that the products and their sum run in cache.  P and the
-    output share one allocation: two cost fresh page faults on every call.
+    zero-tailed buffer of whole B-point rows P, B the kernel's block size,
+    and output block b is sum_q P[b + q] @ T[q] over the kernel's slabs,
+    formed CHUNK_ROWS blocks at a time so that the products and their sum
+    run in cache.  P and the output share one allocation: two cost fresh
+    page faults on every call.
     """
     k = kernel.half_points
     n = values.size
     slabs = kernel.slabs
-    n_out = -(-n // BLOCK)
-    n_buf = (n_out + slabs.shape[0] - 1) * BLOCK
-    both = np.empty(n_buf + n_out * BLOCK)
+    block = slabs.shape[1]
+    n_out = -(-n // block)
+    n_buf = (n_out + slabs.shape[0] - 1) * block
+    both = np.empty(n_buf + n_out * block)
     buf = both[:n_buf]
     buf[:k] = left_pad
     buf[k:k + n] = values
     buf[k + n:n + 2 * k] = right_pad
     buf[n + 2 * k:] = 0.0
-    rows = buf.reshape(-1, BLOCK)
-    out = both[n_buf:].reshape(n_out, BLOCK)
+    rows = buf.reshape(-1, block)
+    out = both[n_buf:].reshape(n_out, block)
     for c0 in range(0, n_out, CHUNK_ROWS):
         c1 = min(c0 + CHUNK_ROWS, n_out)
         part = out[c0:c1]

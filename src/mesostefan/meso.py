@@ -1,7 +1,11 @@
 """Mesoscopic building blocks shared by every profile solver.
 
-A state is a pair (h, m) on a grid together with the linearization weight
-p = beta / cosh^2(beta J^neum*m + beta h).  At exact fixed points of
+A state is a pair (h, m) on a grid together with the convolution J^neum*m
+that its residual was measured from.  The linearization weight
+p = beta / cosh^2(beta J^neum*m + beta h) and the quadrature weights over p
+are derived from it on first use, so a state that only feeds the next
+solve never forms them, and a solve that restarts from a state needs no
+convolution of its start.  At exact fixed points of
 m = tanh(beta J^neum*m + beta h) the weight coincides with the mobility
 chi(m), which the solvers exploit throughout.
 
@@ -45,16 +49,25 @@ class InnerRecord:
 
 @dataclass(frozen=True)
 class MesoState:
-    """Immutable (h, m) pair with its linearization weight and residual."""
+    """Immutable (h, m) pair with J^neum*m and its residual."""
 
     params: ThermoParams
     kernel: Kernel
     grid: Grid
     h: np.ndarray
     m: np.ndarray
-    p: np.ndarray
+    conv: np.ndarray                     # J^neum * m
     residual_norm: float
     record: InnerRecord | None = None    # set by inner_solve
+
+    @cached_property
+    def p(self) -> np.ndarray:
+        """Linearization weight beta / cosh^2(beta (J^neum*m + h)), built on
+        first use from the arithmetic of the solve's own field argument."""
+        p = self.params.beta / np.cosh(self.params.beta
+                                       * (self.conv + self.h)) ** 2
+        p.setflags(write=False)
+        return p
 
     @cached_property
     def quadrature(self) -> np.ndarray:
@@ -75,26 +88,24 @@ class MesoState:
                                     np.asarray(psi, float))
 
 
-def _field_argument(params, kernel, grid, h, m):
-    return params.beta * (conv_values(kernel, grid, m) + h)
-
-
 def make_state(params: ThermoParams, kernel: Kernel, grid: Grid,
-               h: np.ndarray, m: np.ndarray) -> MesoState:
+               h: np.ndarray, m: np.ndarray, conv=None) -> MesoState:
+    """The state of (h, m); ``conv`` is J^neum*m when the caller has it."""
     h = np.asarray(h, dtype=float)
     m = np.asarray(m, dtype=float)
-    arg = _field_argument(params, kernel, grid, h, m)
-    return _state_at(params, kernel, grid, h, m, arg,
+    if conv is None:
+        conv = conv_values(kernel, grid, m)
+    arg = params.beta * (conv + h)
+    return _state_at(params, kernel, grid, h, m, conv,
                      float(np.max(np.abs(m - np.tanh(arg)))))
 
 
-def _state_at(params, kernel, grid, h, m, arg, res, record=None) -> MesoState:
-    """The state of (h, m) from arg = beta (J^neum*m + h) and its residual."""
-    p = params.beta / np.cosh(arg) ** 2
-    h.setflags(write=False)
-    m.setflags(write=False)
-    p.setflags(write=False)
-    return MesoState(params, kernel, grid, h, m, p, res, record)
+def _state_at(params, kernel, grid, h, m, conv, res,
+              record=None) -> MesoState:
+    """The state of (h, m) from conv = J^neum*m and its residual."""
+    for a in (h, m, conv):
+        a.setflags(write=False)
+    return MesoState(params, kernel, grid, h, m, conv, res, record)
 
 
 def effective_field(params: ThermoParams, kernel: Kernel, grid: Grid,
@@ -109,32 +120,41 @@ def effective_field(params: ThermoParams, kernel: Kernel, grid: Grid,
 def residual(params: ThermoParams, kernel: Kernel, grid: Grid,
              h: np.ndarray, m: np.ndarray) -> float:
     """Sup-norm of m - tanh(beta J^neum*m + beta h)."""
-    arg = _field_argument(params, kernel, grid, np.asarray(h, float),
-                          np.asarray(m, float))
+    m = np.asarray(m, float)
+    arg = params.beta * (conv_values(kernel, grid, m) + np.asarray(h, float))
     return float(np.max(np.abs(m - np.tanh(arg))))
 
 
-def _picard(params, kernel, grid, h, m, tol):
+def _picard(params, kernel, grid, h, m, conv, tol):
     """Fixed-point iteration, projected along the slow mode after a stall.
 
-    Returns the converged m, beta (J^neum*m + h) there, its residual and
-    the solve's :class:`InnerRecord`.
+    ``conv`` is J^neum*m of the start, or None.  Returns the converged m,
+    J^neum*m there, its residual and the solve's :class:`InnerRecord`.
     """
     beta = params.beta
     res_prev = np.inf
     stall = 0
     slow = None           # (state at the switch, u, lambda/(1 - lambda))
+    # the updates alternate between m and spare, and every n-point temporary
+    # lives in work: a step allocates only its convolution
+    work = np.empty(m.size)
+    spare = np.empty(m.size)
     for step in range(_MAX_ITER):
-        arg = beta * (conv_values(kernel, grid, m) + h)
-        target = np.tanh(arg)
-        res = float(np.max(np.abs(m - target)))
+        if step or conv is None:
+            conv = conv_values(kernel, grid, m)
+        target = spare
+        np.add(conv, h, out=work)
+        work *= beta
+        np.tanh(work, out=target)
+        np.subtract(m, target, out=work)
+        res = float(np.abs(work, out=work).max())
         if res < tol:
-            return m, arg, res, InnerRecord(step, "picard" if slow is None
-                                            else "projected")
+            return m, conv, res, InnerRecord(step, "picard" if slow is None
+                                             else "projected")
         stall = stall + 1 if res > _STALL_RATIO * res_prev else 0
         res_prev = res
         if slow is None and stall >= _STALL_STEPS:
-            at = _state_at(params, kernel, grid, h, m, arg, res)
+            at = _state_at(params, kernel, grid, h, m.copy(), conv, res)
             pair = spectral.leading_eigenpair(at, _PAIR_TOL)
             if abs(1.0 - pair.lambda_) < _NO_GAP:
                 raise ConvergenceError(
@@ -145,8 +165,8 @@ def _picard(params, kernel, grid, h, m, tol):
             # a Newton step along u, Picard on its weighted complement
             at, u, gain = slow
             target = target + gain * at.weighted_dot(target - m, u) * u
-        m = target
-        if np.max(np.abs(m)) >= SATURATION_LIMIT:
+        m, spare = target, m
+        if np.abs(m, out=work).max() >= SATURATION_LIMIT:
             raise SaturationError("iterate saturated: |m| -> 1")
     raise ConvergenceError(
         f"fixed-point iteration stuck at residual {res_prev:.3e} (tol {tol})",
@@ -155,7 +175,8 @@ def _picard(params, kernel, grid, h, m, tol):
 
 
 def inner_solve(params: ThermoParams, kernel: Kernel, grid: Grid,
-                h: np.ndarray, m_init: np.ndarray, tol=1e-12) -> MesoState:
+                h: np.ndarray, m_init: np.ndarray, tol=1e-12,
+                conv_init=None) -> MesoState:
     """Find m with m = tanh(beta J^neum*m + beta h) near the seed.
 
     Plain fixed-point iteration: each step sets m <- F(m) = tanh(beta
@@ -170,14 +191,17 @@ def inner_solve(params: ThermoParams, kernel: Kernel, grid: Grid,
     rest.  The solve stops at the sup-norm residual ``tol``, raises
     :class:`SaturationError` when an iterate leaves |m| < SATURATION_LIMIT
     and :class:`ConvergenceError` when its step budget runs out or lambda is
-    1 to rounding.  The state's ``record`` counts the fixed-point updates
-    and names the path that finished the solve.  The result is
-    seed-dependent: only closeness to the seed is guaranteed, not global
-    uniqueness.
+    1 to rounding.  ``conv_init``, J^neum*m_init when the caller has it
+    (the ``conv`` of the state it restarts from), spares the first
+    convolution, so each fixed-point update costs exactly one.  The state's
+    ``record`` counts the fixed-point updates and names the path that
+    finished the solve, and its ``conv`` is the last convolution.  The
+    result is seed-dependent: only closeness to the seed is guaranteed, not
+    global uniqueness.
     """
     h = np.asarray(h, dtype=float)
     m = np.asarray(m_init, dtype=float).copy()
     if np.max(np.abs(m)) >= SATURATION_LIMIT:
         raise SaturationError("seed already saturated")
-    m, arg, res, record = _picard(params, kernel, grid, h, m, tol)
-    return _state_at(params, kernel, grid, h, m, arg, res, record)
+    m, conv, res, record = _picard(params, kernel, grid, h, m, conv_init, tol)
+    return _state_at(params, kernel, grid, h, m, conv, res, record)

@@ -70,29 +70,33 @@ def load_state(path):
 def grid_from_points(x: np.ndarray, spacing) -> Grid:
     """Grid whose points are the equispaced ``x`` at the given spacing.
 
-    epsilon is not recoverable from bare points; a neutral 0.5 is recorded.
+    Bare points carry no scale, so epsilon is recorded as 1: ``left`` and
+    ``right`` are then the window's own half-widths, -x[0] and x[-1].
     """
     pts = np.asarray(x, dtype=float)
     if np.max(np.abs(np.diff(pts) - spacing)) > 1e-9 * max(1.0, spacing):
         raise GridError("points are not equispaced")
     pts.setflags(write=False)
-    return Grid(0.5, -pts[0] * 0.5, pts[-1] * 0.5, float(spacing), pts)
+    return Grid(1.0, float(-pts[0]), float(pts[-1]), float(spacing), pts)
 
 
 def load_columns(path, names) -> tuple[np.ndarray, ...]:
     """The named columns of a headed CSV file.
 
-    A bad token, a ragged row, no rows or rows whose length differs from
-    the header raise GridError naming the file.
+    A file that cannot be read, a bad token, a ragged row, no rows or rows
+    whose length differs from the header raise GridError naming the file.
     """
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        try:
+    try:
+        with open(path) as fh:
+            header = fh.readline().strip().split(",")
             with warnings.catch_warnings():   # no rows: reported below
                 warnings.simplefilter("ignore", UserWarning)
                 data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise GridError(f"cannot parse {path}: {exc}") from None
+    except OSError as exc:
+        raise GridError(f"cannot read {path}: {exc.strerror or exc}") \
+            from None
+    except ValueError as exc:
+        raise GridError(f"cannot parse {path}: {exc}") from None
     if data.shape[0] == 0 or data.shape[1] != len(header):
         raise GridError(f"{path} needs rows of {len(header)} values "
                         f"({','.join(header)})")

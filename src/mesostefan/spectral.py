@@ -44,36 +44,39 @@ def leading_eigenpair(state: MesoState, tol=1e-12) -> SpectralResult:
     Stops when both the Rayleigh quotient is stationary to ``tol`` and the
     operator residual sup|A u - rq u| drops below ``tol`` (the eigenvector
     itself must be converged, not just the eigenvalue, because downstream
-    deflations inherit its error).  On a state symmetric about an interior
-    interface the iterate stays symmetric to rounding: the start p is
-    symmetric, and rounding along the antisymmetric modes decays because
-    their eigenvalues sit far below the leading one.
+    deflations inherit its error).  The residual is formed only on steps
+    where the quotient is already stationary: the rule is an AND, so the
+    stopping step is the same as with a residual on every step.  On a state
+    symmetric about an interior interface the iterate stays symmetric to
+    rounding: the start p is symmetric, and rounding along the antisymmetric
+    modes decays because their eigenvalues sit far below the leading one.
     """
     if np.any(state.p <= 0.0):
         raise DomainError("linearization weight must be positive")
     u = _normalize(state, state.p.copy())
     rq_prev = np.inf
-    rq = 0.0
-    res = np.inf
     for it in range(1, _POWER_STEPS + 1):
         au = state.apply_linearized(u)
         rq = state.weighted_dot(u, au)
-        res = float(np.max(np.abs(au - rq * u)))
-        u_next = _normalize(state, au)
-        if res < tol * max(1.0, abs(rq)) and abs(rq - rq_prev) < tol:
-            u = u_next
+        if abs(rq - rq_prev) < tol \
+                and _sup_residual(au, rq, u) < tol * max(1.0, abs(rq)):
+            u = _normalize(state, au)
             break
         rq_prev = rq
-        u = u_next
+        u, u_prev = _normalize(state, au), u
     else:
         raise ConvergenceError(
             f"power iteration stagnated (last Rayleigh {rq:.12g}, "
-            f"residual {res:.3e})", last=u)
+            f"residual {_sup_residual(au, rq, u_prev):.3e})", last=u)
     if np.mean(u) < 0:
         u = -u
-    res = float(np.max(np.abs(state.apply_linearized(u) - rq * u)))
+    res = _sup_residual(state.apply_linearized(u), rq, u)
     u.setflags(write=False)
     return SpectralResult(float(rq), u, it, res)
+
+
+def _sup_residual(au, rq, u) -> float:
+    return float(np.max(np.abs(au - rq * u)))
 
 
 def second_eigenvalue(state: MesoState, result: SpectralResult) -> float:

@@ -35,13 +35,18 @@ def _largest_root(params: ThermoParams, level):
     c = 3 level / (2 beta m_star^3) the largest root is
     2 m_star cos(arccos(c) / 3) for c <= 1 and 2 m_star cosh(arccosh(c) / 3)
     beyond.  Levels of both branches have c >= -1 (X(m) >= X(m_star) for
-    m >= m_star); rounding below -1 is clipped.
+    m >= m_star); rounding below -1 is clipped.  Only levels near beta = 1
+    (beta below about 1.5) reach c > 1, so the hyperbolic branch is
+    evaluated only when some level needs it.
     """
     ms = params.m_star
     c = np.maximum(1.5 * level / (params.beta * ms ** 3), -1.0)
-    trig = np.cos(np.arccos(np.minimum(c, 1.0)) / 3.0)
-    hyp = np.cosh(np.arccosh(np.maximum(c, 1.0)) / 3.0)
-    return 2.0 * ms * np.where(c > 1.0, hyp, trig)
+    root = np.cos(np.arccos(np.minimum(c, 1.0)) / 3.0)
+    hyp = c > 1.0
+    if np.any(hyp):
+        root = np.where(hyp, np.cosh(np.arccosh(np.maximum(c, 1.0)) / 3.0),
+                        root)
+    return 2.0 * ms * root
 
 
 def _branch_magnitude(params: ThermoParams, dist, slope):

@@ -1,8 +1,10 @@
-"""Dense reference operators that the solvers only apply matrix-free, and
-the direct padded convolution that the blocked product replaces."""
+"""Dense reference operators that the solvers only apply matrix-free, the
+direct padded convolution that the blocked product replaces, and the power
+iteration that forms its residual on every step."""
 
 import numpy as np
 
+from mesostefan.errors import ConvergenceError
 from mesostefan.grids import KERNEL_SHAPES
 
 
@@ -52,3 +54,31 @@ def convolve_reference(kernel, values, mode, fills=(0.0, 0.0)):
         left, right = np.full(k, fill[0]), np.full(k, fill[1])
     padded = np.concatenate([left, values, right])
     return np.convolve(padded, kernel.weights, mode="valid")
+
+
+def leading_eigenpair_every_step(state, tol=1e-12, steps=100_000):
+    """(lambda, u, iterations, residual) of the power iteration that forms
+    the sup residual sup|A u - rq u| on every step, stopping when both it
+    and the change of the Rayleigh quotient are below ``tol``; raises
+    ConvergenceError with the last quotient and residual after ``steps``."""
+    u = state.p.copy()
+    u = u / np.sqrt(state.weighted_dot(u, u))
+    rq_prev = np.inf
+    for it in range(1, steps + 1):
+        au = state.apply_linearized(u)
+        rq = state.weighted_dot(u, au)
+        res = float(np.max(np.abs(au - rq * u)))
+        u_next = au / np.sqrt(state.weighted_dot(au, au))
+        if res < tol * max(1.0, abs(rq)) and abs(rq - rq_prev) < tol:
+            u = u_next
+            break
+        rq_prev = rq
+        u = u_next
+    else:
+        raise ConvergenceError(
+            f"power iteration stagnated (last Rayleigh {rq:.12g}, "
+            f"residual {res:.3e})", last=u)
+    if np.mean(u) < 0:
+        u = -u
+    res = float(np.max(np.abs(state.apply_linearized(u) - rq * u)))
+    return float(rq), u, it, res

@@ -138,7 +138,7 @@ def test_hydro_error_identity_on_exact_macro(params2, kernel05,
     m_mac = maximal_stable.m_of_x(0.1 * st.grid.points)
     h_mac = maximal_stable.h_of_x(0.1 * st.grid.points)
     from mesostefan.meso import MesoState
-    fake = MesoState(st.params, st.kernel, st.grid, h_mac, m_mac, st.p, 0.0)
+    fake = MesoState(st.params, st.kernel, st.grid, h_mac, m_mac, st.conv, 0.0)
     em, eh = hydrodynamic_error(fake, maximal_stable.m_of_x,
                                 maximal_stable.h_of_x, 0.1, 0.0, 0.3)
     assert em == 0.0 and eh == 0.0

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from mesostefan import antisym, asym, cli
+from mesostefan import antisym, asym, cli, instanton as instanton_mod
 from mesostefan.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_NUMERICAL,
                             EXIT_OK, SWEEP_HEADER, main, run, validate)
 from mesostefan.config import RunConfig, parse_config
@@ -119,6 +119,23 @@ def test_bad_config_value_exit_code_of_the_process(tmp_path):
     assert "line 1: beta = 'abc' is not a number" in proc.stderr
 
 
+@pytest.mark.parametrize("command,flag", [("sweep", "--config"),
+                                          ("validate", "--config"),
+                                          ("spectrum", "--state")])
+def test_missing_input_file_is_config_error(tmp_path, command, flag):
+    """A path that does not exist exits 2 with a config error naming it,
+    not a traceback."""
+    missing = tmp_path / "absent.txt"
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "mesostefan.cli", command, flag,
+         str(missing)], capture_output=True, text=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": os.path.abspath(src)})
+    assert proc.returncode == EXIT_CONFIG
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"config error: cannot read {missing}")
+
+
 def test_thermo_command(tmp_path):
     out = tmp_path / "t"
     assert main(["thermo", "--beta", "2", "--out", str(out)]) == EXIT_OK
@@ -135,6 +152,23 @@ def test_instanton_command(tmp_path):
     assert data["residual"] < 1e-10
     value, = load_columns(str(out / "instanton.csv"), ("value",))
     assert value[0] == pytest.approx(-data["m_beta"], abs=1e-9)
+
+
+def test_instanton_sidecar_rebuilds_its_points(tmp_path):
+    """The sidecar of the instanton window [-X, X] records eps = 1 and the
+    window's own half-widths, from which its points rebuild."""
+    out = tmp_path / "i"
+    assert main(["instanton", "--beta", "2", "--out", str(out)]) == EXIT_OK
+    for name in ("instanton", "instanton_derivative"):
+        x, = load_columns(str(out / f"{name}.csv"), ("x",))
+        side = json.loads((out / f"{name}.grid.json").read_text())
+        assert side["epsilon"] == 1.0
+        assert side["left"] == side["right"] == instanton_mod.HALF_WIDTH
+        assert side["n"] == x.size
+        rebuilt = np.linspace(-side["left"] / side["epsilon"],
+                              side["right"] / side["epsilon"], side["n"])
+        assert np.max(np.abs(rebuilt - x)) <= 1e-12 * side["right"]
+        assert np.max(np.abs(np.diff(x) - side["spacing"])) <= 1e-12
 
 
 def test_stefan_command_and_infeasible_exit(tmp_path):

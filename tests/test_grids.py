@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from mesostefan.errors import GridError
 from mesostefan.grids import (BLOCK, KERNEL_SHAPES, POINT_CAP, TAP_CAP, Grid,
-                              build_grid, build_kernel, conv_values,
-                              conv_values_filled, trapezoid_antiderivative)
+                              block_size, build_grid, build_kernel,
+                              conv_values, conv_values_filled,
+                              trapezoid_antiderivative)
 from oracles import convolve_reference, neumann_matrix
 
 #: 21, 41, 161, 321 and 641 taps
@@ -254,11 +255,12 @@ def _line(n, spacing):
 
 
 def _block_sizes(kernel, mode):
-    """n below BLOCK, at BLOCK and at q BLOCK - 1, q BLOCK, q BLOCK + 1 that
+    """n below the kernel's block B, at B and at q B - 1, q B, q B + 1 that
     the mode accepts (neumann needs a width of two kernel ranges), plus two
     solver-sized grids."""
-    sizes = [1, 2, BLOCK // 2, BLOCK - 1, BLOCK]
-    sizes += [q * BLOCK + d for q in range(1, 14) for d in (-1, 0, 1)]
+    b = block_size(kernel.weights.size)
+    sizes = [1, 2, b // 2, b - 1, b]
+    sizes += [q * b + d for q in range(1, 14) for d in (-1, 0, 1)]
     sizes += [4001, 16001]
     n_min = 2 * kernel.half_points + 1 if mode == "neumann" else 1
     return sorted({n for n in sizes if n >= n_min})
@@ -305,12 +307,26 @@ def test_blocked_convolution_every_boundary_size(spacing):
                 (mode, n)
 
 
+@pytest.mark.parametrize("spacing,taps,block,macs", [
+    (0.1, 21, 24, 48), (0.05, 41, 40, 80), (0.025, 81, BLOCK, 192),
+    (0.0125, 161, BLOCK, 256), (0.00625, 321, BLOCK, 384)])
+def test_block_size_fits_the_kernel(spacing, taps, block, macs):
+    """B is taps - 1 rounded up to a multiple of 8, at most BLOCK; a
+    convolution then does B Q multiply-adds per point, Q the slab count."""
+    kernel = build_kernel(spacing)
+    assert kernel.weights.size == taps
+    assert block_size(taps) == block
+    assert kernel.slabs.shape[1:] == (block, block)
+    assert kernel.slabs.shape[0] * block == macs
+
+
 @pytest.mark.parametrize("spacing", ORACLE_SPACINGS)
 def test_toeplitz_slabs_are_read_only(spacing):
     kernel = build_kernel(spacing)
     taps = kernel.weights.size
-    n_slabs = -(-(BLOCK + taps - 1) // BLOCK)
-    assert kernel.slabs.shape == (n_slabs, BLOCK, BLOCK)
+    block = block_size(taps)
+    n_slabs = -(-(block + taps - 1) // block)
+    assert kernel.slabs.shape == (n_slabs, block, block)
     assert not kernel.slabs.flags.writeable
     with pytest.raises(ValueError):
         kernel.slabs[0, 0, 0] = 1.0

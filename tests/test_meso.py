@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from scipy.stats import linregress
 
-from mesostefan import antisym, meso, spectral
+from mesostefan import antisym, asym, meso, spectral
 from mesostefan.errors import ConvergenceError, SaturationError
 from mesostefan.grids import build_grid, conv_values
 from mesostefan.meso import (InnerRecord, effective_field, inner_solve,
                              residual)
 from mesostefan.thermo import mobility
+
+from conftest import ELL, J_META, J_STABLE, X0
 
 
 @pytest.fixture(scope="module")
@@ -306,6 +308,78 @@ def test_picard_record_counts_updates(params2, kernel05, wide_grid,
     st2 = inner_solve(params2, kernel05, wide_grid, st.h + bump, st.m)
     assert st2.record.path == "picard"
     assert st2.record.picard_steps == len(convolutions) - 1 > 0
+
+
+def test_inner_solve_from_given_convolution(params2, kernel05, wide_grid,
+                                            instanton_state, convolutions):
+    """Given J^neum*m_init, the solve makes one convolution per update and
+    returns the same state, whose conv is its last convolution."""
+    st = instanton_state
+    bump = 0.01 * np.sin(np.pi * wide_grid.points / wide_grid.b)
+    ref = inner_solve(params2, kernel05, wide_grid, st.h + bump, st.m)
+    convolutions.clear()
+    st2 = inner_solve(params2, kernel05, wide_grid, st.h + bump, st.m,
+                      conv_init=st.conv)
+    assert st2.record == ref.record
+    assert st2.record.picard_steps == len(convolutions) > 0
+    for name in ("m", "conv", "p"):
+        assert np.array_equal(getattr(st2, name), getattr(ref, name))
+    assert st2.residual_norm == ref.residual_norm
+    assert np.array_equal(st2.conv, conv_values(kernel05, wide_grid, st2.m))
+
+
+def _outer_solve(mode, params2, kernel05, inst05, maximal_stable,
+                 maximal_meta):
+    """A solve at eps = 0.05 and its outer traces, in the order they ran."""
+    if mode == "metastable":
+        res = antisym.solve_metastable(params2, kernel05, 0.05, J_META, ELL,
+                                       instanton=inst05, macro=maximal_meta)
+    elif mode == "off-center":
+        res = asym.solve_off_center(params2, kernel05, 0.05, J_STABLE, X0,
+                                    instanton=inst05, macro=maximal_stable)
+        return res, [res.problem.extended.trace, res.trace]
+    else:   # j > 0 solves the mirrored arrangement and flips its state
+        j = J_STABLE if mode == "stable" else -J_STABLE
+        res = antisym.solve_stable(params2, kernel05, 0.05, j, ELL,
+                                   instanton=inst05)
+    return res, [res.trace]
+
+
+@pytest.mark.parametrize("mode", ["stable", "stable-flipped", "metastable",
+                                  "off-center"])
+def test_outer_loops_restart_from_the_last_convolution(
+        mode, params2, kernel05, inst05, maximal_stable, maximal_meta,
+        convolutions, monkeypatch):
+    """After a loop's first auxiliary solve, which convolves its start, each
+    solve of the antisymmetric and the projected loop makes exactly one
+    convolution per Picard update, and the returned state makes none."""
+    solves = []           # (convolutions made, record) of each solve
+    marks = []            # convolutions counted when each solve returned
+
+    def counted(*args, **kwargs):
+        before = len(convolutions)
+        state = meso.inner_solve(*args, **kwargs)
+        solves.append((len(convolutions) - before, state.record))
+        marks.append(len(convolutions))
+        return state
+
+    monkeypatch.setattr(antisym, "inner_solve", counted)
+    monkeypatch.setattr(asym, "inner_solve", counted)
+    res, traces = _outer_solve(mode, params2, kernel05, inst05,
+                               maximal_stable, maximal_meta)
+    assert len(solves) == sum(len(t.picard_steps) for t in traces)
+    start = 0
+    for trace in traces:
+        loop = solves[start:start + len(trace.picard_steps)]
+        start += len(trace.picard_steps)
+        assert [rec.picard_steps for _, rec in loop] == trace.picard_steps
+        assert all(rec.path == "picard" for _, rec in loop)
+        first, rest = loop[0], loop[1:]
+        assert first[0] == first[1].picard_steps + 1
+        assert len(rest) > 3
+        assert [n for n, _ in rest] == [rec.picard_steps for _, rec in rest]
+    assert len(convolutions) == marks[-1]
+    assert res.state.residual_norm < 1e-12
 
 
 def test_picard_contracts_at_the_subdominant_rate(params2, kernel05,

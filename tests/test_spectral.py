@@ -11,7 +11,7 @@ from mesostefan.meso import effective_field, inner_solve, make_state
 from mesostefan.spectral import (eigenvector_shape_report, leading_eigenpair,
                                  second_eigenvalue)
 from mesostefan.thermo import make_params, mobility
-from oracles import neumann_matrix
+from oracles import leading_eigenpair_every_step, neumann_matrix
 
 from conftest import ELL, J_META, J_STABLE, N0, X0
 
@@ -164,3 +164,35 @@ def test_second_eigenvalue_budget_raises(fine_instanton_state, fine_pair,
     monkeypatch.setattr(spectral, "_LAMBDA2_STEPS", 3)
     with pytest.raises(ConvergenceError, match="Lanczos"):
         second_eigenvalue(fine_instanton_state, fine_pair)
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-8], ids=["default", "pair-tol"])
+@pytest.mark.parametrize("mode", ["antisym", "metastable", "asym"])
+def test_leading_pair_matches_residual_every_step(mode, tol, stable_sweep,
+                                                  metastable_sweep,
+                                                  asym_sweep):
+    """Forming the residual only once the quotient is stationary keeps the
+    stopping step and every returned bit of the residual-every-step rule."""
+    sweep = {"antisym": stable_sweep, "metastable": metastable_sweep,
+             "asym": asym_sweep}[mode]
+    state = sweep[0.05].state
+    pair = leading_eigenpair(state, tol)
+    lam, u, iterations, res = leading_eigenpair_every_step(state, tol)
+    assert pair.lambda_ == lam
+    assert np.array_equal(pair.u, u)
+    assert pair.iterations == iterations
+    assert pair.residual == res
+
+
+def test_leading_pair_budget_message_matches_residual_every_step(
+        stable_sweep, monkeypatch):
+    """On an exhausted budget the message reports the residual of the last
+    iterate, as the residual-every-step rule does."""
+    state = stable_sweep[0.05].state
+    monkeypatch.setattr(spectral, "_POWER_STEPS", 3)
+    with pytest.raises(ConvergenceError) as mine:
+        leading_eigenpair(state)
+    with pytest.raises(ConvergenceError) as ref:
+        leading_eigenpair_every_step(state, steps=3)
+    assert str(mine.value) == str(ref.value)
+    assert "residual" in str(mine.value)
