@@ -4,7 +4,8 @@ The outer map takes a field h to the current integral of the auxiliary
 magnetization: solve m = tanh(beta J^neum*m + beta h), then set
 h_next(x) = -eps j * int_0^x 1/chi(m).  The iteration starts from a
 composite seed (interface profile near the origin, scaled macroscopic
-solution beyond) and contracts geometrically.
+solution beyond, for either sign of j), whose exact state's convolution
+the first auxiliary solve restarts from, and contracts geometrically.
 
 The auxiliary solves are inexact: each one stops at the sup-norm residual
 max(INNER_TOL, FORCING * inc), where inc = sup|h_next - h| is the outer
@@ -34,7 +35,7 @@ from .errors import (ConvergenceError, DomainError, GridError,
                      InfeasibleError, SaturationError)
 from .grids import Grid, Kernel, build_grid, trapezoid_antiderivative
 from .instanton import Instanton, threshold_abscissa
-from .meso import MesoState, effective_field, inner_solve, make_state
+from .meso import MesoState, exact_state, inner_solve, make_state
 from .stefan import (
     MaximalSolution,
     MetastableMaximal,
@@ -163,13 +164,15 @@ def _seed_layout(spacing, instanton: Instanton, eps, ell, n0):
 
 
 def build_seed(params: ThermoParams, kernel: Kernel, instanton: Instanton,
-               macro, eps, j, ell, n0=DEFAULT_N0) -> CompositeSeed:
-    """Composite odd seed on eps^-1[-ell, ell].
+               macro, eps, j, ell,
+               n0=DEFAULT_N0) -> tuple[CompositeSeed, MesoState]:
+    """Composite odd seed on eps^-1[-ell, ell] and its exact state.
 
-    The interface profile fills [0, xi] with xi = x_eps + 2 n0 snapped up to
-    the grid; the macroscopic solution, evaluated at eps(x - xi) > 0, fills
-    the rest.  Requires the instanton to be sampled at the solver spacing so
-    the splice introduces no interpolation error.
+    The interface profile, signed like the macroscopic solution it is glued
+    to, fills [0, xi] with xi = x_eps + 2 n0 snapped up to the grid; the
+    macroscopic solution, evaluated at eps(x - xi) > 0, fills the rest.
+    Requires the instanton to be sampled at the solver spacing so the splice
+    introduces no interpolation error.
     """
     grid, x_eps, xi_index = _seed_layout(kernel.spacing, instanton, eps, ell,
                                          n0)
@@ -178,25 +181,30 @@ def build_seed(params: ThermoParams, kernel: Kernel, instanton: Instanton,
     ic = instanton.center_index
     m0 = np.empty(grid.n)
     x_rel = grid.spacing * (np.arange(grid.n) - c)  # exactly symmetric coords
-    m0[c:c + xi_index + 1] = instanton.profile[ic:ic + xi_index + 1]
     m0[c + xi_index + 1:] = macro.m_of_x(eps * (x_rel[c + xi_index + 1:] - xi_snap))
+    m0[c:c + xi_index + 1] = np.copysign(1.0, m0[c + xi_index + 1]) \
+        * instanton.profile[ic:ic + xi_index + 1]
     # odd extension m0(-x) = -m0(x)
     m0[:c] = -m0[c + 1:][::-1]
     m0[c] = 0.0
-    h0 = effective_field(params, kernel, grid, m0)
-    m0.setflags(write=False)
-    h0.setflags(write=False)
-    return CompositeSeed(grid, m0, h0, float(xi_snap), xi_index, int(n0),
-                         float(x_eps))
+    start = exact_state(params, kernel, grid, m0)
+    return CompositeSeed(grid, start.m, start.h, float(xi_snap), xi_index,
+                         int(n0), float(x_eps)), start
+
+
+def current_integral(params: ThermoParams, grid: Grid, m: np.ndarray, eps, j,
+                     origin) -> np.ndarray:
+    """-eps j int_{x_origin}^x 1/chi(m); SaturationError below the floor."""
+    chi = np.asarray(mobility(params, m), dtype=float)
+    if np.min(chi) < MOBILITY_FLOOR:
+        raise SaturationError("mobility below floor: profile saturating")
+    return -eps * j * trapezoid_antiderivative(grid, 1.0 / chi, origin)
 
 
 def t_map(params: ThermoParams, grid: Grid, m: np.ndarray, eps, j) -> np.ndarray:
     """Current integral h(x) = -eps j int_0^x 1/chi(m), odd by construction."""
-    chi = np.asarray(mobility(params, m), dtype=float)
-    if np.min(chi) < MOBILITY_FLOOR:
-        raise SaturationError("mobility below floor: profile saturating")
-    h = _odd_part(-eps * j * trapezoid_antiderivative(grid, 1.0 / chi,
-                                                      grid.center_index))
+    h = _odd_part(current_integral(params, grid, m, eps, j,
+                                   grid.center_index))
     h[grid.center_index] = 0.0
     return h
 
@@ -244,16 +252,8 @@ def solve_stable(params: ThermoParams, kernel: Kernel, eps, j, ell,
     macro = macro or solve_maximal(params, j)
     instanton = instanton or compute_instanton(params, kernel)
     check_stable(kernel, eps, j, ell, n0, instanton, macro)
-    if j > 0:
-        # mirrored arrangement: solve with -j and flip
-        res = solve_stable(params, kernel, eps, -j, ell, n0, instanton,
-                           solve_maximal(params, -j))
-        st = res.state
-        flipped = make_state(params, kernel, st.grid, -st.h, -st.m, -st.conv)
-        return AntisymResult(flipped, res.trace, res.seed, "stable", eps, j,
-                             ell, res.monotone, None)
-    seed = build_seed(params, kernel, instanton, macro, eps, j, ell, n0)
-    return _iterate(params, kernel, seed, eps, j, ell, "stable")
+    return _iterate(params, kernel, instanton, macro, eps, j, ell, n0,
+                    "stable")
 
 
 def solve_metastable(params: ThermoParams, kernel: Kernel, eps, j, ell,
@@ -270,11 +270,11 @@ def solve_metastable(params: ThermoParams, kernel: Kernel, eps, j, ell,
     macro = macro or _metastable_maximal(params, j)
     instanton = instanton or compute_instanton(params, kernel)
     check_metastable(kernel, eps, j, ell, n0, instanton, macro)
-    seed = build_seed(params, kernel, instanton, macro, eps, j, ell, n0)
-    return _iterate(params, kernel, seed, eps, j, ell, "metastable")
+    return _iterate(params, kernel, instanton, macro, eps, j, ell, n0,
+                    "metastable")
 
 
-def _iterate(params, kernel, seed, eps, j, ell, branch):
+def _iterate(params, kernel, instanton, macro, eps, j, ell, n0, branch):
     """Outer iteration h -> T(m(h)) with inexact auxiliary solves.
 
     Step k measures inc = sup|T(m) - h| from the current pair (h, m) and
@@ -282,17 +282,18 @@ def _iterate(params, kernel, seed, eps, j, ell, branch):
     FORCING * inc), or to INNER_TOL once inc < OUTER_TOL.  It returns the
     new pair when inc < OUTER_TOL and (h, m) was solved to INNER_TOL (the
     seed is an exact pair): an inexact solve that left m unchanged would
-    otherwise yield inc = 0 and stop on an unconverged field.  The odd part
-    of a solve's J^neum*m is J^neum of the odd part of its m (the grid is
-    symmetric), so every solve after the first, and the returned state,
-    start from the previous solve's convolution instead of forming one.
+    otherwise yield inc = 0 and stop on an unconverged field.  The first
+    solve restarts from the seed's state, which is then dropped (its h and m
+    live on as the seed's).  The odd part of a solve's J^neum*m is J^neum of
+    the odd part of its m (the grid is symmetric), so every later solve, and
+    the returned state, restart from the previous solve's convolution.
     """
     tol, inner_tol = OUTER_TOL, INNER_TOL
+    seed, start = build_seed(params, kernel, instanton, macro, eps, j, ell, n0)
     grid = seed.grid
-    trace = IterationTrace(residuals=[0.0])
-    h = seed.h0
-    m = seed.m0
-    conv = None
+    trace = IterationTrace(residuals=[start.residual_norm])
+    h, m, conv = start.h, start.m, start.conv
+    del start
     exact = True
     bad_ratio_run = 0
     for _ in range(MAX_OUTER):

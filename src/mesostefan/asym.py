@@ -3,7 +3,9 @@
 The antisymmetric solver run on the enlarged interval eps^-1[-1, ell*],
 ell* = 1 + 2 x0, provides an exact solution whose restriction to
 eps^-1[-1, 1] is a quasi-solution once the right-boundary correction from
-the changed reflection is added.  Without odd symmetry the linearized map
+the changed reflection is added; one restricted convolution gives both the
+correction and the state the projected loop starts from.  Without odd
+symmetry the linearized map
 has an eigenvalue 1 - O(eps) whose inversion would blow up the iteration,
 so each new field is projected against the extended problem's maximal
 eigenvector; convergence is then geometric with ratio O(eps) in a
@@ -21,14 +23,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, GridError
-from .grids import (Grid, Kernel, build_grid, conv_values,
-                    trapezoid_antiderivative)
+from .grids import Grid, Kernel, build_grid, conv_values
 from .instanton import Instanton
-from .meso import MesoState, inner_solve, residual
+from .meso import MesoState, inner_solve, make_state
 from .spectral import SpectralResult, leading_eigenpair
 from .stefan import MaximalSolution, solve_maximal
 from . import antisym
-from .thermo import ThermoParams, mobility
+from .thermo import ThermoParams
 
 #: cap on a_plus * (1 - x0) / eps so the boundary weight stays well inside
 #: float range and rounding at the interface cannot dominate the norm
@@ -98,16 +99,14 @@ class OffCenterProblem:
     eps: float
     j: float
     x0: float
-    ell_star: float
     extended: antisym.AntisymResult  # solve on eps^-1[-1, ell*] (true coords)
     ext_grid: Grid
     res_grid: Grid
-    h_star: np.ndarray               # on ext_grid
-    m_star: np.ndarray
+    m_star: np.ndarray               # on ext_grid
     u_star: SpectralResult           # of the extended state
     r_eps: np.ndarray                # boundary correction on res_grid
     h_eps: np.ndarray                # quasi-solution field on res_grid
-    m_eps: np.ndarray
+    m_eps: np.ndarray                # m* restricted to res_grid
     weight: ExponentialWeight
     interface_index: int             # index of eps^-1 x0 in res_grid
     seed_residual: float
@@ -115,19 +114,6 @@ class OffCenterProblem:
     @property
     def u_star_restricted(self) -> np.ndarray:
         return self.u_star.u[: self.res_grid.n]
-
-
-def boundary_correction(kernel: Kernel, ext_grid: Grid, res_grid: Grid,
-                        m_star: np.ndarray) -> np.ndarray:
-    """Reflection-mismatch field near the right end of the restricted domain.
-
-    The extended minus the restricted reflected convolution of m*, so that
-    h* + R is an exact fixed-point field for the restricted kernel.  The two
-    agree exactly more than one kernel range left of eps^-1.
-    """
-    n_res = res_grid.n
-    return (conv_values(kernel, ext_grid, m_star)[:n_res]
-            - conv_values(kernel, res_grid, m_star[:n_res]))
 
 
 def check_off_center(kernel: Kernel, eps, j, x0, n0, instanton: Instanton,
@@ -156,59 +142,62 @@ def check_off_center(kernel: Kernel, eps, j, x0, n0, instanton: Instanton,
 def build_problem(params: ThermoParams, kernel: Kernel, eps, j, x0,
                   n0=antisym.DEFAULT_N0,
                   instanton: Instanton | None = None,
-                  macro: MaximalSolution | None = None) -> OffCenterProblem:
-    """Assemble the extended solution, its eigenpair, and the quasi-solution."""
+                  macro: MaximalSolution | None = None
+                  ) -> tuple[OffCenterProblem, MesoState]:
+    """The extended solution, its eigenpair, the quasi-solution, and the
+    quasi-solution's state.
+
+    r_eps is the extended minus the restricted reflected convolution of m*
+    (exactly 0 more than one kernel range left of eps^-1), so h* + r_eps
+    is an exact fixed-point field for the restricted kernel.
+    """
     from .instanton import compute_instanton
 
     macro = macro or solve_maximal(params, j)
     instanton = instanton or compute_instanton(params, kernel)
     ext_grid, res_grid = check_off_center(kernel, eps, j, x0, n0, instanton,
                                           macro)
-    ell_half = 1.0 + x0                       # half-length of the extended run
-    ell_star = 1.0 + 2.0 * x0
-
-    extended = antisym.solve_stable(params, kernel, eps, j, ell_half, n0=n0,
+    extended = antisym.solve_stable(params, kernel, eps, j, 1.0 + x0, n0=n0,
                                     instanton=instanton, macro=macro)
     if ext_grid.n != extended.state.grid.n:
         raise GridError("extended grid relabeling mismatch")
     n_res = res_grid.n
-    h_star = extended.state.h
     m_star = extended.state.m
 
     # conv_values reads only the spacing and the width, which both grids
     # share, so the extended state needs no second convolution
     u_star = leading_eigenpair(replace(extended.state, grid=ext_grid))
 
-    r_eps = boundary_correction(kernel, ext_grid, res_grid, m_star)
-    h_eps = h_star[:n_res] + r_eps
     m_eps = m_star[:n_res]
-    seed_res = residual(params, kernel, res_grid, h_eps, m_eps)
-    if seed_res > 1e-9:
-        raise ConvergenceError(
-            f"quasi-solution residual {seed_res:.3e} exceeds 1e-9")
+    conv_eps = conv_values(kernel, res_grid, m_eps)
+    r_eps = conv_values(kernel, ext_grid, m_star)[:n_res] - conv_eps
+    start = make_state(params, kernel, res_grid,
+                       extended.state.h[:n_res] + r_eps, m_eps, conv_eps)
+    if start.residual_norm > 1e-9:
+        raise ConvergenceError(f"quasi-solution residual "
+                               f"{start.residual_norm:.3e} exceeds 1e-9")
 
     weight = build_weight(res_grid, x0, default_a_plus(instanton, eps, x0))
     interface_index = res_grid.index_of(x0 / eps)
     r_eps.setflags(write=False)
     return OffCenterProblem(params, kernel, float(eps), float(j), float(x0),
-                            float(ell_star), extended, ext_grid, res_grid,
-                            h_star, m_star, u_star, r_eps, h_eps, m_eps,
-                            weight, interface_index, seed_res)
+                            extended, ext_grid, res_grid, m_star, u_star,
+                            r_eps, start.h, start.m, weight, interface_index,
+                            start.residual_norm), start
 
 
 def projected_iterate(problem: OffCenterProblem, m_n: np.ndarray,
-                      conv_n=None):
+                      conv_n: np.ndarray):
     """One step of the projected map.
 
     Integrates the current law from the interface, then removes the
     component along the extended maximal eigenvector (plain integrals), and
-    solves the auxiliary fixed point from the previous magnetization, whose
-    convolution J^neum*m_n is ``conv_n`` when the caller has it.
+    solves the auxiliary fixed point from the previous magnetization and its
+    convolution J^neum*m_n, ``conv_n``.
     """
     grid = problem.res_grid
-    chi = np.asarray(mobility(problem.params, m_n))
-    h_hat = -problem.eps * problem.j * trapezoid_antiderivative(
-        grid, 1.0 / chi, problem.interface_index)
+    h_hat = antisym.current_integral(problem.params, grid, m_n, problem.eps,
+                                     problem.j, problem.interface_index)
     u = problem.u_star_restricted
     du = grid.spacing
     proj = np.trapezoid(h_hat * u, dx=du) / np.trapezoid(u, dx=du)
@@ -241,17 +230,20 @@ def solve_off_center(params: ThermoParams, kernel: Kernel, eps, j, x0,
 
     It stops on a weighted increment below ``antisym.OUTER_TOL``, the outer
     tolerance of the extended solve that :func:`build_problem` runs too.
-    The trace records those increments with the same fields as the
-    antisymmetric loop (the first residual is the quasi-solution's; every
-    solve runs at INNER_TOL).  The final field's zero is located near the
-    interface by bracketing plus linear interpolation, and the
+    The first solve restarts from the quasi-solution's state, then dropped,
+    each later one from its predecessor's.  The trace records the increments
+    with the same fields as the antisymmetric loop (the first residual is the
+    quasi-solution's; every solve runs at INNER_TOL).  The final field's
+    zero is located near the interface by bracketing plus linear
+    interpolation, and the
     magnetization zero is reported separately (the two need not coincide).
     """
-    problem = build_problem(params, kernel, eps, j, x0, n0=n0,
-                            instanton=instanton, macro=macro)
+    problem, start = build_problem(params, kernel, eps, j, x0, n0=n0,
+                                   instanton=instanton, macro=macro)
     tol = antisym.OUTER_TOL
-    trace = antisym.IterationTrace(residuals=[problem.seed_residual])
-    h, m, conv = problem.h_eps, problem.m_eps, None
+    trace = antisym.IterationTrace(residuals=[start.residual_norm])
+    h, m, conv = start.h, start.m, start.conv
+    del start
     for _ in range(MAX_OUTER):
         h_next, state = projected_iterate(problem, m, conv)
         inc = problem.weight.norm(h_next - h)

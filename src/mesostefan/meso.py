@@ -4,10 +4,10 @@ A state is a pair (h, m) on a grid together with the convolution J^neum*m
 that its residual was measured from.  The linearization weight
 p = beta / cosh^2(beta J^neum*m + beta h) and the quadrature weights over p
 are derived from it on first use, so a state that only feeds the next
-solve never forms them, and a solve that restarts from a state needs no
-convolution of its start.  At exact fixed points of
-m = tanh(beta J^neum*m + beta h) the weight coincides with the mobility
-chi(m), which the solvers exploit throughout.
+solve never forms them, and every solve restarts from a state's
+convolution (an outer loop's first from its start's).  At exact fixed
+points of m = tanh(beta J^neum*m + beta h) the weight coincides with the
+mobility chi(m), which the solvers exploit throughout.
 
 The auxiliary solve :func:`inner_solve` runs plain, undamped fixed-point
 (Picard) iteration and, when that stalls on the slow interface mode,
@@ -108,27 +108,22 @@ def _state_at(params, kernel, grid, h, m, conv, res,
     return MesoState(params, kernel, grid, h, m, conv, res, record)
 
 
-def effective_field(params: ThermoParams, kernel: Kernel, grid: Grid,
-                    m: np.ndarray) -> np.ndarray:
-    """The field h making m an exact fixed point: artanh(m)/beta - J^neum*m."""
+def exact_state(params: ThermoParams, kernel: Kernel, grid: Grid,
+                m: np.ndarray) -> MesoState:
+    """The state of m at the field that makes it an exact fixed point,
+    h = artanh(m)/beta - J^neum*m, with its measured residual."""
     m = np.asarray(m, dtype=float)
     if np.max(np.abs(m)) >= 1.0:
         raise DomainError("magnetization saturates; no finite field")
-    return np.arctanh(m) / params.beta - conv_values(kernel, grid, m)
-
-
-def residual(params: ThermoParams, kernel: Kernel, grid: Grid,
-             h: np.ndarray, m: np.ndarray) -> float:
-    """Sup-norm of m - tanh(beta J^neum*m + beta h)."""
-    m = np.asarray(m, float)
-    arg = params.beta * (conv_values(kernel, grid, m) + np.asarray(h, float))
-    return float(np.max(np.abs(m - np.tanh(arg))))
+    conv = conv_values(kernel, grid, m)
+    return make_state(params, kernel, grid, np.arctanh(m) / params.beta - conv,
+                      m, conv)
 
 
 def _picard(params, kernel, grid, h, m, conv, tol):
     """Fixed-point iteration, projected along the slow mode after a stall.
 
-    ``conv`` is J^neum*m of the start, or None.  Returns the converged m,
+    ``conv`` is J^neum*m of the start.  Returns the converged m,
     J^neum*m there, its residual and the solve's :class:`InnerRecord`.
     """
     beta = params.beta
@@ -140,7 +135,7 @@ def _picard(params, kernel, grid, h, m, conv, tol):
     work = np.empty(m.size)
     spare = np.empty(m.size)
     for step in range(_MAX_ITER):
-        if step or conv is None:
+        if step:
             conv = conv_values(kernel, grid, m)
         target = spare
         np.add(conv, h, out=work)
@@ -175,8 +170,8 @@ def _picard(params, kernel, grid, h, m, conv, tol):
 
 
 def inner_solve(params: ThermoParams, kernel: Kernel, grid: Grid,
-                h: np.ndarray, m_init: np.ndarray, tol=1e-12,
-                conv_init=None) -> MesoState:
+                h: np.ndarray, m_init: np.ndarray, conv_init: np.ndarray,
+                tol=1e-12) -> MesoState:
     """Find m with m = tanh(beta J^neum*m + beta h) near the seed.
 
     Plain fixed-point iteration: each step sets m <- F(m) = tanh(beta
@@ -191,9 +186,9 @@ def inner_solve(params: ThermoParams, kernel: Kernel, grid: Grid,
     rest.  The solve stops at the sup-norm residual ``tol``, raises
     :class:`SaturationError` when an iterate leaves |m| < SATURATION_LIMIT
     and :class:`ConvergenceError` when its step budget runs out or lambda is
-    1 to rounding.  ``conv_init``, J^neum*m_init when the caller has it
-    (the ``conv`` of the state it restarts from), spares the first
-    convolution, so each fixed-point update costs exactly one.  The state's
+    1 to rounding.  ``conv_init`` is J^neum*m_init, the ``conv`` of the
+    state the solve restarts from, so each fixed-point update costs exactly
+    one convolution.  The state's
     ``record`` counts the fixed-point updates and names the path that
     finished the solve, and its ``conv`` is the last convolution.  The
     result is seed-dependent: only closeness to the seed is guaranteed, not

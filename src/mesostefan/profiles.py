@@ -50,16 +50,21 @@ def load_state(path):
     """(grid, h, m) of a state file.
 
     The grid comes from the sidecar descriptor, which must exist (bare
-    points do not give eps) and whose points must match the x column;
-    GridError otherwise.
+    points do not give eps), be a JSON object holding the epsilon, left,
+    right and spacing of ``Grid.descriptor``, and give points that match the
+    x column; GridError naming it otherwise.
     """
     x, h, m = load_columns(path, ("x", "h", "m"))
     side = _sidecar(path)
     if not os.path.exists(side):
         raise GridError(f"{path} has no grid descriptor {side}")
-    with open(side) as fh:
-        d = json.load(fh)
-    grid = build_grid(d["epsilon"], d["left"], d["right"], d["spacing"])
+    try:
+        with open(side) as fh:
+            d = json.load(fh)
+        grid = build_grid(d["epsilon"], d["left"], d["right"], d["spacing"])
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise GridError(f"malformed grid descriptor {side}: "
+                        f"{type(exc).__name__}: {exc}") from None
     if grid.n != x.size or np.max(np.abs(grid.points - x)) \
             > 1e-9 * max(1.0, grid.b):
         raise GridError(f"x column of {path} does not match its grid "

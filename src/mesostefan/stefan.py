@@ -172,6 +172,12 @@ def _metastable_maximal(params: ThermoParams, j) -> MetastableMaximal:
     return MetastableMaximal(params, float(j), float(width / j))
 
 
+def _check_half_length(ell) -> None:
+    """DomainError unless the sampled half-length is positive and finite."""
+    if not (np.isfinite(ell) and ell > 0.0):
+        raise DomainError(f"half-length must be positive and finite: {ell}")
+
+
 def _sample_with_jump(maximal, x0, ell, upper_sign):
     """N_SAMPLES uniform samples on [-ell, ell] of the maximal solution
     translated to x0, with x0 duplicated: m jumps there from
@@ -193,8 +199,7 @@ def solve_fixed_interface(params: ThermoParams, j, x0,
     m jumps across the plateau at x0 (from -m_beta to +m_beta for j < 0);
     the CSV output carries the duplicated abscissa.
     """
-    if ell <= 0.0:
-        raise DomainError("half-length must be positive")
+    _check_half_length(ell)
     if not -ell < x0 < ell:
         raise DomainError("interface must be interior to the domain")
     maximal = solve_maximal(params, j)
@@ -214,6 +219,7 @@ def solve_metastable(params: ThermoParams, j, ell) -> StefanSolution:
     """Metastable arrangement for j > 0: the field decreases through 0 and m
     jumps upward across the plateau at the origin, staying in the metastable
     bands on both sides."""
+    _check_half_length(ell)
     maximal = _metastable_maximal(params, j)
     if ell >= maximal.ell_break:
         raise BranchRangeError(

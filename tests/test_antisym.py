@@ -3,21 +3,21 @@
 import numpy as np
 import pytest
 
-from conftest import ELL, EPS_SWEEP, J_STABLE, N0, geometric_mean
-from mesostefan import antisym
+from conftest import ELL, EPS_SWEEP, J_STABLE, N0, X0, geometric_mean
+from mesostefan import antisym, asym
 from mesostefan.antisym import (build_seed, fixed_point_defect, flux_defect,
                                 hydrodynamic_error, solve_metastable,
                                 solve_stable, t_map)
 from mesostefan.errors import DomainError, GridError, InfeasibleError
-from mesostefan.meso import residual
+from mesostefan.meso import make_state
 
 
 # ------------------------------------------------------------------- seed
 
 def test_seed_structure(params2, kernel05, inst05, maximal_stable):
     eps = 0.05
-    seed = build_seed(params2, kernel05, inst05, maximal_stable, eps,
-                      J_STABLE, ELL, n0=N0)
+    seed, _ = build_seed(params2, kernel05, inst05, maximal_stable, eps,
+                         J_STABLE, ELL, n0=N0)
     g = seed.grid
     c = g.center_index
     assert seed.m0[c] == 0.0
@@ -34,9 +34,13 @@ def test_seed_structure(params2, kernel05, inst05, maximal_stable):
 
 
 def test_seed_field_is_exact(params2, kernel05, inst05, maximal_stable):
-    seed = build_seed(params2, kernel05, inst05, maximal_stable, 0.1,
-                      J_STABLE, ELL, n0=N0)
-    assert residual(params2, kernel05, seed.grid, seed.h0, seed.m0) < 1e-12
+    seed, start = build_seed(params2, kernel05, inst05, maximal_stable, 0.1,
+                             J_STABLE, ELL, n0=N0)
+    assert make_state(params2, kernel05, seed.grid, seed.h0,
+                      seed.m0).residual_norm < 1e-12
+    # the start is the seed's pair, with the residual its loop records first
+    assert start.h is seed.h0 and start.m is seed.m0
+    assert start.residual_norm < 1e-12
 
 
 def test_seed_rejects_collision(params2, kernel05, inst05, maximal_stable):
@@ -54,8 +58,8 @@ def test_seed_spacing_mismatch(params2, kernel025, inst05, maximal_stable):
 # ------------------------------------------------------------------ t_map
 
 def test_t_map_sign_and_oddness(params2, kernel05, inst05, maximal_stable):
-    seed = build_seed(params2, kernel05, inst05, maximal_stable, 0.1,
-                      J_STABLE, ELL, n0=N0)
+    seed, _ = build_seed(params2, kernel05, inst05, maximal_stable, 0.1,
+                         J_STABLE, ELL, n0=N0)
     h = t_map(params2, seed.grid, seed.m0, 0.1, J_STABLE)
     assert h[seed.grid.center_index] == 0.0
     assert np.max(np.abs(h + h[::-1])) == 0.0
@@ -159,6 +163,34 @@ def test_stable_mirrored_current(params2, kernel05, inst05):
                        instanton=inst05)
     assert np.all(np.diff(res.state.m) < 0.0)
     assert res.monotone
+
+
+@pytest.mark.parametrize("mode", ["stable", "off-center"])
+def test_positive_current_is_the_mirror_image(mode, params2, kernel05, inst05):
+    """The j > 0 solve runs directly, from the seed glued with the sign of
+    its macroscopic profile, and returns the negated state of the j < 0
+    solve with the same outer trace."""
+    if mode == "stable":
+        solve, arg = solve_stable, ELL
+    else:
+        solve, arg = asym.solve_off_center, X0
+    neg, pos = (solve(params2, kernel05, 0.05, j, arg, n0=N0,
+                      instanton=inst05) for j in (J_STABLE, -J_STABLE))
+    for name in ("m", "h", "conv"):
+        assert np.array_equal(getattr(pos.state, name),
+                              -getattr(neg.state, name)), name
+    assert pos.trace.to_csv() == neg.trace.to_csv()
+    assert np.array_equal(pos.seed.m0, -neg.seed.m0)
+
+
+def test_trace_starts_at_the_seed_residual(stable_sweep, params2, kernel05):
+    """The first trace residual is the start state's measured one."""
+    for eps in EPS_SWEEP:
+        res = stable_sweep[eps]
+        seed = res.seed
+        measured = make_state(params2, kernel05, seed.grid, seed.h0,
+                              seed.m0).residual_norm
+        assert res.trace.residuals[0] == measured < 1e-15
 
 
 def test_stable_preconditions(params2, kernel05, inst05, maximal_stable):

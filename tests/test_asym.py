@@ -8,15 +8,22 @@ from mesostefan import antisym
 from mesostefan.asym import (admissibility_report, build_problem,
                              check_off_center, default_a_plus,
                              projected_iterate)
-from mesostefan.errors import DomainError, GridError, InfeasibleError
+from mesostefan.errors import (DomainError, GridError, InfeasibleError,
+                               SaturationError)
 from mesostefan.grids import conv_values
-from mesostefan.meso import residual
 
 
 @pytest.fixture(scope="module")
 def problem01(params2, kernel05, inst05, maximal_stable):
-    return build_problem(params2, kernel05, 0.1, J_STABLE, X0, n0=N0,
-                         instanton=inst05, macro=maximal_stable)
+    problem, _ = build_problem(params2, kernel05, 0.1, J_STABLE, X0, n0=N0,
+                               instanton=inst05, macro=maximal_stable)
+    return problem
+
+
+def _projected_step(prob, m):
+    """One projected step from m and a fresh convolution of it."""
+    return projected_iterate(prob, m, conv_values(prob.kernel, prob.res_grid,
+                                                  m))
 
 
 def test_problem_preconditions(params2, kernel05):
@@ -97,8 +104,8 @@ def test_boundary_correction_matches_operator_difference(problem01, params2,
 def test_boundary_correction_shrinks_with_offset(params2, kernel05, inst05,
                                                  maximal_stable, problem01):
     """A smaller interface offset leaves less reflection asymmetry."""
-    small = build_problem(params2, kernel05, 0.1, J_STABLE, 0.05, n0=N0,
-                          instanton=inst05, macro=maximal_stable)
+    small, _ = build_problem(params2, kernel05, 0.1, J_STABLE, 0.05, n0=N0,
+                             instanton=inst05, macro=maximal_stable)
     assert np.max(np.abs(small.r_eps)) < np.max(np.abs(problem01.r_eps))
 
 
@@ -139,14 +146,37 @@ def test_seed_weighted_distance(asym_sweep):
     consts = []
     for eps in EPS_SWEEP:
         prob = asym_sweep[eps].problem
-        h0, _ = projected_iterate(prob, prob.m_eps)
+        h0, _ = _projected_step(prob, prob.m_eps)
         consts.append(prob.weight.norm(h0 - prob.h_eps) / eps)
     assert max(consts) < 1.0
     assert max(consts) / min(consts) < 2.0
 
 
+def test_quasi_solution_state(params2, kernel05, inst05, maximal_stable,
+                              problem01):
+    """build_problem returns the quasi-solution's state: its pair, the
+    restricted convolution of m_eps and the residual the problem records."""
+    problem, start = build_problem(params2, kernel05, 0.1, J_STABLE, X0,
+                                   n0=N0, instanton=inst05,
+                                   macro=maximal_stable)
+    assert start.h is problem.h_eps and start.m is problem.m_eps
+    assert np.array_equal(start.h, problem01.h_eps)
+    assert np.array_equal(start.conv, conv_values(kernel05, problem.res_grid,
+                                                  problem.m_eps))
+    assert start.residual_norm == problem.seed_residual
+
+
+def test_projected_step_checks_the_mobility_floor(problem01):
+    """The projected step integrates the current law like the antisymmetric
+    map: a mobility below MOBILITY_FLOOR is a SaturationError."""
+    m = problem01.m_eps.copy()
+    m[0] = np.sqrt(1.0 - 0.5 * antisym.MOBILITY_FLOOR / problem01.params.beta)
+    with pytest.raises(SaturationError, match="mobility below floor"):
+        _projected_step(problem01, m)
+
+
 def test_projection_annihilates_component(problem01):
-    h0, state = projected_iterate(problem01, problem01.m_eps)
+    h0, state = _projected_step(problem01, problem01.m_eps)
     u = problem01.u_star_restricted
     du = problem01.res_grid.spacing
     ortho = np.trapezoid(h0 * u, dx=du)
@@ -211,7 +241,7 @@ def test_eigenvector_stability_under_restriction(asym_sweep):
 def test_admissibility_report(asym_sweep):
     res = asym_sweep[0.1]
     prob = res.problem
-    h0, _ = projected_iterate(prob, prob.m_eps)
+    h0, _ = _projected_step(prob, prob.m_eps)
     rep = admissibility_report(prob, h0)
     assert rep["weighted_ok"] and rep["derivative_ok"] \
         and rep["window_derivative_ok"]

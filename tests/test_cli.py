@@ -183,6 +183,21 @@ def test_stefan_command_and_infeasible_exit(tmp_path):
     assert data["ell_j"] == pytest.approx(1.9467161267, abs=1e-6)
 
 
+@pytest.mark.parametrize("ell", ["0", "-1", "nan"])
+@pytest.mark.parametrize("branch", [["--j", "-0.02"],
+                                    ["--j", "0.02", "--metastable"]],
+                         ids=["stable", "metastable"])
+def test_stefan_refuses_a_bad_half_length(tmp_path, capsys, branch, ell):
+    """Both branches refuse a half-length that is not positive and finite
+    with one config error, and write no profile."""
+    out = tmp_path / "s"
+    assert main(["stefan", "--beta", "2", *branch, "--ell", ell,
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        "config error: half-length must be positive and finite")
+    assert not (out / "stefan.csv").exists()
+
+
 @pytest.mark.parametrize("beta", ["19", "1e300"])
 def test_instanton_command_refuses_saturated_beta(tmp_path, capsys, beta):
     """A saturated m_beta is a config error before any step: no 50 000-step
@@ -710,6 +725,33 @@ def test_state_without_sidecar_is_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and state in err
     assert not spec_out.exists()
+
+
+@pytest.mark.parametrize("sidecar", [
+    '{"epsilon": 0.1, "left"',
+    '{"epsilon": 0.1, "right": 1.0, "spacing": 0.05}',
+    '{"epsilon": 0.1, "left": "one", "right": 1.0, "spacing": 0.05}',
+    '[0.1, 1.0, 1.0, 0.05]',
+], ids=["truncated", "missing-key", "non-numeric", "list"])
+def test_malformed_sidecar_is_config_error(tmp_path, sidecar):
+    """A grid sidecar that is not a JSON object with the grid's numbers is a
+    config error naming it (exit 2), not a traceback."""
+    run_dir = tmp_path / "run"
+    main(["solve", "--beta", "2", "--eps", "0.1", "--j", "-0.02",
+          "--ell", "1", "--n0", "2", "--out", str(run_dir)])
+    side = run_dir / "state.grid.json"
+    side.write_text(sidecar + "\n")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "mesostefan.cli", "spectrum", "--state",
+         str(run_dir / "state.csv"), "--j", "-0.02", "--out",
+         str(tmp_path / "spec")], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.path.abspath(src)})
+    assert proc.returncode == EXIT_CONFIG
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"config error: malformed grid descriptor "
+                                  f"{side}")
+    assert not (tmp_path / "spec").exists()
 
 
 @pytest.mark.parametrize("edit,message", [

@@ -1,4 +1,4 @@
-"""Mesoscopic state machinery: effective field, auxiliary solve, linearization."""
+"""Mesoscopic state machinery: start state, auxiliary solve, linearization."""
 
 from dataclasses import replace
 
@@ -9,8 +9,7 @@ from scipy.stats import linregress
 from mesostefan import antisym, asym, meso, spectral
 from mesostefan.errors import ConvergenceError, SaturationError
 from mesostefan.grids import build_grid, conv_values
-from mesostefan.meso import (InnerRecord, effective_field, inner_solve,
-                             residual)
+from mesostefan.meso import InnerRecord, exact_state, inner_solve, make_state
 from mesostefan.thermo import mobility
 
 from conftest import ELL, J_META, J_STABLE, X0
@@ -25,37 +24,38 @@ def wide_grid():
 def instanton_state(params2, kernel05, inst05, wide_grid):
     """Zero-field critical point: interface profile on a reflecting domain."""
     m = np.interp(wide_grid.points, inst05.x, inst05.profile)
-    st = inner_solve(params2, kernel05, wide_grid, np.zeros(wide_grid.n), m)
+    st = inner_solve(params2, kernel05, wide_grid, np.zeros(wide_grid.n), m,
+                     conv_values(kernel05, wide_grid, m))
     return st
 
 
 def test_effective_field_constant(params2, kernel05, wide_grid):
     m = np.full(wide_grid.n, params2.m_beta)
-    h = effective_field(params2, kernel05, wide_grid, m)
+    h = exact_state(params2, kernel05, wide_grid, m).h
     assert np.max(np.abs(h)) < 1e-14
 
 
 def test_effective_field_round_trip(params2, kernel05, wide_grid):
     m = 0.7 * np.tanh(wide_grid.points / 2.5) + 0.1 * np.cos(wide_grid.points)
-    h = effective_field(params2, kernel05, wide_grid, m)
-    assert residual(params2, kernel05, wide_grid, h, m) < 1e-14
+    h = exact_state(params2, kernel05, wide_grid, m).h
+    assert make_state(params2, kernel05, wide_grid, h, m).residual_norm < 1e-14
 
 
 def test_effective_field_instanton_bulk(params2, kernel05, wide_grid, inst05):
     m = np.interp(wide_grid.points, inst05.x, inst05.profile)
-    h = effective_field(params2, kernel05, wide_grid, m)
+    h = exact_state(params2, kernel05, wide_grid, m).h
     bulk = np.abs(wide_grid.points) < 10.0
     assert np.max(np.abs(h[bulk])) < 1e-6
 
 
 def test_residual_examples(params2, kernel05, wide_grid):
     z = np.zeros(wide_grid.n)
-    assert residual(params2, kernel05, wide_grid, z, z) == 0.0
+    assert make_state(params2, kernel05, wide_grid, z, z).residual_norm == 0.0
     c = params2.m_beta / 2.0
     m = np.full(wide_grid.n, c)
     expected = abs(c - np.tanh(params2.beta * c))
-    assert residual(params2, kernel05, wide_grid, z, m) == pytest.approx(
-        expected, abs=1e-14)
+    assert make_state(params2, kernel05, wide_grid, z, m).residual_norm \
+        == pytest.approx(expected, abs=1e-14)
     assert expected > 0.05
 
 
@@ -98,18 +98,18 @@ def test_weighted_self_adjointness(instanton_state):
 
 def test_inner_solve_fixed_point_seed(params2, kernel05, wide_grid):
     m0 = 0.6 * np.tanh(wide_grid.points / 3.0)
-    h = effective_field(params2, kernel05, wide_grid, m0)
-    st = inner_solve(params2, kernel05, wide_grid, h, m0)
+    start = exact_state(params2, kernel05, wide_grid, m0)
+    st = inner_solve(params2, kernel05, wide_grid, start.h, m0, start.conv)
     assert np.array_equal(st.m, m0)   # already below tolerance: unchanged
     assert st.record == InnerRecord(0, "picard")
 
 
 def test_inner_solve_reuses_last_convolution(params2, kernel05, wide_grid,
                                              monkeypatch):
-    """Seeded at an exact fixed point, the solve convolves once: the state's
-    weight and residual come from the Picard step's own field argument."""
+    """Seeded at an exact fixed point, the start and the solve convolve once
+    between them: the state's weight and residual come from the Picard
+    step's own field argument."""
     m0 = 0.6 * np.tanh(wide_grid.points / 3.0)
-    h = effective_field(params2, kernel05, wide_grid, m0)
     calls = []
     real = meso.conv_values
 
@@ -118,7 +118,9 @@ def test_inner_solve_reuses_last_convolution(params2, kernel05, wide_grid,
         return real(*args)
 
     monkeypatch.setattr(meso, "conv_values", counted)
-    st = inner_solve(params2, kernel05, wide_grid, h, m0)
+    start = exact_state(params2, kernel05, wide_grid, m0)
+    h = start.h
+    st = inner_solve(params2, kernel05, wide_grid, h, m0, start.conv)
     assert len(calls) == 1
     monkeypatch.undo()
     ref = meso.make_state(params2, kernel05, wide_grid, h, m0)
@@ -138,7 +140,8 @@ def test_inner_solve_perturbed_field_lipschitz(params2, kernel05, wide_grid,
     bump = 0.01 * np.sin(np.pi * wide_grid.points / wide_grid.b) \
         * np.exp(-(wide_grid.points / 8.0) ** 2)
     bump = 0.5 * (bump - bump[::-1])
-    st2 = inner_solve(params2, kernel05, wide_grid, st.h + bump, st.m)
+    st2 = inner_solve(params2, kernel05, wide_grid, st.h + bump, st.m,
+                      st.conv)
     dev = np.max(np.abs(st2.m - st.m))
     assert dev > 0.0
     assert dev / 0.01 < 10.0     # finite measured Lipschitz constant
@@ -148,7 +151,8 @@ def test_inner_solve_antisymmetry_preserved(params2, kernel05, wide_grid):
     x = wide_grid.points
     m0 = 0.8 * np.tanh(x / 2.0)
     h = 0.005 * np.sin(np.pi * x / wide_grid.b)
-    st = inner_solve(params2, kernel05, wide_grid, h, m0)
+    st = inner_solve(params2, kernel05, wide_grid, h, m0,
+                     conv_values(kernel05, wide_grid, m0))
     assert np.max(np.abs(st.m + st.m[::-1])) < 1e-10
 
 
@@ -156,10 +160,11 @@ def test_inner_solve_exponential_locality(params2, kernel05, inst05):
     """A compact field bump perturbs the solution exponentially locally."""
     grid = build_grid(0.1, 3.0, 3.0, 0.05)
     m0 = np.interp(grid.points, inst05.x, inst05.profile)
-    h0 = effective_field(params2, kernel05, grid, m0)
+    start = exact_state(params2, kernel05, grid, m0)
+    h0 = start.h
     bump = 0.01 * np.exp(-((grid.points - 10.0) / 0.5) ** 2)
-    st1 = inner_solve(params2, kernel05, grid, h0, m0)
-    st2 = inner_solve(params2, kernel05, grid, h0 + bump, m0)
+    st1 = inner_solve(params2, kernel05, grid, h0, m0, start.conv)
+    st2 = inner_solve(params2, kernel05, grid, h0 + bump, m0, start.conv)
     diff = np.abs(st2.m - st1.m)
     dist = np.abs(grid.points - 10.0)
     sel = (dist > 2.0) & (dist < 12.0) & (diff > 1e-14)
@@ -169,9 +174,10 @@ def test_inner_solve_exponential_locality(params2, kernel05, inst05):
 
 
 def test_inner_solve_saturation(params2, kernel05, wide_grid):
+    z = np.zeros(wide_grid.n)
     with pytest.raises(SaturationError):
-        inner_solve(params2, kernel05, wide_grid,
-                    np.full(wide_grid.n, 30.0), np.zeros(wide_grid.n))
+        inner_solve(params2, kernel05, wide_grid, np.full(wide_grid.n, 30.0),
+                    z, z)
 
 
 @pytest.fixture
@@ -216,19 +222,21 @@ def test_inner_solve_stall_converges(params2, kernel05, inst05, maximal_stable,
                                      switches, convolutions, eps, n):
     """A push along the 1 - C eps interface mode stalls the Picard iteration;
     recursive projection finishes the solve at any size, in at most 35
-    convolutions, the leading pair's included."""
+    convolutions, the start's and the leading pair's included."""
     res = antisym.solve_stable(params2, kernel05, eps, -0.02, 1.0, n0=2,
                                instanton=inst05, macro=maximal_stable)
     st, _, m0 = _pushed_along_slow_mode(res)
     switches.clear()
     convolutions.clear()
-    st2 = inner_solve(params2, kernel05, st.grid, st.h, m0)
+    st2 = inner_solve(params2, kernel05, st.grid, st.h, m0,
+                      meso.conv_values(kernel05, st.grid, m0))
     assert st.grid.n == n
     assert switches == [n]
     assert st2.record.path == "projected"
     assert len(convolutions) <= 35
     assert st2.residual_norm < 1e-12
-    assert residual(params2, kernel05, st.grid, st.h, st2.m) < 1e-12
+    assert make_state(params2, kernel05, st.grid, st.h,
+                      st2.m).residual_norm < 1e-12
     assert np.max(np.abs(st2.m - st.m)) <= 1e-8
 
 
@@ -240,7 +248,8 @@ def test_inner_solve_metastable_push_converges(params2, kernel05,
     st, pair, m0 = _pushed_along_slow_mode(metastable_sweep[0.025])
     assert pair.lambda_ > 1.0
     switches.clear()
-    st2 = inner_solve(params2, kernel05, st.grid, st.h, m0)
+    st2 = inner_solve(params2, kernel05, st.grid, st.h, m0,
+                      conv_values(kernel05, st.grid, m0))
     assert switches == [st.grid.n]
     assert st2.record.path == "projected"
     assert st2.residual_norm < 1e-12
@@ -258,7 +267,8 @@ def test_inner_solve_without_fixed_point_saturates(params2, kernel05, inst05,
     assert grid.n == n
     m0 = np.interp(grid.points, inst05.x, inst05.profile)
     with pytest.raises(SaturationError):
-        inner_solve(params2, kernel05, grid, np.full(grid.n, 0.002), m0)
+        inner_solve(params2, kernel05, grid, np.full(grid.n, 0.002), m0,
+                    conv_values(kernel05, grid, m0))
     assert switches == [n]
 
 
@@ -270,7 +280,8 @@ def test_inner_solve_without_gap_raises(params2, kernel05, stable_sweep,
     monkeypatch.setattr(spectral, "leading_eigenpair",
                         lambda state, tol: replace(pair, lambda_=1.0))
     with pytest.raises(ConvergenceError, match="1 to rounding") as info:
-        inner_solve(params2, kernel05, st.grid, st.h, m0)
+        inner_solve(params2, kernel05, st.grid, st.h, m0,
+                    conv_values(kernel05, st.grid, m0))
     last = info.value.last
     assert last.shape == m0.shape
     assert 0 < np.max(np.abs(last - st.m)) < np.max(np.abs(m0 - st.m))
@@ -283,9 +294,11 @@ def test_inner_solve_budget_carries_last_iterate(params2, kernel05,
     st, _, m0 = _pushed_along_slow_mode(stable_sweep[0.025])
     monkeypatch.setattr(meso, "_MAX_ITER", 8)
     with pytest.raises(ConvergenceError, match="stuck") as info:
-        inner_solve(params2, kernel05, st.grid, st.h, m0)
-    r0 = residual(params2, kernel05, st.grid, st.h, m0)
-    r8 = residual(params2, kernel05, st.grid, st.h, info.value.last)
+        inner_solve(params2, kernel05, st.grid, st.h, m0,
+                    conv_values(kernel05, st.grid, m0))
+    r0 = make_state(params2, kernel05, st.grid, st.h, m0).residual_norm
+    r8 = make_state(params2, kernel05, st.grid, st.h,
+                    info.value.last).residual_norm
     assert r8 < 0.1 * r0
 
 
@@ -293,30 +306,34 @@ def test_continuation_path(params2, kernel05, wide_grid, instanton_state):
     """The solve reaches a distant target field from the seed."""
     st = instanton_state
     target = st.h + 0.05 * np.tanh(wide_grid.points / 5.0)
-    m = inner_solve(params2, kernel05, wide_grid, target, st.m).m
-    assert residual(params2, kernel05, wide_grid, target, m) < 1e-12
+    m = inner_solve(params2, kernel05, wide_grid, target, st.m, st.conv).m
+    assert make_state(params2, kernel05, wide_grid, target,
+                      m).residual_norm < 1e-12
     assert np.max(np.abs(m - st.m)) < 0.5
 
 
 def test_picard_record_counts_updates(params2, kernel05, wide_grid,
                                       instanton_state, convolutions):
     """The record counts the fixed-point updates: one convolution each, plus
-    the one that finds the residual below tol."""
+    the start's, from which the first residual is measured."""
     st = instanton_state
     bump = 0.01 * np.sin(np.pi * wide_grid.points / wide_grid.b)
     convolutions.clear()
-    st2 = inner_solve(params2, kernel05, wide_grid, st.h + bump, st.m)
+    st2 = inner_solve(params2, kernel05, wide_grid, st.h + bump, st.m,
+                      meso.conv_values(kernel05, wide_grid, st.m))
     assert st2.record.path == "picard"
     assert st2.record.picard_steps == len(convolutions) - 1 > 0
 
 
 def test_inner_solve_from_given_convolution(params2, kernel05, wide_grid,
                                             instanton_state, convolutions):
-    """Given J^neum*m_init, the solve makes one convolution per update and
-    returns the same state, whose conv is its last convolution."""
+    """Given the start state's J^neum*m_init, the solve makes one convolution
+    per update and returns the same state as from a fresh convolution of
+    m_init, whose conv is its last convolution."""
     st = instanton_state
     bump = 0.01 * np.sin(np.pi * wide_grid.points / wide_grid.b)
-    ref = inner_solve(params2, kernel05, wide_grid, st.h + bump, st.m)
+    ref = inner_solve(params2, kernel05, wide_grid, st.h + bump, st.m,
+                      conv_values(kernel05, wide_grid, st.m))
     convolutions.clear()
     st2 = inner_solve(params2, kernel05, wide_grid, st.h + bump, st.m,
                       conv_init=st.conv)
@@ -338,7 +355,7 @@ def _outer_solve(mode, params2, kernel05, inst05, maximal_stable,
         res = asym.solve_off_center(params2, kernel05, 0.05, J_STABLE, X0,
                                     instanton=inst05, macro=maximal_stable)
         return res, [res.problem.extended.trace, res.trace]
-    else:   # j > 0 solves the mirrored arrangement and flips its state
+    else:   # j > 0 is the mirrored arrangement, solved directly
         j = J_STABLE if mode == "stable" else -J_STABLE
         res = antisym.solve_stable(params2, kernel05, 0.05, j, ELL,
                                    instanton=inst05)
@@ -350,9 +367,10 @@ def _outer_solve(mode, params2, kernel05, inst05, maximal_stable,
 def test_outer_loops_restart_from_the_last_convolution(
         mode, params2, kernel05, inst05, maximal_stable, maximal_meta,
         convolutions, monkeypatch):
-    """After a loop's first auxiliary solve, which convolves its start, each
-    solve of the antisymmetric and the projected loop makes exactly one
-    convolution per Picard update, and the returned state makes none."""
+    """Each solve of the antisymmetric and the projected loop, the first
+    included (it restarts from the convolution its set-up formed), makes
+    exactly one convolution per Picard update, and the returned state makes
+    none."""
     solves = []           # (convolutions made, record) of each solve
     marks = []            # convolutions counted when each solve returned
 
@@ -374,10 +392,8 @@ def test_outer_loops_restart_from_the_last_convolution(
         start += len(trace.picard_steps)
         assert [rec.picard_steps for _, rec in loop] == trace.picard_steps
         assert all(rec.path == "picard" for _, rec in loop)
-        first, rest = loop[0], loop[1:]
-        assert first[0] == first[1].picard_steps + 1
-        assert len(rest) > 3
-        assert [n for n, _ in rest] == [rec.picard_steps for _, rec in rest]
+        assert len(loop) > 4
+        assert [n for n, _ in loop] == trace.picard_steps
     assert len(convolutions) == marks[-1]
     assert res.state.residual_norm < 1e-12
 
@@ -401,7 +417,8 @@ def test_picard_contracts_at_the_subdominant_rate(params2, kernel05,
         return out
 
     monkeypatch.setattr(meso, "conv_values", recorded)
-    inner_solve(params2, kernel05, st.grid, st.h, m0)
+    inner_solve(params2, kernel05, st.grid, st.h, m0,
+                meso.conv_values(kernel05, st.grid, m0))
     rate = (res[-1] / res[4]) ** (1.0 / (len(res) - 5))
     assert 0.25 < lam2 < 0.35
     assert abs(rate - lam2) < 0.02

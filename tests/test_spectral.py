@@ -5,9 +5,9 @@ import pytest
 
 from mesostefan import antisym, asym, spectral, stefan
 from mesostefan.errors import ConvergenceError
-from mesostefan.grids import build_grid, build_kernel
+from mesostefan.grids import build_grid, build_kernel, conv_values
 from mesostefan.instanton import compute_instanton
-from mesostefan.meso import effective_field, inner_solve, make_state
+from mesostefan.meso import exact_state, inner_solve
 from mesostefan.spectral import (eigenvector_shape_report, leading_eigenpair,
                                  second_eigenvalue)
 from mesostefan.thermo import make_params, mobility
@@ -20,7 +20,8 @@ from conftest import ELL, J_META, J_STABLE, N0, X0
 def fine_instanton_state(params2, kernel025, inst025):
     grid = build_grid(0.1, 2.0, 2.0, 0.025)
     m = np.interp(grid.points, inst025.x, inst025.profile)
-    return inner_solve(params2, kernel025, grid, np.zeros(grid.n), m)
+    return inner_solve(params2, kernel025, grid, np.zeros(grid.n), m,
+                       conv_values(kernel025, grid, m))
 
 
 @pytest.fixture(scope="module")
@@ -33,8 +34,7 @@ def test_constant_weight_state(params2, kernel05):
     grid = build_grid(0.1, 1.0, 1.0, 0.05)
     t = 0.3
     m = np.full(grid.n, t)
-    h = effective_field(params2, kernel05, grid, m)
-    st = make_state(params2, kernel05, grid, h, m)
+    st = exact_state(params2, kernel05, grid, m)
     c = float(mobility(params2, t))
     assert np.max(np.abs(st.p - c)) < 1e-14
     res = leading_eigenpair(st)
