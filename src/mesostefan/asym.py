@@ -82,7 +82,7 @@ def default_a_plus(instanton: Instanton, eps, x0) -> float:
     """Fraction of the interface decay rate, capped for float safety.
 
     The analysis wants the weight rate below every decay constant in play;
-    a quarter of the measured interface rate honors that with margin.  The
+    a quarter of the interface decay rate honors that with margin.  The
     cap keeps exp(a_plus (1-x0)/eps) <= exp(WEIGHT_EXPONENT_CAP): beyond it
     the weighted norm would amplify interface rounding noise above the
     O(eps) signals being tracked.

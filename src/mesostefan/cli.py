@@ -277,7 +277,7 @@ def cmd_spectrum(args) -> int:
     sp = spectral.leading_eigenpair(state)
     lam2 = spectral.second_eigenvalue(state, sp)
     inst = instanton_mod.compute_instanton(params, kernel)
-    c_inst = abs(args.j) * inst.mean / inst.norm_sq if args.j else float("nan")
+    c_inst = abs(args.j) * inst.mean / inst.norm_sq if args.j else None
     payload = {
         "lambda": sp.lambda_,
         "lambda2": lam2,
@@ -328,13 +328,12 @@ def cmd_sweep(args) -> int:
     report = run(cfg)
     for row in report.rows:
         run_dir = _outdir(os.path.join(out, f"eps_{row.eps:g}"))
-        record = {
+        # a value that does not apply is nan in sweep.csv and null here
+        record = {k: None if v != v else v for k, v in {
             "eps": row.eps, "mode": row.mode, "hydro_m": row.hydro_m,
             "hydro_h": row.hydro_h, "lam_gap_ratio": row.lam_gap_ratio,
-            "C_instanton": row.c_instanton,
-            "I_eps": row.i_eps, "eps_x_eps": row.eps_x_eps,
-            "iters": row.iters,
-        }
+            "C_instanton": row.c_instanton, "I_eps": row.i_eps,
+            "eps_x_eps": row.eps_x_eps, "iters": row.iters}.items()}
         if row.error:
             record["error"] = row.error
         else:

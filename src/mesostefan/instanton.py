@@ -5,10 +5,10 @@ truncated line, with a Dirichlet-style clamp to +-m_beta outside a one-unit
 collar.  On odd functions the map contracts at the sub-dominant eigenvalue
 of its linearization (about 0.31 per step at beta = 2), so no damping is
 needed.  The profile, its derivative, the weighted normalization constants
-and the fitted tail decay rate feed the composite seeds, the sweeps' C
-column and the spectral checks.  A saturated m_beta (1 to rounding, from
-beta ~ 18.5 on) is refused before the first step: the mobility
-beta (1 - m^2) of the profile would vanish.
+and the tail decay rate (the root of its characteristic equation, no fit)
+feed the composite seeds, the sweeps' C column and the spectral checks.  A
+saturated m_beta (1 to rounding, from beta ~ 18.5 on) is refused before
+the first step: the mobility beta (1 - m^2) of the profile would vanish.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ HALF_WIDTH = 20.0     # X of the truncated line [-X, X]
 MAX_SPACING = 0.05
 _TOL = 1e-12          # sup-norm residual off the clamp collar
 _MAX_ITER = 50_000    # Picard steps
+_MAX_NEWTON = 100     # Newton steps for the decay rate
 
 
 @dataclass(frozen=True)
@@ -37,8 +38,7 @@ class Instanton:
     profile: np.ndarray      # odd, strictly increasing, -> +-m_beta
     derivative: np.ndarray   # 4th-order centered differences
     p_bar: np.ndarray        # beta (1 - profile^2)
-    decay_rate: float        # fitted a in m_beta - profile ~ c exp(-a x)
-    decay_r2: float
+    decay_rate: float        # a in m_beta - profile ~ c exp(-a x)
     norm_sq: float           # int derivative^2 / p_bar
     mean: float              # int derivative / p_bar = 2 artanh(m_beta)/beta
     residual: float          # sup norm off the clamp collar
@@ -120,32 +120,37 @@ def compute_instanton(params: ThermoParams, kernel: Kernel,
     p_bar = mobility(params, m)
     norm_sq = float(np.trapezoid(deriv * deriv / p_bar, dx=spacing))
     mean = 2.0 * mb     # the clamped window's integral, exactly
-    rate, r2 = _fit_decay(x, m, mb)
+    rate = decay_root(mobility(params, mb), kernel)
 
     for arr in (x, m, deriv, p_bar):
         arr.setflags(write=False)
-    return Instanton(beta, x, spacing, m, deriv, p_bar, rate, r2,
+    return Instanton(beta, x, spacing, m, deriv, p_bar, rate,
                      norm_sq, mean, residual, mb)
 
 
-def _fit_decay(x, m, m_beta):
-    """:func:`decay_fit` of the gap v = m_beta - m on the right tail where
-    1e-11 < v < 1e-2: a window by magnitude, not by fixed abscissas, since
-    beyond ~1e-12 the gap drowns in rounding for sharp profiles."""
-    right = x > 0
-    v = m_beta - m[right]
-    mask = (v > 1e-11) & (v < 1e-2)
-    if mask.sum() < 5:
-        raise ConvergenceError("decay window too short for a fit")
-    return decay_fit(x[right][mask], v[mask])
+def decay_root(p_beta, kernel: Kernel) -> float:
+    """Rate a of the tail gap v = m_beta - profile ~ exp(-a x), from the
+    linearized tail v = p_beta J*v, p_beta = beta (1 - m_beta^2) < 1: the
+    root of g(a) = log(p_beta sum_k w_k cosh(a k d)), w the kernel weights.
 
-
-def decay_fit(x, values) -> tuple[float, float]:
-    """(a, r^2) of the least-squares line log(values) ~ c - a x, with the
-    arithmetic of scipy.stats.linregress (np.cov, bias=1; r within +-1)."""
-    ssxm, ssxym, _, ssym = np.cov(x, np.log(values), bias=1).flat
-    r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
-    return float(-(ssxym / ssxm)), float(r ** 2)
+    g is convex (a log-sum-exp) with its root in [acosh(1/p_beta),
+    acosh(1/p_beta)/mu], mu = sum_k w_k |k d|: cosh(a k d) <= cosh(a) below,
+    Jensen's inequality above.  So Newton's method from the upper end falls
+    monotonically onto the root; it stops when a step no longer lowers a.
+    """
+    offsets = kernel.spacing * np.arange(-kernel.half_points,
+                                         kernel.half_points + 1)
+    w = kernel.weights
+    a = float(np.arccosh(1.0 / p_beta) / np.sum(w * np.abs(offsets)))
+    for _ in range(_MAX_NEWTON):
+        total = float(np.sum(w * np.cosh(a * offsets)))
+        slope = float(np.sum(w * offsets * np.sinh(a * offsets)))
+        a_next = a - float(np.log(p_beta * total)) * total / slope
+        if not a_next < a:
+            return a
+        a = a_next
+    raise ConvergenceError(f"Newton iteration for the decay rate did not "
+                           f"settle in {_MAX_NEWTON} steps (p_beta {p_beta})")
 
 
 def threshold_abscissa(instanton: Instanton, eps) -> float:

@@ -95,9 +95,11 @@ def make_state(params: ThermoParams, kernel: Kernel, grid: Grid,
     m = np.asarray(m, dtype=float)
     if conv is None:
         conv = conv_values(kernel, grid, m)
-    arg = params.beta * (conv + h)
+    work = np.add(conv, h)      # m - tanh(beta (conv + h)) in one buffer
+    work *= params.beta
+    np.subtract(m, np.tanh(work, out=work), out=work)
     return _state_at(params, kernel, grid, h, m, conv,
-                     float(np.max(np.abs(m - np.tanh(arg)))))
+                     float(np.abs(work, out=work).max()))
 
 
 def _state_at(params, kernel, grid, h, m, conv, res,

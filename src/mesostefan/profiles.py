@@ -112,16 +112,15 @@ def load_columns(path, names) -> tuple[np.ndarray, ...]:
 
 
 def dump_json(path, payload: dict):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_coerce)
+    with open(path, "w") as fh:     # strict JSON: a NaN raises ValueError
+        json.dump(payload, fh, indent=2, sort_keys=True, default=_coerce,
+                  allow_nan=False)
         fh.write("\n")
 
 
 def _coerce(obj):
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, bool):
-        return obj
     raise TypeError(f"cannot serialize {type(obj)}")

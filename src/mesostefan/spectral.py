@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .instanton import Instanton, decay_fit
+from .instanton import Instanton
 
 if TYPE_CHECKING:       # meso imports this module for its inner solve
     from .meso import MesoState
@@ -119,25 +119,18 @@ def eigenvector_shape_report(state: MesoState, result: SpectralResult,
 
     Reports the sup difference over an interface window of
     max(1, 2 log(1/eps) / a) mesoscopic units, a the instanton decay rate,
-    and a log-linear fit of the eigenvector tail beyond it.
+    and the largest relative deviation from a of the eigenvector's local
+    log-slope on the right tail beyond it, where u > 1e-10 max u.
     """
     grid = state.grid
     window = max(1.0, 2.0 * np.log(1.0 / grid.epsilon) / instanton.decay_rate)
-    x = grid.points
+    x, u = grid.points, result.u
     md_unit = np.interp(x, instanton.x, instanton.unit_derivative(),
                         left=0.0, right=0.0)
     inside = np.abs(x) <= window
-    sup_diff = float(np.max(np.abs(result.u[inside] - md_unit[inside])))
+    sup_diff = float(np.max(np.abs(u[inside] - md_unit[inside])))
 
-    u_max = float(np.max(result.u))
-    tail = (np.abs(x) > window) & (result.u > 1e-10 * u_max)
-    if tail.sum() >= 8:
-        tail_rate, tail_r2 = decay_fit(np.abs(x[tail]), result.u[tail])
-    else:
-        tail_rate, tail_r2 = float("nan"), float("nan")
-    return {
-        "window": float(window),
-        "sup_window_diff": sup_diff,
-        "tail_rate": tail_rate,
-        "tail_r2": tail_r2,
-    }
+    tail = u[(x > window) & (u > 1e-10 * np.max(u))]
+    slope_ratio = -np.diff(np.log(tail)) / (grid.spacing * instanton.decay_rate)
+    return {"window": float(window), "sup_window_diff": sup_diff,
+            "tail_slope_deviation": float(np.max(np.abs(slope_ratio - 1.0)))}

@@ -20,7 +20,7 @@ from mesostefan.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_NUMERICAL,
                             EXIT_OK, SWEEP_HEADER, main, run, validate)
 from mesostefan.config import RunConfig, parse_config
 from mesostefan.errors import DomainError, GridError, InfeasibleError
-from mesostefan.profiles import load_columns, load_state
+from mesostefan.profiles import dump_json, load_columns, load_state
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "scripts", "configs")
 
@@ -297,6 +297,61 @@ def test_spectrum_command(tmp_path):
     assert data["lambda2"] < data["lambda"]
     ratio = data["C_check"]["one_minus_lambda_over_eps"]
     assert ratio == pytest.approx(data["C_check"]["C_instanton"], rel=0.05)
+
+
+def _strict_json(path):
+    """The JSON of ``path``, refusing the non-standard NaN and Infinity."""
+    def reject(token):
+        raise ValueError(f"{path}: {token} is not JSON")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+#: the row.json keys that do not apply to a solved row of each mode
+NOT_APPLICABLE = {"antisym": {"I_eps", "eps_x_eps"},
+                  "metastable": {"eps_x_eps"}, "asym": {"I_eps"}}
+ROW_VALUES = {"hydro_m", "hydro_h", "lam_gap_ratio", "C_instanton", "I_eps",
+              "eps_x_eps"}
+
+
+def test_json_artifacts_are_strict(tmp_path):
+    """Every shipped row, an error row and a spectrum run without --j parse
+    as strict JSON: a value that does not apply is null."""
+    for path in sorted(glob.glob(os.path.join(CONFIGS, "*.txt"))):
+        out = tmp_path / os.path.basename(path)
+        with open(path) as fh:
+            text = re.sub(r"(?m)^outdir = .*$", f"outdir = {out}", fh.read())
+        cfg_file = tmp_path / "cfg.txt"
+        cfg_file.write_text(text)
+        assert main(["sweep", "--config", str(cfg_file)]) == EXIT_OK
+        rows = [_strict_json(p) for p in sorted(out.glob("eps_*/row.json"))]
+        assert len(rows) == 3
+        for row in rows:
+            nulls = {k for k in ROW_VALUES if row[k] is None}
+            assert nulls == NOT_APPLICABLE[row["mode"]], path
+
+    out = tmp_path / "bad"
+    cfg_file.write_text("beta = 2.0\nj = -0.2\nell = 1.0\nmode = antisym\n"
+                        f"eps_list = 0.1\noutdir = {out}\n")
+    assert main(["sweep", "--config", str(cfg_file)]) == EXIT_INFEASIBLE
+    row = _strict_json(out / "eps_0.1" / "row.json")
+    assert {k for k in ROW_VALUES if row[k] is None} == ROW_VALUES
+
+    run_dir, spec_dir = tmp_path / "run", tmp_path / "spec"
+    assert main(["solve", "--eps", "0.1", "--j", "-0.02", "--ell", "1",
+                 "--out", str(run_dir)]) == EXIT_OK
+    assert main(["spectrum", "--state", str(run_dir / "state.csv"),
+                 "--out", str(spec_dir)]) == EXIT_OK
+    spectrum = _strict_json(spec_dir / "spectrum.json")
+    assert spectrum["C_check"]["C_instanton"] is None
+
+
+def test_dump_json_writes_numpy_bools_and_refuses_nan(tmp_path):
+    path = tmp_path / "out.json"
+    dump_json(path, {"ok": np.bool_(True), "n": np.int64(3)})
+    assert json.loads(path.read_text()) == {"ok": True, "n": 3}
+    assert '"ok": true' in path.read_text()
+    with pytest.raises(ValueError):
+        dump_json(path, {"value": float("nan")})
 
 
 def test_sweep_empty_eps_list():

@@ -9,7 +9,7 @@ from mesostefan.errors import ConvergenceError, DomainError, GridError
 from mesostefan.grids import build_kernel
 from mesostefan.instanton import (apply_transfer, compute_instanton,
                                   threshold_abscissa)
-from mesostefan.thermo import make_params
+from mesostefan.thermo import make_params, mobility
 
 
 def test_profile_basics(inst05, params2):
@@ -86,27 +86,28 @@ def test_threshold_scales_like_log(inst05):
     assert abs(fit.slope - 1.0 / inst05.decay_rate) < 0.15 / inst05.decay_rate
 
 
-def test_decay_regression(inst05):
-    assert inst05.decay_rate > 0.0
-    assert inst05.decay_r2 > 0.999
+def test_decay_rate_is_characteristic_root():
+    """decay_rate solves p_beta sum_k w_k cosh(a k d) = 1 and lies in its
+    bracket [acosh(1/p_beta), acosh(1/p_beta)/mu], mu = sum_k w_k |k d|."""
+    for shape in ("cos2", "quartic"):
+        for spacing in (0.05, 0.025):
+            kernel = build_kernel(spacing, shape)
+            offsets = spacing * np.arange(-kernel.half_points,
+                                          kernel.half_points + 1)
+            mu = np.sum(kernel.weights * np.abs(offsets))
+            for beta in (1.2, 2.0, 12.0):
+                params = make_params(beta)
+                p_beta = mobility(params, params.m_beta)
+                a = instanton.decay_root(p_beta, kernel)
+                sums = np.sum(kernel.weights * np.cosh(a * offsets))
+                assert abs(p_beta * sums - 1.0) <= 1e-14
+                lo = np.arccosh(1.0 / p_beta)
+                assert lo <= a <= lo / mu
 
 
-def test_decay_fit_matches_linregress_bitwise(inst05):
-    """decay_fit is scipy.stats.linregress on log(values), bit for bit: on
-    the instanton's own fit window and on noisy exponential tails."""
-    right = inst05.x > 0
-    v = inst05.m_beta - inst05.profile[right]
-    mask = (v > 1e-11) & (v < 1e-2)
-    xs, vs = inst05.x[right][mask], v[mask]
-    fit = linregress(xs, np.log(vs))
-    assert (inst05.decay_rate, inst05.decay_r2) == (-fit.slope,
-                                                    fit.rvalue ** 2)
-    rng = np.random.default_rng(7)
-    for n in (5, 8, 200, 4001):
-        x = np.sort(rng.uniform(0.0, 30.0, n))
-        values = np.exp(0.3 - 1.7 * x + 0.05 * rng.standard_normal(n))
-        fit = linregress(x, np.log(values))
-        assert instanton.decay_fit(x, values) == (-fit.slope, fit.rvalue ** 2)
+def test_instanton_carries_its_decay_root(inst05, params2, kernel05):
+    assert inst05.decay_rate == instanton.decay_root(
+        mobility(params2, params2.m_beta), kernel05)
 
 
 def test_normalization_constants_stable_under_refinement(inst05, inst025):

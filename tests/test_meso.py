@@ -59,6 +59,18 @@ def test_residual_examples(params2, kernel05, wide_grid):
     assert expected > 0.05
 
 
+def test_residual_is_the_plain_expression_bitwise(params2, kernel05,
+                                                  wide_grid, inst05):
+    """make_state's one-buffer residual equals m - tanh(beta (conv + h))
+    formed with temporaries, bit for bit."""
+    rng = np.random.default_rng(3)
+    m = np.interp(wide_grid.points, inst05.x, inst05.profile)
+    h = 1e-3 * rng.standard_normal(wide_grid.n)
+    st = make_state(params2, kernel05, wide_grid, h, m)
+    assert st.residual_norm == float(np.max(np.abs(
+        m - np.tanh(params2.beta * (st.conv + h)))))
+
+
 def test_state_weight_matches_mobility_at_fixed_point(instanton_state):
     st = instanton_state
     assert st.residual_norm < 1e-9
