@@ -19,8 +19,10 @@ measured from a pair that was itself solved at INNER_TOL.
 
 check_stable and check_metastable hold every check a solve makes before its
 first outer step (current sign, eps <= 0.2, ell against ell_j or ell_break,
-grid, gluing point, instanton window).  The solvers call them first and
-``mesostefan validate`` runs them at each scale, so the two cannot disagree.
+grid, gluing point, instanton window) and return the seed layout they
+built, the grid and the gluing index.  The solvers call them first and
+iterate on that layout, and ``mesostefan validate`` runs them at each scale,
+so the two cannot disagree; n0 reaches nothing below the checks.
 IterationTrace is the record of both this outer loop and the off-center one.
 """
 
@@ -52,19 +54,6 @@ OUTER_TOL = 1e-10     # sup-norm outer increment that stops the loop
 INNER_TOL = 1e-12     # auxiliary residual of the returned pair
 FORCING = 0.01        # inner tolerance per unit of outer increment
 MAX_OUTER = 80        # outer steps before ConvergenceError
-
-
-@dataclass(frozen=True)
-class CompositeSeed:
-    """Odd initial pair: interface profile on [0, xi], macroscopic beyond."""
-
-    grid: Grid
-    m0: np.ndarray
-    h0: np.ndarray
-    xi_eps: float
-    xi_index: int      # index offset from the center to the gluing point
-    n0: int
-    x_eps: float
 
 
 @dataclass
@@ -123,17 +112,15 @@ class IterationTrace:
 class AntisymResult:
     state: MesoState
     trace: IterationTrace
-    seed: CompositeSeed
-    branch: str
+    xi_eps: float      # gluing point of the seed, snapped to the grid
     eps: float
     j: float
-    ell: float
     monotone: bool
     increase_interval: float | None    # meso length of the central rise (metastable)
 
 
 def _seed_layout(spacing, instanton: Instanton, eps, ell, n0):
-    """Grid, interface abscissa and gluing index of the composite seed.
+    """Grid and gluing index of the composite seed.
 
     GridError when eps^-1 [-ell, ell] has no grid at the spacing or none
     with x = 0 among its points (the seed is odd about it), the instanton
@@ -160,22 +147,19 @@ def _seed_layout(spacing, instanton: Instanton, eps, ell, n0):
     xi_index = int(np.ceil(xi / grid.spacing - 1e-12))
     if xi_index > instanton.center_index:
         raise GridError("instanton window too small for the gluing point")
-    return grid, x_eps, xi_index
+    return grid, xi_index
 
 
 def build_seed(params: ThermoParams, kernel: Kernel, instanton: Instanton,
-               macro, eps, j, ell,
-               n0=DEFAULT_N0) -> tuple[CompositeSeed, MesoState]:
-    """Composite odd seed on eps^-1[-ell, ell] and its exact state.
+               macro, eps, grid: Grid, xi_index: int) -> MesoState:
+    """Exact state of the composite odd seed on the layout a check built.
 
     The interface profile, signed like the macroscopic solution it is glued
-    to, fills [0, xi] with xi = x_eps + 2 n0 snapped up to the grid; the
-    macroscopic solution, evaluated at eps(x - xi) > 0, fills the rest.
-    Requires the instanton to be sampled at the solver spacing so the splice
+    to, fills [0, xi] with xi = xi_index * spacing; the macroscopic
+    solution, evaluated at eps(x - xi) > 0, fills the rest.  The layout's
+    check has matched the instanton's spacing to the grid's, so the splice
     introduces no interpolation error.
     """
-    grid, x_eps, xi_index = _seed_layout(kernel.spacing, instanton, eps, ell,
-                                         n0)
     c = grid.center_index
     xi_snap = xi_index * grid.spacing
     ic = instanton.center_index
@@ -187,9 +171,7 @@ def build_seed(params: ThermoParams, kernel: Kernel, instanton: Instanton,
     # odd extension m0(-x) = -m0(x)
     m0[:c] = -m0[c + 1:][::-1]
     m0[c] = 0.0
-    start = exact_state(params, kernel, grid, m0)
-    return CompositeSeed(grid, start.m, start.h, float(xi_snap), xi_index,
-                         int(n0), float(x_eps)), start
+    return exact_state(params, kernel, grid, m0)
 
 
 def current_integral(params: ThermoParams, grid: Grid, m: np.ndarray, eps, j,
@@ -214,22 +196,24 @@ def _odd_part(values: np.ndarray) -> np.ndarray:
 
 
 def check_stable(kernel: Kernel, eps, j, ell, n0, instanton: Instanton,
-                 macro: MaximalSolution) -> None:
-    """Raise what :func:`solve_stable` raises before iterating."""
+                 macro: MaximalSolution) -> tuple[Grid, int]:
+    """Raise what :func:`solve_stable` raises before iterating; return the
+    seed layout (grid, gluing index) it iterates on."""
     if j == 0.0:
         raise DomainError("j = 0 is the zero-current critical-point case: "
                           "solve the auxiliary fixed point with h = 0 instead")
-    _check_length(kernel, eps, ell, n0, instanton, "the maximal ell_j",
-                  macro.ell_j)
+    return _check_length(kernel, eps, ell, n0, instanton, "the maximal ell_j",
+                         macro.ell_j)
 
 
 def check_metastable(kernel: Kernel, eps, j, ell, n0, instanton: Instanton,
-                     macro: MetastableMaximal) -> None:
-    """Raise what :func:`solve_metastable` raises before iterating."""
+                     macro: MetastableMaximal) -> tuple[Grid, int]:
+    """Raise what :func:`solve_metastable` raises before iterating; return
+    the seed layout (grid, gluing index) it iterates on."""
     if j <= 0.0:
         raise DomainError("metastable arrangement needs j > 0")
-    _check_length(kernel, eps, ell, n0, instanton,
-                  "the metastable breakdown", macro.ell_break)
+    return _check_length(kernel, eps, ell, n0, instanton,
+                         "the metastable breakdown", macro.ell_break)
 
 
 def _check_length(kernel, eps, ell, n0, instanton, what, limit):
@@ -239,7 +223,7 @@ def _check_length(kernel, eps, ell, n0, instanton, what, limit):
     if ell >= limit:
         raise InfeasibleError(f"half-length {ell} must stay below {what} "
                               f"= {limit:.6g}", ell_j=limit)
-    _seed_layout(kernel.spacing, instanton, eps, ell, n0)
+    return _seed_layout(kernel.spacing, instanton, eps, ell, n0)
 
 
 def solve_stable(params: ThermoParams, kernel: Kernel, eps, j, ell,
@@ -251,8 +235,8 @@ def solve_stable(params: ThermoParams, kernel: Kernel, eps, j, ell,
 
     macro = macro or solve_maximal(params, j)
     instanton = instanton or compute_instanton(params, kernel)
-    check_stable(kernel, eps, j, ell, n0, instanton, macro)
-    return _iterate(params, kernel, instanton, macro, eps, j, ell, n0,
+    grid, xi_index = check_stable(kernel, eps, j, ell, n0, instanton, macro)
+    return _iterate(params, kernel, instanton, macro, eps, j, grid, xi_index,
                     "stable")
 
 
@@ -269,12 +253,14 @@ def solve_metastable(params: ThermoParams, kernel: Kernel, eps, j, ell,
 
     macro = macro or _metastable_maximal(params, j)
     instanton = instanton or compute_instanton(params, kernel)
-    check_metastable(kernel, eps, j, ell, n0, instanton, macro)
-    return _iterate(params, kernel, instanton, macro, eps, j, ell, n0,
+    grid, xi_index = check_metastable(kernel, eps, j, ell, n0, instanton,
+                                      macro)
+    return _iterate(params, kernel, instanton, macro, eps, j, grid, xi_index,
                     "metastable")
 
 
-def _iterate(params, kernel, instanton, macro, eps, j, ell, n0, branch):
+def _iterate(params, kernel, instanton, macro, eps, j, grid, xi_index,
+             branch):
     """Outer iteration h -> T(m(h)) with inexact auxiliary solves.
 
     Step k measures inc = sup|T(m) - h| from the current pair (h, m) and
@@ -283,14 +269,13 @@ def _iterate(params, kernel, instanton, macro, eps, j, ell, n0, branch):
     new pair when inc < OUTER_TOL and (h, m) was solved to INNER_TOL (the
     seed is an exact pair): an inexact solve that left m unchanged would
     otherwise yield inc = 0 and stop on an unconverged field.  The first
-    solve restarts from the seed's state, which is then dropped (its h and m
-    live on as the seed's).  The odd part of a solve's J^neum*m is J^neum of
-    the odd part of its m (the grid is symmetric), so every later solve, and
-    the returned state, restart from the previous solve's convolution.
+    solve restarts from the seed's state on the check's layout, then dropped.
+    The odd part of a solve's J^neum*m is J^neum of the odd part of its m
+    (the grid is symmetric), so every later solve, and the returned state,
+    restart from the previous solve's convolution.
     """
     tol, inner_tol = OUTER_TOL, INNER_TOL
-    seed, start = build_seed(params, kernel, instanton, macro, eps, j, ell, n0)
-    grid = seed.grid
+    start = build_seed(params, kernel, instanton, macro, eps, grid, xi_index)
     trace = IterationTrace(residuals=[start.residual_norm])
     h, m, conv = start.h, start.m, start.conv
     del start
@@ -319,8 +304,8 @@ def _iterate(params, kernel, instanton, macro, eps, j, ell, n0, branch):
             mono = _is_monotone(final.m, increasing=(j < 0))
             rise = _central_increase_length(grid, final.m) \
                 if branch == "metastable" else None
-            return AntisymResult(final, trace, seed, branch, float(eps),
-                                 float(j), float(ell), mono, rise)
+            return AntisymResult(final, trace, float(xi_index * grid.spacing),
+                                 float(eps), float(j), mono, rise)
     raise ConvergenceError(
         f"outer iteration did not reach {tol} in {MAX_OUTER} steps",
         last=trace,

@@ -99,17 +99,15 @@ class OffCenterProblem:
     eps: float
     j: float
     x0: float
-    extended: antisym.AntisymResult  # solve on eps^-1[-1, ell*] (true coords)
+    extended_trace: antisym.IterationTrace  # of the solve on eps^-1[-1, ell*]
+    xi_eps: float                    # gluing point of the extended seed
     ext_grid: Grid
     res_grid: Grid
-    m_star: np.ndarray               # on ext_grid
     u_star: SpectralResult           # of the extended state
     r_eps: np.ndarray                # boundary correction on res_grid
     h_eps: np.ndarray                # quasi-solution field on res_grid
-    m_eps: np.ndarray                # m* restricted to res_grid
     weight: ExponentialWeight
     interface_index: int             # index of eps^-1 x0 in res_grid
-    seed_residual: float
 
     @property
     def u_star_restricted(self) -> np.ndarray:
@@ -117,26 +115,31 @@ class OffCenterProblem:
 
 
 def check_off_center(kernel: Kernel, eps, j, x0, n0, instanton: Instanton,
-                     macro: MaximalSolution) -> tuple[Grid, Grid]:
+                     macro: MaximalSolution) -> tuple[Grid, int, Grid, Grid]:
     """Raise what :func:`build_problem` raises before the extended solve;
-    return the extended grid eps^-1[-1, 1 + 2 x0] and the restricted one.
+    return the extended solve's seed layout (its centred grid on
+    eps^-1[-(1 + x0), 1 + x0] and gluing index), the same points relabeled
+    as eps^-1[-1, 1 + 2 x0], and the restricted grid.
 
-    Needs 0 < x0 < 1, an extended run on eps^-1[-(1 + x0), 1 + x0] that
-    passes :func:`antisym.check_stable`, a restricted grid on
-    eps^-1[-1, 1] with eps^-1 x0 among its points (both grids then share
-    their left end, the restricted right end and the interface), and an
-    extension of at least one kernel range past eps^-1.
+    Needs 0 < x0 < 1, an extended run that passes
+    :func:`antisym.check_stable`, a restricted grid on eps^-1[-1, 1] with
+    eps^-1 x0 among its points (the relabeled and restricted grids then
+    share their left end, the restricted right end and the interface), and
+    an extension of at least one kernel range past eps^-1.
     """
     if not 0.0 < x0 < 1.0:
         raise DomainError("interface offset must lie in (0, 1); for x0 < 0 "
                           "flip the signs of x and j (mirror symmetry)")
-    antisym.check_stable(kernel, eps, j, 1.0 + x0, n0, instanton, macro)
+    grid, xi_index = antisym.check_stable(kernel, eps, j, 1.0 + x0, n0,
+                                          instanton, macro)
     res_grid = build_grid(eps, 1.0, 1.0, kernel.spacing)
     res_grid.index_of(x0 / eps)
     ext_grid = build_grid(eps, 1.0, 1.0 + 2.0 * x0, kernel.spacing)
+    if ext_grid.n != grid.n:
+        raise GridError("extended grid relabeling mismatch")
     if res_grid.n - 1 + kernel.half_points >= ext_grid.n:
         raise GridError("extended domain too short for the boundary correction")
-    return ext_grid, res_grid
+    return grid, xi_index, ext_grid, res_grid
 
 
 def build_problem(params: ThermoParams, kernel: Kernel, eps, j, x0,
@@ -144,23 +147,23 @@ def build_problem(params: ThermoParams, kernel: Kernel, eps, j, x0,
                   instanton: Instanton | None = None,
                   macro: MaximalSolution | None = None
                   ) -> tuple[OffCenterProblem, MesoState]:
-    """The extended solution, its eigenpair, the quasi-solution, and the
-    quasi-solution's state.
+    """The extended solution's trace and eigenpair, the quasi-solution, and
+    the quasi-solution's state.
 
+    The extended centred loop runs on the layout check_off_center built.
     r_eps is the extended minus the restricted reflected convolution of m*
     (exactly 0 more than one kernel range left of eps^-1), so h* + r_eps
-    is an exact fixed-point field for the restricted kernel.
+    is an exact fixed-point field for the restricted kernel.  Of the
+    extended state only the eigenvector outlives the projected loop's start.
     """
     from .instanton import compute_instanton
 
     macro = macro or solve_maximal(params, j)
     instanton = instanton or compute_instanton(params, kernel)
-    ext_grid, res_grid = check_off_center(kernel, eps, j, x0, n0, instanton,
-                                          macro)
-    extended = antisym.solve_stable(params, kernel, eps, j, 1.0 + x0, n0=n0,
-                                    instanton=instanton, macro=macro)
-    if ext_grid.n != extended.state.grid.n:
-        raise GridError("extended grid relabeling mismatch")
+    grid, xi_index, ext_grid, res_grid = check_off_center(
+        kernel, eps, j, x0, n0, instanton, macro)
+    extended = antisym._iterate(params, kernel, instanton, macro, eps, j,
+                                grid, xi_index, "stable")
     n_res = res_grid.n
     m_star = extended.state.m
 
@@ -181,9 +184,9 @@ def build_problem(params: ThermoParams, kernel: Kernel, eps, j, x0,
     interface_index = res_grid.index_of(x0 / eps)
     r_eps.setflags(write=False)
     return OffCenterProblem(params, kernel, float(eps), float(j), float(x0),
-                            extended, ext_grid, res_grid, m_star, u_star,
-                            r_eps, start.h, start.m, weight, interface_index,
-                            start.residual_norm), start
+                            extended.trace, extended.xi_eps, ext_grid,
+                            res_grid, u_star, r_eps, start.h, weight,
+                            interface_index), start
 
 
 def projected_iterate(problem: OffCenterProblem, m_n: np.ndarray,
@@ -217,9 +220,9 @@ class OffCenterResult:
     eps_field_zero: float      # eps * field_zero
 
     @property
-    def seed(self) -> antisym.CompositeSeed:
-        """The extended run's seed, whose gluing point bounds the interface."""
-        return self.problem.extended.seed
+    def xi_eps(self) -> float:
+        """The extended run's gluing point, which bounds the interface."""
+        return self.problem.xi_eps
 
 
 def solve_off_center(params: ThermoParams, kernel: Kernel, eps, j, x0,

@@ -184,10 +184,9 @@ def _solve_one(cfg: RunConfig, eps, shared: tuple):
 
     Every mode runs the same pipeline on the shared inputs: the mode's
     solver, the hydrodynamic error against the Stefan limit shifted to the
-    interface (x0 off center, 0 for antisym and metastable whatever
-    ``cfg.x0`` says), and the leading eigenpair.  Only the solver, the
-    shift and the extra column (I_eps for metastable, eps_x_eps off center)
-    depend on the mode.
+    interface (x0 off center, 0 for antisym and metastable), and the
+    leading eigenpair.  Only the solver, the shift and the extra column
+    (I_eps for metastable, eps_x_eps off center) depend on the mode.
     """
     _, _, solve, arg = _mode(cfg)
     params, kernel, macro, inst = shared
@@ -197,14 +196,14 @@ def _solve_one(cfg: RunConfig, eps, shared: tuple):
     row = SweepRow(eps=eps, mode=cfg.mode, iters=len(res.trace.increments))
     # off center, the extended antisymmetric solve ran auxiliary solves too
     traces = [res.trace] if cfg.mode != "asym" \
-        else [res.problem.extended.trace, res.trace]
+        else [res.problem.extended_trace, res.trace]
     row.picard_steps = sum(sum(t.picard_steps) for t in traces)
     row.projected_solves = sum(t.projected_solves for t in traces)
     row.c_instanton = abs(cfg.j) * inst.mean / inst.norm_sq
     row.hydro_m, row.hydro_h = antisym.hydrodynamic_error(
         res.state, lambda xi: macro.m_of_x(np.asarray(xi) - x0),
         lambda xi: macro.h_of_x(np.asarray(xi) - x0), eps, x0,
-        eps * res.seed.xi_eps)
+        eps * res.xi_eps)
     sp = spectral.leading_eigenpair(res.state)
     row.lam_gap_ratio = (1.0 - sp.lambda_) / eps
     if cfg.mode == "metastable":
@@ -258,7 +257,7 @@ def cmd_solve_asym(args) -> int:
         "m_zero": res.m_zero,
         "hydro_error_m": row.hydro_m, "hydro_error_h": row.hydro_h,
         "iterations": row.iters,
-        "seed_residual": prob.seed_residual,
+        "seed_residual": res.trace.residuals[0],
         "lambda_star": prob.u_star.lambda_,
         "G_report": asym.admissibility_report(prob, res.state.h),
     })

@@ -34,6 +34,14 @@ class RunConfig:
             raise DomainError("eps_list must be strictly decreasing")
         if self.mode not in ("antisym", "metastable", "asym"):
             raise DomainError(f"unknown mode {self.mode!r}")
+        # the centred modes solve at x0 = 0, the off-center one on [-1, 1]
+        if self.mode != "asym" and self.x0 != 0.0:
+            raise DomainError(f"x0 = {self.x0:g} is ignored by mode "
+                              f"{self.mode}: only asym places the interface "
+                              f"off center")
+        if self.mode == "asym" and self.ell != 1.0:
+            raise DomainError(f"ell = {self.ell:g} is ignored by mode asym: "
+                              f"it solves on [-1, 1]")
         return self
 
 

@@ -69,15 +69,13 @@ def test_criterion_04_hydrodynamic_convergence(stable_sweep, asym_sweep,
         for eps in EPS_SWEEP:
             res = sweep[eps]
             if label == "centered":
-                xi_eps = res.seed.xi_eps
                 m_of = maximal_stable.m_of_x
                 h_of = maximal_stable.h_of_x
             else:
-                xi_eps = res.problem.extended.seed.xi_eps
                 m_of = lambda xi: maximal_stable.m_of_x(np.asarray(xi) - x0)
                 h_of = lambda xi: maximal_stable.h_of_x(np.asarray(xi) - x0)
             em, _ = hydrodynamic_error(res.state, m_of, h_of, eps, x0,
-                                       eps * xi_eps)
+                                       eps * res.xi_eps)
             errs.append(em)
             normalized.append(em / (eps * math.log(1.0 / eps)))
         ok &= errs[0] > errs[1] > errs[2]
@@ -158,7 +156,7 @@ def test_criterion_09_metastable_branch(metastable_sweep, params2):
         flips = np.where(np.sign(d[:-1]) * np.sign(d[1:]) < 0)[0]
         ok &= flips.size == 2 and res.increase_interval > 0.0
         ok &= bool(np.all(np.diff(res.state.h) < 0.0))
-        off = np.abs(res.state.grid.points) > res.seed.xi_eps
+        off = np.abs(res.state.grid.points) > res.xi_eps
         m_off = np.abs(res.state.m[off])
         ok &= bool(np.all((m_off > params2.m_star) & (m_off < 1.0)))
         windows.append(eps * res.increase_interval)

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import ELL, EPS_SWEEP, J_STABLE, N0, X0, geometric_mean
-from mesostefan import antisym, asym
+from conftest import ELL, EPS_SWEEP, J_META, J_STABLE, N0, X0, geometric_mean
+from mesostefan import antisym, asym, stefan
 from mesostefan.antisym import (build_seed, fixed_point_defect, flux_defect,
                                 hydrodynamic_error, solve_metastable,
                                 solve_stable, t_map)
@@ -14,57 +14,63 @@ from mesostefan.meso import make_state
 
 # ------------------------------------------------------------------- seed
 
+def _stable_seed(params2, kernel05, inst05, macro, eps, j=J_STABLE):
+    """The seed layout check_stable builds and build_seed's start state on
+    it, as solve_stable makes them."""
+    grid, xi_index = antisym.check_stable(kernel05, eps, j, ELL, N0, inst05,
+                                          macro)
+    return grid, xi_index, build_seed(params2, kernel05, inst05, macro, eps,
+                                      grid, xi_index)
+
+
 def test_seed_structure(params2, kernel05, inst05, maximal_stable):
     eps = 0.05
-    seed, _ = build_seed(params2, kernel05, inst05, maximal_stable, eps,
-                         J_STABLE, ELL, n0=N0)
-    g = seed.grid
+    g, xi_index, start = _stable_seed(params2, kernel05, inst05,
+                                      maximal_stable, eps)
     c = g.center_index
-    assert seed.m0[c] == 0.0
-    assert np.max(np.abs(seed.m0 + seed.m0[::-1])) == 0.0
-    assert np.max(np.abs(seed.m0)) < 1.0
+    assert start.m[c] == 0.0
+    assert np.max(np.abs(start.m + start.m[::-1])) == 0.0
+    assert np.max(np.abs(start.m)) < 1.0
     # continuity at the gluing point: both sides within O(eps) of m_beta
-    i_xi = c + seed.xi_index
-    assert abs(seed.m0[i_xi] - seed.m0[i_xi + 1]) <= 2 * eps
+    i_xi = c + xi_index
+    assert abs(start.m[i_xi] - start.m[i_xi + 1]) <= 2 * eps
     # the field vanishes identically one kernel range inside the splice
     k_range = int(round(1.0 / g.spacing))
-    clean = seed.h0[c:i_xi - k_range]
+    clean = start.h[c:i_xi - k_range]
     assert np.max(np.abs(clean)) < 1e-6
     assert np.max(np.abs(clean)) < 1e-5   # also at the looser documented level
 
 
 def test_seed_field_is_exact(params2, kernel05, inst05, maximal_stable):
-    seed, start = build_seed(params2, kernel05, inst05, maximal_stable, 0.1,
-                             J_STABLE, ELL, n0=N0)
-    assert make_state(params2, kernel05, seed.grid, seed.h0,
-                      seed.m0).residual_norm < 1e-12
-    # the start is the seed's pair, with the residual its loop records first
-    assert start.h is seed.h0 and start.m is seed.m0
+    grid, _, start = _stable_seed(params2, kernel05, inst05, maximal_stable,
+                                  0.1)
+    assert make_state(params2, kernel05, grid, start.h,
+                      start.m).residual_norm < 1e-12
     assert start.residual_norm < 1e-12
 
 
 def test_seed_rejects_collision(params2, kernel05, inst05, maximal_stable):
     with pytest.raises(GridError):
-        build_seed(params2, kernel05, inst05, maximal_stable, 0.1, J_STABLE,
-                   ELL, n0=10)   # xi ~ 20 exceeds half the domain
+        antisym.check_stable(kernel05, 0.1, J_STABLE, ELL, 10, inst05,
+                             maximal_stable)  # xi ~ 20 exceeds half the domain
 
 
 def test_seed_spacing_mismatch(params2, kernel025, inst05, maximal_stable):
     with pytest.raises(GridError):
-        build_seed(params2, kernel025, inst05, maximal_stable, 0.1, J_STABLE,
-                   ELL, n0=N0)
+        antisym.check_stable(kernel025, 0.1, J_STABLE, ELL, N0, inst05,
+                             maximal_stable)
 
 
 # ------------------------------------------------------------------ t_map
 
 def test_t_map_sign_and_oddness(params2, kernel05, inst05, maximal_stable):
-    seed, _ = build_seed(params2, kernel05, inst05, maximal_stable, 0.1,
-                         J_STABLE, ELL, n0=N0)
-    h = t_map(params2, seed.grid, seed.m0, 0.1, J_STABLE)
-    assert h[seed.grid.center_index] == 0.0
+    grid, _, start = _stable_seed(params2, kernel05, inst05, maximal_stable,
+                                  0.1)
+    h = t_map(params2, grid, start.m, 0.1, J_STABLE)
+    assert h[grid.center_index] == 0.0
     assert np.max(np.abs(h + h[::-1])) == 0.0
     assert np.all(np.diff(h) > 0.0)          # j < 0: strictly increasing
-    h_pos = t_map(params2, seed.grid, seed.m0, 0.1, -J_STABLE)
+    h_pos = t_map(params2, grid, start.m, 0.1, -J_STABLE)
     assert np.all(np.diff(h_pos) < 0.0)
 
 
@@ -96,14 +102,17 @@ def test_stable_monotone_and_odd(stable_sweep):
         assert np.max(np.abs(res.state.h + res.state.h[::-1])) < 1e-10
 
 
-def test_stable_closeness_to_seed(stable_sweep):
+def test_stable_closeness_to_seed(stable_sweep, params2, kernel05, inst05,
+                                  maximal_stable):
     """Fixed point stays within O(eps log eps^-1) of the composite seed."""
     consts_h, consts_m = [], []
     for eps in EPS_SWEEP:
         res = stable_sweep[eps]
+        _, _, seed = _stable_seed(params2, kernel05, inst05, maximal_stable,
+                                  eps)
         scale = eps * np.log(1.0 / eps)
-        consts_h.append(np.max(np.abs(res.state.h - res.seed.h0)) / scale)
-        consts_m.append(np.max(np.abs(res.state.m - res.seed.m0)) / scale)
+        consts_h.append(np.max(np.abs(res.state.h - seed.h)) / scale)
+        consts_m.append(np.max(np.abs(res.state.m - seed.m)) / scale)
     for consts in (consts_h, consts_m):
         assert max(consts) < 1.0
         assert max(consts) / min(consts) < 3.0
@@ -129,7 +138,7 @@ def test_stable_hydrodynamic_trend(stable_sweep, maximal_stable):
         res = stable_sweep[eps]
         em, eh = hydrodynamic_error(res.state, maximal_stable.m_of_x,
                                     maximal_stable.h_of_x, eps, 0.0,
-                                    eps * res.seed.xi_eps)
+                                    eps * res.xi_eps)
         errs.append((em, eh))
     assert errs[0][0] > errs[1][0] > errs[2][0]
     assert errs[0][1] > errs[1][1] > errs[2][1]
@@ -171,25 +180,33 @@ def test_positive_current_is_the_mirror_image(mode, params2, kernel05, inst05):
     its macroscopic profile, and returns the negated state of the j < 0
     solve with the same outer trace."""
     if mode == "stable":
-        solve, arg = solve_stable, ELL
+        solve, check, arg = solve_stable, antisym.check_stable, ELL
     else:
-        solve, arg = asym.solve_off_center, X0
+        solve, check, arg = asym.solve_off_center, asym.check_off_center, X0
     neg, pos = (solve(params2, kernel05, 0.05, j, arg, n0=N0,
                       instanton=inst05) for j in (J_STABLE, -J_STABLE))
     for name in ("m", "h", "conv"):
         assert np.array_equal(getattr(pos.state, name),
                               -getattr(neg.state, name)), name
     assert pos.trace.to_csv() == neg.trace.to_csv()
-    assert np.array_equal(pos.seed.m0, -neg.seed.m0)
+    seeds = []
+    for j in (J_STABLE, -J_STABLE):
+        macro = stefan.solve_maximal(params2, j)
+        grid, xi_index = check(kernel05, 0.05, j, arg, N0, inst05, macro)[:2]
+        seeds.append(build_seed(params2, kernel05, inst05, macro, 0.05, grid,
+                                xi_index).m)
+    assert np.array_equal(seeds[1], -seeds[0])
 
 
-def test_trace_starts_at_the_seed_residual(stable_sweep, params2, kernel05):
+def test_trace_starts_at_the_seed_residual(stable_sweep, params2, kernel05,
+                                           inst05, maximal_stable):
     """The first trace residual is the start state's measured one."""
     for eps in EPS_SWEEP:
         res = stable_sweep[eps]
-        seed = res.seed
-        measured = make_state(params2, kernel05, seed.grid, seed.h0,
-                              seed.m0).residual_norm
+        grid, _, seed = _stable_seed(params2, kernel05, inst05,
+                                     maximal_stable, eps)
+        measured = make_state(params2, kernel05, grid, seed.h,
+                              seed.m).residual_norm
         assert res.trace.residuals[0] == measured < 1e-15
 
 
@@ -270,9 +287,10 @@ def test_ratios_pair_with_increments_after_zero(params2, kernel05, inst05,
 
 
 def test_checks_match_solver_errors(params2, kernel05, inst05,
-                                    maximal_stable, maximal_meta):
+                                    maximal_stable, maximal_meta,
+                                    stable_sweep, metastable_sweep):
     """check_stable / check_metastable raise exactly what the solves raise
-    before iterating, and pass where the solves start."""
+    before iterating, and return the seed layout the solves run on."""
     cases = [
         (antisym.check_stable, solve_stable, maximal_stable, 0.25, J_STABLE,
          ELL, N0, DomainError),                  # eps > 0.2
@@ -296,10 +314,49 @@ def test_checks_match_solver_errors(params2, kernel05, inst05,
             solve(params2, kernel05, eps, j, ell, n0=n0, instanton=inst05,
                   macro=macro)
         assert str(from_check.value) == str(from_solve.value)
-    assert antisym.check_stable(kernel05, 0.1, J_STABLE, ELL, N0, inst05,
-                                maximal_stable) is None
-    assert antisym.check_metastable(kernel05, 0.1, 0.02, ELL, N0, inst05,
-                                    maximal_meta) is None
+    for check, sweep, j, macro in (
+            (antisym.check_stable, stable_sweep, J_STABLE, maximal_stable),
+            (antisym.check_metastable, metastable_sweep, J_META,
+             maximal_meta)):
+        grid, xi_index = check(kernel05, 0.1, j, ELL, N0, inst05, macro)
+        assert np.array_equal(grid.points, sweep[0.1].state.grid.points)
+        assert xi_index * grid.spacing == sweep[0.1].xi_eps
+
+
+@pytest.mark.parametrize("mode", ["stable", "metastable", "off-center"])
+def test_solve_builds_its_seed_layout_once(mode, params2, kernel05, inst05,
+                                           maximal_stable, maximal_meta,
+                                           monkeypatch):
+    """A solve runs its mode's check once and iterates on the layout that
+    check built: one seed layout, and off center one check_stable, for the
+    extended run."""
+    calls = {}
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in ((antisym, "_seed_layout"), (antisym, "check_stable"),
+                        (antisym, "check_metastable"),
+                        (asym, "check_off_center")):
+        counted(owner, name)
+    if mode == "stable":
+        antisym.solve_stable(params2, kernel05, 0.05, J_STABLE, ELL, n0=N0,
+                             instanton=inst05, macro=maximal_stable)
+        expect = {"check_stable": 1}
+    elif mode == "metastable":
+        antisym.solve_metastable(params2, kernel05, 0.05, J_META, ELL, n0=N0,
+                                 instanton=inst05, macro=maximal_meta)
+        expect = {"check_metastable": 1}
+    else:
+        asym.solve_off_center(params2, kernel05, 0.05, J_STABLE, X0, n0=N0,
+                              instanton=inst05, macro=maximal_stable)
+        expect = {"check_off_center": 1, "check_stable": 1}
+    assert calls == {"_seed_layout": 1, **expect}
 
 
 # -------------------------------------------------------- metastable branch
@@ -330,7 +387,7 @@ def test_metastable_window_shrinks(metastable_sweep):
 def test_metastable_values_in_bands(metastable_sweep, params2):
     for eps in EPS_SWEEP:
         res = metastable_sweep[eps]
-        off = np.abs(res.state.grid.points) > res.seed.xi_eps
+        off = np.abs(res.state.grid.points) > res.xi_eps
         m_off = np.abs(res.state.m[off])
         assert np.all(m_off > params2.m_star)
         assert np.all(m_off < 1.0)
@@ -349,7 +406,7 @@ def test_metastable_hydro_trend(metastable_sweep, maximal_meta):
         res = metastable_sweep[eps]
         em, _ = hydrodynamic_error(res.state, maximal_meta.m_of_x,
                                    maximal_meta.h_of_x, eps, 0.0,
-                                   eps * res.seed.xi_eps)
+                                   eps * res.xi_eps)
         errs.append(em)
     assert errs[0] > errs[1] > errs[2]
 

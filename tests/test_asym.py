@@ -1,5 +1,7 @@
 """Off-center solver: boundary correction, weighted norm, projected map."""
 
+from dataclasses import fields, is_dataclass
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ from mesostefan.asym import (admissibility_report, build_problem,
                              projected_iterate)
 from mesostefan.errors import (DomainError, GridError, InfeasibleError,
                                SaturationError)
-from mesostefan.grids import conv_values
+from mesostefan.grids import Grid, conv_values
+from mesostefan.meso import make_state
 
 
 @pytest.fixture(scope="module")
@@ -18,6 +21,21 @@ def problem01(params2, kernel05, inst05, maximal_stable):
     problem, _ = build_problem(params2, kernel05, 0.1, J_STABLE, X0, n0=N0,
                                instanton=inst05, macro=maximal_stable)
     return problem
+
+
+@pytest.fixture(scope="module")
+def m_star(params2, kernel05, inst05, maximal_stable):
+    """m* of the extended solve on eps^-1[-(1 + x0), 1 + x0] at each scale:
+    the state build_problem restricts, which the problem does not keep."""
+    return {eps: antisym.solve_stable(params2, kernel05, eps, J_STABLE,
+                                      1.0 + X0, n0=N0, instanton=inst05,
+                                      macro=maximal_stable).state.m
+            for eps in EPS_SWEEP}
+
+
+def _m_eps(prob, m_star):
+    """m* restricted to the problem's grid: the quasi-solution's m."""
+    return m_star[prob.eps][:prob.res_grid.n]
 
 
 def _projected_step(prob, m):
@@ -50,31 +68,60 @@ def test_check_matches_problem_errors(params2, kernel05, inst05,
             build_problem(params2, kernel05, eps, J_STABLE, x0, n0=N0,
                           instanton=inst05, macro=maximal_stable)
         assert str(from_check.value) == str(from_problem.value)
-    ext, res = check_off_center(kernel05, 0.1, J_STABLE, X0, N0, inst05,
-                                maximal_stable)
+    _, _, ext, res = check_off_center(kernel05, 0.1, J_STABLE, X0, N0,
+                                      inst05, maximal_stable)
     assert np.array_equal(ext.points, problem01.ext_grid.points)
     assert np.array_equal(res.points, problem01.res_grid.points)
 
 
-def test_trace_records_weighted_increments(asym_sweep):
+def test_trace_records_weighted_increments(asym_sweep, params2, kernel05,
+                                           m_star):
     """The projected loop records into IterationTrace: weighted increments
     below OUTER_TOL at the end, the quasi-solution's residual first, then
     one residual and one inner tolerance per step."""
     for eps in EPS_SWEEP:
         res = asym_sweep[eps]
+        prob = res.problem
         tr = res.trace
         assert tr.increments[-1] < antisym.OUTER_TOL
         assert all(inc >= antisym.OUTER_TOL for inc in tr.increments[:-1])
-        assert tr.residuals[0] == res.problem.seed_residual
+        assert tr.residuals[0] == make_state(
+            params2, kernel05, prob.res_grid, prob.h_eps,
+            _m_eps(prob, m_star)).residual_norm
         assert len(tr.residuals) == len(tr.increments) + 1
         assert max(tr.residuals[1:]) <= antisym.INNER_TOL
         assert tr.inner_tols == [antisym.INNER_TOL] * len(tr.increments)
-        assert res.seed is res.problem.extended.seed
 
 
 def test_quasi_solution_residual(asym_sweep):
     for eps in EPS_SWEEP:
-        assert asym_sweep[eps].problem.seed_residual < 1e-9
+        assert asym_sweep[eps].trace.residuals[0] < 1e-9
+
+
+def test_no_extended_array_outlives_the_solve(asym_sweep):
+    """Of the extended solve the problem and the result keep the trace, the
+    gluing point and the eigenvector: no other field holds an array of the
+    extended length, or a view of one."""
+    res = asym_sweep[0.05]
+    prob = res.problem
+    n_ext = prob.ext_grid.n
+    assert prob.u_star.u.size == n_ext > prob.res_grid.n
+
+    def arrays(obj):
+        for f in fields(obj):
+            value = getattr(obj, f.name)
+            if isinstance(value, np.ndarray):
+                yield f.name, value
+            elif is_dataclass(value) and not isinstance(value, Grid):
+                yield from ((f"{f.name}.{k}", v) for k, v in arrays(value))
+
+    held = list(arrays(prob)) + list(arrays(res))
+    assert "u_star.u" in dict(held) and "state.m" in dict(held)
+    for name, a in held:
+        if name in ("u_star.u", "problem.u_star.u"):
+            continue
+        base = a if a.base is None else a.base
+        assert a.size != n_ext and base.size != n_ext, name
 
 
 def test_boundary_correction_support_and_scale(asym_sweep, kernel05):
@@ -91,12 +138,12 @@ def test_boundary_correction_support_and_scale(asym_sweep, kernel05):
 
 
 def test_boundary_correction_matches_operator_difference(problem01, params2,
-                                                         kernel05):
+                                                         kernel05, m_star):
     """R equals the extended-minus-restricted reflected convolutions of m*."""
     prob = problem01
     n_res = prob.res_grid.n
-    ext_conv = conv_values(kernel05, prob.ext_grid, prob.m_star)
-    res_conv = conv_values(kernel05, prob.res_grid, prob.m_star[:n_res])
+    ext_conv = conv_values(kernel05, prob.ext_grid, m_star[0.1])
+    res_conv = conv_values(kernel05, prob.res_grid, m_star[0.1][:n_res])
     diff = ext_conv[:n_res] - res_conv
     assert np.max(np.abs(prob.r_eps - diff)) < 1e-14
 
@@ -113,7 +160,7 @@ def test_u_star_symmetry_and_positivity(asym_sweep):
     for eps in EPS_SWEEP:
         prob = asym_sweep[eps].problem
         u = prob.u_star.u
-        c = prob.extended.state.grid.center_index
+        c = prob.ext_grid.index_of(X0 / eps)    # the extended centre
         k = min(c, u.size - 1 - c)
         seg = u[c - k:c + k + 1]
         assert np.max(np.abs(seg - seg[::-1])) < 1e-8
@@ -141,42 +188,44 @@ def test_weight_rate_is_capped(inst05):
     assert a > 0.0
 
 
-def test_seed_weighted_distance(asym_sweep):
+def test_seed_weighted_distance(asym_sweep, m_star):
     """N(h0 - quasi-solution) <= c eps with a stable constant."""
     consts = []
     for eps in EPS_SWEEP:
         prob = asym_sweep[eps].problem
-        h0, _ = _projected_step(prob, prob.m_eps)
+        h0, _ = _projected_step(prob, _m_eps(prob, m_star))
         consts.append(prob.weight.norm(h0 - prob.h_eps) / eps)
     assert max(consts) < 1.0
     assert max(consts) / min(consts) < 2.0
 
 
 def test_quasi_solution_state(params2, kernel05, inst05, maximal_stable,
-                              problem01):
+                              problem01, m_star, asym_sweep):
     """build_problem returns the quasi-solution's state: its pair, the
-    restricted convolution of m_eps and the residual the problem records."""
+    restricted convolution of m_eps and the residual the loop records
+    first."""
     problem, start = build_problem(params2, kernel05, 0.1, J_STABLE, X0,
                                    n0=N0, instanton=inst05,
                                    macro=maximal_stable)
-    assert start.h is problem.h_eps and start.m is problem.m_eps
+    m_eps = _m_eps(problem, m_star)
+    assert start.h is problem.h_eps and np.array_equal(start.m, m_eps)
     assert np.array_equal(start.h, problem01.h_eps)
     assert np.array_equal(start.conv, conv_values(kernel05, problem.res_grid,
-                                                  problem.m_eps))
-    assert start.residual_norm == problem.seed_residual
+                                                  m_eps))
+    assert start.residual_norm == asym_sweep[0.1].trace.residuals[0]
 
 
-def test_projected_step_checks_the_mobility_floor(problem01):
+def test_projected_step_checks_the_mobility_floor(problem01, m_star):
     """The projected step integrates the current law like the antisymmetric
     map: a mobility below MOBILITY_FLOOR is a SaturationError."""
-    m = problem01.m_eps.copy()
+    m = _m_eps(problem01, m_star).copy()
     m[0] = np.sqrt(1.0 - 0.5 * antisym.MOBILITY_FLOOR / problem01.params.beta)
     with pytest.raises(SaturationError, match="mobility below floor"):
         _projected_step(problem01, m)
 
 
-def test_projection_annihilates_component(problem01):
-    h0, state = _projected_step(problem01, problem01.m_eps)
+def test_projection_annihilates_component(problem01, m_star):
+    h0, state = _projected_step(problem01, _m_eps(problem01, m_star))
     u = problem01.u_star_restricted
     du = problem01.res_grid.spacing
     ortho = np.trapezoid(h0 * u, dx=du)
@@ -214,13 +263,13 @@ def test_final_state_interpolated_zero(asym_sweep):
         assert abs(h_at_zero) < 1e-10
 
 
-def test_derivative_flat_away_from_interface(asym_sweep):
+def test_derivative_flat_away_from_interface(asym_sweep, m_star):
     """|dm*/dx| = O(eps) outside a log window around the interface."""
     consts = []
     for eps in EPS_SWEEP:
         prob = asym_sweep[eps].problem
         g = prob.ext_grid
-        dm = np.gradient(prob.m_star, g.spacing)
+        dm = np.gradient(m_star[eps], g.spacing)
         far = np.abs(g.points - prob.weight.center) > 2.0 * np.log(1.0 / eps)
         consts.append(np.max(np.abs(dm[far])) / eps)
     assert max(consts) < 1.0
@@ -238,10 +287,10 @@ def test_eigenvector_stability_under_restriction(asym_sweep):
     assert np.max(np.abs(u_res - u_ext)) < 1e-3
 
 
-def test_admissibility_report(asym_sweep):
+def test_admissibility_report(asym_sweep, m_star):
     res = asym_sweep[0.1]
     prob = res.problem
-    h0, _ = _projected_step(prob, prob.m_eps)
+    h0, _ = _projected_step(prob, _m_eps(prob, m_star))
     rep = admissibility_report(prob, h0)
     assert rep["weighted_ok"] and rep["derivative_ok"] \
         and rep["window_derivative_ok"]
@@ -274,7 +323,7 @@ def test_hydro_trend(asym_sweep, maximal_stable):
         m_of = lambda xi: maximal_stable.m_of_x(np.asarray(xi) - X0)
         h_of = lambda xi: maximal_stable.h_of_x(np.asarray(xi) - X0)
         em, eh = hydrodynamic_error(res.state, m_of, h_of, eps, X0,
-                                    eps * res.problem.extended.seed.xi_eps)
+                                    eps * res.xi_eps)
         errs.append((em, eh))
     assert errs[0][0] > errs[1][0] > errs[2][0]
     assert errs[0][1] > errs[1][1] > errs[2][1]

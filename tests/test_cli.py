@@ -71,16 +71,19 @@ def test_parse_config_rejects_bad_input():
     ("spacing = -inf", "must be finite"),
     ("eps_list = ", "eps_list must name at least one scale"),
     ("validate_fields = 1", "line 1: unknown key 'validate_fields'"),
+    ("mode = antisym\nx0 = 0.3", "x0 = 0.3 is ignored by mode antisym"),
+    ("mode = asym\nx0 = 0.2\nell = 1.5", "ell = 1.5 is ignored by mode asym"),
 ], ids=["beta-abc", "n0-float", "eps-token", "workers-word", "workers-0",
         "workers-negative", "inner_tol-key", "outer_tol-key",
         "spectral_tol-key", "instanton_halfwidth-key", "beta-nan", "j-inf",
-        "eps-nan", "spacing-inf", "eps-empty", "method-name-key"])
+        "eps-nan", "spacing-inf", "eps-empty", "method-name-key",
+        "x0-centred-mode", "ell-asym-mode"])
 @pytest.mark.parametrize("command", ["validate", "sweep"])
 def test_bad_config_values_exit_config(tmp_path, capsys, command, text,
                                        message):
-    """Unparsable or out-of-range values, and keys that are not settings
-    (the run knobs removed from the format among them), are config errors
-    (exit 2) in both commands, not tracebacks."""
+    """Unparsable or out-of-range values, keys that are not settings (the
+    run knobs removed from the format among them) and a setting the mode
+    ignores are config errors (exit 2) in both commands, not tracebacks."""
     cfg = tmp_path / "bad.txt"
     cfg.write_text(text + "\n" + f"outdir = {tmp_path / 'out'}\n")
     with pytest.raises(DomainError, match=re.escape(message)):
@@ -516,7 +519,7 @@ def test_row_json_records_inner_solves(tmp_path, mode, j, x0):
     cfg = RunConfig(beta=2.0, j=j, x0=x0, mode=mode, eps_list=[0.1], n0=2,
                     outdir=str(out))
     row, res = cli._solve_one(cfg, 0.1, cli._shared_inputs(cfg))
-    traces = [res.trace] + ([res.problem.extended.trace] if mode == "asym"
+    traces = [res.trace] + ([res.problem.extended_trace] if mode == "asym"
                             else [])
     assert row.picard_steps == sum(sum(t.picard_steps) for t in traces) > 0
     assert row.projected_solves == 0
@@ -542,7 +545,7 @@ def test_asym_outer_tol_reaches_extended_solve(monkeypatch):
     for tol in (1e-6, 1e-10):
         monkeypatch.setattr(antisym, "OUTER_TOL", tol)
         _, res = cli._solve_one(cfg, 0.05, cli._shared_inputs(cfg))
-        ext = res.problem.extended.trace
+        ext = res.problem.extended_trace
         assert ext.increments[-1] < tol
         assert res.trace.increments[-1] < tol
         steps[tol] = len(ext.increments)

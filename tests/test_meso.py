@@ -366,7 +366,7 @@ def _outer_solve(mode, params2, kernel05, inst05, maximal_stable,
     elif mode == "off-center":
         res = asym.solve_off_center(params2, kernel05, 0.05, J_STABLE, X0,
                                     instanton=inst05, macro=maximal_stable)
-        return res, [res.problem.extended.trace, res.trace]
+        return res, [res.problem.extended_trace, res.trace]
     else:   # j > 0 is the mirrored arrangement, solved directly
         j = J_STABLE if mode == "stable" else -J_STABLE
         res = antisym.solve_stable(params2, kernel05, 0.05, j, ELL,
