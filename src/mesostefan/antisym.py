@@ -37,7 +37,7 @@ from .errors import (ConvergenceError, DomainError, GridError,
                      InfeasibleError, SaturationError)
 from .grids import Grid, Kernel, build_grid, trapezoid_antiderivative
 from .instanton import Instanton, threshold_abscissa
-from .meso import MesoState, exact_state, inner_solve, make_state
+from .meso import MesoState, Workspace, exact_state, inner_solve, make_state
 from .stefan import (
     MaximalSolution,
     MetastableMaximal,
@@ -54,6 +54,7 @@ OUTER_TOL = 1e-10     # sup-norm outer increment that stops the loop
 INNER_TOL = 1e-12     # auxiliary residual of the returned pair
 FORCING = 0.01        # inner tolerance per unit of outer increment
 MAX_OUTER = 80        # outer steps before ConvergenceError
+HYDRO_BLOCK = 4096    # points per block of the hydrodynamic comparison
 
 
 @dataclass
@@ -175,24 +176,37 @@ def build_seed(params: ThermoParams, kernel: Kernel, instanton: Instanton,
 
 
 def current_integral(params: ThermoParams, grid: Grid, m: np.ndarray, eps, j,
-                     origin) -> np.ndarray:
-    """-eps j int_{x_origin}^x 1/chi(m); SaturationError below the floor."""
-    chi = np.asarray(mobility(params, m), dtype=float)
+                     origin, out=None, scratch=None) -> np.ndarray:
+    """-eps j int_{x_origin}^x 1/chi(m); SaturationError below the floor.
+
+    Formed in ``out`` with 1/chi in ``scratch`` when they are given."""
+    chi = mobility(params, m, scratch)
     if np.min(chi) < MOBILITY_FLOOR:
         raise SaturationError("mobility below floor: profile saturating")
-    return -eps * j * trapezoid_antiderivative(grid, 1.0 / chi, origin)
+    c = trapezoid_antiderivative(grid, np.divide(1.0, chi, out=chi), origin,
+                                 out)
+    c *= -eps * j
+    return c
 
 
-def t_map(params: ThermoParams, grid: Grid, m: np.ndarray, eps, j) -> np.ndarray:
-    """Current integral h(x) = -eps j int_0^x 1/chi(m), odd by construction."""
-    h = _odd_part(current_integral(params, grid, m, eps, j,
-                                   grid.center_index))
+def t_map(params: ThermoParams, grid: Grid, m: np.ndarray, eps, j,
+          out=None, scratch=None) -> np.ndarray:
+    """Current integral h(x) = -eps j int_0^x 1/chi(m), odd by construction.
+
+    Formed in ``out`` with ``scratch`` for the integral when they are given.
+    """
+    h = _odd_part(current_integral(params, grid, m, eps, j, grid.center_index,
+                                   out=scratch, scratch=out), out)
     h[grid.center_index] = 0.0
     return h
 
 
-def _odd_part(values: np.ndarray) -> np.ndarray:
-    return 0.5 * (values - values[::-1])
+def _odd_part(values: np.ndarray, out=None) -> np.ndarray:
+    """(values - values reversed) / 2, in ``out`` (not ``values``) when
+    given."""
+    odd = np.subtract(values, values[::-1], out=out)
+    odd *= 0.5
+    return odd
 
 
 def check_stable(kernel: Kernel, eps, j, ell, n0, instanton: Instanton,
@@ -272,18 +286,25 @@ def _iterate(params, kernel, instanton, macro, eps, j, grid, xi_index,
     solve restarts from the seed's state on the check's layout, then dropped.
     The odd part of a solve's J^neum*m is J^neum of the odd part of its m
     (the grid is symmetric), so every later solve, and the returned state,
-    restart from the previous solve's convolution.
+    restart from the previous solve's convolution.  The loop forms each
+    field in the row of ``fields`` that the last one left free, the odd
+    parts in ``odd`` and the rest in its solves' workspace, so that no
+    step allocates an n-point array; the returned state has its own copies.
     """
     tol, inner_tol = OUTER_TOL, INNER_TOL
     start = build_seed(params, kernel, instanton, macro, eps, grid, xi_index)
     trace = IterationTrace(residuals=[start.residual_norm])
     h, m, conv = start.h, start.m, start.conv
     del start
+    fields, odd = np.empty((2, grid.n)), np.empty((2, grid.n))
+    work = Workspace(kernel, grid.n)
+    scratch = work.scratch
     exact = True
     bad_ratio_run = 0
-    for _ in range(MAX_OUTER):
-        h_next = t_map(params, grid, m, eps, j)
-        inc = float(np.max(np.abs(h_next - h)))
+    for k in range(MAX_OUTER):
+        h_next = t_map(params, grid, m, eps, j, fields[k % 2], scratch)
+        inc = float(np.abs(np.subtract(h_next, h, out=scratch),
+                           out=scratch).max())
         trace.increments.append(inc)
         if len(trace.increments) >= 2 and trace.increments[-2] > 0:
             bad_ratio_run = bad_ratio_run + 1 \
@@ -293,14 +314,15 @@ def _iterate(params, kernel, instanton, macro, eps, j, grid, xi_index,
                     "outer iteration stopped contracting", last=trace)
         step_tol = inner_tol if inc < tol else max(inner_tol, FORCING * inc)
         state = inner_solve(params, kernel, grid, h_next, m, tol=step_tol,
-                            conv_init=conv)
+                            conv_init=conv, work=work)
         trace.add_solve(state, step_tol)
         converged = inc < tol and exact
         h, exact = h_next, step_tol == inner_tol
-        m, conv = _odd_part(state.m), _odd_part(state.conv)
-        del state         # its arrays would outlive the next solve's start
+        m, conv = _odd_part(state.m, odd[0]), _odd_part(state.conv, odd[1])
+        del state         # its arrays are the workspace's
         if converged:
-            final = make_state(params, kernel, grid, h, m, conv)
+            final = make_state(params, kernel, grid, h.copy(), m.copy(),
+                               conv.copy())
             mono = _is_monotone(final.m, increasing=(j < 0))
             rise = _central_increase_length(grid, final.m) \
                 if branch == "metastable" else None
@@ -365,12 +387,17 @@ def hydrodynamic_error(state: MesoState, m_of_x, h_of_x, eps, x0=0.0,
 
     The m comparison excludes |eps x - x0| <= exclude_halfwidth (the window
     where the smooth interface lives); the field comparison has no
-    exclusion.
+    exclusion.  The closed forms are evaluated HYDRO_BLOCK points at a
+    time, so that their many temporaries stay small.
     """
-    xi = eps * state.grid.points
-    m_mac = np.asarray(m_of_x(xi), dtype=float)
-    h_mac = np.asarray(h_of_x(xi), dtype=float)
-    keep = np.abs(xi - x0) > exclude_halfwidth
-    err_m = float(np.max(np.abs(state.m[keep] - m_mac[keep])))
-    err_h = float(np.max(np.abs(state.h - h_mac)))
-    return err_m, err_h
+    err_m, err_h = [], []
+    for lo in range(0, state.grid.n, HYDRO_BLOCK):
+        part = slice(lo, lo + HYDRO_BLOCK)
+        xi = eps * state.grid.points[part]
+        m_mac = np.asarray(m_of_x(xi), dtype=float)
+        h_mac = np.asarray(h_of_x(xi), dtype=float)
+        keep = np.abs(xi - x0) > exclude_halfwidth
+        if keep.any():
+            err_m.append(np.max(np.abs(state.m[part][keep] - m_mac[keep])))
+        err_h.append(np.max(np.abs(state.h[part] - h_mac)))
+    return float(np.max(err_m)), float(np.max(err_h))

@@ -19,13 +19,14 @@ records into the same IterationTrace as the antisymmetric one.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, GridError
 from .grids import Grid, Kernel, build_grid, conv_values
 from .instanton import Instanton
-from .meso import MesoState, inner_solve, make_state
+from .meso import MesoState, Workspace, inner_solve, make_state
 from .spectral import SpectralResult, leading_eigenpair
 from .stefan import MaximalSolution, solve_maximal
 from . import antisym
@@ -48,8 +49,10 @@ class ExponentialWeight:
     center: float      # interface abscissa (mesoscopic)
     values: np.ndarray
 
-    def norm(self, f) -> float:
-        return float(np.max(self.values * np.abs(f)))
+    def norm(self, f, out=None) -> float:
+        """N(f), formed in ``out`` when given (it may be f)."""
+        return float(np.multiply(self.values, np.abs(f, out=out),
+                                 out=out).max())
 
 
 def build_weight(grid: Grid, x0, a_plus) -> ExponentialWeight:
@@ -112,6 +115,12 @@ class OffCenterProblem:
     @property
     def u_star_restricted(self) -> np.ndarray:
         return self.u_star.u[: self.res_grid.n]
+
+    @cached_property
+    def u_star_integral(self) -> float:
+        """Plain integral of the restricted eigenvector (trapezoid rule)."""
+        return float(np.trapezoid(self.u_star_restricted,
+                                  dx=self.res_grid.spacing))
 
 
 def check_off_center(kernel: Kernel, eps, j, x0, n0, instanton: Instanton,
@@ -190,24 +199,37 @@ def build_problem(params: ThermoParams, kernel: Kernel, eps, j, x0,
 
 
 def projected_iterate(problem: OffCenterProblem, m_n: np.ndarray,
-                      conv_n: np.ndarray):
+                      conv_n: np.ndarray, work: Workspace | None = None,
+                      out=None):
     """One step of the projected map.
 
     Integrates the current law from the interface, then removes the
     component along the extended maximal eigenvector (plain integrals), and
     solves the auxiliary fixed point from the previous magnetization and its
-    convolution J^neum*m_n, ``conv_n``.
+    convolution J^neum*m_n, ``conv_n``.  With a workspace the new field
+    goes into ``out`` and everything else into ``work``, where m_n and
+    conv_n may lie: the step allocates no n-point array.
     """
     grid = problem.res_grid
+    work = work or Workspace(problem.kernel, grid.n)
     h_hat = antisym.current_integral(problem.params, grid, m_n, problem.eps,
-                                     problem.j, problem.interface_index)
-    u = problem.u_star_restricted
-    du = grid.spacing
-    proj = np.trapezoid(h_hat * u, dx=du) / np.trapezoid(u, dx=du)
-    h_next = h_hat - proj
+                                     problem.j, problem.interface_index, out,
+                                     work.scratch)
+    product = np.multiply(h_hat, problem.u_star_restricted, out=work.scratch)
+    proj = _trapezoid(product, grid.spacing) / problem.u_star_integral
+    h_next = np.subtract(h_hat, proj, out=h_hat)
     state = inner_solve(problem.params, problem.kernel, grid, h_next, m_n,
-                        tol=antisym.INNER_TOL, conv_init=conv_n)
+                        tol=antisym.INNER_TOL, conv_init=conv_n, work=work)
     return h_next, state
+
+
+def _trapezoid(values: np.ndarray, dx) -> float:
+    """np.trapezoid(values, dx=dx), its terms formed in place in ``values``
+    (term k overwrites values[k] once both its ends are read)."""
+    terms = np.add(values[1:], values[:-1], out=values[:-1])
+    terms *= dx
+    terms /= 2.0
+    return terms.sum()
 
 
 @dataclass(frozen=True)
@@ -247,9 +269,15 @@ def solve_off_center(params: ThermoParams, kernel: Kernel, eps, j, x0,
     trace = antisym.IterationTrace(residuals=[start.residual_norm])
     h, m, conv = start.h, start.m, start.conv
     del start
-    for _ in range(MAX_OUTER):
-        h_next, state = projected_iterate(problem, m, conv)
-        inc = problem.weight.norm(h_next - h)
+    # each field goes into the row the last one left free; m and J^neum*m
+    # stay in the workspace from one solve to the next
+    n = problem.res_grid.n
+    fields, work = np.empty((2, n)), Workspace(kernel, n)
+    for k in range(MAX_OUTER):
+        h_next, state = projected_iterate(problem, m, conv, work,
+                                          fields[k % 2])
+        diff = np.subtract(h_next, h, out=work.scratch)
+        inc = problem.weight.norm(diff, out=diff)
         trace.increments.append(inc)
         trace.add_solve(state, antisym.INNER_TOL)
         h, m, conv = h_next, state.m, state.conv
@@ -260,6 +288,7 @@ def solve_off_center(params: ThermoParams, kernel: Kernel, eps, j, x0,
             f"projected iteration did not reach {tol} in {MAX_OUTER} steps",
             last=trace)
 
+    state = state.copy()
     field_zero = _zero_near(problem, state.h)
     m_zero = _zero_near(problem, state.m)
     return OffCenterResult(problem, state, trace, field_zero, m_zero,

@@ -300,15 +300,15 @@ def _error_row(cfg: RunConfig, eps, exc: Exception) -> SweepRow:
 def run(cfg: RunConfig) -> SweepReport:
     """Execute the configured pipeline at every scale in eps_list.
 
-    The shared inputs are computed once and handed to every scale; if they
-    fail, every scale gets the same error row.  An error in
-    :data:`_ROW_ERRORS` becomes a row with a negative error code in the
-    iteration column and the exception in ``error``, so one failing scale
-    never stops the others.
+    The config's fields are checked and the shared inputs computed once and
+    handed to every scale; if either fails, every scale gets the same error
+    row.  An error in :data:`_ROW_ERRORS` becomes a row with a negative
+    error code in the iteration column and the exception in ``error``, so
+    one failing scale never stops the others.
     """
     report = SweepReport()
     try:
-        shared = _shared_inputs(cfg)
+        shared = _shared_inputs(cfg.validate_fields())
     except _ROW_ERRORS as exc:
         report.rows = [_error_row(cfg, eps, exc) for eps in cfg.eps_list]
         return report
@@ -352,8 +352,9 @@ def validate(cfg: RunConfig) -> list:
     """Findings that fail a sweep row before its solve iterates, as
     (exit code, message) pairs.
 
-    Computes the shared inputs, then runs the mode's precondition check at
-    each eps: ``antisym.check_stable``, ``antisym.check_metastable`` or
+    Checks the config's fields (``RunConfig.validate_fields``), computes
+    the shared inputs, then runs the mode's precondition check at each eps:
+    ``antisym.check_stable``, ``antisym.check_metastable`` or
     ``asym.check_off_center``, which the solvers call first.  The code is
     the one the row would carry, and the message starts with the prefix
     ``main`` prints for it ("config error", "infeasible", "numerical
@@ -361,7 +362,7 @@ def validate(cfg: RunConfig) -> list:
     a solve can still fail while iterating (exit code 4).
     """
     try:
-        _, kernel, macro, inst = _shared_inputs(cfg)
+        _, kernel, macro, inst = _shared_inputs(cfg.validate_fields())
     except _ROW_ERRORS as exc:
         return [_failure(exc)]
     _, check, _, arg = _mode(cfg)

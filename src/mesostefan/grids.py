@@ -15,7 +15,9 @@ where the Q = ceil((B + taps - 1) / B) slabs T[q] are B x B Toeplitz pieces
 of the kernel built once per :class:`Kernel`.  That is Q matrix products
 through BLAS per CHUNK_ROWS row blocks, n * B * Q multiply-adds in all: 80 n
 at 41 taps (B = 40, Q = 2), where B = 64 would take 128 n.  The padded
-buffer and the output share one allocation.
+buffer and the output share one array: a caller that convolves on every
+step of a loop passes the same :func:`conv_workspace` each time, and its
+steps then fault in no fresh pages.
 """
 
 from __future__ import annotations
@@ -218,12 +220,25 @@ def _check_match(kernel: Kernel, grid: Grid):
         )
 
 
-def conv_values(kernel: Kernel, grid: Grid, values: np.ndarray) -> np.ndarray:
+def conv_workspace(kernel: Kernel, n: int) -> np.ndarray:
+    """The padded rows and products of an n-point convolution with
+    ``kernel``, for the ``work`` argument of :func:`conv_values` and
+    :func:`conv_values_filled`: n + B (Q - 1) padded points and n output
+    points, each rounded up to whole B-point rows."""
+    block = kernel.slabs.shape[1]
+    n_out = -(-n // block)
+    return np.empty((2 * n_out + kernel.slabs.shape[0] - 1) * block)
+
+
+def conv_values(kernel: Kernel, grid: Grid, values: np.ndarray,
+                work: np.ndarray | None = None) -> np.ndarray:
     """Reflected-kernel convolution J^neum * values of raw sample values.
 
     The profile is extended by its mirror images about both endpoints.
     With trapezoid weights and a kernel vanishing at +-1 this equals the
-    quadrature of the reflected-kernel integral exactly.
+    quadrature of the reflected-kernel integral exactly.  With ``work``
+    (:func:`conv_workspace` of the kernel and grid.n) the result is a view
+    of it, overwritten by the next convolution into it.
     """
     _check_match(kernel, grid)
     values = np.asarray(values, dtype=float)
@@ -231,27 +246,28 @@ def conv_values(kernel: Kernel, grid: Grid, values: np.ndarray) -> np.ndarray:
         raise GridError("neumann convolution needs half-widths >= kernel range")
     k = kernel.half_points
     return _blocked_convolution(kernel, values, values[1:k + 1][::-1],
-                                values[-k - 1:-1][::-1])
+                                values[-k - 1:-1][::-1], work)
 
 
 def conv_values_filled(kernel: Kernel, values: np.ndarray,
-                       left_fill: float, right_fill: float) -> np.ndarray:
+                       left_fill: float, right_fill: float,
+                       work: np.ndarray | None = None) -> np.ndarray:
     """Free-line convolution with constant extension on both sides; fills
-    of 0 give the zero-extended line."""
+    of 0 give the zero-extended line.  ``work`` as for :func:`conv_values`."""
     return _blocked_convolution(kernel, np.asarray(values, dtype=float),
-                                left_fill, right_fill)
+                                left_fill, right_fill, work)
 
 
 def _blocked_convolution(kernel: Kernel, values: np.ndarray,
-                         left_pad, right_pad) -> np.ndarray:
+                         left_pad, right_pad, work) -> np.ndarray:
     """Convolution of ``values`` extended by k pad values on each side.
 
     Each pad is k values or one constant.  The padded values go into a
     zero-tailed buffer of whole B-point rows P, B the kernel's block size,
     and output block b is sum_q P[b + q] @ T[q] over the kernel's slabs,
     formed CHUNK_ROWS blocks at a time so that the products and their sum
-    run in cache.  P and the output share one allocation: two cost fresh
-    page faults on every call.
+    run in cache.  P and the output are the two parts of ``work``, or of
+    one fresh array of its size when it is None.
     """
     k = kernel.half_points
     n = values.size
@@ -259,14 +275,20 @@ def _blocked_convolution(kernel: Kernel, values: np.ndarray,
     block = slabs.shape[1]
     n_out = -(-n // block)
     n_buf = (n_out + slabs.shape[0] - 1) * block
-    both = np.empty(n_buf + n_out * block)
-    buf = both[:n_buf]
+    size = n_buf + n_out * block
+    if work is None:
+        work = np.empty(size)
+    elif work.size != size:
+        raise GridError(f"convolution workspace of {work.size} points for "
+                        f"{n} values at {kernel.weights.size} taps, which "
+                        f"take {size}")
+    buf = work[:n_buf]
     buf[:k] = left_pad
     buf[k:k + n] = values
     buf[k + n:n + 2 * k] = right_pad
     buf[n + 2 * k:] = 0.0
     rows = buf.reshape(-1, block)
-    out = both[n_buf:].reshape(n_out, block)
+    out = work[n_buf:].reshape(n_out, block)
     for c0 in range(0, n_out, CHUNK_ROWS):
         c1 = min(c0 + CHUNK_ROWS, n_out)
         part = out[c0:c1]
@@ -276,12 +298,16 @@ def _blocked_convolution(kernel: Kernel, values: np.ndarray,
     return out.reshape(-1)[:n]
 
 
-def trapezoid_antiderivative(grid: Grid, values: np.ndarray,
-                             anchor: int) -> np.ndarray:
+def trapezoid_antiderivative(grid: Grid, values: np.ndarray, anchor: int,
+                             out: np.ndarray | None = None) -> np.ndarray:
     """Trapezoid antiderivative vanishing at the grid point ``anchor``:
     scipy's cumulative_trapezoid(values, dx=spacing, initial=0) minus its
-    value there."""
-    c = np.empty(values.size)
+    value there, summed in place in ``out`` (not ``values``) when given."""
+    c = np.empty(values.size) if out is None else out
     c[0] = 0.0
-    np.cumsum(grid.spacing * (values[1:] + values[:-1]) / 2.0, out=c[1:])
-    return c - c[anchor]
+    steps = np.add(values[1:], values[:-1], out=c[1:])
+    steps *= grid.spacing
+    steps /= 2.0
+    np.cumsum(steps, out=steps)
+    c -= c[anchor]
+    return c

@@ -14,7 +14,8 @@ The auxiliary solve :func:`inner_solve` runs plain, undamped fixed-point
 recursive projection (Shroff and Keller 1993): Picard on the complement of
 the leading eigenvector of p J^neum, one Newton step along it.
 Its :class:`InnerRecord` says how many fixed-point steps it took and which
-path finished it.
+path finished it.  A loop of such solves hands each one the same
+:class:`Workspace`, so that no fixed-point step allocates an n-point array.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import spectral
 from .errors import ConvergenceError, DomainError, SaturationError
-from .grids import Grid, Kernel, conv_values
+from .grids import Grid, Kernel, conv_values, conv_workspace
 from .thermo import ThermoParams
 
 SATURATION_LIMIT = 1.0 - 1e-8
@@ -45,6 +46,23 @@ class InnerRecord:
 
     picard_steps: int
     path: str
+
+
+class Workspace:
+    """The n-point buffers that every auxiliary solve of one loop reuses.
+
+    ``iterates`` holds a solve's two alternating magnetizations, ``conv``
+    the padded rows and products of its convolutions
+    (:func:`grids.conv_workspace`) and ``scratch`` every other n-point
+    value; between solves the loop around them may use ``scratch`` too.
+    The state a solve returns holds views of ``iterates`` and ``conv``: it
+    is valid until the next solve in the workspace.
+    """
+
+    def __init__(self, kernel: Kernel, n: int):
+        self.iterates = np.empty((2, n))
+        self.scratch = np.empty(n)
+        self.conv = conv_workspace(kernel, n)
 
 
 @dataclass(frozen=True)
@@ -78,14 +96,24 @@ class MesoState:
         q.setflags(write=False)
         return q
 
+    def copy(self) -> MesoState:
+        """The state with its own copies of h, m and conv: it outlives the
+        workspace it was solved in."""
+        return _state_at(self.params, self.kernel, self.grid, self.h.copy(),
+                         self.m.copy(), self.conv.copy(), self.residual_norm,
+                         self.record)
+
     def weighted_dot(self, f, g) -> float:
         """Inner product with weight 1/p (trapezoid quadrature)."""
         return float(np.einsum("i,i,i->", f, self.quadrature, g))
 
-    def apply_linearized(self, psi) -> np.ndarray:
-        """One application of the linearized fixed-point map p (J^neum psi)."""
-        return self.p * conv_values(self.kernel, self.grid,
-                                    np.asarray(psi, float))
+    def apply_linearized(self, psi, work=None) -> np.ndarray:
+        """One application of the linearized fixed-point map p (J^neum psi);
+        with ``work`` (:func:`grids.conv_workspace`) the result is a view of
+        it, overwritten by the next convolution into it."""
+        image = conv_values(self.kernel, self.grid, np.asarray(psi, float),
+                            work)
+        return np.multiply(self.p, image, out=image)
 
 
 def make_state(params: ThermoParams, kernel: Kernel, grid: Grid,
@@ -122,58 +150,61 @@ def exact_state(params: ThermoParams, kernel: Kernel, grid: Grid,
                       m, conv)
 
 
-def _picard(params, kernel, grid, h, m, conv, tol):
+def _picard(params, kernel, grid, h, m, spare, scratch, conv, conv_work,
+            tol):
     """Fixed-point iteration, projected along the slow mode after a stall.
 
-    ``conv`` is J^neum*m of the start.  Returns the converged m,
-    J^neum*m there, its residual and the solve's :class:`InnerRecord`.
+    ``conv`` is J^neum*m of the start.  The updates alternate between the
+    arrays m and spare, every other n-point value lives in scratch, and the
+    convolutions go into ``conv_work`` unless it is None.  Returns the
+    converged m, J^neum*m there, its residual and the solve's
+    :class:`InnerRecord`.
     """
     beta = params.beta
     res_prev = np.inf
     stall = 0
     slow = None           # (state at the switch, u, lambda/(1 - lambda))
-    # the updates alternate between m and spare, and every n-point temporary
-    # lives in work: a step allocates only its convolution
-    work = np.empty(m.size)
-    spare = np.empty(m.size)
     for step in range(_MAX_ITER):
         if step:
-            conv = conv_values(kernel, grid, m)
+            conv = conv_values(kernel, grid, m) if conv_work is None \
+                else conv_values(kernel, grid, m, conv_work)
         target = spare
-        np.add(conv, h, out=work)
-        work *= beta
-        np.tanh(work, out=target)
-        np.subtract(m, target, out=work)
-        res = float(np.abs(work, out=work).max())
+        np.add(conv, h, out=scratch)
+        scratch *= beta
+        np.tanh(scratch, out=target)
+        np.subtract(m, target, out=scratch)
+        res = float(np.abs(scratch, out=scratch).max())
         if res < tol:
             return m, conv, res, InnerRecord(step, "picard" if slow is None
                                              else "projected")
         stall = stall + 1 if res > _STALL_RATIO * res_prev else 0
         res_prev = res
         if slow is None and stall >= _STALL_STEPS:
-            at = _state_at(params, kernel, grid, h, m.copy(), conv, res)
+            at = _state_at(params, kernel, grid, h, m.copy(), conv.copy(), res)
             pair = spectral.leading_eigenpair(at, _PAIR_TOL)
             if abs(1.0 - pair.lambda_) < _NO_GAP:
                 raise ConvergenceError(
                     f"slow-mode eigenvalue {pair.lambda_!r} is 1 to "
-                    "rounding: no projected step", last=m)
+                    "rounding: no projected step", last=m.copy())
             slow = at, pair.u, pair.lambda_ / (1.0 - pair.lambda_)
         if slow is not None:
             # a Newton step along u, Picard on its weighted complement
             at, u, gain = slow
-            target = target + gain * at.weighted_dot(target - m, u) * u
+            np.subtract(target, m, out=scratch)
+            np.multiply(gain * at.weighted_dot(scratch, u), u, out=scratch)
+            target += scratch
         m, spare = target, m
-        if np.abs(m, out=work).max() >= SATURATION_LIMIT:
+        if np.abs(m, out=scratch).max() >= SATURATION_LIMIT:
             raise SaturationError("iterate saturated: |m| -> 1")
     raise ConvergenceError(
         f"fixed-point iteration stuck at residual {res_prev:.3e} (tol {tol})",
-        last=m,
+        last=m.copy(),
     )
 
 
 def inner_solve(params: ThermoParams, kernel: Kernel, grid: Grid,
                 h: np.ndarray, m_init: np.ndarray, conv_init: np.ndarray,
-                tol=1e-12) -> MesoState:
+                tol=1e-12, work: Workspace | None = None) -> MesoState:
     """Find m with m = tanh(beta J^neum*m + beta h) near the seed.
 
     Plain fixed-point iteration: each step sets m <- F(m) = tanh(beta
@@ -192,13 +223,25 @@ def inner_solve(params: ThermoParams, kernel: Kernel, grid: Grid,
     state the solve restarts from, so each fixed-point update costs exactly
     one convolution.  The state's
     ``record`` counts the fixed-point updates and names the path that
-    finished the solve, and its ``conv`` is the last convolution.  The
-    result is seed-dependent: only closeness to the seed is guaranteed, not
-    global uniqueness.
+    finished the solve, and its ``conv`` is the last convolution.  With a
+    :class:`Workspace` ``work`` no step allocates an n-point array, m_init
+    and conv_init may be views of it, and the state holds views of it;
+    without one, each convolution is a fresh array.  The result is
+    seed-dependent: only closeness to the seed is guaranteed, not global
+    uniqueness.
     """
     h = np.asarray(h, dtype=float)
-    m = np.asarray(m_init, dtype=float).copy()
-    if np.max(np.abs(m)) >= SATURATION_LIMIT:
+    m_init = np.asarray(m_init, dtype=float)
+    if work is None:
+        (m, spare), scratch = np.empty((2, grid.n)), np.empty(grid.n)
+    else:
+        (m, spare), scratch = work.iterates, work.scratch
+        if np.may_share_memory(m_init, m):
+            m, spare = spare, m
+    if np.abs(m_init, out=scratch).max() >= SATURATION_LIMIT:
         raise SaturationError("seed already saturated")
-    m, conv, res, record = _picard(params, kernel, grid, h, m, conv_init, tol)
+    np.copyto(m, m_init)
+    m, conv, res, record = _picard(params, kernel, grid, h, m, spare, scratch,
+                                   conv_init,
+                                   None if work is None else work.conv, tol)
     return _state_at(params, kernel, grid, h, m, conv, res, record)

@@ -5,7 +5,9 @@ has a positive maximal eigenvalue with a positive eigenvector, and a
 spectral gap that stays open as the scale parameter shrinks.  Everything
 here is matrix-free: power iteration for the leading pair, a Lanczos
 recurrence on its weighted complement for the gap, and every inner product
-a sum against the state's cached quadrature weights.
+a sum against the state's cached quadrature weights.  Each loop keeps its
+vectors and its convolution's workspace for its whole run: no step
+allocates an n-point array.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
+from .grids import conv_workspace
 from .instanton import Instanton
 
 if TYPE_CHECKING:       # meso imports this module for its inner solve
@@ -34,8 +37,8 @@ class SpectralResult:
     residual: float          # sup |A u - lambda u|
 
 
-def _normalize(state: MesoState, u: np.ndarray) -> np.ndarray:
-    return u / np.sqrt(state.weighted_dot(u, u))
+def _normalize(state: MesoState, u: np.ndarray, out=None) -> np.ndarray:
+    return np.divide(u, np.sqrt(state.weighted_dot(u, u)), out=out)
 
 
 def leading_eigenpair(state: MesoState, tol=1e-12) -> SpectralResult:
@@ -53,30 +56,37 @@ def leading_eigenpair(state: MesoState, tol=1e-12) -> SpectralResult:
     """
     if np.any(state.p <= 0.0):
         raise DomainError("linearization weight must be positive")
-    u = _normalize(state, state.p.copy())
+    n = state.grid.n
+    work = conv_workspace(state.kernel, n)
+    # the iterate alternates between u and u_prev, which holds the residual
+    # until the next iterate overwrites it
+    u, u_prev = _normalize(state, state.p, np.empty(n)), np.empty(n)
     rq_prev = np.inf
     for it in range(1, _POWER_STEPS + 1):
-        au = state.apply_linearized(u)
+        au = state.apply_linearized(u, work)
         rq = state.weighted_dot(u, au)
-        if abs(rq - rq_prev) < tol \
-                and _sup_residual(au, rq, u) < tol * max(1.0, abs(rq)):
-            u = _normalize(state, au)
+        if abs(rq - rq_prev) < tol and _sup_residual(
+                au, rq, u, u_prev) < tol * max(1.0, abs(rq)):
+            u, u_prev = _normalize(state, au, u_prev), u
             break
         rq_prev = rq
-        u, u_prev = _normalize(state, au), u
+        u, u_prev = _normalize(state, au, u_prev), u
     else:
         raise ConvergenceError(
-            f"power iteration stagnated (last Rayleigh {rq:.12g}, "
-            f"residual {_sup_residual(au, rq, u_prev):.3e})", last=u)
+            f"power iteration stagnated (last Rayleigh {rq:.12g}, residual "
+            f"{_sup_residual(au, rq, u_prev, np.empty(n)):.3e})", last=u)
     if np.mean(u) < 0:
-        u = -u
-    res = _sup_residual(state.apply_linearized(u), rq, u)
+        np.negative(u, out=u)
+    res = _sup_residual(state.apply_linearized(u, work), rq, u, u_prev)
     u.setflags(write=False)
     return SpectralResult(float(rq), u, it, res)
 
 
-def _sup_residual(au, rq, u) -> float:
-    return float(np.max(np.abs(au - rq * u)))
+def _sup_residual(au, rq, u, scratch) -> float:
+    """sup |au - rq u|, formed in ``scratch``."""
+    np.multiply(rq, u, out=scratch)
+    np.subtract(au, scratch, out=scratch)
+    return float(np.abs(scratch, out=scratch).max())
 
 
 def second_eigenvalue(state: MesoState, result: SpectralResult) -> float:
@@ -90,15 +100,20 @@ def second_eigenvalue(state: MesoState, result: SpectralResult) -> float:
     value; raises :class:`ConvergenceError` when the step budget runs out.
     """
     u, dot, x = result.u, state.weighted_dot, state.grid.points
+    n = state.grid.n
+    work, scratch = conv_workspace(state.kernel, n), np.empty(n)
     v = state.p * (1.0 + x / np.max(np.abs(x)))
-    v = v - dot(v, u) * u
-    v, v_prev, beta, alphas, betas = v / np.sqrt(dot(v, v)), 0.0, 0.0, [], []
+    v -= np.multiply(dot(v, u), u, out=scratch)
+    # v_prev starts at 0: beta * 0 leaves the first image as it is
+    v, v_prev = _normalize(state, v, v), np.zeros(n)
+    beta, alphas, betas = 0.0, [], []
     for _ in range(_LAMBDA2_STEPS):
-        w = state.apply_linearized(v) - beta * v_prev
+        w = state.apply_linearized(v, work)
+        w -= np.multiply(beta, v_prev, out=scratch)
         alphas.append(dot(v, w))
-        w = w - alphas[-1] * v
-        w = w - dot(w, u) * u
-        w = w - dot(w, v) * v
+        w -= np.multiply(alphas[-1], v, out=scratch)
+        w -= np.multiply(dot(w, u), u, out=scratch)
+        w -= np.multiply(dot(w, v), v, out=scratch)
         beta = np.sqrt(dot(w, w))
         ritz, s = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1)
                                  + np.diag(betas, -1))
@@ -107,7 +122,7 @@ def second_eigenvalue(state: MesoState, result: SpectralResult) -> float:
         if bound <= _LAMBDA2_TOL * max(1.0, abs(ritz[k])):
             return float(abs(ritz[k]))
         betas.append(beta)
-        v, v_prev = w / beta, v
+        v, v_prev = np.divide(w, beta, out=v_prev), v
     raise ConvergenceError(f"Lanczos recurrence for lambda2: residual bound "
                            f"{bound:.3e} after {_LAMBDA2_STEPS} steps")
 

@@ -127,8 +127,11 @@ def pressure(params: ThermoParams, h):
     return out if out.ndim else float(out)
 
 
-def mobility(params: ThermoParams, m):
-    """Transport coefficient beta (1 - m^2); positive on (-1, 1)."""
+def mobility(params: ThermoParams, m, out=None):
+    """Transport coefficient beta (1 - m^2); positive on (-1, 1).  An array
+    m may have it formed in ``out``."""
     m = np.asarray(m, dtype=float)
-    out = params.beta * (1.0 - m * m)
-    return out if out.ndim else float(out)
+    chi = np.multiply(params.beta,
+                      np.subtract(1.0, np.multiply(m, m, out=out), out=out),
+                      out=out)
+    return chi if chi.ndim else float(chi)

@@ -441,11 +441,21 @@ def test_sweep_computes_shared_inputs_once(monkeypatch):
 
 
 @pytest.mark.parametrize("mode, j", [("antisym", -0.02), ("metastable", 0.02)])
-def test_x0_does_not_shift_centered_modes(mode, j):
-    """The Stefan limit is shifted to x0 only off center."""
-    rows = [run(RunConfig(beta=2.0, j=j, x0=x0, mode=mode, eps_list=[0.1],
-                          n0=2)).to_csv() for x0 in (0.0, 0.3)]
-    assert rows[0] == rows[1]
+def test_x0_is_a_config_error_in_centered_modes(mode, j):
+    """A centred mode given x0 != 0 in code, where no file or argument parser
+    has checked the fields, is one config error in validate and a -2 row at
+    every scale in run, not a centred solve."""
+    cfg = RunConfig(beta=2.0, j=j, x0=0.3, mode=mode, eps_list=[0.1, 0.05],
+                    n0=2)
+    message = f"x0 = 0.3 is ignored by mode {mode}"
+    findings = validate(cfg)
+    assert [code for code, _ in findings] == [EXIT_CONFIG]
+    assert message in findings[0][1]
+    rows = run(cfg).rows
+    assert [(r.eps, r.iters) for r in rows] == [(0.1, -EXIT_CONFIG),
+                                               (0.05, -EXIT_CONFIG)]
+    assert all(r.error == f"DomainError: {message}: only asym places the "
+               "interface off center" for r in rows)
 
 
 def test_failed_sweep_row_records_error(tmp_path):

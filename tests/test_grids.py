@@ -10,7 +10,7 @@ from mesostefan.errors import GridError
 from mesostefan.grids import (BLOCK, KERNEL_SHAPES, POINT_CAP, TAP_CAP, Grid,
                               block_size, build_grid, build_kernel,
                               conv_values, conv_values_filled,
-                              trapezoid_antiderivative)
+                              conv_workspace, trapezoid_antiderivative)
 from oracles import convolve_reference, neumann_matrix
 
 #: 21, 41, 161, 321 and 641 taps
@@ -333,6 +333,32 @@ def test_toeplitz_slabs_are_read_only(spacing):
     # every tap appears once per output column of a block
     assert np.allclose(kernel.slabs.sum(axis=(0, 1)), 1.0, rtol=0,
                        atol=1e-15)
+
+
+@pytest.mark.parametrize("shape", ["cos2", "quartic"])
+@pytest.mark.parametrize("spacing, block", [(0.05, 40), (0.0125, BLOCK)])
+def test_convolution_into_a_workspace_is_the_allocating_one(shape, spacing,
+                                                             block):
+    """A convolution into a caller's workspace has the bits of the one that
+    allocates, in every padding mode and when the workspace is used again,
+    on the fitted 40-point and the 64-point block."""
+    kernel = build_kernel(spacing, shape)
+    assert block_size(kernel.weights.size) == block
+    for n in (2 * kernel.half_points + 1, block * 7 + 1, 4001):
+        x = np.linspace(-3.0, 2.0, n)
+        work = conv_workspace(kernel, n)
+        for values in (np.tanh(x), np.sin(5.0 * x)):
+            assert np.array_equal(
+                conv_values(kernel, _line(n, spacing), values, work),
+                conv_values(kernel, _line(n, spacing), values))
+            for fills in ((0.0, 0.0), (-0.9, 0.8)):
+                out = conv_values_filled(kernel, values, *fills, work)
+                assert np.shares_memory(out, work)
+                assert np.array_equal(
+                    out, conv_values_filled(kernel, values, *fills))
+        with pytest.raises(GridError, match="workspace"):
+            conv_values_filled(kernel, x, 0.0, 0.0,
+                               conv_workspace(kernel, n + block))
 
 
 def test_convolution_leaves_input_untouched():
