@@ -6,6 +6,9 @@ h_next(x) = -eps j * int_0^x 1/chi(m).  The iteration starts from a
 composite seed (interface profile near the origin, scaled macroscopic
 solution beyond, for either sign of j), whose exact state's convolution
 the first auxiliary solve restarts from, and contracts geometrically.
+Every field, magnetization and convolution of the loop is odd, so it runs
+on the half line x >= 0 (:meth:`grids.Grid.half_line`), where they vanish
+at x = 0, and returns their odd extension to the check's grid.
 
 The auxiliary solves are inexact: each one stops at the sup-norm residual
 max(INNER_TOL, FORCING * inc), where inc = sup|h_next - h| is the outer
@@ -153,7 +156,7 @@ def _seed_layout(spacing, instanton: Instanton, eps, ell, n0):
 
 def build_seed(params: ThermoParams, kernel: Kernel, instanton: Instanton,
                macro, eps, grid: Grid, xi_index: int) -> MesoState:
-    """Exact state of the composite odd seed on the layout a check built.
+    """Exact state of the composite odd seed on its layout's half line.
 
     The interface profile, signed like the macroscopic solution it is glued
     to, fills [0, xi] with xi = xi_index * spacing; the macroscopic
@@ -161,18 +164,15 @@ def build_seed(params: ThermoParams, kernel: Kernel, instanton: Instanton,
     check has matched the instanton's spacing to the grid's, so the splice
     introduces no interpolation error.
     """
-    c = grid.center_index
-    xi_snap = xi_index * grid.spacing
+    half = grid.half_line()
     ic = instanton.center_index
-    m0 = np.empty(grid.n)
-    x_rel = grid.spacing * (np.arange(grid.n) - c)  # exactly symmetric coords
-    m0[c + xi_index + 1:] = macro.m_of_x(eps * (x_rel[c + xi_index + 1:] - xi_snap))
-    m0[c:c + xi_index + 1] = np.copysign(1.0, m0[c + xi_index + 1]) \
+    m0 = np.empty(half.n)
+    x = half.spacing * np.arange(xi_index + 1, half.n)  # exact offsets from 0
+    m0[xi_index + 1:] = macro.m_of_x(eps * (x - xi_index * half.spacing))
+    m0[:xi_index + 1] = np.copysign(1.0, m0[xi_index + 1]) \
         * instanton.profile[ic:ic + xi_index + 1]
-    # odd extension m0(-x) = -m0(x)
-    m0[:c] = -m0[c + 1:][::-1]
-    m0[c] = 0.0
-    return exact_state(params, kernel, grid, m0)
+    m0[0] = 0.0       # +0 whatever the sign
+    return exact_state(params, kernel, half, m0)
 
 
 def current_integral(params: ThermoParams, grid: Grid, m: np.ndarray, eps, j,
@@ -191,22 +191,14 @@ def current_integral(params: ThermoParams, grid: Grid, m: np.ndarray, eps, j,
 
 def t_map(params: ThermoParams, grid: Grid, m: np.ndarray, eps, j,
           out=None, scratch=None) -> np.ndarray:
-    """Current integral h(x) = -eps j int_0^x 1/chi(m), odd by construction.
+    """Current integral h(x) = -eps j int_0^x 1/chi(m) on the half line
+    x >= 0 of an odd m, with h = +0 at x = 0.
 
-    Formed in ``out`` with ``scratch`` for the integral when they are given.
+    Formed in ``out`` with ``scratch`` for 1/chi when they are given.
     """
-    h = _odd_part(current_integral(params, grid, m, eps, j, grid.center_index,
-                                   out=scratch, scratch=out), out)
-    h[grid.center_index] = 0.0
+    h = current_integral(params, grid, m, eps, j, 0, out, scratch)
+    h[0] = 0.0
     return h
-
-
-def _odd_part(values: np.ndarray, out=None) -> np.ndarray:
-    """(values - values reversed) / 2, in ``out`` (not ``values``) when
-    given."""
-    odd = np.subtract(values, values[::-1], out=out)
-    odd *= 0.5
-    return odd
 
 
 def check_stable(kernel: Kernel, eps, j, ell, n0, instanton: Instanton,
@@ -282,27 +274,26 @@ def _iterate(params, kernel, instanton, macro, eps, j, grid, xi_index,
     FORCING * inc), or to INNER_TOL once inc < OUTER_TOL.  It returns the
     new pair when inc < OUTER_TOL and (h, m) was solved to INNER_TOL (the
     seed is an exact pair): an inexact solve that left m unchanged would
-    otherwise yield inc = 0 and stop on an unconverged field.  The first
-    solve restarts from the seed's state on the check's layout, then dropped.
-    The odd part of a solve's J^neum*m is J^neum of the odd part of its m
-    (the grid is symmetric), so every later solve, and the returned state,
-    restart from the previous solve's convolution.  The loop forms each
-    field in the row of ``fields`` that the last one left free, the odd
-    parts in ``odd`` and the rest in its solves' workspace, so that no
-    step allocates an n-point array; the returned state has its own copies.
+    otherwise yield inc = 0 and stop on an unconverged field.  Everything
+    runs on the half line of the check's grid.  The first solve restarts
+    from the seed's state, then dropped, every later one from the previous
+    solve's m and convolution, which stay in the solves' workspace; each
+    field goes into the row of ``fields`` that the last one left free, so
+    no step allocates an n-point array.  The returned state is the odd
+    extension of the last pair and its convolution to the check's grid.
     """
     tol, inner_tol = OUTER_TOL, INNER_TOL
     start = build_seed(params, kernel, instanton, macro, eps, grid, xi_index)
+    half = start.grid
     trace = IterationTrace(residuals=[start.residual_norm])
     h, m, conv = start.h, start.m, start.conv
     del start
-    fields, odd = np.empty((2, grid.n)), np.empty((2, grid.n))
-    work = Workspace(kernel, grid.n)
+    fields, work = np.empty((2, half.n)), Workspace(kernel, half.n)
     scratch = work.scratch
     exact = True
     bad_ratio_run = 0
     for k in range(MAX_OUTER):
-        h_next = t_map(params, grid, m, eps, j, fields[k % 2], scratch)
+        h_next = t_map(params, half, m, eps, j, fields[k % 2], scratch)
         inc = float(np.abs(np.subtract(h_next, h, out=scratch),
                            out=scratch).max())
         trace.increments.append(inc)
@@ -313,18 +304,20 @@ def _iterate(params, kernel, instanton, macro, eps, j, grid, xi_index,
                 raise ConvergenceError(
                     "outer iteration stopped contracting", last=trace)
         step_tol = inner_tol if inc < tol else max(inner_tol, FORCING * inc)
-        state = inner_solve(params, kernel, grid, h_next, m, tol=step_tol,
+        state = inner_solve(params, kernel, half, h_next, m, tol=step_tol,
                             conv_init=conv, work=work)
         trace.add_solve(state, step_tol)
         converged = inc < tol and exact
         h, exact = h_next, step_tol == inner_tol
-        m, conv = _odd_part(state.m, odd[0]), _odd_part(state.conv, odd[1])
-        del state         # its arrays are the workspace's
+        m, conv = state.m, state.conv     # the workspace's
         if converged:
-            final = make_state(params, kernel, grid, h.copy(), m.copy(),
-                               conv.copy())
-            mono = _is_monotone(final.m, increasing=(j < 0))
-            rise = _central_increase_length(grid, final.m) \
+            full = [np.empty(grid.n) for _ in range(3)]  # odd h, m, conv
+            for row, a in zip(full, (h, m, conv)):
+                np.negative(a[:0:-1], out=row[:half.n - 1])
+                row[half.n - 1:] = a
+            final = make_state(params, kernel, grid, *full)
+            mono = _is_monotone(m, increasing=(j < 0))
+            rise = _central_increase_length(half, m) \
                 if branch == "metastable" else None
             return AntisymResult(final, trace, float(xi_index * grid.spacing),
                                  float(eps), float(j), mono, rise)
@@ -340,25 +333,20 @@ def _is_monotone(m: np.ndarray, increasing: bool) -> bool:
         else bool(np.all(d < -MONOTONE_FLOOR))
 
 
-def _central_increase_length(grid: Grid, m: np.ndarray) -> float:
-    """Meso length of the maximal interval around 0 where m increases."""
-    d = np.diff(m)
-    c = grid.center_index
-    rising = d > INCREASE_THRESHOLD
-    lo = c
-    while lo - 1 >= 0 and rising[lo - 1]:
-        lo -= 1
-    hi = c
-    while hi < rising.size and rising[hi]:
-        hi += 1
-    return float((hi - lo) * grid.spacing)
+def _central_increase_length(half: Grid, m: np.ndarray) -> float:
+    """Length of the odd profile's central rise: twice its rise from 0 in m."""
+    rising = np.diff(m) > INCREASE_THRESHOLD
+    run = rising.size if rising.all() else int(np.argmin(rising))
+    return float(2 * run * half.spacing)
 
 
 def fixed_point_defect(result: AntisymResult) -> float:
-    """sup |h(x) + eps j int_0^x 1/chi(m)| for the returned pair."""
-    st = result.state
-    h_rebuilt = t_map(st.params, st.grid, st.m, result.eps, result.j)
-    return float(np.max(np.abs(st.h - h_rebuilt)))
+    """sup |h(x) + eps j int_0^x 1/chi(m)| for the returned pair, read on
+    x >= 0: both are odd."""
+    st, c = result.state, result.state.grid.center_index
+    h_rebuilt = t_map(st.params, st.grid.half_line(), st.m[c:], result.eps,
+                      result.j)
+    return float(np.max(np.abs(st.h[c:] - h_rebuilt)))
 
 
 def flux_defect(state: MesoState, eps, j) -> tuple[float, float]:

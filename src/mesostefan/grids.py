@@ -5,7 +5,9 @@ kernel J is an even probability density supported on [-1, 1]; convolution is
 trapezoid quadrature, with reflected images about both endpoints
 (:func:`conv_values`, J^neum) or with constant extension
 (:func:`conv_values_filled`; fills of 0 give the zero-extended line).  A
-grid's width must be a whole number of cells: no spacing is adjusted.
+grid's width must be a whole number of cells: no spacing is adjusted.  An
+``odd`` grid, :meth:`Grid.half_line`, holds odd profiles by their values on
+x >= 0, which :func:`conv_values` reflects about x = 0 with a sign.
 
 Every convolution runs as a blocked Toeplitz matrix product.  The padded
 values are written into one zero-tailed buffer and viewed as rows of B
@@ -93,6 +95,7 @@ class Grid:
     right: float
     spacing: float
     points: np.ndarray
+    odd: bool = False     # left = 0 is the centre of odd profiles
 
     @property
     def n(self) -> int:
@@ -112,6 +115,11 @@ class Grid:
     def center_index(self) -> int:
         """Index of the point closest to x = 0."""
         return int(np.argmin(np.abs(self.points)))
+
+    def half_line(self) -> Grid:
+        """The points x >= 0 of a grid centred on x = 0, as an odd grid."""
+        return Grid(self.epsilon, 0.0, self.right, self.spacing,
+                    self.points[self.center_index:], True)
 
     def index_of(self, x: float) -> int:
         i = int(round((x - self.a) / self.spacing))
@@ -234,7 +242,8 @@ def conv_values(kernel: Kernel, grid: Grid, values: np.ndarray,
                 work: np.ndarray | None = None) -> np.ndarray:
     """Reflected-kernel convolution J^neum * values of raw sample values.
 
-    The profile is extended by its mirror images about both endpoints.
+    The profile is extended by its mirror images about both endpoints,
+    negated at x = 0 on an odd grid (where values[0] and the result are 0).
     With trapezoid weights and a kernel vanishing at +-1 this equals the
     quadrature of the reflected-kernel integral exactly.  With ``work``
     (:func:`conv_workspace` of the kernel and grid.n) the result is a view
@@ -242,11 +251,15 @@ def conv_values(kernel: Kernel, grid: Grid, values: np.ndarray,
     """
     _check_match(kernel, grid)
     values = np.asarray(values, dtype=float)
-    if grid.b - grid.a < 2.0 * KERNEL_RANGE:
+    if grid.b - grid.a < (1.0 if grid.odd else 2.0) * KERNEL_RANGE:
         raise GridError("neumann convolution needs half-widths >= kernel range")
     k = kernel.half_points
-    return _blocked_convolution(kernel, values, values[1:k + 1][::-1],
-                                values[-k - 1:-1][::-1], work)
+    left = values[k:0:-1]
+    out = _blocked_convolution(kernel, values, -left if grid.odd else left,
+                               values[-k - 1:-1][::-1], work)
+    if grid.odd:
+        out[0] = 0.0    # the mirrored products cancel only to rounding
+    return out
 
 
 def conv_values_filled(kernel: Kernel, values: np.ndarray,

@@ -2,7 +2,9 @@
 
 Plain Picard iteration for the odd fixed point of m -> tanh(beta J*m) on a
 truncated line, with a Dirichlet-style clamp to +-m_beta outside a one-unit
-collar.  On odd functions the map contracts at the sub-dominant eigenvalue
+collar.  The iterates are odd, so they live on the half line [0, X] with
+the odd reflection at 0, and the profile is extended to [-X, X] once at
+the end.  On odd functions the map contracts at the sub-dominant eigenvalue
 of its linearization (about 0.31 per step at beta = 2), so no damping is
 needed.  The profile, its derivative, the weighted normalization constants
 and the tail decay rate (the root of its characteristic equation, no fit)
@@ -67,10 +69,11 @@ def compute_instanton(params: ThermoParams, kernel: Kernel,
                       seed="sign") -> Instanton:
     """Solve the odd fixed point m = tanh(beta J*m) on [-X, X], X = HALF_WIDTH.
 
-    Each Picard step sets m to the odd part of tanh(beta J*m), clamped to
-    +-m_beta outside [-X+1, X-1].  Taking the odd part pins the translation
-    freedom of the infinite-line problem, whose derivative mode (eigenvalue
-    1) is even and so never enters the iteration.
+    Each Picard step sets m to tanh(beta J*m) on [0, X], with m = 0 at
+    x = 0, J*m padded by -m mirrored about 0 on the left and by m_beta on
+    the right, and m clamped to m_beta on [X-1, X].  Iterating on odd
+    functions pins the translation freedom of the infinite-line problem,
+    whose derivative mode (eigenvalue 1) is even and so never enters.
     """
     if params.beta <= 1.0:
         raise DomainError("interface profile needs beta > 1")
@@ -88,26 +91,27 @@ def compute_instanton(params: ThermoParams, kernel: Kernel,
     x = spacing * np.arange(-n_half, n_half + 1)
     mb = params.m_beta
     beta = params.beta
+    k = kernel.half_points
 
     if seed == "sign":
-        m = mb * np.sign(x)
+        m = mb * np.sign(x[n_half:])
     elif seed == "tanh":
-        m = mb * np.tanh(x)
+        m = mb * np.tanh(x[n_half:])
     else:
         raise DomainError(f"unknown seed {seed!r}")
 
-    interior = np.abs(x) <= HALF_WIDTH - 1.0 + 1e-12
-    clamp = ~interior
-    m[clamp] = mb * np.sign(x[clamp])
+    unclamped = np.count_nonzero(x[n_half:] <= HALF_WIDTH - 1.0 + 1e-12)
+    m[unclamped:] = mb
 
     residual = np.inf
-    target = np.tanh(beta * conv_values_filled(kernel, m, -mb, mb))
+    target = np.tanh(beta * conv_values_filled(kernel, m, -m[k:0:-1], mb))
     for _ in range(_MAX_ITER):
-        target[clamp] = mb * np.sign(x[clamp])
-        m = 0.5 * (target - target[::-1])
+        target[unclamped:] = mb
+        target[0] = 0.0
+        m = target
         # the image of the new iterate is both its residual and the next target
-        target = np.tanh(beta * conv_values_filled(kernel, m, -mb, mb))
-        residual = float(np.max(np.abs((m - target)[interior])))
+        target = np.tanh(beta * conv_values_filled(kernel, m, -m[k:0:-1], mb))
+        residual = float(np.max(np.abs(m[:unclamped] - target[:unclamped])))
         if residual < _TOL:
             break
     else:
@@ -116,6 +120,7 @@ def compute_instanton(params: ThermoParams, kernel: Kernel,
             f"(residual {residual:.3e})"
         )
 
+    m = np.concatenate([-m[:0:-1], m])
     deriv = _derivative_4th(m, spacing, -mb, mb)
     p_bar = mobility(params, m)
     norm_sq = float(np.trapezoid(deriv * deriv / p_bar, dx=spacing))

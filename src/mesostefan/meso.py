@@ -156,9 +156,8 @@ def _picard(params, kernel, grid, h, m, spare, scratch, conv, conv_work,
 
     ``conv`` is J^neum*m of the start.  The updates alternate between the
     arrays m and spare, every other n-point value lives in scratch, and the
-    convolutions go into ``conv_work`` unless it is None.  Returns the
-    converged m, J^neum*m there, its residual and the solve's
-    :class:`InnerRecord`.
+    convolutions go into ``conv_work``.  Returns the converged m, J^neum*m
+    there, its residual and the solve's :class:`InnerRecord`.
     """
     beta = params.beta
     res_prev = np.inf
@@ -166,8 +165,7 @@ def _picard(params, kernel, grid, h, m, spare, scratch, conv, conv_work,
     slow = None           # (state at the switch, u, lambda/(1 - lambda))
     for step in range(_MAX_ITER):
         if step:
-            conv = conv_values(kernel, grid, m) if conv_work is None \
-                else conv_values(kernel, grid, m, conv_work)
+            conv = conv_values(kernel, grid, m, conv_work)
         target = spare
         np.add(conv, h, out=scratch)
         scratch *= beta
@@ -221,27 +219,23 @@ def inner_solve(params: ThermoParams, kernel: Kernel, grid: Grid,
     and :class:`ConvergenceError` when its step budget runs out or lambda is
     1 to rounding.  ``conv_init`` is J^neum*m_init, the ``conv`` of the
     state the solve restarts from, so each fixed-point update costs exactly
-    one convolution.  The state's
-    ``record`` counts the fixed-point updates and names the path that
-    finished the solve, and its ``conv`` is the last convolution.  With a
-    :class:`Workspace` ``work`` no step allocates an n-point array, m_init
-    and conv_init may be views of it, and the state holds views of it;
-    without one, each convolution is a fresh array.  The result is
-    seed-dependent: only closeness to the seed is guaranteed, not global
-    uniqueness.
+    one convolution.  The state's ``record`` counts the fixed-point updates
+    and names the path that finished the solve, and its ``conv`` is the last
+    convolution.  The solve runs in the :class:`Workspace` ``work``, a fresh
+    one when it is None: no step allocates an n-point array, m_init and
+    conv_init may be views of it, and the state holds views of it.  The
+    result is seed-dependent: only closeness to the seed is guaranteed, not
+    global uniqueness.
     """
     h = np.asarray(h, dtype=float)
     m_init = np.asarray(m_init, dtype=float)
-    if work is None:
-        (m, spare), scratch = np.empty((2, grid.n)), np.empty(grid.n)
-    else:
-        (m, spare), scratch = work.iterates, work.scratch
-        if np.may_share_memory(m_init, m):
-            m, spare = spare, m
+    work = work or Workspace(kernel, grid.n)
+    (m, spare), scratch = work.iterates, work.scratch
+    if np.may_share_memory(m_init, m):
+        m, spare = spare, m
     if np.abs(m_init, out=scratch).max() >= SATURATION_LIMIT:
         raise SaturationError("seed already saturated")
     np.copyto(m, m_init)
     m, conv, res, record = _picard(params, kernel, grid, h, m, spare, scratch,
-                                   conv_init,
-                                   None if work is None else work.conv, tol)
+                                   conv_init, work.conv, tol)
     return _state_at(params, kernel, grid, h, m, conv, res, record)

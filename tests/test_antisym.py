@@ -9,6 +9,8 @@ from mesostefan.antisym import (build_seed, fixed_point_defect, flux_defect,
                                 hydrodynamic_error, solve_metastable,
                                 solve_stable, t_map)
 from mesostefan.errors import DomainError, GridError, InfeasibleError
+from mesostefan import meso
+from mesostefan.grids import conv_values
 from mesostefan.meso import make_state
 
 
@@ -23,20 +25,27 @@ def _stable_seed(params2, kernel05, inst05, macro, eps, j=J_STABLE):
                                       grid, xi_index)
 
 
+def _odd(values):
+    """The odd profile on a centred grid whose half line x >= 0 holds
+    ``values``."""
+    return np.concatenate([-values[:0:-1], values])
+
+
 def test_seed_structure(params2, kernel05, inst05, maximal_stable):
     eps = 0.05
     g, xi_index, start = _stable_seed(params2, kernel05, inst05,
                                       maximal_stable, eps)
-    c = g.center_index
-    assert start.m[c] == 0.0
-    assert np.max(np.abs(start.m + start.m[::-1])) == 0.0
+    # the seed lives on the half line x >= 0 of the check's grid
+    assert start.grid.odd
+    assert np.array_equal(start.grid.points, g.points[g.center_index:])
+    assert start.m[0] == start.h[0] == start.conv[0] == 0.0
     assert np.max(np.abs(start.m)) < 1.0
     # continuity at the gluing point: both sides within O(eps) of m_beta
-    i_xi = c + xi_index
+    i_xi = xi_index
     assert abs(start.m[i_xi] - start.m[i_xi + 1]) <= 2 * eps
     # the field vanishes identically one kernel range inside the splice
     k_range = int(round(1.0 / g.spacing))
-    clean = start.h[c:i_xi - k_range]
+    clean = start.h[:i_xi - k_range]
     assert np.max(np.abs(clean)) < 1e-6
     assert np.max(np.abs(clean)) < 1e-5   # also at the looser documented level
 
@@ -44,8 +53,9 @@ def test_seed_structure(params2, kernel05, inst05, maximal_stable):
 def test_seed_field_is_exact(params2, kernel05, inst05, maximal_stable):
     grid, _, start = _stable_seed(params2, kernel05, inst05, maximal_stable,
                                   0.1)
-    assert make_state(params2, kernel05, grid, start.h,
-                      start.m).residual_norm < 1e-12
+    # exact as the odd profile on the full grid too
+    assert make_state(params2, kernel05, grid, _odd(start.h),
+                      _odd(start.m)).residual_norm < 1e-12
     assert start.residual_norm < 1e-12
 
 
@@ -66,11 +76,16 @@ def test_seed_spacing_mismatch(params2, kernel025, inst05, maximal_stable):
 def test_t_map_sign_and_oddness(params2, kernel05, inst05, maximal_stable):
     grid, _, start = _stable_seed(params2, kernel05, inst05, maximal_stable,
                                   0.1)
-    h = t_map(params2, grid, start.m, 0.1, J_STABLE)
-    assert h[grid.center_index] == 0.0
-    assert np.max(np.abs(h + h[::-1])) == 0.0
+    h = t_map(params2, start.grid, start.m, 0.1, J_STABLE)
+    assert h[0] == 0.0
+    # the half line's integral from 0 is the full grid's, which is odd
+    c = grid.center_index
+    full = antisym.current_integral(params2, grid, _odd(start.m), 0.1,
+                                    J_STABLE, c)
+    assert np.max(np.abs(full + full[::-1])) < 1e-15
+    assert np.max(np.abs(full[c:] - h)) < 1e-15
     assert np.all(np.diff(h) > 0.0)          # j < 0: strictly increasing
-    h_pos = t_map(params2, grid, start.m, 0.1, -J_STABLE)
+    h_pos = t_map(params2, start.grid, start.m, 0.1, -J_STABLE)
     assert np.all(np.diff(h_pos) < 0.0)
 
 
@@ -111,8 +126,9 @@ def test_stable_closeness_to_seed(stable_sweep, params2, kernel05, inst05,
         _, _, seed = _stable_seed(params2, kernel05, inst05, maximal_stable,
                                   eps)
         scale = eps * np.log(1.0 / eps)
-        consts_h.append(np.max(np.abs(res.state.h - seed.h)) / scale)
-        consts_m.append(np.max(np.abs(res.state.m - seed.m)) / scale)
+        c = res.state.grid.center_index      # both odd: x >= 0 suffices
+        consts_h.append(np.max(np.abs(res.state.h[c:] - seed.h)) / scale)
+        consts_m.append(np.max(np.abs(res.state.m[c:] - seed.m)) / scale)
     for consts in (consts_h, consts_m):
         assert max(consts) < 1.0
         assert max(consts) / min(consts) < 3.0
@@ -198,14 +214,69 @@ def test_positive_current_is_the_mirror_image(mode, params2, kernel05, inst05):
     assert np.array_equal(seeds[1], -seeds[0])
 
 
+def _extended(params2, kernel05, inst05, maximal_stable, eps):
+    """The centred solve that the off-center set-up runs."""
+    layout = asym.check_off_center(kernel05, eps, J_STABLE, X0, N0, inst05,
+                                   maximal_stable)[:2]
+    return antisym._iterate(params2, kernel05, inst05, maximal_stable, eps,
+                            J_STABLE, *layout, "stable")
+
+
+@pytest.mark.parametrize("mode", ["stable", "metastable", "extended"])
+def test_centred_states_are_bitwise_odd(mode, stable_sweep, metastable_sweep,
+                                        params2, kernel05, inst05,
+                                        maximal_stable):
+    """The returned h, m and J^neum*m are exact odd extensions of the half
+    line's, +0 at x = 0, and the convolution is the full grid's."""
+    results = [stable_sweep[0.05]] if mode == "stable" \
+        else [metastable_sweep[0.05]] if mode == "metastable" \
+        else [_extended(params2, kernel05, inst05, maximal_stable, 0.05)]
+    for res in results:
+        st = res.state
+        c = st.grid.center_index
+        for name in ("h", "m", "conv"):
+            v = getattr(st, name)
+            assert np.array_equal(v, -v[::-1]), name
+            assert v[c] == 0.0 and not np.signbit(v[c]), name
+        assert np.max(np.abs(st.conv - conv_values(kernel05, st.grid,
+                                                   st.m))) < 1e-14
+
+
+@pytest.mark.parametrize("mode", ["stable", "metastable", "extended"])
+def test_centred_solves_convolve_on_the_half_line(mode, params2, kernel05,
+                                                  inst05, maximal_stable,
+                                                  maximal_meta, monkeypatch):
+    """Every convolution of a centred solve, its seed's included, runs on
+    the (n + 1) / 2 points of x >= 0."""
+    sizes = []
+    real = meso.conv_values
+
+    def recorded(kernel, grid, values, *args):
+        sizes.append((values.size, grid.n, grid.odd))
+        return real(kernel, grid, values, *args)
+
+    monkeypatch.setattr(meso, "conv_values", recorded)
+    if mode == "extended":
+        res = _extended(params2, kernel05, inst05, maximal_stable, 0.1)
+    elif mode == "stable":
+        res = solve_stable(params2, kernel05, 0.1, J_STABLE, ELL, n0=N0,
+                           instanton=inst05, macro=maximal_stable)
+    else:
+        res = solve_metastable(params2, kernel05, 0.1, J_META, ELL, n0=N0,
+                               instanton=inst05, macro=maximal_meta)
+    n = res.state.grid.n
+    assert len(sizes) == 1 + sum(res.trace.picard_steps)
+    assert set(sizes) == {((n + 1) // 2, (n + 1) // 2, True)}
+
+
 def test_trace_starts_at_the_seed_residual(stable_sweep, params2, kernel05,
                                            inst05, maximal_stable):
     """The first trace residual is the start state's measured one."""
     for eps in EPS_SWEEP:
         res = stable_sweep[eps]
-        grid, _, seed = _stable_seed(params2, kernel05, inst05,
-                                     maximal_stable, eps)
-        measured = make_state(params2, kernel05, grid, seed.h,
+        _, _, seed = _stable_seed(params2, kernel05, inst05,
+                                  maximal_stable, eps)
+        measured = make_state(params2, kernel05, seed.grid, seed.h,
                               seed.m).residual_norm
         assert res.trace.residuals[0] == measured < 1e-15
 

@@ -191,6 +191,30 @@ def test_matrix_matches_convolution():
     assert np.max(np.abs(w @ f - conv_values(k, g, f))) < 1e-13
 
 
+@pytest.mark.parametrize("shape", sorted(KERNEL_SHAPES))
+@pytest.mark.parametrize("spacing", [0.05, 0.00625])
+def test_half_line_convolution_is_the_full_product(shape, spacing):
+    """On the odd half line of [-1.5, 1.5] (both reflections reach x = 0.5)
+    the convolution of an odd profile's values on x >= 0 is the dense
+    J^neum product of the full profile there, and exactly 0 at x = 0."""
+    g = build_grid(0.5, 0.75, 0.75, spacing)
+    half = g.half_line()
+    assert half.odd and not g.odd and half.n == (g.n + 1) // 2
+    assert np.array_equal(half.points, g.points[g.center_index:])
+    k = build_kernel(spacing, shape)
+    v = np.sin(0.7 * half.points) + 0.3 * np.tanh(3.0 * half.points) \
+        + 0.1 * half.points ** 3
+    v[0] = 0.0
+    full = np.concatenate([-v[:0:-1], v])
+    out = conv_values(k, half, v)
+    assert out[0] == 0.0
+    assert np.max(np.abs(out - (neumann_matrix(k, g) @ full)[g.center_index:])) \
+        <= 1e-13
+    narrow = build_grid(0.5, 0.4, 0.4, spacing).half_line()  # 0.8 wide
+    with pytest.raises(GridError):
+        conv_values(k, narrow, np.zeros(narrow.n))
+
+
 def test_refinement_second_order_at_boundaries():
     """Halving the spacing shrinks the output change by ~4 (reflection kinks)."""
     k_ref = None

@@ -6,7 +6,7 @@ from scipy.stats import linregress
 
 from mesostefan import instanton
 from mesostefan.errors import ConvergenceError, DomainError, GridError
-from mesostefan.grids import build_kernel
+from mesostefan.grids import build_kernel, conv_values_filled
 from mesostefan.instanton import (apply_transfer, compute_instanton,
                                   threshold_abscissa)
 from mesostefan.thermo import make_params, mobility
@@ -24,6 +24,35 @@ def test_profile_basics(inst05, params2):
     unsat = np.abs(inst.profile[:-1]) < params2.m_beta - 1e-13
     assert np.all(d[unsat] > 0.0)
     assert inst.residual < 1e-10
+
+
+def test_profile_is_bitwise_odd(inst05, inst_fine, params2, kernel05):
+    """The profile is the exact odd extension of its half line, +0 at the
+    centre, with an even mobility, and a fixed point of the full-line map."""
+    for inst in (inst05, inst_fine):
+        c = inst.center_index
+        assert np.array_equal(inst.profile, -inst.profile[::-1])
+        assert inst.profile[c] == 0.0 and not np.signbit(inst.profile[c])
+        assert np.array_equal(inst.p_bar, inst.p_bar[::-1])
+    mb = params2.m_beta
+    image = np.tanh(params2.beta * conv_values_filled(kernel05, inst05.profile,
+                                                      -mb, mb))
+    inside = np.abs(inst05.x) <= inst05.half_width - 1.0
+    assert np.max(np.abs(image - inst05.profile)[inside]) < 1e-11
+
+
+def test_iterates_on_the_half_line(params2, kernel05, monkeypatch):
+    """Every convolution of the profile's iteration runs on [0, X]."""
+    sizes = []
+    real = instanton.conv_values_filled
+
+    def recorded(kernel, values, *args):
+        sizes.append(values.size)
+        return real(kernel, values, *args)
+
+    monkeypatch.setattr(instanton, "conv_values_filled", recorded)
+    inst = compute_instanton(params2, kernel05)
+    assert set(sizes) == {inst.center_index + 1}
 
 
 def test_profile_reaches_equilibrium_value(inst05, params2):

@@ -422,8 +422,8 @@ def test_picard_contracts_at_the_subdominant_rate(params2, kernel05,
     res = []
     real = meso.conv_values
 
-    def recorded(kernel, grid, m):
-        out = real(kernel, grid, m)
+    def recorded(kernel, grid, m, *args):
+        out = real(kernel, grid, m, *args)
         arg = params2.beta * (out + st.h)
         res.append(float(np.max(np.abs(m - np.tanh(arg)))))
         return out

@@ -7,7 +7,7 @@ from mesostefan import antisym, asym, spectral, stefan
 from mesostefan.errors import ConvergenceError
 from mesostefan.grids import build_grid, build_kernel, conv_values
 from mesostefan.instanton import compute_instanton
-from mesostefan.meso import exact_state, inner_solve
+from mesostefan.meso import exact_state, inner_solve, make_state
 from mesostefan.spectral import (eigenvector_shape_report, leading_eigenpair,
                                  second_eigenvalue)
 from mesostefan.thermo import make_params, mobility
@@ -88,6 +88,23 @@ def test_shape_report_on_interface_state(fine_instanton_state, fine_pair,
     assert rep["sup_window_diff"] < 1e-3
     # the local log-slope of the tail is the interface rate to 1.3e-2
     assert rep["tail_slope_deviation"] < 0.02
+
+
+def test_half_line_leading_pair_is_the_odd_one(spectral_sweep):
+    """On the odd half line of a centred state the leading pair is the
+    leading odd pair of the full grid's operator: its eigenvalue is the full
+    lambda2 (the full leading eigenvector is even) and its eigenvector
+    vanishes exactly at x = 0."""
+    for eps in (0.1, 0.05):
+        entry = spectral_sweep[eps]
+        st = entry["result"].state
+        c = st.grid.center_index
+        half = make_state(st.params, st.kernel, st.grid.half_line(),
+                          st.h[c:], st.m[c:], st.conv[c:])
+        pair = leading_eigenpair(half)
+        assert abs(pair.lambda_ - entry["lambda2"]) < 1e-12
+        assert pair.u[0] == 0.0
+        assert pair.residual < 1e-11
 
 
 def test_sweep_gap_stays_open(spectral_sweep):
