@@ -375,8 +375,11 @@ def hydrodynamic_error(state: MesoState, m_of_x, h_of_x, eps, x0=0.0,
 
     The m comparison excludes |eps x - x0| <= exclude_halfwidth (the window
     where the smooth interface lives); the field comparison has no
-    exclusion.  The closed forms are evaluated HYDRO_BLOCK points at a
-    time, so that their many temporaries stay small.
+    exclusion.  It reads the state's own grid: a centred state's half line
+    (:meth:`meso.MesoState.even_half`) gives the full grid's errors, the
+    state and the closed forms being odd in x and the window symmetric.
+    The closed forms are evaluated HYDRO_BLOCK points at a time, so that
+    their many temporaries stay small.
     """
     err_m, err_h = [], []
     for lo in range(0, state.grid.n, HYDRO_BLOCK):

@@ -18,7 +18,7 @@ records into the same IterationTrace as the antisymmetric one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -160,10 +160,13 @@ def build_problem(params: ThermoParams, kernel: Kernel, eps, j, x0,
     the quasi-solution's state.
 
     The extended centred loop runs on the layout check_off_center built.
-    r_eps is the extended minus the restricted reflected convolution of m*
-    (exactly 0 more than one kernel range left of eps^-1), so h* + r_eps
-    is an exact fixed-point field for the restricted kernel.  Of the
-    extended state only the eigenvector outlives the projected loop's start.
+    Its state is odd, so its leading pair is found on the even half line
+    (:meth:`meso.MesoState.even_half`), and u* is its even extension to
+    ext_grid, normalised there.  r_eps is the extended minus the restricted
+    reflected convolution of m* (exactly 0 more than one kernel range left
+    of eps^-1), so h* + r_eps is an exact fixed-point field for the
+    restricted kernel.  Of the extended state only the eigenvector outlives
+    the projected loop's start.
     """
     from .instanton import compute_instanton
 
@@ -176,9 +179,18 @@ def build_problem(params: ThermoParams, kernel: Kernel, eps, j, x0,
     n_res = res_grid.n
     m_star = extended.state.m
 
-    # conv_values reads only the spacing and the width, which both grids
-    # share, so the extended state needs no second convolution
-    u_star = leading_eigenpair(replace(extended.state, grid=ext_grid))
+    half = extended.state.even_half()
+    pair = leading_eigenpair(half)
+    c = grid.center_index
+    u = np.empty(ext_grid.n)
+    u[c:], u[:c] = pair.u, pair.u[:0:-1]
+    # on ext_grid <u, u>_{1/p} of the even extension is twice the half line's
+    scale = np.sqrt(2.0 * half.weighted_dot(pair.u, pair.u))
+    u /= scale
+    u.setflags(write=False)
+    u_star = SpectralResult(pair.lambda_, u, pair.iterations,
+                            pair.residual / scale)
+    del half, pair
 
     m_eps = m_star[:n_res]
     conv_eps = conv_values(kernel, res_grid, m_eps)

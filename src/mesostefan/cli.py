@@ -186,7 +186,11 @@ def _solve_one(cfg: RunConfig, eps, shared: tuple):
     solver, the hydrodynamic error against the Stefan limit shifted to the
     interface (x0 off center, 0 for antisym and metastable), and the
     leading eigenpair.  Only the solver, the shift and the extra column
-    (I_eps for metastable, eps_x_eps off center) depend on the mode.
+    (I_eps for metastable, eps_x_eps off center) depend on the mode.  An
+    antisym or metastable state is odd about x = 0, and so are the closed
+    forms, so both checks run on its half line
+    (:meth:`meso.MesoState.even_half`): the error reads x >= 0 and the
+    pair is the even sector's, where the leading eigenvector lives.
     """
     _, _, solve, arg = _mode(cfg)
     params, kernel, macro, inst = shared
@@ -200,11 +204,12 @@ def _solve_one(cfg: RunConfig, eps, shared: tuple):
     row.picard_steps = sum(sum(t.picard_steps) for t in traces)
     row.projected_solves = sum(t.projected_solves for t in traces)
     row.c_instanton = abs(cfg.j) * inst.mean / inst.norm_sq
+    checked = res.state if cfg.mode == "asym" else res.state.even_half()
     row.hydro_m, row.hydro_h = antisym.hydrodynamic_error(
-        res.state, lambda xi: macro.m_of_x(np.asarray(xi) - x0),
+        checked, lambda xi: macro.m_of_x(np.asarray(xi) - x0),
         lambda xi: macro.h_of_x(np.asarray(xi) - x0), eps, x0,
         eps * res.xi_eps)
-    sp = spectral.leading_eigenpair(res.state)
+    sp = spectral.leading_eigenpair(checked)
     row.lam_gap_ratio = (1.0 - sp.lambda_) / eps
     if cfg.mode == "metastable":
         row.i_eps = res.increase_interval

@@ -7,7 +7,9 @@ trapezoid quadrature, with reflected images about both endpoints
 (:func:`conv_values_filled`; fills of 0 give the zero-extended line).  A
 grid's width must be a whole number of cells: no spacing is adjusted.  An
 ``odd`` grid, :meth:`Grid.half_line`, holds odd profiles by their values on
-x >= 0, which :func:`conv_values` reflects about x = 0 with a sign.
+x >= 0, which :func:`conv_values` reflects about x = 0 with a sign; on the
+plain half line the mirror at x = 0 is the even reflection, so it holds
+even profiles.
 
 Every convolution runs as a blocked Toeplitz matrix product.  The padded
 values are written into one zero-tailed buffer and viewed as rows of B
@@ -116,10 +118,12 @@ class Grid:
         """Index of the point closest to x = 0."""
         return int(np.argmin(np.abs(self.points)))
 
-    def half_line(self) -> Grid:
-        """The points x >= 0 of a grid centred on x = 0, as an odd grid."""
+    def half_line(self, odd: bool = True) -> Grid:
+        """The points x >= 0 of a grid centred on x = 0: an odd grid, or
+        with ``odd`` false a plain one, whose mirror at x = 0 is the even
+        reflection."""
         return Grid(self.epsilon, 0.0, self.right, self.spacing,
-                    self.points[self.center_index:], True)
+                    self.points[self.center_index:], odd)
 
     def index_of(self, x: float) -> int:
         i = int(round((x - self.a) / self.spacing))
@@ -245,13 +249,17 @@ def conv_values(kernel: Kernel, grid: Grid, values: np.ndarray,
     The profile is extended by its mirror images about both endpoints,
     negated at x = 0 on an odd grid (where values[0] and the result are 0).
     With trapezoid weights and a kernel vanishing at +-1 this equals the
-    quadrature of the reflected-kernel integral exactly.  With ``work``
-    (:func:`conv_workspace` of the kernel and grid.n) the result is a view
-    of it, overwritten by the next convolution into it.
+    quadrature of the reflected-kernel integral exactly.  GridError when
+    the values are not the grid's n.  With ``work`` (:func:`conv_workspace`
+    of the kernel and grid.n) the result is a view of it, overwritten by the
+    next convolution into it.
     """
     _check_match(kernel, grid)
     values = np.asarray(values, dtype=float)
-    if grid.b - grid.a < (1.0 if grid.odd else 2.0) * KERNEL_RANGE:
+    if values.size != grid.n:
+        raise GridError(f"{values.size} values on a grid of {grid.n} points")
+    # a half line (left = 0, which build_grid never gives) is half a grid
+    if grid.b - grid.a < (1.0 if grid.left == 0.0 else 2.0) * KERNEL_RANGE:
         raise GridError("neumann convolution needs half-widths >= kernel range")
     k = kernel.half_points
     left = values[k:0:-1]

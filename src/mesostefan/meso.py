@@ -20,7 +20,7 @@ path finished it.  A loop of such solves hands each one the same
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -102,6 +102,20 @@ class MesoState:
         return _state_at(self.params, self.kernel, self.grid, self.h.copy(),
                          self.m.copy(), self.conv.copy(), self.residual_norm,
                          self.record)
+
+    def even_half(self) -> MesoState:
+        """The points x >= 0 of a state odd about x = 0, on the plain half
+        line (``Grid.half_line(odd=False)``).
+
+        Its h, m and J^neum*m are the state's own there, so p is too, and p
+        is even; the plain half line mirrors at x = 0 by the even
+        reflection.  So its p J^neum is the full operator's even sector,
+        where the leading pair lives, and whatever it reads of h and m is
+        what the full state holds at x >= 0.
+        """
+        c = self.grid.center_index
+        return replace(self, grid=self.grid.half_line(odd=False),
+                       h=self.h[c:], m=self.m[c:], conv=self.conv[c:])
 
     def weighted_dot(self, f, g) -> float:
         """Inner product with weight 1/p (trapezoid quadrature)."""

@@ -9,11 +9,14 @@ from __future__ import annotations
 import json
 import os
 import warnings
+from itertools import islice
 
 import numpy as np
 
 from .errors import GridError
 from .grids import Grid, build_grid
+
+WRITE_ROWS = 4096    # rows of a profile or state file per write
 
 
 def fmt(x) -> str:
@@ -31,12 +34,18 @@ def save_state(path, grid: Grid, h, m):
 
 
 def _save_columns(path, header, grid: Grid, *columns):
-    row = ",".join(["%.17g"] * (1 + len(columns)))   # fmt, one row at a time
-    lines = [header]
-    lines += [row % values
-              for values in zip(grid.points, *columns, strict=True)]
+    """Rows of ``fmt`` values, written WRITE_ROWS at a time: the text of a
+    whole state is never held at once."""
+    if any(len(c) != grid.n for c in columns):
+        raise ValueError(f"columns of a {grid.n}-point grid need {grid.n} "
+                         "values")
+    row = ",".join(["%.17g"] * (1 + len(columns))) + "\n"
+    rows = zip(grid.points, *columns)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "\n")
+        while block := "".join(row % values
+                               for values in islice(rows, WRITE_ROWS)):
+            fh.write(block)
     with open(_sidecar(path), "w") as fh:
         fh.write(grid.descriptor() + "\n")
 

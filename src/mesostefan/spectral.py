@@ -49,10 +49,14 @@ def leading_eigenpair(state: MesoState, tol=1e-12) -> SpectralResult:
     itself must be converged, not just the eigenvalue, because downstream
     deflations inherit its error).  The residual is formed only on steps
     where the quotient is already stationary: the rule is an AND, so the
-    stopping step is the same as with a residual on every step.  On a state
-    symmetric about an interior interface the iterate stays symmetric to
-    rounding: the start p is symmetric, and rounding along the antisymmetric
-    modes decays because their eigenvalues sit far below the leading one.
+    stopping step is the same as with a residual on every step.  The sweeps
+    and the off-center set-up hand it a centred state's even half line
+    (:meth:`meso.MesoState.even_half`), where the leading pair lives and the
+    iterate is even by construction.  On a full-grid state symmetric about
+    an interior interface (``mesostefan spectrum``) the iterate stays
+    symmetric to rounding: the start p is symmetric, and rounding along the
+    antisymmetric modes decays because their eigenvalues sit far below the
+    leading one.
     """
     if np.any(state.p <= 0.0):
         raise DomainError("linearization weight must be positive")

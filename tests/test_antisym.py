@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import ELL, EPS_SWEEP, J_META, J_STABLE, N0, X0, geometric_mean
-from mesostefan import antisym, asym, stefan
+from mesostefan import antisym, asym, cli, spectral, stefan
 from mesostefan.antisym import (build_seed, fixed_point_defect, flux_defect,
                                 hydrodynamic_error, solve_metastable,
                                 solve_stable, t_map)
+from mesostefan.config import RunConfig
 from mesostefan.errors import DomainError, GridError, InfeasibleError
 from mesostefan import meso
 from mesostefan.grids import conv_values
@@ -57,6 +58,9 @@ def test_seed_field_is_exact(params2, kernel05, inst05, maximal_stable):
     assert make_state(params2, kernel05, grid, _odd(start.h),
                       _odd(start.m)).residual_norm < 1e-12
     assert start.residual_norm < 1e-12
+    # the half line's values are no state on the full grid
+    with pytest.raises(GridError, match="201 values on a grid of 401"):
+        make_state(params2, kernel05, grid, start.h, start.m)
 
 
 def test_seed_rejects_collision(params2, kernel05, inst05, maximal_stable):
@@ -245,9 +249,11 @@ def test_centred_states_are_bitwise_odd(mode, stable_sweep, metastable_sweep,
 @pytest.mark.parametrize("mode", ["stable", "metastable", "extended"])
 def test_centred_solves_convolve_on_the_half_line(mode, params2, kernel05,
                                                   inst05, maximal_stable,
-                                                  maximal_meta, monkeypatch):
+                                                  monkeypatch):
     """Every convolution of a centred solve, its seed's included, runs on
-    the (n + 1) / 2 points of x >= 0."""
+    the (n + 1) / 2 points of x >= 0, odd, and so does every one of the
+    power iteration that follows it, even: the sweep row's check of a
+    stable or metastable state, the u* pair of the off-center set-up."""
     sizes = []
     real = meso.conv_values
 
@@ -255,18 +261,69 @@ def test_centred_solves_convolve_on_the_half_line(mode, params2, kernel05,
         sizes.append((values.size, grid.n, grid.odd))
         return real(kernel, grid, values, *args)
 
+    pairs = []
+    real_pair = spectral.leading_eigenpair
+
+    def counted(state, *args):
+        pairs.append(real_pair(state, *args))
+        return pairs[-1]
+
     monkeypatch.setattr(meso, "conv_values", recorded)
+    monkeypatch.setattr(spectral, "leading_eigenpair", counted)
     if mode == "extended":
-        res = _extended(params2, kernel05, inst05, maximal_stable, 0.1)
-    elif mode == "stable":
-        res = solve_stable(params2, kernel05, 0.1, J_STABLE, ELL, n0=N0,
-                           instanton=inst05, macro=maximal_stable)
+        problem, _ = asym.build_problem(params2, kernel05, 0.1, J_STABLE, X0,
+                                        n0=N0, instanton=inst05,
+                                        macro=maximal_stable)
+        n, trace = problem.ext_grid.n, problem.extended_trace
+        power_steps = problem.u_star.iterations
     else:
-        res = solve_metastable(params2, kernel05, 0.1, J_META, ELL, n0=N0,
-                               instanton=inst05, macro=maximal_meta)
-    n = res.state.grid.n
-    assert len(sizes) == 1 + sum(res.trace.picard_steps)
-    assert set(sizes) == {((n + 1) // 2, (n + 1) // 2, True)}
+        cfg = RunConfig(beta=params2.beta, ell=ELL, n0=N0, eps_list=[0.1],
+                        **_ROW_CASES[mode]).validate_fields()
+        _, res = cli._solve_one(cfg, 0.1, cli._shared_inputs(cfg))
+        n, trace = res.state.grid.n, res.trace
+        power_steps = pairs[0].iterations
+    half = (n + 1) // 2
+    assert sizes == [(half, half, True)] * (1 + sum(trace.picard_steps)) \
+        + [(half, half, False)] * (power_steps + 1)
+
+
+#: the centred sweep rows whose checks run on the half line, as RunConfig
+#: fields: both signs of the current on the stable branch, and metastable
+_ROW_CASES = {"stable": {"mode": "antisym", "j": J_STABLE},
+              "stable-j>0": {"mode": "antisym", "j": -J_STABLE},
+              "metastable": {"mode": "metastable", "j": J_META}}
+
+
+def _row_matches_the_full_grid(params2, eps, **fields):
+    """A centred sweep row's hydrodynamic errors, read on x >= 0, are
+    bitwise the full grid's, and its (1 - lambda) / eps, from the even half
+    line's pair, is the full grid's leading pair's to 1e-10 relative."""
+    fields = {"ell": ELL, "n0": N0, **fields}
+    cfg = RunConfig(beta=params2.beta, eps_list=[eps],
+                    **fields).validate_fields()
+    shared = cli._shared_inputs(cfg)
+    row, res = cli._solve_one(cfg, eps, shared)
+    macro = shared[2]
+    assert (row.hydro_m, row.hydro_h) == hydrodynamic_error(
+        res.state, macro.m_of_x, macro.h_of_x, eps, 0.0, eps * res.xi_eps)
+    full = (1.0 - spectral.leading_eigenpair(res.state).lambda_) / eps
+    assert abs(row.lam_gap_ratio - full) <= 1e-10 * abs(full)
+    return res
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.0125])
+@pytest.mark.parametrize("case", list(_ROW_CASES))
+def test_row_checks_read_the_half_line(case, eps, params2):
+    _row_matches_the_full_grid(params2, eps, **_ROW_CASES[case])
+
+
+def test_row_checks_on_a_half_line_of_one_kernel_range(params2):
+    """At eps = 0.2 and ell = 0.25 the half line is 1.25 kernel ranges wide:
+    the row's checks run on it as the solve did, although a full grid of
+    that width would be refused."""
+    res = _row_matches_the_full_grid(params2, 0.2, mode="antisym",
+                                     j=J_STABLE, ell=0.25, n0=0)
+    assert res.state.grid.b == pytest.approx(1.25)
 
 
 def test_trace_starts_at_the_seed_residual(stable_sweep, params2, kernel05,

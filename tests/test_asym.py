@@ -1,6 +1,6 @@
 """Off-center solver: boundary correction, weighted norm, projected map."""
 
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from mesostefan.errors import (DomainError, GridError, InfeasibleError,
                                SaturationError)
 from mesostefan.grids import Grid, conv_values
 from mesostefan.meso import make_state
+from mesostefan.spectral import leading_eigenpair
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +167,22 @@ def test_u_star_symmetry_and_positivity(asym_sweep):
         assert np.max(np.abs(seg - seg[::-1])) < 1e-8
         assert np.all(u > 0.0)
         assert prob.u_star.lambda_ < 1.0
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.0125])
+def test_u_star_is_the_full_grid_pair(eps, params2, kernel05, inst05,
+                                      maximal_stable):
+    """u*, found on the extended state's even half line and extended, is
+    the leading pair of the whole relabeled state."""
+    problem, _ = build_problem(params2, kernel05, eps, J_STABLE, X0, n0=N0,
+                               instanton=inst05, macro=maximal_stable)
+    grid, xi_index, ext_grid, _ = check_off_center(
+        kernel05, eps, J_STABLE, X0, N0, inst05, maximal_stable)
+    extended = antisym._iterate(params2, kernel05, inst05, maximal_stable,
+                                eps, J_STABLE, grid, xi_index, "stable")
+    full = leading_eigenpair(replace(extended.state, grid=ext_grid))
+    assert np.max(np.abs(problem.u_star.u - full.u)) <= 1e-12
+    assert abs(problem.u_star.lambda_ - full.lambda_) <= 1e-14
 
 
 def test_weight_matches_defining_formula(problem01):

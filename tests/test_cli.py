@@ -880,6 +880,43 @@ def test_profile_csv_round_trip(tmp_path):
     assert not (tmp_path / "q.csv").exists()
 
 
+def test_state_file_is_written_in_blocks_of_rows(tmp_path, monkeypatch):
+    """A state of more than two blocks of WRITE_ROWS rows is written a block
+    per write, and its text is the whole table of fmt rows."""
+    from mesostefan import profiles
+    from mesostefan.grids import build_grid
+
+    g = build_grid(0.01, 1.0, 1.0, 0.02)       # 10 001 rows
+    h, m = np.sin(g.points) / 7.0, np.tanh(g.points / 3.0)
+    writes = []
+    real_open = open
+
+    class Recorded:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            writes.append(text.count("\n"))
+            return self.fh.write(text)
+
+    monkeypatch.setattr(profiles, "open", lambda *a: Recorded(real_open(*a)),
+                        raising=False)
+    path = tmp_path / "state.csv"
+    profiles.save_state(str(path), g, h, m)
+    monkeypatch.undo()
+    expected = "\n".join(["x,h,m"] + [",".join(profiles.fmt(v) for v in row)
+                                      for row in zip(g.points, h, m)]) + "\n"
+    assert path.read_text() == expected
+    rows = profiles.WRITE_ROWS
+    assert writes[:4] == [1, rows, rows, g.n - 2 * rows]
+
+
 #: values per config key: valid ones, and the malformed, non-finite, out of
 #: range and extreme ones a config file can hold.  No drawn size makes a
 #: grid, kernel or instanton larger than the shipped ones by more than 4x.

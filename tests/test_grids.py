@@ -215,6 +215,39 @@ def test_half_line_convolution_is_the_full_product(shape, spacing):
         conv_values(k, narrow, np.zeros(narrow.n))
 
 
+@pytest.mark.parametrize("shape", sorted(KERNEL_SHAPES))
+@pytest.mark.parametrize("spacing", [0.05, 0.00625])
+def test_even_half_line_convolution_is_the_full_product(shape, spacing):
+    """On the plain half line of [-1.5, 1.5] the convolution of an even
+    profile's values on x >= 0 is the dense J^neum product of the full
+    profile there: the mirror at x = 0 is the even reflection.  Like the odd
+    half line it needs one kernel range of width, not two."""
+    g = build_grid(0.5, 0.75, 0.75, spacing)
+    half = g.half_line(odd=False)
+    assert not half.odd and np.array_equal(half.points,
+                                           g.points[g.center_index:])
+    k = build_kernel(spacing, shape)
+    v = np.cos(0.7 * half.points) + 0.3 * np.tanh(3.0 * half.points) ** 2
+    full = np.concatenate([v[:0:-1], v])
+    assert np.max(np.abs(conv_values(k, half, v)
+                         - (neumann_matrix(k, g) @ full)[g.center_index:])) \
+        <= 1e-13
+    narrow = build_grid(0.5, 0.4, 0.4, spacing).half_line(odd=False)
+    with pytest.raises(GridError):
+        conv_values(k, narrow, np.zeros(narrow.n))
+
+
+def test_convolution_needs_the_grids_values():
+    """Values that are not one per grid point are refused, whichever end
+    they would have filled."""
+    g = build_grid(0.1, 1.0, 1.0, 0.05)
+    k = build_kernel(0.05)
+    for grid in (g, g.half_line(), g.half_line(odd=False)):
+        for n in (grid.n - 1, grid.n + 1, 2 * grid.n - 1):
+            with pytest.raises(GridError, match="values on a grid of"):
+                conv_values(k, grid, np.zeros(n))
+
+
 def test_refinement_second_order_at_boundaries():
     """Halving the spacing shrinks the output change by ~4 (reflection kinks)."""
     k_ref = None
