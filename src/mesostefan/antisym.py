@@ -1,32 +1,23 @@
 """Antisymmetric profile solvers: stable and metastable branches at x0 = 0.
 
-The outer map takes a field h to the current integral of the auxiliary
-magnetization: solve m = tanh(beta J^neum*m + beta h), then set
-h_next(x) = -eps j * int_0^x 1/chi(m).  The iteration starts from a
-composite seed (interface profile near the origin, scaled macroscopic
-solution beyond, for either sign of j), whose exact state's convolution
-the first auxiliary solve restarts from, and contracts geometrically.
-Every field, magnetization and convolution of the loop is odd, so it runs
-on the half line x >= 0 (:meth:`grids.Grid.half_line`), where they vanish
-at x = 0, and returns their odd extension to the check's grid.
-
-The auxiliary solves are inexact: each one stops at the sup-norm residual
-max(INNER_TOL, FORCING * inc), where inc = sup|h_next - h| is the outer
-increment that produced its field (a forcing term in the sense of Eisenstat
-and Walker).  While the field is still far from its fixed point a looser
-magnetization costs the outer map nothing it can resolve, and Picard steps
-fall by more than half on the eps ladder.  Two rules keep the returned pair
-as accurate as with exact solves: a step whose increment is already below
-OUTER_TOL solves at INNER_TOL, and the loop stops only on an increment
-measured from a pair that was itself solved at INNER_TOL.
+A centred profile is a fixed point of m = tanh(beta (J^neum*m + T(m))),
+where T(m)(x) = -eps j int_0^x 1/chi(m) is the current integral.  The
+solvers find it by plain Picard iteration on that map, one convolution per
+step, from a composite seed (interface profile near the origin, scaled
+macroscopic solution beyond, for either sign of j) whose exact state's
+convolution the first step reuses; the error contracts at the
+sub-dominant eigenvalue of the linearized map.  Every field, magnetization
+and convolution of the loop is odd, so it runs on the half line x >= 0
+(:meth:`grids.Grid.half_line`), where they vanish at x = 0, and returns
+their odd extension to the check's grid.
 
 check_stable and check_metastable hold every check a solve makes before its
-first outer step (current sign, eps <= 0.2, ell against ell_j or ell_break,
+first step (current sign, eps <= 0.2, ell against ell_j or ell_break,
 grid, gluing point, instanton window) and return the seed layout they
 built, the grid and the gluing index.  The solvers call them first and
 iterate on that layout, and ``mesostefan validate`` runs them at each scale,
 so the two cannot disagree; n0 reaches nothing below the checks.
-IterationTrace is the record of both this outer loop and the off-center one.
+IterationTrace is the record of both this loop and the off-center one.
 """
 
 from __future__ import annotations
@@ -40,7 +31,8 @@ from .errors import (ConvergenceError, DomainError, GridError,
                      InfeasibleError, SaturationError)
 from .grids import Grid, Kernel, build_grid, trapezoid_antiderivative
 from .instanton import Instanton, threshold_abscissa
-from .meso import MesoState, Workspace, exact_state, inner_solve, make_state
+from .meso import (MAX_ITER, MesoState, Workspace, exact_state,
+                   fixed_point_map, make_state)
 from .stefan import (
     MaximalSolution,
     MetastableMaximal,
@@ -53,34 +45,36 @@ MOBILITY_FLOOR = 1e-6
 DEFAULT_N0 = 2        # seed gluing point xi = x_eps + 2 n0
 MONOTONE_FLOOR = 1e-14
 INCREASE_THRESHOLD = 1e-12
-OUTER_TOL = 1e-10     # sup-norm outer increment that stops the loop
-INNER_TOL = 1e-12     # auxiliary residual of the returned pair
-FORCING = 0.01        # inner tolerance per unit of outer increment
-MAX_OUTER = 80        # outer steps before ConvergenceError
+INNER_TOL = 1e-12     # sup-norm residual of the returned pair
+STALL_STEPS = 10      # residuals in a row that do not fall: no contraction
 HYDRO_BLOCK = 4096    # points per block of the hydrodynamic comparison
 
 
 @dataclass
 class IterationTrace:
-    """What an outer loop did, one entry per outer step.
+    """What a loop did, one entry per step.
 
-    ``residuals`` has one more entry than ``increments``: the residual of the
-    starting pair, then that of each step's auxiliary solve.  The solve
-    records (tolerance, Picard steps, path) have one entry per step.
+    A centred step is one fixed-point update: its increment is the residual
+    sup|F(m) - m| of the pair (T(m), m) it measured.  An off-center step
+    maps the field, with increment N(h_next - h), and solves the auxiliary
+    problem at h_next.  ``residuals`` has one more entry than
+    ``increments``: the residual of the starting pair, then that of the
+    pair each step ended on.  The tolerance, Picard steps (the step's
+    updates of m) and finishing path have one entry per step.
     """
 
-    increments: list = field(default_factory=list)   # outer increment of step k
+    increments: list = field(default_factory=list)
     residuals: list = field(default_factory=list)
-    inner_tols: list = field(default_factory=list)   # tolerance of step k's solve
-    picard_steps: list = field(default_factory=list)  # its fixed-point updates
+    inner_tols: list = field(default_factory=list)
+    picard_steps: list = field(default_factory=list)
     inner_paths: list = field(default_factory=list)  # "picard" or "projected"
 
-    def add_solve(self, state: MesoState, inner_tol) -> None:
-        """Record step k's auxiliary solve, run to ``inner_tol``."""
-        self.residuals.append(state.residual_norm)
+    def add_step(self, increment, residual, inner_tol, steps, path):
+        self.increments.append(increment)
+        self.residuals.append(residual)
         self.inner_tols.append(inner_tol)
-        self.picard_steps.append(state.record.picard_steps)
-        self.inner_paths.append(state.record.path)
+        self.picard_steps.append(steps)
+        self.inner_paths.append(path)
 
     @property
     def projected_solves(self) -> int:
@@ -96,10 +90,9 @@ class IterationTrace:
         return [b / a if a > 0 else float("nan") for a, b in zip(inc, inc[1:])]
 
     def to_csv(self) -> str:
-        """One row per outer step k: the increment, its ratio to the previous
-        one, the residual of the pair it was measured from, and the
-        tolerance, Picard steps and finishing path of step k's auxiliary
-        solve."""
+        """One row per step k: the increment, its ratio to the previous one,
+        the residual of the pair step k - 1 ended on (the start's at k = 0),
+        and the tolerance, Picard steps and finishing path of step k."""
         buf = io.StringIO()
         buf.write("k,increment,ratio,residual,inner_tol,picard_steps,"
                   "inner_path\n")
@@ -267,49 +260,32 @@ def solve_metastable(params: ThermoParams, kernel: Kernel, eps, j, ell,
 
 def _iterate(params, kernel, instanton, macro, eps, j, grid, xi_index,
              branch):
-    """Outer iteration h -> T(m(h)) with inexact auxiliary solves.
+    """Picard iteration m <- tanh(beta (J^neum*m + T(m))) on the half line.
 
-    Step k measures inc = sup|T(m) - h| from the current pair (h, m) and
-    solves the auxiliary problem at h_next = T(m) to max(INNER_TOL,
-    FORCING * inc), or to INNER_TOL once inc < OUTER_TOL.  It returns the
-    new pair when inc < OUTER_TOL and (h, m) was solved to INNER_TOL (the
-    seed is an exact pair): an inexact solve that left m unchanged would
-    otherwise yield inc = 0 and stop on an unconverged field.  Everything
-    runs on the half line of the check's grid.  The first solve restarts
-    from the seed's state, then dropped, every later one from the previous
-    solve's m and convolution, which stay in the solves' workspace; each
-    field goes into the row of ``fields`` that the last one left free, so
-    no step allocates an n-point array.  The returned state is the odd
-    extension of the last pair and its convolution to the check's grid.
+    Step k forms h = T(m), F = tanh(beta (J^neum*m + h)) and the residual
+    r = sup|F - m| of the pair (h, m), which it returns once r < INNER_TOL
+    (so h is T of the returned m exactly); otherwise m <- F.  The first step
+    reuses the seed's convolution, every later one makes one.  STALL_STEPS
+    residuals in a row that do not fall, or MAX_ITER steps, raise
+    :class:`ConvergenceError`.  The loop owns h and a :class:`meso.Workspace`
+    for the rest, so no step allocates an n-point array.  The returned state
+    is the odd extension of the last pair and its convolution to the grid.
     """
-    tol, inner_tol = OUTER_TOL, INNER_TOL
     start = build_seed(params, kernel, instanton, macro, eps, grid, xi_index)
     half = start.grid
     trace = IterationTrace(residuals=[start.residual_norm])
-    h, m, conv = start.h, start.m, start.conv
+    m, conv = start.m, start.conv
     del start
-    fields, work = np.empty((2, half.n)), Workspace(kernel, half.n)
-    scratch = work.scratch
-    exact = True
-    bad_ratio_run = 0
-    for k in range(MAX_OUTER):
-        h_next = t_map(params, half, m, eps, j, fields[k % 2], scratch)
-        inc = float(np.abs(np.subtract(h_next, h, out=scratch),
-                           out=scratch).max())
-        trace.increments.append(inc)
-        if len(trace.increments) >= 2 and trace.increments[-2] > 0:
-            bad_ratio_run = bad_ratio_run + 1 \
-                if inc >= trace.increments[-2] else 0
-            if bad_ratio_run >= 10:
-                raise ConvergenceError(
-                    "outer iteration stopped contracting", last=trace)
-        step_tol = inner_tol if inc < tol else max(inner_tol, FORCING * inc)
-        state = inner_solve(params, kernel, half, h_next, m, tol=step_tol,
-                            conv_init=conv, work=work)
-        trace.add_solve(state, step_tol)
-        converged = inc < tol and exact
-        h, exact = h_next, step_tol == inner_tol
-        m, conv = state.m, state.conv     # the workspace's
+    h, work = np.empty(half.n), Workspace(kernel, half.n)
+    rising = 0
+    for k in range(MAX_ITER):
+        t_map(params, half, m, eps, j, h, work.scratch)
+        target = work.iterates[k % 2]
+        conv, res = fixed_point_map(params, kernel, half, h, m, target,
+                                    work.scratch, work.conv,
+                                    None if k else conv)
+        converged = res < INNER_TOL
+        trace.add_step(res, res, INNER_TOL, 0 if converged else 1, "picard")
         if converged:
             full = [np.empty(grid.n) for _ in range(3)]  # odd h, m, conv
             for row, a in zip(full, (h, m, conv)):
@@ -321,10 +297,14 @@ def _iterate(params, kernel, instanton, macro, eps, j, grid, xi_index,
                 if branch == "metastable" else None
             return AntisymResult(final, trace, float(xi_index * grid.spacing),
                                  float(eps), float(j), mono, rise)
+        rising = rising + 1 if k and res >= trace.increments[-2] else 0
+        if rising >= STALL_STEPS:
+            raise ConvergenceError("fixed-point iteration stopped contracting",
+                                   last=trace)
+        m = target
     raise ConvergenceError(
-        f"outer iteration did not reach {tol} in {MAX_OUTER} steps",
-        last=trace,
-    )
+        f"fixed-point iteration did not reach {INNER_TOL} in {MAX_ITER} "
+        "steps", last=trace)
 
 
 def _is_monotone(m: np.ndarray, increasing: bool) -> bool:

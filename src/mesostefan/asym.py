@@ -36,6 +36,7 @@ from .thermo import ThermoParams
 #: float range and rounding at the interface cannot dominate the norm
 WEIGHT_EXPONENT_CAP = 12.0
 MAX_OUTER = 60          # projected steps before ConvergenceError
+OUTER_TOL = 1e-10       # weighted field increment that stops the loop
 ZERO_HALFWIDTH = 2.0    # meso distance from the interface searched for zeros
 WEIGHTED_BOUND = 0.1    # admissible weighted distance to the quasi-solution
 
@@ -161,12 +162,12 @@ def build_problem(params: ThermoParams, kernel: Kernel, eps, j, x0,
 
     The extended centred loop runs on the layout check_off_center built.
     Its state is odd, so its leading pair is found on the even half line
-    (:meth:`meso.MesoState.even_half`), and u* is its even extension to
-    ext_grid, normalised there.  r_eps is the extended minus the restricted
-    reflected convolution of m* (exactly 0 more than one kernel range left
-    of eps^-1), so h* + r_eps is an exact fixed-point field for the
-    restricted kernel.  Of the extended state only the eigenvector outlives
-    the projected loop's start.
+    (:meth:`meso.MesoState.even_half`), whose weights count the mirror
+    image, so u*, its even extension to ext_grid, is normalised there.
+    r_eps is the extended minus the restricted reflected convolution of m*
+    (exactly 0 more than one kernel range left of eps^-1), so h* + r_eps is
+    an exact fixed-point field for the restricted kernel.  Of the extended
+    state only the eigenvector outlives the projected loop's start.
     """
     from .instanton import compute_instanton
 
@@ -184,12 +185,8 @@ def build_problem(params: ThermoParams, kernel: Kernel, eps, j, x0,
     c = grid.center_index
     u = np.empty(ext_grid.n)
     u[c:], u[:c] = pair.u, pair.u[:0:-1]
-    # on ext_grid <u, u>_{1/p} of the even extension is twice the half line's
-    scale = np.sqrt(2.0 * half.weighted_dot(pair.u, pair.u))
-    u /= scale
     u.setflags(write=False)
-    u_star = SpectralResult(pair.lambda_, u, pair.iterations,
-                            pair.residual / scale)
+    u_star = SpectralResult(pair.lambda_, u, pair.iterations, pair.residual)
     del half, pair
 
     m_eps = m_star[:n_res]
@@ -265,19 +262,18 @@ def solve_off_center(params: ThermoParams, kernel: Kernel, eps, j, x0,
                      macro: MaximalSolution | None = None) -> OffCenterResult:
     """Iterate the projected map from the quasi-solution to convergence.
 
-    It stops on a weighted increment below ``antisym.OUTER_TOL``, the outer
-    tolerance of the extended solve that :func:`build_problem` runs too.
-    The first solve restarts from the quasi-solution's state, then dropped,
-    each later one from its predecessor's.  The trace records the increments
-    with the same fields as the antisymmetric loop (the first residual is the
+    It stops on a weighted increment below OUTER_TOL.  The first solve
+    restarts from the quasi-solution's state, then dropped, each later one
+    from its predecessor's.  The trace records the increments with the same
+    fields as the antisymmetric loop (the first residual is the
     quasi-solution's; every solve runs at INNER_TOL).  The final field's
     zero is located near the interface by bracketing plus linear
-    interpolation, and the
-    magnetization zero is reported separately (the two need not coincide).
+    interpolation, and the magnetization zero is reported separately (the
+    two need not coincide).
     """
     problem, start = build_problem(params, kernel, eps, j, x0, n0=n0,
                                    instanton=instanton, macro=macro)
-    tol = antisym.OUTER_TOL
+    tol = OUTER_TOL
     trace = antisym.IterationTrace(residuals=[start.residual_norm])
     h, m, conv = start.h, start.m, start.conv
     del start
@@ -290,8 +286,8 @@ def solve_off_center(params: ThermoParams, kernel: Kernel, eps, j, x0,
                                           fields[k % 2])
         diff = np.subtract(h_next, h, out=work.scratch)
         inc = problem.weight.norm(diff, out=diff)
-        trace.increments.append(inc)
-        trace.add_solve(state, antisym.INNER_TOL)
+        trace.add_step(inc, state.residual_norm, antisym.INNER_TOL,
+                       state.record.picard_steps, state.record.path)
         h, m, conv = h_next, state.m, state.conv
         if inc < tol:
             break

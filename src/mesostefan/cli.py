@@ -43,7 +43,7 @@ class SweepRow:
     i_eps: float = float("nan")
     eps_x_eps: float = float("nan")
     iters: int = 0
-    picard_steps: int = 0       # over every auxiliary solve of the row
+    picard_steps: int = 0       # fixed-point updates of m in the row
     projected_solves: int = 0   # auxiliary solves finished by projection
     error: str = ""             # exception class and message of a failed row
 
@@ -198,7 +198,7 @@ def _solve_one(cfg: RunConfig, eps, shared: tuple):
                 macro=macro)
     x0 = cfg.x0 if cfg.mode == "asym" else 0.0
     row = SweepRow(eps=eps, mode=cfg.mode, iters=len(res.trace.increments))
-    # off center, the extended antisymmetric solve ran auxiliary solves too
+    # off center, the extended centred solve made updates too
     traces = [res.trace] if cfg.mode != "asym" \
         else [res.problem.extended_trace, res.trace]
     row.picard_steps = sum(sum(t.picard_steps) for t in traces)
@@ -219,7 +219,7 @@ def _solve_one(cfg: RunConfig, eps, shared: tuple):
 
 
 def _save_run(out, res):
-    """The state and the outer-loop trace of a solve."""
+    """The state and the loop trace of a solve."""
     st = res.state
     save_state(os.path.join(out, "state.csv"), st.grid, st.h, st.m)
     with open(os.path.join(out, "trace.csv"), "w") as fh:

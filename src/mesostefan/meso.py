@@ -4,18 +4,21 @@ A state is a pair (h, m) on a grid together with the convolution J^neum*m
 that its residual was measured from.  The linearization weight
 p = beta / cosh^2(beta J^neum*m + beta h) and the quadrature weights over p
 are derived from it on first use, so a state that only feeds the next
-solve never forms them, and every solve restarts from a state's
-convolution (an outer loop's first from its start's).  At exact fixed
+solve never forms them, and every loop restarts from a state's
+convolution (its first step from its start's).  At exact fixed
 points of m = tanh(beta J^neum*m + beta h) the weight coincides with the
 mobility chi(m), which the solvers exploit throughout.
 
-The auxiliary solve :func:`inner_solve` runs plain, undamped fixed-point
-(Picard) iteration and, when that stalls on the slow interface mode,
-recursive projection (Shroff and Keller 1993): Picard on the complement of
-the leading eigenvector of p J^neum, one Newton step along it.
-Its :class:`InnerRecord` says how many fixed-point steps it took and which
-path finished it.  A loop of such solves hands each one the same
-:class:`Workspace`, so that no fixed-point step allocates an n-point array.
+One fixed-point step, :func:`fixed_point_map`, serves every loop: the
+centred solvers' iteration on m = tanh(beta (J^neum*m + T(m))) and the
+auxiliary solve :func:`inner_solve` at a fixed field.  That solve runs
+plain, undamped fixed-point (Picard) iteration and, when that stalls on the
+slow interface mode, recursive projection (Shroff and Keller 1993): Picard
+on the complement of the leading eigenvector of p J^neum, one Newton step
+along it.  Its :class:`InnerRecord` says how many fixed-point steps it took
+and which path finished it.  A loop hands each of its steps or solves the
+same :class:`Workspace`, so that no fixed-point step allocates an n-point
+array.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .grids import Grid, Kernel, conv_values, conv_workspace
 from .thermo import ThermoParams
 
 SATURATION_LIMIT = 1.0 - 1e-8
-_MAX_ITER = 20_000        # fixed-point steps
+MAX_ITER = 20_000         # fixed-point steps of a loop
 _STALL_RATIO = 0.9        # residual ratio counted as a stalled step
 _STALL_STEPS = 5          # consecutive stalled steps before the projection
 _PAIR_TOL = 1e-8          # pair's tolerance; 1e-12 takes the same steps
@@ -49,10 +52,10 @@ class InnerRecord:
 
 
 class Workspace:
-    """The n-point buffers that every auxiliary solve of one loop reuses.
+    """The n-point buffers that every fixed-point step of one loop reuses.
 
-    ``iterates`` holds a solve's two alternating magnetizations, ``conv``
-    the padded rows and products of its convolutions
+    ``iterates`` holds the two alternating magnetizations, ``conv`` the
+    padded rows and products of the convolutions
     (:func:`grids.conv_workspace`) and ``scratch`` every other n-point
     value; between solves the loop around them may use ``scratch`` too.
     The state a solve returns holds views of ``iterates`` and ``conv``: it
@@ -89,10 +92,15 @@ class MesoState:
 
     @cached_property
     def quadrature(self) -> np.ndarray:
-        """Trapezoid weights over p, built on first use.  Products against
-        them run in einsum: a BLAS dot's sum depends on its thread count."""
+        """Trapezoid weights over p, built on first use; twice those on a
+        half line (left = 0), which counts its mirror image, so that a
+        product of two functions of one parity sums as on the full grid.
+        Products against them run in einsum: a BLAS dot's sum depends on
+        its thread count."""
         q = self.grid.spacing / self.p
         q[[0, -1]] *= 0.5
+        if self.grid.left == 0.0:
+            q *= 2.0
         q.setflags(write=False)
         return q
 
@@ -110,8 +118,9 @@ class MesoState:
         Its h, m and J^neum*m are the state's own there, so p is too, and p
         is even; the plain half line mirrors at x = 0 by the even
         reflection.  So its p J^neum is the full operator's even sector,
-        where the leading pair lives, and whatever it reads of h and m is
-        what the full state holds at x >= 0.
+        where the leading pair lives, its weights (:attr:`quadrature`) give
+        the full grid's inner products of even functions, and whatever it
+        reads of h and m is what the full state holds at x >= 0.
         """
         c = self.grid.center_index
         return replace(self, grid=self.grid.half_line(odd=False),
@@ -135,13 +144,29 @@ def make_state(params: ThermoParams, kernel: Kernel, grid: Grid,
     """The state of (h, m); ``conv`` is J^neum*m when the caller has it."""
     h = np.asarray(h, dtype=float)
     m = np.asarray(m, dtype=float)
+    work = np.empty(m.size)     # F(m) and m - F(m) in one buffer
+    conv, res = fixed_point_map(params, kernel, grid, h, m, work, work,
+                                conv=conv)
+    return _state_at(params, kernel, grid, h, m, conv, res)
+
+
+def fixed_point_map(params: ThermoParams, kernel: Kernel, grid: Grid,
+                    h: np.ndarray, m: np.ndarray, out: np.ndarray,
+                    scratch: np.ndarray, conv_work=None, conv=None):
+    """F(m) = tanh(beta (J^neum*m + h)) in ``out``; returns J^neum*m and the
+    residual sup|F(m) - m|.
+
+    ``conv`` is J^neum*m when the caller has it; otherwise the one
+    convolution goes into ``conv_work`` (:func:`grids.conv_workspace`).
+    ``scratch`` takes the argument of tanh and m - F(m); it may be ``out``.
+    """
     if conv is None:
-        conv = conv_values(kernel, grid, m)
-    work = np.add(conv, h)      # m - tanh(beta (conv + h)) in one buffer
-    work *= params.beta
-    np.subtract(m, np.tanh(work, out=work), out=work)
-    return _state_at(params, kernel, grid, h, m, conv,
-                     float(np.abs(work, out=work).max()))
+        conv = conv_values(kernel, grid, m, conv_work)
+    np.add(conv, h, out=scratch)
+    scratch *= params.beta
+    np.tanh(scratch, out=out)
+    np.subtract(m, out, out=scratch)
+    return conv, float(np.abs(scratch, out=scratch).max())
 
 
 def _state_at(params, kernel, grid, h, m, conv, res,
@@ -173,19 +198,13 @@ def _picard(params, kernel, grid, h, m, spare, scratch, conv, conv_work,
     convolutions go into ``conv_work``.  Returns the converged m, J^neum*m
     there, its residual and the solve's :class:`InnerRecord`.
     """
-    beta = params.beta
     res_prev = np.inf
     stall = 0
     slow = None           # (state at the switch, u, lambda/(1 - lambda))
-    for step in range(_MAX_ITER):
-        if step:
-            conv = conv_values(kernel, grid, m, conv_work)
-        target = spare
-        np.add(conv, h, out=scratch)
-        scratch *= beta
-        np.tanh(scratch, out=target)
-        np.subtract(m, target, out=scratch)
-        res = float(np.abs(scratch, out=scratch).max())
+    for step in range(MAX_ITER):
+        conv, res = fixed_point_map(params, kernel, grid, h, m, spare,
+                                    scratch, conv_work,
+                                    None if step else conv)
         if res < tol:
             return m, conv, res, InnerRecord(step, "picard" if slow is None
                                              else "projected")
@@ -202,10 +221,10 @@ def _picard(params, kernel, grid, h, m, spare, scratch, conv, conv_work,
         if slow is not None:
             # a Newton step along u, Picard on its weighted complement
             at, u, gain = slow
-            np.subtract(target, m, out=scratch)
+            np.subtract(spare, m, out=scratch)
             np.multiply(gain * at.weighted_dot(scratch, u), u, out=scratch)
-            target += scratch
-        m, spare = target, m
+            spare += scratch
+        m, spare = spare, m
         if np.abs(m, out=scratch).max() >= SATURATION_LIMIT:
             raise SaturationError("iterate saturated: |m| -> 1")
     raise ConvergenceError(

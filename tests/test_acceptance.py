@@ -3,7 +3,8 @@
 Desk scale: beta = 2, ell = 1, x0 in {0, 0.2}, eps in {0.1, 0.05, 0.025},
 spacing 0.05 (0.025 for the spectral criteria, whose trends sit below the
 0.05 eigenvalue discretization floor), currents -/+0.02 so that every
-feasibility precondition (ell < ell_j, 1 + x0 < ell_j, seed fit) holds.
+feasibility precondition (ell < ell_j, 1 + x0 < ell_j, seed fit) holds;
+criterion 9 runs the metastable branch at j = 0.09 too.
 Run with `pytest tests/test_acceptance.py -v -s` to see the criterion lines.
 """
 
@@ -13,14 +14,16 @@ import numpy as np
 import pytest
 
 from conftest import EPS_SWEEP, J_STABLE, X0, geometric_mean
+from mesostefan import stefan
 from mesostefan.antisym import (fixed_point_defect, flux_defect,
-                                hydrodynamic_error)
+                                hydrodynamic_error, solve_metastable)
 from mesostefan.grids import (build_grid, build_kernel, conv_values,
                               KERNEL_SHAPES)
 from mesostefan.instanton import apply_transfer, compute_instanton
 from mesostefan.thermo import convex_envelope, potential, pressure
 
 SPECTRAL_GAP_MARGIN = 0.25     # criterion 7: lambda2 <= 1 - g with g = 0.25
+J_META_HIGH = 0.09             # criterion 9: ell_break = 1.10 at beta = 2
 
 
 def report(num, description, ok):
@@ -147,23 +150,34 @@ def test_criterion_08_geometric_convergence(stable_sweep, asym_sweep):
               f"<= max(0.9, c eps) (worst {worst_asym:.3f})", ok)
 
 
-def test_criterion_09_metastable_branch(metastable_sweep, params2):
+def test_criterion_09_metastable_branch(metastable_sweep, params2, kernel05,
+                                        inst05):
+    """At the sweep current and at a high one, j = 0.09, where ell = 1 is
+    0.91 of the breakdown half-length."""
+    high = stefan._metastable_maximal(params2, J_META_HIGH)
+    sweeps = {"j = 0.02": metastable_sweep, "j = 0.09": {
+        eps: solve_metastable(params2, kernel05, eps, J_META_HIGH, 1.0,
+                              instanton=inst05, macro=high)
+        for eps in EPS_SWEEP}}
     ok = True
-    windows = []
-    for eps in EPS_SWEEP:
-        res = metastable_sweep[eps]
-        d = np.diff(res.state.m)
-        flips = np.where(np.sign(d[:-1]) * np.sign(d[1:]) < 0)[0]
-        ok &= flips.size == 2 and res.increase_interval > 0.0
-        ok &= bool(np.all(np.diff(res.state.h) < 0.0))
-        off = np.abs(res.state.grid.points) > res.xi_eps
-        m_off = np.abs(res.state.m[off])
-        ok &= bool(np.all((m_off > params2.m_star) & (m_off < 1.0)))
-        windows.append(eps * res.increase_interval)
-    ok &= windows[0] > windows[1] > windows[2]
+    found = []
+    for name, sweep in sweeps.items():
+        windows = []
+        for eps in EPS_SWEEP:
+            res = sweep[eps]
+            d = np.diff(res.state.m)
+            flips = np.where(np.sign(d[:-1]) * np.sign(d[1:]) < 0)[0]
+            ok &= flips.size == 2 and res.increase_interval > 0.0
+            ok &= bool(np.all(np.diff(res.state.h) < 0.0))
+            off = np.abs(res.state.grid.points) > res.xi_eps
+            m_off = np.abs(res.state.m[off])
+            ok &= bool(np.all((m_off > params2.m_star) & (m_off < 1.0)))
+            windows.append(eps * res.increase_interval)
+        ok &= windows[0] > windows[1] > windows[2]
+        found.append(f"{name}: {', '.join(f'{w:.3f}' for w in windows)}")
     report(9, "decrease/increase/decrease profile, eps * rise-length "
-              f"strictly decreasing ({', '.join(f'{w:.3f}' for w in windows)})"
-              ", off-window values in the metastable bands", ok)
+              f"strictly decreasing ({'; '.join(found)}), off-window values "
+              "in the metastable bands", ok)
 
 
 def test_criterion_10_interface_localization(asym_sweep):

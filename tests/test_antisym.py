@@ -9,7 +9,8 @@ from mesostefan.antisym import (build_seed, fixed_point_defect, flux_defect,
                                 hydrodynamic_error, solve_metastable,
                                 solve_stable, t_map)
 from mesostefan.config import RunConfig
-from mesostefan.errors import DomainError, GridError, InfeasibleError
+from mesostefan.errors import (ConvergenceError, DomainError, GridError,
+                               InfeasibleError)
 from mesostefan import meso
 from mesostefan.grids import conv_values
 from mesostefan.meso import make_state
@@ -250,10 +251,11 @@ def test_centred_states_are_bitwise_odd(mode, stable_sweep, metastable_sweep,
 def test_centred_solves_convolve_on_the_half_line(mode, params2, kernel05,
                                                   inst05, maximal_stable,
                                                   monkeypatch):
-    """Every convolution of a centred solve, its seed's included, runs on
-    the (n + 1) / 2 points of x >= 0, odd, and so does every one of the
-    power iteration that follows it, even: the sweep row's check of a
-    stable or metastable state, the u* pair of the off-center set-up."""
+    """Every convolution of a centred solve runs on the (n + 1) / 2 points
+    of x >= 0, odd: its seed's, then one per fixed-point step but the first,
+    which reuses the seed's.  So does every one of the power iteration that
+    follows it, even: the sweep row's check of a stable or metastable
+    state, the u* pair of the off-center set-up."""
     sizes = []
     real = meso.conv_values
 
@@ -283,6 +285,7 @@ def test_centred_solves_convolve_on_the_half_line(mode, params2, kernel05,
         n, trace = res.state.grid.n, res.trace
         power_steps = pairs[0].iterations
     half = (n + 1) // 2
+    assert sum(trace.picard_steps) == len(trace.increments) - 1
     assert sizes == [(half, half, True)] * (1 + sum(trace.picard_steps)) \
         + [(half, half, False)] * (power_steps + 1)
 
@@ -349,69 +352,88 @@ def test_stable_preconditions(params2, kernel05, inst05, maximal_stable):
     assert exc.value.ell_j == maximal_stable.ell_j
 
 
-# ------------------------------------------------------ inexact inner solves
+# ------------------------------------------------------ the fixed-point loop
 
-def _forcing_rule_holds(trace, tol, inner_tol=1e-12):
-    assert len(trace.inner_tols) == len(trace.increments)
-    assert trace.inner_tols[-1] == inner_tol
-    for inc, itol in zip(trace.increments, trace.inner_tols):
-        expect = inner_tol if inc < tol else max(inner_tol,
-                                                 antisym.FORCING * inc)
-        assert itol == expect
+def test_steps_are_single_updates_at_inner_tolerance(stable_sweep,
+                                                     metastable_sweep):
+    """A centred step is one fixed-point update: every increment but the
+    last is at least INNER_TOL, the last is below it and takes no update,
+    and each increment is the residual of the pair it measured."""
+    for sweep in (stable_sweep, metastable_sweep):
+        for eps in EPS_SWEEP:
+            tr = sweep[eps].trace
+            n = len(tr.increments)
+            assert tr.inner_tols == [antisym.INNER_TOL] * n
+            assert tr.picard_steps == [1] * (n - 1) + [0]
+            assert tr.inner_paths == ["picard"] * n
+            assert min(tr.increments[:-1]) >= antisym.INNER_TOL \
+                > tr.increments[-1]
+            assert tr.residuals[1:] == tr.increments
 
 
-def test_inner_tolerance_follows_increment(stable_sweep):
-    """Each solve runs at max(inner_tol, FORCING * inc) until inc < tol."""
-    for eps in EPS_SWEEP:
-        _forcing_rule_holds(stable_sweep[eps].trace, 1e-10)
-
-
-def test_loose_outer_tolerance_keeps_inner_residual(params2, kernel05, inst05,
+def test_loose_outer_tolerance_keeps_inner_residual(stable_sweep, params2,
+                                                    kernel05, inst05,
                                                     maximal_stable,
                                                     monkeypatch):
-    """Steps with inc < OUTER_TOL solve at INNER_TOL, so the returned
-    residual does not grow to FORCING * OUTER_TOL when OUTER_TOL is loose."""
-    monkeypatch.setattr(antisym, "OUTER_TOL", 1e-8)
+    """asym.OUTER_TOL stops the off-center loop only: a loose one leaves a
+    centred solve as it is, at a residual below INNER_TOL."""
+    monkeypatch.setattr(asym, "OUTER_TOL", 1e-6)
     res = solve_stable(params2, kernel05, 0.05, J_STABLE, ELL, n0=N0,
                        instanton=inst05, macro=maximal_stable)
-    incs = res.trace.increments
-    assert any(1e-10 < inc < 1e-8 for inc in incs)
-    _forcing_rule_holds(res.trace, 1e-8)
-    assert res.state.residual_norm <= 1e-12
-    assert fixed_point_defect(res) <= 1e-9
+    ref = stable_sweep[0.05]
+    assert res.trace == ref.trace
+    assert np.array_equal(res.state.m, ref.state.m)
+    assert np.array_equal(res.state.h, ref.state.h)
+    assert res.state.residual_norm < antisym.INNER_TOL
 
 
-def test_no_stop_on_inexact_pair(params2, kernel05, inst05, monkeypatch):
-    """With a loose forcing an inexact solve can leave m unchanged, so the
-    next increment is exactly 0; stopping there returned a defect of 8.8e-4.
-    The loop must first re-solve that pair at inner_tol."""
-    args = (params2, kernel05, 0.1, 0.02258, ELL)
-    ref = solve_metastable(*args, n0=N0, instanton=inst05)
-    monkeypatch.setattr(antisym, "FORCING", 0.1)
-    res = solve_metastable(*args, n0=N0, instanton=inst05)
-    assert 0.0 in res.trace.increments
-    assert fixed_point_defect(res) <= 1e-9
-    assert res.state.residual_norm <= 1e-12
-    assert np.max(np.abs(res.state.m - ref.state.m)) <= 1e-8
-    assert np.max(np.abs(res.state.h - ref.state.h)) <= 1e-8
-
-
-def test_ratios_pair_with_increments_after_zero(params2, kernel05, inst05,
-                                                monkeypatch):
-    """ratios[k - 1] is increments[k] / increments[k - 1] at every k, NaN
-    after the exact-zero increment the loose forcing produces."""
-    monkeypatch.setattr(antisym, "FORCING", 0.1)
-    res = solve_metastable(params2, kernel05, 0.1, 0.02258, ELL, n0=N0,
+def test_no_stop_on_inexact_pair(stable_sweep, metastable_sweep,
+                                 params2, kernel05, inst05, maximal_stable):
+    """The loop stops only on a pair whose residual is below INNER_TOL, and
+    the field it returns is T of the returned magnetization exactly, for
+    either sign of the current."""
+    flipped = solve_stable(params2, kernel05, 0.05, -J_STABLE, ELL, n0=N0,
                            instanton=inst05)
-    inc = res.trace.increments
-    ratios = res.trace.ratios
-    assert inc[2] == 0.0
-    assert len(ratios) == len(inc) - 1
-    assert np.isnan(ratios[2])
-    for k in range(1, len(inc)):
-        if np.isfinite(ratios[k - 1]):
-            assert ratios[k - 1] == inc[k] / inc[k - 1]
-    assert sum(np.isfinite(ratios)) == len(inc) - 2
+    for res in [*stable_sweep.values(), *metastable_sweep.values(), flipped]:
+        assert fixed_point_defect(res) == 0.0
+        assert res.state.residual_norm == res.trace.increments[-1] \
+            < antisym.INNER_TOL
+
+
+def test_loop_stops_when_it_stops_contracting(params2, kernel05, inst05,
+                                              maximal_stable, monkeypatch):
+    """With a tolerance no residual meets, the residuals settle at rounding:
+    STALL_STEPS of them in a row that do not fall raise ConvergenceError
+    with the trace; a smaller step budget runs out first."""
+    args = (params2, kernel05, 0.1, J_STABLE, ELL)
+    monkeypatch.setattr(antisym, "INNER_TOL", 0.0)
+    with pytest.raises(ConvergenceError, match="stopped contracting") as info:
+        solve_stable(*args, n0=N0, instanton=inst05, macro=maximal_stable)
+    inc = info.value.last.increments
+    assert max(inc[-antisym.STALL_STEPS - 1:]) < 1e-14
+    assert all(b >= a for a, b in zip(inc[-antisym.STALL_STEPS - 1:],
+                                      inc[-antisym.STALL_STEPS:]))
+    monkeypatch.setattr(antisym, "MAX_ITER", 5)
+    with pytest.raises(ConvergenceError, match="in 5 steps") as info:
+        solve_stable(*args, n0=N0, instanton=inst05, macro=maximal_stable)
+    assert len(info.value.last.increments) == 5
+
+
+def test_ratios_pair_with_increments_after_zero():
+    """ratios[k - 1] is increments[k] / increments[k - 1] at every k, NaN
+    after an exact-zero increment, and the trace file writes one row per
+    step under the same header."""
+    tr = antisym.IterationTrace()
+    for inc in (0.5, 0.25, 0.0, 0.0, 1e-3):
+        tr.add_step(inc, 1e-13, antisym.INNER_TOL, 1, "picard")
+    assert tr.ratios[:2] == [0.5, 0.0]
+    assert np.isnan(tr.ratios[2]) and np.isnan(tr.ratios[3])
+    assert len(tr.ratios) == 4
+    lines = tr.to_csv().splitlines()
+    assert lines[0] == ("k,increment,ratio,residual,inner_tol,picard_steps,"
+                        "inner_path")
+    assert [line.split(",")[2] for line in lines[1:]] == \
+        ["nan", "0.5", "0", "nan", "nan"]
 
 
 def test_checks_match_solver_errors(params2, kernel05, inst05,

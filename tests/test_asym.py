@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import EPS_SWEEP, J_STABLE, N0, X0
-from mesostefan import antisym
+from mesostefan import antisym, asym
 from mesostefan.asym import (admissibility_report, build_problem,
                              check_off_center, default_a_plus,
                              projected_iterate)
@@ -84,8 +84,8 @@ def test_trace_records_weighted_increments(asym_sweep, params2, kernel05,
         res = asym_sweep[eps]
         prob = res.problem
         tr = res.trace
-        assert tr.increments[-1] < antisym.OUTER_TOL
-        assert all(inc >= antisym.OUTER_TOL for inc in tr.increments[:-1])
+        assert tr.increments[-1] < asym.OUTER_TOL
+        assert all(inc >= asym.OUTER_TOL for inc in tr.increments[:-1])
         assert tr.residuals[0] == make_state(
             params2, kernel05, prob.res_grid, prob.h_eps,
             _m_eps(prob, m_star)).residual_norm

@@ -545,21 +545,22 @@ def test_row_json_records_inner_solves(tmp_path, mode, j, x0):
     assert (out / "sweep.csv").read_text().splitlines()[0] == SWEEP_HEADER
 
 
-def test_asym_outer_tol_reaches_extended_solve(monkeypatch):
-    """antisym.OUTER_TOL, read when the loops run, stops both the projected
-    loop and the extended antisymmetric solve, which takes fewer steps at a
-    looser one."""
-    steps = {}
+def test_outer_tol_stops_only_the_projected_loop(monkeypatch):
+    """asym.OUTER_TOL, read when the loop runs, stops the projected loop,
+    which takes fewer steps at a looser one; the extended centred solve
+    stops on its residual and does not read it."""
+    steps, extended = {}, {}
     cfg = RunConfig(beta=2.0, j=-0.02, x0=0.2, mode="asym", eps_list=[0.05],
                     n0=2)
     for tol in (1e-6, 1e-10):
-        monkeypatch.setattr(antisym, "OUTER_TOL", tol)
+        monkeypatch.setattr(asym, "OUTER_TOL", tol)
         _, res = cli._solve_one(cfg, 0.05, cli._shared_inputs(cfg))
-        ext = res.problem.extended_trace
-        assert ext.increments[-1] < tol
         assert res.trace.increments[-1] < tol
-        steps[tol] = len(ext.increments)
+        steps[tol] = len(res.trace.increments)
+        extended[tol] = res.problem.extended_trace
     assert steps[1e-6] < steps[1e-10]
+    assert extended[1e-6] == extended[1e-10]
+    assert extended[1e-6].increments[-1] < antisym.INNER_TOL
 
 
 @pytest.mark.parametrize("errors, code", [

@@ -304,7 +304,7 @@ def test_inner_solve_budget_carries_last_iterate(params2, kernel05,
     """An exhausted step budget raises ConvergenceError carrying the last
     iterate, which the steps taken have moved toward the fixed point."""
     st, _, m0 = _pushed_along_slow_mode(stable_sweep[0.025])
-    monkeypatch.setattr(meso, "_MAX_ITER", 8)
+    monkeypatch.setattr(meso, "MAX_ITER", 8)
     with pytest.raises(ConvergenceError, match="stuck") as info:
         inner_solve(params2, kernel05, st.grid, st.h, m0,
                     conv_values(kernel05, st.grid, m0))
@@ -379,10 +379,11 @@ def _outer_solve(mode, params2, kernel05, inst05, maximal_stable,
 def test_outer_loops_restart_from_the_last_convolution(
         mode, params2, kernel05, inst05, maximal_stable, maximal_meta,
         convolutions, monkeypatch):
-    """Each solve of the antisymmetric and the projected loop, the first
-    included (it restarts from the convolution its set-up formed), makes
-    exactly one convolution per Picard update, and the returned state makes
-    none."""
+    """The centred loop makes no auxiliary solve and one convolution per
+    fixed-point update, plus its seed's; its first update restarts from the
+    seed's convolution.  Each solve of the projected loop, the first included
+    (it restarts from the convolution its set-up formed), makes exactly one
+    convolution per Picard update, and the returned states make none."""
     solves = []           # (convolutions made, record) of each solve
     marks = []            # convolutions counted when each solve returned
 
@@ -393,20 +394,21 @@ def test_outer_loops_restart_from_the_last_convolution(
         marks.append(len(convolutions))
         return state
 
-    monkeypatch.setattr(antisym, "inner_solve", counted)
     monkeypatch.setattr(asym, "inner_solve", counted)
     res, traces = _outer_solve(mode, params2, kernel05, inst05,
                                maximal_stable, maximal_meta)
-    assert len(solves) == sum(len(t.picard_steps) for t in traces)
-    start = 0
-    for trace in traces:
-        loop = solves[start:start + len(trace.picard_steps)]
-        start += len(trace.picard_steps)
-        assert [rec.picard_steps for _, rec in loop] == trace.picard_steps
-        assert all(rec.path == "picard" for _, rec in loop)
-        assert len(loop) > 4
-        assert [n for n, _ in loop] == trace.picard_steps
-    assert len(convolutions) == marks[-1]
+    centred, projected = traces[0], traces[1:]
+    assert centred.picard_steps == [1] * (len(centred.increments) - 1) + [0]
+    if not projected:
+        assert solves == []
+        assert len(convolutions) == 1 + sum(centred.picard_steps)
+    else:
+        trace, = projected
+        assert len(solves) == len(trace.picard_steps) > 4
+        assert [rec.picard_steps for _, rec in solves] == trace.picard_steps
+        assert all(rec.path == "picard" for _, rec in solves)
+        assert [n for n, _ in solves] == trace.picard_steps
+        assert len(convolutions) == marks[-1]
     assert res.state.residual_norm < 1e-12
 
 

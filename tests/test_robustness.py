@@ -5,16 +5,27 @@ beta in {1.2, 1.5, 2, 4}, kernel in {cos2, quartic}, the three modes, at
 eps in {0.1, 0.0125}; |j| = 0.02, or 5e-4 at beta = 4 where ell_j ~ 1/|j|
 shrinks (ell_j = 0.034 at |j| = 0.02).  ell = 1, x0 = 0.2 off center,
 n0 = 2, spacing 0.05.  Each row's total Picard steps are pinned to what
-plain Picard iteration takes.  Two off-center rows at beta = 1.2 stall on
-the slow interface mode (residual ratio above 0.9 for 5 steps): there the
+plain Picard iteration takes: the centred loop's fixed-point updates, and
+off center those of the extended solve and the projected loop's
+auxiliary solves.  Two off-center rows at beta = 1.2 stall on the slow
+interface mode (residual ratio above 0.9 for 5 steps): there the
 recursive projection must take over and cut the steps to a third or less.
+
+Two maps run where the parameters get hard.  Metastable rows near the
+branch breakdown (j up to 0.095 at beta = 2, ell_break = 1.04) solve, with
+the boundary field O(eps) inside the Stefan one.  Centred rows near the
+critical temperature (beta = 1.01 and 1.02 at ell_j = 2, where lambda2 of
+the centred state is about 0.9) solve by plain iteration.  Every row of
+both maps is one that ``validate`` calls feasible.
 """
 
 import itertools
 
 import pytest
 
-from mesostefan.cli import EXIT_CONFIG, run
+import functools
+
+from mesostefan.cli import EXIT_CONFIG, _shared_inputs, _solve_one, run, validate
 from mesostefan.config import RunConfig
 
 BETAS = (1.2, 1.5, 2.0, 4.0)
@@ -32,14 +43,14 @@ CASES = list(itertools.product(BETAS, KERNELS, MODES, SCALES))
 #: the row's Picard steps on plain fixed-point iteration, per (beta, kernel)
 #: in the order antisym, metastable, asym, each at eps 0.1 then 0.0125
 PICARD_STEPS = {
-    (1.2, "cos2"): (81, 73, 98, 109, 913, 129),
-    (1.2, "quartic"): (0, 73, 0, 109, 1103, 130),
-    (1.5, "cos2"): (35, 33, 33, 35, 75, 56),
-    (1.5, "quartic"): (36, 33, 33, 35, 77, 56),
-    (2.0, "cos2"): (20, 18, 23, 26, 40, 31),
-    (2.0, "quartic"): (20, 18, 23, 26, 41, 31),
-    (4.0, "cos2"): (34, 30, 31, 27, 42, 37),
-    (4.0, "quartic"): (34, 30, 31, 27, 42, 37),
+    (1.2, "cos2"): (76, 71, 81, 85, 907, 128),
+    (1.2, "quartic"): (0, 71, 0, 85, 1097, 129),
+    (1.5, "cos2"): (33, 30, 33, 30, 73, 54),
+    (1.5, "quartic"): (33, 30, 33, 30, 75, 54),
+    (2.0, "cos2"): (19, 17, 18, 17, 40, 30),
+    (2.0, "quartic"): (19, 17, 18, 17, 41, 30),
+    (4.0, "cos2"): (12, 12, 9, 9, 19, 18),
+    (4.0, "quartic"): (12, 12, 9, 9, 19, 18),
 }
 
 #: rows with a stalled auxiliary solve, finished by recursive projection
@@ -71,3 +82,67 @@ def test_row_solves_without_newton(beta, kernel, mode, eps):
     else:
         assert row.projected_solves == 0
         assert row.picard_steps == plain
+
+
+#: metastable rows near the breakdown at beta = 2: j -> the fixed-point
+#: updates of the row at each of HIGH_CURRENT_SCALES
+HIGH_CURRENT_STEPS = {0.07: (27, 30, 31), 0.08: (33, 37, 38),
+                      0.09: (42, 49, 56), 0.095: (48, 58, 76)}
+HIGH_CURRENT_SCALES = (0.1, 0.05, 0.025)
+HIGH_CURRENT = list(itertools.product(HIGH_CURRENT_STEPS,
+                                      range(len(HIGH_CURRENT_SCALES))))
+
+
+@functools.lru_cache(maxsize=None)
+def _shared(beta, j, mode):
+    """A config's shared inputs, once per (beta, j, mode)."""
+    return _shared_inputs(RunConfig(beta=beta, j=j, mode=mode))
+
+
+@pytest.mark.parametrize("j, k", HIGH_CURRENT,
+                         ids=[f"{j}-{HIGH_CURRENT_SCALES[k]}"
+                              for j, k in HIGH_CURRENT])
+def test_metastable_row_near_the_breakdown(j, k):
+    """The row solves, non-monotone, with its boundary field between 0.06
+    eps and 0.08 eps inside the Stefan one (j = 0.095, eps = 0.1:
+    -0.2548 against -0.2618)."""
+    eps = HIGH_CURRENT_SCALES[k]
+    cfg = RunConfig(beta=2.0, j=j, ell=1.0, mode="metastable",
+                    eps_list=[eps], n0=2)
+    assert validate(cfg) == []
+    shared = _shared(2.0, j, "metastable")
+    row, res = _solve_one(cfg, eps, shared)
+    steps = HIGH_CURRENT_STEPS[j][k]
+    assert (row.iters, row.picard_steps, row.projected_solves) \
+        == (steps + 1, steps, 0)
+    assert res.state.residual_norm <= 1e-12
+    assert not res.monotone
+    shift = (res.state.h[-1] - shared[2].h_of_x(1.0)) / eps
+    assert 0.06 <= shift <= 0.08
+
+
+#: centred rows near the critical temperature, with j so that ell_j = 2:
+#: (beta, j) -> the fixed-point updates at each of NEAR_CRITICAL_SCALES
+NEAR_CRITICAL_STEPS = {(1.01, -0.16334): (191, 346, 458),
+                       (1.02, -0.16004): (183, 314, 394)}
+NEAR_CRITICAL_SCALES = (0.05, 0.0125, 0.00625)
+NEAR_CRITICAL = list(itertools.product(NEAR_CRITICAL_STEPS,
+                                       range(len(NEAR_CRITICAL_SCALES))))
+
+
+@pytest.mark.parametrize("case, k", NEAR_CRITICAL,
+                         ids=[f"{c[0]}-{NEAR_CRITICAL_SCALES[k]}"
+                              for c, k in NEAR_CRITICAL])
+def test_centred_row_near_the_critical_temperature(case, k):
+    """The row solves by plain iteration, which contracts at lambda2 ~ 0.9
+    here, with no auxiliary solve to count it as stalled."""
+    (beta, j), eps = case, NEAR_CRITICAL_SCALES[k]
+    cfg = RunConfig(beta=beta, j=j, ell=1.0, mode="antisym", eps_list=[eps],
+                    n0=2)
+    assert validate(cfg) == []
+    row, res = _solve_one(cfg, eps, _shared(beta, j, "antisym"))
+    steps = NEAR_CRITICAL_STEPS[case][k]
+    assert (row.iters, row.picard_steps, row.projected_solves) \
+        == (steps + 1, steps, 0)
+    assert res.state.residual_norm <= 1e-12
+    assert res.monotone
