@@ -3,7 +3,8 @@
 A centred profile is a fixed point of m = tanh(beta (J^neum*m + T(m))),
 where T(m)(x) = -eps j int_0^x 1/chi(m) is the current integral.  The
 solvers find it by plain Picard iteration on that map, one convolution per
-step, from a composite seed (interface profile near the origin, scaled
+step, in the loop every solver shares (:func:`meso.iterate`, with T as
+its field), from a composite seed (interface profile near the origin, scaled
 macroscopic solution beyond, for either sign of j) whose exact state's
 convolution the first step reuses; the error contracts at the
 sub-dominant eigenvalue of the linearized map.  Every field, magnetization
@@ -17,22 +18,18 @@ grid, gluing point, instanton window) and return the seed layout they
 built, the grid and the gluing index.  The solvers call them first and
 iterate on that layout, and ``mesostefan validate`` runs them at each scale,
 so the two cannot disagree; n0 reaches nothing below the checks.
-IterationTrace is the record of both this loop and the off-center one.
 """
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConvergenceError, DomainError, GridError,
-                     InfeasibleError, SaturationError)
+from .errors import DomainError, GridError, InfeasibleError, SaturationError
 from .grids import Grid, Kernel, build_grid, trapezoid_antiderivative
 from .instanton import Instanton, threshold_abscissa
-from .meso import (MAX_ITER, MesoState, Workspace, exact_state,
-                   fixed_point_map, make_state)
+from .meso import IterationTrace, MesoState, exact_state, iterate, make_state
 from .stefan import (
     MaximalSolution,
     MetastableMaximal,
@@ -45,64 +42,7 @@ MOBILITY_FLOOR = 1e-6
 DEFAULT_N0 = 2        # seed gluing point xi = x_eps + 2 n0
 MONOTONE_FLOOR = 1e-14
 INCREASE_THRESHOLD = 1e-12
-INNER_TOL = 1e-12     # sup-norm residual of the returned pair
-STALL_STEPS = 10      # residuals in a row that do not fall: no contraction
 HYDRO_BLOCK = 4096    # points per block of the hydrodynamic comparison
-
-
-@dataclass
-class IterationTrace:
-    """What a loop did, one entry per step.
-
-    A centred step is one fixed-point update: its increment is the residual
-    sup|F(m) - m| of the pair (T(m), m) it measured.  An off-center step
-    maps the field, with increment N(h_next - h), and solves the auxiliary
-    problem at h_next.  ``residuals`` has one more entry than
-    ``increments``: the residual of the starting pair, then that of the
-    pair each step ended on.  The tolerance, Picard steps (the step's
-    updates of m) and finishing path have one entry per step.
-    """
-
-    increments: list = field(default_factory=list)
-    residuals: list = field(default_factory=list)
-    inner_tols: list = field(default_factory=list)
-    picard_steps: list = field(default_factory=list)
-    inner_paths: list = field(default_factory=list)  # "picard" or "projected"
-
-    def add_step(self, increment, residual, inner_tol, steps, path):
-        self.increments.append(increment)
-        self.residuals.append(residual)
-        self.inner_tols.append(inner_tol)
-        self.picard_steps.append(steps)
-        self.inner_paths.append(path)
-
-    @property
-    def projected_solves(self) -> int:
-        """Auxiliary solves that stalled and were finished by recursive
-        projection."""
-        return self.inner_paths.count("projected")
-
-    @property
-    def ratios(self) -> list:
-        """ratios[k - 1] = increments[k] / increments[k - 1]; NaN after a
-        zero increment."""
-        inc = self.increments
-        return [b / a if a > 0 else float("nan") for a, b in zip(inc, inc[1:])]
-
-    def to_csv(self) -> str:
-        """One row per step k: the increment, its ratio to the previous one,
-        the residual of the pair step k - 1 ended on (the start's at k = 0),
-        and the tolerance, Picard steps and finishing path of step k."""
-        buf = io.StringIO()
-        buf.write("k,increment,ratio,residual,inner_tol,picard_steps,"
-                  "inner_path\n")
-        rows = zip(self.increments, [float("nan")] + self.ratios,
-                   self.residuals, self.inner_tols, self.picard_steps,
-                   self.inner_paths)
-        for k, (inc, rat, res, itol, steps, path) in enumerate(rows):
-            buf.write(f"{k},{inc:.17g},{rat:.17g},{res:.17g},{itol:.17g},"
-                      f"{steps},{path}\n")
-        return buf.getvalue()
 
 
 @dataclass(frozen=True)
@@ -260,51 +200,24 @@ def solve_metastable(params: ThermoParams, kernel: Kernel, eps, j, ell,
 
 def _iterate(params, kernel, instanton, macro, eps, j, grid, xi_index,
              branch):
-    """Picard iteration m <- tanh(beta (J^neum*m + T(m))) on the half line.
-
-    Step k forms h = T(m), F = tanh(beta (J^neum*m + h)) and the residual
-    r = sup|F - m| of the pair (h, m), which it returns once r < INNER_TOL
-    (so h is T of the returned m exactly); otherwise m <- F.  The first step
-    reuses the seed's convolution, every later one makes one.  STALL_STEPS
-    residuals in a row that do not fall, or MAX_ITER steps, raise
-    :class:`ConvergenceError`.  The loop owns h and a :class:`meso.Workspace`
-    for the rest, so no step allocates an n-point array.  The returned state
-    is the odd extension of the last pair and its convolution to the grid.
-    """
+    """The fixed point of m = tanh(beta (J^neum*m + T(m))) on the half line,
+    by :func:`meso.iterate` from the seed with the current integral T as
+    the field, and the odd extension of its last pair and convolution to
+    the grid."""
     start = build_seed(params, kernel, instanton, macro, eps, grid, xi_index)
     half = start.grid
-    trace = IterationTrace(residuals=[start.residual_norm])
-    m, conv = start.m, start.conv
-    del start
-    h, work = np.empty(half.n), Workspace(kernel, half.n)
-    rising = 0
-    for k in range(MAX_ITER):
-        t_map(params, half, m, eps, j, h, work.scratch)
-        target = work.iterates[k % 2]
-        conv, res = fixed_point_map(params, kernel, half, h, m, target,
-                                    work.scratch, work.conv,
-                                    None if k else conv)
-        converged = res < INNER_TOL
-        trace.add_step(res, res, INNER_TOL, 0 if converged else 1, "picard")
-        if converged:
-            full = [np.empty(grid.n) for _ in range(3)]  # odd h, m, conv
-            for row, a in zip(full, (h, m, conv)):
-                np.negative(a[:0:-1], out=row[:half.n - 1])
-                row[half.n - 1:] = a
-            final = make_state(params, kernel, grid, *full)
-            mono = _is_monotone(m, increasing=(j < 0))
-            rise = _central_increase_length(half, m) \
-                if branch == "metastable" else None
-            return AntisymResult(final, trace, float(xi_index * grid.spacing),
-                                 float(eps), float(j), mono, rise)
-        rising = rising + 1 if k and res >= trace.increments[-2] else 0
-        if rising >= STALL_STEPS:
-            raise ConvergenceError("fixed-point iteration stopped contracting",
-                                   last=trace)
-        m = target
-    raise ConvergenceError(
-        f"fixed-point iteration did not reach {INNER_TOL} in {MAX_ITER} "
-        "steps", last=trace)
+    last, trace = iterate(start, lambda m, out, scratch: t_map(
+        params, half, m, eps, j, out, scratch))
+    full = [np.empty(grid.n) for _ in range(3)]  # odd h, m, conv
+    for row, a in zip(full, (last.h, last.m, last.conv)):
+        np.negative(a[:0:-1], out=row[:half.n - 1])
+        row[half.n - 1:] = a
+    final = make_state(params, kernel, grid, *full)
+    mono = _is_monotone(last.m, increasing=(j < 0))
+    rise = _central_increase_length(half, last.m) \
+        if branch == "metastable" else None
+    return AntisymResult(final, trace, float(xi_index * grid.spacing),
+                         float(eps), float(j), mono, rise)
 
 
 def _is_monotone(m: np.ndarray, increasing: bool) -> bool:

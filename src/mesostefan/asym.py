@@ -4,16 +4,19 @@ The antisymmetric solver run on the enlarged interval eps^-1[-1, ell*],
 ell* = 1 + 2 x0, provides an exact solution whose restriction to
 eps^-1[-1, 1] is a quasi-solution once the right-boundary correction from
 the changed reflection is added; one restricted convolution gives both the
-correction and the state the projected loop starts from.  Without odd
-symmetry the linearized map
-has an eigenvalue 1 - O(eps) whose inversion would blow up the iteration,
-so each new field is projected against the extended problem's maximal
-eigenvector; convergence is then geometric with ratio O(eps) in a
-boundary-anchored exponentially weighted norm.
+correction and the state the off-center loop starts from.  Without odd
+symmetry the linearized map has an eigenvalue 1 - O(eps) whose inversion
+would blow up the iteration, so each field, the current integral from the
+interface, is projected against the extended problem's maximal
+eigenvector u* (:func:`projected_field`).  The paper's projected map then
+solves the auxiliary fixed point at that field and contracts with ratio
+O(eps) in a boundary-anchored exponentially weighted norm.  The solver
+iterates the coupled fixed point of the two instead, in the loop every
+solver shares (:func:`meso.iterate`), with a Newton step along u* at its
+eigenvalue lambda*, which turns the slow 1 - O(eps) mode into a fast one.
 
 check_off_center holds every check build_problem makes before the extended
-solve; ``mesostefan validate`` runs it at each scale.  The projected loop
-records into the same IterationTrace as the antisymmetric one.
+solve; ``mesostefan validate`` runs it at each scale.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, GridError
 from .grids import Grid, Kernel, build_grid, conv_values
 from .instanton import Instanton
-from .meso import MesoState, Workspace, inner_solve, make_state
+from .meso import IterationTrace, MesoState, iterate, make_state
 from .spectral import SpectralResult, leading_eigenpair
 from .stefan import MaximalSolution, solve_maximal
 from . import antisym
@@ -35,8 +38,6 @@ from .thermo import ThermoParams
 #: cap on a_plus * (1 - x0) / eps so the boundary weight stays well inside
 #: float range and rounding at the interface cannot dominate the norm
 WEIGHT_EXPONENT_CAP = 12.0
-MAX_OUTER = 60          # projected steps before ConvergenceError
-OUTER_TOL = 1e-10       # weighted field increment that stops the loop
 ZERO_HALFWIDTH = 2.0    # meso distance from the interface searched for zeros
 WEIGHTED_BOUND = 0.1    # admissible weighted distance to the quasi-solution
 
@@ -103,7 +104,7 @@ class OffCenterProblem:
     eps: float
     j: float
     x0: float
-    extended_trace: antisym.IterationTrace  # of the solve on eps^-1[-1, ell*]
+    extended_trace: IterationTrace   # of the solve on eps^-1[-1, ell*]
     xi_eps: float                    # gluing point of the extended seed
     ext_grid: Grid
     res_grid: Grid
@@ -167,7 +168,7 @@ def build_problem(params: ThermoParams, kernel: Kernel, eps, j, x0,
     r_eps is the extended minus the restricted reflected convolution of m*
     (exactly 0 more than one kernel range left of eps^-1), so h* + r_eps is
     an exact fixed-point field for the restricted kernel.  Of the extended
-    state only the eigenvector outlives the projected loop's start.
+    state only the eigenvector outlives the off-center loop's start.
     """
     from .instanton import compute_instanton
 
@@ -207,29 +208,19 @@ def build_problem(params: ThermoParams, kernel: Kernel, eps, j, x0,
                             interface_index), start
 
 
-def projected_iterate(problem: OffCenterProblem, m_n: np.ndarray,
-                      conv_n: np.ndarray, work: Workspace | None = None,
-                      out=None):
-    """One step of the projected map.
-
-    Integrates the current law from the interface, then removes the
-    component along the extended maximal eigenvector (plain integrals), and
-    solves the auxiliary fixed point from the previous magnetization and its
-    convolution J^neum*m_n, ``conv_n``.  With a workspace the new field
-    goes into ``out`` and everything else into ``work``, where m_n and
-    conv_n may lie: the step allocates no n-point array.
-    """
+def projected_field(problem: OffCenterProblem, m: np.ndarray, out=None,
+                    scratch=None) -> np.ndarray:
+    """The projected current integral of m: the current law integrated from
+    the interface, less its component along the extended maximal
+    eigenvector (plain integrals).  Formed in ``out`` with ``scratch`` for
+    the rest when they are given."""
     grid = problem.res_grid
-    work = work or Workspace(problem.kernel, grid.n)
-    h_hat = antisym.current_integral(problem.params, grid, m_n, problem.eps,
+    h_hat = antisym.current_integral(problem.params, grid, m, problem.eps,
                                      problem.j, problem.interface_index, out,
-                                     work.scratch)
-    product = np.multiply(h_hat, problem.u_star_restricted, out=work.scratch)
+                                     scratch)
+    product = np.multiply(h_hat, problem.u_star_restricted, out=scratch)
     proj = _trapezoid(product, grid.spacing) / problem.u_star_integral
-    h_next = np.subtract(h_hat, proj, out=h_hat)
-    state = inner_solve(problem.params, problem.kernel, grid, h_next, m_n,
-                        tol=antisym.INNER_TOL, conv_init=conv_n, work=work)
-    return h_next, state
+    return np.subtract(h_hat, proj, out=h_hat)
 
 
 def _trapezoid(values: np.ndarray, dx) -> float:
@@ -245,7 +236,7 @@ def _trapezoid(values: np.ndarray, dx) -> float:
 class OffCenterResult:
     problem: OffCenterProblem
     state: MesoState
-    trace: antisym.IterationTrace  # weighted increments N(h_{k+1} - h_k)
+    trace: IterationTrace      # of the off-center loop
     field_zero: float          # x with h(x) = 0 (mesoscopic)
     m_zero: float              # x with m(x) = 0
     eps_field_zero: float      # eps * field_zero
@@ -260,42 +251,22 @@ def solve_off_center(params: ThermoParams, kernel: Kernel, eps, j, x0,
                      n0=antisym.DEFAULT_N0,
                      instanton: Instanton | None = None,
                      macro: MaximalSolution | None = None) -> OffCenterResult:
-    """Iterate the projected map from the quasi-solution to convergence.
+    """The fixed point of m = tanh(beta (J^neum*m + projected_field(m))).
 
-    It stops on a weighted increment below OUTER_TOL.  The first solve
-    restarts from the quasi-solution's state, then dropped, each later one
-    from its predecessor's.  The trace records the increments with the same
-    fields as the antisymmetric loop (the first residual is the
-    quasi-solution's; every solve runs at INNER_TOL).  The final field's
-    zero is located near the interface by bracketing plus linear
+    :func:`meso.iterate` runs from the quasi-solution's state with the
+    projected field and the Newton direction (u*, lambda*) restricted to the
+    grid, in the weights 1/p of the quasi-solution, so the returned field is
+    the projected current integral of the returned m exactly.  The final
+    field's zero is located near the interface by bracketing plus linear
     interpolation, and the magnetization zero is reported separately (the
     two need not coincide).
     """
     problem, start = build_problem(params, kernel, eps, j, x0, n0=n0,
                                    instanton=instanton, macro=macro)
-    tol = OUTER_TOL
-    trace = antisym.IterationTrace(residuals=[start.residual_norm])
-    h, m, conv = start.h, start.m, start.conv
-    del start
-    # each field goes into the row the last one left free; m and J^neum*m
-    # stay in the workspace from one solve to the next
-    n = problem.res_grid.n
-    fields, work = np.empty((2, n)), Workspace(kernel, n)
-    for k in range(MAX_OUTER):
-        h_next, state = projected_iterate(problem, m, conv, work,
-                                          fields[k % 2])
-        diff = np.subtract(h_next, h, out=work.scratch)
-        inc = problem.weight.norm(diff, out=diff)
-        trace.add_step(inc, state.residual_norm, antisym.INNER_TOL,
-                       state.record.picard_steps, state.record.path)
-        h, m, conv = h_next, state.m, state.conv
-        if inc < tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"projected iteration did not reach {tol} in {MAX_OUTER} steps",
-            last=trace)
-
+    newton = (problem.u_star_restricted, problem.u_star.lambda_,
+              start.quadrature)
+    state, trace = iterate(start, lambda m, out, scratch: projected_field(
+        problem, m, out, scratch), newton)
     state = state.copy()
     field_zero = _zero_near(problem, state.h)
     m_zero = _zero_near(problem, state.m)

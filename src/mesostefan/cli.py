@@ -44,7 +44,6 @@ class SweepRow:
     eps_x_eps: float = float("nan")
     iters: int = 0
     picard_steps: int = 0       # fixed-point updates of m in the row
-    projected_solves: int = 0   # auxiliary solves finished by projection
     error: str = ""             # exception class and message of a failed row
 
     def csv_line(self) -> str:
@@ -201,8 +200,7 @@ def _solve_one(cfg: RunConfig, eps, shared: tuple):
     # off center, the extended centred solve made updates too
     traces = [res.trace] if cfg.mode != "asym" \
         else [res.problem.extended_trace, res.trace]
-    row.picard_steps = sum(sum(t.picard_steps) for t in traces)
-    row.projected_solves = sum(t.projected_solves for t in traces)
+    row.picard_steps = sum(len(t.increments) - 1 for t in traces)
     row.c_instanton = abs(cfg.j) * inst.mean / inst.norm_sq
     checked = res.state if cfg.mode == "asym" else res.state.even_half()
     row.hydro_m, row.hydro_h = antisym.hydrodynamic_error(
@@ -341,8 +339,7 @@ def cmd_sweep(args) -> int:
         if row.error:
             record["error"] = row.error
         else:
-            record.update(picard_steps=row.picard_steps,
-                          projected_solves=row.projected_solves)
+            record["picard_steps"] = row.picard_steps
         dump_json(os.path.join(run_dir, "row.json"), record)
     with open(os.path.join(out, "sweep.csv"), "w") as fh:
         fh.write(report.to_csv())

@@ -3,13 +3,12 @@
 The mesoscopic domain is eps^-1 * [-left, right] in kernel-range units.  The
 kernel J is an even probability density supported on [-1, 1]; convolution is
 trapezoid quadrature, with reflected images about both endpoints
-(:func:`conv_values`, J^neum) or with constant extension
-(:func:`conv_values_filled`; fills of 0 give the zero-extended line).  A
-grid's width must be a whole number of cells: no spacing is adjusted.  An
-``odd`` grid, :meth:`Grid.half_line`, holds odd profiles by their values on
-x >= 0, which :func:`conv_values` reflects about x = 0 with a sign; on the
-plain half line the mirror at x = 0 is the even reflection, so it holds
-even profiles.
+(:func:`conv_values`, J^neum) or on the zero-extended line
+(:func:`conv_values_filled`).  A grid's width must be a whole number of
+cells: no spacing is adjusted.  An ``odd`` grid, :meth:`Grid.half_line`,
+holds odd profiles by their values on x >= 0, which :func:`conv_values`
+reflects about x = 0 with a sign; on the plain half line the mirror at
+x = 0 is the even reflection, so it holds even profiles.
 
 Every convolution runs as a blocked Toeplitz matrix product.  The padded
 values are written into one zero-tailed buffer and viewed as rows of B
@@ -271,12 +270,11 @@ def conv_values(kernel: Kernel, grid: Grid, values: np.ndarray,
 
 
 def conv_values_filled(kernel: Kernel, values: np.ndarray,
-                       left_fill: float, right_fill: float,
                        work: np.ndarray | None = None) -> np.ndarray:
-    """Free-line convolution with constant extension on both sides; fills
-    of 0 give the zero-extended line.  ``work`` as for :func:`conv_values`."""
+    """Free-line convolution of the values filled out by zeros on both
+    sides.  ``work`` as for :func:`conv_values`."""
     return _blocked_convolution(kernel, np.asarray(values, dtype=float),
-                                left_fill, right_fill, work)
+                                0.0, 0.0, work)
 
 
 def _blocked_convolution(kernel: Kernel, values: np.ndarray,

@@ -2,10 +2,11 @@
 
 Plain Picard iteration for the odd fixed point of m -> tanh(beta J*m) on a
 truncated line, with a Dirichlet-style clamp to +-m_beta outside a one-unit
-collar.  The iterates are odd, so they live on the half line [0, X] with
-the odd reflection at 0, and the profile is extended to [-X, X] once at
-the end.  On odd functions the map contracts at the sub-dominant eigenvalue
-of its linearization (about 0.31 per step at beta = 2), so no damping is
+collar.  The iterates are odd, so they live on an odd grid over [0, X]
+(:meth:`grids.Grid.half_line`), whose reflection at X reads only the clamp
+collar, and the profile is extended to [-X, X] once at the end.  On odd
+functions the map contracts at the sub-dominant eigenvalue of its
+linearization (about 0.31 per step at beta = 2), so no damping is
 needed.  The profile, its derivative, the weighted normalization constants
 and the tail decay rate (the root of its characteristic equation, no fit)
 feed the composite seeds, the sweeps' C column and the spectral checks.  A
@@ -20,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, GridError
-from .grids import POINT_CAP, Kernel, conv_values_filled
+from .grids import POINT_CAP, Grid, Kernel, conv_values, conv_values_filled
+from .meso import Workspace
 from .thermo import SATURATED_ROOT, ThermoParams, mobility
 
 HALF_WIDTH = 20.0     # X of the truncated line [-X, X]
@@ -70,8 +72,10 @@ def compute_instanton(params: ThermoParams, kernel: Kernel,
     """Solve the odd fixed point m = tanh(beta J*m) on [-X, X], X = HALF_WIDTH.
 
     Each Picard step sets m to tanh(beta J*m) on [0, X], with m = 0 at
-    x = 0, J*m padded by -m mirrored about 0 on the left and by m_beta on
-    the right, and m clamped to m_beta on [X-1, X].  Iterating on odd
+    x = 0, J*m the convolution on the odd grid over [0, X] (m mirrored
+    about 0 with a sign, and about X, where it is m_beta on the kernel's
+    range), and m clamped to m_beta on [X-1, X].  The iterates alternate
+    between the two rows of a :class:`meso.Workspace`.  Iterating on odd
     functions pins the translation freedom of the infinite-line problem,
     whose derivative mode (eigenvalue 1) is even and so never enters.
     """
@@ -91,27 +95,36 @@ def compute_instanton(params: ThermoParams, kernel: Kernel,
     x = spacing * np.arange(-n_half, n_half + 1)
     mb = params.m_beta
     beta = params.beta
-    k = kernel.half_points
 
+    half = Grid(1.0, 0.0, HALF_WIDTH, spacing, x[n_half:], odd=True)
+    work = Workspace(kernel, half.n)
+    m, target = work.iterates
     if seed == "sign":
-        m = mb * np.sign(x[n_half:])
+        np.multiply(mb, np.sign(half.points), out=m)
     elif seed == "tanh":
-        m = mb * np.tanh(x[n_half:])
+        np.multiply(mb, np.tanh(half.points), out=m)
     else:
         raise DomainError(f"unknown seed {seed!r}")
 
-    unclamped = np.count_nonzero(x[n_half:] <= HALF_WIDTH - 1.0 + 1e-12)
+    unclamped = np.count_nonzero(half.points <= HALF_WIDTH - 1.0 + 1e-12)
     m[unclamped:] = mb
 
+    def image(m, out):
+        """tanh(beta J*m) in ``out``."""
+        np.multiply(conv_values(kernel, half, m, work.conv), beta, out=out)
+        return np.tanh(out, out=out)
+
     residual = np.inf
-    target = np.tanh(beta * conv_values_filled(kernel, m, -m[k:0:-1], mb))
+    image(m, target)
     for _ in range(_MAX_ITER):
         target[unclamped:] = mb
         target[0] = 0.0
-        m = target
+        m, target = target, m
         # the image of the new iterate is both its residual and the next target
-        target = np.tanh(beta * conv_values_filled(kernel, m, -m[k:0:-1], mb))
-        residual = float(np.max(np.abs(m[:unclamped] - target[:unclamped])))
+        image(m, target)
+        diff = np.subtract(m[:unclamped], target[:unclamped],
+                           out=work.scratch[:unclamped])
+        residual = float(np.abs(diff, out=diff).max())
         if residual < _TOL:
             break
     else:
@@ -182,4 +195,4 @@ def threshold_abscissa(instanton: Instanton, eps) -> float:
 def apply_transfer(instanton: Instanton, kernel: Kernel,
                    psi: np.ndarray) -> np.ndarray:
     """One application of the free-line linearized map p_bar (J * psi)."""
-    return instanton.p_bar * conv_values_filled(kernel, psi, 0.0, 0.0)
+    return instanton.p_bar * conv_values_filled(kernel, psi)

@@ -5,50 +5,70 @@ that its residual was measured from.  The linearization weight
 p = beta / cosh^2(beta J^neum*m + beta h) and the quadrature weights over p
 are derived from it on first use, so a state that only feeds the next
 solve never forms them, and every loop restarts from a state's
-convolution (its first step from its start's).  At exact fixed
-points of m = tanh(beta J^neum*m + beta h) the weight coincides with the
-mobility chi(m), which the solvers exploit throughout.
+convolution.  At exact fixed points of m = tanh(beta J^neum*m + beta h)
+the weight coincides with the mobility chi(m), which the solvers exploit
+throughout.
 
-One fixed-point step, :func:`fixed_point_map`, serves every loop: the
-centred solvers' iteration on m = tanh(beta (J^neum*m + T(m))) and the
-auxiliary solve :func:`inner_solve` at a fixed field.  That solve runs
-plain, undamped fixed-point (Picard) iteration and, when that stalls on the
-slow interface mode, recursive projection (Shroff and Keller 1993): Picard
-on the complement of the leading eigenvector of p J^neum, one Newton step
-along it.  Its :class:`InnerRecord` says how many fixed-point steps it took
-and which path finished it.  A loop hands each of its steps or solves the
-same :class:`Workspace`, so that no fixed-point step allocates an n-point
-array.
+One fixed-point loop, :func:`iterate`, serves every solver.  Each step
+forms a field h from m, F = tanh(beta (J^neum*m + h)) through
+:func:`fixed_point_map` and the residual sup|F - m|, and sets m <- F,
+with an optional fixed Newton direction (u, lambda) that adds
+lambda/(1 - lambda) <F - m, u>_{1/p} u.  The centred solvers pass the
+current integral as the field, the off-center solver its projected current
+integral with the extended problem's leading pair.  The loop records each
+residual in an :class:`IterationTrace` and runs in one :class:`Workspace`,
+so that no step allocates an n-point array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import io
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
-from . import spectral
-from .errors import ConvergenceError, DomainError, SaturationError
+from .errors import ConvergenceError, DomainError
 from .grids import Grid, Kernel, conv_values, conv_workspace
 from .thermo import ThermoParams
 
-SATURATION_LIMIT = 1.0 - 1e-8
-MAX_ITER = 20_000         # fixed-point steps of a loop
-_STALL_RATIO = 0.9        # residual ratio counted as a stalled step
-_STALL_STEPS = 5          # consecutive stalled steps before the projection
-_PAIR_TOL = 1e-8          # pair's tolerance; 1e-12 takes the same steps
-_NO_GAP = 1e-14           # |1 - lambda| below this is 1 to rounding
+INNER_TOL = 1e-12     # sup-norm residual of the returned pair
+STALL_STEPS = 10      # residuals in a row that do not fall: no contraction
+MAX_ITER = 20_000     # fixed-point steps of a loop
 
 
-@dataclass(frozen=True)
-class InnerRecord:
-    """What an auxiliary solve did: its fixed-point updates of m and the path
-    that finished it, "picard" or "projected" (recursive projection after a
-    stall)."""
+@dataclass
+class IterationTrace:
+    """What a loop did: the residual of its start, then one increment per
+    step, the residual sup|F(m) - m| of the pair (h, m) the step measured.
+    Every step but the last updated m once."""
 
-    picard_steps: int
-    path: str
+    start_residual: float
+    increments: list = field(default_factory=list)
+
+    @property
+    def residuals(self) -> list:
+        """The start's residual, then the increments."""
+        return [self.start_residual, *self.increments]
+
+    @property
+    def ratios(self) -> list:
+        """ratios[k - 1] = increments[k] / increments[k - 1]; NaN after a
+        zero increment."""
+        inc = self.increments
+        return [b / a if a > 0 else float("nan") for a, b in zip(inc, inc[1:])]
+
+    def to_csv(self) -> str:
+        """One row per step k: the increment, its ratio to the previous one
+        and the residual of the pair step k - 1 measured (the start's at
+        k = 0)."""
+        buf = io.StringIO()
+        buf.write("k,increment,ratio,residual\n")
+        rows = zip(self.increments, [float("nan")] + self.ratios,
+                   self.residuals)
+        for k, (inc, rat, res) in enumerate(rows):
+            buf.write(f"{k},{inc:.17g},{rat:.17g},{res:.17g}\n")
+        return buf.getvalue()
 
 
 class Workspace:
@@ -57,9 +77,7 @@ class Workspace:
     ``iterates`` holds the two alternating magnetizations, ``conv`` the
     padded rows and products of the convolutions
     (:func:`grids.conv_workspace`) and ``scratch`` every other n-point
-    value; between solves the loop around them may use ``scratch`` too.
-    The state a solve returns holds views of ``iterates`` and ``conv``: it
-    is valid until the next solve in the workspace.
+    value.
     """
 
     def __init__(self, kernel: Kernel, n: int):
@@ -79,7 +97,6 @@ class MesoState:
     m: np.ndarray
     conv: np.ndarray                     # J^neum * m
     residual_norm: float
-    record: InnerRecord | None = None    # set by inner_solve
 
     @cached_property
     def p(self) -> np.ndarray:
@@ -108,8 +125,7 @@ class MesoState:
         """The state with its own copies of h, m and conv: it outlives the
         workspace it was solved in."""
         return _state_at(self.params, self.kernel, self.grid, self.h.copy(),
-                         self.m.copy(), self.conv.copy(), self.residual_norm,
-                         self.record)
+                         self.m.copy(), self.conv.copy(), self.residual_norm)
 
     def even_half(self) -> MesoState:
         """The points x >= 0 of a state odd about x = 0, on the plain half
@@ -169,12 +185,11 @@ def fixed_point_map(params: ThermoParams, kernel: Kernel, grid: Grid,
     return conv, float(np.abs(scratch, out=scratch).max())
 
 
-def _state_at(params, kernel, grid, h, m, conv, res,
-              record=None) -> MesoState:
+def _state_at(params, kernel, grid, h, m, conv, res) -> MesoState:
     """The state of (h, m) from conv = J^neum*m and its residual."""
     for a in (h, m, conv):
         a.setflags(write=False)
-    return MesoState(params, kernel, grid, h, m, conv, res, record)
+    return MesoState(params, kernel, grid, h, m, conv, res)
 
 
 def exact_state(params: ThermoParams, kernel: Kernel, grid: Grid,
@@ -189,86 +204,53 @@ def exact_state(params: ThermoParams, kernel: Kernel, grid: Grid,
                       m, conv)
 
 
-def _picard(params, kernel, grid, h, m, spare, scratch, conv, conv_work,
-            tol):
-    """Fixed-point iteration, projected along the slow mode after a stall.
+def iterate(start: MesoState, field_of, newton=None
+            ) -> tuple[MesoState, IterationTrace]:
+    """Fixed-point iteration of m = tanh(beta (J^neum*m + h(m))) from the
+    state ``start``.
 
-    ``conv`` is J^neum*m of the start.  The updates alternate between the
-    arrays m and spare, every other n-point value lives in scratch, and the
-    convolutions go into ``conv_work``.  Returns the converged m, J^neum*m
-    there, its residual and the solve's :class:`InnerRecord`.
+    Step k forms h = field_of(m, out, scratch), the field of m (in ``out``,
+    with ``scratch`` free to use, or any array), F = tanh(beta (J^neum*m +
+    h)) and the residual r = sup|F - m| of the pair (h, m), which it
+    returns once r < INNER_TOL (so h is the field of the returned m
+    exactly).  Otherwise m <- F; with ``newton`` = (u, lambda, w), a
+    direction, its eigenvalue and the weights 1/p of the inner product,
+    m <- F + lambda/(1 - lambda) <F - m, u>_w u instead: a Newton step along
+    u, Picard on the rest.  The first step reuses the start's convolution,
+    every later one makes one.  STALL_STEPS residuals in a row that do not
+    fall, or MAX_ITER steps, raise :class:`ConvergenceError` with the
+    trace.  The loop owns ``out`` and a :class:`Workspace` for the rest, so
+    no step allocates an n-point array; the returned state holds views of
+    them.
     """
-    res_prev = np.inf
-    stall = 0
-    slow = None           # (state at the switch, u, lambda/(1 - lambda))
-    for step in range(MAX_ITER):
-        conv, res = fixed_point_map(params, kernel, grid, h, m, spare,
-                                    scratch, conv_work,
-                                    None if step else conv)
-        if res < tol:
-            return m, conv, res, InnerRecord(step, "picard" if slow is None
-                                             else "projected")
-        stall = stall + 1 if res > _STALL_RATIO * res_prev else 0
-        res_prev = res
-        if slow is None and stall >= _STALL_STEPS:
-            at = _state_at(params, kernel, grid, h, m.copy(), conv.copy(), res)
-            pair = spectral.leading_eigenpair(at, _PAIR_TOL)
-            if abs(1.0 - pair.lambda_) < _NO_GAP:
-                raise ConvergenceError(
-                    f"slow-mode eigenvalue {pair.lambda_!r} is 1 to "
-                    "rounding: no projected step", last=m.copy())
-            slow = at, pair.u, pair.lambda_ / (1.0 - pair.lambda_)
-        if slow is not None:
-            # a Newton step along u, Picard on its weighted complement
-            at, u, gain = slow
-            np.subtract(spare, m, out=scratch)
-            np.multiply(gain * at.weighted_dot(scratch, u), u, out=scratch)
-            spare += scratch
-        m, spare = spare, m
-        if np.abs(m, out=scratch).max() >= SATURATION_LIMIT:
-            raise SaturationError("iterate saturated: |m| -> 1")
+    params, kernel, grid = start.params, start.kernel, start.grid
+    trace = IterationTrace(start.residual_norm)
+    m, conv = start.m, start.conv
+    out, work = np.empty(grid.n), Workspace(kernel, grid.n)
+    if newton is not None:
+        u, lam, weights = newton
+        if lam == 1.0:
+            raise DomainError("leading eigenvalue 1: no Newton step along u")
+        gain = lam / (1.0 - lam)
+    rising = 0
+    for k in range(MAX_ITER):
+        h = field_of(m, out, work.scratch)
+        target = work.iterates[k % 2]
+        conv, res = fixed_point_map(params, kernel, grid, h, m, target,
+                                    work.scratch, work.conv,
+                                    None if k else conv)
+        trace.increments.append(res)
+        if res < INNER_TOL:
+            return _state_at(params, kernel, grid, h, m, conv, res), trace
+        rising = rising + 1 if k and res >= trace.increments[-2] else 0
+        if rising >= STALL_STEPS:
+            raise ConvergenceError("fixed-point iteration stopped contracting",
+                                   last=trace)
+        if newton is not None:
+            step = np.subtract(target, m, out=work.scratch)
+            along = gain * float(np.einsum("i,i,i->", step, weights, u))
+            target += np.multiply(along, u, out=step)
+        m = target
     raise ConvergenceError(
-        f"fixed-point iteration stuck at residual {res_prev:.3e} (tol {tol})",
-        last=m.copy(),
-    )
-
-
-def inner_solve(params: ThermoParams, kernel: Kernel, grid: Grid,
-                h: np.ndarray, m_init: np.ndarray, conv_init: np.ndarray,
-                tol=1e-12, work: Workspace | None = None) -> MesoState:
-    """Find m with m = tanh(beta J^neum*m + beta h) near the seed.
-
-    Plain fixed-point iteration: each step sets m <- F(m) = tanh(beta
-    (J^neum*m + h)), with no damping.  On odd data its error decays at the
-    sub-dominant eigenvalue of p J^neum (about 0.31 at beta = 2).  Along the
-    leading eigenvector u, which sits at lambda = 1 -+ C eps near an
-    interface, it decays only like lambda (and grows on the metastable
-    branch, lambda > 1).  So once the residual ratio has stayed above 0.9
-    for 5 steps, the leading pair is computed once at that iterate and every
-    later step is m <- F(m) + lambda/(1 - lambda) P(F(m) - m), P the
-    projection onto u in <.,.>_{1/p}: a Newton step along u, Picard on the
-    rest.  The solve stops at the sup-norm residual ``tol``, raises
-    :class:`SaturationError` when an iterate leaves |m| < SATURATION_LIMIT
-    and :class:`ConvergenceError` when its step budget runs out or lambda is
-    1 to rounding.  ``conv_init`` is J^neum*m_init, the ``conv`` of the
-    state the solve restarts from, so each fixed-point update costs exactly
-    one convolution.  The state's ``record`` counts the fixed-point updates
-    and names the path that finished the solve, and its ``conv`` is the last
-    convolution.  The solve runs in the :class:`Workspace` ``work``, a fresh
-    one when it is None: no step allocates an n-point array, m_init and
-    conv_init may be views of it, and the state holds views of it.  The
-    result is seed-dependent: only closeness to the seed is guaranteed, not
-    global uniqueness.
-    """
-    h = np.asarray(h, dtype=float)
-    m_init = np.asarray(m_init, dtype=float)
-    work = work or Workspace(kernel, grid.n)
-    (m, spare), scratch = work.iterates, work.scratch
-    if np.may_share_memory(m_init, m):
-        m, spare = spare, m
-    if np.abs(m_init, out=scratch).max() >= SATURATION_LIMIT:
-        raise SaturationError("seed already saturated")
-    np.copyto(m, m_init)
-    m, conv, res, record = _picard(params, kernel, grid, h, m, spare, scratch,
-                                   conv_init, work.conv, tol)
-    return _state_at(params, kernel, grid, h, m, conv, res, record)
+        f"fixed-point iteration did not reach {INNER_TOL} in {MAX_ITER} "
+        "steps", last=trace)

@@ -7,22 +7,20 @@ here is matrix-free: power iteration for the leading pair, a Lanczos
 recurrence on its weighted complement for the gap, and every inner product
 a sum against the state's cached quadrature weights.  Each loop keeps its
 vectors and its convolution's workspace for its whole run: no step
-allocates an n-point array.
+allocates an n-point array.  The leading pair of the extended centred state
+is also the off-center solve's Newton direction (:func:`asym.build_problem`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .grids import conv_workspace
 from .instanton import Instanton
-
-if TYPE_CHECKING:       # meso imports this module for its inner solve
-    from .meso import MesoState
+from .meso import MesoState
 
 _POWER_STEPS = 100_000    # power iteration steps for the leading pair
 _LAMBDA2_TOL = 1e-10      # relative Ritz residual bound that stops lambda2

@@ -13,7 +13,7 @@ floor sits well below the scale trends being measured.
 import numpy as np
 import pytest
 
-from mesostefan import antisym, asym, spectral, stefan
+from mesostefan import antisym, asym, meso, spectral, stefan
 from mesostefan.grids import build_kernel
 from mesostefan.instanton import compute_instanton
 from mesostefan.thermo import make_params
@@ -98,6 +98,42 @@ def asym_sweep(params2, kernel05, inst05, maximal_stable):
                                    macro=maximal_stable)
         for eps in EPS_SWEEP
     }
+
+
+def projected_map(problem, start, tol=1e-10, max_steps=60):
+    """The paper's projected map iterated from the quasi-solution's state
+    ``start``: h_{k+1} is the projected current integral of m_k, and
+    m_{k+1} the auxiliary fixed point at that fixed field, found by the one
+    loop with the extended pair (u*, lambda*).  Returns the trace of the
+    weighted increments N(h_{k+1} - h_k), which stops at the first below
+    ``tol``, and the last auxiliary state."""
+    newton = (problem.u_star_restricted, problem.u_star.lambda_,
+              start.quadrature)
+    trace = meso.IterationTrace(start.residual_norm)
+    h, state = start.h, start
+    while len(trace.increments) < max_steps:
+        h_next = asym.projected_field(problem, state.m)
+        at = meso.make_state(problem.params, problem.kernel, problem.res_grid,
+                             h_next, state.m, state.conv)
+        state, _ = meso.iterate(at, lambda m, out, scratch: h_next, newton)
+        trace.increments.append(problem.weight.norm(h_next - h))
+        h = h_next
+        if trace.increments[-1] < tol:
+            return trace, state
+    raise AssertionError(f"projected map: no increment below {tol}")
+
+
+@pytest.fixture(scope="session")
+def projected_map_sweep(params2, kernel05, inst05, maximal_stable):
+    """(trace, final state) of the paper's projected map at each scale, on
+    the off-center sweep's problems."""
+    out = {}
+    for eps in EPS_SWEEP:
+        problem, start = asym.build_problem(params2, kernel05, eps, J_STABLE,
+                                            X0, n0=N0, instanton=inst05,
+                                            macro=maximal_stable)
+        out[eps] = projected_map(problem, start)
+    return out
 
 
 @pytest.fixture(scope="session")

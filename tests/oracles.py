@@ -41,9 +41,9 @@ def convolve_reference(kernel, values, mode, fills=(0.0, 0.0)):
     """Convolution by ``np.convolve`` on the explicitly padded values.
 
     ``mode`` is ``"neumann"`` (mirror images about both end points, as in
-    :func:`mesostefan.grids.conv_values`), ``"free"`` (zeros) or
-    ``"filled"`` (the constants ``fills``, as in
-    :func:`mesostefan.grids.conv_values_filled`).
+    :func:`mesostefan.grids.conv_values`), ``"free"`` (zeros, as in
+    :func:`mesostefan.grids.conv_values_filled`) or ``"filled"`` (the
+    constants ``fills``).
     """
     k = kernel.half_points
     values = np.asarray(values, dtype=float)

@@ -129,7 +129,10 @@ def test_criterion_07_spectral_gap(spectral_sweep):
               f"({lams[0]:.5f} < {lams[2]:.5f} < 1)", ok)
 
 
-def test_criterion_08_geometric_convergence(stable_sweep, asym_sweep):
+def test_criterion_08_geometric_convergence(stable_sweep,
+                                            projected_map_sweep):
+    """The centred loop, and off center the paper's projected map, whose
+    weighted increments N(h_{k+1} - h_k) the conftest helper records."""
     ok = True
     worst_geo = 0.0
     for eps in EPS_SWEEP:
@@ -142,7 +145,7 @@ def test_criterion_08_geometric_convergence(stable_sweep, asym_sweep):
     worst_asym = 0.0
     for eps in EPS_SWEEP:
         limit = max(0.9, 5.0 * eps)
-        ratios = asym_sweep[eps].trace.ratios
+        ratios = projected_map_sweep[eps][0].ratios
         ok &= all(r <= limit for r in ratios)
         worst_asym = max(worst_asym, max(ratios))
     report(8, f"contraction after burn-in <= 0.9 with geometric mean "

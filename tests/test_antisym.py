@@ -285,8 +285,7 @@ def test_centred_solves_convolve_on_the_half_line(mode, params2, kernel05,
         n, trace = res.state.grid.n, res.trace
         power_steps = pairs[0].iterations
     half = (n + 1) // 2
-    assert sum(trace.picard_steps) == len(trace.increments) - 1
-    assert sizes == [(half, half, True)] * (1 + sum(trace.picard_steps)) \
+    assert sizes == [(half, half, True)] * len(trace.increments) \
         + [(half, half, False)] * (power_steps + 1)
 
 
@@ -362,29 +361,9 @@ def test_steps_are_single_updates_at_inner_tolerance(stable_sweep,
     for sweep in (stable_sweep, metastable_sweep):
         for eps in EPS_SWEEP:
             tr = sweep[eps].trace
-            n = len(tr.increments)
-            assert tr.inner_tols == [antisym.INNER_TOL] * n
-            assert tr.picard_steps == [1] * (n - 1) + [0]
-            assert tr.inner_paths == ["picard"] * n
-            assert min(tr.increments[:-1]) >= antisym.INNER_TOL \
+            assert min(tr.increments[:-1]) >= meso.INNER_TOL \
                 > tr.increments[-1]
             assert tr.residuals[1:] == tr.increments
-
-
-def test_loose_outer_tolerance_keeps_inner_residual(stable_sweep, params2,
-                                                    kernel05, inst05,
-                                                    maximal_stable,
-                                                    monkeypatch):
-    """asym.OUTER_TOL stops the off-center loop only: a loose one leaves a
-    centred solve as it is, at a residual below INNER_TOL."""
-    monkeypatch.setattr(asym, "OUTER_TOL", 1e-6)
-    res = solve_stable(params2, kernel05, 0.05, J_STABLE, ELL, n0=N0,
-                       instanton=inst05, macro=maximal_stable)
-    ref = stable_sweep[0.05]
-    assert res.trace == ref.trace
-    assert np.array_equal(res.state.m, ref.state.m)
-    assert np.array_equal(res.state.h, ref.state.h)
-    assert res.state.residual_norm < antisym.INNER_TOL
 
 
 def test_no_stop_on_inexact_pair(stable_sweep, metastable_sweep,
@@ -397,7 +376,7 @@ def test_no_stop_on_inexact_pair(stable_sweep, metastable_sweep,
     for res in [*stable_sweep.values(), *metastable_sweep.values(), flipped]:
         assert fixed_point_defect(res) == 0.0
         assert res.state.residual_norm == res.trace.increments[-1] \
-            < antisym.INNER_TOL
+            < meso.INNER_TOL
 
 
 def test_loop_stops_when_it_stops_contracting(params2, kernel05, inst05,
@@ -406,14 +385,14 @@ def test_loop_stops_when_it_stops_contracting(params2, kernel05, inst05,
     STALL_STEPS of them in a row that do not fall raise ConvergenceError
     with the trace; a smaller step budget runs out first."""
     args = (params2, kernel05, 0.1, J_STABLE, ELL)
-    monkeypatch.setattr(antisym, "INNER_TOL", 0.0)
+    monkeypatch.setattr(meso, "INNER_TOL", 0.0)
     with pytest.raises(ConvergenceError, match="stopped contracting") as info:
         solve_stable(*args, n0=N0, instanton=inst05, macro=maximal_stable)
     inc = info.value.last.increments
-    assert max(inc[-antisym.STALL_STEPS - 1:]) < 1e-14
-    assert all(b >= a for a, b in zip(inc[-antisym.STALL_STEPS - 1:],
-                                      inc[-antisym.STALL_STEPS:]))
-    monkeypatch.setattr(antisym, "MAX_ITER", 5)
+    assert max(inc[-meso.STALL_STEPS - 1:]) < 1e-14
+    assert all(b >= a for a, b in zip(inc[-meso.STALL_STEPS - 1:],
+                                      inc[-meso.STALL_STEPS:]))
+    monkeypatch.setattr(meso, "MAX_ITER", 5)
     with pytest.raises(ConvergenceError, match="in 5 steps") as info:
         solve_stable(*args, n0=N0, instanton=inst05, macro=maximal_stable)
     assert len(info.value.last.increments) == 5
@@ -423,15 +402,12 @@ def test_ratios_pair_with_increments_after_zero():
     """ratios[k - 1] is increments[k] / increments[k - 1] at every k, NaN
     after an exact-zero increment, and the trace file writes one row per
     step under the same header."""
-    tr = antisym.IterationTrace()
-    for inc in (0.5, 0.25, 0.0, 0.0, 1e-3):
-        tr.add_step(inc, 1e-13, antisym.INNER_TOL, 1, "picard")
+    tr = meso.IterationTrace(1e-13, [0.5, 0.25, 0.0, 0.0, 1e-3])
     assert tr.ratios[:2] == [0.5, 0.0]
     assert np.isnan(tr.ratios[2]) and np.isnan(tr.ratios[3])
     assert len(tr.ratios) == 4
     lines = tr.to_csv().splitlines()
-    assert lines[0] == ("k,increment,ratio,residual,inner_tol,picard_steps,"
-                        "inner_path")
+    assert lines[0] == "k,increment,ratio,residual"
     assert [line.split(",")[2] for line in lines[1:]] == \
         ["nan", "0.5", "0", "nan", "nan"]
 

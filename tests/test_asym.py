@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from conftest import EPS_SWEEP, J_STABLE, N0, X0
-from mesostefan import antisym, asym
+from mesostefan import antisym
 from mesostefan.asym import (admissibility_report, build_problem,
                              check_off_center, default_a_plus,
-                             projected_iterate)
+                             projected_field)
 from mesostefan.errors import (DomainError, GridError, InfeasibleError,
                                SaturationError)
 from mesostefan.grids import Grid, conv_values
-from mesostefan.meso import make_state
+from mesostefan.meso import INNER_TOL, make_state
 from mesostefan.spectral import leading_eigenpair
 
 
@@ -37,12 +37,6 @@ def m_star(params2, kernel05, inst05, maximal_stable):
 def _m_eps(prob, m_star):
     """m* restricted to the problem's grid: the quasi-solution's m."""
     return m_star[prob.eps][:prob.res_grid.n]
-
-
-def _projected_step(prob, m):
-    """One projected step from m and a fresh convolution of it."""
-    return projected_iterate(prob, m, conv_values(prob.kernel, prob.res_grid,
-                                                  m))
 
 
 def test_problem_preconditions(params2, kernel05):
@@ -75,23 +69,37 @@ def test_check_matches_problem_errors(params2, kernel05, inst05,
     assert np.array_equal(res.points, problem01.res_grid.points)
 
 
-def test_trace_records_weighted_increments(asym_sweep, params2, kernel05,
-                                           m_star):
-    """The projected loop records into IterationTrace: weighted increments
-    below OUTER_TOL at the end, the quasi-solution's residual first, then
-    one residual and one inner tolerance per step."""
+def test_trace_records_weighted_increments(asym_sweep, projected_map_sweep,
+                                           params2, kernel05, m_star):
+    """The off-center loop records like the centred one: the
+    quasi-solution's residual first, then one residual per step, the last
+    below INNER_TOL and every other one above it.  The paper's projected
+    map from the same start records weighted increments N(h_{k+1} - h_k),
+    the last below 1e-10, and reaches the loop's state to 1e-9."""
     for eps in EPS_SWEEP:
         res = asym_sweep[eps]
         prob = res.problem
         tr = res.trace
-        assert tr.increments[-1] < asym.OUTER_TOL
-        assert all(inc >= asym.OUTER_TOL for inc in tr.increments[:-1])
         assert tr.residuals[0] == make_state(
             params2, kernel05, prob.res_grid, prob.h_eps,
             _m_eps(prob, m_star)).residual_norm
-        assert len(tr.residuals) == len(tr.increments) + 1
-        assert max(tr.residuals[1:]) <= antisym.INNER_TOL
-        assert tr.inner_tols == [antisym.INNER_TOL] * len(tr.increments)
+        assert tr.residuals[1:] == tr.increments
+        assert min(tr.increments[:-1]) >= INNER_TOL > tr.increments[-1]
+        assert res.state.residual_norm == tr.increments[-1]
+        weighted, paper = projected_map_sweep[eps]
+        assert weighted.increments[-1] < 1e-10
+        assert min(weighted.increments[:-1]) >= 1e-10
+        assert np.max(np.abs(paper.m - res.state.m)) < 1e-9
+        assert np.max(np.abs(paper.h - res.state.h)) < 1e-9
+
+
+def test_field_is_the_projected_current_integral(asym_sweep):
+    """The returned field is the projected current integral of the returned
+    magnetization bitwise: the loop stops on the pair it measured."""
+    for eps in EPS_SWEEP:
+        res = asym_sweep[eps]
+        assert np.array_equal(res.state.h,
+                              projected_field(res.problem, res.state.m))
 
 
 def test_quasi_solution_residual(asym_sweep):
@@ -210,7 +218,7 @@ def test_seed_weighted_distance(asym_sweep, m_star):
     consts = []
     for eps in EPS_SWEEP:
         prob = asym_sweep[eps].problem
-        h0, _ = _projected_step(prob, _m_eps(prob, m_star))
+        h0 = projected_field(prob, _m_eps(prob, m_star))
         consts.append(prob.weight.norm(h0 - prob.h_eps) / eps)
     assert max(consts) < 1.0
     assert max(consts) / min(consts) < 2.0
@@ -233,29 +241,30 @@ def test_quasi_solution_state(params2, kernel05, inst05, maximal_stable,
 
 
 def test_projected_step_checks_the_mobility_floor(problem01, m_star):
-    """The projected step integrates the current law like the antisymmetric
+    """The projected field integrates the current law like the antisymmetric
     map: a mobility below MOBILITY_FLOOR is a SaturationError."""
     m = _m_eps(problem01, m_star).copy()
     m[0] = np.sqrt(1.0 - 0.5 * antisym.MOBILITY_FLOOR / problem01.params.beta)
     with pytest.raises(SaturationError, match="mobility below floor"):
-        _projected_step(problem01, m)
+        projected_field(problem01, m)
 
 
 def test_projection_annihilates_component(problem01, m_star):
-    h0, state = _projected_step(problem01, _m_eps(problem01, m_star))
+    h0 = projected_field(problem01, _m_eps(problem01, m_star))
     u = problem01.u_star_restricted
     du = problem01.res_grid.spacing
     ortho = np.trapezoid(h0 * u, dx=du)
     assert abs(ortho) < 1e-12 * np.max(np.abs(h0)) * np.max(u) * u.size * du
 
 
-def test_weighted_contraction(asym_sweep):
+def test_weighted_contraction(projected_map_sweep):
+    """The paper's projected map contracts in the weighted norm."""
     for eps in EPS_SWEEP:
-        res = asym_sweep[eps]
+        ratios = projected_map_sweep[eps][0].ratios
         limit = max(0.9, 5.0 * eps)
-        assert all(r <= limit for r in res.trace.ratios)
+        assert all(r <= limit for r in ratios)
         # the contraction constant itself scales like eps
-        assert res.trace.ratios[0] < 1.0 * eps
+        assert ratios[0] < 1.0 * eps
 
 
 def test_field_zero_location(asym_sweep, kernel05):
@@ -307,7 +316,7 @@ def test_eigenvector_stability_under_restriction(asym_sweep):
 def test_admissibility_report(asym_sweep, m_star):
     res = asym_sweep[0.1]
     prob = res.problem
-    h0, _ = _projected_step(prob, _m_eps(prob, m_star))
+    h0 = projected_field(prob, _m_eps(prob, m_star))
     rep = admissibility_report(prob, h0)
     assert rep["weighted_ok"] and rep["derivative_ok"] \
         and rep["window_derivative_ok"]

@@ -248,15 +248,16 @@ def test_zero_n0_still_solves(tmp_path):
     assert row.iters > 0 and row.error == ""
 
 
-TRACE_HEADER = "k,increment,ratio,residual,inner_tol,picard_steps,inner_path"
+TRACE_HEADER = "k,increment,ratio,residual"
 
 
 def _solve_records_are_picard(trace):
-    """Every step's auxiliary solve took a whole number of Picard steps, at
-    least one somewhere, and none stalled into the projected path."""
-    steps = [int(line.split(",")[5]) for line in trace[1:]]
-    assert min(steps) >= 0 and sum(steps) > 0
-    assert {line.split(",")[6] for line in trace[1:]} == {"picard"}
+    """Each step's residual column is the previous step's increment, and
+    only the last increment is below the loop's tolerance 1e-12."""
+    rows = [line.split(",") for line in trace[1:]]
+    assert [r[3] for r in rows[1:]] == [r[1] for r in rows[:-1]]
+    increments = [float(r[1]) for r in rows]
+    assert min(increments[:-1]) >= 1e-12 > increments[-1]
 
 
 def test_solve_command_round_trip(tmp_path):
@@ -273,7 +274,7 @@ def test_solve_command_round_trip(tmp_path):
     assert summary["residual"] < 1e-8
     trace = (out / "trace.csv").read_text().splitlines()
     assert trace[0] == TRACE_HEADER
-    assert float(trace[-1].split(",")[4]) == 1e-12
+    assert len(trace) - 1 == summary["iterations"]
     _solve_records_are_picard(trace)
 
 
@@ -499,7 +500,8 @@ def test_non_package_error_becomes_row(tmp_path, monkeypatch, exc_type):
     ok = json.loads((out / "eps_0.1" / "row.json").read_text())
     bad = json.loads((out / "eps_0.05" / "row.json").read_text())
     assert "error" not in ok and ok["iters"] > 0
-    assert ok["picard_steps"] > 0 and ok["projected_solves"] == 0
+    assert ok["picard_steps"] == ok["iters"] - 1 > 0
+    assert "projected_solves" not in ok
     assert bad["iters"] == -EXIT_NUMERICAL
     assert bad["error"] == f"{exc_type.__name__}: injected"
     assert "picard_steps" not in bad
@@ -522,45 +524,25 @@ def test_non_package_error_in_shared_inputs_fills_rows(monkeypatch):
                                          ("metastable", 0.02, 0.0),
                                          ("asym", -0.02, 0.2)])
 def test_row_json_records_inner_solves(tmp_path, mode, j, x0):
-    """row.json totals the Picard steps of the row's auxiliary solves, off
-    center including the extended solve's, and counts projected solves;
-    sweep.csv keeps its columns."""
+    """row.json totals the fixed-point updates of the row's loops, one fewer
+    than the loop's steps: iters - 1 centred, off center with the extended
+    solve's added; sweep.csv keeps its columns."""
     out = tmp_path / mode
     cfg = RunConfig(beta=2.0, j=j, x0=x0, mode=mode, eps_list=[0.1], n0=2,
                     outdir=str(out))
     row, res = cli._solve_one(cfg, 0.1, cli._shared_inputs(cfg))
-    traces = [res.trace] + ([res.problem.extended_trace] if mode == "asym"
-                            else [])
-    assert row.picard_steps == sum(sum(t.picard_steps) for t in traces) > 0
-    assert row.projected_solves == 0
-    assert all(t.inner_paths == ["picard"] * len(t.increments)
-               for t in traces)
+    extra = len(res.problem.extended_trace.increments) - 1 \
+        if mode == "asym" else 0
+    assert row.picard_steps == row.iters - 1 + extra
+    assert row.iters == len(res.trace.increments) > 1
     cfg_file = tmp_path / "cfg.txt"
     cfg_file.write_text(f"beta = 2.0\nj = {j}\nx0 = {x0}\nmode = {mode}\n"
                         f"eps_list = 0.1\nn0 = 2\noutdir = {out}\n")
     assert main(["sweep", "--config", str(cfg_file)]) == EXIT_OK
     record = json.loads((out / "eps_0.1" / "row.json").read_text())
     assert record["picard_steps"] == row.picard_steps
-    assert record["projected_solves"] == 0
+    assert "projected_solves" not in record
     assert (out / "sweep.csv").read_text().splitlines()[0] == SWEEP_HEADER
-
-
-def test_outer_tol_stops_only_the_projected_loop(monkeypatch):
-    """asym.OUTER_TOL, read when the loop runs, stops the projected loop,
-    which takes fewer steps at a looser one; the extended centred solve
-    stops on its residual and does not read it."""
-    steps, extended = {}, {}
-    cfg = RunConfig(beta=2.0, j=-0.02, x0=0.2, mode="asym", eps_list=[0.05],
-                    n0=2)
-    for tol in (1e-6, 1e-10):
-        monkeypatch.setattr(asym, "OUTER_TOL", tol)
-        _, res = cli._solve_one(cfg, 0.05, cli._shared_inputs(cfg))
-        assert res.trace.increments[-1] < tol
-        steps[tol] = len(res.trace.increments)
-        extended[tol] = res.problem.extended_trace
-    assert steps[1e-6] < steps[1e-10]
-    assert extended[1e-6] == extended[1e-10]
-    assert extended[1e-6].increments[-1] < antisym.INNER_TOL
 
 
 @pytest.mark.parametrize("errors, code", [

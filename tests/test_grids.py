@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mesostefan import grids
 from mesostefan.errors import GridError
 from mesostefan.grids import (BLOCK, KERNEL_SHAPES, POINT_CAP, TAP_CAP, Grid,
                               block_size, build_grid, build_kernel,
@@ -148,7 +149,7 @@ def test_free_step_midpoint():
     k = build_kernel(0.05)
     f = np.where(g.points > 0, 1.0, 0.0)
     f[g.center_index] = 0.5
-    out = conv_values_filled(k, f, 0.0, 0.0)
+    out = conv_values_filled(k, f)
     # oracle: explicit weighted sum at x = 0
     c = g.center_index
     kk = k.half_points
@@ -163,7 +164,7 @@ def test_free_step_midpoint():
 def test_free_mode_zero_outside():
     g = build_grid(0.1, 1.0, 1.0, 0.05)
     k = build_kernel(0.05)
-    out = conv_values_filled(k, np.ones(g.n), 0.0, 0.0)
+    out = conv_values_filled(k, np.ones(g.n))
     assert out[0] < 1.0  # boundary sees the zero extension
     assert abs(out[g.center_index] - 1.0) < 1e-12
 
@@ -324,10 +325,10 @@ def _block_sizes(kernel, mode):
 
 
 def _blocked(kernel, values, mode, fills):
-    if mode == "filled":
-        return conv_values_filled(kernel, values, *fills)
+    if mode == "filled":    # the blocked product's constant pads
+        return grids._blocked_convolution(kernel, values, *fills, None)
     if mode == "free":
-        return conv_values_filled(kernel, values, 0.0, 0.0)
+        return conv_values_filled(kernel, values)
     return conv_values(kernel, _line(values.size, kernel.spacing), values)
 
 
@@ -397,7 +398,7 @@ def test_toeplitz_slabs_are_read_only(spacing):
 def test_convolution_into_a_workspace_is_the_allocating_one(shape, spacing,
                                                              block):
     """A convolution into a caller's workspace has the bits of the one that
-    allocates, in every padding mode and when the workspace is used again,
+    allocates, reflected or zero-filled and when the workspace is used again,
     on the fitted 40-point and the 64-point block."""
     kernel = build_kernel(spacing, shape)
     assert block_size(kernel.weights.size) == block
@@ -408,14 +409,11 @@ def test_convolution_into_a_workspace_is_the_allocating_one(shape, spacing,
             assert np.array_equal(
                 conv_values(kernel, _line(n, spacing), values, work),
                 conv_values(kernel, _line(n, spacing), values))
-            for fills in ((0.0, 0.0), (-0.9, 0.8)):
-                out = conv_values_filled(kernel, values, *fills, work)
-                assert np.shares_memory(out, work)
-                assert np.array_equal(
-                    out, conv_values_filled(kernel, values, *fills))
+            out = conv_values_filled(kernel, values, work)
+            assert np.shares_memory(out, work)
+            assert np.array_equal(out, conv_values_filled(kernel, values))
         with pytest.raises(GridError, match="workspace"):
-            conv_values_filled(kernel, x, 0.0, 0.0,
-                               conv_workspace(kernel, n + block))
+            conv_values_filled(kernel, x, conv_workspace(kernel, n + block))
 
 
 def test_convolution_leaves_input_untouched():
@@ -425,6 +423,5 @@ def test_convolution_leaves_input_untouched():
     values.setflags(write=False)
     before = values.copy()
     conv_values(kernel, g, values)
-    for fills in ((0.0, 0.0), (-1.0, 1.0)):
-        conv_values_filled(kernel, values, *fills)
+    conv_values_filled(kernel, values)
     assert np.array_equal(values, before)

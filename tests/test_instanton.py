@@ -6,10 +6,11 @@ from scipy.stats import linregress
 
 from mesostefan import instanton
 from mesostefan.errors import ConvergenceError, DomainError, GridError
-from mesostefan.grids import build_kernel, conv_values_filled
+from mesostefan.grids import build_kernel
 from mesostefan.instanton import (apply_transfer, compute_instanton,
                                   threshold_abscissa)
 from mesostefan.thermo import make_params, mobility
+from oracles import convolve_reference
 
 
 def test_profile_basics(inst05, params2):
@@ -35,24 +36,27 @@ def test_profile_is_bitwise_odd(inst05, inst_fine, params2, kernel05):
         assert inst.profile[c] == 0.0 and not np.signbit(inst.profile[c])
         assert np.array_equal(inst.p_bar, inst.p_bar[::-1])
     mb = params2.m_beta
-    image = np.tanh(params2.beta * conv_values_filled(kernel05, inst05.profile,
-                                                      -mb, mb))
+    image = np.tanh(params2.beta * convolve_reference(
+        kernel05, inst05.profile, "filled", (-mb, mb)))
     inside = np.abs(inst05.x) <= inst05.half_width - 1.0
     assert np.max(np.abs(image - inst05.profile)[inside]) < 1e-11
 
 
 def test_iterates_on_the_half_line(params2, kernel05, monkeypatch):
-    """Every convolution of the profile's iteration runs on [0, X]."""
-    sizes = []
-    real = instanton.conv_values_filled
+    """Every convolution of the profile's iteration runs on the odd grid
+    over [0, X], into one workspace."""
+    calls = []
+    real = instanton.conv_values
 
-    def recorded(kernel, values, *args):
-        sizes.append(values.size)
-        return real(kernel, values, *args)
+    def recorded(kernel, grid, values, work):
+        calls.append((values.size, grid.n, grid.odd, grid.b, id(work)))
+        return real(kernel, grid, values, work)
 
-    monkeypatch.setattr(instanton, "conv_values_filled", recorded)
+    monkeypatch.setattr(instanton, "conv_values", recorded)
     inst = compute_instanton(params2, kernel05)
-    assert set(sizes) == {inst.center_index + 1}
+    n = inst.center_index + 1
+    assert {c[:4] for c in calls} == {(n, n, True, inst.half_width)}
+    assert len({c[4] for c in calls}) == 1
 
 
 def test_profile_reaches_equilibrium_value(inst05, params2):
@@ -73,7 +77,7 @@ def test_saturated_m_beta_refused_before_iterating(beta, monkeypatch):
     reached 0 and mean and norm_sq came out NaN, and at 1e300 the
     iteration ran its whole step budget."""
     calls = []
-    monkeypatch.setattr(instanton, "conv_values_filled",
+    monkeypatch.setattr(instanton, "conv_values",
                         lambda *args: calls.append(1))
     with pytest.raises(DomainError, match="m_beta is 1 to rounding"):
         compute_instanton(make_params(beta), build_kernel(0.05))
@@ -173,13 +177,13 @@ def test_one_convolution_per_step(params2, kernel05, monkeypatch, max_iter):
     """The residual's image of each iterate is the next step's target, so k
     steps convolve k + 1 times (the seed's target plus one per step)."""
     calls = []
-    real = instanton.conv_values_filled
+    real = instanton.conv_values
 
     def counted(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(instanton, "conv_values_filled", counted)
+    monkeypatch.setattr(instanton, "conv_values", counted)
     monkeypatch.setattr(instanton, "_MAX_ITER", max_iter)
     with pytest.raises(ConvergenceError):
         compute_instanton(params2, kernel05)
@@ -191,13 +195,13 @@ def test_plain_picard_convolution_budget(params2, kernel05, monkeypatch):
     per step: at most 25 convolutions to tol 1e-12 (the damped iteration with
     factor 0.5 took 62)."""
     calls = []
-    real = instanton.conv_values_filled
+    real = instanton.conv_values
 
     def counted(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(instanton, "conv_values_filled", counted)
+    monkeypatch.setattr(instanton, "conv_values", counted)
     inst = compute_instanton(params2, kernel05)
     assert inst.residual < 1e-12
     assert len(calls) <= 25

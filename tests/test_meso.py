@@ -1,4 +1,6 @@
-"""Mesoscopic state machinery: start state, auxiliary solve, linearization."""
+"""Mesoscopic state machinery: start state, the fixed-point loop,
+linearization.  The auxiliary solve at a fixed field h is the one loop
+(:func:`mesostefan.meso.iterate`) run with h as its field."""
 
 from dataclasses import replace
 
@@ -7,9 +9,9 @@ import pytest
 from scipy.stats import linregress
 
 from mesostefan import antisym, asym, meso, spectral
-from mesostefan.errors import ConvergenceError, SaturationError
+from mesostefan.errors import ConvergenceError, DomainError, SaturationError
 from mesostefan.grids import build_grid, conv_values
-from mesostefan.meso import InnerRecord, exact_state, inner_solve, make_state
+from mesostefan.meso import exact_state, iterate, make_state
 from mesostefan.thermo import mobility
 
 from conftest import ELL, J_META, J_STABLE, X0
@@ -20,12 +22,20 @@ def wide_grid():
     return build_grid(0.1, 2.0, 2.0, 0.05)
 
 
+def inner_solve(params, kernel, grid, h, m, conv=None, newton=None):
+    """The auxiliary fixed point m = tanh(beta (J^neum*m + h)) at the fixed
+    field h, by the one loop from (h, m); ``conv`` is J^neum*m when the
+    caller has it.  Returns the state and the loop's trace."""
+    start = make_state(params, kernel, grid, h, m, conv)
+    return iterate(start, lambda m, out, scratch: start.h, newton)
+
+
 @pytest.fixture(scope="module")
 def instanton_state(params2, kernel05, inst05, wide_grid):
     """Zero-field critical point: interface profile on a reflecting domain."""
     m = np.interp(wide_grid.points, inst05.x, inst05.profile)
-    st = inner_solve(params2, kernel05, wide_grid, np.zeros(wide_grid.n), m,
-                     conv_values(kernel05, wide_grid, m))
+    st, _ = inner_solve(params2, kernel05, wide_grid, np.zeros(wide_grid.n),
+                        m, conv_values(kernel05, wide_grid, m))
     return st
 
 
@@ -111,15 +121,15 @@ def test_weighted_self_adjointness(instanton_state):
 def test_inner_solve_fixed_point_seed(params2, kernel05, wide_grid):
     m0 = 0.6 * np.tanh(wide_grid.points / 3.0)
     start = exact_state(params2, kernel05, wide_grid, m0)
-    st = inner_solve(params2, kernel05, wide_grid, start.h, m0, start.conv)
+    st, trace = iterate(start, lambda m, out, scratch: start.h)
     assert np.array_equal(st.m, m0)   # already below tolerance: unchanged
-    assert st.record == InnerRecord(0, "picard")
+    assert trace.increments == [start.residual_norm]
 
 
 def test_inner_solve_reuses_last_convolution(params2, kernel05, wide_grid,
                                              monkeypatch):
-    """Seeded at an exact fixed point, the start and the solve convolve once
-    between them: the state's weight and residual come from the Picard
+    """Seeded at an exact fixed point, the start and the loop convolve once
+    between them: the state's weight and residual come from the loop
     step's own field argument."""
     m0 = 0.6 * np.tanh(wide_grid.points / 3.0)
     calls = []
@@ -132,7 +142,7 @@ def test_inner_solve_reuses_last_convolution(params2, kernel05, wide_grid,
     monkeypatch.setattr(meso, "conv_values", counted)
     start = exact_state(params2, kernel05, wide_grid, m0)
     h = start.h
-    st = inner_solve(params2, kernel05, wide_grid, h, m0, start.conv)
+    st, _ = iterate(start, lambda m, out, scratch: h)
     assert len(calls) == 1
     monkeypatch.undo()
     ref = meso.make_state(params2, kernel05, wide_grid, h, m0)
@@ -152,8 +162,8 @@ def test_inner_solve_perturbed_field_lipschitz(params2, kernel05, wide_grid,
     bump = 0.01 * np.sin(np.pi * wide_grid.points / wide_grid.b) \
         * np.exp(-(wide_grid.points / 8.0) ** 2)
     bump = 0.5 * (bump - bump[::-1])
-    st2 = inner_solve(params2, kernel05, wide_grid, st.h + bump, st.m,
-                      st.conv)
+    st2, _ = inner_solve(params2, kernel05, wide_grid, st.h + bump, st.m,
+                         st.conv)
     dev = np.max(np.abs(st2.m - st.m))
     assert dev > 0.0
     assert dev / 0.01 < 10.0     # finite measured Lipschitz constant
@@ -163,8 +173,7 @@ def test_inner_solve_antisymmetry_preserved(params2, kernel05, wide_grid):
     x = wide_grid.points
     m0 = 0.8 * np.tanh(x / 2.0)
     h = 0.005 * np.sin(np.pi * x / wide_grid.b)
-    st = inner_solve(params2, kernel05, wide_grid, h, m0,
-                     conv_values(kernel05, wide_grid, m0))
+    st, _ = inner_solve(params2, kernel05, wide_grid, h, m0)
     assert np.max(np.abs(st.m + st.m[::-1])) < 1e-10
 
 
@@ -175,8 +184,8 @@ def test_inner_solve_exponential_locality(params2, kernel05, inst05):
     start = exact_state(params2, kernel05, grid, m0)
     h0 = start.h
     bump = 0.01 * np.exp(-((grid.points - 10.0) / 0.5) ** 2)
-    st1 = inner_solve(params2, kernel05, grid, h0, m0, start.conv)
-    st2 = inner_solve(params2, kernel05, grid, h0 + bump, m0, start.conv)
+    st1, _ = inner_solve(params2, kernel05, grid, h0, m0, start.conv)
+    st2, _ = inner_solve(params2, kernel05, grid, h0 + bump, m0, start.conv)
     diff = np.abs(st2.m - st1.m)
     dist = np.abs(grid.points - 10.0)
     sel = (dist > 2.0) & (dist < 12.0) & (diff > 1e-14)
@@ -186,25 +195,19 @@ def test_inner_solve_exponential_locality(params2, kernel05, inst05):
 
 
 def test_inner_solve_saturation(params2, kernel05, wide_grid):
+    """An iterate driven to |m| = 1 meets the current integral's mobility
+    floor on the next step: SaturationError."""
     z = np.zeros(wide_grid.n)
-    with pytest.raises(SaturationError):
-        inner_solve(params2, kernel05, wide_grid, np.full(wide_grid.n, 30.0),
-                    z, z)
+    start = make_state(params2, kernel05, wide_grid, z, z)
 
+    def field(m, out, scratch):
+        h = antisym.current_integral(params2, wide_grid, m, 0.1, J_STABLE,
+                                     wide_grid.center_index, out, scratch)
+        h += 30.0
+        return h
 
-@pytest.fixture
-def switches(monkeypatch):
-    """Grid sizes of the leading pairs computed by the package, one per
-    switch from plain Picard iteration to recursive projection."""
-    calls = []
-    pair = spectral.leading_eigenpair
-
-    def counted(state, *args):
-        calls.append(state.grid.n)
-        return pair(state, *args)
-
-    monkeypatch.setattr(spectral, "leading_eigenpair", counted)
-    return calls
+    with pytest.raises(SaturationError, match="mobility below floor"):
+        iterate(start, field)
 
 
 @pytest.fixture
@@ -222,29 +225,33 @@ def convolutions(monkeypatch):
 
 
 def _pushed_along_slow_mode(res):
-    """The converged state and its solution pushed by 1e-3 u (sup norm)."""
+    """The converged state, its leading pair as a Newton direction
+    (u, lambda, weights 1/p) and its solution pushed by 1e-3 u (sup norm)."""
     st = res.state
     pair = spectral.leading_eigenpair(st)
-    return st, pair, st.m + 1e-3 * pair.u / np.max(np.abs(pair.u))
+    newton = (pair.u, pair.lambda_, st.quadrature)
+    return st, newton, st.m + 1e-3 * pair.u / np.max(np.abs(pair.u))
 
 
 @pytest.mark.parametrize("eps,n", [(0.025, 1601), (0.0025, 16001)],
                          ids=["n1601", "n16001"])
 def test_inner_solve_stall_converges(params2, kernel05, inst05, maximal_stable,
-                                     switches, convolutions, eps, n):
-    """A push along the 1 - C eps interface mode stalls the Picard iteration;
-    recursive projection finishes the solve at any size, in at most 35
-    convolutions, the start's and the leading pair's included."""
+                                     convolutions, monkeypatch, eps, n):
+    """A push along the 1 - C eps interface mode stalls plain Picard
+    iteration: after 35 steps its residual falls by less than 1% in 5.  The
+    Newton direction along that mode finishes the solve at any size in at
+    most 35 convolutions, the start's included."""
     res = antisym.solve_stable(params2, kernel05, eps, -0.02, 1.0, n0=2,
                                instanton=inst05, macro=maximal_stable)
-    st, _, m0 = _pushed_along_slow_mode(res)
-    switches.clear()
-    convolutions.clear()
-    st2 = inner_solve(params2, kernel05, st.grid, st.h, m0,
-                      meso.conv_values(kernel05, st.grid, m0))
+    st, newton, m0 = _pushed_along_slow_mode(res)
     assert st.grid.n == n
-    assert switches == [n]
-    assert st2.record.path == "projected"
+    monkeypatch.setattr(meso, "MAX_ITER", 35)
+    with pytest.raises(ConvergenceError, match="did not reach") as info:
+        inner_solve(params2, kernel05, st.grid, st.h, m0)
+    plain = info.value.last.increments
+    assert plain[-1] > 0.99 * plain[-6]
+    convolutions.clear()
+    st2, _ = inner_solve(params2, kernel05, st.grid, st.h, m0, newton=newton)
     assert len(convolutions) <= 35
     assert st2.residual_norm < 1e-12
     assert make_state(params2, kernel05, st.grid, st.h,
@@ -253,72 +260,68 @@ def test_inner_solve_stall_converges(params2, kernel05, inst05, maximal_stable,
 
 
 def test_inner_solve_metastable_push_converges(params2, kernel05,
-                                               metastable_sweep, switches):
+                                               metastable_sweep):
     """On the metastable branch the interface mode grows under Picard
-    iteration (lambda > 1); the projection turns it back to the fixed
-    point."""
-    st, pair, m0 = _pushed_along_slow_mode(metastable_sweep[0.025])
-    assert pair.lambda_ > 1.0
-    switches.clear()
-    st2 = inner_solve(params2, kernel05, st.grid, st.h, m0,
-                      conv_values(kernel05, st.grid, m0))
-    assert switches == [st.grid.n]
-    assert st2.record.path == "projected"
+    iteration (lambda > 1); the Newton direction turns it back to the
+    fixed point."""
+    st, newton, m0 = _pushed_along_slow_mode(metastable_sweep[0.025])
+    assert newton[1] > 1.0
+    st2, _ = inner_solve(params2, kernel05, st.grid, st.h, m0, newton=newton)
     assert st2.residual_norm < 1e-12
     assert np.max(np.abs(st2.m - st.m)) <= 1e-8
 
 
 @pytest.mark.parametrize("eps,half,n", [(0.05, 1.0, 801), (0.01, 3.0, 12001)],
                          ids=["n801", "n12001"])
-def test_inner_solve_without_fixed_point_saturates(params2, kernel05, inst05,
-                                                   switches, eps, half, n):
+def test_loop_without_fixed_point_stops_contracting(params2, kernel05, inst05,
+                                                    eps, half, n):
     """A constant field drives the interface out of the domain: there is no
-    fixed point near the seed, and the stall ends in SaturationError after
-    one switch to the projection."""
+    fixed point near the seed, and the loop, plain or with the Newton
+    direction of the seed's exact state, raises ConvergenceError once
+    STALL_STEPS residuals in a row have not fallen."""
     grid = build_grid(eps, half, half, 0.05)
     assert grid.n == n
     m0 = np.interp(grid.points, inst05.x, inst05.profile)
-    with pytest.raises(SaturationError):
-        inner_solve(params2, kernel05, grid, np.full(grid.n, 0.002), m0,
-                    conv_values(kernel05, grid, m0))
-    assert switches == [n]
+    pair = spectral.leading_eigenpair(exact_state(params2, kernel05, grid, m0))
+    h = np.full(grid.n, 0.002)
+    start = make_state(params2, kernel05, grid, h, m0)
+    for newton in (None, (pair.u, pair.lambda_, start.quadrature)):
+        with pytest.raises(ConvergenceError, match="stopped contracting") \
+                as info:
+            iterate(start, lambda m, out, scratch: h, newton)
+        assert len(info.value.last.increments) < 40
 
 
 def test_inner_solve_without_gap_raises(params2, kernel05, stable_sweep,
-                                        monkeypatch):
-    """A leading eigenvalue equal to 1 leaves no projected step: the solve
-    raises ConvergenceError carrying the iterate it stopped at."""
-    st, pair, m0 = _pushed_along_slow_mode(stable_sweep[0.025])
-    monkeypatch.setattr(spectral, "leading_eigenpair",
-                        lambda state, tol: replace(pair, lambda_=1.0))
-    with pytest.raises(ConvergenceError, match="1 to rounding") as info:
-        inner_solve(params2, kernel05, st.grid, st.h, m0,
-                    conv_values(kernel05, st.grid, m0))
-    last = info.value.last
-    assert last.shape == m0.shape
-    assert 0 < np.max(np.abs(last - st.m)) < np.max(np.abs(m0 - st.m))
+                                        convolutions):
+    """A leading eigenvalue equal to 1 leaves no Newton step: the loop
+    raises before its first step."""
+    st, (u, _, weights), m0 = _pushed_along_slow_mode(stable_sweep[0.025])
+    start = make_state(params2, kernel05, st.grid, st.h, m0)
+    convolutions.clear()
+    with pytest.raises(DomainError, match="no Newton step"):
+        iterate(start, lambda m, out, scratch: st.h, (u, 1.0, weights))
+    assert convolutions == []
 
 
 def test_inner_solve_budget_carries_last_iterate(params2, kernel05,
                                                  stable_sweep, monkeypatch):
-    """An exhausted step budget raises ConvergenceError carrying the last
-    iterate, which the steps taken have moved toward the fixed point."""
-    st, _, m0 = _pushed_along_slow_mode(stable_sweep[0.025])
+    """An exhausted step budget raises ConvergenceError carrying the trace,
+    whose steps have lowered the residual toward the fixed point."""
+    st, newton, m0 = _pushed_along_slow_mode(stable_sweep[0.025])
     monkeypatch.setattr(meso, "MAX_ITER", 8)
-    with pytest.raises(ConvergenceError, match="stuck") as info:
-        inner_solve(params2, kernel05, st.grid, st.h, m0,
-                    conv_values(kernel05, st.grid, m0))
-    r0 = make_state(params2, kernel05, st.grid, st.h, m0).residual_norm
-    r8 = make_state(params2, kernel05, st.grid, st.h,
-                    info.value.last).residual_norm
-    assert r8 < 0.1 * r0
+    with pytest.raises(ConvergenceError, match="in 8 steps") as info:
+        inner_solve(params2, kernel05, st.grid, st.h, m0, newton=newton)
+    trace = info.value.last
+    assert len(trace.increments) == 8
+    assert trace.increments[-1] < 0.1 * trace.start_residual
 
 
 def test_continuation_path(params2, kernel05, wide_grid, instanton_state):
     """The solve reaches a distant target field from the seed."""
     st = instanton_state
     target = st.h + 0.05 * np.tanh(wide_grid.points / 5.0)
-    m = inner_solve(params2, kernel05, wide_grid, target, st.m, st.conv).m
+    m = inner_solve(params2, kernel05, wide_grid, target, st.m, st.conv)[0].m
     assert make_state(params2, kernel05, wide_grid, target,
                       m).residual_norm < 1e-12
     assert np.max(np.abs(m - st.m)) < 0.5
@@ -326,40 +329,40 @@ def test_continuation_path(params2, kernel05, wide_grid, instanton_state):
 
 def test_picard_record_counts_updates(params2, kernel05, wide_grid,
                                       instanton_state, convolutions):
-    """The record counts the fixed-point updates: one convolution each, plus
-    the start's, from which the first residual is measured."""
+    """The trace has one entry per step and every step but the last makes
+    one update: one convolution each, plus the start's, from which the
+    first residual is measured."""
     st = instanton_state
     bump = 0.01 * np.sin(np.pi * wide_grid.points / wide_grid.b)
     convolutions.clear()
-    st2 = inner_solve(params2, kernel05, wide_grid, st.h + bump, st.m,
-                      meso.conv_values(kernel05, wide_grid, st.m))
-    assert st2.record.path == "picard"
-    assert st2.record.picard_steps == len(convolutions) - 1 > 0
+    _, trace = inner_solve(params2, kernel05, wide_grid, st.h + bump, st.m,
+                           meso.conv_values(kernel05, wide_grid, st.m))
+    assert len(trace.increments) == len(convolutions) > 1
 
 
 def test_inner_solve_from_given_convolution(params2, kernel05, wide_grid,
                                             instanton_state, convolutions):
-    """Given the start state's J^neum*m_init, the solve makes one convolution
-    per update and returns the same state as from a fresh convolution of
-    m_init, whose conv is its last convolution."""
+    """Given the start state's J^neum*m, the loop makes one convolution per
+    update and returns the same state as from a fresh convolution of the
+    start, whose conv is its last convolution."""
     st = instanton_state
     bump = 0.01 * np.sin(np.pi * wide_grid.points / wide_grid.b)
-    ref = inner_solve(params2, kernel05, wide_grid, st.h + bump, st.m,
-                      conv_values(kernel05, wide_grid, st.m))
+    ref, ref_trace = inner_solve(params2, kernel05, wide_grid, st.h + bump,
+                                 st.m)
     convolutions.clear()
-    st2 = inner_solve(params2, kernel05, wide_grid, st.h + bump, st.m,
-                      conv_init=st.conv)
-    assert st2.record == ref.record
-    assert st2.record.picard_steps == len(convolutions) > 0
+    st2, trace = inner_solve(params2, kernel05, wide_grid, st.h + bump, st.m,
+                             st.conv)
+    assert trace == ref_trace
+    assert len(trace.increments) - 1 == len(convolutions) > 0
     for name in ("m", "conv", "p"):
         assert np.array_equal(getattr(st2, name), getattr(ref, name))
     assert st2.residual_norm == ref.residual_norm
     assert np.array_equal(st2.conv, conv_values(kernel05, wide_grid, st2.m))
 
 
-def _outer_solve(mode, params2, kernel05, inst05, maximal_stable,
-                 maximal_meta):
-    """A solve at eps = 0.05 and its outer traces, in the order they ran."""
+def _loops(mode, params2, kernel05, inst05, maximal_stable, maximal_meta):
+    """A solve at eps = 0.05 and the traces of its loops, in the order they
+    ran."""
     if mode == "metastable":
         res = antisym.solve_metastable(params2, kernel05, 0.05, J_META, ELL,
                                        instanton=inst05, macro=maximal_meta)
@@ -379,36 +382,23 @@ def _outer_solve(mode, params2, kernel05, inst05, maximal_stable,
 def test_outer_loops_restart_from_the_last_convolution(
         mode, params2, kernel05, inst05, maximal_stable, maximal_meta,
         convolutions, monkeypatch):
-    """The centred loop makes no auxiliary solve and one convolution per
-    fixed-point update, plus its seed's; its first update restarts from the
-    seed's convolution.  Each solve of the projected loop, the first included
-    (it restarts from the convolution its set-up formed), makes exactly one
-    convolution per Picard update, and the returned states make none."""
-    solves = []           # (convolutions made, record) of each solve
-    marks = []            # convolutions counted when each solve returned
+    """Every loop makes one convolution per fixed-point update and none for
+    its first step, which restarts from its start state's convolution (the
+    seed's, or off center the one the set-up formed)."""
+    made = []             # convolutions made by each loop
 
     def counted(*args, **kwargs):
         before = len(convolutions)
-        state = meso.inner_solve(*args, **kwargs)
-        solves.append((len(convolutions) - before, state.record))
-        marks.append(len(convolutions))
-        return state
+        out = meso.iterate(*args, **kwargs)
+        made.append(len(convolutions) - before)
+        return out
 
-    monkeypatch.setattr(asym, "inner_solve", counted)
-    res, traces = _outer_solve(mode, params2, kernel05, inst05,
-                               maximal_stable, maximal_meta)
-    centred, projected = traces[0], traces[1:]
-    assert centred.picard_steps == [1] * (len(centred.increments) - 1) + [0]
-    if not projected:
-        assert solves == []
-        assert len(convolutions) == 1 + sum(centred.picard_steps)
-    else:
-        trace, = projected
-        assert len(solves) == len(trace.picard_steps) > 4
-        assert [rec.picard_steps for _, rec in solves] == trace.picard_steps
-        assert all(rec.path == "picard" for _, rec in solves)
-        assert [n for n, _ in solves] == trace.picard_steps
-        assert len(convolutions) == marks[-1]
+    monkeypatch.setattr(antisym, "iterate", counted)
+    monkeypatch.setattr(asym, "iterate", counted)
+    res, traces = _loops(mode, params2, kernel05, inst05, maximal_stable,
+                         maximal_meta)
+    assert made == [len(t.increments) - 1 for t in traces]
+    assert min(made) > 4
     assert res.state.residual_norm < 1e-12
 
 

@@ -4,19 +4,18 @@ fixed-point steps.
 beta in {1.2, 1.5, 2, 4}, kernel in {cos2, quartic}, the three modes, at
 eps in {0.1, 0.0125}; |j| = 0.02, or 5e-4 at beta = 4 where ell_j ~ 1/|j|
 shrinks (ell_j = 0.034 at |j| = 0.02).  ell = 1, x0 = 0.2 off center,
-n0 = 2, spacing 0.05.  Each row's total Picard steps are pinned to what
-plain Picard iteration takes: the centred loop's fixed-point updates, and
-off center those of the extended solve and the projected loop's
-auxiliary solves.  Two off-center rows at beta = 1.2 stall on the slow
-interface mode (residual ratio above 0.9 for 5 steps): there the
-recursive projection must take over and cut the steps to a third or less.
+n0 = 2, spacing 0.05.  Each row's total fixed-point updates are pinned:
+the centred loop's, and off center those of the extended solve and of the
+off-center loop, whose Newton step along the extended eigenvector keeps
+every row, beta = 1.2 included, a fast contraction.
 
-Two maps run where the parameters get hard.  Metastable rows near the
+Three maps run where the parameters get hard.  Metastable rows near the
 branch breakdown (j up to 0.095 at beta = 2, ell_break = 1.04) solve, with
 the boundary field O(eps) inside the Stefan one.  Centred rows near the
 critical temperature (beta = 1.01 and 1.02 at ell_j = 2, where lambda2 of
-the centred state is about 0.9) solve by plain iteration.  Every row of
-both maps is one that ``validate`` calls feasible.
+the centred state is about 0.9) solve by plain iteration, and so do
+off-center rows at beta = 1.02, 1.05 and 1.1 (ell_j = 2, x0 = 0.2).  Every
+row of the three maps is one that ``validate`` calls feasible.
 """
 
 import itertools
@@ -40,21 +39,18 @@ GLUING_COLLISIONS = {(1.2, "quartic", "antisym", 0.1),
 
 CASES = list(itertools.product(BETAS, KERNELS, MODES, SCALES))
 
-#: the row's Picard steps on plain fixed-point iteration, per (beta, kernel)
-#: in the order antisym, metastable, asym, each at eps 0.1 then 0.0125
+#: the row's fixed-point updates, per (beta, kernel) in the order antisym,
+#: metastable, asym, each at eps 0.1 then 0.0125
 PICARD_STEPS = {
-    (1.2, "cos2"): (76, 71, 81, 85, 907, 128),
-    (1.2, "quartic"): (0, 71, 0, 85, 1097, 129),
-    (1.5, "cos2"): (33, 30, 33, 30, 73, 54),
-    (1.5, "quartic"): (33, 30, 33, 30, 75, 54),
-    (2.0, "cos2"): (19, 17, 18, 17, 40, 30),
-    (2.0, "quartic"): (19, 17, 18, 17, 41, 30),
-    (4.0, "cos2"): (12, 12, 9, 9, 19, 18),
-    (4.0, "quartic"): (12, 12, 9, 9, 19, 18),
+    (1.2, "cos2"): (76, 71, 81, 85, 115, 104),
+    (1.2, "quartic"): (0, 71, 0, 85, 115, 104),
+    (1.5, "cos2"): (33, 30, 33, 30, 50, 44),
+    (1.5, "quartic"): (33, 30, 33, 30, 50, 44),
+    (2.0, "cos2"): (19, 17, 18, 17, 28, 24),
+    (2.0, "quartic"): (19, 17, 18, 17, 28, 24),
+    (4.0, "cos2"): (12, 12, 9, 9, 18, 17),
+    (4.0, "quartic"): (12, 12, 9, 9, 18, 17),
 }
-
-#: rows with a stalled auxiliary solve, finished by recursive projection
-PROJECTED = {(1.2, "cos2", "asym", 0.1), (1.2, "quartic", "asym", 0.1)}
 
 
 def _config(beta, kernel, mode, eps) -> RunConfig:
@@ -67,6 +63,9 @@ def _config(beta, kernel, mode, eps) -> RunConfig:
 @pytest.mark.parametrize("beta, kernel, mode, eps", CASES,
                          ids=["-".join(map(str, c)) for c in CASES])
 def test_row_solves_without_newton(beta, kernel, mode, eps):
+    """The row solves in the one fixed-point loop, with no fallback solve:
+    off center its only Newton step is the fixed one along the extended
+    eigenvector."""
     row, = run(_config(beta, kernel, mode, eps)).rows
     if (beta, kernel, mode, eps) in GLUING_COLLISIONS:
         assert row.iters == -EXIT_CONFIG
@@ -74,14 +73,8 @@ def test_row_solves_without_newton(beta, kernel, mode, eps):
         return
     assert row.error == ""
     assert row.iters > 0
-    plain = PICARD_STEPS[beta, kernel][2 * MODES.index(mode)
-                                       + SCALES.index(eps)]
-    if (beta, kernel, mode, eps) in PROJECTED:
-        assert row.projected_solves > 0
-        assert 0 < row.picard_steps <= plain / 3
-    else:
-        assert row.projected_solves == 0
-        assert row.picard_steps == plain
+    assert row.picard_steps == PICARD_STEPS[beta, kernel][
+        2 * MODES.index(mode) + SCALES.index(eps)]
 
 
 #: metastable rows near the breakdown at beta = 2: j -> the fixed-point
@@ -113,8 +106,7 @@ def test_metastable_row_near_the_breakdown(j, k):
     shared = _shared(2.0, j, "metastable")
     row, res = _solve_one(cfg, eps, shared)
     steps = HIGH_CURRENT_STEPS[j][k]
-    assert (row.iters, row.picard_steps, row.projected_solves) \
-        == (steps + 1, steps, 0)
+    assert (row.iters, row.picard_steps) == (steps + 1, steps)
     assert res.state.residual_norm <= 1e-12
     assert not res.monotone
     shift = (res.state.h[-1] - shared[2].h_of_x(1.0)) / eps
@@ -142,7 +134,35 @@ def test_centred_row_near_the_critical_temperature(case, k):
     assert validate(cfg) == []
     row, res = _solve_one(cfg, eps, _shared(beta, j, "antisym"))
     steps = NEAR_CRITICAL_STEPS[case][k]
-    assert (row.iters, row.picard_steps, row.projected_solves) \
-        == (steps + 1, steps, 0)
+    assert (row.iters, row.picard_steps) == (steps + 1, steps)
     assert res.state.residual_norm <= 1e-12
     assert res.monotone
+
+
+#: off-center rows near the critical temperature, with j so that ell_j = 2:
+#: (beta, j) -> (steps of the off-center loop, fixed-point updates of the
+#: row) at each of NEAR_CRITICAL_ASYM_SCALES
+NEAR_CRITICAL_ASYM_STEPS = {(1.02, -0.16004): ((29, 211), (24, 337)),
+                            (1.05, -0.15035): ((27, 185), (23, 247)),
+                            (1.1, -0.13516): ((25, 146), (21, 159))}
+NEAR_CRITICAL_ASYM_SCALES = (0.05, 0.0125)
+NEAR_CRITICAL_ASYM = list(itertools.product(
+    NEAR_CRITICAL_ASYM_STEPS, range(len(NEAR_CRITICAL_ASYM_SCALES))))
+
+
+@pytest.mark.parametrize("case, k", NEAR_CRITICAL_ASYM,
+                         ids=[f"{c[0]}-{NEAR_CRITICAL_ASYM_SCALES[k]}"
+                              for c, k in NEAR_CRITICAL_ASYM])
+def test_off_center_row_near_the_critical_temperature(case, k):
+    """The row solves, its interface at x0 to within one macroscopic cell,
+    with the extended solve's updates counted in the row's."""
+    (beta, j), eps = case, NEAR_CRITICAL_ASYM_SCALES[k]
+    cfg = RunConfig(beta=beta, j=j, x0=0.2, mode="asym", eps_list=[eps],
+                    n0=2)
+    assert validate(cfg) == []
+    row, res = _solve_one(cfg, eps, _shared(beta, j, "asym"))
+    assert (row.iters, row.picard_steps) == NEAR_CRITICAL_ASYM_STEPS[case][k]
+    assert row.picard_steps == row.iters - 1 \
+        + len(res.problem.extended_trace.increments) - 1
+    assert res.state.residual_norm <= 1e-12
+    assert abs(res.eps_field_zero - 0.2) < eps * 0.05

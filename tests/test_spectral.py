@@ -7,7 +7,7 @@ from mesostefan import antisym, asym, spectral, stefan
 from mesostefan.errors import ConvergenceError
 from mesostefan.grids import build_grid, build_kernel, conv_values
 from mesostefan.instanton import compute_instanton
-from mesostefan.meso import exact_state, inner_solve, make_state
+from mesostefan.meso import exact_state, iterate, make_state
 from mesostefan.spectral import (eigenvector_shape_report, leading_eigenpair,
                                  second_eigenvalue)
 from mesostefan.thermo import make_params, mobility
@@ -20,8 +20,9 @@ from conftest import ELL, J_META, J_STABLE, N0, X0
 def fine_instanton_state(params2, kernel025, inst025):
     grid = build_grid(0.1, 2.0, 2.0, 0.025)
     m = np.interp(grid.points, inst025.x, inst025.profile)
-    return inner_solve(params2, kernel025, grid, np.zeros(grid.n), m,
+    start = make_state(params2, kernel025, grid, np.zeros(grid.n), m,
                        conv_values(kernel025, grid, m))
+    return iterate(start, lambda m, out, scratch: start.h)[0]
 
 
 @pytest.fixture(scope="module")
