@@ -203,11 +203,12 @@ def _iterate(params, kernel, instanton, macro, eps, j, grid, xi_index,
     """The fixed point of m = tanh(beta (J^neum*m + T(m))) on the half line,
     by :func:`meso.iterate` from the seed with the current integral T as
     the field, and the odd extension of its last pair and convolution to
-    the grid."""
-    start = build_seed(params, kernel, instanton, macro, eps, grid, xi_index)
-    half = start.grid
-    last, trace = iterate(start, lambda m, out, scratch: t_map(
-        params, half, m, eps, j, out, scratch))
+    the grid.  The seed is handed over unnamed, so the loop frees it after
+    its first step."""
+    half = grid.half_line()
+    last, trace = iterate(
+        build_seed(params, kernel, instanton, macro, eps, grid, xi_index),
+        lambda m, out, scratch: t_map(params, half, m, eps, j, out, scratch))
     full = [np.empty(grid.n) for _ in range(3)]  # odd h, m, conv
     for row, a in zip(full, (last.h, last.m, last.conv)):
         np.negative(a[:0:-1], out=row[:half.n - 1])
@@ -262,9 +263,11 @@ def flux_defect(state: MesoState, eps, j) -> tuple[float, float]:
             float(np.max(est[interior])))
 
 
-def hydrodynamic_error(state: MesoState, m_of_x, h_of_x, eps, x0=0.0,
-                       exclude_halfwidth=0.0) -> tuple[float, float]:
-    """Sup-norm distance to a macroscopic pair at matching arguments.
+def hydrodynamic_error(state: MesoState,
+                       macro: MaximalSolution | MetastableMaximal, eps,
+                       x0=0.0, exclude_halfwidth=0.0) -> tuple[float, float]:
+    """Sup-norm distance to a macroscopic pair, ``macro``'s m and h
+    shifted to the interface x0, at matching arguments.
 
     The m comparison excludes |eps x - x0| <= exclude_halfwidth (the window
     where the smooth interface lives); the field comparison has no
@@ -272,15 +275,15 @@ def hydrodynamic_error(state: MesoState, m_of_x, h_of_x, eps, x0=0.0,
     (:meth:`meso.MesoState.even_half`) gives the full grid's errors, the
     state and the closed forms being odd in x and the window symmetric.
     The closed forms are evaluated HYDRO_BLOCK points at a time, so that
-    their many temporaries stay small.
+    their many temporaries stay small, m and h from one evaluation of |m|
+    (``macro.fields_of_x``).
     """
     err_m, err_h = [], []
     for lo in range(0, state.grid.n, HYDRO_BLOCK):
         part = slice(lo, lo + HYDRO_BLOCK)
-        xi = eps * state.grid.points[part]
-        m_mac = np.asarray(m_of_x(xi), dtype=float)
-        h_mac = np.asarray(h_of_x(xi), dtype=float)
-        keep = np.abs(xi - x0) > exclude_halfwidth
+        x = eps * state.grid.points[part] - x0
+        m_mac, h_mac = macro.fields_of_x(x)
+        keep = np.abs(x) > exclude_halfwidth
         if keep.any():
             err_m.append(np.max(np.abs(state.m[part][keep] - m_mac[keep])))
         err_h.append(np.max(np.abs(state.h[part] - h_mac)))

@@ -30,7 +30,7 @@ from .errors import ConvergenceError, DomainError, GridError
 from .grids import Grid, Kernel, build_grid, conv_values
 from .instanton import Instanton
 from .meso import IterationTrace, MesoState, iterate, make_state
-from .spectral import SpectralResult, leading_eigenpair
+from .spectral import SpectralResult, leading_eigenpair, slope_start
 from .stefan import MaximalSolution, solve_maximal
 from . import antisym
 from .thermo import ThermoParams
@@ -163,8 +163,10 @@ def build_problem(params: ThermoParams, kernel: Kernel, eps, j, x0,
 
     The extended centred loop runs on the layout check_off_center built.
     Its state is odd, so its leading pair is found on the even half line
-    (:meth:`meso.MesoState.even_half`), whose weights count the mirror
-    image, so u*, its even extension to ext_grid, is normalised there.
+    (:meth:`meso.MesoState.even_half`), by power iteration from the
+    instanton's slope there (:func:`spectral.slope_start`); the half line's
+    weights count the mirror image, so u*, its even extension to ext_grid,
+    is normalised there.
     r_eps is the extended minus the restricted reflected convolution of m*
     (exactly 0 more than one kernel range left of eps^-1), so h* + r_eps is
     an exact fixed-point field for the restricted kernel.  Of the extended
@@ -182,7 +184,7 @@ def build_problem(params: ThermoParams, kernel: Kernel, eps, j, x0,
     m_star = extended.state.m
 
     half = extended.state.even_half()
-    pair = leading_eigenpair(half)
+    pair = leading_eigenpair(half, start=slope_start(half, instanton))
     c = grid.center_index
     u = np.empty(ext_grid.n)
     u[c:], u[:c] = pair.u, pair.u[:0:-1]
@@ -265,7 +267,11 @@ def solve_off_center(params: ThermoParams, kernel: Kernel, eps, j, x0,
                                    instanton=instanton, macro=macro)
     newton = (problem.u_star_restricted, problem.u_star.lambda_,
               start.quadrature)
-    state, trace = iterate(start, lambda m, out, scratch: projected_field(
+    # handed over with no name left here, the start is freed after the
+    # loop's first step; of it only the Newton weights stay alive
+    held = [start]
+    del start
+    state, trace = iterate(held.pop(), lambda m, out, scratch: projected_field(
         problem, m, out, scratch), newton)
     state = state.copy()
     field_zero = _zero_near(problem, state.h)

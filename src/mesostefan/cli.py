@@ -44,6 +44,7 @@ class SweepRow:
     eps_x_eps: float = float("nan")
     iters: int = 0
     picard_steps: int = 0       # fixed-point updates of m in the row
+    power_steps: int = 0        # power iteration steps of the leading pair
     error: str = ""             # exception class and message of a failed row
 
     def csv_line(self) -> str:
@@ -184,12 +185,15 @@ def _solve_one(cfg: RunConfig, eps, shared: tuple):
     Every mode runs the same pipeline on the shared inputs: the mode's
     solver, the hydrodynamic error against the Stefan limit shifted to the
     interface (x0 off center, 0 for antisym and metastable), and the
-    leading eigenpair.  Only the solver, the shift and the extra column
-    (I_eps for metastable, eps_x_eps off center) depend on the mode.  An
-    antisym or metastable state is odd about x = 0, and so are the closed
-    forms, so both checks run on its half line
+    leading eigenpair.  Only the solver, the shift, the pair's start and
+    the extra column (I_eps for metastable, eps_x_eps off center) depend on
+    the mode.  An antisym or metastable state is odd about x = 0, and so
+    are the closed forms, so both checks run on its half line
     (:meth:`meso.MesoState.even_half`): the error reads x >= 0 and the
-    pair is the even sector's, where the leading eigenvector lives.
+    pair is the even sector's, where the leading eigenvector lives.  Its
+    power iteration starts from the interface slope
+    (:func:`spectral.slope_start`), off center from u* restricted to the
+    grid, the extended problem's eigenvector.
     """
     _, _, solve, arg = _mode(cfg)
     params, kernel, macro, inst = shared
@@ -202,13 +206,16 @@ def _solve_one(cfg: RunConfig, eps, shared: tuple):
         else [res.problem.extended_trace, res.trace]
     row.picard_steps = sum(len(t.increments) - 1 for t in traces)
     row.c_instanton = abs(cfg.j) * inst.mean / inst.norm_sq
-    checked = res.state if cfg.mode == "asym" else res.state.even_half()
+    if cfg.mode == "asym":
+        checked, start = res.state, res.problem.u_star_restricted
+    else:
+        checked = res.state.even_half()
+        start = spectral.slope_start(checked, inst)
     row.hydro_m, row.hydro_h = antisym.hydrodynamic_error(
-        checked, lambda xi: macro.m_of_x(np.asarray(xi) - x0),
-        lambda xi: macro.h_of_x(np.asarray(xi) - x0), eps, x0,
-        eps * res.xi_eps)
-    sp = spectral.leading_eigenpair(checked)
+        checked, macro, eps, x0, eps * res.xi_eps)
+    sp = spectral.leading_eigenpair(checked, start=start)
     row.lam_gap_ratio = (1.0 - sp.lambda_) / eps
+    row.power_steps = sp.iterations
     if cfg.mode == "metastable":
         row.i_eps = res.increase_interval
     elif cfg.mode == "asym":
@@ -238,6 +245,7 @@ def cmd_solve(args) -> int:
         "hydro_error_m": row.hydro_m, "hydro_error_h": row.hydro_h,
         "one_minus_lambda_over_eps": row.lam_gap_ratio,
         "iterations": row.iters,
+        "power_steps": row.power_steps,
         "residual": st.residual_norm,
         "fixed_point_defect": antisym.fixed_point_defect(res),
     })
@@ -340,6 +348,7 @@ def cmd_sweep(args) -> int:
             record["error"] = row.error
         else:
             record["picard_steps"] = row.picard_steps
+            record["power_steps"] = row.power_steps
         dump_json(os.path.join(run_dir, "row.json"), record)
     with open(os.path.join(out, "sweep.csv"), "w") as fh:
         fh.write(report.to_csv())

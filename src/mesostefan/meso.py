@@ -221,11 +221,15 @@ def iterate(start: MesoState, field_of, newton=None
     fall, or MAX_ITER steps, raise :class:`ConvergenceError` with the
     trace.  The loop owns ``out`` and a :class:`Workspace` for the rest, so
     no step allocates an n-point array; the returned state holds views of
-    them.
+    them.  It keeps no reference to ``start``, and none to its m and conv
+    after the first step: a start handed over with no name left in the
+    caller is freed then (on CPython from 3.11, which moves a call's
+    arguments into the callee's frame).
     """
     params, kernel, grid = start.params, start.kernel, start.grid
     trace = IterationTrace(start.residual_norm)
     m, conv = start.m, start.conv
+    del start
     out, work = np.empty(grid.n), Workspace(kernel, grid.n)
     if newton is not None:
         u, lam, weights = newton

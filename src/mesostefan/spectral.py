@@ -3,7 +3,8 @@
 The operator A psi = p (J^neum * psi) is self-adjoint under the weight 1/p,
 has a positive maximal eigenvalue with a positive eigenvector, and a
 spectral gap that stays open as the scale parameter shrinks.  Everything
-here is matrix-free: power iteration for the leading pair, a Lanczos
+here is matrix-free: power iteration for the leading pair (in the sweeps
+from the interface slope, its eigenvector to O(eps)), a Lanczos
 recurrence on its weighted complement for the gap, and every inner product
 a sum against the state's cached quadrature weights.  Each loop keeps its
 vectors and its convolution's workspace for its whole run: no step
@@ -25,6 +26,7 @@ from .meso import MesoState
 _POWER_STEPS = 100_000    # power iteration steps for the leading pair
 _LAMBDA2_TOL = 1e-10      # relative Ritz residual bound that stops lambda2
 _LAMBDA2_STEPS = 300      # Lanczos steps: 17 at beta = 2, 36 at beta = 1.2
+_START_FLOOR = 1e-12      # multiple of p under the slope start, below any tol
 
 
 @dataclass(frozen=True)
@@ -39,8 +41,10 @@ def _normalize(state: MesoState, u: np.ndarray, out=None) -> np.ndarray:
     return np.divide(u, np.sqrt(state.weighted_dot(u, u)), out=out)
 
 
-def leading_eigenpair(state: MesoState, tol=1e-12) -> SpectralResult:
-    """Power iteration with weighted normalization.
+def leading_eigenpair(state: MesoState, tol=1e-12,
+                      start=None) -> SpectralResult:
+    """Power iteration with weighted normalization from ``start``, a vector
+    positive at every point of the state's grid (p when None).
 
     Stops when both the Rayleigh quotient is stationary to ``tol`` and the
     operator residual sup|A u - rq u| drops below ``tol`` (the eigenvector
@@ -50,19 +54,27 @@ def leading_eigenpair(state: MesoState, tol=1e-12) -> SpectralResult:
     stopping step is the same as with a residual on every step.  The sweeps
     and the off-center set-up hand it a centred state's even half line
     (:meth:`meso.MesoState.even_half`), where the leading pair lives and the
-    iterate is even by construction.  On a full-grid state symmetric about
-    an interior interface (``mesostefan spectrum``) the iterate stays
-    symmetric to rounding: the start p is symmetric, and rounding along the
+    iterate is even by construction.  The better the start, the fewer the
+    steps: p's bulk part shrinks only by the bulk value of p per step, so
+    the sweeps start from the eigenvector's known shape, the interface
+    slope (:func:`slope_start`), or off center from the extended problem's
+    eigenvector.  On a full-grid state symmetric about an interior
+    interface (``mesostefan spectrum``) the iterate stays symmetric to
+    rounding: the start p is symmetric, and rounding along the
     antisymmetric modes decays because their eigenvalues sit far below the
     leading one.
     """
     if np.any(state.p <= 0.0):
         raise DomainError("linearization weight must be positive")
+    if start is None:
+        start = state.p
+    elif np.any(start <= 0.0):
+        raise DomainError("power iteration start must be positive")
     n = state.grid.n
     work = conv_workspace(state.kernel, n)
     # the iterate alternates between u and u_prev, which holds the residual
     # until the next iterate overwrites it
-    u, u_prev = _normalize(state, state.p, np.empty(n)), np.empty(n)
+    u, u_prev = _normalize(state, start, np.empty(n)), np.empty(n)
     rq_prev = np.inf
     for it in range(1, _POWER_STEPS + 1):
         au = state.apply_linearized(u, work)
@@ -82,6 +94,25 @@ def leading_eigenpair(state: MesoState, tol=1e-12) -> SpectralResult:
     res = _sup_residual(state.apply_linearized(u, work), rq, u, u_prev)
     u.setflags(write=False)
     return SpectralResult(float(rq), u, it, res)
+
+
+def slope_start(state: MesoState, instanton: Instanton) -> np.ndarray:
+    """Power iteration start on a centred state's even half line
+    (:meth:`meso.MesoState.even_half`): the instanton's slope from x = 0 on,
+    zero where it is not positive and past its window, plus
+    _START_FLOOR * p, which keeps it positive at every point.
+
+    The maximal eigenvector is the normalised interface slope to O(eps).
+    The layout check matched the instanton's spacing to the grid's, so the
+    slope is an exact slice.  Its differences dip below 0 by rounding in
+    the tail and, near the critical temperature (-4e-6 at beta = 1.01), at
+    the kink of the clamp collar.
+    """
+    ic = instanton.center_index
+    k = min(state.grid.n, instanton.x.size - ic)
+    u = _START_FLOOR * state.p
+    u[:k] += np.maximum(instanton.derivative[ic:ic + k], 0.0)
+    return u
 
 
 def _sup_residual(au, rq, u, scratch) -> float:

@@ -56,13 +56,53 @@ def _branch_magnitude(params: ThermoParams, dist, slope):
     return np.where(dist > 0.0, root, params.m_beta)
 
 
+class _Maximal:
+    """The closed forms of a maximal solution from |m|(x) (``_magnitude``):
+    m = sgn sign(x) |m|, with +|m| at the interface x = 0, and
+    h = sgn sign(x) clip(V'(|m|), 0), V' = potential_prime, where sgn is
+    the sign of m right of the interface and clip is max on the stable
+    branch, min on the metastable one."""
+
+    def fields_of_x(self, x):
+        """(m(x), h(x)) from one evaluation of |m|(x)."""
+        x = np.asarray(x, dtype=float)
+        mag = self._magnitude(x)
+        return _value(self._m(x, mag)), _value(self._h(x, mag))
+
+    def m_of_x(self, x):
+        x = np.asarray(x, dtype=float)
+        return _value(self._m(x, self._magnitude(x)))
+
+    def h_of_x(self, x):
+        x = np.asarray(x, dtype=float)
+        return _value(self._h(x, self._magnitude(x)))
+
+    def _m(self, x, mag):
+        return np.where(x == 0.0, 1.0, self._sgn * np.sign(x)) * mag
+
+    def _h(self, x, mag):
+        return self._sgn * np.sign(x) * self._clip(
+            potential_prime(self.params, mag), 0.0)
+
+
+def _value(out):
+    """A float for a scalar argument, the array otherwise."""
+    return out if out.ndim else float(out)
+
+
 @dataclass(frozen=True)
-class MaximalSolution:
+class MaximalSolution(_Maximal):
     """Maximal stable solution centered at its own interface (x0 = 0)."""
 
     params: ThermoParams
     j: float
     ell_j: float            # abscissa where m reaches 1 - SATURATION_GAP
+
+    _clip = staticmethod(np.maximum)
+
+    @property
+    def _sgn(self) -> float:
+        return 1.0 if self.j < 0 else -1.0
 
     def _magnitude(self, x):
         if np.any(np.abs(x) > self.ell_j * (1 + 1e-12)):
@@ -71,29 +111,17 @@ class MaximalSolution:
         dist = np.minimum(np.abs(x), self.ell_j)
         return _branch_magnitude(self.params, dist, abs(self.j))
 
-    def h_of_x(self, x):
-        x = np.asarray(x, dtype=float)
-        sgn = 1.0 if self.j < 0 else -1.0
-        h_right = np.maximum(potential_prime(self.params, self._magnitude(x)), 0.0)
-        out = sgn * np.sign(x) * h_right
-        return out if out.ndim else float(out)
-
-    def m_of_x(self, x):
-        x = np.asarray(x, dtype=float)
-        sgn = 1.0 if self.j < 0 else -1.0
-        # the interface point is reported on the upper side
-        side = np.where(x == 0.0, 1.0, sgn * np.sign(x))
-        out = side * self._magnitude(x)
-        return out if out.ndim else float(out)
-
 
 @dataclass(frozen=True)
-class MetastableMaximal:
+class MetastableMaximal(_Maximal):
     """Metastable solution from the interface out to the branch breakdown."""
 
     params: ThermoParams
     j: float                # > 0
     ell_break: float        # abscissa where m reaches the spinodal m_star
+
+    _clip = staticmethod(np.minimum)
+    _sgn = 1.0
 
     def _magnitude(self, x):
         if np.any(np.abs(x) > self.ell_break * (1 + 1e-12)):
@@ -101,17 +129,6 @@ class MetastableMaximal:
                                    breakdown=self.ell_break)
         dist = np.minimum(np.abs(x), self.ell_break)
         return _branch_magnitude(self.params, dist, -self.j)
-
-    def h_of_x(self, x):
-        x = np.asarray(x, dtype=float)
-        h_right = np.minimum(potential_prime(self.params, self._magnitude(x)), 0.0)
-        out = np.sign(x) * h_right
-        return out if out.ndim else float(out)
-
-    def m_of_x(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(x >= 0.0, 1.0, -1.0) * self._magnitude(x)
-        return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)

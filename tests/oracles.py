@@ -56,12 +56,14 @@ def convolve_reference(kernel, values, mode, fills=(0.0, 0.0)):
     return np.convolve(padded, kernel.weights, mode="valid")
 
 
-def leading_eigenpair_every_step(state, tol=1e-12, steps=100_000):
-    """(lambda, u, iterations, residual) of the power iteration that forms
-    the sup residual sup|A u - rq u| on every step, stopping when both it
-    and the change of the Rayleigh quotient are below ``tol``; raises
-    ConvergenceError with the last quotient and residual after ``steps``."""
-    u = state.p.copy()
+def leading_eigenpair_every_step(state, tol=1e-12, steps=100_000,
+                                 start=None):
+    """(lambda, u, iterations, residual) of the power iteration from
+    ``start`` (p when None) that forms the sup residual sup|A u - rq u| on
+    every step, stopping when both it and the change of the Rayleigh
+    quotient are below ``tol``; raises ConvergenceError with the last
+    quotient and residual after ``steps``."""
+    u = (state.p if start is None else start).copy()
     u = u / np.sqrt(state.weighted_dot(u, u))
     rq_prev = np.inf
     for it in range(1, steps + 1):

@@ -71,13 +71,7 @@ def test_criterion_04_hydrodynamic_convergence(stable_sweep, asym_sweep,
         errs, normalized = [], []
         for eps in EPS_SWEEP:
             res = sweep[eps]
-            if label == "centered":
-                m_of = maximal_stable.m_of_x
-                h_of = maximal_stable.h_of_x
-            else:
-                m_of = lambda xi: maximal_stable.m_of_x(np.asarray(xi) - x0)
-                h_of = lambda xi: maximal_stable.h_of_x(np.asarray(xi) - x0)
-            em, _ = hydrodynamic_error(res.state, m_of, h_of, eps, x0,
+            em, _ = hydrodynamic_error(res.state, maximal_stable, eps, x0,
                                        eps * res.xi_eps)
             errs.append(em)
             normalized.append(em / (eps * math.log(1.0 / eps)))

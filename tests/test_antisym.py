@@ -1,5 +1,8 @@
 """Antisymmetric solvers: seeds, the outer map, both branches, diagnostics."""
 
+import sys
+import weakref
+
 import numpy as np
 import pytest
 
@@ -157,8 +160,7 @@ def test_stable_hydrodynamic_trend(stable_sweep, maximal_stable):
     errs = []
     for eps in EPS_SWEEP:
         res = stable_sweep[eps]
-        em, eh = hydrodynamic_error(res.state, maximal_stable.m_of_x,
-                                    maximal_stable.h_of_x, eps, 0.0,
+        em, eh = hydrodynamic_error(res.state, maximal_stable, eps, 0.0,
                                     eps * res.xi_eps)
         errs.append((em, eh))
     assert errs[0][0] > errs[1][0] > errs[2][0]
@@ -167,14 +169,14 @@ def test_stable_hydrodynamic_trend(stable_sweep, maximal_stable):
 
 def test_hydro_error_identity_on_exact_macro(params2, kernel05,
                                              maximal_stable, stable_sweep):
-    """The exact macroscopic pair sampled at matching args gives zero error."""
+    """The exact macroscopic pair sampled at matching args gives zero error:
+    the check's m and h from one |m| are m_of_x's and h_of_x's bits."""
     st = stable_sweep[0.1].state
     m_mac = maximal_stable.m_of_x(0.1 * st.grid.points)
     h_mac = maximal_stable.h_of_x(0.1 * st.grid.points)
     from mesostefan.meso import MesoState
     fake = MesoState(st.params, st.kernel, st.grid, h_mac, m_mac, st.conv, 0.0)
-    em, eh = hydrodynamic_error(fake, maximal_stable.m_of_x,
-                                maximal_stable.h_of_x, 0.1, 0.0, 0.3)
+    em, eh = hydrodynamic_error(fake, maximal_stable, 0.1, 0.0, 0.3)
     assert em == 0.0 and eh == 0.0
 
 
@@ -266,8 +268,8 @@ def test_centred_solves_convolve_on_the_half_line(mode, params2, kernel05,
     pairs = []
     real_pair = spectral.leading_eigenpair
 
-    def counted(state, *args):
-        pairs.append(real_pair(state, *args))
+    def counted(state, *args, **kwargs):
+        pairs.append(real_pair(state, *args, **kwargs))
         return pairs[-1]
 
     monkeypatch.setattr(meso, "conv_values", recorded)
@@ -307,7 +309,7 @@ def _row_matches_the_full_grid(params2, eps, **fields):
     row, res = cli._solve_one(cfg, eps, shared)
     macro = shared[2]
     assert (row.hydro_m, row.hydro_h) == hydrodynamic_error(
-        res.state, macro.m_of_x, macro.h_of_x, eps, 0.0, eps * res.xi_eps)
+        res.state, macro, eps, 0.0, eps * res.xi_eps)
     full = (1.0 - spectral.leading_eigenpair(res.state).lambda_) / eps
     assert abs(row.lam_gap_ratio - full) <= 1e-10 * abs(full)
     return res
@@ -449,6 +451,43 @@ def test_checks_match_solver_errors(params2, kernel05, inst05,
         assert xi_index * grid.spacing == sweep[0.1].xi_eps
 
 
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="CPython 3.10 keeps a call's arguments on the "
+                           "caller's stack until the call returns")
+@pytest.mark.parametrize("mode", ["stable", "metastable", "off-center"])
+def test_solve_hands_its_start_over(mode, params2, kernel05, inst05,
+                                    maximal_stable, maximal_meta,
+                                    monkeypatch):
+    """A solve keeps no name for the state its loop starts from, so the
+    loop frees it after its first step (off center the loop's, after the
+    extended one's)."""
+    alive = []
+    real = meso.iterate
+
+    def watched(start, field_of, newton=None):
+        ref = weakref.ref(start)
+        held = [start]
+        del start
+
+        def field(m, out, scratch):
+            alive.append(ref() is not None)
+            return field_of(m, out, scratch)
+        return real(held.pop(), field, newton)
+
+    monkeypatch.setattr(antisym, "iterate", watched)
+    monkeypatch.setattr(asym, "iterate", watched)
+    if mode == "stable":
+        antisym.solve_stable(params2, kernel05, 0.05, J_STABLE, ELL, n0=N0,
+                             instanton=inst05, macro=maximal_stable)
+    elif mode == "metastable":
+        antisym.solve_metastable(params2, kernel05, 0.05, J_META, ELL, n0=N0,
+                                 instanton=inst05, macro=maximal_meta)
+    else:
+        asym.solve_off_center(params2, kernel05, 0.05, J_STABLE, X0, n0=N0,
+                              instanton=inst05, macro=maximal_stable)
+    assert len(alive) > 2 and not any(alive)
+
+
 @pytest.mark.parametrize("mode", ["stable", "metastable", "off-center"])
 def test_solve_builds_its_seed_layout_once(mode, params2, kernel05, inst05,
                                            maximal_stable, maximal_meta,
@@ -530,8 +569,7 @@ def test_metastable_hydro_trend(metastable_sweep, maximal_meta):
     errs = []
     for eps in EPS_SWEEP:
         res = metastable_sweep[eps]
-        em, _ = hydrodynamic_error(res.state, maximal_meta.m_of_x,
-                                   maximal_meta.h_of_x, eps, 0.0,
+        em, _ = hydrodynamic_error(res.state, maximal_meta, eps, 0.0,
                                    eps * res.xi_eps)
         errs.append(em)
     assert errs[0] > errs[1] > errs[2]

@@ -346,9 +346,7 @@ def test_hydro_trend(asym_sweep, maximal_stable):
     errs = []
     for eps in EPS_SWEEP:
         res = asym_sweep[eps]
-        m_of = lambda xi: maximal_stable.m_of_x(np.asarray(xi) - X0)
-        h_of = lambda xi: maximal_stable.h_of_x(np.asarray(xi) - X0)
-        em, eh = hydrodynamic_error(res.state, m_of, h_of, eps, X0,
+        em, eh = hydrodynamic_error(res.state, maximal_stable, eps, X0,
                                     eps * res.xi_eps)
         errs.append((em, eh))
     assert errs[0][0] > errs[1][0] > errs[2][0]

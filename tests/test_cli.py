@@ -271,6 +271,7 @@ def test_solve_command_round_trip(tmp_path):
     assert np.all(np.diff(m) > 0)
     summary = json.loads((out / "solve.json").read_text())
     assert summary["monotone"] is True
+    assert summary["power_steps"] == 13
     assert summary["residual"] < 1e-8
     trace = (out / "trace.csv").read_text().splitlines()
     assert trace[0] == TRACE_HEADER
@@ -315,11 +316,20 @@ NOT_APPLICABLE = {"antisym": {"I_eps", "eps_x_eps"},
                   "metastable": {"eps_x_eps"}, "asym": {"I_eps"}}
 ROW_VALUES = {"hydro_m", "hydro_h", "lam_gap_ratio", "C_instanton", "I_eps",
               "eps_x_eps"}
+#: every key of a solved row's row.json; a failed row has "error" in place
+#: of the two step counts
+SOLVED_ROW_KEYS = ROW_VALUES | {"eps", "mode", "iters", "picard_steps",
+                                "power_steps"}
+#: power steps of the shipped rows at eps 0.025, 0.05, 0.1 (glob order):
+#: centred from the interface slope, off center from u*
+SHIPPED_POWER_STEPS = {"antisym": [12, 13, 13], "metastable": [12, 13, 13],
+                       "asym": [2, 2, 2]}
 
 
 def test_json_artifacts_are_strict(tmp_path):
     """Every shipped row, an error row and a spectrum run without --j parse
-    as strict JSON: a value that does not apply is null."""
+    as strict JSON: a value that does not apply is null.  A shipped row has
+    every solved key, with its power steps."""
     for path in sorted(glob.glob(os.path.join(CONFIGS, "*.txt"))):
         out = tmp_path / os.path.basename(path)
         with open(path) as fh:
@@ -332,6 +342,9 @@ def test_json_artifacts_are_strict(tmp_path):
         for row in rows:
             nulls = {k for k in ROW_VALUES if row[k] is None}
             assert nulls == NOT_APPLICABLE[row["mode"]], path
+            assert set(row) == SOLVED_ROW_KEYS, path
+        assert [row["power_steps"] for row in rows] \
+            == SHIPPED_POWER_STEPS[rows[0]["mode"]], path
 
     out = tmp_path / "bad"
     cfg_file.write_text("beta = 2.0\nj = -0.2\nell = 1.0\nmode = antisym\n"
@@ -339,6 +352,8 @@ def test_json_artifacts_are_strict(tmp_path):
     assert main(["sweep", "--config", str(cfg_file)]) == EXIT_INFEASIBLE
     row = _strict_json(out / "eps_0.1" / "row.json")
     assert {k for k in ROW_VALUES if row[k] is None} == ROW_VALUES
+    assert set(row) == SOLVED_ROW_KEYS - {"picard_steps", "power_steps"} \
+        | {"error"}
 
     run_dir, spec_dir = tmp_path / "run", tmp_path / "spec"
     assert main(["solve", "--eps", "0.1", "--j", "-0.02", "--ell", "1",
@@ -501,10 +516,11 @@ def test_non_package_error_becomes_row(tmp_path, monkeypatch, exc_type):
     bad = json.loads((out / "eps_0.05" / "row.json").read_text())
     assert "error" not in ok and ok["iters"] > 0
     assert ok["picard_steps"] == ok["iters"] - 1 > 0
+    assert ok["power_steps"] >= 1
     assert "projected_solves" not in ok
     assert bad["iters"] == -EXIT_NUMERICAL
     assert bad["error"] == f"{exc_type.__name__}: injected"
-    assert "picard_steps" not in bad
+    assert "picard_steps" not in bad and "power_steps" not in bad
 
 
 def test_non_package_error_in_shared_inputs_fills_rows(monkeypatch):
@@ -541,6 +557,7 @@ def test_row_json_records_inner_solves(tmp_path, mode, j, x0):
     assert main(["sweep", "--config", str(cfg_file)]) == EXIT_OK
     record = json.loads((out / "eps_0.1" / "row.json").read_text())
     assert record["picard_steps"] == row.picard_steps
+    assert record["power_steps"] == row.power_steps
     assert "projected_solves" not in record
     assert (out / "sweep.csv").read_text().splitlines()[0] == SWEEP_HEADER
 

@@ -2,6 +2,8 @@
 linearization.  The auxiliary solve at a fixed field h is the one loop
 (:func:`mesostefan.meso.iterate`) run with h as its field."""
 
+import sys
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -124,6 +126,32 @@ def test_inner_solve_fixed_point_seed(params2, kernel05, wide_grid):
     st, trace = iterate(start, lambda m, out, scratch: start.h)
     assert np.array_equal(st.m, m0)   # already below tolerance: unchanged
     assert trace.increments == [start.residual_norm]
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="CPython 3.10 keeps a call's arguments on the "
+                           "caller's stack until the call returns")
+def test_loop_frees_a_handed_over_start(params2, kernel05, wide_grid):
+    """A start passed with no name left in the caller is freed by the
+    loop's third step: the loop keeps no reference to it, reads its m in
+    the first step and its convolution in the first two."""
+    h = np.zeros(wide_grid.n)
+    refs = []
+
+    def start():
+        st = make_state(params2, kernel05, wide_grid, h.copy(),
+                        0.6 * np.tanh(wide_grid.points / 3.0))
+        refs.extend(weakref.ref(a) for a in (st, st.h, st.m, st.conv))
+        return st
+
+    alive = []
+
+    def field(m, out, scratch):
+        alive.append(sum(r() is not None for r in refs))
+        return h
+
+    iterate(start(), field)
+    assert alive[:4] == [2, 1, 0, 0]
 
 
 def test_inner_solve_reuses_last_convolution(params2, kernel05, wide_grid,

@@ -117,6 +117,10 @@ def test_metastable_row_near_the_breakdown(j, k):
 #: (beta, j) -> the fixed-point updates at each of NEAR_CRITICAL_SCALES
 NEAR_CRITICAL_STEPS = {(1.01, -0.16334): (191, 346, 458),
                        (1.02, -0.16004): (183, 314, 394)}
+#: the power steps of their leading pairs, from the interface slope (from p
+#: they take 156, 288, 381 and 146, 252, 316)
+NEAR_CRITICAL_POWER_STEPS = {(1.01, -0.16334): (153, 278, 362),
+                             (1.02, -0.16004): (141, 236, 290)}
 NEAR_CRITICAL_SCALES = (0.05, 0.0125, 0.00625)
 NEAR_CRITICAL = list(itertools.product(NEAR_CRITICAL_STEPS,
                                        range(len(NEAR_CRITICAL_SCALES))))
@@ -127,7 +131,8 @@ NEAR_CRITICAL = list(itertools.product(NEAR_CRITICAL_STEPS,
                               for c, k in NEAR_CRITICAL])
 def test_centred_row_near_the_critical_temperature(case, k):
     """The row solves by plain iteration, which contracts at lambda2 ~ 0.9
-    here, with no auxiliary solve to count it as stalled."""
+    here, with no auxiliary solve to count it as stalled, and its leading
+    pair converges from the interface slope."""
     (beta, j), eps = case, NEAR_CRITICAL_SCALES[k]
     cfg = RunConfig(beta=beta, j=j, ell=1.0, mode="antisym", eps_list=[eps],
                     n0=2)
@@ -135,6 +140,7 @@ def test_centred_row_near_the_critical_temperature(case, k):
     row, res = _solve_one(cfg, eps, _shared(beta, j, "antisym"))
     steps = NEAR_CRITICAL_STEPS[case][k]
     assert (row.iters, row.picard_steps) == (steps + 1, steps)
+    assert row.power_steps == NEAR_CRITICAL_POWER_STEPS[case][k]
     assert res.state.residual_norm <= 1e-12
     assert res.monotone
 

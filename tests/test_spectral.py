@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
-from mesostefan import antisym, asym, spectral, stefan
+from mesostefan import antisym, asym, cli, spectral, stefan
+from mesostefan.config import RunConfig
 from mesostefan.errors import ConvergenceError
 from mesostefan.grids import build_grid, build_kernel, conv_values
 from mesostefan.instanton import compute_instanton
 from mesostefan.meso import exact_state, iterate, make_state
+from mesostefan.errors import DomainError
 from mesostefan.spectral import (eigenvector_shape_report, leading_eigenpair,
-                                 second_eigenvalue)
+                                 second_eigenvalue, slope_start)
 from mesostefan.thermo import make_params, mobility
 from oracles import leading_eigenpair_every_step, neumann_matrix
 
@@ -176,22 +178,88 @@ def test_second_eigenvalue_budget_raises(fine_instanton_state, fine_pair,
         second_eigenvalue(fine_instanton_state, fine_pair)
 
 
+def _row_start(mode, res, instanton):
+    """The state a sweep row's pair runs on and the start it takes there:
+    a centred state's even half line and the interface slope, off center
+    the state and u* restricted to its grid."""
+    if mode == "asym":
+        return res.state, res.problem.u_star_restricted
+    half = res.state.even_half()
+    return half, slope_start(half, instanton)
+
+
 @pytest.mark.parametrize("tol", [1e-12, 1e-8], ids=["default", "pair-tol"])
 @pytest.mark.parametrize("mode", ["antisym", "metastable", "asym"])
 def test_leading_pair_matches_residual_every_step(mode, tol, stable_sweep,
                                                   metastable_sweep,
-                                                  asym_sweep):
+                                                  asym_sweep, inst05):
     """Forming the residual only once the quotient is stationary keeps the
-    stopping step and every returned bit of the residual-every-step rule."""
+    stopping step and every returned bit of the residual-every-step rule,
+    from p on the full grid and from the sweep row's start."""
     sweep = {"antisym": stable_sweep, "metastable": metastable_sweep,
              "asym": asym_sweep}[mode]
-    state = sweep[0.05].state
-    pair = leading_eigenpair(state, tol)
-    lam, u, iterations, res = leading_eigenpair_every_step(state, tol)
-    assert pair.lambda_ == lam
-    assert np.array_equal(pair.u, u)
-    assert pair.iterations == iterations
-    assert pair.residual == res
+    for state, u0 in ((sweep[0.05].state, None),
+                      _row_start(mode, sweep[0.05], inst05)):
+        pair = leading_eigenpair(state, tol, start=u0)
+        lam, u, iterations, res = leading_eigenpair_every_step(state, tol,
+                                                               start=u0)
+        assert pair.lambda_ == lam
+        assert np.array_equal(pair.u, u)
+        assert pair.iterations == iterations
+        assert pair.residual == res
+
+
+#: power steps of the sweep rows' pairs at the benchmark's eps ladder, in
+#: the order 0.0125, 0.0025, 0.001, from their starts and from p
+LADDER_POWER_STEPS = {"antisym": ((12, 11, 11), (16, 16, 16)),
+                      "metastable": ((12, 11, 9), (21, 21, 21)),
+                      "asym": ((2, 2, 2), (16, 16, 16))}
+LADDER_EPS = (0.0125, 0.0025, 0.001)
+
+
+@pytest.mark.parametrize("k", range(len(LADDER_EPS)),
+                         ids=[str(e) for e in LADDER_EPS])
+@pytest.mark.parametrize("mode", list(LADDER_POWER_STEPS))
+def test_row_start_gives_the_p_start_pair(mode, k, params2):
+    """A sweep row's pair, from the interface slope (centred) or from u*
+    (off center), is the pair from p: lambda to 1e-14, (1 - lambda)/eps to
+    1e-10 relative, u to 1e-12, in fewer power steps."""
+    eps = LADDER_EPS[k]
+    cfg = RunConfig(beta=params2.beta, j=J_META if mode == "metastable"
+                    else J_STABLE, ell=ELL, x0=X0 if mode == "asym" else 0.0,
+                    mode=mode, eps_list=[eps], n0=N0).validate_fields()
+    shared = cli._shared_inputs(cfg)
+    row, res = cli._solve_one(cfg, eps, shared)
+    state, u0 = _row_start(mode, res, shared[3])
+    warm = leading_eigenpair(state, start=u0)
+    cold = leading_eigenpair(state)
+    assert (warm.iterations, cold.iterations) == tuple(
+        steps[k] for steps in LADDER_POWER_STEPS[mode])
+    assert row.power_steps == warm.iterations
+    assert row.lam_gap_ratio == (1.0 - warm.lambda_) / eps
+    assert abs(warm.lambda_ - cold.lambda_) <= 1e-14
+    gap = (1.0 - cold.lambda_) / eps
+    assert abs(row.lam_gap_ratio - gap) <= 1e-10 * abs(gap)
+    assert np.max(np.abs(warm.u - cold.u)) <= 1e-12
+
+
+def test_slope_start_is_positive_past_the_instanton(stable_sweep, inst05):
+    """On a half line longer than the instanton's window the slope is zero
+    past it, and the floor keeps the start positive there."""
+    half = stable_sweep[0.025].state.even_half()
+    assert half.grid.points[-1] > inst05.half_width
+    u0 = slope_start(half, inst05)
+    assert np.all(u0 > 0.0)
+    past = half.grid.points > inst05.half_width
+    assert np.array_equal(u0[past], 1e-12 * half.p[past])
+
+
+def test_leading_pair_refuses_a_start_that_is_not_positive(stable_sweep):
+    state = stable_sweep[0.1].state.even_half()
+    u0 = state.p.copy()
+    u0[-1] = 0.0
+    with pytest.raises(DomainError, match="start must be positive"):
+        leading_eigenpair(state, start=u0)
 
 
 def test_leading_pair_budget_message_matches_residual_every_step(
