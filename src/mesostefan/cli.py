@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 configuration error, 3 infeasible domain,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass, field
@@ -19,7 +20,7 @@ from .errors import (BranchRangeError, DomainError, GridError,
                      InfeasibleError, MesostefanError)
 from .grids import build_grid, build_kernel
 from .profiles import (dump_json, fmt, grid_from_points, load_state,
-                       save_profile, save_state)
+                       save_profile, save_state, save_table)
 from .thermo import (convex_envelope, make_params, potential, pressure)
 
 EXIT_OK = 0
@@ -72,17 +73,11 @@ def cmd_thermo(args) -> int:
     params = make_params(args.beta)
     out = _outdir(args.out)
     s = np.linspace(-0.999, 0.999, 1999)
-    with open(os.path.join(out, "thermo.csv"), "w") as fh:
-        fh.write("s,potential,envelope\n")
-        pot = potential(params, s)
-        env = convex_envelope(params, s)
-        for sv, pv, ev in zip(s, pot, env):
-            fh.write(f"{fmt(sv)},{fmt(pv)},{fmt(ev)}\n")
+    save_table(os.path.join(out, "thermo.csv"), "s,potential,envelope", s,
+               potential(params, s), convex_envelope(params, s))
     hs = np.linspace(-1.0, 1.0, 401)
-    with open(os.path.join(out, "pressure.csv"), "w") as fh:
-        fh.write("h,pressure\n")
-        for hv, pv in zip(hs, pressure(params, hs)):
-            fh.write(f"{fmt(hv)},{fmt(pv)}\n")
+    save_table(os.path.join(out, "pressure.csv"), "h,pressure", hs,
+               pressure(params, hs))
     dump_json(os.path.join(out, "thermo.json"),
               {"beta": params.beta, "m_beta": params.m_beta,
                "m_star": params.m_star})
@@ -91,9 +86,7 @@ def cmd_thermo(args) -> int:
 
 
 def cmd_instanton(args) -> int:
-    params = make_params(args.beta)
-    kernel = build_kernel(args.spacing, args.kernel)
-    inst = instanton_mod.compute_instanton(params, kernel)
+    _, _, inst = _fixed_inputs(args.beta, args.spacing, args.kernel)
     out = _outdir(args.out)
     grid = grid_from_points(inst.x, args.spacing)
     save_profile(os.path.join(out, "instanton.csv"), grid, inst.profile)
@@ -124,8 +117,7 @@ def cmd_stefan(args) -> int:
                   {"feasible": False, "ell_j": limit})
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    with open(os.path.join(out, "stefan.csv"), "w") as fh:
-        fh.write(sol.to_csv())
+    save_table(os.path.join(out, "stefan.csv"), "x,h,m", sol.x, sol.h, sol.m)
     dump_json(os.path.join(out, "stefan.json"),
               {"feasible": True, "ell_j": sol.ell_j, "j": sol.j,
                "x0": sol.x0, "branch": sol.branch})
@@ -169,13 +161,28 @@ def _mode(cfg: RunConfig):
     raise DomainError(f"unknown mode {cfg.mode!r}")
 
 
+@functools.lru_cache(maxsize=4)
+def _params_kernel(beta, spacing, kernel) -> tuple:
+    """(params, kernel) of the key; computed once per process."""
+    return make_params(beta), build_kernel(spacing, kernel)
+
+
+@functools.lru_cache(maxsize=4)
+def _fixed_inputs(beta, spacing, kernel) -> tuple:
+    """(params, kernel, instanton) of the key, which every command at that
+    key shares; computed once per process.  Each value is immutable (frozen
+    dataclasses holding read-only arrays), and an error is not cached."""
+    params, kern = _params_kernel(beta, spacing, kernel)
+    return params, kern, instanton_mod.compute_instanton(params, kern)
+
+
 def _shared_inputs(cfg: RunConfig) -> tuple:
     """(params, kernel, macro, instanton), which every scale of a config
-    shares; raises what computing them raises."""
-    params = make_params(cfg.beta)
-    kernel = build_kernel(cfg.spacing, cfg.kernel)
+    shares; raises what computing them raises, the first failing one of
+    params, kernel, macro and instanton in that order."""
+    params, kernel = _params_kernel(cfg.beta, cfg.spacing, cfg.kernel)
     macro = _mode(cfg)[0](params, cfg.j)
-    inst = instanton_mod.compute_instanton(params, kernel)
+    _, _, inst = _fixed_inputs(cfg.beta, cfg.spacing, cfg.kernel)
     return params, kernel, macro, inst
 
 
@@ -281,13 +288,14 @@ def cmd_spectrum(args) -> int:
     if args.eps is not None and abs(grid.epsilon - args.eps) > 1e-12:
         grid = build_grid(args.eps, -grid.a * args.eps, grid.b * args.eps,
                           grid.spacing)
-    params = make_params(args.beta)
-    kernel = build_kernel(grid.spacing, args.kernel)
+    params, kernel = _params_kernel(args.beta, grid.spacing, args.kernel)
     state = meso.make_state(params, kernel, grid, h, m)
     sp = spectral.leading_eigenpair(state)
     lam2 = spectral.second_eigenvalue(state, sp)
-    inst = instanton_mod.compute_instanton(params, kernel)
-    c_inst = abs(args.j) * inst.mean / inst.norm_sq if args.j else None
+    c_inst = None       # only C_instanton reads the instanton
+    if args.j:
+        _, _, inst = _fixed_inputs(args.beta, grid.spacing, args.kernel)
+        c_inst = abs(args.j) * inst.mean / inst.norm_sq
     payload = {
         "lambda": sp.lambda_,
         "lambda2": lam2,
@@ -410,7 +418,10 @@ def _add_common(p):
     p.add_argument("--out", default="out")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args``
+    keeps no state between calls."""
     ap = argparse.ArgumentParser(
         prog="mesostefan",
         description="Stationary nonlocal mean-field profiles with current, "

@@ -34,20 +34,27 @@ def save_state(path, grid: Grid, h, m):
 
 
 def _save_columns(path, header, grid: Grid, *columns):
-    """Rows of ``fmt`` values, written WRITE_ROWS at a time: the text of a
-    whole state is never held at once."""
-    if any(len(c) != grid.n for c in columns):
-        raise ValueError(f"columns of a {grid.n}-point grid need {grid.n} "
-                         "values")
-    row = ",".join(["%.17g"] * (1 + len(columns))) + "\n"
-    rows = zip(grid.points, *columns)
+    """:func:`save_table` of the grid's points and the columns, then the
+    grid's sidecar descriptor."""
+    save_table(path, header, grid.points, *columns)
+    with open(_sidecar(path), "w") as fh:
+        fh.write(grid.descriptor() + "\n")
+
+
+def save_table(path, header, *columns):
+    """The header line, then rows of the columns' ``fmt`` values, written
+    WRITE_ROWS at a time: the text of a whole table is never held at once.
+    Columns of different lengths raise ValueError before the file opens."""
+    if len({len(c) for c in columns}) > 1:
+        raise ValueError(f"columns of {header!r} differ in length: "
+                         f"{[len(c) for c in columns]}")
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    rows = zip(*columns)
     with open(path, "w") as fh:
         fh.write(header + "\n")
         while block := "".join(row % values
                                for values in islice(rows, WRITE_ROWS)):
             fh.write(block)
-    with open(_sidecar(path), "w") as fh:
-        fh.write(grid.descriptor() + "\n")
 
 
 def _sidecar(path) -> str:

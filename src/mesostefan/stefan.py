@@ -11,7 +11,6 @@ one, which saturates m -> +-1 linearly at +-ell_j.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,13 +143,6 @@ class StefanSolution:
     x: np.ndarray
     h: np.ndarray
     m: np.ndarray
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("x,h,m\n")
-        for xv, hv, mv in zip(self.x, self.h, self.m):
-            buf.write(f"{xv:.17g},{hv:.17g},{mv:.17g}\n")
-        return buf.getvalue()
 
 
 def _check_m_beta(params: ThermoParams) -> None:

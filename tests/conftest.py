@@ -13,7 +13,7 @@ floor sits well below the scale trends being measured.
 import numpy as np
 import pytest
 
-from mesostefan import antisym, asym, meso, spectral, stefan
+from mesostefan import antisym, asym, cli, meso, spectral, stefan
 from mesostefan.grids import build_kernel
 from mesostefan.instanton import compute_instanton
 from mesostefan.thermo import make_params
@@ -27,6 +27,15 @@ N0 = 2
 SPACING = 0.05
 SPECTRAL_SPACING = 0.025
 EPS_SWEEP = (0.1, 0.05, 0.025)
+
+
+@pytest.fixture(autouse=True)
+def cold_cli_inputs():
+    """Every test starts with the CLI's per-process inputs uncomputed, as
+    a fresh process does, so that a test which patches what computes them
+    (``instanton.compute_instanton``) sees its patch."""
+    cli._params_kernel.cache_clear()
+    cli._fixed_inputs.cache_clear()
 
 
 @pytest.fixture(scope="session")

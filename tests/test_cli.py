@@ -425,9 +425,11 @@ def test_three_scale_sweep_hydro_decreasing():
 
 
 def test_sweep_computes_shared_inputs_once(monkeypatch):
-    """One instanton and one macroscopic solution per config, and the same
-    rows as scales that compute their own."""
-    from mesostefan import cli, instanton, stefan
+    """One macroscopic solution per config and one instanton per (beta,
+    spacing, kernel) in a process: a config at a key an earlier one used
+    computes no instanton, one at another spacing or kernel computes its
+    own, and every config's rows are those of a cold process."""
+    from mesostefan import instanton, stefan
 
     calls = {"instanton": 0, "macro": 0}
 
@@ -437,14 +439,28 @@ def test_sweep_computes_shared_inputs_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for mode, j, x0, macro_fn in (("antisym", -0.02, 0.0, "solve_maximal"),
-                                  ("metastable", 0.02, 0.0,
-                                   "_metastable_maximal"),
-                                  ("asym", -0.02, 0.2, "solve_maximal")):
-        cfg = RunConfig(beta=2.0, j=j, x0=x0, ell=1.0, mode=mode,
-                        eps_list=[0.1, 0.05], n0=2)
-        alone = [cli._solve_one(cfg, eps, cli._shared_inputs(cfg))[0]
-                 .csv_line() for eps in cfg.eps_list]
+    # (mode, j, x0, macroscopic solver, spacing, kernel, instanton computed)
+    runs = (("antisym", -0.02, 0.0, "solve_maximal", 0.05, "cos2", 1),
+            ("metastable", 0.02, 0.0, "_metastable_maximal", 0.05, "cos2", 0),
+            ("asym", -0.02, 0.2, "solve_maximal", 0.05, "cos2", 0),
+            ("antisym", -0.02, 0.0, "solve_maximal", 0.025, "cos2", 1),
+            ("antisym", -0.02, 0.0, "solve_maximal", 0.05, "quartic", 1),
+            ("metastable", 0.02, 0.0, "_metastable_maximal", 0.025, "cos2",
+             0))
+    configs = [RunConfig(beta=2.0, j=j, x0=x0, ell=1.0, mode=mode,
+                         eps_list=[0.1, 0.05], n0=2, spacing=spacing,
+                         kernel=kernel)
+               for mode, j, x0, _, spacing, kernel, _ in runs]
+    cold = []
+    for cfg in configs:
+        cli._params_kernel.cache_clear()
+        cli._fixed_inputs.cache_clear()
+        cold.append([cli._solve_one(cfg, eps, cli._shared_inputs(cfg))[0]
+                     .csv_line() for eps in cfg.eps_list])
+    cli._params_kernel.cache_clear()
+    cli._fixed_inputs.cache_clear()
+    for cfg, (_, _, _, macro_fn, _, _, computed), rows in zip(configs, runs,
+                                                             cold):
         with monkeypatch.context() as mp:
             calls.update(instanton=0, macro=0)
             mp.setattr(instanton, "compute_instanton",
@@ -452,8 +468,21 @@ def test_sweep_computes_shared_inputs_once(monkeypatch):
             mp.setattr(stefan, macro_fn,
                        counted("macro", getattr(stefan, macro_fn)))
             report = run(cfg)
-        assert calls == {"instanton": 1, "macro": 1}, mode
-        assert [r.csv_line() for r in report.rows] == alone
+        assert calls == {"instanton": computed, "macro": 1}, cfg
+        assert [r.csv_line() for r in report.rows] == rows
+
+
+@pytest.mark.parametrize("j, message", [
+    (-0.02, "metastable arrangement needs a positive current"),
+    (0.02, "spacing must be <= 0.05")])
+def test_shared_inputs_report_the_first_failing_one(j, message):
+    """The kept instanton does not move its error ahead of the macroscopic
+    solution's: at spacing 0.08 the instanton fails, and a metastable
+    config with j < 0 still reports its current."""
+    cfg = RunConfig(mode="metastable", j=j, spacing=0.08, eps_list=[0.1])
+    for _ in range(2):
+        assert validate(cfg) == [(EXIT_CONFIG, f"config error: {message}")]
+    assert run(cfg).rows[0].error.endswith(message)
 
 
 @pytest.mark.parametrize("mode, j", [("antisym", -0.02), ("metastable", 0.02)])
@@ -673,6 +702,36 @@ def test_config_defaults_are_feasible(tmp_path, capsys, text):
     assert capsys.readouterr().out == "configuration is feasible\n"
 
 
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    """main parses with one parser per process: a call that fails argument
+    parsing after reading a value leaves the next call's files, output and
+    exit code as they were, and every parse returns its own namespace."""
+    assert cli.build_parser() is cli.build_parser()
+
+    def thermo(out):
+        code = main(["thermo", "--out", str(out)])
+        files = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+        return code, capsys.readouterr().out, files
+
+    first = thermo(tmp_path / "first")
+    for argv in (["thermo", "--beta", "3", "--bogus"],
+                 ["thermo", "--beta", "x"], ["spectrum", "--j", "-0.02"],
+                 ["nothing"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == EXIT_CONFIG
+    capsys.readouterr()
+    assert thermo(tmp_path / "second") == first
+    assert first[0] == EXIT_OK
+
+    argv = ["solve", "--eps", "0.05", "--j", "-0.02", "--ell", "1"]
+    one, two = (cli.build_parser().parse_args(argv) for _ in range(2))
+    assert one is not two and vars(one) == vars(two)
+    one.eps = 0.1
+    assert two.eps == 0.05
+    assert cli.build_parser().parse_args(argv).eps == 0.05
+
+
 def test_one_n0_default(tmp_path):
     """The config, both --n0 flags and the solvers default to the same n0,
     and solve runs without the flag."""
@@ -755,6 +814,33 @@ def test_solve_asym_writes_trace(tmp_path):
     _solve_records_are_picard(trace)
     assert float(trace[1].split(",")[3]) == summary["seed_residual"]
     assert float(trace[-1].split(",")[1]) < 1e-9
+
+
+def test_spectrum_without_current_needs_no_instanton(tmp_path, capsys):
+    """Only C_instanton reads the instanton, so spectrum without --j
+    reports a state at spacing 0.1 (grids.MAX_SPACING), coarser than the
+    instanton's 0.05, with C_instanton null; with --j the instanton's
+    spacing check makes it a config error."""
+    from mesostefan import meso, spectral
+    from mesostefan.grids import build_grid, build_kernel
+    from mesostefan.profiles import save_state
+    from mesostefan.thermo import make_params
+
+    grid = build_grid(0.1, 1.0, 1.0, 0.1)
+    state = meso.exact_state(make_params(2.0), build_kernel(0.1), grid,
+                             0.9 * np.tanh(grid.points))
+    path = str(tmp_path / "state.csv")
+    save_state(path, grid, state.h, state.m)
+    out = tmp_path / "spec"
+    assert main(["spectrum", "--state", path, "--out", str(out)]) == EXIT_OK
+    report = json.loads((out / "spectrum.json").read_text())
+    assert report["C_check"]["C_instanton"] is None
+    assert report["lambda"] == pytest.approx(
+        spectral.leading_eigenpair(state).lambda_, rel=1e-12)
+    assert main(["spectrum", "--state", path, "--j", "-0.02",
+                 "--out", str(tmp_path / "spec-j")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        "config error: spacing must be <= 0.05\n"
 
 
 def test_state_sidecar_mismatch_is_config_error(tmp_path, capsys):
@@ -878,6 +964,29 @@ def test_profile_csv_round_trip(tmp_path):
     with pytest.raises(ValueError):      # values must match the grid
         save_profile(str(tmp_path / "q.csv"), g, values[:-1])
     assert not (tmp_path / "q.csv").exists()
+
+
+def test_table_rows_are_fmt_values(tmp_path):
+    """save_table writes each value as fmt does, on the values where
+    formats differ: signed zero, the smallest subnormal, huge and integral
+    floats, 17-digit values, non-finite ones, numpy and Python scalars."""
+    from mesostefan.profiles import fmt, save_table
+
+    edge = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, -80.0, 1.0,
+                     0.1 + 0.2, 1.0 / 3.0, 2.0 / 3.0, 123456789.01234567,
+                     np.nextafter(1.0, 2.0), 1.7976931348623157e308,
+                     2.2250738585072014e-308, np.inf, -np.inf, np.nan])
+    other = [float(v) for v in edge[::-1]]
+    ints = list(range(-9, edge.size - 9))
+    path = tmp_path / "t.csv"
+    save_table(str(path), "a,b,c", edge, other, ints)
+    expected = "\n".join(["a,b,c"] + [",".join(fmt(v) for v in row)
+                                      for row in zip(edge, other, ints)])
+    assert path.read_text() == expected + "\n"
+    assert path.read_text().splitlines()[1].startswith("-0,")
+    with pytest.raises(ValueError, match="differ in length"):
+        save_table(str(tmp_path / "u.csv"), "a,b", edge, edge[:-1])
+    assert not (tmp_path / "u.csv").exists()
 
 
 def test_state_file_is_written_in_blocks_of_rows(tmp_path, monkeypatch):

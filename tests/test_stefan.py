@@ -214,10 +214,14 @@ def test_sampling_scalar_and_array_shapes(params2, maximal_stable,
     assert mx.h_of_x(0.0) == 0.0
 
 
-def test_csv_round_trip(params2):
+def test_csv_round_trip(params2, tmp_path):
+    """stefan.csv holds the samples of the solution, to the last bit."""
+    from mesostefan.cli import EXIT_OK, main
+
     sol = solve_fixed_interface(params2, -0.02, 0.2, 1.0)
-    text = sol.to_csv()
-    rows = text.strip().splitlines()
+    assert main(["stefan", "--j", "-0.02", "--x0", "0.2", "--ell", "1",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    rows = (tmp_path / "stefan.csv").read_text().strip().splitlines()
     assert rows[0] == "x,h,m"
     data = np.array([[float(t) for t in r.split(",")] for r in rows[1:]])
     assert np.array_equal(data[:, 0], sol.x)
