@@ -12,12 +12,16 @@ and convolution of the loop is odd, so it runs on the half line x >= 0
 (:meth:`grids.Grid.half_line`), where they vanish at x = 0, and returns
 their odd extension to the check's grid.
 
-check_stable and check_metastable hold every check a solve makes before its
-first step (current sign, eps <= 0.2, ell against ell_j or ell_break,
-grid, gluing point, instanton window) and return the seed layout they
-built, the grid and the gluing index.  The solvers call them first and
-iterate on that layout, and ``mesostefan validate`` runs them at each scale,
-so the two cannot disagree; n0 reaches nothing below the checks.
+A solve takes the macroscopic solution it converges to, which holds beta
+and j, and the instanton; the solution's type picks the branch, stable
+(:class:`stefan.MaximalSolution`) or metastable.  check_centred holds
+every check the solve makes before its first step (eps <= 0.2, ell below
+ell_j or ell_break, an instanton of the solve's beta, kernel shape and
+spacing, grid, gluing point, instanton window) and returns the seed layout
+it built, the grid and the gluing index.  solve_centred calls it first and
+iterates on that layout, and ``mesostefan validate`` runs it at each scale
+with the same arguments, so the two cannot disagree; n0 reaches nothing
+below the check.
 """
 
 from __future__ import annotations
@@ -30,12 +34,7 @@ from .errors import DomainError, GridError, InfeasibleError, SaturationError
 from .grids import Grid, Kernel, build_grid, trapezoid_antiderivative
 from .instanton import Instanton, threshold_abscissa
 from .meso import IterationTrace, MesoState, exact_state, iterate, make_state
-from .stefan import (
-    MaximalSolution,
-    MetastableMaximal,
-    _metastable_maximal,
-    solve_maximal,
-)
+from .stefan import MaximalSolution, MetastableMaximal
 from .thermo import ThermoParams, mobility
 
 MOBILITY_FLOOR = 1e-6
@@ -56,19 +55,25 @@ class AntisymResult:
     increase_interval: float | None    # meso length of the central rise (metastable)
 
 
-def _seed_layout(spacing, instanton: Instanton, eps, ell, n0):
+def _seed_layout(macro, kernel: Kernel, instanton: Instanton, eps, ell, n0):
     """Grid and gluing index of the composite seed.
 
     GridError when eps^-1 [-ell, ell] has no grid at the spacing or none
     with x = 0 among its points (the seed is odd about it), the instanton
-    has another spacing, n0 < 0 (the gluing point xi = x_eps + 2 n0 would
-    sit left of the interface), or xi passes half the half-domain or the
-    end of the instanton window.
+    has another beta, kernel shape or spacing, n0 < 0 (the gluing point
+    xi = x_eps + 2 n0 would sit left of the interface), or xi passes half
+    the half-domain or the end of the instanton window.
     """
-    grid = build_grid(eps, ell, ell, spacing)
+    grid = build_grid(eps, ell, ell, kernel.spacing)
     grid.index_of(0.0)
-    if abs(instanton.spacing - grid.spacing) > 1e-12:
-        raise GridError("instanton spacing must match the solver spacing")
+    if (instanton.beta != macro.params.beta
+            or instanton.kernel_shape != kernel.shape
+            or abs(instanton.spacing - grid.spacing) > 1e-12):
+        raise GridError(
+            f"instanton at beta {instanton.beta:g}, {instanton.kernel_shape} "
+            f"kernel, spacing {instanton.spacing:g} does not match the solve "
+            f"at beta {macro.params.beta:g}, {kernel.shape} kernel, spacing "
+            f"{grid.spacing:g}")
     x_eps = threshold_abscissa(instanton, eps)
     xi = x_eps + 2.0 * n0
     if n0 < 0:
@@ -87,8 +92,8 @@ def _seed_layout(spacing, instanton: Instanton, eps, ell, n0):
     return grid, xi_index
 
 
-def build_seed(params: ThermoParams, kernel: Kernel, instanton: Instanton,
-               macro, eps, grid: Grid, xi_index: int) -> MesoState:
+def build_seed(macro, kernel: Kernel, instanton: Instanton, eps, grid: Grid,
+               xi_index: int) -> MesoState:
     """Exact state of the composite odd seed on its layout's half line.
 
     The interface profile, signed like the macroscopic solution it is glued
@@ -105,7 +110,7 @@ def build_seed(params: ThermoParams, kernel: Kernel, instanton: Instanton,
     m0[:xi_index + 1] = np.copysign(1.0, m0[xi_index + 1]) \
         * instanton.profile[ic:ic + xi_index + 1]
     m0[0] = 0.0       # +0 whatever the sign
-    return exact_state(params, kernel, half, m0)
+    return exact_state(macro.params, kernel, half, m0)
 
 
 def current_integral(params: ThermoParams, grid: Grid, m: np.ndarray, eps, j,
@@ -134,80 +139,41 @@ def t_map(params: ThermoParams, grid: Grid, m: np.ndarray, eps, j,
     return h
 
 
-def check_stable(kernel: Kernel, eps, j, ell, n0, instanton: Instanton,
-                 macro: MaximalSolution) -> tuple[Grid, int]:
-    """Raise what :func:`solve_stable` raises before iterating; return the
-    seed layout (grid, gluing index) it iterates on."""
-    if j == 0.0:
-        raise DomainError("j = 0 is the zero-current critical-point case: "
-                          "solve the auxiliary fixed point with h = 0 instead")
-    return _check_length(kernel, eps, ell, n0, instanton, "the maximal ell_j",
-                         macro.ell_j)
-
-
-def check_metastable(kernel: Kernel, eps, j, ell, n0, instanton: Instanton,
-                     macro: MetastableMaximal) -> tuple[Grid, int]:
-    """Raise what :func:`solve_metastable` raises before iterating; return
-    the seed layout (grid, gluing index) it iterates on."""
-    if j <= 0.0:
-        raise DomainError("metastable arrangement needs j > 0")
-    return _check_length(kernel, eps, ell, n0, instanton,
-                         "the metastable breakdown", macro.ell_break)
-
-
-def _check_length(kernel, eps, ell, n0, instanton, what, limit):
-    """eps <= 0.2, ell below the macroscopic limit, and a seed that fits."""
+def check_centred(macro: MaximalSolution | MetastableMaximal, kernel: Kernel,
+                  instanton: Instanton, eps, ell, n0) -> tuple[Grid, int]:
+    """Raise what :func:`solve_centred` raises before iterating (eps <= 0.2,
+    ell below the macroscopic limit, a seed that fits); return the seed
+    layout (grid, gluing index) it iterates on."""
     if eps > 0.2:
         raise DomainError("scale parameter must satisfy eps <= 0.2")
+    what, limit = ("the metastable breakdown", macro.ell_break) \
+        if isinstance(macro, MetastableMaximal) \
+        else ("the maximal ell_j", macro.ell_j)
     if ell >= limit:
         raise InfeasibleError(f"half-length {ell} must stay below {what} "
                               f"= {limit:.6g}", ell_j=limit)
-    return _seed_layout(kernel.spacing, instanton, eps, ell, n0)
+    return _seed_layout(macro, kernel, instanton, eps, ell, n0)
 
 
-def solve_stable(params: ThermoParams, kernel: Kernel, eps, j, ell,
-                 n0=DEFAULT_N0,
-                 instanton: Instanton | None = None,
-                 macro: MaximalSolution | None = None) -> AntisymResult:
-    """Stable-branch antisymmetric solve: strictly monotone m for j != 0."""
-    from .instanton import compute_instanton
-
-    macro = macro or solve_maximal(params, j)
-    instanton = instanton or compute_instanton(params, kernel)
-    grid, xi_index = check_stable(kernel, eps, j, ell, n0, instanton, macro)
-    return _iterate(params, kernel, instanton, macro, eps, j, grid, xi_index,
-                    "stable")
+def solve_centred(macro: MaximalSolution | MetastableMaximal, kernel: Kernel,
+                  instanton: Instanton, eps, ell, n0) -> AntisymResult:
+    """Antisymmetric solve converging to ``macro``: on the stable branch a
+    strictly monotone m; on the metastable one (j > 0) the field decreases
+    while m decreases, rises across the interface, and decreases again, and
+    the central rise, of vanishing macroscopic length, is measured."""
+    grid, xi_index = check_centred(macro, kernel, instanton, eps, ell, n0)
+    return _iterate(macro, kernel, instanton, eps, grid, xi_index)
 
 
-def solve_metastable(params: ThermoParams, kernel: Kernel, eps, j, ell,
-                     n0=DEFAULT_N0,
-                     instanton: Instanton | None = None,
-                     macro: MetastableMaximal | None = None) -> AntisymResult:
-    """Metastable antisymmetric solve for j > 0 (x0 = 0 only).
-
-    The field decreases while m decreases, rises across the interface, and
-    decreases again; the central rise has vanishing macroscopic length.
-    """
-    from .instanton import compute_instanton
-
-    macro = macro or _metastable_maximal(params, j)
-    instanton = instanton or compute_instanton(params, kernel)
-    grid, xi_index = check_metastable(kernel, eps, j, ell, n0, instanton,
-                                      macro)
-    return _iterate(params, kernel, instanton, macro, eps, j, grid, xi_index,
-                    "metastable")
-
-
-def _iterate(params, kernel, instanton, macro, eps, j, grid, xi_index,
-             branch):
+def _iterate(macro, kernel, instanton, eps, grid, xi_index):
     """The fixed point of m = tanh(beta (J^neum*m + T(m))) on the half line,
     by :func:`meso.iterate` from the seed with the current integral T as
     the field, and the odd extension of its last pair and convolution to
     the grid.  The seed is handed over unnamed, so the loop frees it after
     its first step."""
-    half = grid.half_line()
+    params, j, half = macro.params, macro.j, grid.half_line()
     last, trace = iterate(
-        build_seed(params, kernel, instanton, macro, eps, grid, xi_index),
+        build_seed(macro, kernel, instanton, eps, grid, xi_index),
         lambda m, out, scratch: t_map(params, half, m, eps, j, out, scratch))
     full = [np.empty(grid.n) for _ in range(3)]  # odd h, m, conv
     for row, a in zip(full, (last.h, last.m, last.conv)):
@@ -216,7 +182,7 @@ def _iterate(params, kernel, instanton, macro, eps, j, grid, xi_index,
     final = make_state(params, kernel, grid, *full)
     mono = _is_monotone(last.m, increasing=(j < 0))
     rise = _central_increase_length(half, last.m) \
-        if branch == "metastable" else None
+        if isinstance(macro, MetastableMaximal) else None
     return AntisymResult(final, trace, float(xi_index * grid.spacing),
                          float(eps), float(j), mono, rise)
 

@@ -15,8 +15,10 @@ iterates the coupled fixed point of the two instead, in the loop every
 solver shares (:func:`meso.iterate`), with a Newton step along u* at its
 eigenvalue lambda*, which turns the slow 1 - O(eps) mode into a fast one.
 
-check_off_center holds every check build_problem makes before the extended
-solve; ``mesostefan validate`` runs it at each scale.
+The solve takes the maximal solution (holding beta and j) and the
+instanton; check_off_center, with the same arguments, holds every check
+build_problem makes before the extended solve, and ``mesostefan validate``
+runs it at each scale.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .grids import Grid, Kernel, build_grid, conv_values
 from .instanton import Instanton
 from .meso import IterationTrace, MesoState, iterate, make_state
 from .spectral import SpectralResult, leading_eigenpair, slope_start
-from .stefan import MaximalSolution, solve_maximal
+from .stefan import MaximalSolution
 from . import antisym
 from .thermo import ThermoParams
 
@@ -125,15 +127,16 @@ class OffCenterProblem:
                                   dx=self.res_grid.spacing))
 
 
-def check_off_center(kernel: Kernel, eps, j, x0, n0, instanton: Instanton,
-                     macro: MaximalSolution) -> tuple[Grid, int, Grid, Grid]:
+def check_off_center(macro: MaximalSolution, kernel: Kernel,
+                     instanton: Instanton, eps, x0, n0
+                     ) -> tuple[Grid, int, Grid, Grid]:
     """Raise what :func:`build_problem` raises before the extended solve;
     return the extended solve's seed layout (its centred grid on
     eps^-1[-(1 + x0), 1 + x0] and gluing index), the same points relabeled
     as eps^-1[-1, 1 + 2 x0], and the restricted grid.
 
     Needs 0 < x0 < 1, an extended run that passes
-    :func:`antisym.check_stable`, a restricted grid on eps^-1[-1, 1] with
+    :func:`antisym.check_centred`, a restricted grid on eps^-1[-1, 1] with
     eps^-1 x0 among its points (the relabeled and restricted grids then
     share their left end, the restricted right end and the interface), and
     an extension of at least one kernel range past eps^-1.
@@ -141,8 +144,8 @@ def check_off_center(kernel: Kernel, eps, j, x0, n0, instanton: Instanton,
     if not 0.0 < x0 < 1.0:
         raise DomainError("interface offset must lie in (0, 1); for x0 < 0 "
                           "flip the signs of x and j (mirror symmetry)")
-    grid, xi_index = antisym.check_stable(kernel, eps, j, 1.0 + x0, n0,
-                                          instanton, macro)
+    grid, xi_index = antisym.check_centred(macro, kernel, instanton, eps,
+                                           1.0 + x0, n0)
     res_grid = build_grid(eps, 1.0, 1.0, kernel.spacing)
     res_grid.index_of(x0 / eps)
     ext_grid = build_grid(eps, 1.0, 1.0 + 2.0 * x0, kernel.spacing)
@@ -153,10 +156,8 @@ def check_off_center(kernel: Kernel, eps, j, x0, n0, instanton: Instanton,
     return grid, xi_index, ext_grid, res_grid
 
 
-def build_problem(params: ThermoParams, kernel: Kernel, eps, j, x0,
-                  n0=antisym.DEFAULT_N0,
-                  instanton: Instanton | None = None,
-                  macro: MaximalSolution | None = None
+def build_problem(macro: MaximalSolution, kernel: Kernel,
+                  instanton: Instanton, eps, x0, n0
                   ) -> tuple[OffCenterProblem, MesoState]:
     """The extended solution's trace and eigenpair, the quasi-solution, and
     the quasi-solution's state.
@@ -172,14 +173,9 @@ def build_problem(params: ThermoParams, kernel: Kernel, eps, j, x0,
     an exact fixed-point field for the restricted kernel.  Of the extended
     state only the eigenvector outlives the off-center loop's start.
     """
-    from .instanton import compute_instanton
-
-    macro = macro or solve_maximal(params, j)
-    instanton = instanton or compute_instanton(params, kernel)
     grid, xi_index, ext_grid, res_grid = check_off_center(
-        kernel, eps, j, x0, n0, instanton, macro)
-    extended = antisym._iterate(params, kernel, instanton, macro, eps, j,
-                                grid, xi_index, "stable")
+        macro, kernel, instanton, eps, x0, n0)
+    extended = antisym._iterate(macro, kernel, instanton, eps, grid, xi_index)
     n_res = res_grid.n
     m_star = extended.state.m
 
@@ -195,7 +191,7 @@ def build_problem(params: ThermoParams, kernel: Kernel, eps, j, x0,
     m_eps = m_star[:n_res]
     conv_eps = conv_values(kernel, res_grid, m_eps)
     r_eps = conv_values(kernel, ext_grid, m_star)[:n_res] - conv_eps
-    start = make_state(params, kernel, res_grid,
+    start = make_state(macro.params, kernel, res_grid,
                        extended.state.h[:n_res] + r_eps, m_eps, conv_eps)
     if start.residual_norm > 1e-9:
         raise ConvergenceError(f"quasi-solution residual "
@@ -204,10 +200,10 @@ def build_problem(params: ThermoParams, kernel: Kernel, eps, j, x0,
     weight = build_weight(res_grid, x0, default_a_plus(instanton, eps, x0))
     interface_index = res_grid.index_of(x0 / eps)
     r_eps.setflags(write=False)
-    return OffCenterProblem(params, kernel, float(eps), float(j), float(x0),
-                            extended.trace, extended.xi_eps, ext_grid,
-                            res_grid, u_star, r_eps, start.h, weight,
-                            interface_index), start
+    return OffCenterProblem(macro.params, kernel, float(eps), macro.j,
+                            float(x0), extended.trace, extended.xi_eps,
+                            ext_grid, res_grid, u_star, r_eps, start.h,
+                            weight, interface_index), start
 
 
 def projected_field(problem: OffCenterProblem, m: np.ndarray, out=None,
@@ -249,10 +245,8 @@ class OffCenterResult:
         return self.problem.xi_eps
 
 
-def solve_off_center(params: ThermoParams, kernel: Kernel, eps, j, x0,
-                     n0=antisym.DEFAULT_N0,
-                     instanton: Instanton | None = None,
-                     macro: MaximalSolution | None = None) -> OffCenterResult:
+def solve_off_center(macro: MaximalSolution, kernel: Kernel,
+                     instanton: Instanton, eps, x0, n0) -> OffCenterResult:
     """The fixed point of m = tanh(beta (J^neum*m + projected_field(m))).
 
     :func:`meso.iterate` runs from the quasi-solution's state with the
@@ -263,8 +257,7 @@ def solve_off_center(params: ThermoParams, kernel: Kernel, eps, j, x0,
     interpolation, and the magnetization zero is reported separately (the
     two need not coincide).
     """
-    problem, start = build_problem(params, kernel, eps, j, x0, n0=n0,
-                                   instanton=instanton, macro=macro)
+    problem, start = build_problem(macro, kernel, instanton, eps, x0, n0)
     newton = (problem.u_star_restricted, problem.u_star.lambda_,
               start.quadrature)
     # handed over with no name left here, the start is freed after the

@@ -147,14 +147,12 @@ def _failure(exc: Exception, where="") -> tuple[int, str]:
 
 def _mode(cfg: RunConfig):
     """The mode's maximal macroscopic solution, precondition check, solver,
-    and the solver's fifth argument (ell, or x0 off center), looked up when
+    and the fifth argument of both (ell, or x0 off center), looked up when
     called."""
-    if cfg.mode == "antisym":
-        return (stefan.solve_maximal, antisym.check_stable,
-                antisym.solve_stable, cfg.ell)
-    if cfg.mode == "metastable":
-        return (stefan._metastable_maximal, antisym.check_metastable,
-                antisym.solve_metastable, cfg.ell)
+    if cfg.mode in ("antisym", "metastable"):
+        maximal = stefan.solve_maximal if cfg.mode == "antisym" \
+            else stefan._metastable_maximal
+        return maximal, antisym.check_centred, antisym.solve_centred, cfg.ell
     if cfg.mode == "asym":
         return (stefan.solve_maximal, asym.check_off_center,
                 asym.solve_off_center, cfg.x0)
@@ -177,13 +175,14 @@ def _fixed_inputs(beta, spacing, kernel) -> tuple:
 
 
 def _shared_inputs(cfg: RunConfig) -> tuple:
-    """(params, kernel, macro, instanton), which every scale of a config
-    shares; raises what computing them raises, the first failing one of
-    params, kernel, macro and instanton in that order."""
+    """(macro, kernel, instanton), the first three arguments of the mode's
+    check and solver, which every scale of a config shares; raises what
+    computing them raises, the first failing one of params, kernel, macro
+    and instanton in that order."""
     params, kernel = _params_kernel(cfg.beta, cfg.spacing, cfg.kernel)
     macro = _mode(cfg)[0](params, cfg.j)
     _, _, inst = _fixed_inputs(cfg.beta, cfg.spacing, cfg.kernel)
-    return params, kernel, macro, inst
+    return macro, kernel, inst
 
 
 def _solve_one(cfg: RunConfig, eps, shared: tuple):
@@ -203,9 +202,8 @@ def _solve_one(cfg: RunConfig, eps, shared: tuple):
     grid, the extended problem's eigenvector.
     """
     _, _, solve, arg = _mode(cfg)
-    params, kernel, macro, inst = shared
-    res = solve(params, kernel, eps, cfg.j, arg, n0=cfg.n0, instanton=inst,
-                macro=macro)
+    macro, _, inst = shared
+    res = solve(*shared, eps, arg, cfg.n0)
     x0 = cfg.x0 if cfg.mode == "asym" else 0.0
     row = SweepRow(eps=eps, mode=cfg.mode, iters=len(res.trace.increments))
     # off center, the extended centred solve made updates too
@@ -231,11 +229,14 @@ def _solve_one(cfg: RunConfig, eps, shared: tuple):
 
 
 def _save_run(out, res):
-    """The state and the loop trace of a solve."""
-    st = res.state
+    """The state, and the loop trace of a solve: one row per step k, the
+    increment, its ratio to the previous one and the residual of the pair
+    step k - 1 measured (the start's at k = 0)."""
+    st, tr = res.state, res.trace
     save_state(os.path.join(out, "state.csv"), st.grid, st.h, st.m)
-    with open(os.path.join(out, "trace.csv"), "w") as fh:
-        fh.write(res.trace.to_csv())
+    save_table(os.path.join(out, "trace.csv"), "k,increment,ratio,residual",
+               range(len(tr.increments)), tr.increments,
+               [float("nan")] + tr.ratios, tr.residuals[:-1])
 
 
 def cmd_solve(args) -> int:
@@ -372,8 +373,8 @@ def validate(cfg: RunConfig) -> list:
     (exit code, message) pairs.
 
     Checks the config's fields (``RunConfig.validate_fields``), computes
-    the shared inputs, then runs the mode's precondition check at each eps:
-    ``antisym.check_stable``, ``antisym.check_metastable`` or
+    the shared inputs, then runs the mode's precondition check at each eps
+    with the arguments its solver gets: ``antisym.check_centred`` or
     ``asym.check_off_center``, which the solvers call first.  The code is
     the one the row would carry, and the message starts with the prefix
     ``main`` prints for it ("config error", "infeasible", "numerical
@@ -381,14 +382,14 @@ def validate(cfg: RunConfig) -> list:
     a solve can still fail while iterating (exit code 4).
     """
     try:
-        _, kernel, macro, inst = _shared_inputs(cfg.validate_fields())
+        shared = _shared_inputs(cfg.validate_fields())
     except _ROW_ERRORS as exc:
         return [_failure(exc)]
     _, check, _, arg = _mode(cfg)
     findings = []
     for eps in cfg.eps_list:
         try:
-            check(kernel, eps, cfg.j, arg, cfg.n0, inst, macro)
+            check(*shared, eps, arg, cfg.n0)
         except _ROW_ERRORS as exc:
             findings.append(_failure(exc, f"eps = {eps}: "))
     return findings

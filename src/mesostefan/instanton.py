@@ -25,7 +25,8 @@ from .grids import POINT_CAP, Grid, Kernel, conv_values, conv_values_filled
 from .meso import Workspace
 from .thermo import SATURATED_ROOT, ThermoParams, mobility
 
-HALF_WIDTH = 20.0     # X of the truncated line [-X, X]
+HALF_WIDTH = 20.0     # least X of the truncated line [-X, X]
+TAIL_DECAYS = 37.0    # a X at least: exp(-37) is below rounding
 MAX_SPACING = 0.05
 _TOL = 1e-12          # sup-norm residual off the clamp collar
 _MAX_ITER = 50_000    # Picard steps
@@ -37,6 +38,7 @@ class Instanton:
     """Converged interface profile on [-X, X] and its derived quantities."""
 
     beta: float
+    kernel_shape: str
     x: np.ndarray
     spacing: float
     profile: np.ndarray      # odd, strictly increasing, -> +-m_beta
@@ -69,7 +71,9 @@ def _derivative_4th(values: np.ndarray, spacing: float,
 
 def compute_instanton(params: ThermoParams, kernel: Kernel,
                       seed="sign") -> Instanton:
-    """Solve the odd fixed point m = tanh(beta J*m) on [-X, X], X = HALF_WIDTH.
+    """Solve the odd fixed point m = tanh(beta J*m) on [-X, X], X the larger
+    of HALF_WIDTH and TAIL_DECAYS / a for the decay rate a: the clamp sits
+    where the profile is m_beta to rounding, with no kink in its slope.
 
     Each Picard step sets m to tanh(beta J*m) on [0, X], with m = 0 at
     x = 0, J*m the convolution on the odd grid over [0, X] (m mirrored
@@ -88,15 +92,18 @@ def compute_instanton(params: ThermoParams, kernel: Kernel,
         raise GridError(f"spacing must be <= {MAX_SPACING}")
 
     spacing = kernel.spacing
-    if not 2.0 * HALF_WIDTH / spacing < POINT_CAP:
-        raise GridError(f"half width {HALF_WIDTH} needs more than {POINT_CAP} "
-                        f"points at spacing {spacing}")
-    n_half = int(round(HALF_WIDTH / spacing))
-    x = spacing * np.arange(-n_half, n_half + 1)
     mb = params.m_beta
     beta = params.beta
+    rate = decay_root(mobility(params, mb), kernel)
+    width = float(max(HALF_WIDTH,
+                      spacing * np.ceil(TAIL_DECAYS / rate / spacing)))
+    if not 2.0 * width / spacing < POINT_CAP:
+        raise GridError(f"half width {width:g} needs more than {POINT_CAP} "
+                        f"points at spacing {spacing}")
+    n_half = int(round(width / spacing))
+    x = spacing * np.arange(-n_half, n_half + 1)
 
-    half = Grid(1.0, 0.0, HALF_WIDTH, spacing, x[n_half:], odd=True)
+    half = Grid(1.0, 0.0, width, spacing, x[n_half:], odd=True)
     work = Workspace(kernel, half.n)
     m, target = work.iterates
     if seed == "sign":
@@ -106,7 +113,7 @@ def compute_instanton(params: ThermoParams, kernel: Kernel,
     else:
         raise DomainError(f"unknown seed {seed!r}")
 
-    unclamped = np.count_nonzero(half.points <= HALF_WIDTH - 1.0 + 1e-12)
+    unclamped = np.count_nonzero(half.points <= width - 1.0 + 1e-12)
     m[unclamped:] = mb
 
     def image(m, out):
@@ -138,11 +145,10 @@ def compute_instanton(params: ThermoParams, kernel: Kernel,
     p_bar = mobility(params, m)
     norm_sq = float(np.trapezoid(deriv * deriv / p_bar, dx=spacing))
     mean = 2.0 * mb     # the clamped window's integral, exactly
-    rate = decay_root(mobility(params, mb), kernel)
 
     for arr in (x, m, deriv, p_bar):
         arr.setflags(write=False)
-    return Instanton(beta, x, spacing, m, deriv, p_bar, rate,
+    return Instanton(beta, kernel.shape, x, spacing, m, deriv, p_bar, rate,
                      norm_sq, mean, residual, mb)
 
 

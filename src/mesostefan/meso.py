@@ -22,7 +22,6 @@ so that no step allocates an n-point array.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -57,18 +56,6 @@ class IterationTrace:
         zero increment."""
         inc = self.increments
         return [b / a if a > 0 else float("nan") for a, b in zip(inc, inc[1:])]
-
-    def to_csv(self) -> str:
-        """One row per step k: the increment, its ratio to the previous one
-        and the residual of the pair step k - 1 measured (the start's at
-        k = 0)."""
-        buf = io.StringIO()
-        buf.write("k,increment,ratio,residual\n")
-        rows = zip(self.increments, [float("nan")] + self.ratios,
-                   self.residuals)
-        for k, (inc, rat, res) in enumerate(rows):
-            buf.write(f"{k},{inc:.17g},{rat:.17g},{res:.17g}\n")
-        return buf.getvalue()
 
 
 class Workspace:

@@ -104,9 +104,9 @@ def slope_start(state: MesoState, instanton: Instanton) -> np.ndarray:
 
     The maximal eigenvector is the normalised interface slope to O(eps).
     The layout check matched the instanton's spacing to the grid's, so the
-    slope is an exact slice.  Its differences dip below 0 by rounding in
-    the tail and, near the critical temperature (-4e-6 at beta = 1.01), at
-    the kink of the clamp collar.
+    slope is an exact slice.  It dips below 0 only by rounding, in the
+    tail: the instanton's window ends where the profile is m_beta to
+    rounding, so its clamp collar has no kink.
     """
     ic = instanton.center_index
     k = min(state.grid.n, instanton.x.size - ic)

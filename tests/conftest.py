@@ -80,31 +80,28 @@ def maximal_meta(params2):
 
 
 @pytest.fixture(scope="session")
-def stable_sweep(params2, kernel05, inst05, maximal_stable):
+def stable_sweep(kernel05, inst05, maximal_stable):
     return {
-        eps: antisym.solve_stable(params2, kernel05, eps, J_STABLE, ELL,
-                                  n0=N0, instanton=inst05,
-                                  macro=maximal_stable)
+        eps: antisym.solve_centred(maximal_stable, kernel05, inst05, eps,
+                                   ELL, N0)
         for eps in EPS_SWEEP
     }
 
 
 @pytest.fixture(scope="session")
-def metastable_sweep(params2, kernel05, inst05, maximal_meta):
+def metastable_sweep(kernel05, inst05, maximal_meta):
     return {
-        eps: antisym.solve_metastable(params2, kernel05, eps, J_META, ELL,
-                                      n0=N0, instanton=inst05,
-                                      macro=maximal_meta)
+        eps: antisym.solve_centred(maximal_meta, kernel05, inst05, eps, ELL,
+                                   N0)
         for eps in EPS_SWEEP
     }
 
 
 @pytest.fixture(scope="session")
-def asym_sweep(params2, kernel05, inst05, maximal_stable):
+def asym_sweep(kernel05, inst05, maximal_stable):
     return {
-        eps: asym.solve_off_center(params2, kernel05, eps, J_STABLE, X0,
-                                   n0=N0, instanton=inst05,
-                                   macro=maximal_stable)
+        eps: asym.solve_off_center(maximal_stable, kernel05, inst05, eps, X0,
+                                   N0)
         for eps in EPS_SWEEP
     }
 
@@ -133,26 +130,24 @@ def projected_map(problem, start, tol=1e-10, max_steps=60):
 
 
 @pytest.fixture(scope="session")
-def projected_map_sweep(params2, kernel05, inst05, maximal_stable):
+def projected_map_sweep(kernel05, inst05, maximal_stable):
     """(trace, final state) of the paper's projected map at each scale, on
     the off-center sweep's problems."""
     out = {}
     for eps in EPS_SWEEP:
-        problem, start = asym.build_problem(params2, kernel05, eps, J_STABLE,
-                                            X0, n0=N0, instanton=inst05,
-                                            macro=maximal_stable)
+        problem, start = asym.build_problem(maximal_stable, kernel05, inst05,
+                                            eps, X0, N0)
         out[eps] = projected_map(problem, start)
     return out
 
 
 @pytest.fixture(scope="session")
-def spectral_sweep(params2, kernel025, inst025, maximal_stable):
+def spectral_sweep(kernel025, inst025, maximal_stable):
     """Stable solves plus eigen-data at the finer spectral spacing."""
     out = {}
     for eps in EPS_SWEEP:
-        res = antisym.solve_stable(params2, kernel025, eps, J_STABLE, ELL,
-                                   n0=N0, instanton=inst025,
-                                   macro=maximal_stable)
+        res = antisym.solve_centred(maximal_stable, kernel025, inst025, eps,
+                                    ELL, N0)
         pair = spectral.leading_eigenpair(res.state)
         lam2 = spectral.second_eigenvalue(res.state, pair)
         shape = spectral.eigenvector_shape_report(res.state, pair, inst025)

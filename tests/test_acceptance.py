@@ -13,10 +13,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import EPS_SWEEP, J_STABLE, X0, geometric_mean
+from conftest import EPS_SWEEP, J_STABLE, N0, X0, geometric_mean
 from mesostefan import stefan
 from mesostefan.antisym import (fixed_point_defect, flux_defect,
-                                hydrodynamic_error, solve_metastable)
+                                hydrodynamic_error, solve_centred)
 from mesostefan.grids import (build_grid, build_kernel, conv_values,
                               KERNEL_SHAPES)
 from mesostefan.instanton import apply_transfer, compute_instanton
@@ -153,8 +153,7 @@ def test_criterion_09_metastable_branch(metastable_sweep, params2, kernel05,
     0.91 of the breakdown half-length."""
     high = stefan._metastable_maximal(params2, J_META_HIGH)
     sweeps = {"j = 0.02": metastable_sweep, "j = 0.09": {
-        eps: solve_metastable(params2, kernel05, eps, J_META_HIGH, 1.0,
-                              instanton=inst05, macro=high)
+        eps: solve_centred(high, kernel05, inst05, eps, 1.0, N0)
         for eps in EPS_SWEEP}}
     ok = True
     found = []

@@ -2,32 +2,35 @@
 
 import sys
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import ELL, EPS_SWEEP, J_META, J_STABLE, N0, X0, geometric_mean
+from conftest import (ELL, EPS_SWEEP, J_META, J_STABLE, N0, SPACING, X0,
+                      geometric_mean)
 from mesostefan import antisym, asym, cli, spectral, stefan
-from mesostefan.antisym import (build_seed, fixed_point_defect, flux_defect,
-                                hydrodynamic_error, solve_metastable,
-                                solve_stable, t_map)
+from mesostefan.antisym import (build_seed, check_centred,
+                                fixed_point_defect, flux_defect,
+                                hydrodynamic_error, solve_centred, t_map)
 from mesostefan.config import RunConfig
 from mesostefan.errors import (ConvergenceError, DomainError, GridError,
                                InfeasibleError)
 from mesostefan import meso
-from mesostefan.grids import conv_values
+from mesostefan.grids import build_kernel, conv_values
+from mesostefan.instanton import compute_instanton
 from mesostefan.meso import make_state
+from mesostefan.thermo import make_params
 
 
 # ------------------------------------------------------------------- seed
 
-def _stable_seed(params2, kernel05, inst05, macro, eps, j=J_STABLE):
-    """The seed layout check_stable builds and build_seed's start state on
-    it, as solve_stable makes them."""
-    grid, xi_index = antisym.check_stable(kernel05, eps, j, ELL, N0, inst05,
-                                          macro)
-    return grid, xi_index, build_seed(params2, kernel05, inst05, macro, eps,
-                                      grid, xi_index)
+def _stable_seed(macro, kernel05, inst05, eps):
+    """The seed layout check_centred builds and build_seed's start state on
+    it, as solve_centred makes them."""
+    grid, xi_index = check_centred(macro, kernel05, inst05, eps, ELL, N0)
+    return grid, xi_index, build_seed(macro, kernel05, inst05, eps, grid,
+                                      xi_index)
 
 
 def _odd(values):
@@ -36,10 +39,9 @@ def _odd(values):
     return np.concatenate([-values[:0:-1], values])
 
 
-def test_seed_structure(params2, kernel05, inst05, maximal_stable):
+def test_seed_structure(kernel05, inst05, maximal_stable):
     eps = 0.05
-    g, xi_index, start = _stable_seed(params2, kernel05, inst05,
-                                      maximal_stable, eps)
+    g, xi_index, start = _stable_seed(maximal_stable, kernel05, inst05, eps)
     # the seed lives on the half line x >= 0 of the check's grid
     assert start.grid.odd
     assert np.array_equal(start.grid.points, g.points[g.center_index:])
@@ -56,7 +58,7 @@ def test_seed_structure(params2, kernel05, inst05, maximal_stable):
 
 
 def test_seed_field_is_exact(params2, kernel05, inst05, maximal_stable):
-    grid, _, start = _stable_seed(params2, kernel05, inst05, maximal_stable,
+    grid, _, start = _stable_seed(maximal_stable, kernel05, inst05,
                                   0.1)
     # exact as the odd profile on the full grid too
     assert make_state(params2, kernel05, grid, _odd(start.h),
@@ -67,22 +69,32 @@ def test_seed_field_is_exact(params2, kernel05, inst05, maximal_stable):
         make_state(params2, kernel05, grid, start.h, start.m)
 
 
-def test_seed_rejects_collision(params2, kernel05, inst05, maximal_stable):
-    with pytest.raises(GridError):
-        antisym.check_stable(kernel05, 0.1, J_STABLE, ELL, 10, inst05,
-                             maximal_stable)  # xi ~ 20 exceeds half the domain
+def test_seed_rejects_collision(kernel05, inst05, maximal_stable):
+    with pytest.raises(GridError):    # xi ~ 20 exceeds half the domain
+        check_centred(maximal_stable, kernel05, inst05, 0.1, ELL, 10)
 
 
-def test_seed_spacing_mismatch(params2, kernel025, inst05, maximal_stable):
+def test_seed_spacing_mismatch(kernel025, inst05, maximal_stable):
     with pytest.raises(GridError):
-        antisym.check_stable(kernel025, 0.1, J_STABLE, ELL, N0, inst05,
-                             maximal_stable)
+        check_centred(maximal_stable, kernel025, inst05, 0.1, ELL, N0)
+
+
+@pytest.mark.parametrize("beta, shape", [(2.1, "cos2"), (2.0, "quartic")])
+def test_seed_refuses_an_instanton_of_another_beta_or_kernel(
+        beta, shape, kernel05, maximal_stable):
+    """An instanton computed at another beta, or with another kernel shape,
+    at the solve's spacing: the check and the solve refuse it, where the
+    seed would otherwise glue in the wrong interface profile."""
+    inst = compute_instanton(make_params(beta), build_kernel(SPACING, shape))
+    for run in (check_centred, solve_centred):
+        with pytest.raises(GridError, match="does not match the solve"):
+            run(maximal_stable, kernel05, inst, 0.1, ELL, N0)
 
 
 # ------------------------------------------------------------------ t_map
 
 def test_t_map_sign_and_oddness(params2, kernel05, inst05, maximal_stable):
-    grid, _, start = _stable_seed(params2, kernel05, inst05, maximal_stable,
+    grid, _, start = _stable_seed(maximal_stable, kernel05, inst05,
                                   0.1)
     h = t_map(params2, start.grid, start.m, 0.1, J_STABLE)
     assert h[0] == 0.0
@@ -125,13 +137,13 @@ def test_stable_monotone_and_odd(stable_sweep):
         assert np.max(np.abs(res.state.h + res.state.h[::-1])) < 1e-10
 
 
-def test_stable_closeness_to_seed(stable_sweep, params2, kernel05, inst05,
+def test_stable_closeness_to_seed(stable_sweep, kernel05, inst05,
                                   maximal_stable):
     """Fixed point stays within O(eps log eps^-1) of the composite seed."""
     consts_h, consts_m = [], []
     for eps in EPS_SWEEP:
         res = stable_sweep[eps]
-        _, _, seed = _stable_seed(params2, kernel05, inst05, maximal_stable,
+        _, _, seed = _stable_seed(maximal_stable, kernel05, inst05,
                                   eps)
         scale = eps * np.log(1.0 / eps)
         c = res.state.grid.center_index      # both odd: x >= 0 suffices
@@ -191,53 +203,57 @@ def test_forbidden_values_shrink(stable_sweep, params2):
 
 
 def test_stable_mirrored_current(params2, kernel05, inst05):
-    res = solve_stable(params2, kernel05, 0.1, -J_STABLE, ELL, n0=N0,
-                       instanton=inst05)
+    res = solve_centred(stefan.solve_maximal(params2, -J_STABLE), kernel05,
+                        inst05, 0.1, ELL, N0)
     assert np.all(np.diff(res.state.m) < 0.0)
     assert res.monotone
 
 
 @pytest.mark.parametrize("mode", ["stable", "off-center"])
-def test_positive_current_is_the_mirror_image(mode, params2, kernel05, inst05):
+def test_positive_current_is_the_mirror_image(mode, params2, kernel05, inst05,
+                                              tmp_path):
     """The j > 0 solve runs directly, from the seed glued with the sign of
     its macroscopic profile, and returns the negated state of the j < 0
     solve with the same outer trace."""
     if mode == "stable":
-        solve, check, arg = solve_stable, antisym.check_stable, ELL
+        solve, check, arg = solve_centred, check_centred, ELL
     else:
         solve, check, arg = asym.solve_off_center, asym.check_off_center, X0
-    neg, pos = (solve(params2, kernel05, 0.05, j, arg, n0=N0,
-                      instanton=inst05) for j in (J_STABLE, -J_STABLE))
+    macros = [stefan.solve_maximal(params2, j) for j in (J_STABLE, -J_STABLE)]
+    neg, pos = (solve(macro, kernel05, inst05, 0.05, arg, N0)
+                for macro in macros)
     for name in ("m", "h", "conv"):
         assert np.array_equal(getattr(pos.state, name),
                               -getattr(neg.state, name)), name
-    assert pos.trace.to_csv() == neg.trace.to_csv()
+    traces = []
+    for name, res in (("neg", neg), ("pos", pos)):
+        (tmp_path / name).mkdir()
+        cli._save_run(str(tmp_path / name), res)
+        traces.append((tmp_path / name / "trace.csv").read_text())
+    assert traces[0] == traces[1]
     seeds = []
-    for j in (J_STABLE, -J_STABLE):
-        macro = stefan.solve_maximal(params2, j)
-        grid, xi_index = check(kernel05, 0.05, j, arg, N0, inst05, macro)[:2]
-        seeds.append(build_seed(params2, kernel05, inst05, macro, 0.05, grid,
+    for macro in macros:
+        grid, xi_index = check(macro, kernel05, inst05, 0.05, arg, N0)[:2]
+        seeds.append(build_seed(macro, kernel05, inst05, 0.05, grid,
                                 xi_index).m)
     assert np.array_equal(seeds[1], -seeds[0])
 
 
-def _extended(params2, kernel05, inst05, maximal_stable, eps):
+def _extended(kernel05, inst05, maximal_stable, eps):
     """The centred solve that the off-center set-up runs."""
-    layout = asym.check_off_center(kernel05, eps, J_STABLE, X0, N0, inst05,
-                                   maximal_stable)[:2]
-    return antisym._iterate(params2, kernel05, inst05, maximal_stable, eps,
-                            J_STABLE, *layout, "stable")
+    layout = asym.check_off_center(maximal_stable, kernel05, inst05, eps, X0,
+                                   N0)[:2]
+    return antisym._iterate(maximal_stable, kernel05, inst05, eps, *layout)
 
 
 @pytest.mark.parametrize("mode", ["stable", "metastable", "extended"])
 def test_centred_states_are_bitwise_odd(mode, stable_sweep, metastable_sweep,
-                                        params2, kernel05, inst05,
-                                        maximal_stable):
+                                        kernel05, inst05, maximal_stable):
     """The returned h, m and J^neum*m are exact odd extensions of the half
     line's, +0 at x = 0, and the convolution is the full grid's."""
     results = [stable_sweep[0.05]] if mode == "stable" \
         else [metastable_sweep[0.05]] if mode == "metastable" \
-        else [_extended(params2, kernel05, inst05, maximal_stable, 0.05)]
+        else [_extended(kernel05, inst05, maximal_stable, 0.05)]
     for res in results:
         st = res.state
         c = st.grid.center_index
@@ -275,9 +291,8 @@ def test_centred_solves_convolve_on_the_half_line(mode, params2, kernel05,
     monkeypatch.setattr(meso, "conv_values", recorded)
     monkeypatch.setattr(spectral, "leading_eigenpair", counted)
     if mode == "extended":
-        problem, _ = asym.build_problem(params2, kernel05, 0.1, J_STABLE, X0,
-                                        n0=N0, instanton=inst05,
-                                        macro=maximal_stable)
+        problem, _ = asym.build_problem(maximal_stable, kernel05, inst05, 0.1,
+                                        X0, N0)
         n, trace = problem.ext_grid.n, problem.extended_trace
         power_steps = problem.u_star.iterations
     else:
@@ -307,7 +322,7 @@ def _row_matches_the_full_grid(params2, eps, **fields):
                     **fields).validate_fields()
     shared = cli._shared_inputs(cfg)
     row, res = cli._solve_one(cfg, eps, shared)
-    macro = shared[2]
+    macro = shared[0]
     assert (row.hydro_m, row.hydro_h) == hydrodynamic_error(
         res.state, macro, eps, 0.0, eps * res.xi_eps)
     full = (1.0 - spectral.leading_eigenpair(res.state).lambda_) / eps
@@ -335,21 +350,17 @@ def test_trace_starts_at_the_seed_residual(stable_sweep, params2, kernel05,
     """The first trace residual is the start state's measured one."""
     for eps in EPS_SWEEP:
         res = stable_sweep[eps]
-        _, _, seed = _stable_seed(params2, kernel05, inst05,
-                                  maximal_stable, eps)
+        _, _, seed = _stable_seed(maximal_stable, kernel05, inst05, eps)
         measured = make_state(params2, kernel05, seed.grid, seed.h,
                               seed.m).residual_norm
         assert res.trace.residuals[0] == measured < 1e-15
 
 
-def test_stable_preconditions(params2, kernel05, inst05, maximal_stable):
+def test_stable_preconditions(kernel05, inst05, maximal_stable):
     with pytest.raises(DomainError):
-        solve_stable(params2, kernel05, 0.1, 0.0, ELL)
-    with pytest.raises(DomainError):
-        solve_stable(params2, kernel05, 0.3, J_STABLE, ELL)
+        solve_centred(maximal_stable, kernel05, inst05, 0.3, ELL, N0)
     with pytest.raises(InfeasibleError) as exc:
-        solve_stable(params2, kernel05, 0.1, J_STABLE, 2.5,
-                     instanton=inst05, macro=maximal_stable)
+        solve_centred(maximal_stable, kernel05, inst05, 0.1, 2.5, N0)
     assert exc.value.ell_j == maximal_stable.ell_j
 
 
@@ -373,34 +384,34 @@ def test_no_stop_on_inexact_pair(stable_sweep, metastable_sweep,
     """The loop stops only on a pair whose residual is below INNER_TOL, and
     the field it returns is T of the returned magnetization exactly, for
     either sign of the current."""
-    flipped = solve_stable(params2, kernel05, 0.05, -J_STABLE, ELL, n0=N0,
-                           instanton=inst05)
+    flipped = solve_centred(stefan.solve_maximal(params2, -J_STABLE),
+                            kernel05, inst05, 0.05, ELL, N0)
     for res in [*stable_sweep.values(), *metastable_sweep.values(), flipped]:
         assert fixed_point_defect(res) == 0.0
         assert res.state.residual_norm == res.trace.increments[-1] \
             < meso.INNER_TOL
 
 
-def test_loop_stops_when_it_stops_contracting(params2, kernel05, inst05,
-                                              maximal_stable, monkeypatch):
+def test_loop_stops_when_it_stops_contracting(kernel05, inst05, maximal_stable,
+                                              monkeypatch):
     """With a tolerance no residual meets, the residuals settle at rounding:
     STALL_STEPS of them in a row that do not fall raise ConvergenceError
     with the trace; a smaller step budget runs out first."""
-    args = (params2, kernel05, 0.1, J_STABLE, ELL)
+    args = (maximal_stable, kernel05, inst05, 0.1, ELL, N0)
     monkeypatch.setattr(meso, "INNER_TOL", 0.0)
     with pytest.raises(ConvergenceError, match="stopped contracting") as info:
-        solve_stable(*args, n0=N0, instanton=inst05, macro=maximal_stable)
+        solve_centred(*args)
     inc = info.value.last.increments
     assert max(inc[-meso.STALL_STEPS - 1:]) < 1e-14
     assert all(b >= a for a, b in zip(inc[-meso.STALL_STEPS - 1:],
                                       inc[-meso.STALL_STEPS:]))
     monkeypatch.setattr(meso, "MAX_ITER", 5)
     with pytest.raises(ConvergenceError, match="in 5 steps") as info:
-        solve_stable(*args, n0=N0, instanton=inst05, macro=maximal_stable)
+        solve_centred(*args)
     assert len(info.value.last.increments) == 5
 
 
-def test_ratios_pair_with_increments_after_zero():
+def test_ratios_pair_with_increments_after_zero(stable_sweep, tmp_path):
     """ratios[k - 1] is increments[k] / increments[k - 1] at every k, NaN
     after an exact-zero increment, and the trace file writes one row per
     step under the same header."""
@@ -408,45 +419,42 @@ def test_ratios_pair_with_increments_after_zero():
     assert tr.ratios[:2] == [0.5, 0.0]
     assert np.isnan(tr.ratios[2]) and np.isnan(tr.ratios[3])
     assert len(tr.ratios) == 4
-    lines = tr.to_csv().splitlines()
-    assert lines[0] == "k,increment,ratio,residual"
+    out = tmp_path / "run"
+    out.mkdir()
+    cli._save_run(str(out), SimpleNamespace(state=stable_sweep[0.1].state,
+                                            trace=tr))
+    lines = (out / "trace.csv").read_text().splitlines()
+    assert lines[:2] == ["k,increment,ratio,residual", "0,0.5,nan,1e-13"]
     assert [line.split(",")[2] for line in lines[1:]] == \
         ["nan", "0.5", "0", "nan", "nan"]
 
 
-def test_checks_match_solver_errors(params2, kernel05, inst05,
+def test_checks_match_solver_errors(kernel05, inst05, inst025,
                                     maximal_stable, maximal_meta,
                                     stable_sweep, metastable_sweep):
-    """check_stable / check_metastable raise exactly what the solves raise
-    before iterating, and return the seed layout the solves run on."""
+    """check_centred, given exactly the arguments of solve_centred, raises
+    what the solve raises before iterating, and returns the seed layout the
+    solve runs on."""
     cases = [
-        (antisym.check_stable, solve_stable, maximal_stable, 0.25, J_STABLE,
-         ELL, N0, DomainError),                  # eps > 0.2
-        (antisym.check_stable, solve_stable, maximal_stable, 0.1, J_STABLE,
-         2.5, N0, InfeasibleError),              # ell >= ell_j
-        (antisym.check_stable, solve_stable, maximal_stable, 0.03, J_STABLE,
-         ELL, N0, GridError),                    # not a whole number of cells
-        (antisym.check_stable, solve_stable, maximal_stable, 0.1, J_STABLE,
-         1.0025, N0, GridError),                 # odd cell count: no x = 0
-        (antisym.check_stable, solve_stable, maximal_stable, 0.1, J_STABLE,
-         ELL, 10, GridError),                    # gluing point collides
-        (antisym.check_metastable, solve_metastable, maximal_meta, 0.1, 0.02,
-         5.0, N0, InfeasibleError),              # ell >= ell_break
-        (antisym.check_metastable, solve_metastable, maximal_meta, 0.02,
-         0.02, ELL, 10, GridError),              # instanton window
+        (maximal_stable, inst05, 0.25, ELL, N0, DomainError),  # eps > 0.2
+        (maximal_stable, inst05, 0.1, 2.5, N0, InfeasibleError),  # ell_j
+        (maximal_stable, inst05, 0.03, ELL, N0, GridError),  # not whole cells
+        (maximal_stable, inst05, 0.1, 1.0025, N0, GridError),  # no x = 0
+        (maximal_stable, inst05, 0.1, ELL, 10, GridError),  # gluing point
+        (maximal_stable, inst025, 0.1, ELL, N0, GridError),  # spacing
+        (maximal_meta, inst05, 0.1, 5.0, N0, InfeasibleError),  # ell_break
+        (maximal_meta, inst05, 0.02, ELL, 10, GridError),  # instanton window
     ]
-    for check, solve, macro, eps, j, ell, n0, err in cases:
+    for macro, inst, eps, ell, n0, err in cases:
+        args = (macro, kernel05, inst, eps, ell, n0)
         with pytest.raises(err) as from_check:
-            check(kernel05, eps, j, ell, n0, inst05, macro)
+            check_centred(*args)
         with pytest.raises(err) as from_solve:
-            solve(params2, kernel05, eps, j, ell, n0=n0, instanton=inst05,
-                  macro=macro)
+            solve_centred(*args)
         assert str(from_check.value) == str(from_solve.value)
-    for check, sweep, j, macro in (
-            (antisym.check_stable, stable_sweep, J_STABLE, maximal_stable),
-            (antisym.check_metastable, metastable_sweep, J_META,
-             maximal_meta)):
-        grid, xi_index = check(kernel05, 0.1, j, ELL, N0, inst05, macro)
+    for sweep, macro in ((stable_sweep, maximal_stable),
+                         (metastable_sweep, maximal_meta)):
+        grid, xi_index = check_centred(macro, kernel05, inst05, 0.1, ELL, N0)
         assert np.array_equal(grid.points, sweep[0.1].state.grid.points)
         assert xi_index * grid.spacing == sweep[0.1].xi_eps
 
@@ -455,9 +463,8 @@ def test_checks_match_solver_errors(params2, kernel05, inst05,
                     reason="CPython 3.10 keeps a call's arguments on the "
                            "caller's stack until the call returns")
 @pytest.mark.parametrize("mode", ["stable", "metastable", "off-center"])
-def test_solve_hands_its_start_over(mode, params2, kernel05, inst05,
-                                    maximal_stable, maximal_meta,
-                                    monkeypatch):
+def test_solve_hands_its_start_over(mode, kernel05, inst05, maximal_stable,
+                                    maximal_meta, monkeypatch):
     """A solve keeps no name for the state its loop starts from, so the
     loop frees it after its first step (off center the loop's, after the
     extended one's)."""
@@ -476,24 +483,20 @@ def test_solve_hands_its_start_over(mode, params2, kernel05, inst05,
 
     monkeypatch.setattr(antisym, "iterate", watched)
     monkeypatch.setattr(asym, "iterate", watched)
-    if mode == "stable":
-        antisym.solve_stable(params2, kernel05, 0.05, J_STABLE, ELL, n0=N0,
-                             instanton=inst05, macro=maximal_stable)
-    elif mode == "metastable":
-        antisym.solve_metastable(params2, kernel05, 0.05, J_META, ELL, n0=N0,
-                                 instanton=inst05, macro=maximal_meta)
+    if mode == "off-center":
+        asym.solve_off_center(maximal_stable, kernel05, inst05, 0.05, X0, N0)
     else:
-        asym.solve_off_center(params2, kernel05, 0.05, J_STABLE, X0, n0=N0,
-                              instanton=inst05, macro=maximal_stable)
+        solve_centred(maximal_stable if mode == "stable" else maximal_meta,
+                      kernel05, inst05, 0.05, ELL, N0)
     assert len(alive) > 2 and not any(alive)
 
 
 @pytest.mark.parametrize("mode", ["stable", "metastable", "off-center"])
-def test_solve_builds_its_seed_layout_once(mode, params2, kernel05, inst05,
+def test_solve_builds_its_seed_layout_once(mode, kernel05, inst05,
                                            maximal_stable, maximal_meta,
                                            monkeypatch):
     """A solve runs its mode's check once and iterates on the layout that
-    check built: one seed layout, and off center one check_stable, for the
+    check built: one seed layout, and off center one check_centred, for the
     extended run."""
     calls = {}
 
@@ -505,23 +508,18 @@ def test_solve_builds_its_seed_layout_once(mode, params2, kernel05, inst05,
             return fn(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrapper)
 
-    for owner, name in ((antisym, "_seed_layout"), (antisym, "check_stable"),
-                        (antisym, "check_metastable"),
+    for owner, name in ((antisym, "_seed_layout"), (antisym, "check_centred"),
                         (asym, "check_off_center")):
         counted(owner, name)
-    if mode == "stable":
-        antisym.solve_stable(params2, kernel05, 0.05, J_STABLE, ELL, n0=N0,
-                             instanton=inst05, macro=maximal_stable)
-        expect = {"check_stable": 1}
-    elif mode == "metastable":
-        antisym.solve_metastable(params2, kernel05, 0.05, J_META, ELL, n0=N0,
-                                 instanton=inst05, macro=maximal_meta)
-        expect = {"check_metastable": 1}
+    if mode == "off-center":
+        asym.solve_off_center(maximal_stable, kernel05, inst05, 0.05, X0, N0)
+        expect = {"check_off_center": 1}
     else:
-        asym.solve_off_center(params2, kernel05, 0.05, J_STABLE, X0, n0=N0,
-                              instanton=inst05, macro=maximal_stable)
-        expect = {"check_off_center": 1, "check_stable": 1}
-    assert calls == {"_seed_layout": 1, **expect}
+        antisym.solve_centred(maximal_stable if mode == "stable"
+                              else maximal_meta, kernel05, inst05, 0.05, ELL,
+                              N0)
+        expect = {}
+    assert calls == {"_seed_layout": 1, "check_centred": 1, **expect}
 
 
 # -------------------------------------------------------- metastable branch
@@ -575,6 +573,9 @@ def test_metastable_hydro_trend(metastable_sweep, maximal_meta):
     assert errs[0] > errs[1] > errs[2]
 
 
-def test_metastable_needs_positive_current(params2, kernel05):
-    with pytest.raises(DomainError):
-        solve_metastable(params2, kernel05, 0.1, -0.02, ELL)
+def test_metastable_needs_positive_current(params2):
+    """A metastable solve takes j from its macroscopic solution, which
+    refuses a current that is not positive."""
+    for j in (-0.02, 0.0):
+        with pytest.raises(DomainError, match="positive current"):
+            stefan._metastable_maximal(params2, j)

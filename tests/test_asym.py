@@ -5,8 +5,8 @@ from dataclasses import fields, is_dataclass, replace
 import numpy as np
 import pytest
 
-from conftest import EPS_SWEEP, J_STABLE, N0, X0
-from mesostefan import antisym
+from conftest import EPS_SWEEP, N0, X0
+from mesostefan import antisym, stefan
 from mesostefan.asym import (admissibility_report, build_problem,
                              check_off_center, default_a_plus,
                              projected_field)
@@ -18,19 +18,17 @@ from mesostefan.spectral import leading_eigenpair
 
 
 @pytest.fixture(scope="module")
-def problem01(params2, kernel05, inst05, maximal_stable):
-    problem, _ = build_problem(params2, kernel05, 0.1, J_STABLE, X0, n0=N0,
-                               instanton=inst05, macro=maximal_stable)
+def problem01(kernel05, inst05, maximal_stable):
+    problem, _ = build_problem(maximal_stable, kernel05, inst05, 0.1, X0, N0)
     return problem
 
 
 @pytest.fixture(scope="module")
-def m_star(params2, kernel05, inst05, maximal_stable):
+def m_star(kernel05, inst05, maximal_stable):
     """m* of the extended solve on eps^-1[-(1 + x0), 1 + x0] at each scale:
     the state build_problem restricts, which the problem does not keep."""
-    return {eps: antisym.solve_stable(params2, kernel05, eps, J_STABLE,
-                                      1.0 + X0, n0=N0, instanton=inst05,
-                                      macro=maximal_stable).state.m
+    return {eps: antisym.solve_centred(maximal_stable, kernel05, inst05, eps,
+                                       1.0 + X0, N0).state.m
             for eps in EPS_SWEEP}
 
 
@@ -39,32 +37,33 @@ def _m_eps(prob, m_star):
     return m_star[prob.eps][:prob.res_grid.n]
 
 
-def test_problem_preconditions(params2, kernel05):
+def test_problem_preconditions(params2, kernel05, inst05, maximal_stable):
     with pytest.raises(DomainError):
-        build_problem(params2, kernel05, 0.1, J_STABLE, 0.0)
-    with pytest.raises(InfeasibleError):
-        build_problem(params2, kernel05, 0.1, -0.05, X0)   # 1 + x0 > ell_j
+        build_problem(maximal_stable, kernel05, inst05, 0.1, 0.0, N0)
+    with pytest.raises(InfeasibleError):        # 1 + x0 > ell_j
+        build_problem(stefan.solve_maximal(params2, -0.05), kernel05, inst05,
+                      0.1, X0, N0)
 
 
-def test_check_matches_problem_errors(params2, kernel05, inst05,
-                                      maximal_stable, problem01):
-    """check_off_center raises exactly what build_problem raises before the
-    extended solve, and returns the grids build_problem uses."""
+def test_check_matches_problem_errors(kernel05, inst05, maximal_stable,
+                                      problem01):
+    """check_off_center, given exactly the arguments of build_problem,
+    raises what build_problem raises before the extended solve, and returns
+    the grids build_problem uses."""
     cases = [(0.1, 0.0, DomainError), (0.1, -0.2, DomainError),
              (0.25, X0, DomainError),            # eps > 0.2 (extended run)
              (0.03, X0, GridError),              # 2 eps^-1 not whole cells
              (0.1, 0.2025, GridError),           # interface off the grid
              (0.1, 0.025, GridError)]            # extension below one range
     for eps, x0, err in cases:
+        args = (maximal_stable, kernel05, inst05, eps, x0, N0)
         with pytest.raises(err) as from_check:
-            check_off_center(kernel05, eps, J_STABLE, x0, N0, inst05,
-                             maximal_stable)
+            check_off_center(*args)
         with pytest.raises(err) as from_problem:
-            build_problem(params2, kernel05, eps, J_STABLE, x0, n0=N0,
-                          instanton=inst05, macro=maximal_stable)
+            build_problem(*args)
         assert str(from_check.value) == str(from_problem.value)
-    _, _, ext, res = check_off_center(kernel05, 0.1, J_STABLE, X0, N0,
-                                      inst05, maximal_stable)
+    _, _, ext, res = check_off_center(maximal_stable, kernel05, inst05, 0.1,
+                                      X0, N0)
     assert np.array_equal(ext.points, problem01.ext_grid.points)
     assert np.array_equal(res.points, problem01.res_grid.points)
 
@@ -157,11 +156,10 @@ def test_boundary_correction_matches_operator_difference(problem01, params2,
     assert np.max(np.abs(prob.r_eps - diff)) < 1e-14
 
 
-def test_boundary_correction_shrinks_with_offset(params2, kernel05, inst05,
+def test_boundary_correction_shrinks_with_offset(kernel05, inst05,
                                                  maximal_stable, problem01):
     """A smaller interface offset leaves less reflection asymmetry."""
-    small, _ = build_problem(params2, kernel05, 0.1, J_STABLE, 0.05, n0=N0,
-                             instanton=inst05, macro=maximal_stable)
+    small, _ = build_problem(maximal_stable, kernel05, inst05, 0.1, 0.05, N0)
     assert np.max(np.abs(small.r_eps)) < np.max(np.abs(problem01.r_eps))
 
 
@@ -178,16 +176,14 @@ def test_u_star_symmetry_and_positivity(asym_sweep):
 
 
 @pytest.mark.parametrize("eps", [0.05, 0.0125])
-def test_u_star_is_the_full_grid_pair(eps, params2, kernel05, inst05,
-                                      maximal_stable):
+def test_u_star_is_the_full_grid_pair(eps, kernel05, inst05, maximal_stable):
     """u*, found on the extended state's even half line and extended, is
     the leading pair of the whole relabeled state."""
-    problem, _ = build_problem(params2, kernel05, eps, J_STABLE, X0, n0=N0,
-                               instanton=inst05, macro=maximal_stable)
-    grid, xi_index, ext_grid, _ = check_off_center(
-        kernel05, eps, J_STABLE, X0, N0, inst05, maximal_stable)
-    extended = antisym._iterate(params2, kernel05, inst05, maximal_stable,
-                                eps, J_STABLE, grid, xi_index, "stable")
+    args = (maximal_stable, kernel05, inst05, eps, X0, N0)
+    problem, _ = build_problem(*args)
+    grid, xi_index, ext_grid, _ = check_off_center(*args)
+    extended = antisym._iterate(maximal_stable, kernel05, inst05, eps, grid,
+                                xi_index)
     full = leading_eigenpair(replace(extended.state, grid=ext_grid))
     assert np.max(np.abs(problem.u_star.u - full.u)) <= 1e-12
     assert abs(problem.u_star.lambda_ - full.lambda_) <= 1e-14
@@ -224,14 +220,13 @@ def test_seed_weighted_distance(asym_sweep, m_star):
     assert max(consts) / min(consts) < 2.0
 
 
-def test_quasi_solution_state(params2, kernel05, inst05, maximal_stable,
-                              problem01, m_star, asym_sweep):
+def test_quasi_solution_state(kernel05, inst05, maximal_stable, problem01,
+                              m_star, asym_sweep):
     """build_problem returns the quasi-solution's state: its pair, the
     restricted convolution of m_eps and the residual the loop records
     first."""
-    problem, start = build_problem(params2, kernel05, 0.1, J_STABLE, X0,
-                                   n0=N0, instanton=inst05,
-                                   macro=maximal_stable)
+    problem, start = build_problem(maximal_stable, kernel05, inst05, 0.1, X0,
+                                   N0)
     m_eps = _m_eps(problem, m_star)
     assert start.h is problem.h_eps and np.array_equal(start.m, m_eps)
     assert np.array_equal(start.h, problem01.h_eps)

@@ -528,14 +528,14 @@ def test_failed_sweep_row_records_error(tmp_path):
 def test_non_package_error_becomes_row(tmp_path, monkeypatch, exc_type):
     """A numpy error at one eps is an exit-4 row naming its class; the
     other scales still solve and record their solves."""
-    solve = antisym.solve_stable
+    solve = antisym.solve_centred
 
-    def failing(params, kernel, eps, *args, **kwargs):
+    def failing(macro, kernel, instanton, eps, *args):
         if eps == 0.05:
             raise exc_type("injected")
-        return solve(params, kernel, eps, *args, **kwargs)
+        return solve(macro, kernel, instanton, eps, *args)
 
-    monkeypatch.setattr(antisym, "solve_stable", failing)
+    monkeypatch.setattr(antisym, "solve_centred", failing)
     out = tmp_path / "sweep"
     cfg_file = tmp_path / "cfg.txt"
     cfg_file.write_text("beta = 2.0\nj = -0.02\nmode = antisym\n"
@@ -599,14 +599,14 @@ def test_row_json_records_inner_solves(tmp_path, mode, j, x0):
 ])
 def test_validate_exits_with_highest_finding_code(tmp_path, monkeypatch,
                                                   capsys, errors, code):
-    check = antisym.check_stable
+    check = antisym.check_centred
 
-    def checked(kernel, eps, *args):
+    def checked(macro, kernel, instanton, eps, *args):
         if eps in errors:
             raise errors[eps]("injected")
-        return check(kernel, eps, *args)
+        return check(macro, kernel, instanton, eps, *args)
 
-    monkeypatch.setattr(antisym, "check_stable", checked)
+    monkeypatch.setattr(antisym, "check_centred", checked)
     path = tmp_path / "cfg.txt"
     path.write_text("beta = 2.0\nj = -0.02\neps_list = 0.1, 0.05\nn0 = 2\n")
     assert main(["validate", "--config", str(path)]) == code
@@ -733,7 +733,8 @@ def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
 
 
 def test_one_n0_default(tmp_path):
-    """The config, both --n0 flags and the solvers default to the same n0,
+    """The config and both --n0 flags default to the same n0, which no
+    check or solver defaults (nor its instanton or macroscopic solution),
     and solve runs without the flag."""
     parser = cli.build_parser()
     for argv in (["solve", "--eps", "0.05", "--j", "-0.02", "--ell", "1"],
@@ -741,10 +742,14 @@ def test_one_n0_default(tmp_path):
                   "--x0", "0.2"]):
         assert parser.parse_args(argv).n0 == antisym.DEFAULT_N0
     assert RunConfig().n0 == antisym.DEFAULT_N0
-    for solver in (antisym.solve_stable, antisym.solve_metastable,
-                   asym.build_problem, asym.solve_off_center):
-        n0 = inspect.signature(solver).parameters["n0"]
-        assert n0.default == antisym.DEFAULT_N0, solver.__name__
+    for solver in (antisym.check_centred, antisym.solve_centred,
+                   asym.check_off_center, asym.build_problem,
+                   asym.solve_off_center):
+        params = inspect.signature(solver).parameters
+        assert list(params)[:3] == ["macro", "kernel", "instanton"]
+        assert list(params)[-1] == "n0"
+        assert all(p.default is inspect.Parameter.empty
+                   for p in params.values()), solver.__name__
     out = tmp_path / "run"
     assert main(["solve", "--eps", "0.05", "--j", "-0.02", "--ell", "1",
                  "--out", str(out)]) == EXIT_OK

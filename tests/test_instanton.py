@@ -143,6 +143,21 @@ def test_instanton_carries_its_decay_root(inst05, params2, kernel05):
         mobility(params2, params2.m_beta), kernel05)
 
 
+def test_window_ends_where_the_tail_is_rounding(inst05, kernel05):
+    """The window reaches TAIL_DECAYS decay lengths, at the first point past
+    them, and is never below HALF_WIDTH: at beta = 1.01 the slope across
+    the clamp collar is rounding-level (3.2e-5 at the clamp on a window
+    fixed at 20), and the beta = 2 window keeps its 801 points."""
+    inst = compute_instanton(make_params(1.01), kernel05)
+    reach = inst.decay_rate * inst.half_width
+    assert instanton.TAIL_DECAYS <= reach \
+        < instanton.TAIL_DECAYS + inst.decay_rate * inst.spacing
+    collar = np.abs(inst.x) >= inst.half_width - 1.0 - 1e-9
+    assert np.max(np.abs(inst.derivative[collar])) < 1e-14
+    assert inst05.half_width == instanton.HALF_WIDTH
+    assert inst05.x.size == 801
+
+
 def test_normalization_constants_stable_under_refinement(inst05, inst025):
     assert abs(inst025.mean - inst05.mean) / inst025.mean < 0.005
     assert abs(inst025.norm_sq - inst05.norm_sq) / inst025.norm_sq < 0.005

@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 from scipy.stats import linregress
 
-from mesostefan import antisym, asym, meso, spectral
+from mesostefan import antisym, asym, meso, spectral, stefan
 from mesostefan.errors import ConvergenceError, DomainError, SaturationError
 from mesostefan.grids import build_grid, conv_values
 from mesostefan.meso import exact_state, iterate, make_state
 from mesostefan.thermo import mobility
 
-from conftest import ELL, J_META, J_STABLE, X0
+from conftest import ELL, J_STABLE, N0, X0
 
 
 @pytest.fixture(scope="module")
@@ -269,8 +269,7 @@ def test_inner_solve_stall_converges(params2, kernel05, inst05, maximal_stable,
     iteration: after 35 steps its residual falls by less than 1% in 5.  The
     Newton direction along that mode finishes the solve at any size in at
     most 35 convolutions, the start's included."""
-    res = antisym.solve_stable(params2, kernel05, eps, -0.02, 1.0, n0=2,
-                               instanton=inst05, macro=maximal_stable)
+    res = antisym.solve_centred(maximal_stable, kernel05, inst05, eps, 1.0, 2)
     st, newton, m0 = _pushed_along_slow_mode(res)
     assert st.grid.n == n
     monkeypatch.setattr(meso, "MAX_ITER", 35)
@@ -391,17 +390,14 @@ def test_inner_solve_from_given_convolution(params2, kernel05, wide_grid,
 def _loops(mode, params2, kernel05, inst05, maximal_stable, maximal_meta):
     """A solve at eps = 0.05 and the traces of its loops, in the order they
     ran."""
-    if mode == "metastable":
-        res = antisym.solve_metastable(params2, kernel05, 0.05, J_META, ELL,
-                                       instanton=inst05, macro=maximal_meta)
-    elif mode == "off-center":
-        res = asym.solve_off_center(params2, kernel05, 0.05, J_STABLE, X0,
-                                    instanton=inst05, macro=maximal_stable)
+    if mode == "off-center":
+        res = asym.solve_off_center(maximal_stable, kernel05, inst05, 0.05, X0,
+                                    N0)
         return res, [res.problem.extended_trace, res.trace]
-    else:   # j > 0 is the mirrored arrangement, solved directly
-        j = J_STABLE if mode == "stable" else -J_STABLE
-        res = antisym.solve_stable(params2, kernel05, 0.05, j, ELL,
-                                   instanton=inst05)
+    macro = {"stable": maximal_stable, "metastable": maximal_meta,
+             # j > 0 is the mirrored arrangement, solved directly
+             "stable-flipped": stefan.solve_maximal(params2, -J_STABLE)}[mode]
+    res = antisym.solve_centred(macro, kernel05, inst05, 0.05, ELL, N0)
     return res, [res.trace]
 
 

@@ -133,16 +133,12 @@ def _solve(beta, shape, mode, eps):
     """Solved state at spacing 0.05, |j| = 0.02, ell = 1, x0 = 0.2."""
     params, kernel = make_params(beta), build_kernel(0.05, shape)
     inst = compute_instanton(params, kernel)
-    if mode == "metastable":
-        return antisym.solve_metastable(
-            params, kernel, eps, J_META, ELL, n0=N0, instanton=inst,
-            macro=stefan._metastable_maximal(params, J_META)).state
-    macro = stefan.solve_maximal(params, J_STABLE)
     if mode == "asym":
-        return asym.solve_off_center(params, kernel, eps, J_STABLE, X0, n0=N0,
-                                     instanton=inst, macro=macro).state
-    return antisym.solve_stable(params, kernel, eps, J_STABLE, ELL, n0=N0,
-                                instanton=inst, macro=macro).state
+        return asym.solve_off_center(stefan.solve_maximal(params, J_STABLE),
+                                     kernel, inst, eps, X0, N0).state
+    macro = stefan._metastable_maximal(params, J_META) \
+        if mode == "metastable" else stefan.solve_maximal(params, J_STABLE)
+    return antisym.solve_centred(macro, kernel, inst, eps, ELL, N0).state
 
 
 @pytest.mark.parametrize("shape", ["cos2", "quartic"])
@@ -230,7 +226,7 @@ def test_row_start_gives_the_p_start_pair(mode, k, params2):
                     mode=mode, eps_list=[eps], n0=N0).validate_fields()
     shared = cli._shared_inputs(cfg)
     row, res = cli._solve_one(cfg, eps, shared)
-    state, u0 = _row_start(mode, res, shared[3])
+    state, u0 = _row_start(mode, res, shared[2])
     warm = leading_eigenpair(state, start=u0)
     cold = leading_eigenpair(state)
     assert (warm.iterations, cold.iterations) == tuple(

@@ -13,9 +13,9 @@ import sys
 import numpy as np
 import pytest
 
-from mesostefan import antisym, asym, spectral
+from mesostefan import antisym, asym, spectral, stefan
 
-from conftest import ELL, X0
+from conftest import ELL, N0, X0
 
 #: minor faults of a repeated stable solve at eps = 0.001 (n = 40 001),
 #: twice the 1 073 measured for it in a fresh interpreter (1 062 with this
@@ -27,12 +27,12 @@ REPEAT_FAULT_BOUND = 2_150
 def _solves(params2, kernel05, inst05, j_stable, j_meta):
     """A stable, a metastable and an off-center solve at eps = 0.05 with
     the leading pair of each state, as {name: array}."""
-    stable = antisym.solve_stable(params2, kernel05, 0.05, j_stable, ELL,
-                                  instanton=inst05)
-    meta = antisym.solve_metastable(params2, kernel05, 0.05, j_meta, ELL,
-                                    instanton=inst05)
-    off = asym.solve_off_center(params2, kernel05, 0.05, j_stable, X0,
-                                instanton=inst05)
+    stable_macro = stefan.solve_maximal(params2, j_stable)
+    stable = antisym.solve_centred(stable_macro, kernel05, inst05, 0.05, ELL,
+                                   N0)
+    meta = antisym.solve_centred(stefan._metastable_maximal(params2, j_meta),
+                                 kernel05, inst05, 0.05, ELL, N0)
+    off = asym.solve_off_center(stable_macro, kernel05, inst05, 0.05, X0, N0)
     arrays = {}
     for name, res in (("stable", stable), ("metastable", meta),
                       ("off-center", off)):
@@ -63,14 +63,13 @@ def test_reused_buffers_never_leak_into_results(params2, kernel05, inst05):
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="ru_minflt counts minor page faults on Linux")
-def test_repeated_solve_faults_in_few_pages(params2, kernel05, inst05,
-                                            maximal_stable):
+def test_repeated_solve_faults_in_few_pages(kernel05, inst05, maximal_stable):
     """A stable solve at eps = 0.001 run a second time in the same process
     takes at most REPEAT_FAULT_BOUND minor page faults: its loops allocate
     their buffers once, not an n-point array per step."""
     def solve():
-        return antisym.solve_stable(params2, kernel05, 0.001, -0.02, ELL,
-                                    instanton=inst05, macro=maximal_stable)
+        return antisym.solve_centred(maximal_stable, kernel05, inst05, 0.001,
+                                     ELL, N0)
 
     solve()
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
