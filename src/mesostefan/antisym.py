@@ -20,8 +20,10 @@ ell_j or ell_break, an instanton of the solve's beta, kernel shape and
 spacing, grid, gluing point, instanton window) and returns the seed layout
 it built, the grid and the gluing index.  solve_centred calls it first and
 iterates on that layout, and ``mesostefan validate`` runs it at each scale
-with the same arguments, so the two cannot disagree; n0 reaches nothing
-below the check.
+with the same arguments, so the two cannot disagree.  Below the check n0
+reaches nothing and eps only the grid: the seed, the current integral, the
+result and its diagnostics read beta and j from the solution, which the
+result carries, and eps from the grid.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .grids import Grid, Kernel, build_grid, trapezoid_antiderivative
 from .instanton import Instanton, threshold_abscissa
 from .meso import IterationTrace, MesoState, exact_state, iterate, make_state
 from .stefan import MaximalSolution, MetastableMaximal
-from .thermo import ThermoParams, mobility
+from .thermo import mobility
 
 MOBILITY_FLOOR = 1e-6
 DEFAULT_N0 = 2        # seed gluing point xi = x_eps + 2 n0
@@ -48,9 +50,8 @@ HYDRO_BLOCK = 4096    # points per block of the hydrodynamic comparison
 class AntisymResult:
     state: MesoState
     trace: IterationTrace
+    macro: MaximalSolution | MetastableMaximal    # holds beta and j
     xi_eps: float      # gluing point of the seed, snapped to the grid
-    eps: float
-    j: float
     monotone: bool
     increase_interval: float | None    # meso length of the central rise (metastable)
 
@@ -92,7 +93,7 @@ def _seed_layout(macro, kernel: Kernel, instanton: Instanton, eps, ell, n0):
     return grid, xi_index
 
 
-def build_seed(macro, kernel: Kernel, instanton: Instanton, eps, grid: Grid,
+def build_seed(macro, kernel: Kernel, instanton: Instanton, grid: Grid,
                xi_index: int) -> MesoState:
     """Exact state of the composite odd seed on its layout's half line.
 
@@ -106,35 +107,37 @@ def build_seed(macro, kernel: Kernel, instanton: Instanton, eps, grid: Grid,
     ic = instanton.center_index
     m0 = np.empty(half.n)
     x = half.spacing * np.arange(xi_index + 1, half.n)  # exact offsets from 0
-    m0[xi_index + 1:] = macro.m_of_x(eps * (x - xi_index * half.spacing))
+    m0[xi_index + 1:] = macro.m_of_x(grid.epsilon
+                                     * (x - xi_index * half.spacing))
     m0[:xi_index + 1] = np.copysign(1.0, m0[xi_index + 1]) \
         * instanton.profile[ic:ic + xi_index + 1]
     m0[0] = 0.0       # +0 whatever the sign
     return exact_state(macro.params, kernel, half, m0)
 
 
-def current_integral(params: ThermoParams, grid: Grid, m: np.ndarray, eps, j,
-                     origin, out=None, scratch=None) -> np.ndarray:
-    """-eps j int_{x_origin}^x 1/chi(m); SaturationError below the floor.
+def current_integral(macro, grid: Grid, m: np.ndarray, origin, out=None,
+                     scratch=None) -> np.ndarray:
+    """-eps j int_{x_origin}^x 1/chi(m), with beta and j of ``macro`` and
+    eps of the grid; SaturationError below the floor.
 
     Formed in ``out`` with 1/chi in ``scratch`` when they are given."""
-    chi = mobility(params, m, scratch)
+    chi = mobility(macro.params, m, scratch)
     if np.min(chi) < MOBILITY_FLOOR:
         raise SaturationError("mobility below floor: profile saturating")
     c = trapezoid_antiderivative(grid, np.divide(1.0, chi, out=chi), origin,
                                  out)
-    c *= -eps * j
+    c *= -grid.epsilon * macro.j
     return c
 
 
-def t_map(params: ThermoParams, grid: Grid, m: np.ndarray, eps, j,
-          out=None, scratch=None) -> np.ndarray:
+def t_map(macro, grid: Grid, m: np.ndarray, out=None, scratch=None
+          ) -> np.ndarray:
     """Current integral h(x) = -eps j int_0^x 1/chi(m) on the half line
     x >= 0 of an odd m, with h = +0 at x = 0.
 
     Formed in ``out`` with ``scratch`` for 1/chi when they are given.
     """
-    h = current_integral(params, grid, m, eps, j, 0, out, scratch)
+    h = current_integral(macro, grid, m, 0, out, scratch)
     h[0] = 0.0
     return h
 
@@ -162,35 +165,30 @@ def solve_centred(macro: MaximalSolution | MetastableMaximal, kernel: Kernel,
     while m decreases, rises across the interface, and decreases again, and
     the central rise, of vanishing macroscopic length, is measured."""
     grid, xi_index = check_centred(macro, kernel, instanton, eps, ell, n0)
-    return _iterate(macro, kernel, instanton, eps, grid, xi_index)
+    return _iterate(macro, kernel, instanton, grid, xi_index)
 
 
-def _iterate(macro, kernel, instanton, eps, grid, xi_index):
+def _iterate(macro, kernel, instanton, grid, xi_index):
     """The fixed point of m = tanh(beta (J^neum*m + T(m))) on the half line,
     by :func:`meso.iterate` from the seed with the current integral T as
     the field, and the odd extension of its last pair and convolution to
     the grid.  The seed is handed over unnamed, so the loop frees it after
     its first step."""
-    params, j, half = macro.params, macro.j, grid.half_line()
+    half = grid.half_line()
     last, trace = iterate(
-        build_seed(macro, kernel, instanton, eps, grid, xi_index),
-        lambda m, out, scratch: t_map(params, half, m, eps, j, out, scratch))
+        build_seed(macro, kernel, instanton, grid, xi_index),
+        lambda m, out, scratch: t_map(macro, half, m, out, scratch))
     full = [np.empty(grid.n) for _ in range(3)]  # odd h, m, conv
     for row, a in zip(full, (last.h, last.m, last.conv)):
         np.negative(a[:0:-1], out=row[:half.n - 1])
         row[half.n - 1:] = a
-    final = make_state(params, kernel, grid, *full)
-    mono = _is_monotone(last.m, increasing=(j < 0))
+    final = make_state(macro.params, kernel, grid, *full)
+    # strictly monotone: increasing for j < 0, decreasing for j > 0
+    mono = bool(np.all(np.sign(-macro.j) * np.diff(last.m) > MONOTONE_FLOOR))
     rise = _central_increase_length(half, last.m) \
         if isinstance(macro, MetastableMaximal) else None
-    return AntisymResult(final, trace, float(xi_index * grid.spacing),
-                         float(eps), float(j), mono, rise)
-
-
-def _is_monotone(m: np.ndarray, increasing: bool) -> bool:
-    d = np.diff(m)
-    return bool(np.all(d > MONOTONE_FLOOR)) if increasing \
-        else bool(np.all(d < -MONOTONE_FLOOR))
+    return AntisymResult(final, trace, macro, float(xi_index * grid.spacing),
+                         mono, rise)
 
 
 def _central_increase_length(half: Grid, m: np.ndarray) -> float:
@@ -204,36 +202,35 @@ def fixed_point_defect(result: AntisymResult) -> float:
     """sup |h(x) + eps j int_0^x 1/chi(m)| for the returned pair, read on
     x >= 0: both are odd."""
     st, c = result.state, result.state.grid.center_index
-    h_rebuilt = t_map(st.params, st.grid.half_line(), st.m[c:], result.eps,
-                      result.j)
+    h_rebuilt = t_map(result.macro, st.grid.half_line(), st.m[c:])
     return float(np.max(np.abs(st.h[c:] - h_rebuilt)))
 
 
-def flux_defect(state: MesoState, eps, j) -> tuple[float, float]:
-    """Pointwise transport-law defect chi(m) dh/dx + eps j and its estimate.
+def flux_defect(result) -> tuple[float, float]:
+    """Pointwise transport-law defect chi(m) dh/dx + eps j of a centred or
+    off-center result's state, and its estimate, with j of the result's
+    macroscopic solution and eps of the state's grid.
 
     Returns (sup defect, sup quadrature-error estimate) over the interior
     points.  The estimate is the exact discrepancy of differentiating the
     trapezoid antiderivative: |eps j| chi |second difference of 1/chi| / 4.
     A constant shift of h (the off-center projection) changes neither.
     """
+    state, eps_j = result.state, result.state.grid.epsilon * result.macro.j
     chi = np.asarray(mobility(state.params, state.m))
     dh = np.gradient(state.h, state.grid.spacing, edge_order=2)
-    defect = np.abs(chi * dh + eps * j)
+    defect = np.abs(chi * dh + eps_j)[1:-1]
     g = 1.0 / chi
-    d2g = np.zeros_like(g)
-    d2g[1:-1] = np.abs(g[2:] - 2.0 * g[1:-1] + g[:-2])
-    est = np.abs(eps * j) * chi * d2g / 4.0
-    interior = slice(1, -1)
-    return (float(np.max(defect[interior])),
-            float(np.max(est[interior])))
+    d2g = np.abs(g[2:] - 2.0 * g[1:-1] + g[:-2])
+    est = np.abs(eps_j) * chi[1:-1] * d2g / 4.0
+    return float(np.max(defect)), float(np.max(est))
 
 
 def hydrodynamic_error(state: MesoState,
-                       macro: MaximalSolution | MetastableMaximal, eps,
+                       macro: MaximalSolution | MetastableMaximal,
                        x0=0.0, exclude_halfwidth=0.0) -> tuple[float, float]:
     """Sup-norm distance to a macroscopic pair, ``macro``'s m and h
-    shifted to the interface x0, at matching arguments.
+    shifted to the interface x0, at eps x with eps of the state's grid.
 
     The m comparison excludes |eps x - x0| <= exclude_halfwidth (the window
     where the smooth interface lives); the field comparison has no
@@ -244,7 +241,7 @@ def hydrodynamic_error(state: MesoState,
     their many temporaries stay small, m and h from one evaluation of |m|
     (``macro.fields_of_x``).
     """
-    err_m, err_h = [], []
+    err_m, err_h, eps = [], [], state.grid.epsilon
     for lo in range(0, state.grid.n, HYDRO_BLOCK):
         part = slice(lo, lo + HYDRO_BLOCK)
         x = eps * state.grid.points[part] - x0

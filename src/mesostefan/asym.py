@@ -18,7 +18,9 @@ eigenvalue lambda*, which turns the slow 1 - O(eps) mode into a fast one.
 The solve takes the maximal solution (holding beta and j) and the
 instanton; check_off_center, with the same arguments, holds every check
 build_problem makes before the extended solve, and ``mesostefan validate``
-runs it at each scale.
+runs it at each scale.  The problem holds the solution and the grids, and
+the projected field, the admissibility report and the result read beta and
+j from the one and eps from the other.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .meso import IterationTrace, MesoState, iterate, make_state
 from .spectral import SpectralResult, leading_eigenpair, slope_start
 from .stefan import MaximalSolution
 from . import antisym
-from .thermo import ThermoParams
 
 #: cap on a_plus * (1 - x0) / eps so the boundary weight stays well inside
 #: float range and rounding at the interface cannot dominate the norm
@@ -101,10 +102,7 @@ def default_a_plus(instanton: Instanton, eps, x0) -> float:
 
 @dataclass(frozen=True)
 class OffCenterProblem:
-    params: ThermoParams
-    kernel: Kernel
-    eps: float
-    j: float
+    macro: MaximalSolution           # holds beta and j
     x0: float
     extended_trace: IterationTrace   # of the solve on eps^-1[-1, ell*]
     xi_eps: float                    # gluing point of the extended seed
@@ -175,7 +173,7 @@ def build_problem(macro: MaximalSolution, kernel: Kernel,
     """
     grid, xi_index, ext_grid, res_grid = check_off_center(
         macro, kernel, instanton, eps, x0, n0)
-    extended = antisym._iterate(macro, kernel, instanton, eps, grid, xi_index)
+    extended = antisym._iterate(macro, kernel, instanton, grid, xi_index)
     n_res = res_grid.n
     m_star = extended.state.m
 
@@ -200,8 +198,7 @@ def build_problem(macro: MaximalSolution, kernel: Kernel,
     weight = build_weight(res_grid, x0, default_a_plus(instanton, eps, x0))
     interface_index = res_grid.index_of(x0 / eps)
     r_eps.setflags(write=False)
-    return OffCenterProblem(macro.params, kernel, float(eps), macro.j,
-                            float(x0), extended.trace, extended.xi_eps,
+    return OffCenterProblem(macro, float(x0), extended.trace, extended.xi_eps,
                             ext_grid, res_grid, u_star, r_eps, start.h,
                             weight, interface_index), start
 
@@ -213,9 +210,8 @@ def projected_field(problem: OffCenterProblem, m: np.ndarray, out=None,
     eigenvector (plain integrals).  Formed in ``out`` with ``scratch`` for
     the rest when they are given."""
     grid = problem.res_grid
-    h_hat = antisym.current_integral(problem.params, grid, m, problem.eps,
-                                     problem.j, problem.interface_index, out,
-                                     scratch)
+    h_hat = antisym.current_integral(problem.macro, grid, m,
+                                     problem.interface_index, out, scratch)
     product = np.multiply(h_hat, problem.u_star_restricted, out=scratch)
     proj = _trapezoid(product, grid.spacing) / problem.u_star_integral
     return np.subtract(h_hat, proj, out=h_hat)
@@ -237,12 +233,19 @@ class OffCenterResult:
     trace: IterationTrace      # of the off-center loop
     field_zero: float          # x with h(x) = 0 (mesoscopic)
     m_zero: float              # x with m(x) = 0
-    eps_field_zero: float      # eps * field_zero
+
+    @property
+    def macro(self) -> MaximalSolution:
+        return self.problem.macro
 
     @property
     def xi_eps(self) -> float:
         """The extended run's gluing point, which bounds the interface."""
         return self.problem.xi_eps
+
+    @property
+    def eps_field_zero(self) -> float:
+        return self.problem.res_grid.epsilon * self.field_zero
 
 
 def solve_off_center(macro: MaximalSolution, kernel: Kernel,
@@ -269,8 +272,7 @@ def solve_off_center(macro: MaximalSolution, kernel: Kernel,
     state = state.copy()
     field_zero = _zero_near(problem, state.h)
     m_zero = _zero_near(problem, state.m)
-    return OffCenterResult(problem, state, trace, field_zero, m_zero,
-                           problem.eps * field_zero)
+    return OffCenterResult(problem, state, trace, field_zero, m_zero)
 
 
 def _zero_near(problem: OffCenterProblem, values: np.ndarray) -> float:
@@ -304,7 +306,7 @@ def admissibility_report(problem: OffCenterProblem, h: np.ndarray) -> dict:
     inside the interface window of half-width log(1/eps)^2.
     """
     grid = problem.res_grid
-    eps = problem.eps
+    eps = grid.epsilon
     dh = h - problem.h_eps
     n_val = problem.weight.norm(dh)
     u = problem.u_star_restricted

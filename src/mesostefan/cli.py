@@ -202,29 +202,26 @@ def _solve_one(cfg: RunConfig, eps, shared: tuple):
     grid, the extended problem's eigenvector.
     """
     _, _, solve, arg = _mode(cfg)
-    macro, _, inst = shared
+    inst = shared[2]
     res = solve(*shared, eps, arg, cfg.n0)
-    x0 = cfg.x0 if cfg.mode == "asym" else 0.0
     row = SweepRow(eps=eps, mode=cfg.mode, iters=len(res.trace.increments))
-    # off center, the extended centred solve made updates too
-    traces = [res.trace] if cfg.mode != "asym" \
-        else [res.problem.extended_trace, res.trace]
-    row.picard_steps = sum(len(t.increments) - 1 for t in traces)
-    row.c_instanton = abs(cfg.j) * inst.mean / inst.norm_sq
+    row.c_instanton = abs(res.macro.j) * inst.mean / inst.norm_sq
     if cfg.mode == "asym":
         checked, start = res.state, res.problem.u_star_restricted
+        # the extended centred solve made updates too
+        x0, traces = res.problem.x0, [res.problem.extended_trace, res.trace]
+        row.eps_x_eps = res.eps_field_zero
     else:
-        checked = res.state.even_half()
+        checked, x0, traces = res.state.even_half(), 0.0, [res.trace]
         start = spectral.slope_start(checked, inst)
+    row.picard_steps = sum(len(t.increments) - 1 for t in traces)
     row.hydro_m, row.hydro_h = antisym.hydrodynamic_error(
-        checked, macro, eps, x0, eps * res.xi_eps)
+        checked, res.macro, x0, eps * res.xi_eps)
     sp = spectral.leading_eigenpair(checked, start=start)
     row.lam_gap_ratio = (1.0 - sp.lambda_) / eps
     row.power_steps = sp.iterations
     if cfg.mode == "metastable":
         row.i_eps = res.increase_interval
-    elif cfg.mode == "asym":
-        row.eps_x_eps = res.eps_field_zero
     return row, res
 
 
@@ -285,6 +282,8 @@ def cmd_solve_asym(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    if not all(np.isfinite(v) for v in (args.eps, args.j) if v is not None):
+        raise DomainError("--eps and --j must be finite")
     grid, h, m = load_state(args.state)
     if args.eps is not None and abs(grid.epsilon - args.eps) > 1e-12:
         grid = build_grid(args.eps, -grid.a * args.eps, grid.b * args.eps,
@@ -294,7 +293,7 @@ def cmd_spectrum(args) -> int:
     sp = spectral.leading_eigenpair(state)
     lam2 = spectral.second_eigenvalue(state, sp)
     c_inst = None       # only C_instanton reads the instanton
-    if args.j:
+    if args.j is not None:
         _, _, inst = _fixed_inputs(args.beta, grid.spacing, args.kernel)
         c_inst = abs(args.j) * inst.mean / inst.norm_sq
     payload = {

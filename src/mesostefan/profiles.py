@@ -128,10 +128,11 @@ def load_columns(path, names) -> tuple[np.ndarray, ...]:
 
 
 def dump_json(path, payload: dict):
-    with open(path, "w") as fh:     # strict JSON: a NaN raises ValueError
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_coerce,
-                  allow_nan=False)
-        fh.write("\n")
+    """Strict JSON: a NaN raises ValueError before the file opens."""
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_coerce,
+                      allow_nan=False)
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
 
 
 def _coerce(obj):

@@ -119,7 +119,7 @@ def projected_map(problem, start, tol=1e-10, max_steps=60):
     h, state = start.h, start
     while len(trace.increments) < max_steps:
         h_next = asym.projected_field(problem, state.m)
-        at = meso.make_state(problem.params, problem.kernel, problem.res_grid,
+        at = meso.make_state(state.params, state.kernel, problem.res_grid,
                              h_next, state.m, state.conv)
         state, _ = meso.iterate(at, lambda m, out, scratch: h_next, newton)
         trace.increments.append(problem.weight.norm(h_next - h))

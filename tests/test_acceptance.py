@@ -43,12 +43,9 @@ def test_criterion_02_mesoscopic_transport_law(stable_sweep, metastable_sweep,
                                                asym_sweep):
     ok = True
     worst = 0.0
-    runs = [(r.state, r.eps, r.j) for sweep in (stable_sweep, metastable_sweep)
-            for r in (sweep[eps] for eps in EPS_SWEEP)]
-    runs += [(r.state, r.problem.eps, r.problem.j)
-             for r in (asym_sweep[eps] for eps in EPS_SWEEP)]
-    for state, eps, j in runs:
-        defect, est = flux_defect(state, eps, j)
+    for res in (sweep[eps] for sweep in (stable_sweep, metastable_sweep,
+                                         asym_sweep) for eps in EPS_SWEEP):
+        defect, est = flux_defect(res)
         ok &= defect <= 10.0 * est
         worst = max(worst, defect / est)
     report(2, f"chi(m) dh/dx = -eps j within 10x the quadrature estimate "
@@ -71,7 +68,7 @@ def test_criterion_04_hydrodynamic_convergence(stable_sweep, asym_sweep,
         errs, normalized = [], []
         for eps in EPS_SWEEP:
             res = sweep[eps]
-            em, _ = hydrodynamic_error(res.state, maximal_stable, eps, x0,
+            em, _ = hydrodynamic_error(res.state, maximal_stable, x0,
                                        eps * res.xi_eps)
             errs.append(em)
             normalized.append(em / (eps * math.log(1.0 / eps)))

@@ -29,7 +29,7 @@ def _stable_seed(macro, kernel05, inst05, eps):
     """The seed layout check_centred builds and build_seed's start state on
     it, as solve_centred makes them."""
     grid, xi_index = check_centred(macro, kernel05, inst05, eps, ELL, N0)
-    return grid, xi_index, build_seed(macro, kernel05, inst05, eps, grid,
+    return grid, xi_index, build_seed(macro, kernel05, inst05, grid,
                                       xi_index)
 
 
@@ -96,16 +96,16 @@ def test_seed_refuses_an_instanton_of_another_beta_or_kernel(
 def test_t_map_sign_and_oddness(params2, kernel05, inst05, maximal_stable):
     grid, _, start = _stable_seed(maximal_stable, kernel05, inst05,
                                   0.1)
-    h = t_map(params2, start.grid, start.m, 0.1, J_STABLE)
+    h = t_map(maximal_stable, start.grid, start.m)
     assert h[0] == 0.0
     # the half line's integral from 0 is the full grid's, which is odd
     c = grid.center_index
-    full = antisym.current_integral(params2, grid, _odd(start.m), 0.1,
-                                    J_STABLE, c)
+    full = antisym.current_integral(maximal_stable, grid, _odd(start.m), c)
     assert np.max(np.abs(full + full[::-1])) < 1e-15
     assert np.max(np.abs(full[c:] - h)) < 1e-15
     assert np.all(np.diff(h) > 0.0)          # j < 0: strictly increasing
-    h_pos = t_map(params2, start.grid, start.m, 0.1, -J_STABLE)
+    h_pos = t_map(stefan.solve_maximal(params2, -J_STABLE), start.grid,
+                  start.m)
     assert np.all(np.diff(h_pos) < 0.0)
 
 
@@ -164,7 +164,7 @@ def test_stable_contraction(stable_sweep):
 def test_stable_flux_law(stable_sweep):
     for eps in EPS_SWEEP:
         res = stable_sweep[eps]
-        defect, est = flux_defect(res.state, res.eps, res.j)
+        defect, est = flux_defect(res)
         assert defect <= 10.0 * est
 
 
@@ -172,7 +172,7 @@ def test_stable_hydrodynamic_trend(stable_sweep, maximal_stable):
     errs = []
     for eps in EPS_SWEEP:
         res = stable_sweep[eps]
-        em, eh = hydrodynamic_error(res.state, maximal_stable, eps, 0.0,
+        em, eh = hydrodynamic_error(res.state, maximal_stable, 0.0,
                                     eps * res.xi_eps)
         errs.append((em, eh))
     assert errs[0][0] > errs[1][0] > errs[2][0]
@@ -188,7 +188,7 @@ def test_hydro_error_identity_on_exact_macro(params2, kernel05,
     h_mac = maximal_stable.h_of_x(0.1 * st.grid.points)
     from mesostefan.meso import MesoState
     fake = MesoState(st.params, st.kernel, st.grid, h_mac, m_mac, st.conv, 0.0)
-    em, eh = hydrodynamic_error(fake, maximal_stable, 0.1, 0.0, 0.3)
+    em, eh = hydrodynamic_error(fake, maximal_stable, 0.0, 0.3)
     assert em == 0.0 and eh == 0.0
 
 
@@ -234,8 +234,7 @@ def test_positive_current_is_the_mirror_image(mode, params2, kernel05, inst05,
     seeds = []
     for macro in macros:
         grid, xi_index = check(macro, kernel05, inst05, 0.05, arg, N0)[:2]
-        seeds.append(build_seed(macro, kernel05, inst05, 0.05, grid,
-                                xi_index).m)
+        seeds.append(build_seed(macro, kernel05, inst05, grid, xi_index).m)
     assert np.array_equal(seeds[1], -seeds[0])
 
 
@@ -243,7 +242,7 @@ def _extended(kernel05, inst05, maximal_stable, eps):
     """The centred solve that the off-center set-up runs."""
     layout = asym.check_off_center(maximal_stable, kernel05, inst05, eps, X0,
                                    N0)[:2]
-    return antisym._iterate(maximal_stable, kernel05, inst05, eps, *layout)
+    return antisym._iterate(maximal_stable, kernel05, inst05, *layout)
 
 
 @pytest.mark.parametrize("mode", ["stable", "metastable", "extended"])
@@ -324,7 +323,7 @@ def _row_matches_the_full_grid(params2, eps, **fields):
     row, res = cli._solve_one(cfg, eps, shared)
     macro = shared[0]
     assert (row.hydro_m, row.hydro_h) == hydrodynamic_error(
-        res.state, macro, eps, 0.0, eps * res.xi_eps)
+        res.state, macro, 0.0, eps * res.xi_eps)
     full = (1.0 - spectral.leading_eigenpair(res.state).lambda_) / eps
     assert abs(row.lam_gap_ratio - full) <= 1e-10 * abs(full)
     return res
@@ -567,7 +566,7 @@ def test_metastable_hydro_trend(metastable_sweep, maximal_meta):
     errs = []
     for eps in EPS_SWEEP:
         res = metastable_sweep[eps]
-        em, _ = hydrodynamic_error(res.state, maximal_meta, eps, 0.0,
+        em, _ = hydrodynamic_error(res.state, maximal_meta, 0.0,
                                    eps * res.xi_eps)
         errs.append(em)
     assert errs[0] > errs[1] > errs[2]

@@ -34,7 +34,7 @@ def m_star(kernel05, inst05, maximal_stable):
 
 def _m_eps(prob, m_star):
     """m* restricted to the problem's grid: the quasi-solution's m."""
-    return m_star[prob.eps][:prob.res_grid.n]
+    return m_star[prob.res_grid.epsilon][:prob.res_grid.n]
 
 
 def test_problem_preconditions(params2, kernel05, inst05, maximal_stable):
@@ -182,7 +182,7 @@ def test_u_star_is_the_full_grid_pair(eps, kernel05, inst05, maximal_stable):
     args = (maximal_stable, kernel05, inst05, eps, X0, N0)
     problem, _ = build_problem(*args)
     grid, xi_index, ext_grid, _ = check_off_center(*args)
-    extended = antisym._iterate(maximal_stable, kernel05, inst05, eps, grid,
+    extended = antisym._iterate(maximal_stable, kernel05, inst05, grid,
                                 xi_index)
     full = leading_eigenpair(replace(extended.state, grid=ext_grid))
     assert np.max(np.abs(problem.u_star.u - full.u)) <= 1e-12
@@ -239,7 +239,8 @@ def test_projected_step_checks_the_mobility_floor(problem01, m_star):
     """The projected field integrates the current law like the antisymmetric
     map: a mobility below MOBILITY_FLOOR is a SaturationError."""
     m = _m_eps(problem01, m_star).copy()
-    m[0] = np.sqrt(1.0 - 0.5 * antisym.MOBILITY_FLOOR / problem01.params.beta)
+    m[0] = np.sqrt(1.0 - 0.5 * antisym.MOBILITY_FLOOR
+                   / problem01.macro.params.beta)
     with pytest.raises(SaturationError, match="mobility below floor"):
         projected_field(problem01, m)
 
@@ -341,7 +342,7 @@ def test_hydro_trend(asym_sweep, maximal_stable):
     errs = []
     for eps in EPS_SWEEP:
         res = asym_sweep[eps]
-        em, eh = hydrodynamic_error(res.state, maximal_stable, eps, X0,
+        em, eh = hydrodynamic_error(res.state, maximal_stable, X0,
                                     eps * res.xi_eps)
         errs.append((em, eh))
     assert errs[0][0] > errs[1][0] > errs[2][0]

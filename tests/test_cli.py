@@ -373,6 +373,15 @@ def test_dump_json_writes_numpy_bools_and_refuses_nan(tmp_path):
         dump_json(path, {"value": float("nan")})
 
 
+def test_failed_dump_json_writes_no_file(tmp_path):
+    """The payload is serialised before the file opens: a NaN after a key
+    that sorts first leaves no truncated file behind."""
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError):
+        dump_json(path, {"a": 1.0, "value": float("nan")})
+    assert not path.exists()
+
+
 def test_sweep_empty_eps_list():
     cfg = RunConfig(eps_list=[])
     report = run(cfg)
@@ -846,6 +855,38 @@ def test_spectrum_without_current_needs_no_instanton(tmp_path, capsys):
                  "--out", str(tmp_path / "spec-j")]) == EXIT_CONFIG
     assert capsys.readouterr().err == \
         "config error: spacing must be <= 0.05\n"
+
+
+@pytest.fixture(scope="module")
+def stored_state(tmp_path_factory):
+    """The state file of an antisym solve at eps = 0.1."""
+    out = tmp_path_factory.mktemp("stored") / "run"
+    assert main(["solve", "--eps", "0.1", "--j", "-0.02", "--ell", "1",
+                 "--out", str(out)]) == EXIT_OK
+    return str(out / "state.csv")
+
+
+@pytest.mark.parametrize("flag, value", [("--j", "nan"), ("--j", "inf"),
+                                         ("--eps", "nan"), ("--eps", "inf")])
+def test_spectrum_refuses_a_non_finite_input(stored_state, tmp_path, capsys,
+                                             flag, value):
+    """A non-finite --j or --eps is a config error (exit 2) that writes no
+    spectrum.json, like a non-finite value of the other commands."""
+    out = tmp_path / "spec"
+    assert main(["spectrum", "--state", stored_state, flag, value,
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        "config error: --eps and --j must be finite\n"
+    assert not (out / "spectrum.json").exists()
+
+
+def test_spectrum_at_zero_current(stored_state, tmp_path):
+    """--j 0 gives C = |j| mean / norm_sq = 0.0, not null."""
+    out = tmp_path / "spec"
+    assert main(["spectrum", "--state", stored_state, "--j", "0",
+                 "--out", str(out)]) == EXIT_OK
+    assert _strict_json(out / "spectrum.json")["C_check"]["C_instanton"] \
+        == 0.0
 
 
 def test_state_sidecar_mismatch_is_config_error(tmp_path, capsys):

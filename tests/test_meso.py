@@ -222,14 +222,15 @@ def test_inner_solve_exponential_locality(params2, kernel05, inst05):
     assert fit.rvalue ** 2 > 0.9
 
 
-def test_inner_solve_saturation(params2, kernel05, wide_grid):
+def test_inner_solve_saturation(params2, kernel05, wide_grid,
+                                maximal_stable):
     """An iterate driven to |m| = 1 meets the current integral's mobility
     floor on the next step: SaturationError."""
     z = np.zeros(wide_grid.n)
     start = make_state(params2, kernel05, wide_grid, z, z)
 
     def field(m, out, scratch):
-        h = antisym.current_integral(params2, wide_grid, m, 0.1, J_STABLE,
+        h = antisym.current_integral(maximal_stable, wide_grid, m,
                                      wide_grid.center_index, out, scratch)
         h += 30.0
         return h

@@ -12,8 +12,9 @@ every row, beta = 1.2 included, a fast contraction.
 Three maps run where the parameters get hard.  Metastable rows near the
 branch breakdown (j up to 0.095 at beta = 2, ell_break = 1.04) solve, with
 the boundary field O(eps) inside the Stefan one.  Centred rows near the
-critical temperature (beta = 1.01 and 1.02 at ell_j = 2, where lambda2 of
-the centred state is about 0.9) solve by plain iteration, and so do
+critical temperature (beta = 1.01, 1.02, 1.05 and 1.1 at ell_j = 2; at
+1.01 and 1.02 lambda2 of the centred state is about 0.9) solve by plain
+iteration, and so do
 off-center rows at beta = 1.02, 1.05 and 1.1 (ell_j = 2, x0 = 0.2).  Every
 row of the three maps is one that ``validate`` calls feasible.
 """
@@ -116,11 +117,15 @@ def test_metastable_row_near_the_breakdown(j, k):
 #: centred rows near the critical temperature, with j so that ell_j = 2:
 #: (beta, j) -> the fixed-point updates at each of NEAR_CRITICAL_SCALES
 NEAR_CRITICAL_STEPS = {(1.01, -0.16334): (191, 346, 458),
-                       (1.02, -0.16004): (183, 314, 394)}
+                       (1.02, -0.16004): (183, 314, 394),
+                       (1.05, -0.15035): (159, 225, 248),
+                       (1.1, -0.13516): (122, 139, 141)}
 #: the power steps of their leading pairs, from the interface slope (from p
-#: they take 156, 288, 381 and 146, 252, 316)
+#: the first two rows take 156, 288, 381 and 146, 252, 316)
 NEAR_CRITICAL_POWER_STEPS = {(1.01, -0.16334): (153, 278, 362),
-                             (1.02, -0.16004): (141, 236, 290)}
+                             (1.02, -0.16004): (141, 236, 290),
+                             (1.05, -0.15035): (113, 156, 170),
+                             (1.1, -0.13516): (82, 94, 96)}
 NEAR_CRITICAL_SCALES = (0.05, 0.0125, 0.00625)
 NEAR_CRITICAL = list(itertools.product(NEAR_CRITICAL_STEPS,
                                        range(len(NEAR_CRITICAL_SCALES))))

@@ -5,14 +5,18 @@ referenced somewhere in the package outside its own definition: a name that
 only tests reach is surface to delete, or to give a caller.  The exceptions
 check claims of the paper that no command reports.  Likewise every field of
 the run configuration must be set by a shipped config or by a command's
-flags: a setting that nothing sets is a constant.
+flags: a setting that nothing sets is a constant.  And a result or a
+diagnostic holds one source of each input: beta and j its macroscopic
+solution, eps its grid.
 """
 
 import ast
 import glob
+import inspect
 import os
 from dataclasses import fields
 
+from mesostefan import antisym, asym
 from mesostefan.config import RunConfig
 
 HERE = os.path.dirname(__file__)
@@ -90,3 +94,29 @@ def unset_config_fields() -> list:
 
 def test_every_config_field_is_set_somewhere():
     assert unset_config_fields() == []
+
+
+#: names under which a result or a diagnostic would hold a second copy of
+#: what its macroscopic solution (beta, j) or its state (kernel, grid and
+#: eps) already holds
+COPIES = {"eps", "j", "params", "beta", "kernel"}
+
+
+def test_results_and_diagnostics_hold_no_copy_of_their_inputs():
+    """No field of a result type and no parameter of a diagnostic takes a
+    name of COPIES: each reads beta and j from the macroscopic solution and
+    eps from the grid, so a state cannot be paired with another current.
+    The one exception is the seed's kernel, which neither the solution nor
+    the grid holds: build_seed makes the first state."""
+    stored = [f"{cls.__name__}.{f.name}"
+              for cls in (antisym.AntisymResult, asym.OffCenterProblem,
+                          asym.OffCenterResult)
+              for f in fields(cls) if f.name in COPIES]
+    taken = [f"{fn.__name__}({name})"
+             for fn in (antisym.current_integral, antisym.t_map,
+                        antisym.build_seed, antisym.fixed_point_defect,
+                        antisym.flux_defect, antisym.hydrodynamic_error,
+                        asym.projected_field, asym.admissibility_report)
+             for name in inspect.signature(fn).parameters if name in COPIES]
+    assert stored == []
+    assert taken == ["build_seed(kernel)"]
