@@ -35,7 +35,7 @@ import numpy as np
 from .errors import DomainError, GridError, InfeasibleError, SaturationError
 from .grids import Grid, Kernel, build_grid, trapezoid_antiderivative
 from .instanton import Instanton, threshold_abscissa
-from .meso import IterationTrace, MesoState, exact_state, iterate, make_state
+from .meso import IterationTrace, MesoState, _state_at, exact_state, iterate
 from .stefan import MaximalSolution, MetastableMaximal
 from .thermo import mobility
 
@@ -171,9 +171,9 @@ def solve_centred(macro: MaximalSolution | MetastableMaximal, kernel: Kernel,
 def _iterate(macro, kernel, instanton, grid, xi_index):
     """The fixed point of m = tanh(beta (J^neum*m + T(m))) on the half line,
     by :func:`meso.iterate` from the seed with the current integral T as
-    the field, and the odd extension of its last pair and convolution to
-    the grid.  The seed is handed over unnamed, so the loop frees it after
-    its first step."""
+    the field, and the odd extension of its last pair, convolution and
+    residual (tanh is odd to the bit) to the grid.  The seed is handed over
+    unnamed, so the loop frees it after its first step."""
     half = grid.half_line()
     last, trace = iterate(
         build_seed(macro, kernel, instanton, grid, xi_index),
@@ -182,7 +182,7 @@ def _iterate(macro, kernel, instanton, grid, xi_index):
     for row, a in zip(full, (last.h, last.m, last.conv)):
         np.negative(a[:0:-1], out=row[:half.n - 1])
         row[half.n - 1:] = a
-    final = make_state(macro.params, kernel, grid, *full)
+    final = _state_at(macro.params, kernel, grid, *full, last.residual_norm)
     # strictly monotone: increasing for j < 0, decreasing for j > 0
     mono = bool(np.all(np.sign(-macro.j) * np.diff(last.m) > MONOTONE_FLOOR))
     rise = _central_increase_length(half, last.m) \

@@ -111,8 +111,13 @@ class OffCenterProblem:
     u_star: SpectralResult           # of the extended state
     r_eps: np.ndarray                # boundary correction on res_grid
     h_eps: np.ndarray                # quasi-solution field on res_grid
-    weight: ExponentialWeight
+    a_plus: float                    # right rate of the boundary weight
     interface_index: int             # index of eps^-1 x0 in res_grid
+
+    @cached_property
+    def weight(self) -> ExponentialWeight:
+        """Built on first use: only the admissibility report reads it."""
+        return build_weight(self.res_grid, self.x0, self.a_plus)
 
     @property
     def u_star_restricted(self) -> np.ndarray:
@@ -127,11 +132,12 @@ class OffCenterProblem:
 
 def check_off_center(macro: MaximalSolution, kernel: Kernel,
                      instanton: Instanton, eps, x0, n0
-                     ) -> tuple[Grid, int, Grid, Grid]:
+                     ) -> tuple[Grid, int, Grid, Grid, int]:
     """Raise what :func:`build_problem` raises before the extended solve;
     return the extended solve's seed layout (its centred grid on
     eps^-1[-(1 + x0), 1 + x0] and gluing index), the same points relabeled
-    as eps^-1[-1, 1 + 2 x0], and the restricted grid.
+    as eps^-1[-1, 1 + 2 x0], the restricted grid and the index of the
+    interface eps^-1 x0 in it.
 
     Needs 0 < x0 < 1, an extended run that passes
     :func:`antisym.check_centred`, a restricted grid on eps^-1[-1, 1] with
@@ -145,13 +151,13 @@ def check_off_center(macro: MaximalSolution, kernel: Kernel,
     grid, xi_index = antisym.check_centred(macro, kernel, instanton, eps,
                                            1.0 + x0, n0)
     res_grid = build_grid(eps, 1.0, 1.0, kernel.spacing)
-    res_grid.index_of(x0 / eps)
+    interface_index = res_grid.index_of(x0 / eps)
     ext_grid = build_grid(eps, 1.0, 1.0 + 2.0 * x0, kernel.spacing)
     if ext_grid.n != grid.n:
         raise GridError("extended grid relabeling mismatch")
     if res_grid.n - 1 + kernel.half_points >= ext_grid.n:
         raise GridError("extended domain too short for the boundary correction")
-    return grid, xi_index, ext_grid, res_grid
+    return grid, xi_index, ext_grid, res_grid, interface_index
 
 
 def build_problem(macro: MaximalSolution, kernel: Kernel,
@@ -171,7 +177,7 @@ def build_problem(macro: MaximalSolution, kernel: Kernel,
     an exact fixed-point field for the restricted kernel.  Of the extended
     state only the eigenvector outlives the off-center loop's start.
     """
-    grid, xi_index, ext_grid, res_grid = check_off_center(
+    grid, xi_index, ext_grid, res_grid, interface_index = check_off_center(
         macro, kernel, instanton, eps, x0, n0)
     extended = antisym._iterate(macro, kernel, instanton, grid, xi_index)
     n_res = res_grid.n
@@ -183,7 +189,8 @@ def build_problem(macro: MaximalSolution, kernel: Kernel,
     u = np.empty(ext_grid.n)
     u[c:], u[:c] = pair.u, pair.u[:0:-1]
     u.setflags(write=False)
-    u_star = SpectralResult(pair.lambda_, u, pair.iterations, pair.residual)
+    u_star = SpectralResult(pair.lambda_, u, pair.iterations, pair.residual,
+                            pair.extrapolations)
     del half, pair
 
     m_eps = m_star[:n_res]
@@ -195,12 +202,11 @@ def build_problem(macro: MaximalSolution, kernel: Kernel,
         raise ConvergenceError(f"quasi-solution residual "
                                f"{start.residual_norm:.3e} exceeds 1e-9")
 
-    weight = build_weight(res_grid, x0, default_a_plus(instanton, eps, x0))
-    interface_index = res_grid.index_of(x0 / eps)
+    a_plus = default_a_plus(instanton, res_grid.epsilon, x0)
     r_eps.setflags(write=False)
     return OffCenterProblem(macro, float(x0), extended.trace, extended.xi_eps,
                             ext_grid, res_grid, u_star, r_eps, start.h,
-                            weight, interface_index), start
+                            a_plus, interface_index), start
 
 
 def projected_field(problem: OffCenterProblem, m: np.ndarray, out=None,

@@ -46,6 +46,8 @@ class SweepRow:
     iters: int = 0
     picard_steps: int = 0       # fixed-point updates of m in the row
     power_steps: int = 0        # power iteration steps of the leading pair
+    picard_extrapolations: int = 0  # of the updates, those that extrapolated
+    power_extrapolations: int = 0   # of the power steps, likewise
     error: str = ""             # exception class and message of a failed row
 
     def csv_line(self) -> str:
@@ -215,11 +217,13 @@ def _solve_one(cfg: RunConfig, eps, shared: tuple):
         checked, x0, traces = res.state.even_half(), 0.0, [res.trace]
         start = spectral.slope_start(checked, inst)
     row.picard_steps = sum(len(t.increments) - 1 for t in traces)
+    row.picard_extrapolations = sum(len(t.extrapolated) for t in traces)
     row.hydro_m, row.hydro_h = antisym.hydrodynamic_error(
         checked, res.macro, x0, eps * res.xi_eps)
     sp = spectral.leading_eigenpair(checked, start=start)
     row.lam_gap_ratio = (1.0 - sp.lambda_) / eps
     row.power_steps = sp.iterations
+    row.power_extrapolations = sp.extrapolations
     if cfg.mode == "metastable":
         row.i_eps = res.increase_interval
     return row, res
@@ -227,13 +231,16 @@ def _solve_one(cfg: RunConfig, eps, shared: tuple):
 
 def _save_run(out, res):
     """The state, and the loop trace of a solve: one row per step k, the
-    increment, its ratio to the previous one and the residual of the pair
-    step k - 1 measured (the start's at k = 0)."""
+    increment, its ratio to the previous one, the residual of the pair
+    step k - 1 measured (the start's at k = 0), and 1 when step k's update
+    extrapolated with that ratio, else 0."""
     st, tr = res.state, res.trace
+    steps = range(len(tr.increments))
     save_state(os.path.join(out, "state.csv"), st.grid, st.h, st.m)
-    save_table(os.path.join(out, "trace.csv"), "k,increment,ratio,residual",
-               range(len(tr.increments)), tr.increments,
-               [float("nan")] + tr.ratios, tr.residuals[:-1])
+    save_table(os.path.join(out, "trace.csv"),
+               "k,increment,ratio,residual,extrapolated", steps,
+               tr.increments, [float("nan")] + tr.ratios, tr.residuals[:-1],
+               [int(k in tr.extrapolated) for k in steps])
 
 
 def cmd_solve(args) -> int:
@@ -251,6 +258,8 @@ def cmd_solve(args) -> int:
         "one_minus_lambda_over_eps": row.lam_gap_ratio,
         "iterations": row.iters,
         "power_steps": row.power_steps,
+        "picard_extrapolations": row.picard_extrapolations,
+        "power_extrapolations": row.power_extrapolations,
         "residual": st.residual_norm,
         "fixed_point_defect": antisym.fixed_point_defect(res),
     })
@@ -357,6 +366,8 @@ def cmd_sweep(args) -> int:
         else:
             record["picard_steps"] = row.picard_steps
             record["power_steps"] = row.power_steps
+            record["picard_extrapolations"] = row.picard_extrapolations
+            record["power_extrapolations"] = row.power_extrapolations
         dump_json(os.path.join(run_dir, "row.json"), record)
     with open(os.path.join(out, "sweep.csv"), "w") as fh:
         fh.write(report.to_csv())

@@ -321,12 +321,13 @@ def trapezoid_antiderivative(grid: Grid, values: np.ndarray, anchor: int,
                              out: np.ndarray | None = None) -> np.ndarray:
     """Trapezoid antiderivative vanishing at the grid point ``anchor``:
     scipy's cumulative_trapezoid(values, dx=spacing, initial=0) minus its
-    value there, summed in place in ``out`` (not ``values``) when given."""
+    value there, summed in place in ``out`` (not ``values``) when given.
+    Its one product by spacing/2 is scipy's (spacing s)/2 to the bit."""
     c = np.empty(values.size) if out is None else out
     c[0] = 0.0
     steps = np.add(values[1:], values[:-1], out=c[1:])
-    steps *= grid.spacing
-    steps /= 2.0
+    steps *= 0.5 * grid.spacing
     np.cumsum(steps, out=steps)
-    c -= c[anchor]
+    if anchor:
+        c -= c[anchor]
     return c

@@ -17,7 +17,9 @@ lambda/(1 - lambda) <F - m, u>_{1/p} u.  The centred solvers pass the
 current integral as the field, the off-center solver its projected current
 integral with the extended problem's leading pair.  The loop records each
 residual in an :class:`IterationTrace` and runs in one :class:`Workspace`,
-so that no step allocates an n-point array.
+so that no step allocates an n-point array.  Once two increment ratios
+agree, a step extrapolates over that ratio (:func:`settled_ratio`,
+:func:`extrapolate`), as the power iteration of :mod:`spectral` does.
 """
 
 from __future__ import annotations
@@ -34,16 +36,20 @@ from .thermo import ThermoParams
 INNER_TOL = 1e-12     # sup-norm residual of the returned pair
 STALL_STEPS = 10      # residuals in a row that do not fall: no contraction
 MAX_ITER = 20_000     # fixed-point steps of a loop
+RATIO_AGREEMENT = 0.1   # last two ratios agree to this fraction of the last
+RATIO_LIMIT = 0.99      # largest ratio a step extrapolates over
 
 
 @dataclass
 class IterationTrace:
     """What a loop did: the residual of its start, then one increment per
     step, the residual sup|F(m) - m| of the pair (h, m) the step measured.
-    Every step but the last updated m once."""
+    Every step but the last updated m once; ``extrapolated`` maps each
+    step k that extrapolated to its rho, ratios[k - 1]."""
 
     start_residual: float
     increments: list = field(default_factory=list)
+    extrapolated: dict = field(default_factory=dict)
 
     @property
     def residuals(self) -> list:
@@ -172,6 +178,28 @@ def fixed_point_map(params: ThermoParams, kernel: Kernel, grid: Grid,
     return conv, float(np.abs(scratch, out=scratch).max())
 
 
+def settled_ratio(older: float, old: float, new: float) -> float:
+    """rho = new / old of three successive changes when 0 < rho <
+    RATIO_LIMIT and old / older agrees to RATIO_AGREEMENT * rho, else 0."""
+    if not (older > 0.0 and old > 0.0):
+        return 0.0
+    rho = new / old
+    if 0.0 < rho < RATIO_LIMIT \
+            and abs(rho - old / older) <= RATIO_AGREEMENT * rho:
+        return rho
+    return 0.0
+
+
+def extrapolate(new: np.ndarray, old: np.ndarray, rho: float,
+                scratch: np.ndarray) -> np.ndarray:
+    """new += rho/(1 - rho) (new - old) in ``scratch`` (may be ``old``): the
+    limit when the error shrinks by rho per step (Aitken, Lyusternik)."""
+    step = np.subtract(new, old, out=scratch)
+    step *= rho / (1.0 - rho)
+    new += step
+    return new
+
+
 def _state_at(params, kernel, grid, h, m, conv, res) -> MesoState:
     """The state of (h, m) from conv = J^neum*m and its residual."""
     for a in (h, m, conv):
@@ -203,7 +231,10 @@ def iterate(start: MesoState, field_of, newton=None
     exactly).  Otherwise m <- F; with ``newton`` = (u, lambda, w), a
     direction, its eigenvalue and the weights 1/p of the inner product,
     m <- F + lambda/(1 - lambda) <F - m, u>_w u instead: a Newton step along
-    u, Picard on the rest.  The first step reuses the start's convolution,
+    u, Picard on the rest.  When two increment ratios agree
+    (:func:`settled_ratio`) and the step before did not extrapolate, the
+    update m' so formed becomes m' + rho/(1 - rho) (m' - m), rho the last
+    ratio.  The first step reuses the start's convolution,
     every later one makes one.  STALL_STEPS residuals in a row that do not
     fall, or MAX_ITER steps, raise :class:`ConvergenceError` with the
     trace.  The loop owns ``out`` and a :class:`Workspace` for the rest, so
@@ -241,6 +272,11 @@ def iterate(start: MesoState, field_of, newton=None
             step = np.subtract(target, m, out=work.scratch)
             along = gain * float(np.einsum("i,i,i->", step, weights, u))
             target += np.multiply(along, u, out=step)
+        rho = settled_ratio(*trace.increments[-3:]) \
+            if k >= 2 and k - 1 not in trace.extrapolated else 0.0
+        if rho:
+            extrapolate(target, m, rho, work.scratch)
+            trace.extrapolated[k] = rho
         m = target
     raise ConvergenceError(
         f"fixed-point iteration did not reach {INNER_TOL} in {MAX_ITER} "

@@ -4,7 +4,8 @@ The operator A psi = p (J^neum * psi) is self-adjoint under the weight 1/p,
 has a positive maximal eigenvalue with a positive eigenvector, and a
 spectral gap that stays open as the scale parameter shrinks.  Everything
 here is matrix-free: power iteration for the leading pair (in the sweeps
-from the interface slope, its eigenvector to O(eps)), a Lanczos
+from the interface slope, its eigenvector to O(eps)), extrapolating as
+the fixed-point loop does, a Lanczos
 recurrence on its weighted complement for the gap, and every inner product
 a sum against the state's cached quadrature weights.  Each loop keeps its
 vectors and its convolution's workspace for its whole run: no step
@@ -21,7 +22,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .grids import conv_workspace
 from .instanton import Instanton
-from .meso import MesoState
+from .meso import MesoState, extrapolate, settled_ratio
 
 _POWER_STEPS = 100_000    # power iteration steps for the leading pair
 _LAMBDA2_TOL = 1e-10      # relative Ritz residual bound that stops lambda2
@@ -35,6 +36,7 @@ class SpectralResult:
     u: np.ndarray            # positive, normalized <u^2>_{1/p} = 1
     iterations: int
     residual: float          # sup |A u - lambda u|
+    extrapolations: int
 
 
 def _normalize(state: MesoState, u: np.ndarray, out=None) -> np.ndarray:
@@ -51,7 +53,11 @@ def leading_eigenpair(state: MesoState, tol=1e-12,
     itself must be converged, not just the eigenvalue, because downstream
     deflations inherit its error).  The residual is formed only on steps
     where the quotient is already stationary: the rule is an AND, so the
-    stopping step is the same as with a residual on every step.  The sweeps
+    stopping step is the same as with a residual on every step.  It
+    extrapolates as :func:`meso.iterate` does, over rho^2 from the
+    quotient's changes while they reach ``tol``, then over rho from the
+    residuals, keeping the iterate above _START_FLOOR times the plain one,
+    whose tails it would turn negative.  The sweeps
     and the off-center set-up hand it a centred state's even half line
     (:meth:`meso.MesoState.even_half`), where the leading pair lives and the
     iterate is even by construction.  The better the start, the fewer the
@@ -75,16 +81,32 @@ def leading_eigenpair(state: MesoState, tol=1e-12,
     # the iterate alternates between u and u_prev, which holds the residual
     # until the next iterate overwrites it
     u, u_prev = _normalize(state, start, np.empty(n)), np.empty(n)
-    rq_prev = np.inf
+    rq_prev, older, old, stationary = np.inf, 0.0, 0.0, False
+    jumps, last_jump = 0, 0
     for it in range(1, _POWER_STEPS + 1):
         au = state.apply_linearized(u, work)
         rq = state.weighted_dot(u, au)
-        if abs(rq - rq_prev) < tol and _sup_residual(
-                au, rq, u, u_prev) < tol * max(1.0, abs(rq)):
-            u, u_prev = _normalize(state, au, u_prev), u
-            break
+        change = abs(rq - rq_prev)
+        was, stationary = stationary, change < tol
+        if stationary != was:
+            older = old = 0.0
+        if stationary:
+            res = _sup_residual(au, rq, u, u_prev)
+            if res < tol * max(1.0, abs(rq)):
+                u, u_prev = _normalize(state, au, u_prev), u
+                break
         rq_prev = rq
         u, u_prev = _normalize(state, au, u_prev), u
+        signal = res if stationary else change
+        ratio = settled_ratio(older, old, signal) if last_jump < it - 1 \
+            else 0.0
+        older, old = old, signal
+        if ratio:
+            floor = np.multiply(u, _START_FLOOR, out=au)   # au is free
+            extrapolate(u, u_prev, ratio if stationary else np.sqrt(ratio),
+                        u_prev)
+            _normalize(state, np.maximum(u, floor, out=u), u)
+            jumps, last_jump = jumps + 1, it
     else:
         raise ConvergenceError(
             f"power iteration stagnated (last Rayleigh {rq:.12g}, residual "
@@ -93,7 +115,7 @@ def leading_eigenpair(state: MesoState, tol=1e-12,
         np.negative(u, out=u)
     res = _sup_residual(state.apply_linearized(u, work), rq, u, u_prev)
     u.setflags(write=False)
-    return SpectralResult(float(rq), u, it, res)
+    return SpectralResult(float(rq), u, it, res, jumps)
 
 
 def slope_start(state: MesoState, instanton: Instanton) -> np.ndarray:

@@ -6,6 +6,7 @@ import numpy as np
 
 from mesostefan.errors import ConvergenceError
 from mesostefan.grids import KERNEL_SHAPES
+from mesostefan.meso import settled_ratio
 
 
 def neumann_matrix(kernel, grid):
@@ -62,18 +63,40 @@ def leading_eigenpair_every_step(state, tol=1e-12, steps=100_000,
     ``start`` (p when None) that forms the sup residual sup|A u - rq u| on
     every step, stopping when both it and the change of the Rayleigh
     quotient are below ``tol``; raises ConvergenceError with the last
-    quotient and residual after ``steps``."""
+    quotient and residual after ``steps``.
+
+    It extrapolates as the package's does: over the ratio
+    (:func:`mesostefan.meso.settled_ratio`) of the last three quotient
+    changes, square-rooted, while the quotient moves by ``tol`` or more,
+    and of the last three residuals once it moves by less, never on two
+    steps in a row, with the result kept above 1e-12 times the plain
+    iterate and normalised again."""
     u = (state.p if start is None else start).copy()
     u = u / np.sqrt(state.weighted_dot(u, u))
-    rq_prev = np.inf
+    rq_prev, signals, last_jump = np.inf, [], 0
     for it in range(1, steps + 1):
         au = state.apply_linearized(u)
         rq = state.weighted_dot(u, au)
         res = float(np.max(np.abs(au - rq * u)))
+        change = abs(rq - rq_prev)
         u_next = au / np.sqrt(state.weighted_dot(au, au))
-        if res < tol * max(1.0, abs(rq)) and abs(rq - rq_prev) < tol:
+        if res < tol * max(1.0, abs(rq)) and change < tol:
             u = u_next
             break
+        stationary = change < tol
+        if signals and signals[-1][1] != stationary:
+            signals = []
+        signals.append((res if stationary else change, stationary))
+        ratio = 0.0
+        if len(signals) >= 3 and last_jump < it - 1:
+            ratio = settled_ratio(*(value for value, _ in signals[-3:]))
+        if ratio:
+            rho = ratio if stationary else np.sqrt(ratio)
+            floor = u_next * 1e-12
+            u_next = u_next + (u_next - u) * (rho / (1.0 - rho))
+            u_next = np.maximum(u_next, floor)
+            u_next = u_next / np.sqrt(state.weighted_dot(u_next, u_next))
+            last_jump = it
         rq_prev = rq
         u = u_next
     else:

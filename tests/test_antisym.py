@@ -249,7 +249,8 @@ def _extended(kernel05, inst05, maximal_stable, eps):
 def test_centred_states_are_bitwise_odd(mode, stable_sweep, metastable_sweep,
                                         kernel05, inst05, maximal_stable):
     """The returned h, m and J^neum*m are exact odd extensions of the half
-    line's, +0 at x = 0, and the convolution is the full grid's."""
+    line's, +0 at x = 0, the convolution is the full grid's, and the
+    residual, the half line's, is the full state's to the bit."""
     results = [stable_sweep[0.05]] if mode == "stable" \
         else [metastable_sweep[0.05]] if mode == "metastable" \
         else [_extended(kernel05, inst05, maximal_stable, 0.05)]
@@ -262,6 +263,8 @@ def test_centred_states_are_bitwise_odd(mode, stable_sweep, metastable_sweep,
             assert v[c] == 0.0 and not np.signbit(v[c]), name
         assert np.max(np.abs(st.conv - conv_values(kernel05, st.grid,
                                                    st.m))) < 1e-14
+        again = make_state(st.params, kernel05, st.grid, st.h, st.m, st.conv)
+        assert again.residual_norm == st.residual_norm
 
 
 @pytest.mark.parametrize("mode", ["stable", "metastable", "extended"])
@@ -413,8 +416,9 @@ def test_loop_stops_when_it_stops_contracting(kernel05, inst05, maximal_stable,
 def test_ratios_pair_with_increments_after_zero(stable_sweep, tmp_path):
     """ratios[k - 1] is increments[k] / increments[k - 1] at every k, NaN
     after an exact-zero increment, and the trace file writes one row per
-    step under the same header."""
-    tr = meso.IterationTrace(1e-13, [0.5, 0.25, 0.0, 0.0, 1e-3])
+    step under the same header, 1 in its last column where the step
+    extrapolated."""
+    tr = meso.IterationTrace(1e-13, [0.5, 0.25, 0.0, 0.0, 1e-3], {1: 0.5})
     assert tr.ratios[:2] == [0.5, 0.0]
     assert np.isnan(tr.ratios[2]) and np.isnan(tr.ratios[3])
     assert len(tr.ratios) == 4
@@ -423,9 +427,12 @@ def test_ratios_pair_with_increments_after_zero(stable_sweep, tmp_path):
     cli._save_run(str(out), SimpleNamespace(state=stable_sweep[0.1].state,
                                             trace=tr))
     lines = (out / "trace.csv").read_text().splitlines()
-    assert lines[:2] == ["k,increment,ratio,residual", "0,0.5,nan,1e-13"]
+    assert lines[:2] == ["k,increment,ratio,residual,extrapolated",
+                         "0,0.5,nan,1e-13,0"]
     assert [line.split(",")[2] for line in lines[1:]] == \
         ["nan", "0.5", "0", "nan", "nan"]
+    assert [line.split(",")[4] for line in lines[1:]] == \
+        ["0", "1", "0", "0", "0"]
 
 
 def test_checks_match_solver_errors(kernel05, inst05, inst025,

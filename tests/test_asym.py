@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import EPS_SWEEP, N0, X0
-from mesostefan import antisym, stefan
+from mesostefan import antisym, asym, stefan
 from mesostefan.asym import (admissibility_report, build_problem,
                              check_off_center, default_a_plus,
                              projected_field)
@@ -62,10 +62,11 @@ def test_check_matches_problem_errors(kernel05, inst05, maximal_stable,
         with pytest.raises(err) as from_problem:
             build_problem(*args)
         assert str(from_check.value) == str(from_problem.value)
-    _, _, ext, res = check_off_center(maximal_stable, kernel05, inst05, 0.1,
-                                      X0, N0)
+    _, _, ext, res, c = check_off_center(maximal_stable, kernel05, inst05,
+                                         0.1, X0, N0)
     assert np.array_equal(ext.points, problem01.ext_grid.points)
     assert np.array_equal(res.points, problem01.res_grid.points)
+    assert c == problem01.interface_index
 
 
 def test_trace_records_weighted_increments(asym_sweep, projected_map_sweep,
@@ -181,7 +182,7 @@ def test_u_star_is_the_full_grid_pair(eps, kernel05, inst05, maximal_stable):
     the leading pair of the whole relabeled state."""
     args = (maximal_stable, kernel05, inst05, eps, X0, N0)
     problem, _ = build_problem(*args)
-    grid, xi_index, ext_grid, _ = check_off_center(*args)
+    grid, xi_index, ext_grid = check_off_center(*args)[:3]
     extended = antisym._iterate(maximal_stable, kernel05, inst05, grid,
                                 xi_index)
     full = leading_eigenpair(replace(extended.state, grid=ext_grid))
@@ -201,6 +202,23 @@ def test_weight_matches_defining_formula(problem01):
     assert np.max(np.abs(w.values - expected) / expected) < 1e-12
     assert abs(w.a_minus * (X0 + 1.0) - w.a_plus * (1.0 - X0)) < 1e-12
     assert np.all(w.values > 0.0)
+
+
+def test_weight_is_built_on_first_use(kernel05, inst05, maximal_stable,
+                                      monkeypatch):
+    """The off-center solve builds no weight; the admissibility report's
+    first read builds it once, from the problem's a_plus."""
+    built = []
+    real = asym.build_weight
+    monkeypatch.setattr(asym, "build_weight",
+                        lambda *args: built.append(args) or real(*args))
+    res = asym.solve_off_center(maximal_stable, kernel05, inst05, 0.1, X0, N0)
+    assert built == []
+    asym.admissibility_report(res.problem, res.state.h)
+    assert res.problem.weight is res.problem.weight
+    assert len(built) == 1
+    assert res.problem.weight.a_plus == res.problem.a_plus \
+        == default_a_plus(inst05, 0.1, X0)
 
 
 def test_weight_rate_is_capped(inst05):

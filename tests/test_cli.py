@@ -248,16 +248,22 @@ def test_zero_n0_still_solves(tmp_path):
     assert row.iters > 0 and row.error == ""
 
 
-TRACE_HEADER = "k,increment,ratio,residual"
+TRACE_HEADER = "k,increment,ratio,residual,extrapolated"
 
 
 def _solve_records_are_picard(trace):
-    """Each step's residual column is the previous step's increment, and
-    only the last increment is below the loop's tolerance 1e-12."""
+    """Each step's residual column is the previous step's increment, only
+    the last increment is below the loop's tolerance 1e-12, and the steps
+    that extrapolated (with their row's ratio) are 0 or 1, never two in a
+    row, the first no earlier than step 2."""
     rows = [line.split(",") for line in trace[1:]]
     assert [r[3] for r in rows[1:]] == [r[1] for r in rows[:-1]]
     increments = [float(r[1]) for r in rows]
     assert min(increments[:-1]) >= 1e-12 > increments[-1]
+    jumps = [int(r[0]) for r in rows if r[4] == "1"]
+    assert {r[4] for r in rows} <= {"0", "1"}
+    assert jumps and jumps[0] >= 2
+    assert all(b - a >= 2 for a, b in zip(jumps, jumps[1:]))
 
 
 def test_solve_command_round_trip(tmp_path):
@@ -271,7 +277,9 @@ def test_solve_command_round_trip(tmp_path):
     assert np.all(np.diff(m) > 0)
     summary = json.loads((out / "solve.json").read_text())
     assert summary["monotone"] is True
-    assert summary["power_steps"] == 13
+    assert summary["power_steps"] == 10
+    assert (summary["picard_extrapolations"],
+            summary["power_extrapolations"]) == (3, 2)
     assert summary["residual"] < 1e-8
     trace = (out / "trace.csv").read_text().splitlines()
     assert trace[0] == TRACE_HEADER
@@ -316,13 +324,15 @@ NOT_APPLICABLE = {"antisym": {"I_eps", "eps_x_eps"},
                   "metastable": {"eps_x_eps"}, "asym": {"I_eps"}}
 ROW_VALUES = {"hydro_m", "hydro_h", "lam_gap_ratio", "C_instanton", "I_eps",
               "eps_x_eps"}
+#: the step counts of a solved row's row.json, which a failed row has not
+STEP_KEYS = {"picard_steps", "power_steps", "picard_extrapolations",
+             "power_extrapolations"}
 #: every key of a solved row's row.json; a failed row has "error" in place
-#: of the two step counts
-SOLVED_ROW_KEYS = ROW_VALUES | {"eps", "mode", "iters", "picard_steps",
-                                "power_steps"}
+#: of the step counts
+SOLVED_ROW_KEYS = ROW_VALUES | STEP_KEYS | {"eps", "mode", "iters"}
 #: power steps of the shipped rows at eps 0.025, 0.05, 0.1 (glob order):
 #: centred from the interface slope, off center from u*
-SHIPPED_POWER_STEPS = {"antisym": [12, 13, 13], "metastable": [12, 13, 13],
+SHIPPED_POWER_STEPS = {"antisym": [10, 10, 10], "metastable": [10, 10, 11],
                        "asym": [2, 2, 2]}
 
 
@@ -352,8 +362,7 @@ def test_json_artifacts_are_strict(tmp_path):
     assert main(["sweep", "--config", str(cfg_file)]) == EXIT_INFEASIBLE
     row = _strict_json(out / "eps_0.1" / "row.json")
     assert {k for k in ROW_VALUES if row[k] is None} == ROW_VALUES
-    assert set(row) == SOLVED_ROW_KEYS - {"picard_steps", "power_steps"} \
-        | {"error"}
+    assert set(row) == SOLVED_ROW_KEYS - STEP_KEYS | {"error"}
 
     run_dir, spec_dir = tmp_path / "run", tmp_path / "spec"
     assert main(["solve", "--eps", "0.1", "--j", "-0.02", "--ell", "1",
@@ -558,7 +567,7 @@ def test_non_package_error_becomes_row(tmp_path, monkeypatch, exc_type):
     assert "projected_solves" not in ok
     assert bad["iters"] == -EXIT_NUMERICAL
     assert bad["error"] == f"{exc_type.__name__}: injected"
-    assert "picard_steps" not in bad and "power_steps" not in bad
+    assert not STEP_KEYS & set(bad)
 
 
 def test_non_package_error_in_shared_inputs_fills_rows(monkeypatch):
@@ -594,8 +603,11 @@ def test_row_json_records_inner_solves(tmp_path, mode, j, x0):
                         f"eps_list = 0.1\nn0 = 2\noutdir = {out}\n")
     assert main(["sweep", "--config", str(cfg_file)]) == EXIT_OK
     record = json.loads((out / "eps_0.1" / "row.json").read_text())
-    assert record["picard_steps"] == row.picard_steps
-    assert record["power_steps"] == row.power_steps
+    for key in STEP_KEYS:
+        assert record[key] == getattr(row, key)
+    assert row.picard_extrapolations == sum(
+        len(t.extrapolated) for t in ([res.problem.extended_trace]
+                                      if mode == "asym" else []) + [res.trace])
     assert "projected_solves" not in record
     assert (out / "sweep.csv").read_text().splitlines()[0] == SWEEP_HEADER
 

@@ -427,27 +427,73 @@ def test_outer_loops_restart_from_the_last_convolution(
     assert res.state.residual_norm < 1e-12
 
 
+def test_settled_ratio_needs_two_agreeing_ratios_below_the_limit():
+    """rho = new / old once old / older agrees with it to RATIO_AGREEMENT
+    of rho and it lies in (0, RATIO_LIMIT); 0.0 otherwise."""
+    assert meso.settled_ratio(1.0, 0.5, 0.25) == 0.5
+    assert meso.settled_ratio(1.0, 0.5, 0.23) == 0.23 / 0.5     # 8.7 % off
+    assert meso.settled_ratio(1.0, 0.5, 0.22) == 0.0            # 13.6 % off
+    assert meso.settled_ratio(1.0, 0.995, 0.995 ** 2) == 0.0    # past limit
+    assert meso.settled_ratio(1.0, 1.0, 1.0) == 0.0             # no decay
+    assert meso.settled_ratio(0.0, 0.5, 0.25) == 0.0            # no history
+    assert meso.settled_ratio(1.0, 0.0, 0.0) == 0.0
+    assert meso.settled_ratio(np.inf, 1.0, 0.5) == 0.0
+
+
+def test_extrapolate_reaches_the_limit_of_a_geometric_sequence():
+    """Over the exact ratio one extrapolation lands on the limit, in place,
+    with the difference in the scratch it is given."""
+    limit, mode = np.array([1.0, -2.0, 0.5]), np.array([0.3, 0.1, -0.2])
+    old, new = limit + mode * 0.4 ** 3, limit + mode * 0.4 ** 4
+    out = meso.extrapolate(new, old, 0.4, old)
+    assert out is new
+    assert np.max(np.abs(new - limit)) < 1e-15
+
+
+@pytest.mark.parametrize("mode", ["stable", "metastable", "off-center"])
+def test_extrapolated_steps_use_their_measured_ratio(
+        mode, params2, kernel05, inst05, maximal_stable, maximal_meta):
+    """Each loop records the steps that extrapolated, with the ratio of the
+    step's increment to the previous one, never on two steps in a row and
+    never before two ratios exist."""
+    _, traces = _loops(mode, params2, kernel05, inst05, maximal_stable,
+                       maximal_meta)
+    for trace in traces:
+        steps = sorted(trace.extrapolated)
+        assert steps and steps[0] >= 2
+        assert all(b - a >= 2 for a, b in zip(steps, steps[1:]))
+        for k, rho in trace.extrapolated.items():
+            assert rho == trace.ratios[k - 1] < meso.RATIO_LIMIT
+
+
 def test_picard_contracts_at_the_subdominant_rate(params2, kernel05,
                                                   instanton_state,
                                                   monkeypatch):
     """On odd data plain Picard contracts at lambda_2 of p J^neum, about 0.31
-    at beta = 2; damping by 0.7 would give 0.3 + 0.7 lambda_2 = 0.52."""
+    at beta = 2; damping by 0.7 would give 0.3 + 0.7 lambda_2 = 0.52.  The
+    loop measures that rate and steps over it: every ratio it extrapolates
+    with is lambda_2 to 0.05 (the first, 0.357, from the third and fourth
+    increments), the last to 0.025, and it takes fewer updates than plain
+    steps alone (13 against 18)."""
     st = instanton_state
     lam2 = spectral.second_eigenvalue(st, spectral.leading_eigenpair(st))
     x = st.grid.points
     m0 = st.m + 1e-3 * np.sin(np.pi * x / st.grid.b) * np.exp(-(x / 4.0) ** 2)
-    res = []
-    real = meso.conv_values
 
-    def recorded(kernel, grid, m, *args):
-        out = real(kernel, grid, m, *args)
-        arg = params2.beta * (out + st.h)
-        res.append(float(np.max(np.abs(m - np.tanh(arg)))))
-        return out
+    def trace():
+        return inner_solve(params2, kernel05, st.grid, st.h, m0,
+                           conv_values(kernel05, st.grid, m0))[1]
 
-    monkeypatch.setattr(meso, "conv_values", recorded)
-    inner_solve(params2, kernel05, st.grid, st.h, m0,
-                meso.conv_values(kernel05, st.grid, m0))
+    fast = trace()
+    monkeypatch.setattr(meso, "settled_ratio", lambda *changes: 0.0)
+    plain = trace()
+    assert plain.extrapolated == {}
+    res = plain.increments
     rate = (res[-1] / res[4]) ** (1.0 / (len(res) - 5))
     assert 0.25 < lam2 < 0.35
     assert abs(rate - lam2) < 0.02
+    rhos = list(fast.extrapolated.values())
+    assert len(rhos) >= 2
+    assert all(abs(rho - lam2) < 0.05 for rho in rhos)
+    assert abs(rhos[-1] - lam2) < 0.025
+    assert len(fast.increments) < len(plain.increments)

@@ -13,10 +13,10 @@ Three maps run where the parameters get hard.  Metastable rows near the
 branch breakdown (j up to 0.095 at beta = 2, ell_break = 1.04) solve, with
 the boundary field O(eps) inside the Stefan one.  Centred rows near the
 critical temperature (beta = 1.01, 1.02, 1.05 and 1.1 at ell_j = 2; at
-1.01 and 1.02 lambda2 of the centred state is about 0.9) solve by plain
-iteration, and so do
-off-center rows at beta = 1.02, 1.05 and 1.1 (ell_j = 2, x0 = 0.2).  Every
-row of the three maps is one that ``validate`` calls feasible.
+1.01 and 1.02 lambda2 of the centred state is about 0.9) solve by Picard
+iteration stepping over its measured contraction, and so do off-center
+rows at beta = 1.02, 1.05 and 1.1 (ell_j = 2, x0 = 0.2).  Every row of
+the three maps is one that ``validate`` calls feasible.
 """
 
 import itertools
@@ -43,12 +43,12 @@ CASES = list(itertools.product(BETAS, KERNELS, MODES, SCALES))
 #: the row's fixed-point updates, per (beta, kernel) in the order antisym,
 #: metastable, asym, each at eps 0.1 then 0.0125
 PICARD_STEPS = {
-    (1.2, "cos2"): (76, 71, 81, 85, 115, 104),
-    (1.2, "quartic"): (0, 71, 0, 85, 115, 104),
-    (1.5, "cos2"): (33, 30, 33, 30, 50, 44),
-    (1.5, "quartic"): (33, 30, 33, 30, 50, 44),
-    (2.0, "cos2"): (19, 17, 18, 17, 28, 24),
-    (2.0, "quartic"): (19, 17, 18, 17, 28, 24),
+    (1.2, "cos2"): (28, 23, 32, 33, 50, 43),
+    (1.2, "quartic"): (0, 23, 0, 33, 51, 43),
+    (1.5, "cos2"): (16, 16, 17, 15, 28, 26),
+    (1.5, "quartic"): (16, 16, 17, 15, 28, 26),
+    (2.0, "cos2"): (14, 15, 14, 14, 24, 22),
+    (2.0, "quartic"): (14, 15, 14, 14, 24, 22),
     (4.0, "cos2"): (12, 12, 9, 9, 18, 17),
     (4.0, "quartic"): (12, 12, 9, 9, 18, 17),
 }
@@ -80,8 +80,8 @@ def test_row_solves_without_newton(beta, kernel, mode, eps):
 
 #: metastable rows near the breakdown at beta = 2: j -> the fixed-point
 #: updates of the row at each of HIGH_CURRENT_SCALES
-HIGH_CURRENT_STEPS = {0.07: (27, 30, 31), 0.08: (33, 37, 38),
-                      0.09: (42, 49, 56), 0.095: (48, 58, 76)}
+HIGH_CURRENT_STEPS = {0.07: (18, 20, 20), 0.08: (23, 19, 24),
+                      0.09: (26, 28, 28), 0.095: (34, 39, 32)}
 HIGH_CURRENT_SCALES = (0.1, 0.05, 0.025)
 HIGH_CURRENT = list(itertools.product(HIGH_CURRENT_STEPS,
                                       range(len(HIGH_CURRENT_SCALES))))
@@ -116,16 +116,15 @@ def test_metastable_row_near_the_breakdown(j, k):
 
 #: centred rows near the critical temperature, with j so that ell_j = 2:
 #: (beta, j) -> the fixed-point updates at each of NEAR_CRITICAL_SCALES
-NEAR_CRITICAL_STEPS = {(1.01, -0.16334): (191, 346, 458),
-                       (1.02, -0.16004): (183, 314, 394),
-                       (1.05, -0.15035): (159, 225, 248),
-                       (1.1, -0.13516): (122, 139, 141)}
-#: the power steps of their leading pairs, from the interface slope (from p
-#: the first two rows take 156, 288, 381 and 146, 252, 316)
-NEAR_CRITICAL_POWER_STEPS = {(1.01, -0.16334): (153, 278, 362),
-                             (1.02, -0.16004): (141, 236, 290),
-                             (1.05, -0.15035): (113, 156, 170),
-                             (1.1, -0.13516): (82, 94, 96)}
+NEAR_CRITICAL_STEPS = {(1.01, -0.16334): (53, 80, 86),
+                       (1.02, -0.16004): (58, 78, 78),
+                       (1.05, -0.15035): (49, 58, 58),
+                       (1.1, -0.13516): (45, 39, 42)}
+#: the power steps of their leading pairs, from the interface slope
+NEAR_CRITICAL_POWER_STEPS = {(1.01, -0.16334): (55, 82, 99),
+                             (1.02, -0.16004): (52, 68, 86),
+                             (1.05, -0.15035): (44, 56, 60),
+                             (1.1, -0.13516): (37, 40, 40)}
 NEAR_CRITICAL_SCALES = (0.05, 0.0125, 0.00625)
 NEAR_CRITICAL = list(itertools.product(NEAR_CRITICAL_STEPS,
                                        range(len(NEAR_CRITICAL_SCALES))))
@@ -135,9 +134,10 @@ NEAR_CRITICAL = list(itertools.product(NEAR_CRITICAL_STEPS,
                          ids=[f"{c[0]}-{NEAR_CRITICAL_SCALES[k]}"
                               for c, k in NEAR_CRITICAL])
 def test_centred_row_near_the_critical_temperature(case, k):
-    """The row solves by plain iteration, which contracts at lambda2 ~ 0.9
-    here, with no auxiliary solve to count it as stalled, and its leading
-    pair converges from the interface slope."""
+    """The row solves by Picard iteration, which contracts at lambda2 ~ 0.9
+    here and steps over that mode, with no auxiliary solve to count it as
+    stalled, and its leading pair converges from the interface slope; both
+    loops extrapolate."""
     (beta, j), eps = case, NEAR_CRITICAL_SCALES[k]
     cfg = RunConfig(beta=beta, j=j, ell=1.0, mode="antisym", eps_list=[eps],
                     n0=2)
@@ -146,6 +146,7 @@ def test_centred_row_near_the_critical_temperature(case, k):
     steps = NEAR_CRITICAL_STEPS[case][k]
     assert (row.iters, row.picard_steps) == (steps + 1, steps)
     assert row.power_steps == NEAR_CRITICAL_POWER_STEPS[case][k]
+    assert row.picard_extrapolations > 0 and row.power_extrapolations > 0
     assert res.state.residual_norm <= 1e-12
     assert res.monotone
 
@@ -153,9 +154,9 @@ def test_centred_row_near_the_critical_temperature(case, k):
 #: off-center rows near the critical temperature, with j so that ell_j = 2:
 #: (beta, j) -> (steps of the off-center loop, fixed-point updates of the
 #: row) at each of NEAR_CRITICAL_ASYM_SCALES
-NEAR_CRITICAL_ASYM_STEPS = {(1.02, -0.16004): ((29, 211), (24, 337)),
-                            (1.05, -0.15035): ((27, 185), (23, 247)),
-                            (1.1, -0.13516): ((25, 146), (21, 159))}
+NEAR_CRITICAL_ASYM_STEPS = {(1.02, -0.16004): ((18, 73), (16, 93)),
+                            (1.05, -0.15035): ((17, 69), (15, 72)),
+                            (1.1, -0.13516): ((17, 56), (14, 52))}
 NEAR_CRITICAL_ASYM_SCALES = (0.05, 0.0125)
 NEAR_CRITICAL_ASYM = list(itertools.product(
     NEAR_CRITICAL_ASYM_STEPS, range(len(NEAR_CRITICAL_ASYM_SCALES))))

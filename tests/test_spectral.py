@@ -191,25 +191,29 @@ def test_leading_pair_matches_residual_every_step(mode, tol, stable_sweep,
                                                   asym_sweep, inst05):
     """Forming the residual only once the quotient is stationary keeps the
     stopping step and every returned bit of the residual-every-step rule,
-    from p on the full grid and from the sweep row's start."""
+    extrapolations included, from p on the full grid and from the sweep
+    row's start."""
     sweep = {"antisym": stable_sweep, "metastable": metastable_sweep,
              "asym": asym_sweep}[mode]
+    jumps = []
     for state, u0 in ((sweep[0.05].state, None),
                       _row_start(mode, sweep[0.05], inst05)):
         pair = leading_eigenpair(state, tol, start=u0)
+        jumps.append(pair.extrapolations)
         lam, u, iterations, res = leading_eigenpair_every_step(state, tol,
                                                                start=u0)
         assert pair.lambda_ == lam
         assert np.array_equal(pair.u, u)
         assert pair.iterations == iterations
         assert pair.residual == res
+    assert jumps[0] > 0, jumps
 
 
 #: power steps of the sweep rows' pairs at the benchmark's eps ladder, in
 #: the order 0.0125, 0.0025, 0.001, from their starts and from p
-LADDER_POWER_STEPS = {"antisym": ((12, 11, 11), (16, 16, 16)),
-                      "metastable": ((12, 11, 9), (21, 21, 21)),
-                      "asym": ((2, 2, 2), (16, 16, 16))}
+LADDER_POWER_STEPS = {"antisym": ((9, 9, 9), (13, 13, 13)),
+                      "metastable": ((10, 8, 9), (16, 16, 16)),
+                      "asym": ((2, 2, 2), (13, 13, 13))}
 LADDER_EPS = (0.0125, 0.0025, 0.001)
 
 

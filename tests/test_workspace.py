@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 from mesostefan import antisym, asym, spectral, stefan
+from mesostefan.instanton import compute_instanton
+from mesostefan.thermo import make_params
 
 from conftest import ELL, N0, X0
 
@@ -61,18 +63,43 @@ def test_reused_buffers_never_leak_into_results(params2, kernel05, inst05):
     assert shared == []
 
 
+def _repeat_faults(solve):
+    """Minor page faults of the second of two calls of ``solve``, and what
+    it returned."""
+    solve()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    res = solve()
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, res
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="ru_minflt counts minor page faults on Linux")
 def test_repeated_solve_faults_in_few_pages(kernel05, inst05, maximal_stable):
     """A stable solve at eps = 0.001 run a second time in the same process
     takes at most REPEAT_FAULT_BOUND minor page faults: its loops allocate
     their buffers once, not an n-point array per step."""
-    def solve():
-        return antisym.solve_centred(maximal_stable, kernel05, inst05, 0.001,
-                                     ELL, N0)
-
-    solve()
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    solve()
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    faults, _ = _repeat_faults(lambda: antisym.solve_centred(
+        maximal_stable, kernel05, inst05, 0.001, ELL, N0))
     assert faults <= REPEAT_FAULT_BOUND, faults
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_minflt counts minor page faults on Linux")
+def test_repeated_extrapolating_solve_faults_in_few_pages(kernel05):
+    """So do a centred solve near the critical temperature (beta = 1.01,
+    ell_j = 2, eps = 0.001) and its leading pair from the interface slope,
+    whose loops extrapolate on 59 of 181 fixed-point steps and on 50 of 160
+    power steps: an extrapolated step allocates no n-point array either."""
+    params = make_params(1.01)
+    macro = stefan.solve_maximal(params, -0.16334)
+    inst = compute_instanton(params, kernel05)
+
+    def solve():
+        res = antisym.solve_centred(macro, kernel05, inst, 0.001, ELL, N0)
+        half = res.state.even_half()
+        return res, spectral.leading_eigenpair(
+            half, start=spectral.slope_start(half, inst))
+
+    faults, (res, pair) = _repeat_faults(solve)
+    assert faults <= REPEAT_FAULT_BOUND, faults
+    assert len(res.trace.extrapolated) > 50 and pair.extrapolations > 10
