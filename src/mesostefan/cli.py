@@ -88,7 +88,7 @@ def cmd_thermo(args) -> int:
 
 
 def cmd_instanton(args) -> int:
-    _, _, inst = _fixed_inputs(args.beta, args.spacing, args.kernel)
+    _, kern, inst = _fixed_inputs(args.beta, args.spacing, args.kernel)
     out = _outdir(args.out)
     grid = grid_from_points(inst.x, args.spacing)
     save_profile(os.path.join(out, "instanton.csv"), grid, inst.profile)
@@ -100,12 +100,19 @@ def cmd_instanton(args) -> int:
         "mean": inst.mean,
         "norm_sq": inst.norm_sq,
         "residual": inst.residual,
+        "iterations": inst.iterations,
+        "extrapolations": inst.extrapolations,
+        "unit_eigenvalue_defect": instanton_mod.unit_eigenvalue_defect(inst,
+                                                                       kern),
     })
     print(f"decay_rate = {fmt(inst.decay_rate)}  residual = {fmt(inst.residual)}")
     return EXIT_OK
 
 
 def cmd_stefan(args) -> int:
+    if args.metastable and args.x0 != 0.0:
+        raise DomainError(f"x0 = {args.x0:g} is ignored by the metastable "
+                          "branch: its interface is at 0")
     params = make_params(args.beta)
     out = _outdir(args.out)
     try:

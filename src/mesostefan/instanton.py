@@ -1,17 +1,17 @@
 """The standing interface profile of the zero-current problem.
 
-Plain Picard iteration for the odd fixed point of m -> tanh(beta J*m) on a
-truncated line, with a Dirichlet-style clamp to +-m_beta outside a one-unit
-collar.  The iterates are odd, so they live on an odd grid over [0, X]
-(:meth:`grids.Grid.half_line`), whose reflection at X reads only the clamp
-collar, and the profile is extended to [-X, X] once at the end.  On odd
-functions the map contracts at the sub-dominant eigenvalue of its
-linearization (about 0.31 per step at beta = 2), so no damping is
-needed.  The profile, its derivative, the weighted normalization constants
-and the tail decay rate (the root of its characteristic equation, no fit)
-feed the composite seeds, the sweeps' C column and the spectral checks.  A
-saturated m_beta (1 to rounding, from beta ~ 18.5 on) is refused before
-the first step: the mobility beta (1 - m^2) of the profile would vanish.
+The odd fixed point of m -> tanh(beta J*m) on a truncated line [-X, X]:
+:func:`meso.iterate`'s at zero field on the odd grid over [0, X]
+(:meth:`grids.Grid.half_line`), whose Neumann reflection at X reads only
+the window's last kernel range, where the profile is m_beta to rounding.
+On odd functions the map contracts at the sub-dominant eigenvalue of its
+linearization (about 0.31 per step at beta = 2), and the loop extrapolates
+over that ratio once it settles.  The profile, its derivative, the weighted
+normalization constants and the tail decay rate (the root of its
+characteristic equation, no fit) feed the composite seeds, the sweeps' C
+column and the spectral checks.  A saturated m_beta (1 to rounding, from
+beta ~ 18.5 on) is refused before the first step: the mobility
+beta (1 - m^2) of the profile would vanish.
 """
 
 from __future__ import annotations
@@ -21,15 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, GridError
-from .grids import POINT_CAP, Grid, Kernel, conv_values, conv_values_filled
-from .meso import Workspace
+from .grids import POINT_CAP, Grid, Kernel, conv_values_filled
+from .meso import iterate, make_state
 from .thermo import SATURATED_ROOT, ThermoParams, mobility
 
 HALF_WIDTH = 20.0     # least X of the truncated line [-X, X]
 TAIL_DECAYS = 37.0    # a X at least: exp(-37) is below rounding
 MAX_SPACING = 0.05
-_TOL = 1e-12          # sup-norm residual off the clamp collar
-_MAX_ITER = 50_000    # Picard steps
 _MAX_NEWTON = 100     # Newton steps for the decay rate
 
 
@@ -47,8 +45,10 @@ class Instanton:
     decay_rate: float        # a in m_beta - profile ~ c exp(-a x)
     norm_sq: float           # int derivative^2 / p_bar
     mean: float              # int derivative / p_bar = 2 artanh(m_beta)/beta
-    residual: float          # sup norm off the clamp collar
+    residual: float          # sup|F(m) - m| of the returned half line
     m_beta: float
+    iterations: int          # loop steps; the last one updates nothing
+    extrapolations: int      # of the steps, those whose update extrapolated
 
     @property
     def half_width(self) -> float:
@@ -69,19 +69,17 @@ def _derivative_4th(values: np.ndarray, spacing: float,
     return (-v[4:] + 8.0 * v[3:-1] - 8.0 * v[1:-3] + v[:-4]) / (12.0 * spacing)
 
 
-def compute_instanton(params: ThermoParams, kernel: Kernel,
-                      seed="sign") -> Instanton:
+def compute_instanton(params: ThermoParams, kernel: Kernel) -> Instanton:
     """Solve the odd fixed point m = tanh(beta J*m) on [-X, X], X the larger
-    of HALF_WIDTH and TAIL_DECAYS / a for the decay rate a: the clamp sits
-    where the profile is m_beta to rounding, with no kink in its slope.
+    of HALF_WIDTH and TAIL_DECAYS / a for the decay rate a, so that the
+    profile is m_beta to rounding where the window ends.
 
-    Each Picard step sets m to tanh(beta J*m) on [0, X], with m = 0 at
-    x = 0, J*m the convolution on the odd grid over [0, X] (m mirrored
-    about 0 with a sign, and about X, where it is m_beta on the kernel's
-    range), and m clamped to m_beta on [X-1, X].  The iterates alternate
-    between the two rows of a :class:`meso.Workspace`.  Iterating on odd
-    functions pins the translation freedom of the infinite-line problem,
-    whose derivative mode (eigenvalue 1) is even and so never enters.
+    The fixed point is :func:`meso.iterate`'s at zero field on the odd grid
+    over [0, X], from m_beta sign(x): J*m mirrors m about 0 with a sign and
+    about X without one, and the profile is extended to [-X, X] once at the
+    end.  Iterating on odd functions pins the translation freedom of the
+    infinite-line problem, whose derivative mode (eigenvalue 1) is even and
+    so never enters.
     """
     if params.beta <= 1.0:
         raise DomainError("interface profile needs beta > 1")
@@ -93,7 +91,6 @@ def compute_instanton(params: ThermoParams, kernel: Kernel,
 
     spacing = kernel.spacing
     mb = params.m_beta
-    beta = params.beta
     rate = decay_root(mobility(params, mb), kernel)
     width = float(max(HALF_WIDTH,
                       spacing * np.ceil(TAIL_DECAYS / rate / spacing)))
@@ -104,52 +101,22 @@ def compute_instanton(params: ThermoParams, kernel: Kernel,
     x = spacing * np.arange(-n_half, n_half + 1)
 
     half = Grid(1.0, 0.0, width, spacing, x[n_half:], odd=True)
-    work = Workspace(kernel, half.n)
-    m, target = work.iterates
-    if seed == "sign":
-        np.multiply(mb, np.sign(half.points), out=m)
-    elif seed == "tanh":
-        np.multiply(mb, np.tanh(half.points), out=m)
-    else:
-        raise DomainError(f"unknown seed {seed!r}")
+    zero = np.zeros(half.n)
+    state, trace = iterate(
+        make_state(params, kernel, half, zero, mb * np.sign(half.points)),
+        lambda m, out, scratch: zero)
 
-    unclamped = np.count_nonzero(half.points <= width - 1.0 + 1e-12)
-    m[unclamped:] = mb
-
-    def image(m, out):
-        """tanh(beta J*m) in ``out``."""
-        np.multiply(conv_values(kernel, half, m, work.conv), beta, out=out)
-        return np.tanh(out, out=out)
-
-    residual = np.inf
-    image(m, target)
-    for _ in range(_MAX_ITER):
-        target[unclamped:] = mb
-        target[0] = 0.0
-        m, target = target, m
-        # the image of the new iterate is both its residual and the next target
-        image(m, target)
-        diff = np.subtract(m[:unclamped], target[:unclamped],
-                           out=work.scratch[:unclamped])
-        residual = float(np.abs(diff, out=diff).max())
-        if residual < _TOL:
-            break
-    else:
-        raise ConvergenceError(
-            f"interface profile did not reach {_TOL} in {_MAX_ITER} steps "
-            f"(residual {residual:.3e})"
-        )
-
-    m = np.concatenate([-m[:0:-1], m])
+    m = np.concatenate([-state.m[:0:-1], state.m])
     deriv = _derivative_4th(m, spacing, -mb, mb)
     p_bar = mobility(params, m)
     norm_sq = float(np.trapezoid(deriv * deriv / p_bar, dx=spacing))
-    mean = 2.0 * mb     # the clamped window's integral, exactly
+    mean = 2.0 * mb     # the window's integral, exactly: m(+-X) = +-m_beta
 
     for arr in (x, m, deriv, p_bar):
         arr.setflags(write=False)
-    return Instanton(beta, kernel.shape, x, spacing, m, deriv, p_bar, rate,
-                     norm_sq, mean, residual, mb)
+    return Instanton(params.beta, kernel.shape, x, spacing, m, deriv,
+                     p_bar, rate, norm_sq, mean, state.residual_norm, mb,
+                     len(trace.increments), len(trace.extrapolated))
 
 
 def decay_root(p_beta, kernel: Kernel) -> float:
@@ -198,7 +165,11 @@ def threshold_abscissa(instanton: Instanton, eps) -> float:
     return float(x0 + t * (x1 - x0))
 
 
-def apply_transfer(instanton: Instanton, kernel: Kernel,
-                   psi: np.ndarray) -> np.ndarray:
-    """One application of the free-line linearized map p_bar (J * psi)."""
-    return instanton.p_bar * conv_values_filled(kernel, psi)
+def unit_eigenvalue_defect(instanton: Instanton, kernel: Kernel) -> float:
+    """sup|p_bar (J * u') - u'| over |x| <= X - 2, u' the profile's slope:
+    the free-line linearized map has u' as eigenvector of eigenvalue 1."""
+    slope = instanton.derivative
+    defect = np.abs(instanton.p_bar * conv_values_filled(kernel, slope)
+                    - slope)
+    return float(defect[np.abs(instanton.x)
+                        <= instanton.half_width - 2.0].max())

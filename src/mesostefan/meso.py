@@ -9,17 +9,18 @@ convolution.  At exact fixed points of m = tanh(beta J^neum*m + beta h)
 the weight coincides with the mobility chi(m), which the solvers exploit
 throughout.
 
-One fixed-point loop, :func:`iterate`, serves every solver.  Each step
-forms a field h from m, F = tanh(beta (J^neum*m + h)) through
-:func:`fixed_point_map` and the residual sup|F - m|, and sets m <- F,
-with an optional fixed Newton direction (u, lambda) that adds
+One fixed-point loop, :func:`iterate`, serves every solver and the
+instanton.  Each step forms a field h from m, F = tanh(beta (J^neum*m + h))
+through :func:`fixed_point_map` and the residual sup|F - m|, and sets
+m <- F, with an optional fixed Newton direction (u, lambda) that adds
 lambda/(1 - lambda) <F - m, u>_{1/p} u.  The centred solvers pass the
 current integral as the field, the off-center solver its projected current
-integral with the extended problem's leading pair.  The loop records each
-residual in an :class:`IterationTrace` and runs in one :class:`Workspace`,
-so that no step allocates an n-point array.  Once two increment ratios
-agree, a step extrapolates over that ratio (:func:`settled_ratio`,
-:func:`extrapolate`), as the power iteration of :mod:`spectral` does.
+integral with the extended problem's leading pair, the instanton zero.  The
+loop records each residual in an :class:`IterationTrace` and runs in one
+:class:`Workspace`, so that no step allocates an n-point array.  Once two
+increment ratios agree, a step extrapolates over that ratio
+(:func:`settled_ratio`, :func:`extrapolate`), as the power iteration of
+:mod:`spectral` does.
 """
 
 from __future__ import annotations

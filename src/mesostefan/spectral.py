@@ -128,7 +128,7 @@ def slope_start(state: MesoState, instanton: Instanton) -> np.ndarray:
     The layout check matched the instanton's spacing to the grid's, so the
     slope is an exact slice.  It dips below 0 only by rounding, in the
     tail: the instanton's window ends where the profile is m_beta to
-    rounding, so its clamp collar has no kink.
+    rounding, so its slope has no kink there.
     """
     ic = instanton.center_index
     k = min(state.grid.n, instanton.x.size - ic)

@@ -1,11 +1,13 @@
 """Dense reference operators that the solvers only apply matrix-free, the
-direct padded convolution that the blocked product replaces, and the power
-iteration that forms its residual on every step."""
+direct padded convolution that the blocked product replaces, the power
+iteration that forms its residual on every step, and the interface profile
+reached from a second start."""
 
 import numpy as np
 
+from mesostefan import meso
 from mesostefan.errors import ConvergenceError
-from mesostefan.grids import KERNEL_SHAPES
+from mesostefan.grids import KERNEL_SHAPES, Grid
 from mesostefan.meso import settled_ratio
 
 
@@ -107,3 +109,16 @@ def leading_eigenpair_every_step(state, tol=1e-12, steps=100_000,
         u = -u
     res = float(np.max(np.abs(state.apply_linearized(u) - rq * u)))
     return float(rq), u, it, res
+
+
+def tanh_start_profile(params, kernel, inst):
+    """The profile that the instanton's loop (:func:`meso.iterate` at zero
+    field) reaches from m_beta tanh(x) instead of m_beta sign(x), on the
+    instanton's own odd half line over [0, X], extended oddly to [-X, X]."""
+    c = inst.center_index
+    half = Grid(1.0, 0.0, inst.half_width, inst.spacing, inst.x[c:], odd=True)
+    zero = np.zeros(half.n)
+    start = meso.make_state(params, kernel, half, zero,
+                            params.m_beta * np.tanh(half.points))
+    state, _ = meso.iterate(start, lambda m, out, scratch: zero)
+    return np.concatenate([-state.m[:0:-1], state.m])

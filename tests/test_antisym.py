@@ -275,7 +275,13 @@ def test_centred_solves_convolve_on_the_half_line(mode, params2, kernel05,
     of x >= 0, odd: its seed's, then one per fixed-point step but the first,
     which reuses the seed's.  So does every one of the power iteration that
     follows it, even: the sweep row's check of a stable or metastable
-    state, the u* pair of the off-center set-up."""
+    state, the u* pair of the off-center set-up.  A sweep row's shared
+    inputs (the instanton's own loop among them) are built before the
+    recording starts."""
+    if mode != "extended":
+        cfg = RunConfig(beta=params2.beta, ell=ELL, n0=N0, eps_list=[0.1],
+                        **_ROW_CASES[mode]).validate_fields()
+        shared = cli._shared_inputs(cfg)
     sizes = []
     real = meso.conv_values
 
@@ -298,9 +304,7 @@ def test_centred_solves_convolve_on_the_half_line(mode, params2, kernel05,
         n, trace = problem.ext_grid.n, problem.extended_trace
         power_steps = problem.u_star.iterations
     else:
-        cfg = RunConfig(beta=params2.beta, ell=ELL, n0=N0, eps_list=[0.1],
-                        **_ROW_CASES[mode]).validate_fields()
-        _, res = cli._solve_one(cfg, 0.1, cli._shared_inputs(cfg))
+        _, res = cli._solve_one(cfg, 0.1, shared)
         n, trace = res.state.grid.n, res.trace
         power_steps = pairs[0].iterations
     half = (n + 1) // 2

@@ -155,6 +155,9 @@ def test_instanton_command(tmp_path):
     assert data["residual"] < 1e-10
     value, = load_columns(str(out / "instanton.csv"), ("value",))
     assert value[0] == pytest.approx(-data["m_beta"], abs=1e-9)
+    # the loop's steps and extrapolated steps, and criterion 12's defect
+    assert (data["iterations"], data["extrapolations"]) == (14, 3)
+    assert 1e-3 < data["unit_eigenvalue_defect"] < 2e-3
 
 
 def test_instanton_sidecar_rebuilds_its_points(tmp_path):
@@ -201,9 +204,23 @@ def test_stefan_refuses_a_bad_half_length(tmp_path, capsys, branch, ell):
     assert not (out / "stefan.csv").exists()
 
 
+@pytest.mark.parametrize("x0", ["0.3", "-0.3", "nan"])
+def test_stefan_metastable_refuses_an_off_center_interface(tmp_path, capsys,
+                                                           x0):
+    """The metastable branch puts its interface at 0: a non-zero --x0 is a
+    config error, as for a metastable config, not a stefan.json that
+    records x0 = 0."""
+    out = tmp_path / "s"
+    assert main(["stefan", "--metastable", "--j", "0.02", "--ell", "1",
+                 "--x0", x0, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        f"config error: x0 = {float(x0):g} is ignored")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("beta", ["19", "1e300"])
 def test_instanton_command_refuses_saturated_beta(tmp_path, capsys, beta):
-    """A saturated m_beta is a config error before any step: no 50 000-step
+    """A saturated m_beta is a config error before any step: no step-budget
     run to exit 4 (beta = 1e300), no NaN constants written (beta = 19)."""
     out = tmp_path / "i"
     start = time.perf_counter()

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from scipy.stats import linregress
 
-from mesostefan import instanton
+from mesostefan import instanton, meso
 from mesostefan.errors import ConvergenceError, DomainError, GridError
 from mesostefan.grids import build_kernel
-from mesostefan.instanton import (apply_transfer, compute_instanton,
-                                  threshold_abscissa)
+from mesostefan.instanton import (compute_instanton, threshold_abscissa,
+                                  unit_eigenvalue_defect)
 from mesostefan.thermo import make_params, mobility
-from oracles import convolve_reference
+from oracles import convolve_reference, tanh_start_profile
 
 
 def test_profile_basics(inst05, params2):
@@ -44,19 +44,21 @@ def test_profile_is_bitwise_odd(inst05, inst_fine, params2, kernel05):
 
 def test_iterates_on_the_half_line(params2, kernel05, monkeypatch):
     """Every convolution of the profile's iteration runs on the odd grid
-    over [0, X], into one workspace."""
+    over [0, X]: the start state's one, then the loop's, into one
+    workspace."""
     calls = []
-    real = instanton.conv_values
+    real = meso.conv_values
 
-    def recorded(kernel, grid, values, work):
-        calls.append((values.size, grid.n, grid.odd, grid.b, id(work)))
+    def recorded(kernel, grid, values, work=None):
+        calls.append((values.size, grid.n, grid.odd, grid.b, work))
         return real(kernel, grid, values, work)
 
-    monkeypatch.setattr(instanton, "conv_values", recorded)
+    monkeypatch.setattr(meso, "conv_values", recorded)
     inst = compute_instanton(params2, kernel05)
     n = inst.center_index + 1
     assert {c[:4] for c in calls} == {(n, n, True, inst.half_width)}
-    assert len({c[4] for c in calls}) == 1
+    assert calls[0][4] is None
+    assert len({id(c[4]) for c in calls[1:]}) == 1
 
 
 def test_profile_reaches_equilibrium_value(inst05, params2):
@@ -66,8 +68,8 @@ def test_profile_reaches_equilibrium_value(inst05, params2):
 
 
 def test_two_seed_agreement(params2, kernel05, inst05):
-    other = compute_instanton(params2, kernel05, seed="tanh")
-    assert np.max(np.abs(other.profile - inst05.profile)) < 1e-8
+    other = tanh_start_profile(params2, kernel05, inst05)
+    assert np.max(np.abs(other - inst05.profile)) < 1e-8
 
 
 @pytest.mark.parametrize("beta", [19.0, 1e300])
@@ -77,8 +79,7 @@ def test_saturated_m_beta_refused_before_iterating(beta, monkeypatch):
     reached 0 and mean and norm_sq came out NaN, and at 1e300 the
     iteration ran its whole step budget."""
     calls = []
-    monkeypatch.setattr(instanton, "conv_values",
-                        lambda *args: calls.append(1))
+    monkeypatch.setattr(meso, "conv_values", lambda *args: calls.append(1))
     with pytest.raises(DomainError, match="m_beta is 1 to rounding"):
         compute_instanton(make_params(beta), build_kernel(0.05))
     assert calls == []
@@ -96,8 +97,6 @@ def test_preconditions():
     p = make_params(2.0)
     with pytest.raises(GridError):
         compute_instanton(p, build_kernel(0.08))
-    with pytest.raises(DomainError):
-        compute_instanton(make_params(1.2), build_kernel(0.05), seed="bogus")
 
 
 def test_threshold_abscissa_edges(inst05, params2):
@@ -145,15 +144,17 @@ def test_instanton_carries_its_decay_root(inst05, params2, kernel05):
 
 def test_window_ends_where_the_tail_is_rounding(inst05, kernel05):
     """The window reaches TAIL_DECAYS decay lengths, at the first point past
-    them, and is never below HALF_WIDTH: at beta = 1.01 the slope across
-    the clamp collar is rounding-level (3.2e-5 at the clamp on a window
-    fixed at 20), and the beta = 2 window keeps its 801 points."""
+    them, and is never below HALF_WIDTH: at beta = 1.01 the profile ends at
+    m_beta to rounding and its slope over the last kernel range, which the
+    reflection at X reads, is rounding-level, and the beta = 2 window keeps
+    its 801 points."""
     inst = compute_instanton(make_params(1.01), kernel05)
     reach = inst.decay_rate * inst.half_width
     assert instanton.TAIL_DECAYS <= reach \
         < instanton.TAIL_DECAYS + inst.decay_rate * inst.spacing
-    collar = np.abs(inst.x) >= inst.half_width - 1.0 - 1e-9
-    assert np.max(np.abs(inst.derivative[collar])) < 1e-14
+    last_range = np.abs(inst.x) >= inst.half_width - 1.0 - 1e-9
+    assert np.max(np.abs(inst.derivative[last_range])) < 1e-14
+    assert abs(inst.m_beta - inst.profile[-1]) < 1e-15
     assert inst05.half_width == instanton.HALF_WIDTH
     assert inst05.x.size == 801
 
@@ -165,8 +166,9 @@ def test_normalization_constants_stable_under_refinement(inst05, inst025):
 
 def test_mean_closed_form():
     """int (dm/dx) / (beta (1 - m^2)) = 2 artanh(m_beta)/beta = 2 m_beta over
-    the clamped window.  A quadrature of the differenced profile over p_bar
-    is off by 4.3e-2 relative at beta = 7: the tails amplify its error."""
+    the window, whose ends are +-m_beta to rounding.  A quadrature of the
+    differenced profile over p_bar is off by 4.3e-2 relative at beta = 7:
+    the tails amplify its error."""
     for beta in (2.0, 4.0, 7.0):
         params = make_params(beta)
         inst = compute_instanton(params, build_kernel(0.05))
@@ -174,49 +176,69 @@ def test_mean_closed_form():
 
 
 def test_eigenrelation_fine(inst_fine):
-    kern = build_kernel(inst_fine.spacing)
-    md = inst_fine.derivative
-    err = apply_transfer(inst_fine, kern, md) - md
-    interior = np.abs(inst_fine.x) <= inst_fine.half_width - 2.0
-    assert np.max(np.abs(err[interior])) < 1e-6
+    assert unit_eigenvalue_defect(inst_fine,
+                                  build_kernel(inst_fine.spacing)) < 1e-6
+
+
+def test_unit_eigenvalue_defect_matches_a_reference_convolution(inst05,
+                                                               kernel05):
+    """The defect is sup|p_bar (J * u') - u'| over |x| <= X - 2, the
+    convolution on the zero-filled line (a reference quadrature here)."""
+    u = inst05.derivative
+    image = inst05.p_bar * convolve_reference(kernel05, u, "free")
+    inside = np.abs(inst05.x) <= inst05.half_width - 2.0
+    assert unit_eigenvalue_defect(inst05, kernel05) == pytest.approx(
+        np.max(np.abs(image - u)[inside]), rel=1e-9)
 
 
 def test_nonconvergence_raises(params2, kernel05, monkeypatch):
-    monkeypatch.setattr(instanton, "_MAX_ITER", 3)
+    monkeypatch.setattr(meso, "MAX_ITER", 3)
     with pytest.raises(ConvergenceError):
         compute_instanton(params2, kernel05)
 
 
 @pytest.mark.parametrize("max_iter", [1, 3, 10])
 def test_one_convolution_per_step(params2, kernel05, monkeypatch, max_iter):
-    """The residual's image of each iterate is the next step's target, so k
-    steps convolve k + 1 times (the seed's target plus one per step)."""
+    """The start state's convolution serves the loop's first step, and each
+    later step makes one: k steps convolve k times."""
     calls = []
-    real = instanton.conv_values
+    real = meso.conv_values
 
     def counted(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(instanton, "conv_values", counted)
-    monkeypatch.setattr(instanton, "_MAX_ITER", max_iter)
+    monkeypatch.setattr(meso, "conv_values", counted)
+    monkeypatch.setattr(meso, "MAX_ITER", max_iter)
     with pytest.raises(ConvergenceError):
         compute_instanton(params2, kernel05)
-    assert len(calls) == max_iter + 1
+    assert len(calls) == max_iter
 
 
 def test_plain_picard_convolution_budget(params2, kernel05, monkeypatch):
     """At beta = 2 and spacing 0.05 the undamped map contracts at about 0.31
-    per step: at most 25 convolutions to tol 1e-12 (the damped iteration with
-    factor 0.5 took 62)."""
+    per step and the loop extrapolates over that ratio: 14 convolutions to
+    tol 1e-12, one per step.  The instanton records the steps and the
+    extrapolated ones."""
     calls = []
-    real = instanton.conv_values
+    real = meso.conv_values
 
     def counted(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(instanton, "conv_values", counted)
+    monkeypatch.setattr(meso, "conv_values", counted)
     inst = compute_instanton(params2, kernel05)
     assert inst.residual < 1e-12
-    assert len(calls) <= 25
+    assert len(calls) == inst.iterations == 14
+    assert inst.extrapolations == 3
+
+
+@pytest.mark.parametrize("beta, steps, extrapolated",
+                         [(1.01, 379, 125), (1.02, 208, 68), (1.05, 82, 26)])
+def test_near_critical_steps(kernel05, beta, steps, extrapolated):
+    """Near the critical temperature the map contracts at a ratio near 1 and
+    about a third of the steps extrapolate (cos2, spacing 0.05)."""
+    inst = compute_instanton(make_params(beta), kernel05)
+    assert (inst.iterations, inst.extrapolations) == (steps, extrapolated)
+    assert inst.residual < 1e-12

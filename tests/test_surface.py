@@ -27,7 +27,6 @@ CONFIGS = os.path.join(HERE, "..", "scripts", "configs")
 PAPER_CHECKS = {
     "antisym.flux_defect": 2,                # mesoscopic Fourier law
     "spectral.eigenvector_shape_report": 6,  # eigenvector ~ interface slope
-    "instanton.apply_transfer": 12,          # unit eigenvalue of the slope
 }
 
 
