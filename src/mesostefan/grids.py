@@ -131,7 +131,7 @@ class Grid:
                             f"{self.a:.10g} at spacing {self.spacing:.6g}")
         return i
 
-    def descriptor(self) -> str:
+    def descriptor(self, **extra) -> str:
         return json.dumps(
             {
                 "epsilon": self.epsilon,
@@ -139,6 +139,7 @@ class Grid:
                 "right": self.right,
                 "spacing": self.spacing,
                 "n": self.n,
+                **extra,
             }
         )
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import os
 import warnings
+import zlib
 from itertools import islice
 
 import numpy as np
@@ -17,6 +18,7 @@ from .errors import GridError
 from .grids import Grid, build_grid
 
 WRITE_ROWS = 4096    # rows of a profile or state file per write
+STAMP_BYTES = 1 << 16
 
 
 def fmt(x) -> str:
@@ -25,20 +27,22 @@ def fmt(x) -> str:
 
 def save_profile(path, grid: Grid, values):
     """Write ``x,value`` rows and the grid's sidecar descriptor."""
-    _save_columns(path, "x,value", grid, values)
+    save_table(path, "x,value", grid.points, values)
+    _save_sidecar(path, grid)
 
 
 def save_state(path, grid: Grid, h, m):
-    """Write ``x,h,m`` rows and the grid's sidecar descriptor."""
-    _save_columns(path, "x,h,m", grid, h, m)
+    """Write ``x,h,m`` rows, their binary copy (the rows of one float64
+    array in ``.npy`` format) and the grid's sidecar descriptor with the
+    byte length and CRC-32 of both files."""
+    save_table(path, "x,h,m", grid.points, h, m)
+    np.save(_copy(path), np.array([grid.points, h, m], dtype=float))
+    _save_sidecar(path, grid, csv=_stamp(path), npy=_stamp(_copy(path)))
 
 
-def _save_columns(path, header, grid: Grid, *columns):
-    """:func:`save_table` of the grid's points and the columns, then the
-    grid's sidecar descriptor."""
-    save_table(path, header, grid.points, *columns)
+def _save_sidecar(path, grid: Grid, **extra):
     with open(_sidecar(path), "w") as fh:
-        fh.write(grid.descriptor() + "\n")
+        fh.write(grid.descriptor(**extra) + "\n")
 
 
 def save_table(path, header, *columns):
@@ -62,15 +66,34 @@ def _sidecar(path) -> str:
     return root + ".grid.json"
 
 
+def _copy(path) -> str:
+    root, _ = os.path.splitext(path)
+    return root + ".npy"
+
+
+def _stamp(path) -> dict:
+    """Byte length and CRC-32 of a file, read STAMP_BYTES at a time."""
+    size = crc = 0
+    with open(path, "rb") as fh:
+        while chunk := fh.read(STAMP_BYTES):
+            size, crc = size + len(chunk), zlib.crc32(chunk, crc)
+    return {"bytes": size, "crc32": crc}
+
+
 def load_state(path):
     """(grid, h, m) of a state file.
 
-    The grid comes from the sidecar descriptor, which must exist (bare
-    points do not give eps), be a JSON object holding the epsilon, left,
-    right and spacing of ``Grid.descriptor``, and give points that match the
-    x column; GridError naming it otherwise.
+    x, h and m are the bits the CSV parses to, read from the binary copy
+    of :func:`save_state` when both files match the sidecar's byte lengths
+    and CRC-32s, else parsed.  On either path the grid comes from the
+    sidecar descriptor, which must exist (bare points do not give eps), be
+    a JSON object holding the epsilon, left, right and spacing of
+    ``Grid.descriptor``, and give points that match the x column, and x, h
+    and m must be finite; GridError naming it otherwise.
     """
-    x, h, m = load_columns(path, ("x", "h", "m"))
+    x, h, m = _load_copy(path) or load_columns(path, ("x", "h", "m"))
+    if not all(np.isfinite(c).all() for c in (x, h, m)):
+        raise GridError(f"{path} holds a non-finite x, h or m")
     side = _sidecar(path)
     if not os.path.exists(side):
         raise GridError(f"{path} has no grid descriptor {side}")
@@ -86,6 +109,21 @@ def load_state(path):
         raise GridError(f"x column of {path} does not match its grid "
                         f"descriptor {side}")
     return grid, h, m
+
+
+def _load_copy(path):
+    """x, h, m of the state's binary copy, or None unless it and the CSV
+    match the sidecar's byte lengths and CRC-32s, which catch stale and
+    edited files, not forged ones."""
+    try:
+        with open(_sidecar(path)) as fh:
+            side = json.load(fh)
+        if side["csv"] != _stamp(path) or side["npy"] != _stamp(_copy(path)):
+            return None
+        x, h, m = np.load(_copy(path))
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+    return x, h, m
 
 
 def grid_from_points(x: np.ndarray, spacing) -> Grid:

@@ -1022,6 +1022,155 @@ def test_state_columns_parse_like_float(tmp_path):
                           by_float[:, 1:].view(np.int64))
 
 
+@pytest.fixture
+def parses(monkeypatch):
+    """The paths whose columns ``load_state`` parsed from CSV text."""
+    from mesostefan import profiles
+
+    calls = []
+    real = profiles.load_columns
+
+    def spy(path, names):
+        calls.append(path)
+        return real(path, names)
+
+    monkeypatch.setattr(profiles, "load_columns", spy)
+    return calls
+
+
+def _bits(*columns):
+    return np.stack(columns).view(np.int64)
+
+
+@pytest.mark.parametrize("eps", ["0.1", "0.0125"])
+@pytest.mark.parametrize("command", [
+    ["solve", "--mode", "antisym", "--j", "-0.02", "--ell", "1"],
+    ["solve", "--mode", "metastable", "--j", "0.02", "--ell", "1"],
+    ["solve-asym", "--j", "-0.02", "--x0", "0.2"],
+], ids=["antisym", "metastable", "asym"])
+def test_state_copy_is_the_parsed_csv(tmp_path, parses, command, eps):
+    """A state read from its binary copy holds x, h and m bitwise equal to
+    the parse of its CSV, and its spectrum.json is byte for byte the one
+    read from the CSV once the copy is gone."""
+    run_dir = tmp_path / "run"
+    assert main(command + ["--eps", eps, "--out", str(run_dir)]) == EXIT_OK
+    state = str(run_dir / "state.csv")
+    grid, h, m = load_state(state)
+    assert parses == []
+    x, *parsed = load_columns(state, ("x", "h", "m"))
+    assert np.array_equal(_bits(grid.points, h, m), _bits(x, *parsed))
+    assert np.array_equal(_bits(*np.load(run_dir / "state.npy")),
+                          _bits(x, *parsed))
+    spectra = []
+    for name in ("copy", "csv"):
+        out = tmp_path / name
+        assert main(["spectrum", "--state", state, "--j", "-0.02",
+                     "--out", str(out)]) == EXIT_OK
+        spectra.append((out / "spectrum.json").read_bytes())
+        (run_dir / "state.npy").unlink(missing_ok=True)
+    assert parses == [state]
+    assert spectra[0] == spectra[1]
+
+
+def _edit_rows(path, edit):
+    rows = path.read_text().splitlines()
+    path.write_text("\n".join(edit(rows)) + "\n")
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:-100])
+
+
+#: stale, edited, truncated and foreign files next to a state ("run", the
+#: CSV's own run; "other", a solve on the same grid at another current)
+_COPY_FALLBACKS = {
+    "no-copy": lambda run, other: (run / "state.npy").unlink(),
+    "earlier-version": lambda run, other: (
+        shutil.copy(other / "state.csv", run / "state.csv"),
+        (run / "state.grid.json").write_text(json.dumps({
+            k: v for k, v in json.loads(
+                (run / "state.grid.json").read_text()).items()
+            if k not in ("csv", "npy")}) + "\n")),
+    "edited-csv": lambda run, other: _edit_rows(
+        run / "state.csv",
+        lambda rows: rows[:5] + [rows[5].split(",")[0] + ",0.5,0.25"]
+        + rows[6:]),
+    "foreign-copy": lambda run, other: shutil.copy(other / "state.npy",
+                                                   run / "state.npy"),
+    "foreign-sidecar": lambda run, other: shutil.copy(
+        other / "state.grid.json", run / "state.grid.json"),
+    "foreign-csv-and-copy": lambda run, other: [
+        shutil.copy(other / name, run / name)
+        for name in ("state.csv", "state.npy")],
+    "truncated-copy": lambda run, other: _truncate(run / "state.npy"),
+    "truncated-csv": lambda run, other: _truncate(run / "state.csv"),
+    "truncated-sidecar": lambda run, other: _truncate(
+        run / "state.grid.json"),
+}
+
+
+def _outcome(path):
+    try:
+        grid, h, m = load_state(path)
+    except GridError as exc:
+        return str(exc)
+    return _bits(grid.points, h, m).tolist()
+
+
+@pytest.mark.parametrize("damage", list(_COPY_FALLBACKS))
+def test_state_copy_falls_back_to_the_csv(tmp_path, monkeypatch, parses,
+                                          damage):
+    """Unless the CSV and the copy are the files the sidecar stamps,
+    load_state parses the CSV and gives the parse path's arrays, or its
+    error."""
+    from mesostefan import profiles
+
+    run, other = tmp_path / "run", tmp_path / "other"
+    for out, j in ((run, "-0.02"), (other, "-0.03")):
+        assert main(["solve", "--eps", "0.1", "--j", j, "--ell", "1",
+                     "--out", str(out)]) == EXIT_OK
+    _COPY_FALLBACKS[damage](run, other)
+    state = str(run / "state.csv")
+    got = _outcome(state)
+    assert parses == [state]
+    monkeypatch.setattr(profiles, "_load_copy", lambda path: None)
+    assert got == _outcome(state)
+
+
+@pytest.mark.parametrize("path", ["copy", "csv"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", ["x", "h", "m"])
+def test_non_finite_state_is_config_error(tmp_path, capsys, parses, column,
+                                          value, path):
+    """A NaN or infinity in x, h or m is a GridError naming the file (exit
+    2) whether the copy or the CSV is read: a NaN in x would pass the x
+    check, which compares, and one in m would stall the power iteration."""
+    from dataclasses import replace
+
+    from mesostefan.grids import build_grid
+    from mesostefan.profiles import save_state
+
+    g = build_grid(0.1, 1.0, 1.0, 0.05)                    # 401 points
+    cols = {"x": g.points.copy(), "h": np.tanh(g.points) / 7.0,
+            "m": np.tanh(g.points)}
+    cols[column][7] = value
+    state = tmp_path / "state.csv"
+    save_state(str(state), replace(g, points=cols["x"]), cols["h"],
+               cols["m"])
+    if path == "csv":
+        (tmp_path / "state.npy").unlink()
+    with pytest.raises(GridError, match="non-finite") as info:
+        load_state(str(state))
+    assert str(state) in str(info.value)
+    assert parses == ([str(state)] if path == "csv" else [])
+    out = tmp_path / "spec"
+    assert main(["spectrum", "--state", str(state), "--out", str(out)]) \
+        == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {state} ")
+    assert not out.exists()
+
+
 def test_profile_csv_round_trip(tmp_path):
     from mesostefan.grids import build_grid
     from mesostefan.profiles import save_profile
@@ -1066,12 +1215,15 @@ def test_table_rows_are_fmt_values(tmp_path):
 
 def test_state_file_is_written_in_blocks_of_rows(tmp_path, monkeypatch):
     """A state of more than two blocks of WRITE_ROWS rows is written a block
-    per write, and its text is the whole table of fmt rows."""
+    per write, and its text is the whole table of fmt rows.  Only the CSV's
+    text writes are counted: the sidecar, the binary copy and the reads
+    that checksum them open files of their own."""
     from mesostefan import profiles
     from mesostefan.grids import build_grid
 
     g = build_grid(0.01, 1.0, 1.0, 0.02)       # 10 001 rows
     h, m = np.sin(g.points) / 7.0, np.tanh(g.points / 3.0)
+    path = tmp_path / "state.csv"
     writes = []
     real_open = open
 
@@ -1089,9 +1241,11 @@ def test_state_file_is_written_in_blocks_of_rows(tmp_path, monkeypatch):
             writes.append(text.count("\n"))
             return self.fh.write(text)
 
-    monkeypatch.setattr(profiles, "open", lambda *a: Recorded(real_open(*a)),
-                        raising=False)
-    path = tmp_path / "state.csv"
+    def recorded(file, mode="r", *args):
+        fh = real_open(file, mode, *args)
+        return Recorded(fh) if (file, mode) == (str(path), "w") else fh
+
+    monkeypatch.setattr(profiles, "open", recorded, raising=False)
     profiles.save_state(str(path), g, h, m)
     monkeypatch.undo()
     expected = "\n".join(["x,h,m"] + [",".join(profiles.fmt(v) for v in row)
