@@ -16,7 +16,7 @@ A solve takes the macroscopic solution it converges to, which holds beta
 and j, and the instanton; the solution's type picks the branch, stable
 (:class:`stefan.MaximalSolution`) or metastable.  check_centred holds
 every check the solve makes before its first step (eps <= 0.2, ell below
-ell_j or ell_break, an instanton of the solve's beta, kernel shape and
+the branch's end, an instanton of the solve's beta, kernel shape and
 spacing, grid, gluing point, instanton window) and returns the seed layout
 it built, the grid and the gluing index.  solve_centred calls it first and
 iterates on that layout, and ``mesostefan validate`` runs it at each scale
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GridError, InfeasibleError, SaturationError
+from .errors import DomainError, GridError, SaturationError
 from .grids import Grid, Kernel, build_grid, trapezoid_antiderivative
 from .instanton import Instanton, threshold_abscissa
 from .meso import IterationTrace, MesoState, _state_at, exact_state, iterate
@@ -149,12 +149,7 @@ def check_centred(macro: MaximalSolution | MetastableMaximal, kernel: Kernel,
     layout (grid, gluing index) it iterates on."""
     if eps > 0.2:
         raise DomainError("scale parameter must satisfy eps <= 0.2")
-    what, limit = ("the metastable breakdown", macro.ell_break) \
-        if isinstance(macro, MetastableMaximal) \
-        else ("the maximal ell_j", macro.ell_j)
-    if ell >= limit:
-        raise InfeasibleError(f"half-length {ell} must stay below {what} "
-                              f"= {limit:.6g}", ell_j=limit)
+    macro.reach(ell)
     return _seed_layout(macro, kernel, instanton, eps, ell, n0)
 
 

@@ -110,27 +110,31 @@ def cmd_instanton(args) -> int:
 
 
 def cmd_stefan(args) -> int:
-    if args.metastable and args.x0 != 0.0:
-        raise DomainError(f"x0 = {args.x0:g} is ignored by the metastable "
+    ell, x0 = args.ell, args.x0
+    if args.metastable and x0 != 0.0:
+        raise DomainError(f"x0 = {x0:g} is ignored by the metastable "
                           "branch: its interface is at 0")
     params = make_params(args.beta)
+    if not (np.isfinite(ell) and ell > 0.0):
+        raise DomainError(f"half-length must be positive and finite: {ell}")
+    if not -ell < x0 < ell:
+        raise DomainError("interface must be interior to the domain")
+    macro = (stefan._metastable_maximal if args.metastable
+             else stefan.solve_maximal)(params, args.j)
     out = _outdir(args.out)
     try:
-        if args.metastable:
-            sol = stefan.solve_metastable(params, args.j, args.ell)
-        else:
-            sol = stefan.solve_fixed_interface(params, args.j, args.x0, args.ell)
-    except (InfeasibleError, BranchRangeError) as exc:
-        limit = getattr(exc, "ell_j", None) or getattr(exc, "breakdown", None)
+        end = macro.reach(ell + abs(x0))
+    except InfeasibleError as exc:
         dump_json(os.path.join(out, "stefan.json"),
-                  {"feasible": False, "ell_j": limit})
+                  {"feasible": False, "ell_j": exc.ell_j})
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    save_table(os.path.join(out, "stefan.csv"), "x,h,m", sol.x, sol.h, sol.m)
+    save_table(os.path.join(out, "stefan.csv"), "x,h,m",
+               *stefan._sample_with_jump(macro, x0, ell))
     dump_json(os.path.join(out, "stefan.json"),
-              {"feasible": True, "ell_j": sol.ell_j, "j": sol.j,
-               "x0": sol.x0, "branch": sol.branch})
-    print(f"ell_j = {fmt(sol.ell_j)}")
+              {"feasible": True, "ell_j": end, "j": macro.j, "x0": x0,
+               "branch": macro.branch})
+    print(f"ell_j = {fmt(end)}")
     return EXIT_OK
 
 

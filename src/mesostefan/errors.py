@@ -16,8 +16,8 @@ class DomainError(MesostefanError, ValueError):
 class BranchRangeError(MesostefanError, ValueError):
     """Field value left the image of the requested metastable branch.
 
-    ``breakdown`` carries the abscissa (or field value) where the branch
-    inversion stops being solvable, when known.
+    ``breakdown`` carries the field value where the branch inversion stops
+    being solvable, when known.
     """
 
     def __init__(self, message, breakdown=None):
@@ -26,9 +26,9 @@ class BranchRangeError(MesostefanError, ValueError):
 
 
 class InfeasibleError(MesostefanError, ValueError):
-    """Requested domain exceeds the maximal solution for this current.
+    """Requested domain reaches the end of the maximal solution's branch.
 
-    ``ell_j`` carries the maximal half-length actually available.
+    ``ell_j`` carries that end (ell_j or ell_break).
     """
 
     def __init__(self, message, ell_j=None):

@@ -33,10 +33,14 @@ def save_profile(path, grid: Grid, values):
 
 def save_state(path, grid: Grid, h, m):
     """Write ``x,h,m`` rows, their binary copy (the rows of one float64
-    array in ``.npy`` format) and the grid's sidecar descriptor with the
-    byte length and CRC-32 of both files."""
+    array in ``.npy`` format, written row by row) and the grid's sidecar
+    descriptor with the byte length and CRC-32 of both files."""
     save_table(path, "x,h,m", grid.points, h, m)
-    np.save(_copy(path), np.array([grid.points, h, m], dtype=float))
+    with open(_copy(path), "wb") as fh:
+        np.lib.format.write_array_header_1_0(fh, {
+            "descr": "<f8", "fortran_order": False, "shape": (3, grid.n)})
+        for row in (grid.points, h, m):
+            np.asarray(row, dtype="<f8").tofile(fh)
     _save_sidecar(path, grid, csv=_stamp(path), npy=_stamp(_copy(path)))
 
 

@@ -5,8 +5,8 @@ dx/dm = D(m)/|j| with the outer diffusivity D(m) = 1 - beta (1 - m^2).  The
 profile is therefore the cubic x(m) = [X(m) - X(m_beta)]/|j| with
 X(m) = (1 - beta) m + beta m^3 / 3, and m(x) is its largest real root.  The
 metastable branch follows the same cubic from m_beta down to the spinodal
-m_star.  Every stable solution is a translated restriction of the maximal
-one, which saturates m -> +-1 linearly at +-ell_j.
+m_star.  Every solution restricts a translated maximal one, which ends at
+``end`` (ell_j or ell_break); ``reach`` refuses a domain reaching it.
 """
 
 from __future__ import annotations
@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchRangeError, DomainError, InfeasibleError
+from .errors import DomainError, InfeasibleError
 from .thermo import ThermoParams, potential_prime
 
 SATURATION_GAP = 1e-6   # stop the maximal solution at m = 1 - SATURATION_GAP
-N_SAMPLES = 801         # uniform samples of a sampled solution on [-ell, ell]
+N_SAMPLES = 801         # uniform samples of `mesostefan stefan` on [-ell, ell]
 
 
 def _cubic(params: ThermoParams, m):
@@ -58,9 +58,9 @@ def _branch_magnitude(params: ThermoParams, dist, slope):
 class _Maximal:
     """The closed forms of a maximal solution from |m|(x) (``_magnitude``):
     m = sgn sign(x) |m|, with +|m| at the interface x = 0, and
-    h = sgn sign(x) clip(V'(|m|), 0), V' = potential_prime, where sgn is
-    the sign of m right of the interface and clip is max on the stable
-    branch, min on the metastable one."""
+    h = sgn sign(x) clip(V'(|m|), 0), V' = potential_prime, where the jump
+    sign sgn is that of m right of the interface and clip is max on the
+    stable branch, min on the metastable one."""
 
     def fields_of_x(self, x):
         """(m(x), h(x)) from one evaluation of |m|(x)."""
@@ -72,9 +72,22 @@ class _Maximal:
         x = np.asarray(x, dtype=float)
         return _value(self._m(x, self._magnitude(x)))
 
-    def h_of_x(self, x):
-        x = np.asarray(x, dtype=float)
-        return _value(self._h(x, self._magnitude(x)))
+    def reach(self, half_length) -> float:
+        """The end; InfeasibleError carrying it unless a domain reaching
+        ``half_length`` from its interface stays below it."""
+        if not half_length < self.end:
+            raise InfeasibleError(
+                f"the domain reaches {half_length:.6g} from its interface, "
+                f"not below the end {self.end:.6g} of the {self.branch} "
+                "maximal solution", ell_j=self.end)
+        return self.end
+
+    def _magnitude(self, x):
+        if np.any(np.abs(x) > self.end * (1 + 1e-12)):
+            raise InfeasibleError(f"abscissa beyond the {self.branch} "
+                                  "branch's end", ell_j=self.end)
+        dist = np.minimum(np.abs(x), self.end)
+        return _branch_magnitude(self.params, dist, -self._sgn * self.j)
 
     def _m(self, x, mag):
         return np.where(x == 0.0, 1.0, self._sgn * np.sign(x)) * mag
@@ -95,20 +108,14 @@ class MaximalSolution(_Maximal):
 
     params: ThermoParams
     j: float
-    ell_j: float            # abscissa where m reaches 1 - SATURATION_GAP
+    end: float              # ell_j, where m reaches 1 - SATURATION_GAP
 
+    branch = "stable"
     _clip = staticmethod(np.maximum)
 
     @property
     def _sgn(self) -> float:
         return 1.0 if self.j < 0 else -1.0
-
-    def _magnitude(self, x):
-        if np.any(np.abs(x) > self.ell_j * (1 + 1e-12)):
-            raise InfeasibleError("abscissa beyond the maximal interval",
-                                  ell_j=self.ell_j)
-        dist = np.minimum(np.abs(x), self.ell_j)
-        return _branch_magnitude(self.params, dist, abs(self.j))
 
 
 @dataclass(frozen=True)
@@ -117,32 +124,11 @@ class MetastableMaximal(_Maximal):
 
     params: ThermoParams
     j: float                # > 0
-    ell_break: float        # abscissa where m reaches the spinodal m_star
+    end: float              # ell_break, where m reaches the spinodal m_star
 
+    branch = "metastable"
     _clip = staticmethod(np.minimum)
     _sgn = 1.0
-
-    def _magnitude(self, x):
-        if np.any(np.abs(x) > self.ell_break * (1 + 1e-12)):
-            raise BranchRangeError("abscissa beyond the metastable range",
-                                   breakdown=self.ell_break)
-        dist = np.minimum(np.abs(x), self.ell_break)
-        return _branch_magnitude(self.params, dist, -self.j)
-
-
-@dataclass(frozen=True)
-class StefanSolution:
-    """Sampled macroscopic pair with the jump row duplicated at x0."""
-
-    params: ThermoParams
-    j: float
-    x0: float
-    ell: float
-    ell_j: float
-    branch: str             # "stable" | "metastable"
-    x: np.ndarray
-    h: np.ndarray
-    m: np.ndarray
 
 
 def _check_m_beta(params: ThermoParams) -> None:
@@ -181,61 +167,14 @@ def _metastable_maximal(params: ThermoParams, j) -> MetastableMaximal:
     return MetastableMaximal(params, float(j), float(width / j))
 
 
-def _check_half_length(ell) -> None:
-    """DomainError unless the sampled half-length is positive and finite."""
-    if not (np.isfinite(ell) and ell > 0.0):
-        raise DomainError(f"half-length must be positive and finite: {ell}")
-
-
-def _sample_with_jump(maximal, x0, ell, upper_sign):
+def _sample_with_jump(maximal, x0, ell):
     """N_SAMPLES uniform samples on [-ell, ell] of the maximal solution
-    translated to x0, with x0 duplicated: m jumps there from
-    -upper_sign m_beta to +upper_sign m_beta."""
+    translated to x0, with x0 duplicated: m jumps there from -sgn m_beta
+    to +sgn m_beta, sgn the solution's jump sign."""
     base = np.linspace(-ell, ell, N_SAMPLES)
     lower = np.concatenate([base[base < x0], [x0]])
     x = np.concatenate([lower, [x0], base[base > x0]])
-    h = maximal.h_of_x(x - x0)
-    m = maximal.m_of_x(x - x0)
-    m_beta = maximal.params.m_beta
-    m[lower.size - 1], m[lower.size] = -upper_sign * m_beta, upper_sign * m_beta
+    m, h = maximal.fields_of_x(x - x0)
+    sgn_m_beta = maximal._sgn * maximal.params.m_beta
+    m[lower.size - 1], m[lower.size] = -sgn_m_beta, sgn_m_beta
     return x, h, m
-
-
-def solve_fixed_interface(params: ThermoParams, j, x0,
-                          ell) -> StefanSolution:
-    """Restriction/translation of the maximal solution to (-ell, ell).
-
-    m jumps across the plateau at x0 (from -m_beta to +m_beta for j < 0);
-    the CSV output carries the duplicated abscissa.
-    """
-    _check_half_length(ell)
-    if not -ell < x0 < ell:
-        raise DomainError("interface must be interior to the domain")
-    maximal = solve_maximal(params, j)
-    if ell + abs(x0) > maximal.ell_j:
-        raise InfeasibleError(
-            f"domain half-length {ell} with interface {x0} exceeds the "
-            f"maximal interval (ell_j = {maximal.ell_j:.6g})",
-            ell_j=maximal.ell_j,
-        )
-    sgn = 1.0 if j < 0 else -1.0
-    x, h, m = _sample_with_jump(maximal, x0, ell, sgn)
-    return StefanSolution(params, float(j), float(x0), float(ell),
-                          maximal.ell_j, "stable", x, h, m)
-
-
-def solve_metastable(params: ThermoParams, j, ell) -> StefanSolution:
-    """Metastable arrangement for j > 0: the field decreases through 0 and m
-    jumps upward across the plateau at the origin, staying in the metastable
-    bands on both sides."""
-    _check_half_length(ell)
-    maximal = _metastable_maximal(params, j)
-    if ell >= maximal.ell_break:
-        raise BranchRangeError(
-            f"half-length {ell} reaches the branch breakdown "
-            f"(at {maximal.ell_break:.6g})",
-            breakdown=maximal.ell_break,
-        )
-    x, h, m = _sample_with_jump(maximal, 0.0, ell, +1.0)
-    return StefanSolution(params, float(j), 0.0, float(ell),
-                          maximal.ell_break, "metastable", x, h, m)

@@ -182,10 +182,10 @@ def test_stable_hydrodynamic_trend(stable_sweep, maximal_stable):
 def test_hydro_error_identity_on_exact_macro(params2, kernel05,
                                              maximal_stable, stable_sweep):
     """The exact macroscopic pair sampled at matching args gives zero error:
-    the check's m and h from one |m| are m_of_x's and h_of_x's bits."""
+    the check's m and h from one |m| are m_of_x's and fields_of_x's bits."""
     st = stable_sweep[0.1].state
     m_mac = maximal_stable.m_of_x(0.1 * st.grid.points)
-    h_mac = maximal_stable.h_of_x(0.1 * st.grid.points)
+    h_mac = maximal_stable.fields_of_x(0.1 * st.grid.points)[1]
     from mesostefan.meso import MesoState
     fake = MesoState(st.params, st.kernel, st.grid, h_mac, m_mac, st.conv, 0.0)
     em, eh = hydrodynamic_error(fake, maximal_stable, 0.0, 0.3)
@@ -367,7 +367,7 @@ def test_stable_preconditions(kernel05, inst05, maximal_stable):
         solve_centred(maximal_stable, kernel05, inst05, 0.3, ELL, N0)
     with pytest.raises(InfeasibleError) as exc:
         solve_centred(maximal_stable, kernel05, inst05, 0.1, 2.5, N0)
-    assert exc.value.ell_j == maximal_stable.ell_j
+    assert exc.value.ell_j == maximal_stable.end
 
 
 # ------------------------------------------------------ the fixed-point loop

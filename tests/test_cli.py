@@ -218,6 +218,34 @@ def test_stefan_metastable_refuses_an_off_center_interface(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode, j, flags", [
+    ("antisym", -0.02, []), ("metastable", 0.02, ["--metastable"])])
+def test_stefan_and_validate_end_a_branch_at_the_same_place(
+        tmp_path, capsys, mode, j, flags):
+    """ell exactly at the branch's end (ell_j, ell_break) is infeasible for
+    stefan and for validate of the matching config alike: exit 3, with
+    "feasible": false in stefan.json and the same end in both messages.
+    stefan used to write the stable solution on [-ell_j, ell_j]."""
+    from mesostefan import stefan
+    from mesostefan.thermo import make_params
+
+    maximal = stefan._metastable_maximal if flags else stefan.solve_maximal
+    ell = maximal(make_params(2.0), j).end
+    out = tmp_path / "s"
+    assert main(["stefan", *flags, "--j", str(j), "--ell", repr(ell),
+                 "--out", str(out)]) == EXIT_INFEASIBLE
+    assert json.loads((out / "stefan.json").read_text()) \
+        == {"feasible": False, "ell_j": ell}
+    assert not (out / "stefan.csv").exists()
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"mode = {mode}\nj = {j}\nell = {ell!r}\n"
+                    "eps_list = 0.1\nn0 = 2\n")
+    assert main(["validate", "--config", str(path)]) == EXIT_INFEASIBLE
+    printed = capsys.readouterr()
+    end = f"not below the end {ell:.6g} of the"
+    assert end in printed.err and end in printed.out
+
+
 @pytest.mark.parametrize("beta", ["19", "1e300"])
 def test_instanton_command_refuses_saturated_beta(tmp_path, capsys, beta):
     """A saturated m_beta is a config error before any step: no step-budget
@@ -1070,6 +1098,24 @@ def test_state_copy_is_the_parsed_csv(tmp_path, parses, command, eps):
         (run_dir / "state.npy").unlink(missing_ok=True)
     assert parses == [state]
     assert spectra[0] == spectra[1]
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.0015625], ids=["401", "25601"])
+def test_state_copy_is_np_save_of_the_stacked_rows(tmp_path, eps):
+    """save_state writes the copy's header and then x, h and m one at a
+    time, with no stacked (3, n) array; the file is byte for byte what
+    np.save writes for that array."""
+    from io import BytesIO
+
+    from mesostefan.grids import build_grid
+    from mesostefan.profiles import save_state
+
+    g = build_grid(eps, 1.0, 1.0, 0.05)
+    h, m = np.sin(g.points) / 7.0, np.tanh(g.points)
+    save_state(str(tmp_path / "state.csv"), g, h, m)
+    expect = BytesIO()
+    np.save(expect, np.array([g.points, h, m], dtype=float))
+    assert (tmp_path / "state.npy").read_bytes() == expect.getvalue()
 
 
 def _edit_rows(path, edit):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mesostefan.errors import BranchRangeError, DomainError, InfeasibleError
+from mesostefan.cli import EXIT_CONFIG, EXIT_OK, main
+from mesostefan.errors import DomainError, InfeasibleError
 from mesostefan.stefan import (SATURATION_GAP, _metastable_maximal,
-                               solve_fixed_interface, solve_maximal,
-                               solve_metastable)
+                               _sample_with_jump, solve_maximal)
 from mesostefan.thermo import make_params, mobility, potential_prime
 
 
@@ -23,7 +23,7 @@ def ell_oracle(params, j, m_hi):
 def test_maximal_half_length_oracle(params2, j):
     mx = solve_maximal(params2, j)
     oracle = ell_oracle(params2, j, 1.0 - SATURATION_GAP)
-    assert mx.ell_j == pytest.approx(oracle, abs=1e-7)
+    assert mx.end == pytest.approx(oracle, abs=1e-7)
 
 
 def test_maximal_abscissa_oracle(params2, maximal_stable):
@@ -31,8 +31,8 @@ def test_maximal_abscissa_oracle(params2, maximal_stable):
     for m_target in (0.96, 0.97, 0.99):
         x_oracle = ell_oracle(params2, maximal_stable.j, m_target)
         h_target = float(potential_prime(params2, m_target))
-        xs = np.linspace(0.0, maximal_stable.ell_j, 20001)
-        hs = maximal_stable.h_of_x(xs)
+        xs = np.linspace(0.0, maximal_stable.end, 20001)
+        hs = maximal_stable.fields_of_x(xs)[1]
         x_found = np.interp(h_target, hs, xs)
         assert x_found == pytest.approx(x_oracle, abs=1e-5)
         assert maximal_stable.m_of_x(x_oracle) == pytest.approx(m_target,
@@ -67,13 +67,13 @@ def test_metastable_maximal_rejects_saturated_m_beta(beta):
 
 def test_edge_slope_is_current(params2):
     mx = solve_maximal(params2, -0.2)
-    xs = mx.ell_j - np.array([2e-4, 1e-4])
+    xs = mx.end - np.array([2e-4, 1e-4])
     slope = np.diff(mx.m_of_x(xs))[0] / 1e-4
     assert slope == pytest.approx(0.2, rel=5e-3)
 
 
 def test_half_length_decreasing_in_current(params2):
-    ells = [solve_maximal(params2, -j).ell_j for j in (0.02, 0.04, 0.08)]
+    ells = [solve_maximal(params2, -j).end for j in (0.02, 0.04, 0.08)]
     assert ells[0] > ells[1] > ells[2]
     assert ells[0] == pytest.approx(2 * ells[1], rel=1e-6)
 
@@ -85,41 +85,40 @@ def test_zero_current_rejected(params2):
 
 def test_maximal_oddness(params2, maximal_stable):
     xs = np.linspace(0.05, 1.5, 9)
-    assert np.max(np.abs(maximal_stable.h_of_x(xs)
-                         + maximal_stable.h_of_x(-xs))) == 0.0
+    assert np.max(np.abs(maximal_stable.fields_of_x(xs)[1]
+                         + maximal_stable.fields_of_x(-xs)[1])) == 0.0
     assert np.max(np.abs(maximal_stable.m_of_x(xs)
                          + maximal_stable.m_of_x(-xs))) == 0.0
 
 
-def test_fixed_interface_symmetric(params2):
-    sol = solve_fixed_interface(params2, -0.02, 0.0, 1.0)
-    n = sol.x.size
-    assert np.max(np.abs(sol.h + sol.h[::-1])) < 1e-12
-    assert np.max(np.abs(sol.m + sol.m[::-1])) < 1e-12
+def test_fixed_interface_symmetric(params2, maximal_stable):
+    x, h, m = _sample_with_jump(maximal_stable, 0.0, 1.0)
+    n = x.size
+    assert np.max(np.abs(h + h[::-1])) < 1e-12
+    assert np.max(np.abs(m + m[::-1])) < 1e-12
     assert n % 2 == 0   # duplicated interface row
-    jump = np.where(sol.x == 0.0)[0]
+    jump = np.where(x == 0.0)[0]
     assert jump.size == 2
-    assert sol.m[jump[0]] == pytest.approx(-params2.m_beta, abs=1e-9)
-    assert sol.m[jump[1]] == pytest.approx(+params2.m_beta, abs=1e-9)
+    assert m[jump[0]] == pytest.approx(-params2.m_beta, abs=1e-9)
+    assert m[jump[1]] == pytest.approx(+params2.m_beta, abs=1e-9)
 
 
-def test_fixed_interface_straddles_plateau(params2):
-    sol = solve_fixed_interface(params2, -0.02, 0.2, 1.0)
-    assert sol.m[0] < -params2.m_beta < params2.m_beta < sol.m[-1]
-    assert np.all(np.abs(sol.m) >= params2.m_beta - 1e-12)
+def test_fixed_interface_straddles_plateau(params2, maximal_stable):
+    x, h, m = _sample_with_jump(maximal_stable, 0.2, 1.0)
+    assert m[0] < -params2.m_beta < params2.m_beta < m[-1]
+    assert np.all(np.abs(m) >= params2.m_beta - 1e-12)
     # field strictly monotone and vanishing at the interface
-    assert np.all(np.diff(sol.h) >= 0.0)
-    assert abs(sol.h[np.where(sol.x == 0.2)[0][0]]) < 1e-12
+    assert np.all(np.diff(h) >= 0.0)
+    assert abs(h[np.where(x == 0.2)[0][0]]) < 1e-12
 
 
-def test_fixed_interface_restriction_property(params2, maximal_stable):
+def test_fixed_interface_restriction_property(maximal_stable):
     """Samples coincide with the translated maximal solution pointwise."""
-    sol = solve_fixed_interface(params2, -0.02, 0.2, 1.0)
-    keep = sol.x != 0.2
-    h_ref = maximal_stable.h_of_x(sol.x[keep] - 0.2)
-    m_ref = maximal_stable.m_of_x(sol.x[keep] - 0.2)
-    assert np.max(np.abs(sol.h[keep] - h_ref)) < 1e-8
-    assert np.max(np.abs(sol.m[keep] - m_ref)) < 1e-8
+    x, h, m = _sample_with_jump(maximal_stable, 0.2, 1.0)
+    keep = x != 0.2
+    m_ref, h_ref = maximal_stable.fields_of_x(x[keep] - 0.2)
+    assert np.max(np.abs(h[keep] - h_ref)) < 1e-8
+    assert np.max(np.abs(m[keep] - m_ref)) < 1e-8
 
 
 def test_fixed_interface_flux_constancy(params2, maximal_stable):
@@ -128,37 +127,40 @@ def test_fixed_interface_flux_constancy(params2, maximal_stable):
     dx = 1e-5
     xs = np.linspace(-0.9, 0.9, 37)
     xs = xs[np.abs(xs - 0.2) > 0.05] + 0.2  # avoid the jump at x0 = 0.2
-    xs = xs[np.abs(xs) < maximal_stable.ell_j - 0.3]
-    dh = (maximal_stable.h_of_x(xs + dx) - maximal_stable.h_of_x(xs - dx)) / (2 * dx)
+    xs = xs[np.abs(xs) < maximal_stable.end - 0.3]
+    dh = (maximal_stable.fields_of_x(xs + dx)[1]
+          - maximal_stable.fields_of_x(xs - dx)[1]) / (2 * dx)
     chi = mobility(params2, maximal_stable.m_of_x(xs))
     assert np.max(np.abs(chi * dh + j)) < 1e-7
 
 
-def test_fixed_interface_infeasible(params2, maximal_stable):
+def test_fixed_interface_infeasible(maximal_stable, tmp_path):
+    """ell + |x0| = 2.1 reaches past ell_j; an interface outside the
+    domain is a config error."""
     with pytest.raises(InfeasibleError) as exc:
-        solve_fixed_interface(params2, -0.02, 0.2, 1.9)
-    assert exc.value.ell_j == pytest.approx(maximal_stable.ell_j)
-    with pytest.raises(DomainError):
-        solve_fixed_interface(params2, -0.02, 1.5, 1.0)
+        maximal_stable.reach(1.9 + 0.2)
+    assert exc.value.ell_j == pytest.approx(maximal_stable.end)
+    assert main(["stefan", "--j", "-0.02", "--x0", "1.5", "--ell", "1",
+                 "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
-def test_metastable_structure(params2):
-    sol = solve_metastable(params2, 0.02, 1.0)
-    assert np.all(np.diff(sol.h) <= 1e-15)
-    jump = np.where(sol.x == 0.0)[0]
-    assert sol.m[jump[0]] == pytest.approx(-params2.m_beta, abs=1e-9)
-    assert sol.m[jump[1]] == pytest.approx(+params2.m_beta, abs=1e-9)
-    inner = np.abs(sol.m)
+def test_metastable_structure(params2, maximal_meta):
+    x, h, m = _sample_with_jump(maximal_meta, 0.0, 1.0)
+    assert np.all(np.diff(h) <= 1e-15)
+    jump = np.where(x == 0.0)[0]
+    assert m[jump[0]] == pytest.approx(-params2.m_beta, abs=1e-9)
+    assert m[jump[1]] == pytest.approx(+params2.m_beta, abs=1e-9)
+    inner = np.abs(m)
     assert np.all(inner > params2.m_star)
     assert np.all(inner <= params2.m_beta + 1e-12)
     # negative phase on the left, positive on the right (upward jump)
-    assert sol.m[0] < 0.0 < sol.m[-1]
+    assert m[0] < 0.0 < m[-1]
 
 
 def test_metastable_breakdown_oracle(params2, maximal_meta):
     val, _ = quad(lambda m: 1.0 - params2.beta * (1.0 - m * m),
                   params2.m_star, params2.m_beta, epsabs=1e-13, epsrel=1e-13)
-    assert maximal_meta.ell_break == pytest.approx(val / 0.02, abs=1e-6)
+    assert maximal_meta.end == pytest.approx(val / 0.02, abs=1e-6)
 
 
 def test_metastable_abscissa_oracle(params2, maximal_meta):
@@ -176,25 +178,26 @@ def test_metastable_flux_constancy(params2, maximal_meta):
     dx = 1e-5
     xs = np.linspace(-4.5, 4.5, 37)
     xs = xs[np.abs(xs) > 0.05]
-    dh = (maximal_meta.h_of_x(xs + dx) - maximal_meta.h_of_x(xs - dx)) / (2 * dx)
+    dh = (maximal_meta.fields_of_x(xs + dx)[1]
+          - maximal_meta.fields_of_x(xs - dx)[1]) / (2 * dx)
     chi = mobility(params2, maximal_meta.m_of_x(xs))
     assert np.max(np.abs(chi * dh + maximal_meta.j)) < 1e-7
 
 
-def test_metastable_breakdown_error(params2, maximal_meta):
-    with pytest.raises(BranchRangeError) as exc:
-        solve_metastable(params2, 0.02, maximal_meta.ell_break + 0.1)
-    assert exc.value.breakdown == pytest.approx(maximal_meta.ell_break)
+def test_metastable_breakdown_error(maximal_meta):
+    with pytest.raises(InfeasibleError) as exc:
+        maximal_meta.reach(maximal_meta.end + 0.1)
+    assert exc.value.ell_j == pytest.approx(maximal_meta.end)
 
 
 def test_metastable_needs_positive_current(params2):
     with pytest.raises(DomainError):
-        solve_metastable(params2, -0.02, 1.0)
+        _metastable_maximal(params2, -0.02)
 
 
-def test_metastable_field_within_branch_limit(params2):
-    sol = solve_metastable(params2, 0.02, 1.0)
-    assert np.max(np.abs(sol.h)) < -potential_prime(params2, params2.m_star)
+def test_metastable_field_within_branch_limit(params2, maximal_meta):
+    _, h, _ = _sample_with_jump(maximal_meta, 0.0, 1.0)
+    assert np.max(np.abs(h)) < -potential_prime(params2, params2.m_star)
 
 
 @pytest.mark.parametrize("branch", ["stable", "stable_j_pos", "metastable"])
@@ -203,7 +206,7 @@ def test_sampling_scalar_and_array_shapes(params2, maximal_stable,
     mx = {"stable": maximal_stable,
           "stable_j_pos": solve_maximal(params2, 0.02),
           "metastable": maximal_meta}[branch]
-    for f in (mx.h_of_x, mx.m_of_x):
+    for f in (lambda x: mx.fields_of_x(x)[1], mx.m_of_x):
         assert type(f(0.3)) is float
         assert type(f(np.float64(-0.3))) is float
         assert f(np.array([0.3])).shape == (1,)
@@ -211,19 +214,17 @@ def test_sampling_scalar_and_array_shapes(params2, maximal_stable,
         assert f(np.empty(0)).shape == (0,)
         assert f(np.array([-0.3, 0.3]))[1] == f(0.3)
     assert mx.m_of_x(0.0) == params2.m_beta
-    assert mx.h_of_x(0.0) == 0.0
+    assert mx.fields_of_x(0.0) == (params2.m_beta, 0.0)
 
 
-def test_csv_round_trip(params2, tmp_path):
+def test_csv_round_trip(maximal_stable, tmp_path):
     """stefan.csv holds the samples of the solution, to the last bit."""
-    from mesostefan.cli import EXIT_OK, main
-
-    sol = solve_fixed_interface(params2, -0.02, 0.2, 1.0)
+    x, h, m = _sample_with_jump(maximal_stable, 0.2, 1.0)
     assert main(["stefan", "--j", "-0.02", "--x0", "0.2", "--ell", "1",
                  "--out", str(tmp_path)]) == EXIT_OK
     rows = (tmp_path / "stefan.csv").read_text().strip().splitlines()
     assert rows[0] == "x,h,m"
     data = np.array([[float(t) for t in r.split(",")] for r in rows[1:]])
-    assert np.array_equal(data[:, 0], sol.x)
-    assert np.array_equal(data[:, 1], sol.h)
-    assert np.array_equal(data[:, 2], sol.m)
+    assert np.array_equal(data[:, 0], x)
+    assert np.array_equal(data[:, 1], h)
+    assert np.array_equal(data[:, 2], m)

@@ -7,7 +7,7 @@ check claims of the paper that no command reports.  Likewise every field of
 the run configuration must be set by a shipped config or by a command's
 flags: a setting that nothing sets is a constant.  And a result or a
 diagnostic holds one source of each input: beta and j its macroscopic
-solution, eps its grid.
+solution, eps its grid.  Only ``stefan`` reads where a branch ends.
 """
 
 import ast
@@ -119,3 +119,30 @@ def test_results_and_diagnostics_hold_no_copy_of_their_inputs():
              for name in inspect.signature(fn).parameters if name in COPIES]
     assert stored == []
     assert taken == ["build_seed(kernel)"]
+
+
+#: the names under which a maximal solution gives where its branch ends
+BRANCH_END = {"end", "ell_j", "ell_break"}
+
+
+def branch_end_readers() -> list:
+    """Top-level statements outside ``stefan`` that read a branch's end.
+    An InfeasibleError caught by name may be read: it reports the end that
+    ``stefan`` raised it with."""
+    readers = []
+    for module, node, _ in _statements():
+        caught = {n.name for n in ast.walk(node)
+                  if isinstance(n, ast.ExceptHandler) and n.name}
+        if module != "stefan" and any(
+                isinstance(n, ast.Attribute) and n.attr in BRANCH_END
+                and isinstance(n.ctx, ast.Load)
+                and getattr(n.value, "id", None) not in caught
+                for n in ast.walk(node)):
+            readers.append(f"{module}.{getattr(node, 'name', node.lineno)}")
+    return readers
+
+
+def test_only_stefan_decides_where_a_branch_ends():
+    """The maximal solution's ``reach`` is the one feasibility rule: no
+    other module compares with, or copies, a branch's end."""
+    assert branch_end_readers() == []
