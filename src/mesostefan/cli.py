@@ -16,9 +16,8 @@ import numpy as np
 
 from . import antisym, asym, instanton as instanton_mod, meso, spectral, stefan
 from .config import RunConfig, load_config
-from .errors import (BranchRangeError, DomainError, GridError,
-                     InfeasibleError, MesostefanError)
-from .grids import build_grid, build_kernel
+from .errors import DomainError, GridError, InfeasibleError, MesostefanError
+from .grids import build_kernel
 from .profiles import (dump_json, fmt, grid_from_points, load_state,
                        save_profile, save_state, save_table)
 from .thermo import (convex_envelope, make_params, potential, pressure)
@@ -149,7 +148,7 @@ def _failure(exc: Exception, where="") -> tuple[int, str]:
     ``main`` exits with the code, a sweep row stores its negative, and
     ``validate`` reports the message.  Anything but a configuration or
     feasibility error is a numerical failure."""
-    if isinstance(exc, (InfeasibleError, BranchRangeError)):
+    if isinstance(exc, InfeasibleError):
         code = EXIT_INFEASIBLE
     elif isinstance(exc, (DomainError, GridError)):
         code = EXIT_CONFIG
@@ -254,60 +253,58 @@ def _save_run(out, res):
                [int(k in tr.extrapolated) for k in steps])
 
 
+def _row_record(row: SweepRow) -> dict:
+    """The row.json record of a sweep row, which solve.json extends: a value
+    that does not apply is nan in sweep.csv and null here, and a failed row
+    has its error in place of the step counts."""
+    record = {k: None if v != v else v for k, v in {
+        "eps": row.eps, "mode": row.mode, "hydro_m": row.hydro_m,
+        "hydro_h": row.hydro_h, "lam_gap_ratio": row.lam_gap_ratio,
+        "C_instanton": row.c_instanton, "I_eps": row.i_eps,
+        "eps_x_eps": row.eps_x_eps, "iters": row.iters}.items()}
+    if row.error:
+        record["error"] = row.error
+    else:
+        record["picard_steps"] = row.picard_steps
+        record["power_steps"] = row.power_steps
+        record["picard_extrapolations"] = row.picard_extrapolations
+        record["power_extrapolations"] = row.power_extrapolations
+    return record
+
+
 def cmd_solve(args) -> int:
-    cfg = _config_from_args(args, mode=args.mode)
+    """One row of any mode: the state and trace, solve.json (the row's
+    record, its inputs and the state's residual, plus the mode's checks),
+    and off center u* and the boundary correction."""
+    cfg = _config_from_args(args)
     out = _outdir(args.out)
     row, res = _solve_one(cfg, args.eps, _shared_inputs(cfg))
-    st = res.state
+    residual = res.state.residual_norm
     _save_run(out, res)
-    dump_json(os.path.join(out, "solve.json"), {
-        "mode": cfg.mode, "beta": cfg.beta, "eps": args.eps, "j": cfg.j,
-        "ell": cfg.ell, "spacing": cfg.spacing, "n0": cfg.n0,
-        "monotone": res.monotone,
-        "I_eps": res.increase_interval,
-        "hydro_error_m": row.hydro_m, "hydro_error_h": row.hydro_h,
-        "one_minus_lambda_over_eps": row.lam_gap_ratio,
-        "iterations": row.iters,
-        "power_steps": row.power_steps,
-        "picard_extrapolations": row.picard_extrapolations,
-        "power_extrapolations": row.power_extrapolations,
-        "residual": st.residual_norm,
-        "fixed_point_defect": antisym.fixed_point_defect(res),
-    })
-    print(f"iterations = {row.iters}  residual = {fmt(st.residual_norm)}")
-    return EXIT_OK
-
-
-def cmd_solve_asym(args) -> int:
-    cfg = _config_from_args(args, mode="asym")
-    out = _outdir(args.out)
-    row, res = _solve_one(cfg, args.eps, _shared_inputs(cfg))
-    prob = res.problem
-    _save_run(out, res)
-    save_profile(os.path.join(out, "u_star.csv"), prob.ext_grid,
-                 prob.u_star.u)
-    save_profile(os.path.join(out, "r_eps.csv"), prob.res_grid, prob.r_eps)
-    dump_json(os.path.join(out, "solve_asym.json"), {
-        "beta": cfg.beta, "eps": args.eps, "j": cfg.j, "x0": cfg.x0,
-        "x_eps": res.field_zero, "eps_x_eps": res.eps_field_zero,
-        "m_zero": res.m_zero,
-        "hydro_error_m": row.hydro_m, "hydro_error_h": row.hydro_h,
-        "iterations": row.iters,
-        "seed_residual": res.trace.residuals[0],
-        "lambda_star": prob.u_star.lambda_,
-        "G_report": asym.admissibility_report(prob, res.state.h),
-    })
-    print(f"eps * x_eps = {fmt(res.eps_field_zero)}  (target x0 = {cfg.x0})")
+    record = _row_record(row) | {
+        "beta": cfg.beta, "j": cfg.j, "ell": cfg.ell, "x0": cfg.x0,
+        "spacing": cfg.spacing, "n0": cfg.n0, "residual": residual}
+    if cfg.mode == "asym":
+        prob = res.problem
+        save_profile(os.path.join(out, "u_star.csv"), prob.ext_grid,
+                     prob.u_star.u)
+        save_profile(os.path.join(out, "r_eps.csv"), prob.res_grid,
+                     prob.r_eps)
+        record |= {"x_eps": res.field_zero, "m_zero": res.m_zero,
+                   "lambda_star": prob.u_star.lambda_,
+                   "G_report": asym.admissibility_report(prob, res.state.h)}
+    else:
+        record |= {"monotone": res.monotone,
+                   "fixed_point_defect": antisym.fixed_point_defect(res)}
+    dump_json(os.path.join(out, "solve.json"), record)
+    print(f"iterations = {row.iters}  residual = {fmt(residual)}")
     return EXIT_OK
 
 
 def cmd_spectrum(args) -> int:
-    if not all(np.isfinite(v) for v in (args.eps, args.j) if v is not None):
-        raise DomainError("--eps and --j must be finite")
+    if args.j is not None and not np.isfinite(args.j):
+        raise DomainError("--j must be finite")
     grid, h, m = load_state(args.state)
-    if args.eps is not None and abs(grid.epsilon - args.eps) > 1e-12:
-        grid = build_grid(args.eps, -grid.a * args.eps, grid.b * args.eps,
-                          grid.spacing)
     params, kernel = _params_kernel(args.beta, grid.spacing, args.kernel)
     state = meso.make_state(params, kernel, grid, h, m)
     sp = spectral.leading_eigenpair(state)
@@ -366,20 +363,7 @@ def cmd_sweep(args) -> int:
     report = run(cfg)
     for row in report.rows:
         run_dir = _outdir(os.path.join(out, f"eps_{row.eps:g}"))
-        # a value that does not apply is nan in sweep.csv and null here
-        record = {k: None if v != v else v for k, v in {
-            "eps": row.eps, "mode": row.mode, "hydro_m": row.hydro_m,
-            "hydro_h": row.hydro_h, "lam_gap_ratio": row.lam_gap_ratio,
-            "C_instanton": row.c_instanton, "I_eps": row.i_eps,
-            "eps_x_eps": row.eps_x_eps, "iters": row.iters}.items()}
-        if row.error:
-            record["error"] = row.error
-        else:
-            record["picard_steps"] = row.picard_steps
-            record["power_steps"] = row.power_steps
-            record["picard_extrapolations"] = row.picard_extrapolations
-            record["power_extrapolations"] = row.power_extrapolations
-        dump_json(os.path.join(run_dir, "row.json"), record)
+        dump_json(os.path.join(run_dir, "row.json"), _row_record(row))
     with open(os.path.join(out, "sweep.csv"), "w") as fh:
         fh.write(report.to_csv())
     print(report.to_csv(), end="")
@@ -425,18 +409,23 @@ def cmd_validate(args) -> int:
     return max((code for code, _ in findings), default=EXIT_OK)
 
 
-def _config_from_args(args, mode) -> RunConfig:
-    cfg = RunConfig(beta=args.beta, j=args.j, ell=getattr(args, "ell", 1.0),
-                    x0=getattr(args, "x0", 0.0), spacing=args.spacing,
-                    n0=args.n0, mode=mode, kernel=args.kernel,
-                    eps_list=[args.eps])
+def _config_from_args(args) -> RunConfig:
+    """The config of solve's flags, checked as a config file's is."""
+    cfg = RunConfig(beta=args.beta, j=args.j, ell=args.ell, x0=args.x0,
+                    spacing=args.spacing, n0=args.n0, mode=args.mode,
+                    kernel=args.kernel, eps_list=[args.eps])
     return cfg.validate_fields()
 
 
-def _add_common(p):
+def _add_common(p, *flags):
+    """--beta and --out, and those of --spacing and --kernel named in
+    ``flags``: a command takes only the flags it reads."""
     p.add_argument("--beta", type=float, default=2.0)
-    p.add_argument("--spacing", type=float, default=0.05)
-    p.add_argument("--kernel", default="cos2", choices=("cos2", "quartic"))
+    if "spacing" in flags:
+        p.add_argument("--spacing", type=float, default=0.05)
+    if "kernel" in flags:
+        p.add_argument("--kernel", default="cos2",
+                       choices=("cos2", "quartic"))
     p.add_argument("--out", default="out")
 
 
@@ -455,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_thermo)
 
     p = sub.add_parser("instanton", help="standing interface profile")
-    _add_common(p)
+    _add_common(p, "spacing", "kernel")
     p.set_defaults(func=cmd_instanton)
 
     p = sub.add_parser("stefan", help="macroscopic free-boundary solution")
@@ -467,27 +456,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stefan)
 
     p = sub.add_parser("solve", help="mesoscopic profile at one scale")
-    _add_common(p)
-    p.add_argument("--mode", choices=("antisym", "metastable"),
+    _add_common(p, "spacing", "kernel")
+    p.add_argument("--mode", choices=("antisym", "metastable", "asym"),
                    default="antisym")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--j", type=float, required=True)
-    p.add_argument("--ell", type=float, required=True)
+    p.add_argument("--ell", type=float, default=1.0)
+    p.add_argument("--x0", type=float, default=0.0)
     p.add_argument("--n0", type=int, default=antisym.DEFAULT_N0)
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("solve-asym", help="off-center interface solve")
-    _add_common(p)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--j", type=float, required=True)
-    p.add_argument("--x0", type=float, required=True)
-    p.add_argument("--n0", type=int, default=antisym.DEFAULT_N0)
-    p.set_defaults(func=cmd_solve_asym)
-
     p = sub.add_parser("spectrum", help="spectral report for a stored state")
-    _add_common(p)
+    _add_common(p, "kernel")
     p.add_argument("--state", required=True)
-    p.add_argument("--eps", type=float, default=None)
     p.add_argument("--j", type=float, default=None)
     p.set_defaults(func=cmd_spectrum)
 

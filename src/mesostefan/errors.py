@@ -13,18 +13,6 @@ class DomainError(MesostefanError, ValueError):
     """Argument outside the mathematical domain of an operation."""
 
 
-class BranchRangeError(MesostefanError, ValueError):
-    """Field value left the image of the requested metastable branch.
-
-    ``breakdown`` carries the field value where the branch inversion stops
-    being solvable, when known.
-    """
-
-    def __init__(self, message, breakdown=None):
-        super().__init__(message)
-        self.breakdown = breakdown
-
-
 class InfeasibleError(MesostefanError, ValueError):
     """Requested domain reaches the end of the maximal solution's branch.
 

@@ -2,8 +2,7 @@
 
 Potential, entropy, convex envelope, Legendre-dual pressure and mobility.
 m_beta, the pressure's maximizer and the inverse of potential_prime on the
-outer branch (h > 0) and the metastable one (-|potential_prime(m_star)| <
-h <= 0) are all bulk_root(beta, h), the largest root of
+outer branch (h >= 0) are all bulk_root(beta, h), the largest root of
 m = tanh(beta (m + h)); the pressure is closed form at that root.
 """
 
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchRangeError, ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError
 
 
 @dataclass(frozen=True)
@@ -32,22 +31,18 @@ _MAX_NEWTON = 100
 
 def bulk_root(beta, h):
     """Largest (outer-branch) root of m = tanh(beta (m + h)), element-wise
-    over ``h``.
+    over a field ``h >= 0``; a negative field raises :class:`DomainError`.
 
     Newton's method on f(m) = m - tanh(beta (m + h)) from m = 1 - 1e-16.
     Where m + h > 0, f is convex, so the iterates fall monotonically onto
-    the largest root; that covers every h > -|potential_prime(m_star)|, and
-    a field at or below it raises :class:`BranchRangeError`.  Each entry
-    stops when a step no longer lowers it.  Where tanh has saturated
-    (f(1 - 1e-16) <= 0) the root is 1 to rounding and 1 - 1e-16 is returned.
+    the largest root.  Each entry stops when a step no longer lowers it.
+    Where tanh has saturated (f(1 - 1e-16) <= 0) the root is 1 to rounding
+    and 1 - 1e-16 is returned.
     """
     h = np.asarray(h, dtype=float)
     if np.any(h < 0.0):
-        lo = math.sqrt(1.0 - 1.0 / beta) * (1.0 + 1e-14)
-        h_lo = -lo + math.atanh(lo) / beta
-        if np.any(h <= h_lo):
-            raise BranchRangeError(f"field {np.min(h)} below the branch image "
-                                   f"(limit {h_lo:.6g})", breakdown=h_lo)
+        raise DomainError(f"field {np.min(h)} is negative: the outer root "
+                          "is taken at h >= 0")
     m = np.full(h.shape, SATURATED_ROOT)
     for _ in range(_MAX_NEWTON):
         t = np.tanh(beta * (m + h))

@@ -328,18 +328,91 @@ def test_solve_command_round_trip(tmp_path):
     assert summary["residual"] < 1e-8
     trace = (out / "trace.csv").read_text().splitlines()
     assert trace[0] == TRACE_HEADER
-    assert len(trace) - 1 == summary["iterations"]
+    assert len(trace) - 1 == summary["iters"]
     _solve_records_are_picard(trace)
 
 
 def test_solve_asym_command(tmp_path):
     out = tmp_path / "asym"
-    code = main(["solve-asym", "--beta", "2", "--eps", "0.1", "--j", "-0.02",
-                 "--x0", "0.2", "--n0", "2", "--out", str(out)])
+    code = main(["solve", "--mode", "asym", "--beta", "2", "--eps", "0.1",
+                 "--j", "-0.02", "--x0", "0.2", "--n0", "2",
+                 "--out", str(out)])
     assert code == EXIT_OK
-    summary = json.loads((out / "solve_asym.json").read_text())
+    summary = json.loads((out / "solve.json").read_text())
     assert abs(summary["eps_x_eps"] - 0.2) < 0.1 * 0.05
     assert summary["G_report"]["weighted_ok"] is True
+
+
+#: the extra solve.json keys of each mode, beyond the row's record, its
+#: inputs and the state's residual
+SOLVE_EXTRAS = {"antisym": {"monotone", "fixed_point_defect"},
+                "metastable": {"monotone", "fixed_point_defect"},
+                "asym": {"x_eps", "m_zero", "lambda_star", "G_report"}}
+
+
+@pytest.mark.parametrize("mode, j, x0", [("antisym", -0.02, 0.0),
+                                         ("metastable", 0.02, 0.0),
+                                         ("asym", -0.02, 0.2)],
+                         ids=["antisym", "metastable", "asym"])
+def test_solve_writes_the_sweeps_row(tmp_path, mode, j, x0):
+    """solve.json is the row.json of the one-scale sweep of the same config,
+    every key with an equal value, plus the inputs, the residual and the
+    mode's extras; off center solve also writes u* and r_eps."""
+    cfg_file = tmp_path / "cfg.txt"
+    cfg_file.write_text(f"mode = {mode}\nj = {j}\nx0 = {x0}\neps_list = 0.1\n"
+                        f"outdir = {tmp_path / 'sweep'}\n")
+    assert main(["sweep", "--config", str(cfg_file)]) == EXIT_OK
+    row = _strict_json(tmp_path / "sweep" / "eps_0.1" / "row.json")
+    out = tmp_path / "solve"
+    assert main(["solve", "--mode", mode, "--eps", "0.1", "--j", str(j),
+                 "--x0", str(x0), "--out", str(out)]) == EXIT_OK
+    summary = _strict_json(out / "solve.json")
+    assert {k: summary.get(k) for k in row} == row
+    assert set(summary) == set(row) | SOLVE_EXTRAS[mode] | {
+        "beta", "j", "ell", "x0", "spacing", "n0", "residual"}
+    assert (out / "u_star.csv").exists() == (mode == "asym")
+    assert (out / "r_eps.csv").exists() == (mode == "asym")
+
+
+@pytest.mark.parametrize("flags, config", [
+    (["--mode", "antisym", "--j", "-0.02", "--x0", "0.3"],
+     "mode = antisym\nj = -0.02\nx0 = 0.3\n"),
+    (["--mode", "metastable", "--j", "0.02", "--x0", "-0.2"],
+     "mode = metastable\nj = 0.02\nx0 = -0.2\n"),
+    (["--mode", "asym", "--j", "-0.02", "--x0", "0.2", "--ell", "1.5"],
+     "mode = asym\nj = -0.02\nx0 = 0.2\nell = 1.5\n"),
+], ids=["antisym-x0", "metastable-x0", "asym-ell"])
+def test_solve_refuses_a_flag_its_mode_ignores(tmp_path, capsys, flags,
+                                               config):
+    """x0 != 0 in a centred mode and ell != 1 off center are config errors
+    (exit 2) of solve, with the message validate prints for that config."""
+    out = tmp_path / "run"
+    assert main(["solve", "--eps", "0.1"] + flags + ["--out", str(out)]) \
+        == EXIT_CONFIG
+    solve_err = capsys.readouterr().err
+    cfg_file = tmp_path / "cfg.txt"
+    cfg_file.write_text(config + "eps_list = 0.1\n")
+    assert main(["validate", "--config", str(cfg_file)]) == EXIT_CONFIG
+    assert solve_err == capsys.readouterr().err
+    assert solve_err.startswith("config error: ") and "ignored" in solve_err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["thermo", "--spacing", "0.025"], ["thermo", "--kernel", "quartic"],
+    ["stefan", "--j", "-0.02", "--ell", "1", "--spacing", "0.025"],
+    ["stefan", "--j", "-0.02", "--ell", "1", "--kernel", "quartic"],
+    ["spectrum", "--state", "state.csv", "--spacing", "0.025"],
+    ["spectrum", "--state", "state.csv", "--eps", "0.1"],
+], ids=["thermo-spacing", "thermo-kernel", "stefan-spacing", "stefan-kernel",
+        "spectrum-spacing", "spectrum-eps"])
+def test_a_flag_no_command_reads_is_refused(argv, capsys):
+    """A command takes only the flags it reads: any other is argparse's
+    usage error (exit 2)."""
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == EXIT_CONFIG
+    assert "error:" in capsys.readouterr().err
 
 
 def test_spectrum_command(tmp_path):
@@ -799,12 +872,12 @@ def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
 
 
 def test_one_n0_default(tmp_path):
-    """The config and both --n0 flags default to the same n0, which no
+    """The config and the --n0 flag of every mode default to the same n0, which no
     check or solver defaults (nor its instanton or macroscopic solution),
     and solve runs without the flag."""
     parser = cli.build_parser()
     for argv in (["solve", "--eps", "0.05", "--j", "-0.02", "--ell", "1"],
-                 ["solve-asym", "--eps", "0.05", "--j", "-0.02",
+                 ["solve", "--mode", "asym", "--eps", "0.05", "--j", "-0.02",
                   "--x0", "0.2"]):
         assert parser.parse_args(argv).n0 == antisym.DEFAULT_N0
     assert RunConfig().n0 == antisym.DEFAULT_N0
@@ -874,16 +947,20 @@ def test_validate_command_exit_codes(tmp_path):
 
 
 def test_solve_asym_writes_trace(tmp_path):
-    """solve-asym writes the same trace.csv as solve, one row per step."""
+    """solve --mode asym writes the same trace.csv as a centred solve, one
+    row per step; row 0 holds the residual of the loop's start."""
     out = tmp_path / "asym"
-    assert main(["solve-asym", "--beta", "2", "--eps", "0.1", "--j", "-0.02",
-                 "--x0", "0.2", "--n0", "2", "--out", str(out)]) == EXIT_OK
-    summary = json.loads((out / "solve_asym.json").read_text())
+    assert main(["solve", "--mode", "asym", "--beta", "2", "--eps", "0.1",
+                 "--j", "-0.02", "--x0", "0.2", "--n0", "2",
+                 "--out", str(out)]) == EXIT_OK
+    summary = json.loads((out / "solve.json").read_text())
     trace = (out / "trace.csv").read_text().splitlines()
     assert trace[0] == TRACE_HEADER
-    assert len(trace) - 1 == summary["iterations"]
+    assert len(trace) - 1 == summary["iters"]
     _solve_records_are_picard(trace)
-    assert float(trace[1].split(",")[3]) == summary["seed_residual"]
+    cfg = RunConfig(j=-0.02, x0=0.2, mode="asym", eps_list=[0.1], n0=2)
+    _, res = cli._solve_one(cfg, 0.1, cli._shared_inputs(cfg))
+    assert float(trace[1].split(",")[3]) == res.trace.residuals[0]
     assert float(trace[-1].split(",")[1]) < 1e-9
 
 
@@ -923,17 +1000,15 @@ def stored_state(tmp_path_factory):
     return str(out / "state.csv")
 
 
-@pytest.mark.parametrize("flag, value", [("--j", "nan"), ("--j", "inf"),
-                                         ("--eps", "nan"), ("--eps", "inf")])
+@pytest.mark.parametrize("flag, value", [("--j", "nan"), ("--j", "inf")])
 def test_spectrum_refuses_a_non_finite_input(stored_state, tmp_path, capsys,
                                              flag, value):
-    """A non-finite --j or --eps is a config error (exit 2) that writes no
+    """A non-finite --j is a config error (exit 2) that writes no
     spectrum.json, like a non-finite value of the other commands."""
     out = tmp_path / "spec"
     assert main(["spectrum", "--state", stored_state, flag, value,
                  "--out", str(out)]) == EXIT_CONFIG
-    assert capsys.readouterr().err == \
-        "config error: --eps and --j must be finite\n"
+    assert capsys.readouterr().err == "config error: --j must be finite\n"
     assert not (out / "spectrum.json").exists()
 
 
@@ -1074,7 +1149,7 @@ def _bits(*columns):
 @pytest.mark.parametrize("command", [
     ["solve", "--mode", "antisym", "--j", "-0.02", "--ell", "1"],
     ["solve", "--mode", "metastable", "--j", "0.02", "--ell", "1"],
-    ["solve-asym", "--j", "-0.02", "--x0", "0.2"],
+    ["solve", "--mode", "asym", "--j", "-0.02", "--x0", "0.2"],
 ], ids=["antisym", "metastable", "asym"])
 def test_state_copy_is_the_parsed_csv(tmp_path, parses, command, eps):
     """A state read from its binary copy holds x, h and m bitwise equal to

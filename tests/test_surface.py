@@ -73,7 +73,7 @@ def test_paper_checks_are_test_only():
 
 def unset_config_fields() -> list:
     """RunConfig fields that neither a ``scripts/configs/*.txt`` file nor
-    ``cli._config_from_args`` (the flags of solve and solve-asym) sets."""
+    ``cli._config_from_args`` (the flags of solve, every mode's) sets."""
     keys = set()
     for path in glob.glob(os.path.join(CONFIGS, "*.txt")):
         with open(path) as fh:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mesostefan.errors import BranchRangeError, DomainError
+from mesostefan.errors import DomainError
 from mesostefan.grids import (build_grid, build_kernel, conv_values,
                               KERNEL_SHAPES)
 from mesostefan.thermo import (bulk_root, convex_envelope, entropy,
@@ -155,16 +155,12 @@ def test_mean_field_root_saturates():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.floats(min_value=-0.999, max_value=2.0),
-       st.floats(min_value=-0.999, max_value=2.0))
+@given(st.floats(min_value=0.0, max_value=2.0),
+       st.floats(min_value=0.0, max_value=2.0))
 def test_mean_field_root_monotone_property(f1, f2):
-    """The root increases with h over its whole range (fields drawn as
-    multiples of the metastable branch limit |potential_prime(m_star)| below
-    0)."""
-    p = make_params(2.0)
-    limit = -float(potential_prime(p, p.m_star))
-    lo, hi = sorted(f * limit if f < 0 else f for f in (f1, f2))
-    assert bulk_root(p.beta, lo) <= bulk_root(p.beta, hi) + 1e-12
+    """The root increases with h over its whole range h >= 0."""
+    lo, hi = sorted((f1, f2))
+    assert bulk_root(2.0, lo) <= bulk_root(2.0, hi) + 1e-12
 
 
 # ------------------------------------------------------------ shared root
@@ -172,15 +168,14 @@ def test_mean_field_root_monotone_property(f1, f2):
 @settings(max_examples=200, deadline=None)
 @given(st.floats(min_value=1.05, max_value=10.0), st.data())
 def test_largest_root_property(beta, data):
-    """On the whole admissible range h > potential_prime(m_star) the root
-    solves m = tanh(beta (m + h)) to rounding, lies on the outer branch
-    m >= m_star, and f = m - tanh(beta (m + h)) stays positive above it."""
+    """On the whole range h >= 0 the root solves m = tanh(beta (m + h)) to
+    rounding, lies on the outer branch m >= m_beta, and
+    f = m - tanh(beta (m + h)) stays positive above it."""
     p = make_params(beta)
-    limit = -float(potential_prime(p, p.m_star))
-    h = data.draw(st.floats(min_value=-0.999 * limit, max_value=20.0))
+    h = data.draw(st.floats(min_value=0.0, max_value=20.0))
     m = float(bulk_root(beta, h))
     assert abs(m - math.tanh(beta * (m + h))) <= 2 * np.spacing(1.0)
-    assert m >= p.m_star
+    assert m >= p.m_beta
     above = m + (1.0 - m) * np.array([0.01, 0.1, 0.5, 0.9, 0.99])
     above = above[(above > m) & (above < 1.0)]
     assert np.all(above - np.tanh(beta * (above + h)) > 0.0)
@@ -188,8 +183,7 @@ def test_largest_root_property(beta, data):
 
 def test_largest_root_and_pressure_arrays_match_scalar_calls():
     p = make_params(1.3)
-    limit = -float(potential_prime(p, p.m_star))
-    hs = np.concatenate([np.linspace(-0.999 * limit, 25.0, 501), [0.0]])
+    hs = np.linspace(0.0, 25.0, 501)
     roots = bulk_root(p.beta, hs)
     assert roots.shape == hs.shape
     assert np.array_equal(roots, [float(bulk_root(p.beta, h)) for h in hs])
@@ -304,32 +298,19 @@ def test_envelope_prime_inverse_oracle():
 
 
 def test_envelope_prime_inverse_edges():
-    """Both sides of h = 0 meet at the plateau edge m_beta."""
+    """The outer branch starts at the plateau edge m_beta."""
     p = make_params(2.0)
     assert bulk_root(p.beta, 1e-13) == pytest.approx(p.m_beta, abs=1e-9)
-    assert bulk_root(p.beta, -1e-13) == pytest.approx(p.m_beta, abs=1e-9)
     assert float(bulk_root(p.beta, 0.0)) == p.m_beta
 
 
-def test_metastable_inverse():
-    """For -limit < h < 0 the root inverts potential_prime on the metastable
-    branch (m_star, m_beta)."""
-    p = make_params(2.0)
-    got = float(bulk_root(p.beta, -0.01))
-    oracle = bisect_oracle(lambda m: float(potential_prime(p, m)) + 0.01,
-                           p.m_star + 1e-12, 1 - 1e-12)
-    assert got == pytest.approx(oracle, abs=1e-12)
-    assert p.m_star < got < p.m_beta
-
-
 def test_metastable_inverse_range_error():
-    """Below the branch image the outer root does not exist."""
+    """A negative field, where the metastable inverse would be, is a
+    DomainError: no caller takes that root, so none gets it silently."""
     p = make_params(2.0)
-    limit = -float(potential_prime(p, p.m_star))
-    for h in (-(limit + 1e-6), np.array([0.3, -(limit + 0.1)])):
-        with pytest.raises(BranchRangeError) as exc:
+    for h in (-1e-13, -0.01, np.array([0.3, -0.1])):
+        with pytest.raises(DomainError, match="is negative"):
             bulk_root(p.beta, h)
-        assert exc.value.breakdown == pytest.approx(-limit, rel=1e-12)
 
 
 # ---------------------------------------------------------- coefficients
@@ -450,12 +431,14 @@ def test_envelope_inverse_residual_property(beta, h):
 @settings(max_examples=50, deadline=None)
 @given(st.floats(min_value=1.2, max_value=3.5),
        st.floats(min_value=0.0, max_value=0.9))
-def test_metastable_inverse_residual_property(beta, frac):
-    """Roots across the admissible branch range solve the defining equation."""
+def test_outer_inverse_residual_property(beta, frac):
+    """Roots across the field range of the former metastable inverse,
+    mirrored to h >= 0, lie on the outer branch and solve the defining
+    equation."""
     p = make_params(beta)
-    h = frac * float(potential_prime(p, p.m_star))
+    h = -frac * float(potential_prime(p, p.m_star))
     m = float(bulk_root(beta, h))
-    assert p.m_star < m <= p.m_beta + 1e-12
+    assert p.m_beta <= m < 1.0
     assert abs(float(potential_prime(p, m)) - h) < 1e-12
 
 
