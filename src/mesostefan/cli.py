@@ -302,13 +302,22 @@ def cmd_solve(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    """The leading pair from p and lambda2 of a stored state.  An exactly
+    odd state, as every centred solve writes it, is solved in its two
+    sectors on its odd half line: the pair on its even view
+    (:meth:`meso.MesoState.even_half`), lambda2 as the odd sector's top
+    eigenvalue.  Any other state runs both on the full grid."""
     if args.j is not None and not np.isfinite(args.j):
         raise DomainError("--j must be finite")
     grid, h, m = load_state(args.state)
     params, kernel = _params_kernel(args.beta, grid.spacing, args.kernel)
-    state = meso.make_state(params, kernel, grid, h, m)
-    sp = spectral.leading_eigenpair(state)
-    lam2 = spectral.second_eigenvalue(state, sp)
+    odd = grid.left == grid.right and grid.n % 2 == 1 and all(
+        np.array_equal(a, -a[::-1]) for a in (h, m))
+    c = grid.center_index if odd else 0
+    state = meso.make_state(params, kernel, grid.half_line() if odd else grid,
+                            h[c:], m[c:])
+    sp = spectral.leading_eigenpair(state.even_half() if odd else state)
+    lam2 = spectral.second_eigenvalue(state, None if odd else sp)
     c_inst = None       # only C_instanton reads the instanton
     if args.j is not None:
         _, _, inst = _fixed_inputs(args.beta, grid.spacing, args.kernel)
@@ -317,6 +326,8 @@ def cmd_spectrum(args) -> int:
         "lambda": sp.lambda_,
         "lambda2": lam2,
         "gap": sp.lambda_ - lam2,
+        "odd_sectors": odd,
+        "power_steps": sp.iterations,
         "C_check": {
             "one_minus_lambda_over_eps": (1.0 - sp.lambda_) / grid.epsilon,
             "C_instanton": c_inst,

@@ -122,8 +122,8 @@ class MesoState:
                          self.m.copy(), self.conv.copy(), self.residual_norm)
 
     def even_half(self) -> MesoState:
-        """The points x >= 0 of a state odd about x = 0, on the plain half
-        line (``Grid.half_line(odd=False)``).
+        """The points x >= 0 of a state odd about x = 0, or an odd half
+        line's state, on the plain half line (``Grid.half_line(odd=False)``).
 
         Its h, m and J^neum*m are the state's own there, so p is too, and p
         is even; the plain half line mirrors at x = 0 by the even

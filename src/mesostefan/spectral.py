@@ -7,7 +7,10 @@ here is matrix-free: power iteration for the leading pair (in the sweeps
 from the interface slope, its eigenvector to O(eps)), extrapolating as
 the fixed-point loop does, a Lanczos
 recurrence on its weighted complement for the gap, and every inner product
-a sum against the state's cached quadrature weights.  Each loop keeps its
+a sum against the state's cached quadrature weights.  ``mesostefan
+spectrum`` solves an exactly odd state in its two reflection sectors on
+the half line: the pair in the even one, lambda2 as the odd one's top
+eigenvalue, with no pair to deflate.  Each loop keeps its
 vectors and its convolution's workspace for its whole run: no step
 allocates an n-point array.  The leading pair of the extended centred state
 is also the off-center solve's Newton direction (:func:`asym.build_problem`).
@@ -64,10 +67,11 @@ def leading_eigenpair(state: MesoState, tol=1e-12,
     steps: p's bulk part shrinks only by the bulk value of p per step, so
     the sweeps start from the eigenvector's known shape, the interface
     slope (:func:`slope_start`), or off center from the extended problem's
-    eigenvector.  On a full-grid state symmetric about an interior
-    interface (``mesostefan spectrum``) the iterate stays symmetric to
-    rounding: the start p is symmetric, and rounding along the
-    antisymmetric modes decays because their eigenvalues sit far below the
+    eigenvector.  ``mesostefan spectrum`` starts from p: on an exactly odd
+    state's even view (12-13 steps on perfbench's spectrum-fine states),
+    on the full grid for any other state.  There a start symmetric about an
+    interior interface stays symmetric to rounding only: rounding along
+    the antisymmetric modes decays, their eigenvalues far below the
     leading one.
     """
     if np.any(state.p <= 0.0):
@@ -144,21 +148,31 @@ def _sup_residual(au, rq, u, scratch) -> float:
     return float(np.abs(scratch, out=scratch).max())
 
 
-def second_eigenvalue(state: MesoState, result: SpectralResult) -> float:
+def second_eigenvalue(state: MesoState, result: SpectralResult | None = None
+                      ) -> float:
     """Dominant growth rate on the complement of the maximal eigenvector.
 
     Lanczos recurrence for p J^neum (self-adjoint in <.,.>_{1/p}) on the
     weighted complement of ``result.u``, from p (1 + x/max|x|), which has both
     parities, keeping two vectors: each new one is orthogonalized again
-    against u and the current one.  Stops at the Ritz residual bound
-    |beta_k s_k| <= 1e-10 max(1, |theta|), theta the largest-magnitude Ritz
-    value; raises :class:`ConvergenceError` when the step budget runs out.
+    against u and the current one.  With ``result`` None it runs on the whole
+    space from p x/max|x|, 0 at x = 0 as an odd grid requires: on a centred
+    state's odd half line (``Grid.half_line()``, ``mesostefan spectrum``)
+    that is the odd sector, with no even u to remove, and its top is the
+    full grid's lambda2, to 3.3e-15 relative in 15-16 steps where the full
+    grid takes 16-17 (perfbench's spectrum-fine states).
+    Stops at the Ritz residual bound |beta_k s_k| <= 1e-10 max(1, |theta|),
+    theta the largest-magnitude Ritz value; raises
+    :class:`ConvergenceError` when the step budget runs out.
     """
-    u, dot, x = result.u, state.weighted_dot, state.grid.points
+    dot, x = state.weighted_dot, state.grid.points
     n = state.grid.n
     work, scratch = conv_workspace(state.kernel, n), np.empty(n)
-    v = state.p * (1.0 + x / np.max(np.abs(x)))
-    v -= np.multiply(dot(v, u), u, out=scratch)
+    ramp = x / np.max(np.abs(x))
+    v = state.p * (ramp if result is None else 1.0 + ramp)
+    against = () if result is None else (result.u,)
+    for u in against:
+        v -= np.multiply(dot(v, u), u, out=scratch)
     # v_prev starts at 0: beta * 0 leaves the first image as it is
     v, v_prev = _normalize(state, v, v), np.zeros(n)
     beta, alphas, betas = 0.0, [], []
@@ -167,8 +181,8 @@ def second_eigenvalue(state: MesoState, result: SpectralResult) -> float:
         w -= np.multiply(beta, v_prev, out=scratch)
         alphas.append(dot(v, w))
         w -= np.multiply(alphas[-1], v, out=scratch)
-        w -= np.multiply(dot(w, u), u, out=scratch)
-        w -= np.multiply(dot(w, v), v, out=scratch)
+        for u in (*against, v):
+            w -= np.multiply(dot(w, u), u, out=scratch)
         beta = np.sqrt(dot(w, w))
         ritz, s = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1)
                                  + np.diag(betas, -1))

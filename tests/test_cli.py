@@ -426,6 +426,9 @@ def test_spectrum_command(tmp_path):
     data = json.loads((spec_out / "spectrum.json").read_text())
     assert 0.99 < data["lambda"] < 1.0
     assert data["lambda2"] < data["lambda"]
+    # a centred state is exactly odd: its sectors ran, the pair from p
+    assert data["odd_sectors"] is True
+    assert type(data["power_steps"]) is int and data["power_steps"] >= 1
     ratio = data["C_check"]["one_minus_lambda_over_eps"]
     assert ratio == pytest.approx(data["C_check"]["C_instanton"], rel=0.05)
 
@@ -1019,6 +1022,106 @@ def test_spectrum_at_zero_current(stored_state, tmp_path):
                  "--out", str(out)]) == EXIT_OK
     assert _strict_json(out / "spectrum.json")["C_check"]["C_instanton"] \
         == 0.0
+
+
+@pytest.fixture
+def conv_sizes(monkeypatch):
+    """The point counts of the convolutions the linearized operator and
+    ``make_state`` form (``meso.conv_values``)."""
+    from mesostefan import meso
+
+    sizes = []
+    real = meso.conv_values
+
+    def spy(kernel, grid, values, work=None):
+        sizes.append(grid.n)
+        return real(kernel, grid, values, work)
+
+    monkeypatch.setattr(meso, "conv_values", spy)
+    return sizes
+
+
+def _full_grid_spectrum(path):
+    """The reference: the leading pair from p and lambda2 of a stored state
+    on its full grid, from the arrays spectrum loads."""
+    from mesostefan import meso, spectral
+
+    grid, h, m = load_state(path)
+    params, kernel = cli._params_kernel(2.0, grid.spacing, "cos2")
+    state = meso.make_state(params, kernel, grid, h, m)
+    pair = spectral.leading_eigenpair(state)
+    return grid, pair, spectral.second_eigenvalue(state, pair)
+
+
+def _spectrum(path, out):
+    assert main(["spectrum", "--state", path, "--out", str(out)]) == EXIT_OK
+    return _strict_json(out / "spectrum.json")
+
+
+@pytest.mark.parametrize("command", [
+    ["--mode", "antisym", "--j", "-0.02"],
+    ["--mode", "metastable", "--j", "0.09"],
+], ids=["antisym", "metastable-0.09"])
+def test_spectrum_of_an_odd_state_runs_on_its_sectors(tmp_path, conv_sizes,
+                                                      command):
+    """On an exactly odd state spectrum makes every convolution on the odd
+    half line, n/2 + 1 points, and its lambda2 and (1 - lambda)/eps are
+    those of the full grid's pair and Lanczos recurrence on the same state
+    to 1e-12 and 1e-9 relative."""
+    run_dir = tmp_path / "run"
+    assert main(["solve", "--eps", "0.05", "--ell", "1", *command,
+                 "--out", str(run_dir)]) == EXIT_OK
+    state = str(run_dir / "state.csv")
+    del conv_sizes[:]
+    report = _spectrum(state, tmp_path / "spec")
+    sizes = set(conv_sizes)
+    grid, pair, lam2 = _full_grid_spectrum(state)
+    assert sizes == {grid.n // 2 + 1}
+    assert report["odd_sectors"] is True
+    assert report["lambda2"] == pytest.approx(lam2, rel=1e-12)
+    assert report["C_check"]["one_minus_lambda_over_eps"] == pytest.approx(
+        (1.0 - pair.lambda_) / grid.epsilon, rel=1e-9)
+    assert report["power_steps"] == pair.iterations
+
+
+def test_spectrum_of_a_state_that_is_not_odd_runs_on_the_full_grid(
+        tmp_path, conv_sizes):
+    """An off-center state, and a centred one with one m value moved by an
+    ulp, take the full grid: every convolution has its n points.  The
+    off-center (1 - lambda)/eps is the row's lam_gap_ratio to 1e-9, and the
+    moved state's numbers are the odd one's to 1e-9 and 1e-12."""
+    from mesostefan.profiles import save_state
+
+    runs = {}
+    for name, command in (("asym", ["--mode", "asym", "--x0", "0.2"]),
+                          ("antisym", ["--ell", "1"])):
+        runs[name] = tmp_path / name
+        assert main(["solve", "--eps", "0.05", "--j", "-0.02", *command,
+                     "--out", str(runs[name])]) == EXIT_OK
+    asym_state = str(runs["asym"] / "state.csv")
+    row = _strict_json(runs["asym"] / "solve.json")
+    del conv_sizes[:]
+    report = _spectrum(asym_state, tmp_path / "spec-asym")
+    grid, _, _ = load_state(asym_state)
+    assert set(conv_sizes) == {grid.n}
+    assert report["odd_sectors"] is False
+    assert report["C_check"]["one_minus_lambda_over_eps"] == pytest.approx(
+        row["lam_gap_ratio"], rel=1e-9)
+
+    odd = _spectrum(str(runs["antisym"] / "state.csv"), tmp_path / "spec-odd")
+    grid, h, m = load_state(str(runs["antisym"] / "state.csv"))
+    k = grid.n // 4
+    m[k] = np.nextafter(m[k], np.inf)
+    moved = str(tmp_path / "moved" / "state.csv")
+    os.makedirs(os.path.dirname(moved))
+    save_state(moved, grid, h, m)
+    del conv_sizes[:]
+    report = _spectrum(moved, tmp_path / "spec-moved")
+    assert set(conv_sizes) == {grid.n}
+    assert report["odd_sectors"] is False
+    assert report["C_check"]["one_minus_lambda_over_eps"] == pytest.approx(
+        odd["C_check"]["one_minus_lambda_over_eps"], rel=1e-9)
+    assert report["lambda2"] == pytest.approx(odd["lambda2"], rel=1e-12)
 
 
 def test_state_sidecar_mismatch_is_config_error(tmp_path, capsys):

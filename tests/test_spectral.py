@@ -155,7 +155,10 @@ def test_linearization_self_adjoint_in_weighted_product(shape, mode):
                                         (2.0, "metastable")])
 def test_second_eigenvalue_matches_dense(beta, mode):
     """lambda2 is the largest-magnitude eigenvalue after the leading one, at
-    eps = 0.025 (n = 1601), to 1e-12 relative."""
+    eps = 0.025 (n = 1601), to 1e-12 relative.  So are the two sectors'
+    numbers of the centred state, which ``mesostefan spectrum`` takes: the
+    leading pair on the even view of its odd half line from p, and lambda2
+    as the odd half line's top eigenvalue, with no pair to deflate."""
     state = _solve(beta, "cos2", mode, 0.025)
     assert state.grid.n == 1601
     s = _symmetrized(state)
@@ -165,6 +168,13 @@ def test_second_eigenvalue_matches_dense(beta, mode):
     assert pair.lambda_ == pytest.approx(dense[0], rel=1e-12)
     assert second_eigenvalue(state, pair) == pytest.approx(abs(dense[1]),
                                                            rel=1e-12)
+    c = state.grid.center_index
+    odd = make_state(state.params, state.kernel, state.grid.half_line(),
+                     state.h[c:], state.m[c:])
+    assert odd.grid.n == 801
+    assert leading_eigenpair(odd.even_half()).lambda_ \
+        == pytest.approx(dense[0], rel=1e-12)
+    assert second_eigenvalue(odd) == pytest.approx(abs(dense[1]), rel=1e-12)
 
 
 def test_second_eigenvalue_budget_raises(fine_instanton_state, fine_pair,
