@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import antisym, asym, instanton as instanton_mod, meso, spectral, stefan
-from .config import RunConfig, load_config
+from .config import RunConfig, check_placement, load_config
 from .errors import DomainError, GridError, InfeasibleError, MesostefanError
 from .grids import build_kernel
 from .profiles import (dump_json, fmt, grid_from_points, load_state,
@@ -110,9 +110,8 @@ def cmd_instanton(args) -> int:
 
 def cmd_stefan(args) -> int:
     ell, x0 = args.ell, args.x0
-    if args.metastable and x0 != 0.0:
-        raise DomainError(f"x0 = {x0:g} is ignored by the metastable "
-                          "branch: its interface is at 0")
+    if args.metastable:
+        check_placement("metastable", x0, ell)
     params = make_params(args.beta)
     if not (np.isfinite(ell) and ell > 0.0):
         raise DomainError(f"half-length must be positive and finite: {ell}")
@@ -246,7 +245,7 @@ def _save_run(out, res):
     extrapolated with that ratio, else 0."""
     st, tr = res.state, res.trace
     steps = range(len(tr.increments))
-    save_state(os.path.join(out, "state.csv"), st.grid, st.h, st.m)
+    save_state(os.path.join(out, "state.csv"), st)
     save_table(os.path.join(out, "trace.csv"),
                "k,increment,ratio,residual,extrapolated", steps,
                tr.increments, [float("nan")] + tr.ratios, tr.residuals[:-1],
@@ -265,10 +264,9 @@ def _row_record(row: SweepRow) -> dict:
     if row.error:
         record["error"] = row.error
     else:
-        record["picard_steps"] = row.picard_steps
-        record["power_steps"] = row.power_steps
-        record["picard_extrapolations"] = row.picard_extrapolations
-        record["power_extrapolations"] = row.power_extrapolations
+        record |= {k: getattr(row, k) for k in (
+            "picard_steps", "power_steps", "picard_extrapolations",
+            "power_extrapolations")}
     return record
 
 
@@ -302,15 +300,15 @@ def cmd_solve(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    """The leading pair from p and lambda2 of a stored state.  An exactly
-    odd state, as every centred solve writes it, is solved in its two
-    sectors on its odd half line: the pair on its even view
-    (:meth:`meso.MesoState.even_half`), lambda2 as the odd sector's top
-    eigenvalue.  Any other state runs both on the full grid."""
+    """The leading pair from p and lambda2 of a stored state, under its
+    sidecar's beta and kernel.  An exactly odd state, as every centred solve
+    writes it, is solved in its two sectors on its odd half line: the pair on
+    its even view (:meth:`meso.MesoState.even_half`), lambda2 as the odd
+    sector's top eigenvalue; any other state on the full grid."""
     if args.j is not None and not np.isfinite(args.j):
         raise DomainError("--j must be finite")
-    grid, h, m = load_state(args.state)
-    params, kernel = _params_kernel(args.beta, grid.spacing, args.kernel)
+    grid, h, m, beta, shape = load_state(args.state)
+    params, kernel = _params_kernel(beta, grid.spacing, shape)
     odd = grid.left == grid.right and grid.n % 2 == 1 and all(
         np.array_equal(a, -a[::-1]) for a in (h, m))
     c = grid.center_index if odd else 0
@@ -320,7 +318,7 @@ def cmd_spectrum(args) -> int:
     lam2 = spectral.second_eigenvalue(state, None if odd else sp)
     c_inst = None       # only C_instanton reads the instanton
     if args.j is not None:
-        _, _, inst = _fixed_inputs(args.beta, grid.spacing, args.kernel)
+        _, _, inst = _fixed_inputs(beta, grid.spacing, shape)
         c_inst = abs(args.j) * inst.mean / inst.norm_sq
     payload = {
         "lambda": sp.lambda_,
@@ -428,13 +426,12 @@ def _config_from_args(args) -> RunConfig:
     return cfg.validate_fields()
 
 
-def _add_common(p, *flags):
-    """--beta and --out, and those of --spacing and --kernel named in
-    ``flags``: a command takes only the flags it reads."""
+def _add_common(p, discrete=False):
+    """--beta and --out, and --spacing and --kernel for the commands that
+    discretise J: a command takes only the flags it reads."""
     p.add_argument("--beta", type=float, default=2.0)
-    if "spacing" in flags:
+    if discrete:
         p.add_argument("--spacing", type=float, default=0.05)
-    if "kernel" in flags:
         p.add_argument("--kernel", default="cos2",
                        choices=("cos2", "quartic"))
     p.add_argument("--out", default="out")
@@ -455,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_thermo)
 
     p = sub.add_parser("instanton", help="standing interface profile")
-    _add_common(p, "spacing", "kernel")
+    _add_common(p, discrete=True)
     p.set_defaults(func=cmd_instanton)
 
     p = sub.add_parser("stefan", help="macroscopic free-boundary solution")
@@ -467,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stefan)
 
     p = sub.add_parser("solve", help="mesoscopic profile at one scale")
-    _add_common(p, "spacing", "kernel")
+    _add_common(p, discrete=True)
     p.add_argument("--mode", choices=("antisym", "metastable", "asym"),
                    default="antisym")
     p.add_argument("--eps", type=float, required=True)
@@ -478,9 +475,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("spectrum", help="spectral report for a stored state")
-    _add_common(p, "kernel")
     p.add_argument("--state", required=True)
     p.add_argument("--j", type=float, default=None)
+    p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("sweep", help="scale sweep from a config file")

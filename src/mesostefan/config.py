@@ -34,15 +34,18 @@ class RunConfig:
             raise DomainError("eps_list must be strictly decreasing")
         if self.mode not in ("antisym", "metastable", "asym"):
             raise DomainError(f"unknown mode {self.mode!r}")
-        # the centred modes solve at x0 = 0, the off-center one on [-1, 1]
-        if self.mode != "asym" and self.x0 != 0.0:
-            raise DomainError(f"x0 = {self.x0:g} is ignored by mode "
-                              f"{self.mode}: only asym places the interface "
-                              f"off center")
-        if self.mode == "asym" and self.ell != 1.0:
-            raise DomainError(f"ell = {self.ell:g} is ignored by mode asym: "
-                              f"it solves on [-1, 1]")
+        check_placement(self.mode, self.x0, self.ell)
         return self
+
+
+def check_placement(mode, x0, ell):
+    """DomainError for an x0 or ell that the mode's solver ignores."""
+    if mode != "asym" and x0 != 0.0:
+        raise DomainError(f"x0 = {x0:g} is ignored by mode {mode}: only asym "
+                          f"places the interface off center")
+    if mode == "asym" and ell != 1.0:
+        raise DomainError(f"ell = {ell:g} is ignored by mode asym: it solves "
+                          f"on [-1, 1]")
 
 
 _FLOAT_KEYS = {"beta", "j", "x0", "ell", "spacing"}

@@ -132,16 +132,9 @@ class Grid:
         return i
 
     def descriptor(self, **extra) -> str:
-        return json.dumps(
-            {
-                "epsilon": self.epsilon,
-                "left": self.left,
-                "right": self.right,
-                "spacing": self.spacing,
-                "n": self.n,
-                **extra,
-            }
-        )
+        return json.dumps({"epsilon": self.epsilon, "left": self.left,
+                           "right": self.right, "spacing": self.spacing,
+                           "n": self.n, **extra})
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import GridError
-from .grids import Grid, build_grid
+from .grids import KERNEL_SHAPES, Grid, build_grid
 
 WRITE_ROWS = 4096    # rows of a profile or state file per write
 STAMP_BYTES = 1 << 16
@@ -31,17 +31,20 @@ def save_profile(path, grid: Grid, values):
     _save_sidecar(path, grid)
 
 
-def save_state(path, grid: Grid, h, m):
-    """Write ``x,h,m`` rows, their binary copy (the rows of one float64
-    array in ``.npy`` format, written row by row) and the grid's sidecar
-    descriptor with the byte length and CRC-32 of both files."""
-    save_table(path, "x,h,m", grid.points, h, m)
+def save_state(path, state):
+    """Write the state's ``x,h,m`` rows, their ``.npy`` copy (one float64
+    array, written row by row) and a sidecar: the grid's descriptor, beta,
+    kernel shape, and the byte length and CRC-32 of both files."""
+    rows = (state.grid.points, state.h, state.m)
+    save_table(path, "x,h,m", *rows)
     with open(_copy(path), "wb") as fh:
         np.lib.format.write_array_header_1_0(fh, {
-            "descr": "<f8", "fortran_order": False, "shape": (3, grid.n)})
-        for row in (grid.points, h, m):
+            "descr": "<f8", "fortran_order": False, "shape": (3, state.m.size)})
+        for row in rows:
             np.asarray(row, dtype="<f8").tofile(fh)
-    _save_sidecar(path, grid, csv=_stamp(path), npy=_stamp(_copy(path)))
+    _save_sidecar(path, state.grid, beta=state.params.beta,
+                  kernel=state.kernel.shape, csv=_stamp(path),
+                  npy=_stamp(_copy(path)))
 
 
 def _save_sidecar(path, grid: Grid, **extra):
@@ -85,15 +88,15 @@ def _stamp(path) -> dict:
 
 
 def load_state(path):
-    """(grid, h, m) of a state file.
+    """(grid, h, m, beta, kernel shape) of a state file.
 
     x, h and m are the bits the CSV parses to, read from the binary copy
     of :func:`save_state` when both files match the sidecar's byte lengths
-    and CRC-32s, else parsed.  On either path the grid comes from the
-    sidecar descriptor, which must exist (bare points do not give eps), be
-    a JSON object holding the epsilon, left, right and spacing of
-    ``Grid.descriptor``, and give points that match the x column, and x, h
-    and m must be finite; GridError naming it otherwise.
+    and CRC-32s, else parsed.  The rest comes from the sidecar, which must
+    exist (bare points give neither eps nor the operator), be a JSON object
+    holding the epsilon, left, right and spacing of ``Grid.descriptor``, a
+    numeric beta and a known kernel shape, and give points that match the
+    x column, and x, h and m must be finite; GridError naming it otherwise.
     """
     x, h, m = _load_copy(path) or load_columns(path, ("x", "h", "m"))
     if not all(np.isfinite(c).all() for c in (x, h, m)):
@@ -105,14 +108,18 @@ def load_state(path):
         with open(side) as fh:
             d = json.load(fh)
         grid = build_grid(d["epsilon"], d["left"], d["right"], d["spacing"])
+        beta, shape = float(d["beta"]), d["kernel"]
+        if shape not in KERNEL_SHAPES:
+            raise ValueError(f"unknown kernel shape {shape!r}")
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise GridError(f"malformed grid descriptor {side}: "
-                        f"{type(exc).__name__}: {exc}") from None
+                        f"{type(exc).__name__}: {exc}; solve the state "
+                        "again") from None
     if grid.n != x.size or np.max(np.abs(grid.points - x)) \
             > 1e-9 * max(1.0, grid.b):
         raise GridError(f"x column of {path} does not match its grid "
                         f"descriptor {side}")
-    return grid, h, m
+    return grid, h, m, beta, shape
 
 
 def _load_copy(path):

@@ -218,6 +218,27 @@ def test_stefan_metastable_refuses_an_off_center_interface(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_stefan_solve_and_validate_refuse_a_metastable_x0_alike(tmp_path,
+                                                               capsys):
+    """x0 != 0 on the metastable branch is one rule with one message:
+    stefan --metastable, solve --mode metastable and validate of that
+    config print the same config error (exit 2)."""
+    flags = ["--j", "0.02", "--x0", "0.3"]
+    assert main(["stefan", "--metastable", "--ell", "1", *flags,
+                 "--out", str(tmp_path / "s")]) == EXIT_CONFIG
+    stefan_err = capsys.readouterr().err
+    assert main(["solve", "--mode", "metastable", "--eps", "0.1", *flags,
+                 "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+    solve_err = capsys.readouterr().err
+    cfg_file = tmp_path / "cfg.txt"
+    cfg_file.write_text("mode = metastable\nj = 0.02\nx0 = 0.3\n")
+    assert main(["validate", "--config", str(cfg_file)]) == EXIT_CONFIG
+    assert stefan_err == solve_err == capsys.readouterr().err
+    assert stefan_err == ("config error: x0 = 0.3 is ignored by mode "
+                          "metastable: only asym places the interface off "
+                          "center\n")
+
+
 @pytest.mark.parametrize("mode, j, flags", [
     ("antisym", -0.02, []), ("metastable", 0.02, ["--metastable"])])
 def test_stefan_and_validate_end_a_branch_at_the_same_place(
@@ -317,8 +338,8 @@ def test_solve_command_round_trip(tmp_path):
                  "--j", "-0.02", "--ell", "1", "--n0", "2",
                  "--out", str(out)])
     assert code == EXIT_OK
-    grid, h, m = load_state(str(out / "state.csv"))
-    assert grid.epsilon == 0.1
+    grid, h, m, beta, shape = load_state(str(out / "state.csv"))
+    assert (grid.epsilon, beta, shape) == (0.1, 2.0, "cos2")
     assert np.all(np.diff(m) > 0)
     summary = json.loads((out / "solve.json").read_text())
     assert summary["monotone"] is True
@@ -404,8 +425,11 @@ def test_solve_refuses_a_flag_its_mode_ignores(tmp_path, capsys, flags,
     ["stefan", "--j", "-0.02", "--ell", "1", "--kernel", "quartic"],
     ["spectrum", "--state", "state.csv", "--spacing", "0.025"],
     ["spectrum", "--state", "state.csv", "--eps", "0.1"],
+    ["spectrum", "--state", "state.csv", "--beta", "2"],
+    ["spectrum", "--state", "state.csv", "--kernel", "cos2"],
 ], ids=["thermo-spacing", "thermo-kernel", "stefan-spacing", "stefan-kernel",
-        "spectrum-spacing", "spectrum-eps"])
+        "spectrum-spacing", "spectrum-eps", "spectrum-beta",
+        "spectrum-kernel"])
 def test_a_flag_no_command_reads_is_refused(argv, capsys):
     """A command takes only the flags it reads: any other is argparse's
     usage error (exit 2)."""
@@ -420,7 +444,7 @@ def test_spectrum_command(tmp_path):
     main(["solve", "--mode", "antisym", "--beta", "2", "--eps", "0.1",
           "--j", "-0.02", "--ell", "1", "--n0", "2", "--out", str(out)])
     spec_out = tmp_path / "spec"
-    code = main(["spectrum", "--state", str(out / "state.csv"), "--beta", "2",
+    code = main(["spectrum", "--state", str(out / "state.csv"),
                  "--j", "-0.02", "--out", str(spec_out)])
     assert code == EXIT_OK
     data = json.loads((spec_out / "spectrum.json").read_text())
@@ -431,6 +455,36 @@ def test_spectrum_command(tmp_path):
     assert type(data["power_steps"]) is int and data["power_steps"] >= 1
     ratio = data["C_check"]["one_minus_lambda_over_eps"]
     assert ratio == pytest.approx(data["C_check"]["C_instanton"], rel=0.05)
+
+
+def _state_of(grid, h, m):
+    """The state of (h, m) on ``grid`` at beta = 2 under the cos2 kernel,
+    which save_state writes."""
+    from mesostefan import meso
+
+    params, kernel = cli._params_kernel(2.0, grid.spacing, "cos2")
+    return meso.make_state(params, kernel, grid, h, m)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--kernel", "quartic", "--eps", "0.1"], ["--beta", "1.5", "--eps", "0.05"],
+], ids=["quartic", "beta-1.5"])
+def test_spectrum_reads_the_operator_of_its_state(tmp_path, flags):
+    """The state's sidecar records the beta and kernel it was solved with,
+    and spectrum, which takes neither, gives the row's (1 - lambda)/eps
+    under them to 1e-9 relative, not the value of beta = 2 and cos2."""
+    run_dir, spec_dir = tmp_path / "run", tmp_path / "spec"
+    assert main(["solve", "--j", "-0.02", *flags,
+                 "--out", str(run_dir)]) == EXIT_OK
+    side = json.loads((run_dir / "state.grid.json").read_text())
+    row = _strict_json(run_dir / "solve.json")
+    assert (side["beta"], side["kernel"]) == (
+        row["beta"], "quartic" if "quartic" in flags else "cos2")
+    assert main(["spectrum", "--state", str(run_dir / "state.csv"),
+                 "--out", str(spec_dir)]) == EXIT_OK
+    report = _strict_json(spec_dir / "spectrum.json")
+    assert report["C_check"]["one_minus_lambda_over_eps"] == pytest.approx(
+        row["lam_gap_ratio"], rel=1e-9)
 
 
 def _strict_json(path):
@@ -981,7 +1035,7 @@ def test_spectrum_without_current_needs_no_instanton(tmp_path, capsys):
     state = meso.exact_state(make_params(2.0), build_kernel(0.1), grid,
                              0.9 * np.tanh(grid.points))
     path = str(tmp_path / "state.csv")
-    save_state(path, grid, state.h, state.m)
+    save_state(path, state)
     out = tmp_path / "spec"
     assert main(["spectrum", "--state", path, "--out", str(out)]) == EXIT_OK
     report = json.loads((out / "spectrum.json").read_text())
@@ -1046,8 +1100,8 @@ def _full_grid_spectrum(path):
     on its full grid, from the arrays spectrum loads."""
     from mesostefan import meso, spectral
 
-    grid, h, m = load_state(path)
-    params, kernel = cli._params_kernel(2.0, grid.spacing, "cos2")
+    grid, h, m, beta, shape = load_state(path)
+    params, kernel = cli._params_kernel(beta, grid.spacing, shape)
     state = meso.make_state(params, kernel, grid, h, m)
     pair = spectral.leading_eigenpair(state)
     return grid, pair, spectral.second_eigenvalue(state, pair)
@@ -1102,19 +1156,19 @@ def test_spectrum_of_a_state_that_is_not_odd_runs_on_the_full_grid(
     row = _strict_json(runs["asym"] / "solve.json")
     del conv_sizes[:]
     report = _spectrum(asym_state, tmp_path / "spec-asym")
-    grid, _, _ = load_state(asym_state)
+    grid, *_ = load_state(asym_state)
     assert set(conv_sizes) == {grid.n}
     assert report["odd_sectors"] is False
     assert report["C_check"]["one_minus_lambda_over_eps"] == pytest.approx(
         row["lam_gap_ratio"], rel=1e-9)
 
     odd = _spectrum(str(runs["antisym"] / "state.csv"), tmp_path / "spec-odd")
-    grid, h, m = load_state(str(runs["antisym"] / "state.csv"))
+    grid, h, m, _, _ = load_state(str(runs["antisym"] / "state.csv"))
     k = grid.n // 4
     m[k] = np.nextafter(m[k], np.inf)
     moved = str(tmp_path / "moved" / "state.csv")
     os.makedirs(os.path.dirname(moved))
-    save_state(moved, grid, h, m)
+    save_state(moved, _state_of(grid, h, m))
     del conv_sizes[:]
     report = _spectrum(moved, tmp_path / "spec-moved")
     assert set(conv_sizes) == {grid.n}
@@ -1136,7 +1190,7 @@ def test_state_sidecar_mismatch_is_config_error(tmp_path, capsys):
     state = str(runs["0.1"] / "state.csv")
     with pytest.raises(GridError, match="does not match its grid descriptor"):
         load_state(state)
-    code = main(["spectrum", "--state", state, "--beta", "2", "--j", "-0.02",
+    code = main(["spectrum", "--state", state, "--j", "-0.02",
                  "--out", str(tmp_path / "spec")])
     assert code == EXIT_CONFIG
     assert "config error: x column of" in capsys.readouterr().err
@@ -1154,7 +1208,7 @@ def test_state_without_sidecar_is_config_error(tmp_path, capsys):
         load_state(state)
     assert state in str(info.value)
     spec_out = tmp_path / "spec"
-    code = main(["spectrum", "--state", state, "--beta", "2", "--j", "-0.02",
+    code = main(["spectrum", "--state", state, "--j", "-0.02",
                  "--out", str(spec_out)])
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
@@ -1162,15 +1216,25 @@ def test_state_without_sidecar_is_config_error(tmp_path, capsys):
     assert not spec_out.exists()
 
 
+_GRID = '{"epsilon": 0.1, "left": 1.0, "right": 1.0, "spacing": 0.05'
+
+
 @pytest.mark.parametrize("sidecar", [
     '{"epsilon": 0.1, "left"',
     '{"epsilon": 0.1, "right": 1.0, "spacing": 0.05}',
     '{"epsilon": 0.1, "left": "one", "right": 1.0, "spacing": 0.05}',
     '[0.1, 1.0, 1.0, 0.05]',
-], ids=["truncated", "missing-key", "non-numeric", "list"])
+    _GRID + ', "kernel": "cos2"}',
+    _GRID + ', "beta": 2.0}',
+    _GRID + ', "beta": "x", "kernel": "cos2"}',
+    _GRID + ', "beta": 2.0, "kernel": "hexic"}',
+], ids=["truncated", "missing-key", "non-numeric", "list", "no-beta",
+        "no-kernel", "beta-x", "kernel-hexic"])
 def test_malformed_sidecar_is_config_error(tmp_path, sidecar):
-    """A grid sidecar that is not a JSON object with the grid's numbers is a
-    config error naming it (exit 2), not a traceback."""
+    """A state sidecar that is not a JSON object with the grid's numbers,
+    a numeric beta and a known kernel shape is a config error naming it
+    that asks for a new solve (exit 2), not a traceback: a sidecar of an
+    earlier version names no beta or kernel, and no default stands in."""
     run_dir = tmp_path / "run"
     main(["solve", "--beta", "2", "--eps", "0.1", "--j", "-0.02",
           "--ell", "1", "--n0", "2", "--out", str(run_dir)])
@@ -1186,6 +1250,7 @@ def test_malformed_sidecar_is_config_error(tmp_path, sidecar):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(f"config error: malformed grid descriptor "
                                   f"{side}")
+    assert proc.stderr.endswith("; solve the state again\n")
     assert not (tmp_path / "spec").exists()
 
 
@@ -1208,7 +1273,7 @@ def test_malformed_state_is_config_error(tmp_path, capsys, edit, message):
     with pytest.raises(GridError, match=message) as info:
         load_state(str(state))
     assert str(state) in str(info.value)
-    code = main(["spectrum", "--state", str(state), "--beta", "2",
+    code = main(["spectrum", "--state", str(state),
                  "--j", "-0.02", "--out", str(tmp_path / "spec")])
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
@@ -1223,7 +1288,7 @@ def test_state_columns_parse_like_float(tmp_path):
     path = run_dir / "state.csv"
     rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
     by_float = np.array([[float(tok) for tok in row] for row in rows])
-    _, h, m = load_state(str(path))
+    _, h, m, _, _ = load_state(str(path))
     assert np.array_equal(np.stack([h, m], axis=1).view(np.int64),
                           by_float[:, 1:].view(np.int64))
 
@@ -1261,7 +1326,7 @@ def test_state_copy_is_the_parsed_csv(tmp_path, parses, command, eps):
     run_dir = tmp_path / "run"
     assert main(command + ["--eps", eps, "--out", str(run_dir)]) == EXIT_OK
     state = str(run_dir / "state.csv")
-    grid, h, m = load_state(state)
+    grid, h, m, _, _ = load_state(state)
     assert parses == []
     x, *parsed = load_columns(state, ("x", "h", "m"))
     assert np.array_equal(_bits(grid.points, h, m), _bits(x, *parsed))
@@ -1290,7 +1355,7 @@ def test_state_copy_is_np_save_of_the_stacked_rows(tmp_path, eps):
 
     g = build_grid(eps, 1.0, 1.0, 0.05)
     h, m = np.sin(g.points) / 7.0, np.tanh(g.points)
-    save_state(str(tmp_path / "state.csv"), g, h, m)
+    save_state(str(tmp_path / "state.csv"), _state_of(g, h, m))
     expect = BytesIO()
     np.save(expect, np.array([g.points, h, m], dtype=float))
     assert (tmp_path / "state.npy").read_bytes() == expect.getvalue()
@@ -1335,7 +1400,7 @@ _COPY_FALLBACKS = {
 
 def _outcome(path):
     try:
-        grid, h, m = load_state(path)
+        grid, h, m, _, _ = load_state(path)
     except GridError as exc:
         return str(exc)
     return _bits(grid.points, h, m).tolist()
@@ -1380,8 +1445,9 @@ def test_non_finite_state_is_config_error(tmp_path, capsys, parses, column,
             "m": np.tanh(g.points)}
     cols[column][7] = value
     state = tmp_path / "state.csv"
-    save_state(str(state), replace(g, points=cols["x"]), cols["h"],
-               cols["m"])
+    with np.errstate(invalid="ignore"):     # J * m of an infinite m
+        stored = _state_of(replace(g, points=cols["x"]), cols["h"], cols["m"])
+    save_state(str(state), stored)
     if path == "csv":
         (tmp_path / "state.npy").unlink()
     with pytest.raises(GridError, match="non-finite") as info:
@@ -1470,7 +1536,7 @@ def test_state_file_is_written_in_blocks_of_rows(tmp_path, monkeypatch):
         return Recorded(fh) if (file, mode) == (str(path), "w") else fh
 
     monkeypatch.setattr(profiles, "open", recorded, raising=False)
-    profiles.save_state(str(path), g, h, m)
+    profiles.save_state(str(path), _state_of(g, h, m))
     monkeypatch.undo()
     expected = "\n".join(["x,h,m"] + [",".join(profiles.fmt(v) for v in row)
                                       for row in zip(g.points, h, m)]) + "\n"
