@@ -164,19 +164,12 @@ def solve_centred(macro: MaximalSolution | MetastableMaximal, kernel: Kernel,
 
 
 def _iterate(macro, kernel, instanton, grid, xi_index):
-    """The fixed point of m = tanh(beta (J^neum*m + T(m))) on the half line,
-    by :func:`meso.iterate` from the seed with the current integral T as
-    the field, and the odd extension of its last pair, convolution and
-    residual (tanh is odd to the bit) to the grid.  The seed is handed over
-    unnamed, so the loop frees it after its first step."""
+    """The odd extension of :func:`solve_half_line`'s last pair,
+    convolution and residual (tanh is odd to the bit) to the grid."""
     half = grid.half_line()
-    last, trace = iterate(
-        build_seed(macro, kernel, instanton, grid, xi_index),
-        lambda m, out, scratch: t_map(macro, half, m, out, scratch))
-    full = [np.empty(grid.n) for _ in range(3)]  # odd h, m, conv
-    for row, a in zip(full, (last.h, last.m, last.conv)):
-        np.negative(a[:0:-1], out=row[:half.n - 1])
-        row[half.n - 1:] = a
+    last, trace = solve_half_line(macro, kernel, instanton, grid, xi_index)
+    full = [odd_extension(a, half.n - 1, grid.n)
+            for a in (last.h, last.m, last.conv)]
     final = _state_at(macro.params, kernel, grid, *full, last.residual_norm)
     # strictly monotone: increasing for j < 0, decreasing for j > 0
     mono = bool(np.all(np.sign(-macro.j) * np.diff(last.m) > MONOTONE_FLOOR))
@@ -184,6 +177,29 @@ def _iterate(macro, kernel, instanton, grid, xi_index):
         if isinstance(macro, MetastableMaximal) else None
     return AntisymResult(final, trace, macro, float(xi_index * grid.spacing),
                          mono, rise)
+
+
+def solve_half_line(macro, kernel, instanton, grid, xi_index
+                    ) -> tuple[MesoState, IterationTrace]:
+    """The fixed point of m = tanh(beta (J^neum*m + T(m))) on the grid's
+    half line, by :func:`meso.iterate` from the seed with the current
+    integral T as the field, and its trace.  The seed is handed over
+    unnamed, so the loop frees it after its first step; the returned state
+    holds views of the loop's buffers."""
+    half = grid.half_line()
+    return iterate(
+        build_seed(macro, kernel, instanton, grid, xi_index),
+        lambda m, out, scratch: t_map(macro, half, m, out, scratch))
+
+
+def odd_extension(values: np.ndarray, center: int, size: int) -> np.ndarray:
+    """The first ``size`` points of the odd extension of a half line's
+    ``values`` about index ``center``: -values[center - i] left of it,
+    values[i - center] from it on."""
+    out = np.empty(size)
+    np.negative(values[center:0:-1], out=out[:center])
+    out[center:] = values[:size - center]
+    return out
 
 
 def _central_increase_length(half: Grid, m: np.ndarray) -> float:
@@ -229,20 +245,50 @@ def hydrodynamic_error(state: MesoState,
 
     The m comparison excludes |eps x - x0| <= exclude_halfwidth (the window
     where the smooth interface lives); the field comparison has no
-    exclusion.  It reads the state's own grid: a centred state's half line
+    exclusion.  It reads the state's own grid, which must hold eps^-1 x0
+    among its points: a centred state's half line
     (:meth:`meso.MesoState.even_half`) gives the full grid's errors, the
     state and the closed forms being odd in x and the window symmetric.
-    The closed forms are evaluated HYDRO_BLOCK points at a time, so that
-    their many temporaries stay small, m and h from one evaluation of |m|
+    The closed forms are odd about the interface: on a grid longer on one
+    side of it (all of a half line) they are evaluated once per distance
+    from it, at the abscissae eps x - x0 of that long side, and the short
+    side reads their negatives by mirrored index, and its window by its own
+    abscissae; a grid of two equal sides is read at every point's own.
+    They are evaluated HYDRO_BLOCK points at a time, so that their many
+    temporaries stay small, m and h from one evaluation of |m|
     (``macro.fields_of_x``).
     """
-    err_m, err_h, eps = [], [], state.grid.epsilon
-    for lo in range(0, state.grid.n, HYDRO_BLOCK):
-        part = slice(lo, lo + HYDRO_BLOCK)
-        x = eps * state.grid.points[part] - x0
+    grid, eps = state.grid, state.grid.epsilon
+    c = grid.index_of(x0 / eps)
+    right = grid.n - 1 - c          # points right of the interface
+    if right != c:      # from the interface along the long side
+        origin, step = c, 1 if right > c else -1
+        count, short = max(c, right) + 1, min(c, right)
+    else:               # two equal sides: every point at its own abscissa
+        origin, step, count, short = 0, 1, grid.n, 0
+    err_m, err_h = [], []
+    for lo in range(0, count, HYDRO_BLOCK):
+        hi = min(lo + HYDRO_BLOCK, count)
+        near = _run(origin, lo, hi, step)
+        x = eps * grid.points[near] - x0
         m_mac, h_mac = macro.fields_of_x(x)
-        keep = np.abs(x) > exclude_halfwidth
-        if keep.any():
-            err_m.append(np.max(np.abs(state.m[part][keep] - m_mac[keep])))
-        err_h.append(np.max(np.abs(state.h[part] - h_mac)))
+        parts = [(near, x, m_mac, h_mac)]
+        a, b = max(lo, 1), min(hi, short + 1)     # distances read mirrored
+        if a < b:
+            far = _run(c, a, b, -step)
+            parts.append((far, eps * grid.points[far] - x0,
+                          -m_mac[a - lo:b - lo], -h_mac[a - lo:b - lo]))
+        for at, x_at, m_at, h_at in parts:
+            keep = np.abs(x_at) > exclude_halfwidth
+            if keep.any():
+                err_m.append(np.max(np.abs(state.m[at][keep] - m_at[keep])))
+            err_h.append(np.max(np.abs(state.h[at] - h_at)))
     return float(np.max(err_m)), float(np.max(err_h))
+
+
+def _run(origin: int, lo: int, hi: int, step: int) -> slice:
+    """The indices origin + step d, d = lo .. hi - 1, as a slice."""
+    if step > 0:
+        return slice(origin + lo, origin + hi)
+    end = origin - hi
+    return slice(origin - lo, end if end >= 0 else None, -1)

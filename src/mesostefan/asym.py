@@ -31,12 +31,12 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, GridError
-from .grids import Grid, Kernel, build_grid, conv_values
+from .grids import Grid, Kernel, build_grid
 from .instanton import Instanton
 from .meso import IterationTrace, MesoState, iterate, make_state
 from .spectral import SpectralResult, leading_eigenpair, slope_start
 from .stefan import MaximalSolution
-from . import antisym
+from . import antisym, grids
 
 #: cap on a_plus * (1 - x0) / eps so the boundary weight stays well inside
 #: float range and rounding at the interface cannot dominate the norm
@@ -109,8 +109,9 @@ class OffCenterProblem:
     ext_grid: Grid
     res_grid: Grid
     u_star: SpectralResult           # of the extended state
-    r_eps: np.ndarray                # boundary correction on res_grid
+    r_tail: np.ndarray               # r_eps on the last k + 1 res_grid points
     h_eps: np.ndarray                # quasi-solution field on res_grid
+    projector: np.ndarray            # u* (trapezoid weights) / int u*
     a_plus: float                    # right rate of the boundary weight
     interface_index: int             # index of eps^-1 x0 in res_grid
 
@@ -123,11 +124,13 @@ class OffCenterProblem:
     def u_star_restricted(self) -> np.ndarray:
         return self.u_star.u[: self.res_grid.n]
 
-    @cached_property
-    def u_star_integral(self) -> float:
-        """Plain integral of the restricted eigenvector (trapezoid rule)."""
-        return float(np.trapezoid(self.u_star_restricted,
-                                  dx=self.res_grid.spacing))
+    @property
+    def r_eps(self) -> np.ndarray:
+        """The boundary correction on res_grid, 0 left of its last k + 1
+        points, built on each read."""
+        r = np.zeros(self.res_grid.n)
+        r[r.size - self.r_tail.size:] = self.r_tail
+        return r
 
 
 def check_off_center(macro: MaximalSolution, kernel: Kernel,
@@ -166,24 +169,27 @@ def build_problem(macro: MaximalSolution, kernel: Kernel,
     """The extended solution's trace and eigenpair, the quasi-solution, and
     the quasi-solution's state.
 
-    The extended centred loop runs on the layout check_off_center built.
-    Its state is odd, so its leading pair is found on the even half line
+    The extended centred loop runs on the half line of the layout
+    check_off_center built (:func:`antisym.solve_half_line`).  Its state
+    is odd, so its leading pair is found on the even half line
     (:meth:`meso.MesoState.even_half`), by power iteration from the
     instanton's slope there (:func:`spectral.slope_start`); the half line's
     weights count the mirror image, so u*, its even extension to ext_grid,
-    is normalised there.
-    r_eps is the extended minus the restricted reflected convolution of m*
-    (exactly 0 more than one kernel range left of eps^-1), so h* + r_eps is
-    an exact fixed-point field for the restricted kernel.  Of the extended
-    state only the eigenvector outlives the off-center loop's start.
+    is normalised there.  Of the rest, only the restriction to res_grid is
+    odd-extended: h and J^neum*m, and m* one kernel range further.
+    r_eps is the extended minus the restricted reflected convolution of m*,
+    exactly 0 more than one kernel range left of eps^-1, so both are formed
+    on the last k + 1 points alone, from the 3k + 1 values of m* around
+    them; elsewhere the restricted convolution is the loop's.  So h* +
+    r_eps is an exact fixed-point field for the restricted kernel.  Of the
+    extended state only the eigenvector outlives the off-center loop's
+    start.
     """
     grid, xi_index, ext_grid, res_grid, interface_index = check_off_center(
         macro, kernel, instanton, eps, x0, n0)
-    extended = antisym._iterate(macro, kernel, instanton, grid, xi_index)
-    n_res = res_grid.n
-    m_star = extended.state.m
-
-    half = extended.state.even_half()
+    last, trace = antisym.solve_half_line(macro, kernel, instanton, grid,
+                                          xi_index)
+    half = last.even_half()
     pair = leading_eigenpair(half, start=slope_start(half, instanton))
     c = grid.center_index
     u = np.empty(ext_grid.n)
@@ -193,19 +199,37 @@ def build_problem(macro: MaximalSolution, kernel: Kernel,
                             pair.extrapolations)
     del half, pair
 
-    m_eps = m_star[:n_res]
-    conv_eps = conv_values(kernel, res_grid, m_eps)
-    r_eps = conv_values(kernel, ext_grid, m_star)[:n_res] - conv_eps
-    start = make_state(macro.params, kernel, res_grid,
-                       extended.state.h[:n_res] + r_eps, m_eps, conv_eps)
+    n_res, k = res_grid.n, kernel.half_points
+    m_star = antisym.odd_extension(last.m, c, n_res + k)
+    h_eps = antisym.odd_extension(last.h, c, n_res)
+    conv_eps = antisym.odd_extension(last.conv, c, n_res)
+    del last
+    # the last k + 1 points and their k neighbours on the left, and on the
+    # right the extended grid's or the mirror image about eps^-1
+    t0 = n_res - 1 - k
+    tail, left = m_star[t0:n_res], m_star[t0 - k:t0]
+    extended_tail = grids._blocked_convolution(kernel, tail, left,
+                                               m_star[n_res:], None)
+    conv_eps[t0:] = grids._blocked_convolution(kernel, tail, left,
+                                               tail[-2::-1], None)
+    r_tail = extended_tail - conv_eps[t0:]
+    h_eps[t0:] += r_tail
+    start = make_state(macro.params, kernel, res_grid, h_eps,
+                       m_star[:n_res], conv_eps)
     if start.residual_norm > 1e-9:
         raise ConvergenceError(f"quasi-solution residual "
                                f"{start.residual_norm:.3e} exceeds 1e-9")
 
+    u_res = u[:n_res]
+    projector = u_res * (res_grid.spacing / np.trapezoid(
+        u_res, dx=res_grid.spacing))
+    projector[[0, -1]] *= 0.5
+    projector.setflags(write=False)
     a_plus = default_a_plus(instanton, res_grid.epsilon, x0)
-    r_eps.setflags(write=False)
-    return OffCenterProblem(macro, float(x0), extended.trace, extended.xi_eps,
-                            ext_grid, res_grid, u_star, r_eps, start.h,
+    r_tail.setflags(write=False)
+    return OffCenterProblem(macro, float(x0), trace,
+                            float(xi_index * grid.spacing), ext_grid,
+                            res_grid, u_star, r_tail, start.h, projector,
                             a_plus, interface_index), start
 
 
@@ -213,23 +237,13 @@ def projected_field(problem: OffCenterProblem, m: np.ndarray, out=None,
                     scratch=None) -> np.ndarray:
     """The projected current integral of m: the current law integrated from
     the interface, less its component along the extended maximal
-    eigenvector (plain integrals).  Formed in ``out`` with ``scratch`` for
-    the rest when they are given."""
-    grid = problem.res_grid
-    h_hat = antisym.current_integral(problem.macro, grid, m,
+    eigenvector (plain trapezoid integrals, in one product against the
+    problem's projector).  Formed in ``out`` with ``scratch`` for 1/chi
+    when they are given."""
+    h_hat = antisym.current_integral(problem.macro, problem.res_grid, m,
                                      problem.interface_index, out, scratch)
-    product = np.multiply(h_hat, problem.u_star_restricted, out=scratch)
-    proj = _trapezoid(product, grid.spacing) / problem.u_star_integral
-    return np.subtract(h_hat, proj, out=h_hat)
-
-
-def _trapezoid(values: np.ndarray, dx) -> float:
-    """np.trapezoid(values, dx=dx), its terms formed in place in ``values``
-    (term k overwrites values[k] once both its ends are read)."""
-    terms = np.add(values[1:], values[:-1], out=values[:-1])
-    terms *= dx
-    terms /= 2.0
-    return terms.sum()
+    h_hat -= float(np.einsum("i,i->", h_hat, problem.projector))
+    return h_hat
 
 
 @dataclass(frozen=True)
@@ -260,17 +274,18 @@ def solve_off_center(macro: MaximalSolution, kernel: Kernel,
 
     :func:`meso.iterate` runs from the quasi-solution's state with the
     projected field and the Newton direction (u*, lambda*) restricted to the
-    grid, in the weights 1/p of the quasi-solution, so the returned field is
-    the projected current integral of the returned m exactly.  The final
+    grid, weighted once for the whole loop by the quasi-solution's 1/p, so
+    the returned field is the projected current integral of the returned m
+    exactly.  The final
     field's zero is located near the interface by bracketing plus linear
     interpolation, and the magnetization zero is reported separately (the
     two need not coincide).
     """
     problem, start = build_problem(macro, kernel, instanton, eps, x0, n0)
-    newton = (problem.u_star_restricted, problem.u_star.lambda_,
-              start.quadrature)
+    u = problem.u_star_restricted
+    newton = (u, problem.u_star.lambda_, start.quadrature * u)
     # handed over with no name left here, the start is freed after the
-    # loop's first step; of it only the Newton weights stay alive
+    # loop's first step; of it only the weighted direction stays alive
     held = [start]
     del start
     state, trace = iterate(held.pop(), lambda m, out, scratch: projected_field(

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import antisym, asym, instanton as instanton_mod, meso, spectral, stefan
-from .config import RunConfig, check_placement, load_config
+from .config import (RunConfig, check_half_length, check_placement,
+                     load_config)
 from .errors import DomainError, GridError, InfeasibleError, MesostefanError
 from .grids import build_kernel
 from .profiles import (dump_json, fmt, grid_from_points, load_state,
@@ -113,8 +114,7 @@ def cmd_stefan(args) -> int:
     if args.metastable:
         check_placement("metastable", x0, ell)
     params = make_params(args.beta)
-    if not (np.isfinite(ell) and ell > 0.0):
-        raise DomainError(f"half-length must be positive and finite: {ell}")
+    check_half_length(ell)
     if not -ell < x0 < ell:
         raise DomainError("interface must be interior to the domain")
     macro = (stefan._metastable_maximal if args.metastable

@@ -23,9 +23,8 @@ class RunConfig:
     outdir: str = "runs"
 
     def validate_fields(self):
-        floats = [getattr(self, name) for name in _FLOAT_KEYS] + self.eps_list
-        if not all(math.isfinite(v) for v in floats):
-            raise DomainError("numeric values must be finite")
+        check_finite(*(getattr(self, name) for name in _FLOAT_KEYS),
+                     *self.eps_list)
         if self.beta <= 1.0:
             raise DomainError("beta must exceed 1")
         if not self.eps_list:
@@ -35,7 +34,21 @@ class RunConfig:
         if self.mode not in ("antisym", "metastable", "asym"):
             raise DomainError(f"unknown mode {self.mode!r}")
         check_placement(self.mode, self.x0, self.ell)
+        check_half_length(self.ell)
         return self
+
+
+def check_finite(*values):
+    """DomainError unless every value is finite."""
+    if not all(math.isfinite(v) for v in values):
+        raise DomainError("numeric values must be finite")
+
+
+def check_half_length(ell):
+    """DomainError unless the half-length is finite and positive."""
+    check_finite(ell)
+    if not ell > 0.0:
+        raise DomainError("half-lengths must be positive")
 
 
 def check_placement(mode, x0, ell):

@@ -229,14 +229,15 @@ def iterate(start: MesoState, field_of, newton=None
     with ``scratch`` free to use, or any array), F = tanh(beta (J^neum*m +
     h)) and the residual r = sup|F - m| of the pair (h, m), which it
     returns once r < INNER_TOL (so h is the field of the returned m
-    exactly).  Otherwise m <- F; with ``newton`` = (u, lambda, w), a
-    direction, its eigenvalue and the weights 1/p of the inner product,
-    m <- F + lambda/(1 - lambda) <F - m, u>_w u instead: a Newton step along
-    u, Picard on the rest.  When two increment ratios agree
-    (:func:`settled_ratio`) and the step before did not extrapolate, the
-    update m' so formed becomes m' + rho/(1 - rho) (m' - m), rho the last
-    ratio.  The first step reuses the start's convolution,
-    every later one makes one.  STALL_STEPS residuals in a row that do not
+    exactly).  Otherwise m <- F; with ``newton`` = (u, lambda, wu), a
+    direction, its eigenvalue and the direction times the weights w of the
+    inner product (1/p, :attr:`MesoState.quadrature`), m <- F +
+    lambda/(1 - lambda) <F - m, u>_w u instead, the inner product one sum
+    against wu: a Newton step along u, Picard on the rest.  When two
+    increment ratios agree (:func:`settled_ratio`) and the step before did
+    not extrapolate, the update m' so formed becomes m' + rho/(1 - rho)
+    (m' - m), rho the last ratio.  The first step reuses the start's
+    convolution, every later one makes one.  STALL_STEPS residuals in a row that do not
     fall, or MAX_ITER steps, raise :class:`ConvergenceError` with the
     trace.  The loop owns ``out`` and a :class:`Workspace` for the rest, so
     no step allocates an n-point array; the returned state holds views of
@@ -251,7 +252,7 @@ def iterate(start: MesoState, field_of, newton=None
     del start
     out, work = np.empty(grid.n), Workspace(kernel, grid.n)
     if newton is not None:
-        u, lam, weights = newton
+        u, lam, weighted = newton
         if lam == 1.0:
             raise DomainError("leading eigenvalue 1: no Newton step along u")
         gain = lam / (1.0 - lam)
@@ -271,7 +272,7 @@ def iterate(start: MesoState, field_of, newton=None
                                    last=trace)
         if newton is not None:
             step = np.subtract(target, m, out=work.scratch)
-            along = gain * float(np.einsum("i,i,i->", step, weights, u))
+            along = gain * float(np.einsum("i,i->", step, weighted))
             target += np.multiply(along, u, out=step)
         rho = settled_ratio(*trace.increments[-3:]) \
             if k >= 2 and k - 1 not in trace.extrapolated else 0.0

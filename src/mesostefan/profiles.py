@@ -97,16 +97,17 @@ def load_state(path):
     holding the epsilon, left, right and spacing of ``Grid.descriptor``, a
     numeric beta and a known kernel shape, and give points that match the
     x column, and x, h and m must be finite; GridError naming it otherwise.
+    Read from the copy, each of the three files is opened once.
     """
-    x, h, m = _load_copy(path) or load_columns(path, ("x", "h", "m"))
+    copy = _load_copy(path)
+    x, h, m = copy[1:] if copy else load_columns(path, ("x", "h", "m"))
     if not all(np.isfinite(c).all() for c in (x, h, m)):
         raise GridError(f"{path} holds a non-finite x, h or m")
     side = _sidecar(path)
     if not os.path.exists(side):
         raise GridError(f"{path} has no grid descriptor {side}")
     try:
-        with open(side) as fh:
-            d = json.load(fh)
+        d = copy[0] if copy else _read_json(side)
         grid = build_grid(d["epsilon"], d["left"], d["right"], d["spacing"])
         beta, shape = float(d["beta"]), d["kernel"]
         if shape not in KERNEL_SHAPES:
@@ -122,19 +123,33 @@ def load_state(path):
     return grid, h, m, beta, shape
 
 
+def _read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def _load_copy(path):
-    """x, h, m of the state's binary copy, or None unless it and the CSV
-    match the sidecar's byte lengths and CRC-32s, which catch stale and
-    edited files, not forged ones."""
+    """(sidecar, x, h, m) of the state's binary copy, or None unless it and
+    the CSV match the sidecar's byte lengths and CRC-32s, which catch stale
+    and edited files, not forged ones.  The copy is read once: its stamp
+    and its arrays, views of one buffer, come from the same bytes."""
     try:
-        with open(_sidecar(path)) as fh:
-            side = json.load(fh)
-        if side["csv"] != _stamp(path) or side["npy"] != _stamp(_copy(path)):
+        side = _read_json(_sidecar(path))
+        if side["csv"] != _stamp(path):
             return None
-        x, h, m = np.load(_copy(path))
+        with open(_copy(path), "rb") as fh:
+            np.lib.format.read_magic(fh)
+            shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
+            offset = fh.tell()
+            raw = bytearray(os.fstat(fh.fileno()).st_size)
+            fh.seek(0)
+            fh.readinto(raw)
+        if side["npy"] != {"bytes": len(raw), "crc32": zlib.crc32(raw)}:
+            return None
+        x, h, m = np.frombuffer(raw, dtype, offset=offset).reshape(shape)
     except (OSError, ValueError, KeyError, TypeError):
         return None
-    return x, h, m
+    return side, x, h, m
 
 
 def grid_from_points(x: np.ndarray, spacing) -> Grid:

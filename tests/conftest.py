@@ -113,8 +113,8 @@ def projected_map(problem, start, tol=1e-10, max_steps=60):
     loop with the extended pair (u*, lambda*).  Returns the trace of the
     weighted increments N(h_{k+1} - h_k), which stops at the first below
     ``tol``, and the last auxiliary state."""
-    newton = (problem.u_star_restricted, problem.u_star.lambda_,
-              start.quadrature)
+    u = problem.u_star_restricted
+    newton = (u, problem.u_star.lambda_, start.quadrature * u)
     trace = meso.IterationTrace(start.residual_norm)
     h, state = start.h, start
     while len(trace.increments) < max_steps:

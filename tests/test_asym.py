@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import EPS_SWEEP, N0, X0
-from mesostefan import antisym, asym, stefan
+from mesostefan import antisym, asym, grids, stefan
 from mesostefan.asym import (admissibility_report, build_problem,
                              check_off_center, default_a_plus,
                              projected_field)
@@ -242,15 +242,41 @@ def test_quasi_solution_state(kernel05, inst05, maximal_stable, problem01,
                               m_star, asym_sweep):
     """build_problem returns the quasi-solution's state: its pair, the
     restricted convolution of m_eps and the residual the loop records
-    first."""
+    first.  Left of the last k + 1 points that convolution is the extended
+    loop's own, bitwise; on them, the restricted reflection's."""
     problem, start = build_problem(maximal_stable, kernel05, inst05, 0.1, X0,
                                    N0)
     m_eps = _m_eps(problem, m_star)
     assert start.h is problem.h_eps and np.array_equal(start.m, m_eps)
     assert np.array_equal(start.h, problem01.h_eps)
-    assert np.array_equal(start.conv, conv_values(kernel05, problem.res_grid,
-                                                  m_eps))
+    left = problem.res_grid.n - kernel05.half_points - 1
+    loop = antisym.solve_centred(maximal_stable, kernel05, inst05, 0.1,
+                                 1.0 + X0, N0).state.conv
+    assert np.array_equal(start.conv[:left], loop[:left])
+    assert np.max(np.abs(start.conv - conv_values(
+        kernel05, problem.res_grid, m_eps))) < 1e-14
     assert start.residual_norm == asym_sweep[0.1].trace.residuals[0]
+
+
+def test_set_up_convolves_on_the_half_line_and_the_window(
+        kernel05, inst05, maximal_stable, monkeypatch):
+    """build_problem runs no convolution over the restricted or the
+    extended grid: the extended loop's and its power iteration's run on
+    the half line, and r_eps and the restricted convolution on the last
+    k + 1 points come from two window products over 3k + 1 values."""
+    sizes = []
+    real = grids._blocked_convolution
+
+    def recorded(kernel, values, left_pad, right_pad, work):
+        sizes.append((values.size, np.size(left_pad), np.size(right_pad)))
+        return real(kernel, values, left_pad, right_pad, work)
+
+    monkeypatch.setattr(grids, "_blocked_convolution", recorded)
+    problem, _ = build_problem(maximal_stable, kernel05, inst05, 0.05, X0, N0)
+    k, half = kernel05.half_points, (problem.ext_grid.n + 1) // 2
+    steps = len(problem.extended_trace.increments)
+    power = problem.u_star.iterations
+    assert sizes == [(half, k, k)] * (steps + power + 1) + [(k + 1, k, k)] * 2
 
 
 def test_projected_step_checks_the_mobility_floor(problem01, m_star):
@@ -365,3 +391,33 @@ def test_hydro_trend(asym_sweep, maximal_stable):
         errs.append((em, eh))
     assert errs[0][0] > errs[1][0] > errs[2][0]
     assert errs[0][1] > errs[1][1] > errs[2][1]
+
+
+def test_hydro_error_reads_the_closed_forms_once_per_distance(
+        asym_sweep, maximal_stable, monkeypatch):
+    """Off center the check evaluates the closed forms once per distance
+    from the interface, at the long side's own abscissae, and its errors
+    are a pointwise evaluation's at eps x - x0 to 1e-14."""
+    from mesostefan.antisym import hydrodynamic_error
+
+    points = []
+    real = stefan.MaximalSolution.fields_of_x
+
+    def counted(self, x):
+        points.append(np.size(x))
+        return real(self, x)
+
+    for eps in EPS_SWEEP:
+        res = asym_sweep[eps]
+        st, window = res.state, eps * res.xi_eps
+        x = eps * st.grid.points - X0
+        m_mac, h_mac = maximal_stable.fields_of_x(x)
+        keep = np.abs(x) > window
+        pointwise = (np.max(np.abs(st.m - m_mac)[keep]),
+                     np.max(np.abs(st.h - h_mac)))
+        points.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(stefan.MaximalSolution, "fields_of_x", counted)
+            errors = hydrodynamic_error(st, maximal_stable, X0, window)
+        assert sum(points) == res.problem.interface_index + 1
+        assert np.max(np.abs(np.subtract(errors, pointwise))) <= 1e-14

@@ -195,13 +195,28 @@ def test_stefan_command_and_infeasible_exit(tmp_path):
                          ids=["stable", "metastable"])
 def test_stefan_refuses_a_bad_half_length(tmp_path, capsys, branch, ell):
     """Both branches refuse a half-length that is not positive and finite
-    with one config error, and write no profile."""
+    with one config error, worded as for a config, and write no profile."""
     out = tmp_path / "s"
     assert main(["stefan", "--beta", "2", *branch, "--ell", ell,
                  "--out", str(out)]) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith(
-        "config error: half-length must be positive and finite")
+    assert capsys.readouterr().err == "config error: " + (
+        "numeric values must be finite" if ell == "nan"
+        else "half-lengths must be positive") + "\n"
     assert not (out / "stefan.csv").exists()
+
+
+@pytest.mark.parametrize("ell", ["0", "inf"])
+def test_stefan_and_solve_refuse_a_half_length_alike(tmp_path, capsys, ell):
+    """stefan and solve check the half-length by one rule: a zero or
+    infinite ell is exit 2 with the same message from both."""
+    errors = []
+    for command in (["stefan"], ["solve", "--eps", "0.1"]):
+        assert main([*command, "--j", "-0.02", "--ell", ell,
+                     "--out", str(tmp_path / command[0])]) == EXIT_CONFIG
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == "config error: " + (
+        "half-lengths must be positive" if ell == "0"
+        else "numeric values must be finite") + "\n"
 
 
 @pytest.mark.parametrize("x0", ["0.3", "-0.3", "nan"])
@@ -1341,6 +1356,31 @@ def test_state_copy_is_the_parsed_csv(tmp_path, parses, command, eps):
         (run_dir / "state.npy").unlink(missing_ok=True)
     assert parses == [state]
     assert spectra[0] == spectra[1]
+
+
+def test_state_copy_opens_each_file_once(tmp_path, monkeypatch, parses):
+    """Read from its binary copy, a state opens its CSV (for the stamp),
+    its sidecar and its copy once each: the copy's stamp and arrays come
+    from one read of it."""
+    import builtins
+
+    run_dir = tmp_path / "run"
+    assert main(["solve", "--eps", "0.1", "--j", "-0.02",
+                 "--out", str(run_dir)]) == EXIT_OK
+    opened = []
+    real = builtins.open
+
+    def counted(file, *args, **kwargs):
+        opened.append(os.path.basename(file))
+        return real(file, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(builtins, "open", counted)
+        grid, h, m, _, _ = load_state(str(run_dir / "state.csv"))
+    assert sorted(opened) == ["state.csv", "state.grid.json", "state.npy"]
+    assert parses == []
+    assert np.array_equal(_bits(grid.points, h, m),
+                          _bits(*np.load(run_dir / "state.npy")))
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.0015625], ids=["401", "25601"])

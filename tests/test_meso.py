@@ -255,10 +255,11 @@ def convolutions(monkeypatch):
 
 def _pushed_along_slow_mode(res):
     """The converged state, its leading pair as a Newton direction
-    (u, lambda, weights 1/p) and its solution pushed by 1e-3 u (sup norm)."""
+    (u, lambda, u weighted by 1/p) and its solution pushed by 1e-3 u (sup
+    norm)."""
     st = res.state
     pair = spectral.leading_eigenpair(st)
-    newton = (pair.u, pair.lambda_, st.quadrature)
+    newton = (pair.u, pair.lambda_, st.quadrature * pair.u)
     return st, newton, st.m + 1e-3 * pair.u / np.max(np.abs(pair.u))
 
 
@@ -313,7 +314,7 @@ def test_loop_without_fixed_point_stops_contracting(params2, kernel05, inst05,
     pair = spectral.leading_eigenpair(exact_state(params2, kernel05, grid, m0))
     h = np.full(grid.n, 0.002)
     start = make_state(params2, kernel05, grid, h, m0)
-    for newton in (None, (pair.u, pair.lambda_, start.quadrature)):
+    for newton in (None, (pair.u, pair.lambda_, start.quadrature * pair.u)):
         with pytest.raises(ConvergenceError, match="stopped contracting") \
                 as info:
             iterate(start, lambda m, out, scratch: h, newton)

@@ -223,7 +223,7 @@ def test_leading_pair_matches_residual_every_step(mode, tol, stable_sweep,
 #: the order 0.0125, 0.0025, 0.001, from their starts and from p
 LADDER_POWER_STEPS = {"antisym": ((9, 9, 9), (13, 13, 13)),
                       "metastable": ((10, 8, 9), (16, 16, 16)),
-                      "asym": ((2, 2, 3), (13, 13, 13))}
+                      "asym": ((2, 2, 2), (13, 13, 13))}
 LADDER_EPS = (0.0125, 0.0025, 0.001)
 
 

@@ -9,11 +9,13 @@ own, and no two returned arrays share memory.
 import itertools
 import resource
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from mesostefan import antisym, asym, spectral, stefan
+from mesostefan import antisym, asym, cli, spectral, stefan
+from mesostefan.config import RunConfig
 from mesostefan.instanton import compute_instanton
 from mesostefan.thermo import make_params
 
@@ -103,3 +105,29 @@ def test_repeated_extrapolating_solve_faults_in_few_pages(kernel05):
     faults, (res, pair) = _repeat_faults(solve)
     assert faults <= REPEAT_FAULT_BOUND, faults
     assert len(res.trace.extrapolated) > 50 and pair.extrapolations > 10
+
+
+#: bound, in bytes, on the traced peak of one off-center sweep row at
+#: eps = 0.001 (n = 40 001, j = -0.019206): 5.3 MB while its set-up
+#: odd-extended the whole extended state and ran two full-length
+#: convolutions, 4.66 MB since it works from the half line
+ASYM_ROW_PEAK_BOUND = 5_070_000
+
+
+def test_off_center_row_traced_peak(params2):
+    """One off-center row through cli.run, its shared inputs already
+    built, allocates at most ASYM_ROW_PEAK_BOUND at its peak: the set-up
+    holds no array of the extended length but the eigenvector, and the
+    loop's projection and Newton vectors stand in for the arrays they
+    fold."""
+    cfg = RunConfig(beta=params2.beta, j=-0.019206, x0=X0, mode="asym",
+                    eps_list=[0.001], n0=N0).validate_fields()
+    cli._shared_inputs(cfg)
+    tracemalloc.start()
+    try:
+        report = cli.run(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.rows[0].iters > 0
+    assert peak <= ASYM_ROW_PEAK_BOUND, peak
