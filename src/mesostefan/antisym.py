@@ -1,39 +1,34 @@
 """Antisymmetric profile solvers: stable and metastable branches at x0 = 0.
 
 A centred profile is a fixed point of m = tanh(beta (J^neum*m + T(m))),
-where T(m)(x) = -eps j int_0^x 1/chi(m) is the current integral.  The
-solvers find it by plain Picard iteration on that map, one convolution per
-step, in the loop every solver shares (:func:`meso.iterate`, with T as
-its field), from a composite seed (interface profile near the origin, scaled
-macroscopic solution beyond, for either sign of j) whose exact state's
-convolution the first step reuses; the error contracts at the
-sub-dominant eigenvalue of the linearized map.  Every field, magnetization
-and convolution of the loop is odd, so it runs on the half line x >= 0
-(:meth:`grids.Grid.half_line`), where they vanish at x = 0, and returns
-their odd extension to the check's grid.
+T(m)(x) = -eps j int_0^x 1/chi(m) the current integral.  The solvers find
+it by plain Picard iteration in the loop every solver shares
+(:func:`meso.iterate`, with T as its field), from a composite seed
+(interface profile near the origin, scaled macroscopic solution beyond)
+whose exact state's convolution the first step reuses; the error contracts
+at the sub-dominant eigenvalue of the linearized map.  Every field,
+magnetization and convolution is odd, so the seed layout, the loop and the
+result live on the half line x >= 0 (:func:`grids.build_half_line`); the
+full odd state is built only where it is read (:attr:`AntisymResult.state`).
 
 A solve takes the macroscopic solution it converges to, which holds beta
-and j, and the instanton; the solution's type picks the branch, stable
-(:class:`stefan.MaximalSolution`) or metastable.  check_centred holds
-every check the solve makes before its first step (eps <= 0.2, ell below
-the branch's end, an instanton of the solve's beta, kernel shape and
-spacing, grid, gluing point, instanton window) and returns the seed layout
-it built, the grid and the gluing index.  solve_centred calls it first and
-iterates on that layout, and ``mesostefan validate`` runs it at each scale
-with the same arguments, so the two cannot disagree.  Below the check n0
-reaches nothing and eps only the grid: the seed, the current integral, the
-result and its diagnostics read beta and j from the solution, which the
-result carries, and eps from the grid.
+and j and whose type picks the branch, and the instanton.  check_centred
+makes every check the solve makes before its first step and returns the
+seed layout; solve_centred iterates on it, and ``mesostefan validate`` runs
+it at each scale with the same arguments, so the two cannot disagree.
+Below the check n0 reaches nothing and eps only the grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from . import grids
 from .errors import DomainError, GridError, SaturationError
-from .grids import Grid, Kernel, build_grid, trapezoid_antiderivative
+from .grids import Grid, Kernel, trapezoid_antiderivative
 from .instanton import Instanton, threshold_abscissa
 from .meso import IterationTrace, MesoState, _state_at, exact_state, iterate
 from .stefan import MaximalSolution, MetastableMaximal
@@ -48,16 +43,29 @@ HYDRO_BLOCK = 4096    # points per block of the hydrodynamic comparison
 
 @dataclass(frozen=True)
 class AntisymResult:
-    state: MesoState
+    half: MesoState    # on the odd half line x >= 0
     trace: IterationTrace
     macro: MaximalSolution | MetastableMaximal    # holds beta and j
     xi_eps: float      # gluing point of the seed, snapped to the grid
     monotone: bool
     increase_interval: float | None    # meso length of the central rise (metastable)
 
+    @cached_property
+    def state(self) -> MesoState:
+        """The full grid's state, the odd extension of the half line's
+        (tanh is odd to the bit), built on first read."""
+        half = self.half
+        grid = grids.build_grid(half.grid.epsilon, half.grid.right,
+                                half.grid.right, half.kernel.spacing)
+        full = [extension(a, half.grid.n - 1, grid.n)
+                for a in (half.h, half.m, half.conv)]
+        return _state_at(half.params, half.kernel, grid, *full,
+                         half.residual_norm)
+
 
 def _seed_layout(macro, kernel: Kernel, instanton: Instanton, eps, ell, n0):
-    """Grid and gluing index of the composite seed.
+    """Half line (:func:`grids.build_half_line`) and gluing index of the
+    composite seed.
 
     GridError when eps^-1 [-ell, ell] has no grid at the spacing or none
     with x = 0 among its points (the seed is odd about it), the instanton
@@ -65,8 +73,7 @@ def _seed_layout(macro, kernel: Kernel, instanton: Instanton, eps, ell, n0):
     xi = x_eps + 2 n0 would sit left of the interface), or xi passes half
     the half-domain or the end of the instanton window.
     """
-    grid = build_grid(eps, ell, ell, kernel.spacing)
-    grid.index_of(0.0)
+    grid = grids.build_half_line(eps, ell, kernel.spacing)
     if (instanton.beta != macro.params.beta
             or instanton.kernel_shape != kernel.shape
             or abs(instanton.spacing - grid.spacing) > 1e-12):
@@ -93,22 +100,22 @@ def _seed_layout(macro, kernel: Kernel, instanton: Instanton, eps, ell, n0):
     return grid, xi_index
 
 
-def build_seed(macro, kernel: Kernel, instanton: Instanton, grid: Grid,
+def build_seed(macro, kernel: Kernel, instanton: Instanton, half: Grid,
                xi_index: int) -> MesoState:
     """Exact state of the composite odd seed on its layout's half line.
 
     The interface profile, signed like the macroscopic solution it is glued
-    to, fills [0, xi] with xi = xi_index * spacing; the macroscopic
-    solution, evaluated at eps(x - xi) > 0, fills the rest.  The layout's
-    check has matched the instanton's spacing to the grid's, so the splice
-    introduces no interpolation error.
+    to, fills [0, xi] with xi = xi_index * spacing, at the instanton's
+    spacing, which the layout's check matched to the grid's; the
+    macroscopic solution at eps(x - xi) > 0 fills the rest, HYDRO_BLOCK
+    points at a time.
     """
-    half = grid.half_line()
     ic = instanton.center_index
     m0 = np.empty(half.n)
-    x = half.spacing * np.arange(xi_index + 1, half.n)  # exact offsets from 0
-    m0[xi_index + 1:] = macro.m_of_x(grid.epsilon
-                                     * (x - xi_index * half.spacing))
+    for lo in range(xi_index + 1, half.n, HYDRO_BLOCK):
+        hi = min(lo + HYDRO_BLOCK, half.n)
+        x = half.spacing * np.arange(lo, hi)    # exact offsets from 0
+        m0[lo:hi] = macro.m_of_x(half.epsilon * (x - xi_index * half.spacing))
     m0[:xi_index + 1] = np.copysign(1.0, m0[xi_index + 1]) \
         * instanton.profile[ic:ic + xi_index + 1]
     m0[0] = 0.0       # +0 whatever the sign
@@ -146,7 +153,7 @@ def check_centred(macro: MaximalSolution | MetastableMaximal, kernel: Kernel,
                   instanton: Instanton, eps, ell, n0) -> tuple[Grid, int]:
     """Raise what :func:`solve_centred` raises before iterating (eps <= 0.2,
     ell below the macroscopic limit, a seed that fits); return the seed
-    layout (grid, gluing index) it iterates on."""
+    layout (half line, gluing index) it iterates on."""
     if eps > 0.2:
         raise DomainError("scale parameter must satisfy eps <= 0.2")
     macro.reach(ell)
@@ -159,45 +166,43 @@ def solve_centred(macro: MaximalSolution | MetastableMaximal, kernel: Kernel,
     strictly monotone m; on the metastable one (j > 0) the field decreases
     while m decreases, rises across the interface, and decreases again, and
     the central rise, of vanishing macroscopic length, is measured."""
-    grid, xi_index = check_centred(macro, kernel, instanton, eps, ell, n0)
-    return _iterate(macro, kernel, instanton, grid, xi_index)
+    half, xi_index = check_centred(macro, kernel, instanton, eps, ell, n0)
+    return _iterate(macro, kernel, instanton, half, xi_index)
 
 
-def _iterate(macro, kernel, instanton, grid, xi_index):
-    """The odd extension of :func:`solve_half_line`'s last pair,
-    convolution and residual (tanh is odd to the bit) to the grid."""
-    half = grid.half_line()
-    last, trace = solve_half_line(macro, kernel, instanton, grid, xi_index)
-    full = [odd_extension(a, half.n - 1, grid.n)
-            for a in (last.h, last.m, last.conv)]
-    final = _state_at(macro.params, kernel, grid, *full, last.residual_norm)
+def _iterate(macro, kernel, instanton, half, xi_index):
+    """The result of :func:`solve_half_line`'s last state, copied out of
+    the loop's buffers."""
+    last, trace = solve_half_line(macro, kernel, instanton, half, xi_index)
+    last = last.copy()
     # strictly monotone: increasing for j < 0, decreasing for j > 0
     mono = bool(np.all(np.sign(-macro.j) * np.diff(last.m) > MONOTONE_FLOOR))
     rise = _central_increase_length(half, last.m) \
         if isinstance(macro, MetastableMaximal) else None
-    return AntisymResult(final, trace, macro, float(xi_index * grid.spacing),
+    return AntisymResult(last, trace, macro, float(xi_index * half.spacing),
                          mono, rise)
 
 
-def solve_half_line(macro, kernel, instanton, grid, xi_index
+def solve_half_line(macro, kernel, instanton, half, xi_index
                     ) -> tuple[MesoState, IterationTrace]:
-    """The fixed point of m = tanh(beta (J^neum*m + T(m))) on the grid's
-    half line, by :func:`meso.iterate` from the seed with the current
-    integral T as the field, and its trace.  The seed is handed over
-    unnamed, so the loop frees it after its first step; the returned state
-    holds views of the loop's buffers."""
-    half = grid.half_line()
+    """The fixed point of m = tanh(beta (J^neum*m + T(m))) on the half
+    line, by :func:`meso.iterate` from the seed with the current integral T
+    as the field, and its trace.  The seed is handed over unnamed, so the
+    loop frees it after its first step; the returned state holds views of
+    the loop's buffers."""
     return iterate(
-        build_seed(macro, kernel, instanton, grid, xi_index),
+        build_seed(macro, kernel, instanton, half, xi_index),
         lambda m, out, scratch: t_map(macro, half, m, out, scratch))
 
 
-def odd_extension(values: np.ndarray, center: int, size: int) -> np.ndarray:
-    """The first ``size`` points of the odd extension of a half line's
-    ``values`` about index ``center``: -values[center - i] left of it,
-    values[i - center] from it on."""
+def extension(values: np.ndarray, center: int, size: int,
+              odd=True) -> np.ndarray:
+    """The first ``size`` points of the odd (or even) extension of a half
+    line's ``values`` about index ``center``."""
     out = np.empty(size)
-    np.negative(values[center:0:-1], out=out[:center])
+    out[:center] = values[center:0:-1]
+    if odd:
+        np.negative(out[:center], out=out[:center])
     out[center:] = values[:size - center]
     return out
 
@@ -212,9 +217,9 @@ def _central_increase_length(half: Grid, m: np.ndarray) -> float:
 def fixed_point_defect(result: AntisymResult) -> float:
     """sup |h(x) + eps j int_0^x 1/chi(m)| for the returned pair, read on
     x >= 0: both are odd."""
-    st, c = result.state, result.state.grid.center_index
-    h_rebuilt = t_map(result.macro, st.grid.half_line(), st.m[c:])
-    return float(np.max(np.abs(st.h[c:] - h_rebuilt)))
+    half = result.half
+    h_rebuilt = t_map(result.macro, half.grid, half.m)
+    return float(np.max(np.abs(half.h - h_rebuilt)))
 
 
 def flux_defect(result) -> tuple[float, float]:
@@ -223,9 +228,9 @@ def flux_defect(result) -> tuple[float, float]:
     macroscopic solution and eps of the state's grid.
 
     Returns (sup defect, sup quadrature-error estimate) over the interior
-    points.  The estimate is the exact discrepancy of differentiating the
-    trapezoid antiderivative: |eps j| chi |second difference of 1/chi| / 4.
-    A constant shift of h (the off-center projection) changes neither.
+    points, the estimate |eps j| chi |second difference of 1/chi| / 4, the
+    exact discrepancy of differentiating the trapezoid antiderivative.  A
+    constant shift of h changes neither.
     """
     state, eps_j = result.state, result.state.grid.epsilon * result.macro.j
     chi = np.asarray(mobility(state.params, state.m))
@@ -240,23 +245,18 @@ def flux_defect(result) -> tuple[float, float]:
 def hydrodynamic_error(state: MesoState,
                        macro: MaximalSolution | MetastableMaximal,
                        x0=0.0, exclude_halfwidth=0.0) -> tuple[float, float]:
-    """Sup-norm distance to a macroscopic pair, ``macro``'s m and h
-    shifted to the interface x0, at eps x with eps of the state's grid.
+    """Sup-norm distance to ``macro``'s m and h shifted to the interface
+    x0, at eps x with eps of the state's grid.
 
-    The m comparison excludes |eps x - x0| <= exclude_halfwidth (the window
-    where the smooth interface lives); the field comparison has no
-    exclusion.  It reads the state's own grid, which must hold eps^-1 x0
-    among its points: a centred state's half line
-    (:meth:`meso.MesoState.even_half`) gives the full grid's errors, the
-    state and the closed forms being odd in x and the window symmetric.
-    The closed forms are odd about the interface: on a grid longer on one
-    side of it (all of a half line) they are evaluated once per distance
-    from it, at the abscissae eps x - x0 of that long side, and the short
-    side reads their negatives by mirrored index, and its window by its own
-    abscissae; a grid of two equal sides is read at every point's own.
-    They are evaluated HYDRO_BLOCK points at a time, so that their many
-    temporaries stay small, m and h from one evaluation of |m|
-    (``macro.fields_of_x``).
+    The m comparison excludes |eps x - x0| <= exclude_halfwidth, where the
+    smooth interface lives.  The state's grid must hold eps^-1 x0: a
+    centred state's half line (:meth:`meso.MesoState.even_half`) gives the
+    full grid's errors, both sides being odd.  The closed forms are odd
+    about the interface: on a grid longer on one side of it they are
+    evaluated once per distance, on that side, and the short side reads
+    their negatives by mirrored index; a grid of two equal sides is read at
+    every point's own abscissa.  They are evaluated HYDRO_BLOCK points at a
+    time, m and h from one |m| (``macro.fields_of_x``).
     """
     grid, eps = state.grid, state.grid.epsilon
     c = grid.index_of(x0 / eps)

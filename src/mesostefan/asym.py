@@ -1,26 +1,25 @@
 """Off-center interface solver (x0 != 0) via the eigenvector-projected map.
 
 The antisymmetric solver run on the enlarged interval eps^-1[-1, ell*],
-ell* = 1 + 2 x0, provides an exact solution whose restriction to
+ell* = 1 + 2 x0, gives an exact solution whose restriction to
 eps^-1[-1, 1] is a quasi-solution once the right-boundary correction from
-the changed reflection is added; one restricted convolution gives both the
-correction and the state the off-center loop starts from.  Without odd
-symmetry the linearized map has an eigenvalue 1 - O(eps) whose inversion
-would blow up the iteration, so each field, the current integral from the
-interface, is projected against the extended problem's maximal
-eigenvector u* (:func:`projected_field`).  The paper's projected map then
-solves the auxiliary fixed point at that field and contracts with ratio
-O(eps) in a boundary-anchored exponentially weighted norm.  The solver
-iterates the coupled fixed point of the two instead, in the loop every
-solver shares (:func:`meso.iterate`), with a Newton step along u* at its
-eigenvalue lambda*, which turns the slow 1 - O(eps) mode into a fast one.
+the changed reflection is added.  Without odd symmetry the linearized map
+has an eigenvalue 1 - O(eps) whose inversion would blow up the iteration,
+so each field, the current integral from the interface, is projected
+against the extended problem's maximal eigenvector u*
+(:func:`projected_field`).  The paper's projected map then solves the
+auxiliary fixed point at that field and contracts with ratio O(eps) in a
+boundary-anchored exponentially weighted norm.  The solver iterates the
+coupled fixed point of the two instead, in the loop every solver shares
+(:func:`meso.iterate`), with a Newton step along u* at its eigenvalue
+lambda*, which turns the slow 1 - O(eps) mode into a fast one.  u* stays
+on the extended half line, whose centre is the interface, read on
+eps^-1[-1, 1] by mirrored index: nothing of the extended length is kept.
 
-The solve takes the maximal solution (holding beta and j) and the
-instanton; check_off_center, with the same arguments, holds every check
+check_off_center, with the solve's arguments, holds every check
 build_problem makes before the extended solve, and ``mesostefan validate``
-runs it at each scale.  The problem holds the solution and the grids, and
-the projected field, the admissibility report and the result read beta and
-j from the one and eps from the other.
+runs it at each scale.  Beta and j come from the maximal solution, eps
+from the grids.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, GridError
-from .grids import Grid, Kernel, build_grid
+from .grids import Grid, Kernel
 from .instanton import Instanton
 from .meso import IterationTrace, MesoState, iterate, make_state
 from .spectral import SpectralResult, leading_eigenpair, slope_start
@@ -106,12 +105,11 @@ class OffCenterProblem:
     x0: float
     extended_trace: IterationTrace   # of the solve on eps^-1[-1, ell*]
     xi_eps: float                    # gluing point of the extended seed
-    ext_grid: Grid
     res_grid: Grid
-    u_star: SpectralResult           # of the extended state
+    u_star: SpectralResult           # on the extended half line
     r_tail: np.ndarray               # r_eps on the last k + 1 res_grid points
     h_eps: np.ndarray                # quasi-solution field on res_grid
-    projector: np.ndarray            # u* (trapezoid weights) / int u*
+    u_mass: float                    # trapezoid sum of u* on res_grid / spacing
     a_plus: float                    # right rate of the boundary weight
     interface_index: int             # index of eps^-1 x0 in res_grid
 
@@ -122,7 +120,19 @@ class OffCenterProblem:
 
     @property
     def u_star_restricted(self) -> np.ndarray:
-        return self.u_star.u[: self.res_grid.n]
+        """u* on res_grid, built on each read: index i reads the half line
+        at |i - c|, c the interface, the extended grid's centre."""
+        return antisym.extension(self.u_star.u, self.interface_index,
+                                 self.res_grid.n, odd=False)
+
+    def along_u_star(self, f: np.ndarray) -> float:
+        """The trapezoid integral of f u* on res_grid over that of u*, u*
+        read by mirrored index."""
+        u, c, n = self.u_star.u, self.interface_index, f.size
+        total = np.einsum("i,i->", f[:c], u[c:0:-1]) \
+            + np.einsum("i,i->", f[c:], u[:n - c]) \
+            - 0.5 * (f[0] * u[c] + f[-1] * u[n - 1 - c])
+        return float(total) / self.u_mass
 
     @property
     def r_eps(self) -> np.ndarray:
@@ -135,32 +145,28 @@ class OffCenterProblem:
 
 def check_off_center(macro: MaximalSolution, kernel: Kernel,
                      instanton: Instanton, eps, x0, n0
-                     ) -> tuple[Grid, int, Grid, Grid, int]:
+                     ) -> tuple[Grid, int, Grid, int]:
     """Raise what :func:`build_problem` raises before the extended solve;
-    return the extended solve's seed layout (its centred grid on
-    eps^-1[-(1 + x0), 1 + x0] and gluing index), the same points relabeled
-    as eps^-1[-1, 1 + 2 x0], the restricted grid and the index of the
-    interface eps^-1 x0 in it.
+    return the extended solve's seed layout (the half line of its centred
+    grid on eps^-1[-(1 + x0), 1 + x0] and gluing index), the restricted
+    grid on eps^-1[-1, 1] and the index of the interface eps^-1 x0 in it.
 
     Needs 0 < x0 < 1, an extended run that passes
-    :func:`antisym.check_centred`, a restricted grid on eps^-1[-1, 1] with
-    eps^-1 x0 among its points (the relabeled and restricted grids then
-    share their left end, the restricted right end and the interface), and
-    an extension of at least one kernel range past eps^-1.
+    :func:`antisym.check_centred`, eps^-1 x0 among the restricted grid's
+    points and an extension of at least one kernel range past eps^-1.  The
+    centred grid relabeled as eps^-1[-1, 1 + 2 x0] then shares the
+    restricted grid's left end, and its centre is the interface.
     """
     if not 0.0 < x0 < 1.0:
         raise DomainError("interface offset must lie in (0, 1); for x0 < 0 "
                           "flip the signs of x and j (mirror symmetry)")
-    grid, xi_index = antisym.check_centred(macro, kernel, instanton, eps,
+    half, xi_index = antisym.check_centred(macro, kernel, instanton, eps,
                                            1.0 + x0, n0)
-    res_grid = build_grid(eps, 1.0, 1.0, kernel.spacing)
-    interface_index = res_grid.index_of(x0 / eps)
-    ext_grid = build_grid(eps, 1.0, 1.0 + 2.0 * x0, kernel.spacing)
-    if ext_grid.n != grid.n:
-        raise GridError("extended grid relabeling mismatch")
-    if res_grid.n - 1 + kernel.half_points >= ext_grid.n:
+    res_grid = grids.build_grid(eps, 1.0, 1.0, kernel.spacing)
+    interface_index = res_grid.index_of(x0 / eps)     # = half.n - 1
+    if res_grid.n - 1 + kernel.half_points >= 2 * interface_index + 1:
         raise GridError("extended domain too short for the boundary correction")
-    return grid, xi_index, ext_grid, res_grid, interface_index
+    return half, xi_index, res_grid, interface_index
 
 
 def build_problem(macro: MaximalSolution, kernel: Kernel,
@@ -169,40 +175,30 @@ def build_problem(macro: MaximalSolution, kernel: Kernel,
     """The extended solution's trace and eigenpair, the quasi-solution, and
     the quasi-solution's state.
 
-    The extended centred loop runs on the half line of the layout
-    check_off_center built (:func:`antisym.solve_half_line`).  Its state
-    is odd, so its leading pair is found on the even half line
-    (:meth:`meso.MesoState.even_half`), by power iteration from the
-    instanton's slope there (:func:`spectral.slope_start`); the half line's
-    weights count the mirror image, so u*, its even extension to ext_grid,
-    is normalised there.  Of the rest, only the restriction to res_grid is
-    odd-extended: h and J^neum*m, and m* one kernel range further.
-    r_eps is the extended minus the restricted reflected convolution of m*,
-    exactly 0 more than one kernel range left of eps^-1, so both are formed
-    on the last k + 1 points alone, from the 3k + 1 values of m* around
-    them; elsewhere the restricted convolution is the loop's.  So h* +
-    r_eps is an exact fixed-point field for the restricted kernel.  Of the
-    extended state only the eigenvector outlives the off-center loop's
-    start.
+    The extended centred loop runs on check_off_center's half line
+    (:func:`antisym.solve_half_line`).  Its state is odd, so u* is the
+    leading pair of its even half line (:meth:`meso.MesoState.even_half`),
+    from the instanton's slope (:func:`spectral.slope_start`), normalised as
+    on the extended grid and kept there.  Of the rest only the restriction
+    to res_grid is odd-extended: h, J^neum*m, and m* one kernel range
+    further.  r_eps, the extended minus the restricted reflected
+    convolution of m*, is 0 more than one kernel range left of eps^-1, so
+    both are formed on the last k + 1 points from the 3k + 1 values of m*
+    around them; elsewhere the restricted convolution is the loop's.  So
+    h* + r_eps is an exact fixed-point field for the restricted kernel.
     """
-    grid, xi_index, ext_grid, res_grid, interface_index = check_off_center(
-        macro, kernel, instanton, eps, x0, n0)
-    last, trace = antisym.solve_half_line(macro, kernel, instanton, grid,
+    half, xi_index, res_grid, c = check_off_center(macro, kernel, instanton,
+                                                   eps, x0, n0)
+    last, trace = antisym.solve_half_line(macro, kernel, instanton, half,
                                           xi_index)
-    half = last.even_half()
-    pair = leading_eigenpair(half, start=slope_start(half, instanton))
-    c = grid.center_index
-    u = np.empty(ext_grid.n)
-    u[c:], u[:c] = pair.u, pair.u[:0:-1]
-    u.setflags(write=False)
-    u_star = SpectralResult(pair.lambda_, u, pair.iterations, pair.residual,
-                            pair.extrapolations)
-    del half, pair
+    even = last.even_half()
+    u_star = leading_eigenpair(even, start=slope_start(even, instanton))
+    del even
 
     n_res, k = res_grid.n, kernel.half_points
-    m_star = antisym.odd_extension(last.m, c, n_res + k)
-    h_eps = antisym.odd_extension(last.h, c, n_res)
-    conv_eps = antisym.odd_extension(last.conv, c, n_res)
+    m_star = antisym.extension(last.m, c, n_res + k)
+    h_eps = antisym.extension(last.h, c, n_res)
+    conv_eps = antisym.extension(last.conv, c, n_res)
     del last
     # the last k + 1 points and their k neighbours on the left, and on the
     # right the extended grid's or the mirror image about eps^-1
@@ -220,29 +216,36 @@ def build_problem(macro: MaximalSolution, kernel: Kernel,
         raise ConvergenceError(f"quasi-solution residual "
                                f"{start.residual_norm:.3e} exceeds 1e-9")
 
-    u_res = u[:n_res]
-    projector = u_res * (res_grid.spacing / np.trapezoid(
-        u_res, dx=res_grid.spacing))
-    projector[[0, -1]] *= 0.5
-    projector.setflags(write=False)
+    # u* at indices 0 .. c and c .. n_res - 1 of res_grid, by trapezoids
+    u, right = u_star.u, n_res - 1 - c
+    u_mass = float(u[:c + 1].sum() + u[:right + 1].sum()
+                   - u[0] - 0.5 * (u[c] + u[right]))
     a_plus = default_a_plus(instanton, res_grid.epsilon, x0)
     r_tail.setflags(write=False)
     return OffCenterProblem(macro, float(x0), trace,
-                            float(xi_index * grid.spacing), ext_grid,
-                            res_grid, u_star, r_tail, start.h, projector,
-                            a_plus, interface_index), start
+                            float(xi_index * half.spacing), res_grid, u_star,
+                            r_tail, start.h, u_mass, a_plus, c), start
+
+
+def extended_u_star(problem: OffCenterProblem) -> tuple[Grid, np.ndarray]:
+    """The extended grid eps^-1[-1, 1 + 2 x0] and u* on it, the even
+    extension of the half line's about its centre, the interface."""
+    g = problem.res_grid
+    grid = grids.build_grid(g.epsilon, 1.0, 1.0 + 2.0 * problem.x0, g.spacing)
+    return grid, antisym.extension(problem.u_star.u, problem.interface_index,
+                                   grid.n, odd=False)
 
 
 def projected_field(problem: OffCenterProblem, m: np.ndarray, out=None,
                     scratch=None) -> np.ndarray:
     """The projected current integral of m: the current law integrated from
     the interface, less its component along the extended maximal
-    eigenvector (plain trapezoid integrals, in one product against the
-    problem's projector).  Formed in ``out`` with ``scratch`` for 1/chi
-    when they are given."""
+    eigenvector (plain trapezoid integrals,
+    :meth:`OffCenterProblem.along_u_star`).  Formed in ``out`` with
+    ``scratch`` for 1/chi when they are given."""
     h_hat = antisym.current_integral(problem.macro, problem.res_grid, m,
                                      problem.interface_index, out, scratch)
-    h_hat -= float(np.einsum("i,i->", h_hat, problem.projector))
+    h_hat -= problem.along_u_star(h_hat)
     return h_hat
 
 
@@ -274,22 +277,21 @@ def solve_off_center(macro: MaximalSolution, kernel: Kernel,
 
     :func:`meso.iterate` runs from the quasi-solution's state with the
     projected field and the Newton direction (u*, lambda*) restricted to the
-    grid, weighted once for the whole loop by the quasi-solution's 1/p, so
-    the returned field is the projected current integral of the returned m
-    exactly.  The final
-    field's zero is located near the interface by bracketing plus linear
-    interpolation, and the magnetization zero is reported separately (the
-    two need not coincide).
+    grid, weighted once by the quasi-solution's 1/p, so the returned field
+    is the projected current integral of the returned m exactly.  The
+    field's and the magnetization's zeros near the interface are located by
+    bracketing plus linear interpolation (they need not coincide).
     """
     problem, start = build_problem(macro, kernel, instanton, eps, x0, n0)
     u = problem.u_star_restricted
-    newton = (u, problem.u_star.lambda_, start.quadrature * u)
+    newton = (u, problem.u_star.lambda_, start.weighted(u))
     # handed over with no name left here, the start is freed after the
     # loop's first step; of it only the weighted direction stays alive
     held = [start]
-    del start
+    del start, u
     state, trace = iterate(held.pop(), lambda m, out, scratch: projected_field(
         problem, m, out, scratch), newton)
+    del newton
     state = state.copy()
     field_zero = _zero_near(problem, state.h)
     m_zero = _zero_near(problem, state.m)

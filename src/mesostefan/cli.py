@@ -199,18 +199,14 @@ def _shared_inputs(cfg: RunConfig) -> tuple:
 def _solve_one(cfg: RunConfig, eps, shared: tuple):
     """One mesoscopic solve at a single scale; returns (row, result).
 
-    Every mode runs the same pipeline on the shared inputs: the mode's
-    solver, the hydrodynamic error against the Stefan limit shifted to the
-    interface (x0 off center, 0 for antisym and metastable), and the
-    leading eigenpair.  Only the solver, the shift, the pair's start and
-    the extra column (I_eps for metastable, eps_x_eps off center) depend on
-    the mode.  An antisym or metastable state is odd about x = 0, and so
-    are the closed forms, so both checks run on its half line
-    (:meth:`meso.MesoState.even_half`): the error reads x >= 0 and the
-    pair is the even sector's, where the leading eigenvector lives.  Its
-    power iteration starts from the interface slope
-    (:func:`spectral.slope_start`), off center from u* restricted to the
-    grid, the extended problem's eigenvector.
+    Every mode runs one pipeline on the shared inputs: the mode's solver,
+    the hydrodynamic error against the Stefan limit shifted to the
+    interface x0, and the leading eigenpair; the extra column is I_eps for
+    metastable, eps_x_eps off center.  A centred result is odd about x = 0,
+    and so are the closed forms, so both checks run on the half line it
+    holds (:meth:`meso.MesoState.even_half`), the pair from the interface
+    slope (:func:`spectral.slope_start`); off center on the state, the pair
+    from u* restricted to the grid.
     """
     _, _, solve, arg = _mode(cfg)
     inst = shared[2]
@@ -218,18 +214,19 @@ def _solve_one(cfg: RunConfig, eps, shared: tuple):
     row = SweepRow(eps=eps, mode=cfg.mode, iters=len(res.trace.increments))
     row.c_instanton = abs(res.macro.j) * inst.mean / inst.norm_sq
     if cfg.mode == "asym":
-        checked, start = res.state, res.problem.u_star_restricted
+        checked, start = res.state, lambda: res.problem.u_star_restricted
         # the extended centred solve made updates too
         x0, traces = res.problem.x0, [res.problem.extended_trace, res.trace]
         row.eps_x_eps = res.eps_field_zero
     else:
-        checked, x0, traces = res.state.even_half(), 0.0, [res.trace]
-        start = spectral.slope_start(checked, inst)
+        checked, x0, traces = res.half.even_half(), 0.0, [res.trace]
+        start = lambda: spectral.slope_start(checked, inst)
     row.picard_steps = sum(len(t.increments) - 1 for t in traces)
     row.picard_extrapolations = sum(len(t.extrapolated) for t in traces)
     row.hydro_m, row.hydro_h = antisym.hydrodynamic_error(
         checked, res.macro, x0, eps * res.xi_eps)
-    sp = spectral.leading_eigenpair(checked, start=start)
+    # handed over unnamed, the start is freed in the pair
+    sp = spectral.leading_eigenpair(checked, start=start())
     row.lam_gap_ratio = (1.0 - sp.lambda_) / eps
     row.power_steps = sp.iterations
     row.power_extrapolations = sp.extrapolations
@@ -245,7 +242,7 @@ def _save_run(out, res):
     extrapolated with that ratio, else 0."""
     st, tr = res.state, res.trace
     steps = range(len(tr.increments))
-    save_state(os.path.join(out, "state.csv"), st)
+    save_state(os.path.join(out, "state.csv"), st, res.macro.j)
     save_table(os.path.join(out, "trace.csv"),
                "k,increment,ratio,residual,extrapolated", steps,
                tr.increments, [float("nan")] + tr.ratios, tr.residuals[:-1],
@@ -284,8 +281,8 @@ def cmd_solve(args) -> int:
         "spacing": cfg.spacing, "n0": cfg.n0, "residual": residual}
     if cfg.mode == "asym":
         prob = res.problem
-        save_profile(os.path.join(out, "u_star.csv"), prob.ext_grid,
-                     prob.u_star.u)
+        save_profile(os.path.join(out, "u_star.csv"),
+                     *asym.extended_u_star(prob))
         save_profile(os.path.join(out, "r_eps.csv"), prob.res_grid,
                      prob.r_eps)
         record |= {"x_eps": res.field_zero, "m_zero": res.m_zero,
@@ -304,10 +301,14 @@ def cmd_spectrum(args) -> int:
     sidecar's beta and kernel.  An exactly odd state, as every centred solve
     writes it, is solved in its two sectors on its odd half line: the pair on
     its even view (:meth:`meso.MesoState.even_half`), lambda2 as the odd
-    sector's top eigenvalue; any other state on the full grid."""
+    sector's top eigenvalue; any other state on the full grid.  --j must be
+    the sidecar's j, if it records one."""
     if args.j is not None and not np.isfinite(args.j):
         raise DomainError("--j must be finite")
-    grid, h, m, beta, shape = load_state(args.state)
+    grid, h, m, beta, shape, j = load_state(args.state)
+    if args.j is not None and j is not None and args.j != j:
+        raise DomainError(f"--j {args.j!r} is not the current j = {j!r} the "
+                          f"state {args.state} was solved at")
     params, kernel = _params_kernel(beta, grid.spacing, shape)
     odd = grid.left == grid.right and grid.n % 2 == 1 and all(
         np.array_equal(a, -a[::-1]) for a in (h, m))
@@ -386,14 +387,12 @@ def validate(cfg: RunConfig) -> list:
     """Findings that fail a sweep row before its solve iterates, as
     (exit code, message) pairs.
 
-    Checks the config's fields (``RunConfig.validate_fields``), computes
-    the shared inputs, then runs the mode's precondition check at each eps
-    with the arguments its solver gets: ``antisym.check_centred`` or
-    ``asym.check_off_center``, which the solvers call first.  The code is
-    the one the row would carry, and the message starts with the prefix
-    ``main`` prints for it ("config error", "infeasible", "numerical
-    failure").  The errors a sweep row records are reported, never raised;
-    a solve can still fail while iterating (exit code 4).
+    Checks the config's fields, computes the shared inputs, then runs the
+    mode's precondition check (``antisym.check_centred`` or
+    ``asym.check_off_center``, which the solvers call first) at each eps
+    with its solver's arguments.  The code is the one the row would carry,
+    the message starts with ``main``'s prefix for it, and nothing is
+    raised; a solve can still fail while iterating (exit code 4).
     """
     try:
         shared = _shared_inputs(cfg.validate_fields())

@@ -5,22 +5,18 @@ kernel J is an even probability density supported on [-1, 1]; convolution is
 trapezoid quadrature, with reflected images about both endpoints
 (:func:`conv_values`, J^neum) or on the zero-extended line
 (:func:`conv_values_filled`).  A grid's width must be a whole number of
-cells: no spacing is adjusted.  An ``odd`` grid, :meth:`Grid.half_line`,
+cells.  An ``odd`` grid (:func:`build_half_line`, :meth:`Grid.half_line`)
 holds odd profiles by their values on x >= 0, which :func:`conv_values`
-reflects about x = 0 with a sign; on the plain half line the mirror at
-x = 0 is the even reflection, so it holds even profiles.
+reflects about x = 0 with a sign; the plain half line holds even ones.
 
 Every convolution runs as a blocked Toeplitz matrix product.  The padded
 values are written into one zero-tailed buffer and viewed as rows of B
-points, B = :func:`block_size` of the kernel's taps: taps - 1 rounded up
-to a multiple of 8, at most BLOCK.  Output block b is sum_q P[b + q] @ T[q],
-where the Q = ceil((B + taps - 1) / B) slabs T[q] are B x B Toeplitz pieces
-of the kernel built once per :class:`Kernel`.  That is Q matrix products
-through BLAS per CHUNK_ROWS row blocks, n * B * Q multiply-adds in all: 80 n
-at 41 taps (B = 40, Q = 2), where B = 64 would take 128 n.  The padded
-buffer and the output share one array: a caller that convolves on every
-step of a loop passes the same :func:`conv_workspace` each time, and its
-steps then fault in no fresh pages.
+points, B = :func:`block_size` of the kernel's taps.  Output block b is
+sum_q P[b + q] @ T[q], where the Q = ceil((B + taps - 1) / B) slabs T[q]
+are B x B Toeplitz pieces of the kernel built once per :class:`Kernel`:
+n * B * Q multiply-adds, 80 n at 41 taps (B = 40, Q = 2), where B = 64
+would take 128 n.  The padded buffer and the output share one array, which
+a loop passes again on every step (:func:`conv_workspace`).
 """
 
 from __future__ import annotations
@@ -162,8 +158,29 @@ def build_grid(epsilon, half_length_left, half_length_right, spacing) -> Grid:
     The width eps^-1 (left + right) must be a whole number of cells of the
     spacing, to a relative 1e-9; the grid is then exact at that spacing.
     """
-    vals = (epsilon, half_length_left, half_length_right, spacing)
-    if not all(np.isfinite(v) for v in vals):
+    a, step, cells = _cells(epsilon, half_length_left, half_length_right,
+                            spacing)
+    return Grid(float(epsilon), float(half_length_left),
+                float(half_length_right), step, _points(a, step, 0, cells + 1))
+
+
+def build_half_line(epsilon, half_length, spacing) -> Grid:
+    """The odd half line x >= 0 of build_grid(epsilon, half_length,
+    half_length, spacing), its points that grid's to the bit, built alone;
+    GridError too when x = 0 is not one of them."""
+    a, step, cells = _cells(epsilon, half_length, half_length, spacing)
+    c = int(round(-a / step))
+    points = _points(a, step, c, cells + 1)
+    if abs(points[0]) > 1e-9:
+        raise GridError(f"x = 0 is not a point of the grid from {a:.10g} at "
+                        f"spacing {step:.6g}")
+    return Grid(float(epsilon), 0.0, float(half_length), step, points, True)
+
+
+def _cells(epsilon, half_length_left, half_length_right, spacing):
+    """(left end, spacing, cells) of build_grid's checked grid."""
+    if not all(np.isfinite(v) for v in (epsilon, half_length_left,
+                                        half_length_right, spacing)):
         raise GridError("grid parameters must be finite")
     if not 0.0 < epsilon < 1.0:
         raise GridError(f"epsilon must be in (0, 1), got {epsilon}")
@@ -187,11 +204,16 @@ def build_grid(epsilon, half_length_left, half_length_right, spacing) -> Grid:
             f"of spacing {spacing:.6g}")
     if n_cells + 1 < 3:
         raise GridError("grid needs at least 3 points")
-    adjusted = width / n_cells
-    points = a + adjusted * np.arange(n_cells + 1)
+    return a, float(width / n_cells), n_cells
+
+
+def _points(a, step, start, stop) -> np.ndarray:
+    """Read-only a + step i, i = start .. stop - 1, formed in place."""
+    points = np.arange(start, stop, dtype=float)
+    points *= step
+    points += a
     points.setflags(write=False)
-    return Grid(float(epsilon), float(half_length_left), float(half_length_right),
-                float(adjusted), points)
+    return points
 
 
 def build_kernel(grid_spacing, shape="cos2") -> Kernel:

@@ -4,23 +4,19 @@ A state is a pair (h, m) on a grid together with the convolution J^neum*m
 that its residual was measured from.  The linearization weight
 p = beta / cosh^2(beta J^neum*m + beta h) and the quadrature weights over p
 are derived from it on first use, so a state that only feeds the next
-solve never forms them, and every loop restarts from a state's
-convolution.  At exact fixed points of m = tanh(beta J^neum*m + beta h)
-the weight coincides with the mobility chi(m), which the solvers exploit
-throughout.
+solve never forms them.  At exact fixed points the weight coincides with
+the mobility chi(m).
 
 One fixed-point loop, :func:`iterate`, serves every solver and the
 instanton.  Each step forms a field h from m, F = tanh(beta (J^neum*m + h))
-through :func:`fixed_point_map` and the residual sup|F - m|, and sets
-m <- F, with an optional fixed Newton direction (u, lambda) that adds
-lambda/(1 - lambda) <F - m, u>_{1/p} u.  The centred solvers pass the
-current integral as the field, the off-center solver its projected current
-integral with the extended problem's leading pair, the instanton zero.  The
-loop records each residual in an :class:`IterationTrace` and runs in one
-:class:`Workspace`, so that no step allocates an n-point array.  Once two
-increment ratios agree, a step extrapolates over that ratio
-(:func:`settled_ratio`, :func:`extrapolate`), as the power iteration of
-:mod:`spectral` does.
+and the residual sup|F - m|, and sets m <- F, with an optional fixed Newton
+direction (u, lambda) that adds lambda/(1 - lambda) <F - m, u>_{1/p} u.
+The centred solvers pass the current integral as the field, the
+off-center solver its projected current integral with the extended
+problem's leading pair, the instanton zero.  The loop records each
+residual in an :class:`IterationTrace`, runs in one :class:`Workspace`,
+and once two increment ratios agree extrapolates over that ratio
+(:func:`settled_ratio`, :func:`extrapolate`).
 """
 
 from __future__ import annotations
@@ -96,8 +92,7 @@ class MesoState:
     def p(self) -> np.ndarray:
         """Linearization weight beta / cosh^2(beta (J^neum*m + h)), built on
         first use from the arithmetic of the solve's own field argument."""
-        p = self.params.beta / np.cosh(self.params.beta
-                                       * (self.conv + self.h)) ** 2
+        p = self._p()
         p.setflags(write=False)
         return p
 
@@ -108,11 +103,29 @@ class MesoState:
         product of two functions of one parity sums as on the full grid.
         Products against them run in einsum: a BLAS dot's sum depends on
         its thread count."""
-        q = self.grid.spacing / self.p
+        q = self._quadrature(self.p.copy())
+        q.setflags(write=False)
+        return q
+
+    def weighted(self, u: np.ndarray) -> np.ndarray:
+        """The bits of ``quadrature * u``, caching neither p nor the
+        weights."""
+        q = self._quadrature(self._p())
+        q *= u
+        return q
+
+    def _p(self) -> np.ndarray:
+        p = np.add(self.conv, self.h)
+        p *= self.params.beta
+        np.cosh(p, out=p)
+        np.square(p, out=p)
+        return np.divide(self.params.beta, p, out=p)
+
+    def _quadrature(self, p: np.ndarray) -> np.ndarray:
+        q = np.divide(self.grid.spacing, p, out=p)
         q[[0, -1]] *= 0.5
         if self.grid.left == 0.0:
             q *= 2.0
-        q.setflags(write=False)
         return q
 
     def copy(self) -> MesoState:
@@ -125,12 +138,10 @@ class MesoState:
         """The points x >= 0 of a state odd about x = 0, or an odd half
         line's state, on the plain half line (``Grid.half_line(odd=False)``).
 
-        Its h, m and J^neum*m are the state's own there, so p is too, and p
-        is even; the plain half line mirrors at x = 0 by the even
-        reflection.  So its p J^neum is the full operator's even sector,
-        where the leading pair lives, its weights (:attr:`quadrature`) give
-        the full grid's inner products of even functions, and whatever it
-        reads of h and m is what the full state holds at x >= 0.
+        Its h, m, J^neum*m and p are the state's own there, and p is even,
+        so its p J^neum is the full operator's even sector, where the
+        leading pair lives, and its weights (:attr:`quadrature`) give the
+        full grid's inner products of even functions.
         """
         c = self.grid.center_index
         return replace(self, grid=self.grid.half_line(odd=False),
@@ -225,26 +236,24 @@ def iterate(start: MesoState, field_of, newton=None
     """Fixed-point iteration of m = tanh(beta (J^neum*m + h(m))) from the
     state ``start``.
 
-    Step k forms h = field_of(m, out, scratch), the field of m (in ``out``,
-    with ``scratch`` free to use, or any array), F = tanh(beta (J^neum*m +
-    h)) and the residual r = sup|F - m| of the pair (h, m), which it
-    returns once r < INNER_TOL (so h is the field of the returned m
-    exactly).  Otherwise m <- F; with ``newton`` = (u, lambda, wu), a
-    direction, its eigenvalue and the direction times the weights w of the
-    inner product (1/p, :attr:`MesoState.quadrature`), m <- F +
-    lambda/(1 - lambda) <F - m, u>_w u instead, the inner product one sum
-    against wu: a Newton step along u, Picard on the rest.  When two
+    Step k forms h = field_of(m, out, scratch) (in ``out``, with
+    ``scratch`` free to use, or any array), F = tanh(beta (J^neum*m + h))
+    and the residual r = sup|F - m| of the pair (h, m), which it returns
+    once r < INNER_TOL (so h is the field of the returned m exactly).
+    Otherwise m <- F; with ``newton`` = (u, lambda, wu), wu the direction
+    times the weights w of the 1/p inner product
+    (:meth:`MesoState.weighted`), m <- F + lambda/(1 - lambda) <F - m, u>_w
+    u instead: a Newton step along u, Picard on the rest.  When two
     increment ratios agree (:func:`settled_ratio`) and the step before did
-    not extrapolate, the update m' so formed becomes m' + rho/(1 - rho)
-    (m' - m), rho the last ratio.  The first step reuses the start's
-    convolution, every later one makes one.  STALL_STEPS residuals in a row that do not
-    fall, or MAX_ITER steps, raise :class:`ConvergenceError` with the
-    trace.  The loop owns ``out`` and a :class:`Workspace` for the rest, so
-    no step allocates an n-point array; the returned state holds views of
-    them.  It keeps no reference to ``start``, and none to its m and conv
-    after the first step: a start handed over with no name left in the
-    caller is freed then (on CPython from 3.11, which moves a call's
-    arguments into the callee's frame).
+    not extrapolate, the update m' becomes m' + rho/(1 - rho) (m' - m), rho
+    the last ratio.  The first step reuses the start's convolution.
+    STALL_STEPS residuals in a row that do not fall, or MAX_ITER steps,
+    raise :class:`ConvergenceError` with the trace.  The loop owns ``out``
+    and a :class:`Workspace`, so no step allocates an n-point array; the
+    returned state holds views of them.  It keeps no reference to
+    ``start``, and none to its m and conv after the first step: a start
+    handed over with no name left in the caller is freed then (on CPython
+    from 3.11, which moves a call's arguments into the callee's frame).
     """
     params, kernel, grid = start.params, start.kernel, start.grid
     trace = IterationTrace(start.residual_norm)

@@ -31,10 +31,11 @@ def save_profile(path, grid: Grid, values):
     _save_sidecar(path, grid)
 
 
-def save_state(path, state):
+def save_state(path, state, j=None):
     """Write the state's ``x,h,m`` rows, their ``.npy`` copy (one float64
     array, written row by row) and a sidecar: the grid's descriptor, beta,
-    kernel shape, and the byte length and CRC-32 of both files."""
+    kernel shape, the current j it was solved at when given, and the byte
+    length and CRC-32 of both files."""
     rows = (state.grid.points, state.h, state.m)
     save_table(path, "x,h,m", *rows)
     with open(_copy(path), "wb") as fh:
@@ -42,8 +43,9 @@ def save_state(path, state):
             "descr": "<f8", "fortran_order": False, "shape": (3, state.m.size)})
         for row in rows:
             np.asarray(row, dtype="<f8").tofile(fh)
+    current = {} if j is None else {"j": float(j)}
     _save_sidecar(path, state.grid, beta=state.params.beta,
-                  kernel=state.kernel.shape, csv=_stamp(path),
+                  kernel=state.kernel.shape, **current, csv=_stamp(path),
                   npy=_stamp(_copy(path)))
 
 
@@ -88,16 +90,16 @@ def _stamp(path) -> dict:
 
 
 def load_state(path):
-    """(grid, h, m, beta, kernel shape) of a state file.
+    """(grid, h, m, beta, kernel shape, j) of a state file, j None when the
+    sidecar records no current.
 
     x, h and m are the bits the CSV parses to, read from the binary copy
     of :func:`save_state` when both files match the sidecar's byte lengths
-    and CRC-32s, else parsed.  The rest comes from the sidecar, which must
-    exist (bare points give neither eps nor the operator), be a JSON object
-    holding the epsilon, left, right and spacing of ``Grid.descriptor``, a
-    numeric beta and a known kernel shape, and give points that match the
-    x column, and x, h and m must be finite; GridError naming it otherwise.
-    Read from the copy, each of the three files is opened once.
+    and CRC-32s, else parsed.  The sidecar must exist, hold the epsilon,
+    left, right and spacing of ``Grid.descriptor``, a numeric beta and a
+    known kernel shape, and give points that match the x column, and x, h
+    and m must be finite; GridError naming it otherwise.  Read from the
+    copy, each of the three files is opened once.
     """
     copy = _load_copy(path)
     x, h, m = copy[1:] if copy else load_columns(path, ("x", "h", "m"))
@@ -110,6 +112,7 @@ def load_state(path):
         d = copy[0] if copy else _read_json(side)
         grid = build_grid(d["epsilon"], d["left"], d["right"], d["spacing"])
         beta, shape = float(d["beta"]), d["kernel"]
+        j = None if d.get("j") is None else float(d["j"])
         if shape not in KERNEL_SHAPES:
             raise ValueError(f"unknown kernel shape {shape!r}")
     except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -120,7 +123,7 @@ def load_state(path):
             > 1e-9 * max(1.0, grid.b):
         raise GridError(f"x column of {path} does not match its grid "
                         f"descriptor {side}")
-    return grid, h, m, beta, shape
+    return grid, h, m, beta, shape, j
 
 
 def _read_json(path):

@@ -3,17 +3,15 @@
 The operator A psi = p (J^neum * psi) is self-adjoint under the weight 1/p,
 has a positive maximal eigenvalue with a positive eigenvector, and a
 spectral gap that stays open as the scale parameter shrinks.  Everything
-here is matrix-free: power iteration for the leading pair (in the sweeps
-from the interface slope, its eigenvector to O(eps)), extrapolating as
-the fixed-point loop does, a Lanczos
-recurrence on its weighted complement for the gap, and every inner product
-a sum against the state's cached quadrature weights.  ``mesostefan
-spectrum`` solves an exactly odd state in its two reflection sectors on
-the half line: the pair in the even one, lambda2 as the odd one's top
-eigenvalue, with no pair to deflate.  Each loop keeps its
-vectors and its convolution's workspace for its whole run: no step
-allocates an n-point array.  The leading pair of the extended centred state
-is also the off-center solve's Newton direction (:func:`asym.build_problem`).
+here is matrix-free: power iteration for the leading pair, extrapolating
+as the fixed-point loop does, a Lanczos recurrence on its weighted
+complement for the gap, and every inner product a sum against the state's
+quadrature weights.  ``mesostefan spectrum`` solves an exactly odd state
+in its two reflection sectors on the half line: the pair in the even one,
+lambda2 as the odd one's top eigenvalue.  Each loop keeps its vectors and
+its convolution's workspace for its whole run.  The extended centred
+state's leading pair is the off-center Newton direction
+(:func:`asym.build_problem`).
 """
 
 from __future__ import annotations
@@ -52,27 +50,20 @@ def leading_eigenpair(state: MesoState, tol=1e-12,
     positive at every point of the state's grid (p when None).
 
     Stops when both the Rayleigh quotient is stationary to ``tol`` and the
-    operator residual sup|A u - rq u| drops below ``tol`` (the eigenvector
-    itself must be converged, not just the eigenvalue, because downstream
-    deflations inherit its error).  The residual is formed only on steps
-    where the quotient is already stationary: the rule is an AND, so the
-    stopping step is the same as with a residual on every step.  It
-    extrapolates as :func:`meso.iterate` does, over rho^2 from the
-    quotient's changes while they reach ``tol``, then over rho from the
-    residuals, keeping the iterate above _START_FLOOR times the plain one,
-    whose tails it would turn negative.  The sweeps
-    and the off-center set-up hand it a centred state's even half line
-    (:meth:`meso.MesoState.even_half`), where the leading pair lives and the
-    iterate is even by construction.  The better the start, the fewer the
-    steps: p's bulk part shrinks only by the bulk value of p per step, so
+    residual sup|A u - rq u| drops below ``tol`` (downstream deflations
+    inherit the eigenvector's error).  The residual is formed only once
+    the quotient is stationary: the rule is an AND, so the stopping step is
+    the same.  It extrapolates as :func:`meso.iterate` does, over rho^2 from
+    the quotient's changes while they reach ``tol``, then over rho from the
+    residuals, keeping the iterate above _START_FLOOR times the plain one.
+    The sweeps and the off-center set-up hand it a centred state's even
+    half line (:meth:`meso.MesoState.even_half`), where the leading pair
+    lives.  p's bulk part shrinks only by the bulk value of p per step, so
     the sweeps start from the eigenvector's known shape, the interface
-    slope (:func:`slope_start`), or off center from the extended problem's
-    eigenvector.  ``mesostefan spectrum`` starts from p: on an exactly odd
-    state's even view (12-13 steps on perfbench's spectrum-fine states),
-    on the full grid for any other state.  There a start symmetric about an
-    interior interface stays symmetric to rounding only: rounding along
-    the antisymmetric modes decays, their eigenvalues far below the
-    leading one.
+    slope (:func:`slope_start`), or off center from u*.  ``mesostefan
+    spectrum`` starts from p: on an exactly odd state's even view, on the
+    full grid for any other state, where a start symmetric about an
+    interior interface stays symmetric to rounding only.
     """
     if np.any(state.p <= 0.0):
         raise DomainError("linearization weight must be positive")
@@ -83,8 +74,11 @@ def leading_eigenpair(state: MesoState, tol=1e-12,
     n = state.grid.n
     work = conv_workspace(state.kernel, n)
     # the iterate alternates between u and u_prev, which holds the residual
-    # until the next iterate overwrites it
-    u, u_prev = _normalize(state, start, np.empty(n)), np.empty(n)
+    # until the next iterate overwrites it; a start handed over unnamed is
+    # freed once u is formed
+    u = _normalize(state, start, np.empty(n))
+    del start
+    u_prev = np.empty(n)
     rq_prev, older, old, stationary = np.inf, 0.0, 0.0, False
     jumps, last_jump = 0, 0
     for it in range(1, _POWER_STEPS + 1):
@@ -153,16 +147,14 @@ def second_eigenvalue(state: MesoState, result: SpectralResult | None = None
     """Dominant growth rate on the complement of the maximal eigenvector.
 
     Lanczos recurrence for p J^neum (self-adjoint in <.,.>_{1/p}) on the
-    weighted complement of ``result.u``, from p (1 + x/max|x|), which has both
-    parities, keeping two vectors: each new one is orthogonalized again
-    against u and the current one.  With ``result`` None it runs on the whole
-    space from p x/max|x|, 0 at x = 0 as an odd grid requires: on a centred
-    state's odd half line (``Grid.half_line()``, ``mesostefan spectrum``)
-    that is the odd sector, with no even u to remove, and its top is the
-    full grid's lambda2, to 3.3e-15 relative in 15-16 steps where the full
-    grid takes 16-17 (perfbench's spectrum-fine states).
-    Stops at the Ritz residual bound |beta_k s_k| <= 1e-10 max(1, |theta|),
-    theta the largest-magnitude Ritz value; raises
+    weighted complement of ``result.u``, from p (1 + x/max|x|), keeping two
+    vectors, each new one orthogonalized again against u and the current
+    one.  With ``result`` None it runs on the whole space from p x/max|x|,
+    0 at x = 0 as an odd grid requires: on a centred state's odd half line
+    (``mesostefan spectrum``) that is the odd sector, whose top is the full
+    grid's lambda2 (to 3.3e-15 relative on perfbench's spectrum-fine
+    states).  Stops at the Ritz residual bound |beta_k s_k| <= 1e-10
+    max(1, |theta|), theta the largest-magnitude Ritz value;
     :class:`ConvergenceError` when the step budget runs out.
     """
     dot, x = state.weighted_dot, state.grid.points

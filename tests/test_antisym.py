@@ -17,7 +17,7 @@ from mesostefan.config import RunConfig
 from mesostefan.errors import (ConvergenceError, DomainError, GridError,
                                InfeasibleError)
 from mesostefan import meso
-from mesostefan.grids import build_kernel, conv_values
+from mesostefan.grids import build_grid, build_kernel, conv_values
 from mesostefan.instanton import compute_instanton
 from mesostefan.meso import make_state
 from mesostefan.thermo import make_params
@@ -26,8 +26,8 @@ from mesostefan.thermo import make_params
 # ------------------------------------------------------------------- seed
 
 def _stable_seed(macro, kernel05, inst05, eps):
-    """The seed layout check_centred builds and build_seed's start state on
-    it, as solve_centred makes them."""
+    """The seed layout check_centred builds, its half line and gluing index,
+    and build_seed's start state on it, as solve_centred makes them."""
     grid, xi_index = check_centred(macro, kernel05, inst05, eps, ELL, N0)
     return grid, xi_index, build_seed(macro, kernel05, inst05, grid,
                                       xi_index)
@@ -42,9 +42,11 @@ def _odd(values):
 def test_seed_structure(kernel05, inst05, maximal_stable):
     eps = 0.05
     g, xi_index, start = _stable_seed(maximal_stable, kernel05, inst05, eps)
-    # the seed lives on the half line x >= 0 of the check's grid
-    assert start.grid.odd
-    assert np.array_equal(start.grid.points, g.points[g.center_index:])
+    # the seed lives on the check's half line, the points x >= 0 of the
+    # centred grid, to the bit
+    assert start.grid is g and g.odd
+    full = build_grid(eps, ELL, ELL, SPACING)
+    assert g.points.tobytes() == full.points[full.center_index:].tobytes()
     assert start.m[0] == start.h[0] == start.conv[0] == 0.0
     assert np.max(np.abs(start.m)) < 1.0
     # continuity at the gluing point: both sides within O(eps) of m_beta
@@ -58,8 +60,8 @@ def test_seed_structure(kernel05, inst05, maximal_stable):
 
 
 def test_seed_field_is_exact(params2, kernel05, inst05, maximal_stable):
-    grid, _, start = _stable_seed(maximal_stable, kernel05, inst05,
-                                  0.1)
+    _, _, start = _stable_seed(maximal_stable, kernel05, inst05, 0.1)
+    grid = build_grid(0.1, ELL, ELL, SPACING)
     # exact as the odd profile on the full grid too
     assert make_state(params2, kernel05, grid, _odd(start.h),
                       _odd(start.m)).residual_norm < 1e-12
@@ -94,8 +96,8 @@ def test_seed_refuses_an_instanton_of_another_beta_or_kernel(
 # ------------------------------------------------------------------ t_map
 
 def test_t_map_sign_and_oddness(params2, kernel05, inst05, maximal_stable):
-    grid, _, start = _stable_seed(maximal_stable, kernel05, inst05,
-                                  0.1)
+    _, _, start = _stable_seed(maximal_stable, kernel05, inst05, 0.1)
+    grid = build_grid(0.1, ELL, ELL, SPACING)
     h = t_map(maximal_stable, start.grid, start.m)
     assert h[0] == 0.0
     # the half line's integral from 0 is the full grid's, which is odd
@@ -301,7 +303,7 @@ def test_centred_solves_convolve_on_the_half_line(mode, params2, kernel05,
     if mode == "extended":
         problem, _ = asym.build_problem(maximal_stable, kernel05, inst05, 0.1,
                                         X0, N0)
-        n, trace = problem.ext_grid.n, problem.extended_trace
+        n, trace = 2 * problem.interface_index + 1, problem.extended_trace
         power_steps = problem.u_star.iterations
     else:
         _, res = cli._solve_one(cfg, 0.1, shared)
@@ -428,8 +430,9 @@ def test_ratios_pair_with_increments_after_zero(stable_sweep, tmp_path):
     assert len(tr.ratios) == 4
     out = tmp_path / "run"
     out.mkdir()
-    cli._save_run(str(out), SimpleNamespace(state=stable_sweep[0.1].state,
-                                            trace=tr))
+    res = stable_sweep[0.1]
+    cli._save_run(str(out), SimpleNamespace(state=res.state, trace=tr,
+                                            macro=res.macro))
     lines = (out / "trace.csv").read_text().splitlines()
     assert lines[:2] == ["k,increment,ratio,residual,extrapolated",
                          "0,0.5,nan,1e-13,0"]
@@ -464,9 +467,9 @@ def test_checks_match_solver_errors(kernel05, inst05, inst025,
         assert str(from_check.value) == str(from_solve.value)
     for sweep, macro in ((stable_sweep, maximal_stable),
                          (metastable_sweep, maximal_meta)):
-        grid, xi_index = check_centred(macro, kernel05, inst05, 0.1, ELL, N0)
-        assert np.array_equal(grid.points, sweep[0.1].state.grid.points)
-        assert xi_index * grid.spacing == sweep[0.1].xi_eps
+        half, xi_index = check_centred(macro, kernel05, inst05, 0.1, ELL, N0)
+        assert np.array_equal(half.points, sweep[0.1].half.grid.points)
+        assert xi_index * half.spacing == sweep[0.1].xi_eps
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11),

@@ -12,7 +12,7 @@ from mesostefan.asym import (admissibility_report, build_problem,
                              projected_field)
 from mesostefan.errors import (DomainError, GridError, InfeasibleError,
                                SaturationError)
-from mesostefan.grids import Grid, conv_values
+from mesostefan.grids import Grid, Kernel, conv_values
 from mesostefan.meso import INNER_TOL, make_state
 from mesostefan.spectral import leading_eigenpair
 
@@ -30,6 +30,11 @@ def m_star(kernel05, inst05, maximal_stable):
     return {eps: antisym.solve_centred(maximal_stable, kernel05, inst05, eps,
                                        1.0 + X0, N0).state.m
             for eps in EPS_SWEEP}
+
+
+def _ext_grid(prob):
+    """The extended grid eps^-1[-1, 1 + 2 x0], which only solve builds."""
+    return asym.extended_u_star(prob)[0]
 
 
 def _m_eps(prob, m_star):
@@ -62,11 +67,12 @@ def test_check_matches_problem_errors(kernel05, inst05, maximal_stable,
         with pytest.raises(err) as from_problem:
             build_problem(*args)
         assert str(from_check.value) == str(from_problem.value)
-    _, _, ext, res, c = check_off_center(maximal_stable, kernel05, inst05,
-                                         0.1, X0, N0)
-    assert np.array_equal(ext.points, problem01.ext_grid.points)
+    half, _, res, c = check_off_center(maximal_stable, kernel05, inst05, 0.1,
+                                       X0, N0)
     assert np.array_equal(res.points, problem01.res_grid.points)
-    assert c == problem01.interface_index
+    assert c == problem01.interface_index == half.n - 1
+    # the interface is the centre of the relabeled extended grid
+    assert _ext_grid(problem01).n == 2 * c + 1
 
 
 def test_trace_records_weighted_increments(asym_sweep, projected_map_sweep,
@@ -109,28 +115,28 @@ def test_quasi_solution_residual(asym_sweep):
 
 def test_no_extended_array_outlives_the_solve(asym_sweep):
     """Of the extended solve the problem and the result keep the trace, the
-    gluing point and the eigenvector: no other field holds an array of the
-    extended length, or a view of one."""
+    gluing point and the eigenvector on the half line: no field but the
+    shared kernel's holds an array longer than the restricted grid, or a
+    view of one, so none of the extended length."""
     res = asym_sweep[0.05]
     prob = res.problem
-    n_ext = prob.ext_grid.n
-    assert prob.u_star.u.size == n_ext > prob.res_grid.n
+    n_ext, n_res = _ext_grid(prob).n, prob.res_grid.n
+    assert prob.u_star.u.size == prob.interface_index + 1 < n_res < n_ext
 
     def arrays(obj):
         for f in fields(obj):
             value = getattr(obj, f.name)
             if isinstance(value, np.ndarray):
                 yield f.name, value
-            elif is_dataclass(value) and not isinstance(value, Grid):
+            elif is_dataclass(value) and not isinstance(value,
+                                                        (Grid, Kernel)):
                 yield from ((f"{f.name}.{k}", v) for k, v in arrays(value))
 
     held = list(arrays(prob)) + list(arrays(res))
     assert "u_star.u" in dict(held) and "state.m" in dict(held)
     for name, a in held:
-        if name in ("u_star.u", "problem.u_star.u"):
-            continue
         base = a if a.base is None else a.base
-        assert a.size != n_ext and base.size != n_ext, name
+        assert a.size <= n_res and base.size <= n_res, name
 
 
 def test_boundary_correction_support_and_scale(asym_sweep, kernel05):
@@ -151,7 +157,7 @@ def test_boundary_correction_matches_operator_difference(problem01, params2,
     """R equals the extended-minus-restricted reflected convolutions of m*."""
     prob = problem01
     n_res = prob.res_grid.n
-    ext_conv = conv_values(kernel05, prob.ext_grid, m_star[0.1])
+    ext_conv = conv_values(kernel05, _ext_grid(prob), m_star[0.1])
     res_conv = conv_values(kernel05, prob.res_grid, m_star[0.1][:n_res])
     diff = ext_conv[:n_res] - res_conv
     assert np.max(np.abs(prob.r_eps - diff)) < 1e-14
@@ -167,8 +173,8 @@ def test_boundary_correction_shrinks_with_offset(kernel05, inst05,
 def test_u_star_symmetry_and_positivity(asym_sweep):
     for eps in EPS_SWEEP:
         prob = asym_sweep[eps].problem
-        u = prob.u_star.u
-        c = prob.ext_grid.index_of(X0 / eps)    # the extended centre
+        ext_grid, u = asym.extended_u_star(prob)
+        c = ext_grid.index_of(X0 / eps)    # the extended centre
         k = min(c, u.size - 1 - c)
         seg = u[c - k:c + k + 1]
         assert np.max(np.abs(seg - seg[::-1])) < 1e-8
@@ -182,11 +188,12 @@ def test_u_star_is_the_full_grid_pair(eps, kernel05, inst05, maximal_stable):
     the leading pair of the whole relabeled state."""
     args = (maximal_stable, kernel05, inst05, eps, X0, N0)
     problem, _ = build_problem(*args)
-    grid, xi_index, ext_grid = check_off_center(*args)[:3]
-    extended = antisym._iterate(maximal_stable, kernel05, inst05, grid,
+    half, xi_index = check_off_center(*args)[:2]
+    ext_grid, u = asym.extended_u_star(problem)
+    extended = antisym._iterate(maximal_stable, kernel05, inst05, half,
                                 xi_index)
     full = leading_eigenpair(replace(extended.state, grid=ext_grid))
-    assert np.max(np.abs(problem.u_star.u - full.u)) <= 1e-12
+    assert np.max(np.abs(u - full.u)) <= 1e-12
     assert abs(problem.u_star.lambda_ - full.lambda_) <= 1e-14
 
 
@@ -273,7 +280,7 @@ def test_set_up_convolves_on_the_half_line_and_the_window(
 
     monkeypatch.setattr(grids, "_blocked_convolution", recorded)
     problem, _ = build_problem(maximal_stable, kernel05, inst05, 0.05, X0, N0)
-    k, half = kernel05.half_points, (problem.ext_grid.n + 1) // 2
+    k, half = kernel05.half_points, problem.interface_index + 1
     steps = len(problem.extended_trace.increments)
     power = problem.u_star.iterations
     assert sizes == [(half, k, k)] * (steps + power + 1) + [(k + 1, k, k)] * 2
@@ -334,7 +341,7 @@ def test_derivative_flat_away_from_interface(asym_sweep, m_star):
     consts = []
     for eps in EPS_SWEEP:
         prob = asym_sweep[eps].problem
-        g = prob.ext_grid
+        g = _ext_grid(prob)
         dm = np.gradient(m_star[eps], g.spacing)
         far = np.abs(g.points - prob.weight.center) > 2.0 * np.log(1.0 / eps)
         consts.append(np.max(np.abs(dm[far])) / eps)

@@ -353,8 +353,8 @@ def test_solve_command_round_trip(tmp_path):
                  "--j", "-0.02", "--ell", "1", "--n0", "2",
                  "--out", str(out)])
     assert code == EXIT_OK
-    grid, h, m, beta, shape = load_state(str(out / "state.csv"))
-    assert (grid.epsilon, beta, shape) == (0.1, 2.0, "cos2")
+    grid, h, m, beta, shape, j = load_state(str(out / "state.csv"))
+    assert (grid.epsilon, beta, shape, j) == (0.1, 2.0, "cos2", -0.02)
     assert np.all(np.diff(m) > 0)
     summary = json.loads((out / "solve.json").read_text())
     assert summary["monotone"] is True
@@ -1084,13 +1084,53 @@ def test_spectrum_refuses_a_non_finite_input(stored_state, tmp_path, capsys,
     assert not (out / "spectrum.json").exists()
 
 
+def _without_current(state, tmp_path):
+    """A copy of a state whose sidecar records no current, as the sidecars
+    written before it recorded j."""
+    root = os.path.splitext(state)[0]
+    older = tmp_path / "older"
+    older.mkdir()
+    for ext in (".csv", ".npy"):
+        shutil.copy(root + ext, older / f"state{ext}")
+    side = json.loads(open(root + ".grid.json").read())
+    del side["j"]
+    (older / "state.grid.json").write_text(json.dumps(side) + "\n")
+    return str(older / "state.csv")
+
+
 def test_spectrum_at_zero_current(stored_state, tmp_path):
-    """--j 0 gives C = |j| mean / norm_sq = 0.0, not null."""
+    """--j 0 gives C = |j| mean / norm_sq = 0.0, not null, on a state whose
+    sidecar records no current (no solve runs at j = 0)."""
     out = tmp_path / "spec"
-    assert main(["spectrum", "--state", stored_state, "--j", "0",
-                 "--out", str(out)]) == EXIT_OK
+    assert main(["spectrum", "--state", _without_current(stored_state,
+                                                          tmp_path),
+                 "--j", "0", "--out", str(out)]) == EXIT_OK
     assert _strict_json(out / "spectrum.json")["C_check"]["C_instanton"] \
         == 0.0
+
+
+def test_spectrum_refuses_another_current(stored_state, tmp_path, capsys):
+    """A --j other than the current the state's sidecar records is a config
+    error (exit 2) that writes no spectrum.json; the state's own current
+    gives its C, and a sidecar that records none takes any --j, as before
+    it recorded one."""
+    out = tmp_path / "spec"
+    assert main(["spectrum", "--state", stored_state, "--j", "-0.05",
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: --j -0.05 is not the current j = -0.02 the state "
+        f"{stored_state} was solved at\n")
+    assert not (out / "spectrum.json").exists()
+    assert main(["spectrum", "--state", stored_state, "--j", "-0.02",
+                 "--out", str(out)]) == EXIT_OK
+    own = _strict_json(out / "spectrum.json")["C_check"]["C_instanton"]
+    assert main(["spectrum", "--state", _without_current(stored_state,
+                                                          tmp_path),
+                 "--j", "-0.05", "--out", str(tmp_path / "older-spec")]) \
+        == EXIT_OK
+    other = _strict_json(tmp_path / "older-spec" / "spectrum.json")
+    assert other["C_check"]["C_instanton"] == pytest.approx(2.5 * own,
+                                                            rel=1e-12)
 
 
 @pytest.fixture
@@ -1115,7 +1155,7 @@ def _full_grid_spectrum(path):
     on its full grid, from the arrays spectrum loads."""
     from mesostefan import meso, spectral
 
-    grid, h, m, beta, shape = load_state(path)
+    grid, h, m, beta, shape, _ = load_state(path)
     params, kernel = cli._params_kernel(beta, grid.spacing, shape)
     state = meso.make_state(params, kernel, grid, h, m)
     pair = spectral.leading_eigenpair(state)
@@ -1178,7 +1218,7 @@ def test_spectrum_of_a_state_that_is_not_odd_runs_on_the_full_grid(
         row["lam_gap_ratio"], rel=1e-9)
 
     odd = _spectrum(str(runs["antisym"] / "state.csv"), tmp_path / "spec-odd")
-    grid, h, m, _, _ = load_state(str(runs["antisym"] / "state.csv"))
+    grid, h, m, _, _, _ = load_state(str(runs["antisym"] / "state.csv"))
     k = grid.n // 4
     m[k] = np.nextafter(m[k], np.inf)
     moved = str(tmp_path / "moved" / "state.csv")
@@ -1303,7 +1343,7 @@ def test_state_columns_parse_like_float(tmp_path):
     path = run_dir / "state.csv"
     rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
     by_float = np.array([[float(tok) for tok in row] for row in rows])
-    _, h, m, _, _ = load_state(str(path))
+    _, h, m, _, _, _ = load_state(str(path))
     assert np.array_equal(np.stack([h, m], axis=1).view(np.int64),
                           by_float[:, 1:].view(np.int64))
 
@@ -1341,7 +1381,7 @@ def test_state_copy_is_the_parsed_csv(tmp_path, parses, command, eps):
     run_dir = tmp_path / "run"
     assert main(command + ["--eps", eps, "--out", str(run_dir)]) == EXIT_OK
     state = str(run_dir / "state.csv")
-    grid, h, m, _, _ = load_state(state)
+    grid, h, m, _, _, _ = load_state(state)
     assert parses == []
     x, *parsed = load_columns(state, ("x", "h", "m"))
     assert np.array_equal(_bits(grid.points, h, m), _bits(x, *parsed))
@@ -1350,7 +1390,8 @@ def test_state_copy_is_the_parsed_csv(tmp_path, parses, command, eps):
     spectra = []
     for name in ("copy", "csv"):
         out = tmp_path / name
-        assert main(["spectrum", "--state", state, "--j", "-0.02",
+        assert main(["spectrum", "--state", state, "--j",
+                     command[command.index("--j") + 1],
                      "--out", str(out)]) == EXIT_OK
         spectra.append((out / "spectrum.json").read_bytes())
         (run_dir / "state.npy").unlink(missing_ok=True)
@@ -1376,7 +1417,7 @@ def test_state_copy_opens_each_file_once(tmp_path, monkeypatch, parses):
 
     with monkeypatch.context() as patch:
         patch.setattr(builtins, "open", counted)
-        grid, h, m, _, _ = load_state(str(run_dir / "state.csv"))
+        grid, h, m, _, _, _ = load_state(str(run_dir / "state.csv"))
     assert sorted(opened) == ["state.csv", "state.grid.json", "state.npy"]
     assert parses == []
     assert np.array_equal(_bits(grid.points, h, m),
@@ -1440,7 +1481,7 @@ _COPY_FALLBACKS = {
 
 def _outcome(path):
     try:
-        grid, h, m, _, _ = load_state(path)
+        grid, h, m, _, _, _ = load_state(path)
     except GridError as exc:
         return str(exc)
     return _bits(grid.points, h, m).tolist()

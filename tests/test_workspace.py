@@ -14,12 +14,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mesostefan import antisym, asym, cli, spectral, stefan
+from mesostefan import antisym, asym, cli, grids, spectral, stefan
 from mesostefan.config import RunConfig
 from mesostefan.instanton import compute_instanton
 from mesostefan.thermo import make_params
 
-from conftest import ELL, N0, X0
+from conftest import ELL, N0, SPACING, X0
 
 #: minor faults of a repeated stable solve at eps = 0.001 (n = 40 001),
 #: twice the 1 073 measured for it in a fresh interpreter (1 062 with this
@@ -110,18 +110,18 @@ def test_repeated_extrapolating_solve_faults_in_few_pages(kernel05):
 #: bound, in bytes, on the traced peak of one off-center sweep row at
 #: eps = 0.001 (n = 40 001, j = -0.019206): 5.3 MB while its set-up
 #: odd-extended the whole extended state and ran two full-length
-#: convolutions, 4.66 MB since it works from the half line
-ASYM_ROW_PEAK_BOUND = 5_070_000
+#: convolutions, 4.66 MB once it worked from the half line, 4.04 MB since
+#: it keeps no array of the extended length (the bound is that plus 5%)
+ASYM_ROW_PEAK_BOUND = 4_240_000
+#: the same for a stable row at eps = 0.001 (n = 40 001): 2.45 MB while
+#: its result held the full odd state, 1.65 MB since it holds the half
+#: line's (the bound is that plus 5%, on CPython from 3.11)
+STABLE_ROW_PEAK_BOUND = 1_730_000
 
 
-def test_off_center_row_traced_peak(params2):
-    """One off-center row through cli.run, its shared inputs already
-    built, allocates at most ASYM_ROW_PEAK_BOUND at its peak: the set-up
-    holds no array of the extended length but the eigenvector, and the
-    loop's projection and Newton vectors stand in for the arrays they
-    fold."""
-    cfg = RunConfig(beta=params2.beta, j=-0.019206, x0=X0, mode="asym",
-                    eps_list=[0.001], n0=N0).validate_fields()
+def _row_traced_peak(cfg) -> int:
+    """The traced peak of the config's one row through cli.run, its shared
+    inputs already built."""
     cli._shared_inputs(cfg)
     tracemalloc.start()
     try:
@@ -130,4 +130,63 @@ def test_off_center_row_traced_peak(params2):
     finally:
         tracemalloc.stop()
     assert report.rows[0].iters > 0
+    return peak
+
+
+def test_off_center_row_traced_peak(params2):
+    """One off-center row allocates at most ASYM_ROW_PEAK_BOUND at its
+    peak: the set-up and the loop hold no array of the extended length,
+    u* stays on the extended half line, and the loop's projection and
+    Newton vectors stand in for the arrays they fold."""
+    cfg = RunConfig(beta=params2.beta, j=-0.019206, x0=X0, mode="asym",
+                    eps_list=[0.001], n0=N0).validate_fields()
+    peak = _row_traced_peak(cfg)
     assert peak <= ASYM_ROW_PEAK_BOUND, peak
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="CPython 3.10 keeps a call's arguments on the "
+                           "caller's stack until the call returns: the "
+                           "seed and the pair's start outlive their use")
+def test_stable_row_traced_peak(params2):
+    """One stable row allocates at most STABLE_ROW_PEAK_BOUND at its peak:
+    its seed layout, seed, loop and result stay on the half line, and its
+    checks read the result's half-line state."""
+    cfg = RunConfig(beta=params2.beta, j=-0.019206, ell=ELL, mode="antisym",
+                    eps_list=[0.001], n0=N0).validate_fields()
+    peak = _row_traced_peak(cfg)
+    assert peak <= STABLE_ROW_PEAK_BOUND, peak
+
+
+@pytest.mark.parametrize("mode", ["antisym", "metastable", "asym"])
+def test_sweep_row_builds_no_full_length_grid(mode, params2, monkeypatch):
+    """A sweep row builds the points of the half line x >= 0 of the centred
+    grid it solves on, and off center those of the restricted grid on
+    eps^-1[-1, 1]: no grid of the full centred or extended length, and no
+    point array but theirs."""
+    eps = 0.05
+    right = 1.0 + X0 if mode == "asym" else ELL
+    full = grids.build_grid(eps, right, right, SPACING).n
+    expect = [("build_half_line", (full + 1) // 2)]
+    if mode == "asym":
+        expect.append(("build_grid", grids.build_grid(eps, 1.0, 1.0,
+                                                      SPACING).n))
+    cfg = RunConfig(beta=params2.beta, j=0.02 if mode == "metastable"
+                    else -0.02, mode=mode, eps_list=[eps], n0=N0,
+                    **({"x0": X0} if mode == "asym" else {"ell": ELL})
+                    ).validate_fields()
+    cli._shared_inputs(cfg)
+    built, points = [], []
+    for name in ("build_grid", "build_half_line"):
+        def counted(*args, real=getattr(grids, name), name=name):
+            grid = real(*args)
+            built.append((name, grid.n))
+            return grid
+        monkeypatch.setattr(grids, name, counted)
+    real_points = grids._points
+    monkeypatch.setattr(grids, "_points", lambda *args: points.append(
+        real_points(*args)) or points[-1])
+    assert cli.run(cfg).rows[0].iters > 0
+    assert built == expect
+    assert [p.size for p in points] == [n for _, n in expect]
+    assert max(n for _, n in built) < full
