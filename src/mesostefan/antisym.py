@@ -252,24 +252,20 @@ def hydrodynamic_error(state: MesoState,
     smooth interface lives.  The state's grid must hold eps^-1 x0: a
     centred state's half line (:meth:`meso.MesoState.even_half`) gives the
     full grid's errors, both sides being odd.  The closed forms are odd
-    about the interface: on a grid longer on one side of it they are
-    evaluated once per distance, on that side, and the short side reads
-    their negatives by mirrored index; a grid of two equal sides is read at
-    every point's own abscissa.  They are evaluated HYDRO_BLOCK points at a
+    about the interface: they are evaluated once per distance, on the longer
+    side (the right one of two equal sides), and the other side reads their
+    negatives by mirrored index.  They are evaluated HYDRO_BLOCK points at a
     time, m and h from one |m| (``macro.fields_of_x``).
     """
     grid, eps = state.grid, state.grid.epsilon
     c = grid.index_of(x0 / eps)
     right = grid.n - 1 - c          # points right of the interface
-    if right != c:      # from the interface along the long side
-        origin, step = c, 1 if right > c else -1
-        count, short = max(c, right) + 1, min(c, right)
-    else:               # two equal sides: every point at its own abscissa
-        origin, step, count, short = 0, 1, grid.n, 0
+    step = 1 if right >= c else -1
+    count, short = max(c, right) + 1, min(c, right)
     err_m, err_h = [], []
     for lo in range(0, count, HYDRO_BLOCK):
         hi = min(lo + HYDRO_BLOCK, count)
-        near = _run(origin, lo, hi, step)
+        near = _run(c, lo, hi, step)
         x = eps * grid.points[near] - x0
         m_mac, h_mac = macro.fields_of_x(x)
         parts = [(near, x, m_mac, h_mac)]

@@ -159,15 +159,13 @@ def _failure(exc: Exception, where="") -> tuple[int, str]:
 def _mode(cfg: RunConfig):
     """The mode's maximal macroscopic solution, precondition check, solver,
     and the fifth argument of both (ell, or x0 off center), looked up when
-    called."""
+    called.  ``RunConfig.validate_fields`` has refused any other mode."""
     if cfg.mode in ("antisym", "metastable"):
         maximal = stefan.solve_maximal if cfg.mode == "antisym" \
             else stefan._metastable_maximal
         return maximal, antisym.check_centred, antisym.solve_centred, cfg.ell
-    if cfg.mode == "asym":
-        return (stefan.solve_maximal, asym.check_off_center,
-                asym.solve_off_center, cfg.x0)
-    raise DomainError(f"unknown mode {cfg.mode!r}")
+    return (stefan.solve_maximal, asym.check_off_center,
+            asym.solve_off_center, cfg.x0)
 
 
 @functools.lru_cache(maxsize=4)

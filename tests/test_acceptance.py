@@ -69,8 +69,8 @@ def test_criterion_04_hydrodynamic_convergence(stable_sweep, asym_sweep,
         errs, normalized = [], []
         for eps in EPS_SWEEP:
             res = sweep[eps]
-            em, _ = hydrodynamic_error(res.state, maximal_stable, x0,
-                                       eps * res.xi_eps)
+            em, _ = hydrodynamic_error(res.half if x0 == 0.0 else res.state,
+                                       maximal_stable, x0, eps * res.xi_eps)
             errs.append(em)
             normalized.append(em / (eps * math.log(1.0 / eps)))
         ok &= errs[0] > errs[1] > errs[2]

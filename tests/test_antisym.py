@@ -174,7 +174,7 @@ def test_stable_hydrodynamic_trend(stable_sweep, maximal_stable):
     errs = []
     for eps in EPS_SWEEP:
         res = stable_sweep[eps]
-        em, eh = hydrodynamic_error(res.state, maximal_stable, 0.0,
+        em, eh = hydrodynamic_error(res.half, maximal_stable, 0.0,
                                     eps * res.xi_eps)
         errs.append((em, eh))
     assert errs[0][0] > errs[1][0] > errs[2][0]
@@ -185,7 +185,7 @@ def test_hydro_error_identity_on_exact_macro(params2, kernel05,
                                              maximal_stable, stable_sweep):
     """The exact macroscopic pair sampled at matching args gives zero error:
     the check's m and h from one |m| are m_of_x's and fields_of_x's bits."""
-    st = stable_sweep[0.1].state
+    st = stable_sweep[0.1].half
     m_mac = maximal_stable.m_of_x(0.1 * st.grid.points)
     h_mac = maximal_stable.fields_of_x(0.1 * st.grid.points)[1]
     from mesostefan.meso import MesoState
@@ -580,7 +580,7 @@ def test_metastable_hydro_trend(metastable_sweep, maximal_meta):
     errs = []
     for eps in EPS_SWEEP:
         res = metastable_sweep[eps]
-        em, _ = hydrodynamic_error(res.state, maximal_meta, 0.0,
+        em, _ = hydrodynamic_error(res.half, maximal_meta, 0.0,
                                    eps * res.xi_eps)
         errs.append(em)
     assert errs[0] > errs[1] > errs[2]

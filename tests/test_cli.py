@@ -1,5 +1,6 @@
 """Command-line harness: subcommands, config parsing, exit codes, outputs."""
 
+import dataclasses
 import glob
 import inspect
 import json
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import time
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -1584,11 +1586,63 @@ def test_table_rows_are_fmt_values(tmp_path):
     assert not (tmp_path / "u.csv").exists()
 
 
+def _assert_rows_are_fmt_values(path, *columns):
+    """save_table's bytes are the header and the ``"%.17g"`` rows."""
+    from mesostefan.profiles import save_table
+
+    header = ",".join(f"c{i}" for i in range(len(columns)))
+    stamp = save_table(str(path), header, *columns)
+    rows = "".join(",".join(["%.17g"] * len(columns)) % row + "\n"
+                   for row in zip(*(map(float, c) for c in columns)))
+    expected = (header + "\n" + rows).encode()
+    assert path.read_bytes() == expected
+    assert stamp == {"bytes": len(expected),
+                     "crc32": zlib.crc32(expected)}
+
+
+#: doubles of any bit pattern: NaNs with payloads, subnormals, both zeros
+_FLOAT_BITS = st.integers(0, 2 ** 64 - 1).map(
+    lambda bits: float(np.array(bits, np.uint64).view(np.float64)))
+_TABLE_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    _FLOAT_BITS)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(1, 3).flatmap(
+    lambda width: st.lists(st.tuples(*[_TABLE_VALUES] * width),
+                           min_size=1, max_size=40)))
+def test_table_rows_are_fmt_values_on_drawn_doubles(tmp_path, rows):
+    _assert_rows_are_fmt_values(tmp_path / "t.csv", *zip(*rows))
+
+
+def test_table_rows_are_fmt_values_at_the_edges(tmp_path):
+    """Where the digits are hardest to decide: the 17-digit ties k/4 in
+    [1e15, 2.25e15], both neighbours of each 10**k for |k| <= 250, the
+    range the exact product covers (1e-250 to 1e250), signed zeros, and a
+    column of zeros beside them."""
+    quarters = 4 * 10 ** 15 + np.arange(0, 5 * 10 ** 15, 123456789123)
+    ties = np.concatenate([quarters, quarters + 1, quarters + 2,
+                           quarters + 3]) / 4.0
+    assert ties.min() == 1e15 and ties.max() < 2.25e15
+    powers = np.array([float(10 ** k) if k >= 0 else 1 / 10 ** -k
+                       for k in range(-250, 251)])
+    near = np.concatenate([powers, np.nextafter(powers, 0.0),
+                           np.nextafter(powers, np.inf)])
+    bounds = np.array([1e-250, 1e250, 0.0, -0.0])
+    bounds = np.concatenate([bounds, np.nextafter(bounds, 0.0),
+                             np.nextafter(bounds, np.inf)])
+    edges = np.concatenate([ties, near, -near, bounds, -bounds])
+    _assert_rows_are_fmt_values(tmp_path / "e.csv", edges, -edges[::-1],
+                                np.zeros(edges.size))
+
+
 def test_state_file_is_written_in_blocks_of_rows(tmp_path, monkeypatch):
     """A state of more than two blocks of WRITE_ROWS rows is written a block
     per write, and its text is the whole table of fmt rows.  Only the CSV's
-    text writes are counted: the sidecar, the binary copy and the reads
-    that checksum them open files of their own."""
+    writes are counted: the sidecar and the binary copy open files of their
+    own."""
     from mesostefan import profiles
     from mesostefan.grids import build_grid
 
@@ -1609,12 +1663,12 @@ def test_state_file_is_written_in_blocks_of_rows(tmp_path, monkeypatch):
             self.fh.close()
 
         def write(self, text):
-            writes.append(text.count("\n"))
+            writes.append(text.count(b"\n"))
             return self.fh.write(text)
 
     def recorded(file, mode="r", *args):
         fh = real_open(file, mode, *args)
-        return Recorded(fh) if (file, mode) == (str(path), "w") else fh
+        return Recorded(fh) if (file, mode) == (str(path), "wb") else fh
 
     monkeypatch.setattr(profiles, "open", recorded, raising=False)
     profiles.save_state(str(path), _state_of(g, h, m))
@@ -1624,6 +1678,26 @@ def test_state_file_is_written_in_blocks_of_rows(tmp_path, monkeypatch):
     assert path.read_text() == expected
     rows = profiles.WRITE_ROWS
     assert writes[:4] == [1, rows, rows, g.n - 2 * rows]
+
+
+def test_state_stamps_are_the_files_as_read(tmp_path):
+    """The byte lengths and CRC-32s that save_state records from the bytes
+    it writes are those of the files read back, for rows that are not
+    contiguous in memory too."""
+    from mesostefan import profiles
+    from mesostefan.grids import build_grid
+
+    g = build_grid(0.01, 1.0, 1.0, 0.02)       # 10 001 rows
+    state = _state_of(g, np.sin(g.points) / 7.0, np.tanh(g.points / 3.0))
+    h = np.repeat(state.h, 2)[::2]
+    state = dataclasses.replace(state, h=h)
+    assert not state.h.flags.c_contiguous
+    path = str(tmp_path / "state.csv")
+    profiles.save_state(path, state)
+    side = json.loads((tmp_path / "state.grid.json").read_text())
+    assert side["csv"] == profiles._stamp(path)
+    assert side["npy"] == profiles._stamp(str(tmp_path / "state.npy"))
+    assert np.array_equal(np.load(tmp_path / "state.npy")[1], h)
 
 
 #: values per config key: valid ones, and the malformed, non-finite, out of
