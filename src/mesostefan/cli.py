@@ -295,12 +295,13 @@ def cmd_solve(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    """The leading pair from p and lambda2 of a stored state, under its
-    sidecar's beta and kernel.  An exactly odd state, as every centred solve
-    writes it, is solved in its two sectors on its odd half line: the pair on
-    its even view (:meth:`meso.MesoState.even_half`), lambda2 as the odd
-    sector's top eigenvalue; any other state on the full grid.  --j must be
-    the sidecar's j, if it records one."""
+    """lambda and lambda2 of a stored state, under its sidecar's beta and
+    kernel, and the steps each took.  An exactly odd state, as every centred
+    solve writes it, is solved in its two sectors on its odd half line by
+    Lanczos: lambda on its even view (:meth:`meso.MesoState.even_half`) from
+    p, lambda2 as the odd sector's top eigenvalue; any other state on the
+    full grid, the pair from p, lambda2 on its complement.  --j must be the
+    sidecar's j, if it records one."""
     if args.j is not None and not np.isfinite(args.j):
         raise DomainError("--j must be finite")
     grid, h, m, beta, shape, j = load_state(args.state)
@@ -313,25 +314,32 @@ def cmd_spectrum(args) -> int:
     c = grid.center_index if odd else 0
     state = meso.make_state(params, kernel, grid.half_line() if odd else grid,
                             h[c:], m[c:])
-    sp = spectral.leading_eigenpair(state.even_half() if odd else state)
-    lam2 = spectral.second_eigenvalue(state, None if odd else sp)
+    if odd:
+        lam = spectral.leading_eigenvalue(state.even_half())
+        lam2 = spectral.second_eigenvalue(state)
+        lambda_steps = lam.steps
+    else:
+        sp = spectral.leading_eigenpair(state)
+        lam2 = spectral.second_eigenvalue(state, sp)
+        lam, lambda_steps = sp.lambda_, sp.iterations
     c_inst = None       # only C_instanton reads the instanton
     if args.j is not None:
         _, _, inst = _fixed_inputs(beta, grid.spacing, shape)
         c_inst = abs(args.j) * inst.mean / inst.norm_sq
     payload = {
-        "lambda": sp.lambda_,
+        "lambda": lam,
         "lambda2": lam2,
-        "gap": sp.lambda_ - lam2,
+        "gap": lam - lam2,
         "odd_sectors": odd,
-        "power_steps": sp.iterations,
+        "lambda_steps": lambda_steps,
+        "lambda2_steps": lam2.steps,
         "C_check": {
-            "one_minus_lambda_over_eps": (1.0 - sp.lambda_) / grid.epsilon,
+            "one_minus_lambda_over_eps": (1.0 - lam) / grid.epsilon,
             "C_instanton": c_inst,
         },
     }
     dump_json(os.path.join(_outdir(args.out), "spectrum.json"), payload)
-    print(f"lambda = {fmt(sp.lambda_)}  lambda2 = {fmt(lam2)}")
+    print(f"lambda = {fmt(lam)}  lambda2 = {fmt(lam2)}")
     return EXIT_OK
 
 

@@ -3,15 +3,18 @@
 The operator A psi = p (J^neum * psi) is self-adjoint under the weight 1/p,
 has a positive maximal eigenvalue with a positive eigenvector, and a
 spectral gap that stays open as the scale parameter shrinks.  Everything
-here is matrix-free: power iteration for the leading pair, extrapolating
-as the fixed-point loop does, a Lanczos recurrence on its weighted
-complement for the gap, and every inner product a sum against the state's
-quadrature weights.  ``mesostefan spectrum`` solves an exactly odd state
-in its two reflection sectors on the half line: the pair in the even one,
-lambda2 as the odd one's top eigenvalue.  Each loop keeps its vectors and
-its convolution's workspace for its whole run.  The extended centred
-state's leading pair is the off-center Newton direction
-(:func:`asym.build_problem`).
+here is matrix-free, every inner product a sum against the state's
+quadrature weights.  Where only an eigenvalue is read it is the top Ritz
+value of one Lanczos recurrence, stopped once that value is exact to
+rounding: lambda2 on the weighted complement of the leading eigenvector,
+and ``mesostefan spectrum`` on an exactly odd state, solved in its two
+reflection sectors on the half line (lambda on the even one, lambda2 as
+the odd one's top eigenvalue).  Where a caller reads the vector, power
+iteration gives the leading pair, extrapolating as the fixed-point loop
+does: the sweep rows, the deflation on a full grid, and the extended
+centred state's pair, the off-center Newton direction
+(:func:`asym.build_problem`).  Each loop keeps its vectors and its
+convolution's workspace for its whole run.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from .instanton import Instanton
 from .meso import MesoState, extrapolate, settled_ratio
 
 _POWER_STEPS = 100_000    # power iteration steps for the leading pair
-_LAMBDA2_TOL = 1e-10      # relative Ritz residual bound that stops lambda2
-_LAMBDA2_STEPS = 300      # Lanczos steps: 17 at beta = 2, 36 at beta = 1.2
+_ROUNDING = 1e-16         # |theta - lambda| <= _ROUNDING |theta| stops Lanczos
+_LANCZOS_STEPS = 300      # Lanczos steps: 7-14 at beta = 2, up to 47 at 1.05
 _START_FLOOR = 1e-12      # multiple of p under the slope start, below any tol
 
 
@@ -61,12 +64,13 @@ def leading_eigenpair(state: MesoState, tol=1e-12,
     lives.  p's bulk part shrinks only by the bulk value of p per step, so
     the sweeps start from the eigenvector's known shape, the interface
     slope (:func:`slope_start`), or off center from u*.  ``mesostefan
-    spectrum`` starts from p: on an exactly odd state's even view, on the
-    full grid for any other state, where a start symmetric about an
-    interior interface stays symmetric to rounding only.
+    spectrum`` starts from p on the full grid of a state that is not
+    exactly odd, where it deflates the vector for lambda2.  Every iterate
+    stays positive, so u needs no sign fix: the start and p are positive,
+    the kernel is nonnegative, and an extrapolated step is clamped above
+    _START_FLOOR times the plain one.
     """
-    if np.any(state.p <= 0.0):
-        raise DomainError("linearization weight must be positive")
+    _check_weight(state)
     if start is None:
         start = state.p
     elif np.any(start <= 0.0):
@@ -109,8 +113,6 @@ def leading_eigenpair(state: MesoState, tol=1e-12,
         raise ConvergenceError(
             f"power iteration stagnated (last Rayleigh {rq:.12g}, residual "
             f"{_sup_residual(au, rq, u_prev, np.empty(n)):.3e})", last=u)
-    if np.mean(u) < 0:
-        np.negative(u, out=u)
     res = _sup_residual(state.apply_linearized(u, work), rq, u, u_prev)
     u.setflags(write=False)
     return SpectralResult(float(rq), u, it, res, jumps)
@@ -142,50 +144,88 @@ def _sup_residual(au, rq, u, scratch) -> float:
     return float(np.abs(scratch, out=scratch).max())
 
 
+def _check_weight(state: MesoState) -> None:
+    if np.any(state.p <= 0.0):
+        raise DomainError("linearization weight must be positive")
+
+
+class RitzValue(float):
+    """A top Ritz value, exact to rounding, that records ``steps``, the
+    operator applications its Lanczos recurrence took."""
+
+    def __new__(cls, value: float, steps: int):
+        ritz = super().__new__(cls, value)
+        ritz.steps = steps
+        return ritz
+
+
+def leading_eigenvalue(state: MesoState) -> RitzValue:
+    """The maximal eigenvalue alone, as the top Ritz value of the Lanczos
+    recurrence from p (:func:`_top_ritz`): ``mesostefan spectrum`` on an
+    exactly odd state's even view, where no caller reads the vector."""
+    return _top_ritz(state, state.p.copy())
+
+
 def second_eigenvalue(state: MesoState, result: SpectralResult | None = None
-                      ) -> float:
+                      ) -> RitzValue:
     """Dominant growth rate on the complement of the maximal eigenvector.
 
-    Lanczos recurrence for p J^neum (self-adjoint in <.,.>_{1/p}) on the
-    weighted complement of ``result.u``, from p (1 + x/max|x|), keeping two
-    vectors, each new one orthogonalized again against u and the current
-    one.  With ``result`` None it runs on the whole space from p x/max|x|,
-    0 at x = 0 as an odd grid requires: on a centred state's odd half line
-    (``mesostefan spectrum``) that is the odd sector, whose top is the full
-    grid's lambda2 (to 3.3e-15 relative on perfbench's spectrum-fine
-    states).  Stops at the Ritz residual bound |beta_k s_k| <= 1e-10
-    max(1, |theta|), theta the largest-magnitude Ritz value;
-    :class:`ConvergenceError` when the step budget runs out.
+    The top Ritz value (:func:`_top_ritz`) on the weighted complement of
+    ``result.u``, from p (1 + x/max|x|).  With ``result`` None it runs on
+    the whole space from p x/max|x|, 0 at x = 0 as an odd grid requires: on
+    a centred state's odd half line (``mesostefan spectrum``) that is the
+    odd sector, whose top is the full grid's lambda2 (to 3.3e-15 relative
+    on perfbench's spectrum-fine states).
     """
-    dot, x = state.weighted_dot, state.grid.points
-    n = state.grid.n
-    work, scratch = conv_workspace(state.kernel, n), np.empty(n)
+    x = state.grid.points
     ramp = x / np.max(np.abs(x))
     v = state.p * (ramp if result is None else 1.0 + ramp)
-    against = () if result is None else (result.u,)
+    return _top_ritz(state, v, () if result is None else (result.u,))
+
+
+def _top_ritz(state: MesoState, v: np.ndarray, against=()) -> RitzValue:
+    """Largest-magnitude eigenvalue of p J^neum (self-adjoint in
+    <.,.>_{1/p}) on the weighted complement of the unit vectors
+    ``against``: a Lanczos recurrence from ``v``, which it overwrites,
+    keeping two vectors, each new one orthogonalized again against
+    ``against`` and the current one.  It stops at step k once T_k's top Ritz
+    value theta has |beta_k s_k|^2 <= _ROUNDING |theta| min(delta, 1), delta
+    the distance to the nearest other Ritz value, so that the Kato-Temple
+    bound |theta - lambda| <= |beta_k s_k|^2 / delta puts theta within
+    rounding; :class:`ConvergenceError` when the step budget runs out."""
+    _check_weight(state)
+    dot, n = state.weighted_dot, state.grid.n
     for u in against:
-        v -= np.multiply(dot(v, u), u, out=scratch)
-    # v_prev starts at 0: beta * 0 leaves the first image as it is
+        v -= dot(v, u) * u
+    # v_prev starts at 0: beta * 0 leaves the first image as it is; once
+    # subtracted it is free, and holds each product until the next vector
+    # overwrites it
     v, v_prev = _normalize(state, v, v), np.zeros(n)
+    work = conv_workspace(state.kernel, n)
     beta, alphas, betas = 0.0, [], []
-    for _ in range(_LAMBDA2_STEPS):
+    for k in range(1, _LANCZOS_STEPS + 1):
         w = state.apply_linearized(v, work)
-        w -= np.multiply(beta, v_prev, out=scratch)
+        w -= np.multiply(beta, v_prev, out=v_prev)
         alphas.append(dot(v, w))
-        w -= np.multiply(alphas[-1], v, out=scratch)
+        w -= np.multiply(alphas[-1], v, out=v_prev)
         for u in (*against, v):
-            w -= np.multiply(dot(w, u), u, out=scratch)
+            w -= np.multiply(dot(w, u), u, out=v_prev)
         beta = np.sqrt(dot(w, w))
-        ritz, s = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1)
-                                 + np.diag(betas, -1))
-        k = int(np.argmax(np.abs(ritz)))
-        bound = abs(beta * s[-1, k])
-        if bound <= _LAMBDA2_TOL * max(1.0, abs(ritz[k])):
-            return float(abs(ritz[k]))
+        # eigh reads T_k's lower triangle and sorts the Ritz values, so the
+        # top one is at an end and its nearest neighbour next to it
+        t = np.zeros((k, k))
+        t.flat[::k + 1], t.flat[k::k + 1] = alphas, betas
+        ritz, s = np.linalg.eigh(t)
+        top = 0 if -ritz[0] > ritz[-1] else -1
+        residual = abs(beta * s[-1, top])
+        near = ritz[1:2] if top == 0 else ritz[-2:-1]     # none at k = 1
+        delta = np.min(np.abs(near - ritz[top]), initial=1.0)
+        if residual ** 2 <= _ROUNDING * abs(ritz[top]) * delta:
+            return RitzValue(abs(ritz[top]), k)
         betas.append(beta)
         v, v_prev = np.divide(w, beta, out=v_prev), v
-    raise ConvergenceError(f"Lanczos recurrence for lambda2: residual bound "
-                           f"{bound:.3e} after {_LAMBDA2_STEPS} steps")
+    raise ConvergenceError(f"Lanczos recurrence: Ritz residual "
+                           f"{residual:.3e} after {_LANCZOS_STEPS} steps")
 
 
 def eigenvector_shape_report(state: MesoState, result: SpectralResult,

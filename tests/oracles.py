@@ -105,8 +105,6 @@ def leading_eigenpair_every_step(state, tol=1e-12, steps=100_000,
         raise ConvergenceError(
             f"power iteration stagnated (last Rayleigh {rq:.12g}, "
             f"residual {res:.3e})", last=u)
-    if np.mean(u) < 0:
-        u = -u
     res = float(np.max(np.abs(state.apply_linearized(u) - rq * u)))
     return float(rq), u, it, res
 

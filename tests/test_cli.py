@@ -467,9 +467,10 @@ def test_spectrum_command(tmp_path):
     data = json.loads((spec_out / "spectrum.json").read_text())
     assert 0.99 < data["lambda"] < 1.0
     assert data["lambda2"] < data["lambda"]
-    # a centred state is exactly odd: its sectors ran, the pair from p
+    # a centred state is exactly odd: its sectors ran, lambda from p
     assert data["odd_sectors"] is True
-    assert type(data["power_steps"]) is int and data["power_steps"] >= 1
+    for key in ("lambda_steps", "lambda2_steps"):
+        assert type(data[key]) is int and data[key] >= 1
     ratio = data["C_check"]["one_minus_lambda_over_eps"]
     assert ratio == pytest.approx(data["C_check"]["C_instanton"], rel=0.05)
 
@@ -1164,6 +1165,17 @@ def _full_grid_spectrum(path):
     return grid, pair, spectral.second_eigenvalue(state, pair)
 
 
+def _odd_half_line(path):
+    """The state spectrum solves an exactly odd stored state on: its odd
+    half line."""
+    from mesostefan import meso
+
+    grid, h, m, beta, shape, _ = load_state(path)
+    params, kernel = cli._params_kernel(beta, grid.spacing, shape)
+    c = grid.center_index
+    return meso.make_state(params, kernel, grid.half_line(), h[c:], m[c:])
+
+
 def _spectrum(path, out):
     assert main(["spectrum", "--state", path, "--out", str(out)]) == EXIT_OK
     return _strict_json(out / "spectrum.json")
@@ -1178,21 +1190,30 @@ def test_spectrum_of_an_odd_state_runs_on_its_sectors(tmp_path, conv_sizes,
     """On an exactly odd state spectrum makes every convolution on the odd
     half line, n/2 + 1 points, and its lambda2 and (1 - lambda)/eps are
     those of the full grid's pair and Lanczos recurrence on the same state
-    to 1e-12 and 1e-9 relative."""
+    to 1e-12 and 1e-9 relative.  Its step counts are the sector
+    recurrences': lambda's on the even view, lambda2's on the odd half
+    line, one convolution each, the state's own the one more."""
+    from mesostefan import spectral
+
     run_dir = tmp_path / "run"
     assert main(["solve", "--eps", "0.05", "--ell", "1", *command,
                  "--out", str(run_dir)]) == EXIT_OK
     state = str(run_dir / "state.csv")
     del conv_sizes[:]
     report = _spectrum(state, tmp_path / "spec")
-    sizes = set(conv_sizes)
+    sizes, count = set(conv_sizes), len(conv_sizes)
     grid, pair, lam2 = _full_grid_spectrum(state)
     assert sizes == {grid.n // 2 + 1}
     assert report["odd_sectors"] is True
     assert report["lambda2"] == pytest.approx(lam2, rel=1e-12)
     assert report["C_check"]["one_minus_lambda_over_eps"] == pytest.approx(
         (1.0 - pair.lambda_) / grid.epsilon, rel=1e-9)
-    assert report["power_steps"] == pair.iterations
+    half = _odd_half_line(state)
+    lam = spectral.leading_eigenvalue(half.even_half())
+    assert report["lambda"] == lam
+    assert report["lambda_steps"] == lam.steps
+    assert report["lambda2_steps"] == spectral.second_eigenvalue(half).steps
+    assert count == 1 + report["lambda_steps"] + report["lambda2_steps"]
 
 
 def test_spectrum_of_a_state_that_is_not_odd_runs_on_the_full_grid(

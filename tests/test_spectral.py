@@ -11,7 +11,8 @@ from mesostefan.instanton import compute_instanton
 from mesostefan.meso import exact_state, iterate, make_state
 from mesostefan.errors import DomainError
 from mesostefan.spectral import (eigenvector_shape_report, leading_eigenpair,
-                                 second_eigenvalue, slope_start)
+                                 leading_eigenvalue, second_eigenvalue,
+                                 slope_start)
 from mesostefan.thermo import make_params, mobility
 from oracles import leading_eigenpair_every_step, neumann_matrix
 
@@ -157,8 +158,9 @@ def test_second_eigenvalue_matches_dense(beta, mode):
     """lambda2 is the largest-magnitude eigenvalue after the leading one, at
     eps = 0.025 (n = 1601), to 1e-12 relative.  So are the two sectors'
     numbers of the centred state, which ``mesostefan spectrum`` takes: the
-    leading pair on the even view of its odd half line from p, and lambda2
-    as the odd half line's top eigenvalue, with no pair to deflate."""
+    leading eigenvalue on the even view of its odd half line from p, and
+    lambda2 as the odd half line's top eigenvalue, with no pair to
+    deflate."""
     state = _solve(beta, "cos2", mode, 0.025)
     assert state.grid.n == 1601
     s = _symmetrized(state)
@@ -172,16 +174,93 @@ def test_second_eigenvalue_matches_dense(beta, mode):
     odd = make_state(state.params, state.kernel, state.grid.half_line(),
                      state.h[c:], state.m[c:])
     assert odd.grid.n == 801
-    assert leading_eigenpair(odd.even_half()).lambda_ \
+    assert leading_eigenvalue(odd.even_half()) \
         == pytest.approx(dense[0], rel=1e-12)
     assert second_eigenvalue(odd) == pytest.approx(abs(dense[1]), rel=1e-12)
 
 
 def test_second_eigenvalue_budget_raises(fine_instanton_state, fine_pair,
                                          monkeypatch):
-    monkeypatch.setattr(spectral, "_LAMBDA2_STEPS", 3)
+    monkeypatch.setattr(spectral, "_LANCZOS_STEPS", 3)
     with pytest.raises(ConvergenceError, match="Lanczos"):
         second_eigenvalue(fine_instanton_state, fine_pair)
+
+
+def test_leading_eigenvalue_budget_raises(fine_instanton_state, monkeypatch):
+    monkeypatch.setattr(spectral, "_LANCZOS_STEPS", 3)
+    with pytest.raises(ConvergenceError, match="Lanczos"):
+        leading_eigenvalue(fine_instanton_state.even_half())
+
+
+def _centred(beta, j, eps, spacing=0.05, n0=N0):
+    """A centred solve at ell = 1 under the cos2 kernel, metastable for
+    j > 0."""
+    params, kernel = make_params(beta), build_kernel(spacing)
+    macro = stefan._metastable_maximal(params, j) if j > 0 \
+        else stefan.solve_maximal(params, j)
+    return antisym.solve_centred(macro, kernel,
+                                 compute_instanton(params, kernel), eps, ELL,
+                                 n0)
+
+
+def _even_sector_top(state):
+    """Top eigenvalue of the dense even-sector matrix of a state odd about
+    x = 0: p W on the full grid (W from the kernel shape), each column at
+    -x folded onto x, symmetrized by the even view's weights."""
+    c = state.grid.center_index
+    a = state.p[:, None] * neumann_matrix(state.kernel, state.grid)
+    even = a[c:, c:].copy()
+    even[:, 1:] += a[c:, c - 1::-1]
+    root_q = np.sqrt(state.even_half().quadrature)
+    s = root_q[:, None] * even / root_q[None, :]
+    assert np.max(np.abs(s - s.T)) <= 1e-14 * np.max(np.abs(s))
+    return np.linalg.eigvalsh(0.5 * (s + s.T))[-1]
+
+
+@pytest.mark.parametrize("beta, j, n0", [(2.0, J_STABLE, N0),
+                                         (2.0, 0.09, N0), (1.05, J_STABLE, 1)],
+                         ids=["stable", "metastable-0.09", "beta-1.05"])
+def test_leading_eigenvalue_matches_the_dense_even_sector(beta, j, n0):
+    """lambda from p on the even view of an odd state's half line is the
+    dense even-sector matrix's top eigenvalue at n = 401, 1 - lambda to
+    1e-11 relative."""
+    res = _centred(beta, j, 0.1, n0=n0)
+    assert res.state.grid.n == 401
+    lam = leading_eigenvalue(res.half.even_half())
+    dense = _even_sector_top(res.state)
+    assert abs((1.0 - lam) - (1.0 - dense)) <= 1e-11 * abs(1.0 - dense)
+
+
+#: Lanczos steps of lambda (even view, from p) and lambda2 (odd half line)
+#: at j = -0.02, by (beta, spacing, eps): the spectrum-fine grids, and beta =
+#: 1.05, where power iteration from p takes 72 steps
+SECTOR_STEPS = {(2.0, 0.0125, 0.05): (7, 13), (2.0, 0.0125, 0.025): (7, 14),
+                (2.0, 0.0125, 0.0125): (7, 14), (2.0, 0.00625, 0.05): (7, 13),
+                (2.0, 0.00625, 0.025): (7, 14), (2.0, 0.00625, 0.0125): (7, 14),
+                (1.05, 0.05, 0.05): (21, 33)}
+
+
+@pytest.mark.parametrize("beta, spacing, eps", list(SECTOR_STEPS),
+                         ids=[f"{b:g}-{h:g}/{e:g}" for b, h, e in SECTOR_STEPS])
+def test_sector_step_counts(beta, spacing, eps):
+    res = _centred(beta, J_STABLE, eps, spacing)
+    steps = (leading_eigenvalue(res.half.even_half()).steps,
+             second_eigenvalue(res.half).steps)
+    assert steps == SECTOR_STEPS[beta, spacing, eps]
+
+
+def test_a_field_that_overflows_cosh_is_refused(params2, kernel05):
+    """A field past cosh's range gives p = 0, where the weight 1/p the
+    spectral products need does not exist: both entries refuse it."""
+    grid = build_grid(0.1, 1.0, 1.0, 0.05)
+    m = np.full(grid.n, 0.5)
+    with np.errstate(over="ignore"):
+        state = make_state(params2, kernel05, grid, np.full(grid.n, 1e3), m)
+        assert np.all(state.p == 0.0)
+    with pytest.raises(DomainError, match="weight must be positive"):
+        leading_eigenpair(state)
+    with pytest.raises(DomainError, match="weight must be positive"):
+        leading_eigenvalue(state)
 
 
 def _row_start(mode, res, instanton):
