@@ -90,7 +90,7 @@ def cmd_thermo(args) -> int:
 def cmd_instanton(args) -> int:
     _, kern, inst = _fixed_inputs(args.beta, args.spacing, args.kernel)
     out = _outdir(args.out)
-    grid = grid_from_points(inst.x, args.spacing)
+    grid = grid_from_points(inst.x, inst.spacing)
     save_profile(os.path.join(out, "instanton.csv"), grid, inst.profile)
     save_profile(os.path.join(out, "instanton_derivative.csv"), grid,
                  inst.derivative)

@@ -79,10 +79,9 @@ def compute_instanton(params: ThermoParams, kernel: Kernel) -> Instanton:
     about X without one, and the profile is extended to [-X, X] once at the
     end.  Iterating on odd functions pins the translation freedom of the
     infinite-line problem, whose derivative mode (eigenvalue 1) is even and
-    so never enters.
+    so never enters.  ``params`` come from :func:`thermo.make_params`, which
+    refuses beta <= 1.
     """
-    if params.beta <= 1.0:
-        raise DomainError("interface profile needs beta > 1")
     if params.m_beta >= SATURATED_ROOT:
         raise DomainError(f"m_beta is 1 to rounding at beta = {params.beta:g}: "
                           "the profile's mobility would vanish")
@@ -157,8 +156,6 @@ def threshold_abscissa(instanton: Instanton, eps) -> float:
     if v[-1] > eps:
         raise DomainError("threshold beyond the truncation window")
     k = int(np.argmax(v <= eps))
-    if k == 0:
-        return 0.0
     x0, x1 = instanton.x[c + k - 1], instanton.x[c + k]
     v0, v1 = v[k - 1], v[k]
     t = (v0 - eps) / (v0 - v1)

@@ -12,7 +12,6 @@ import functools
 import io
 import json
 import os
-import warnings
 import zlib
 from itertools import chain
 
@@ -272,66 +271,62 @@ def load_state(path):
     """(grid, h, m, beta, kernel shape, j) of a state file, j None when the
     sidecar records no current.
 
-    x, h and m are the bits the CSV parses to, read from the binary copy
-    of :func:`save_state` when both files match the sidecar's byte lengths
-    and CRC-32s, else parsed.  The sidecar must exist, hold the epsilon,
-    left, right and spacing of ``Grid.descriptor``, a numeric beta and a
-    known kernel shape, and give points that match the x column, and x, h
-    and m must be finite; GridError naming it otherwise.  Read from the
-    copy, each of the three files is opened once.
+    x, h and m are read from the binary copy of :func:`save_state`; the
+    CSV's text is not parsed.  The sidecar must exist and hold the epsilon,
+    left, right and spacing of ``Grid.descriptor``, a numeric beta, a known
+    kernel shape and the byte lengths and CRC-32s of the CSV and the copy.
+    Both files must match them, which refuses a missing, stale or edited
+    file, not a forged one.  The grid's points must match the x column, and
+    x, h and m must be finite.  GridError naming the file otherwise; a
+    sidecar or copy that does not hold or match the state asks for a new
+    solve.  Each of the three files is opened once.
     """
-    copy = _load_copy(path)
-    x, h, m = copy[1:] if copy else load_columns(path, ("x", "h", "m"))
-    if not all(np.isfinite(c).all() for c in (x, h, m)):
-        raise GridError(f"{path} holds a non-finite x, h or m")
+    try:
+        csv = _stamp(path)
+    except OSError as exc:
+        raise GridError(f"cannot read {path}: {exc.strerror or exc}") \
+            from None
     side = _sidecar(path)
     if not os.path.exists(side):
         raise GridError(f"{path} has no grid descriptor {side}")
     try:
-        d = copy[0] if copy else _read_json(side)
+        with open(side) as fh:
+            d = json.load(fh)
         grid = build_grid(d["epsilon"], d["left"], d["right"], d["spacing"])
         beta, shape = float(d["beta"]), d["kernel"]
         j = None if d.get("j") is None else float(d["j"])
         if shape not in KERNEL_SHAPES:
             raise ValueError(f"unknown kernel shape {shape!r}")
+        stamps = d["csv"], d["npy"]
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise GridError(f"malformed grid descriptor {side}: "
                         f"{type(exc).__name__}: {exc}; solve the state "
                         "again") from None
+    copy = _copy(path)
+    try:
+        with open(copy, "rb") as fh:
+            raw = bytearray(os.fstat(fh.fileno()).st_size)
+            fh.readinto(raw)
+            found = csv, {"bytes": len(raw), "crc32": zlib.crc32(raw)}
+            for name, stamp, got in zip((path, copy), stamps, found):
+                if got != stamp:
+                    raise GridError(f"{name} is not the file that {side} "
+                                    "stamps; solve the state again")
+            fh.seek(0)      # a damaged copy was refused by its stamp above
+            np.lib.format.read_magic(fh)
+            dims, _, dtype = np.lib.format.read_array_header_1_0(fh)
+            x, h, m = np.frombuffer(raw, dtype,
+                                    offset=fh.tell()).reshape(dims)
+    except OSError as exc:
+        raise GridError(f"cannot read {copy}: {exc.strerror or exc}; solve "
+                        "the state again") from None
+    if not all(np.isfinite(c).all() for c in (x, h, m)):
+        raise GridError(f"{path} holds a non-finite x, h or m")
     if grid.n != x.size or np.max(np.abs(grid.points - x)) \
             > 1e-9 * max(1.0, grid.b):
         raise GridError(f"x column of {path} does not match its grid "
                         f"descriptor {side}")
     return grid, h, m, beta, shape, j
-
-
-def _read_json(path):
-    with open(path) as fh:
-        return json.load(fh)
-
-
-def _load_copy(path):
-    """(sidecar, x, h, m) of the state's binary copy, or None unless it and
-    the CSV match the sidecar's byte lengths and CRC-32s, which catch stale
-    and edited files, not forged ones.  The copy is read once: its stamp
-    and its arrays, views of one buffer, come from the same bytes."""
-    try:
-        side = _read_json(_sidecar(path))
-        if side["csv"] != _stamp(path):
-            return None
-        with open(_copy(path), "rb") as fh:
-            np.lib.format.read_magic(fh)
-            shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
-            offset = fh.tell()
-            raw = bytearray(os.fstat(fh.fileno()).st_size)
-            fh.seek(0)
-            fh.readinto(raw)
-        if side["npy"] != {"bytes": len(raw), "crc32": zlib.crc32(raw)}:
-            return None
-        x, h, m = np.frombuffer(raw, dtype, offset=offset).reshape(shape)
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
-    return side, x, h, m
 
 
 def grid_from_points(x: np.ndarray, spacing) -> Grid:
@@ -341,36 +336,8 @@ def grid_from_points(x: np.ndarray, spacing) -> Grid:
     ``right`` are then the window's own half-widths, -x[0] and x[-1].
     """
     pts = np.asarray(x, dtype=float)
-    if np.max(np.abs(np.diff(pts) - spacing)) > 1e-9 * max(1.0, spacing):
-        raise GridError("points are not equispaced")
     pts.setflags(write=False)
     return Grid(1.0, float(-pts[0]), float(pts[-1]), float(spacing), pts)
-
-
-def load_columns(path, names) -> tuple[np.ndarray, ...]:
-    """The named columns of a headed CSV file.
-
-    A file that cannot be read, a bad token, a ragged row, no rows or rows
-    whose length differs from the header raise GridError naming the file.
-    """
-    try:
-        with open(path) as fh:
-            header = fh.readline().strip().split(",")
-            with warnings.catch_warnings():   # no rows: reported below
-                warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    except OSError as exc:
-        raise GridError(f"cannot read {path}: {exc.strerror or exc}") \
-            from None
-    except ValueError as exc:
-        raise GridError(f"cannot parse {path}: {exc}") from None
-    if data.shape[0] == 0 or data.shape[1] != len(header):
-        raise GridError(f"{path} needs rows of {len(header)} values "
-                        f"({','.join(header)})")
-    missing = [n for n in names if n not in header]
-    if missing:
-        raise GridError(f"columns {missing} missing from {path}")
-    return tuple(data[:, header.index(n)].copy() for n in names)
 
 
 def dump_json(path, payload: dict):
@@ -384,6 +351,4 @@ def dump_json(path, payload: dict):
 def _coerce(obj):
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
     raise TypeError(f"cannot serialize {type(obj)}")

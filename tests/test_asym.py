@@ -10,8 +10,8 @@ from mesostefan import antisym, asym, grids, stefan
 from mesostefan.asym import (admissibility_report, build_problem,
                              check_off_center, default_a_plus,
                              projected_field)
-from mesostefan.errors import (DomainError, GridError, InfeasibleError,
-                               SaturationError)
+from mesostefan.errors import (ConvergenceError, DomainError, GridError,
+                               InfeasibleError, SaturationError)
 from mesostefan.grids import Grid, Kernel, conv_values
 from mesostefan.meso import INNER_TOL, make_state
 from mesostefan.spectral import leading_eigenpair
@@ -48,6 +48,33 @@ def test_problem_preconditions(params2, kernel05, inst05, maximal_stable):
     with pytest.raises(InfeasibleError):        # 1 + x0 > ell_j
         build_problem(stefan.solve_maximal(params2, -0.05), kernel05, inst05,
                       0.1, X0, N0)
+
+
+def test_problem_refuses_an_inexact_quasi_solution(monkeypatch, kernel05,
+                                                   inst05, maximal_stable):
+    """h* + r_eps makes m* a fixed point to the inner solve's tolerance; a
+    field off at one point is a ConvergenceError, not a start for the
+    projected loop."""
+    def shifted(params, kernel, grid, h, m, conv):
+        h = h.copy()
+        h[grid.n // 2] += 1e-3
+        return make_state(params, kernel, grid, h, m, conv)
+
+    monkeypatch.setattr(asym, "make_state", shifted)
+    with pytest.raises(ConvergenceError, match="quasi-solution residual"):
+        build_problem(maximal_stable, kernel05, inst05, 0.1, X0, N0)
+
+
+def test_zero_near_needs_a_sign_change(problem01):
+    """A profile with no sign change near the interface has no zero there:
+    a ConvergenceError.  Where it vanishes at two neighbours, the zero is
+    the first of them."""
+    grid, c = problem01.res_grid, problem01.interface_index
+    with pytest.raises(ConvergenceError, match="no zero within"):
+        asym._zero_near(problem01, np.ones(grid.n))
+    values = grid.points - grid.points[c]
+    values[c + 1] = 0.0
+    assert asym._zero_near(problem01, values) == grid.points[c]
 
 
 def test_check_matches_problem_errors(kernel05, inst05, maximal_stable,

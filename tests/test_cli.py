@@ -22,9 +22,17 @@ from mesostefan.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_NUMERICAL,
                             EXIT_OK, SWEEP_HEADER, main, run, validate)
 from mesostefan.config import RunConfig, parse_config
 from mesostefan.errors import DomainError, GridError, InfeasibleError
-from mesostefan.profiles import dump_json, load_columns, load_state
+from mesostefan.profiles import dump_json, load_state
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "scripts", "configs")
+
+
+def _columns(path, *names):
+    """The named columns of a headed CSV file, parsed by np.loadtxt."""
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    return tuple(data[:, header.index(n)] for n in names)
 
 
 def test_parse_config_defaults_and_comments():
@@ -127,10 +135,13 @@ def test_bad_config_value_exit_code_of_the_process(tmp_path):
 @pytest.mark.parametrize("command,flag", [("sweep", "--config"),
                                           ("validate", "--config"),
                                           ("spectrum", "--state")])
-def test_missing_input_file_is_config_error(tmp_path, command, flag):
+def test_missing_input_file_is_config_error(tmp_path, capsys, command, flag):
     """A path that does not exist exits 2 with a config error naming it,
-    not a traceback."""
+    not a traceback, in this process and through the interpreter."""
     missing = tmp_path / "absent.txt"
+    assert main([command, flag, str(missing)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        f"config error: cannot read {missing}")
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     proc = subprocess.run(
         [sys.executable, "-m", "mesostefan.cli", command, flag,
@@ -139,6 +150,17 @@ def test_missing_input_file_is_config_error(tmp_path, command, flag):
     assert proc.returncode == EXIT_CONFIG
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(f"config error: cannot read {missing}")
+
+
+@pytest.mark.parametrize("command", ["sweep", "validate"])
+def test_undecodable_config_is_config_error(tmp_path, capsys, command):
+    """A config file that is not text exits 2 with a config error naming
+    it, not a traceback."""
+    cfg = tmp_path / "bad.txt"
+    cfg.write_bytes(b"beta = 2\n\xff\xfe\x80\n")
+    assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        f"config error: cannot parse {cfg}: ")
 
 
 def test_thermo_command(tmp_path):
@@ -155,7 +177,7 @@ def test_instanton_command(tmp_path):
     assert main(["instanton", "--beta", "2", "--out", str(out)]) == EXIT_OK
     data = json.loads((out / "instanton.json").read_text())
     assert data["residual"] < 1e-10
-    value, = load_columns(str(out / "instanton.csv"), ("value",))
+    value, = _columns(out / "instanton.csv", "value")
     assert value[0] == pytest.approx(-data["m_beta"], abs=1e-9)
     # the loop's steps and extrapolated steps, and criterion 12's defect
     assert (data["iterations"], data["extrapolations"]) == (14, 3)
@@ -168,7 +190,7 @@ def test_instanton_sidecar_rebuilds_its_points(tmp_path):
     out = tmp_path / "i"
     assert main(["instanton", "--beta", "2", "--out", str(out)]) == EXIT_OK
     for name in ("instanton", "instanton_derivative"):
-        x, = load_columns(str(out / f"{name}.csv"), ("x",))
+        x, = _columns(out / f"{name}.csv", "x")
         side = json.loads((out / f"{name}.grid.json").read_text())
         assert side["epsilon"] == 1.0
         assert side["left"] == side["right"] == instanton_mod.HALF_WIDTH
@@ -573,6 +595,18 @@ def test_dump_json_writes_numpy_bools_and_refuses_nan(tmp_path):
     assert '"ok": true' in path.read_text()
     with pytest.raises(ValueError):
         dump_json(path, {"value": float("nan")})
+
+
+@pytest.mark.parametrize("value", [object(), np.zeros(2)],
+                         ids=["object", "array"])
+def test_dump_json_refuses_what_json_cannot_hold(tmp_path, value):
+    """A value that is neither JSON nor a numpy scalar, an array among them,
+    is a TypeError naming its type, and no file is written."""
+    path = tmp_path / "out.json"
+    message = re.escape(f"cannot serialize {type(value)}")
+    with pytest.raises(TypeError, match=message):
+        dump_json(path, {"value": value})
+    assert not path.exists()
 
 
 def test_failed_dump_json_writes_no_file(tmp_path):
@@ -1257,14 +1291,18 @@ def test_spectrum_of_a_state_that_is_not_odd_runs_on_the_full_grid(
 
 
 def test_state_sidecar_mismatch_is_config_error(tmp_path, capsys):
-    """A grid sidecar from another eps next to a state file is a GridError
-    (exit 2), not a crash."""
+    """A grid sidecar from another eps next to a state file, with the
+    stamps of the state's own files, is a GridError (exit 2), not a
+    crash."""
     runs = {}
     for eps in ("0.1", "0.05"):
         runs[eps] = tmp_path / eps
         main(["solve", "--beta", "2", "--eps", eps, "--j", "-0.02",
               "--ell", "1", "--n0", "2", "--out", str(runs[eps])])
-    shutil.copy(runs["0.05"] / "state.grid.json", runs["0.1"] / "state.grid.json")
+    own, other = (json.loads((runs[eps] / "state.grid.json").read_text())
+                  for eps in ("0.1", "0.05"))
+    (runs["0.1"] / "state.grid.json").write_text(json.dumps(
+        {**other, "csv": own["csv"], "npy": own["npy"]}) + "\n")
     state = str(runs["0.1"] / "state.csv")
     with pytest.raises(GridError, match="does not match its grid descriptor"):
         load_state(state)
@@ -1318,6 +1356,8 @@ def test_malformed_sidecar_is_config_error(tmp_path, sidecar):
           "--ell", "1", "--n0", "2", "--out", str(run_dir)])
     side = run_dir / "state.grid.json"
     side.write_text(sidecar + "\n")
+    with pytest.raises(GridError, match="; solve the state again$"):
+        load_state(str(run_dir / "state.csv"))
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     proc = subprocess.run(
         [sys.executable, "-m", "mesostefan.cli", "spectrum", "--state",
@@ -1332,34 +1372,37 @@ def test_malformed_sidecar_is_config_error(tmp_path, sidecar):
     assert not (tmp_path / "spec").exists()
 
 
-@pytest.mark.parametrize("edit,message", [
-    (lambda rows: rows[:5] + ["0.1,abc,0.3"] + rows[6:], "cannot parse"),
-    (lambda rows: rows[:5] + ["0.1,0.2"] + rows[6:], "cannot parse"),
-    (lambda rows: rows[:5] + ["0.1,0.2,0.3,0.4"] + rows[6:], "cannot parse"),
-    (lambda rows: rows[:1], "needs rows of 3 values"),
-    (lambda rows: ["x,h,m,extra"] + rows[1:], "needs rows of 4 values"),
+@pytest.mark.parametrize("edit", [
+    lambda rows: rows[:5] + ["0.1,abc,0.3"] + rows[6:],
+    lambda rows: rows[:5] + ["0.1,0.2"] + rows[6:],
+    lambda rows: rows[:5] + ["0.1,0.2,0.3,0.4"] + rows[6:],
+    lambda rows: rows[:1],
+    lambda rows: ["x,h,m,extra"] + rows[1:],
 ], ids=["bad-token", "short-row", "long-row", "no-rows", "long-header"])
-def test_malformed_state_is_config_error(tmp_path, capsys, edit, message):
+def test_malformed_state_is_config_error(tmp_path, capsys, edit):
     """A bad token, a ragged row, no rows or a header that does not fit the
-    rows is a GridError naming the file (exit 2), not a crash."""
+    rows is a CSV that its sidecar does not stamp: a GridError naming the
+    file that asks for a new solve (exit 2), not a crash."""
     run_dir = tmp_path / "run"
     main(["solve", "--beta", "2", "--eps", "0.1", "--j", "-0.02",
           "--ell", "1", "--n0", "2", "--out", str(run_dir)])
     state = run_dir / "state.csv"
     rows = state.read_text().splitlines()
     state.write_text("\n".join(edit(rows)) + "\n")
-    with pytest.raises(GridError, match=message) as info:
+    with pytest.raises(GridError, match="; solve the state again$") as info:
         load_state(str(state))
-    assert str(state) in str(info.value)
+    assert str(info.value).startswith(f"{state} is not the file that ")
     code = main(["spectrum", "--state", str(state),
                  "--j", "-0.02", "--out", str(tmp_path / "spec")])
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and str(state) in err
+    assert err.startswith(f"config error: {state} is not the file that ")
+    assert not (tmp_path / "spec").exists()
 
 
 def test_state_columns_parse_like_float(tmp_path):
-    """np.loadtxt reads the 17-digit columns to the same doubles as float()."""
+    """The state read back holds the doubles that float() parses from the
+    CSV's 17-digit columns."""
     run_dir = tmp_path / "run"
     main(["solve", "--beta", "2", "--eps", "0.05", "--j", "-0.02",
           "--ell", "1", "--n0", "2", "--out", str(run_dir)])
@@ -1369,22 +1412,6 @@ def test_state_columns_parse_like_float(tmp_path):
     _, h, m, _, _, _ = load_state(str(path))
     assert np.array_equal(np.stack([h, m], axis=1).view(np.int64),
                           by_float[:, 1:].view(np.int64))
-
-
-@pytest.fixture
-def parses(monkeypatch):
-    """The paths whose columns ``load_state`` parsed from CSV text."""
-    from mesostefan import profiles
-
-    calls = []
-    real = profiles.load_columns
-
-    def spy(path, names):
-        calls.append(path)
-        return real(path, names)
-
-    monkeypatch.setattr(profiles, "load_columns", spy)
-    return calls
 
 
 def _bits(*columns):
@@ -1397,32 +1424,20 @@ def _bits(*columns):
     ["solve", "--mode", "metastable", "--j", "0.02", "--ell", "1"],
     ["solve", "--mode", "asym", "--j", "-0.02", "--x0", "0.2"],
 ], ids=["antisym", "metastable", "asym"])
-def test_state_copy_is_the_parsed_csv(tmp_path, parses, command, eps):
+def test_state_copy_is_the_parsed_csv(tmp_path, command, eps):
     """A state read from its binary copy holds x, h and m bitwise equal to
-    the parse of its CSV, and its spectrum.json is byte for byte the one
-    read from the CSV once the copy is gone."""
+    np.loadtxt's parse of its CSV."""
     run_dir = tmp_path / "run"
     assert main(command + ["--eps", eps, "--out", str(run_dir)]) == EXIT_OK
     state = str(run_dir / "state.csv")
     grid, h, m, _, _, _ = load_state(state)
-    assert parses == []
-    x, *parsed = load_columns(state, ("x", "h", "m"))
+    x, *parsed = _columns(state, "x", "h", "m")
     assert np.array_equal(_bits(grid.points, h, m), _bits(x, *parsed))
     assert np.array_equal(_bits(*np.load(run_dir / "state.npy")),
                           _bits(x, *parsed))
-    spectra = []
-    for name in ("copy", "csv"):
-        out = tmp_path / name
-        assert main(["spectrum", "--state", state, "--j",
-                     command[command.index("--j") + 1],
-                     "--out", str(out)]) == EXIT_OK
-        spectra.append((out / "spectrum.json").read_bytes())
-        (run_dir / "state.npy").unlink(missing_ok=True)
-    assert parses == [state]
-    assert spectra[0] == spectra[1]
 
 
-def test_state_copy_opens_each_file_once(tmp_path, monkeypatch, parses):
+def test_state_copy_opens_each_file_once(tmp_path, monkeypatch):
     """Read from its binary copy, a state opens its CSV (for the stamp),
     its sidecar and its copy once each: the copy's stamp and arrays come
     from one read of it."""
@@ -1442,7 +1457,6 @@ def test_state_copy_opens_each_file_once(tmp_path, monkeypatch, parses):
         patch.setattr(builtins, "open", counted)
         grid, h, m, _, _, _ = load_state(str(run_dir / "state.csv"))
     assert sorted(opened) == ["state.csv", "state.grid.json", "state.npy"]
-    assert parses == []
     assert np.array_equal(_bits(grid.points, h, m),
                           _bits(*np.load(run_dir / "state.npy")))
 
@@ -1474,9 +1488,10 @@ def _truncate(path):
     path.write_bytes(path.read_bytes()[:-100])
 
 
-#: stale, edited, truncated and foreign files next to a state ("run", the
-#: CSV's own run; "other", a solve on the same grid at another current)
-_COPY_FALLBACKS = {
+#: missing, stale, edited, truncated and foreign files next to a state
+#: ("run", the CSV's own run; "other", a solve on the same grid at another
+#: current)
+_STATE_DAMAGES = {
     "no-copy": lambda run, other: (run / "state.npy").unlink(),
     "earlier-version": lambda run, other: (
         shutil.copy(other / "state.csv", run / "state.csv"),
@@ -1502,43 +1517,39 @@ _COPY_FALLBACKS = {
 }
 
 
-def _outcome(path):
-    try:
-        grid, h, m, _, _, _ = load_state(path)
-    except GridError as exc:
-        return str(exc)
-    return _bits(grid.points, h, m).tolist()
-
-
-@pytest.mark.parametrize("damage", list(_COPY_FALLBACKS))
-def test_state_copy_falls_back_to_the_csv(tmp_path, monkeypatch, parses,
-                                          damage):
-    """Unless the CSV and the copy are the files the sidecar stamps,
-    load_state parses the CSV and gives the parse path's arrays, or its
-    error."""
-    from mesostefan import profiles
-
+@pytest.mark.parametrize("damage", list(_STATE_DAMAGES))
+def test_state_copy_falls_back_to_the_csv(tmp_path, capsys, damage):
+    """Unless the CSV and the copy are the files the sidecar stamps, the
+    state is refused: a GridError that asks for a new solve (exit 2), and
+    spectrum writes no file.  No other reading of the CSV stands in."""
     run, other = tmp_path / "run", tmp_path / "other"
     for out, j in ((run, "-0.02"), (other, "-0.03")):
         assert main(["solve", "--eps", "0.1", "--j", j, "--ell", "1",
                      "--out", str(out)]) == EXIT_OK
-    _COPY_FALLBACKS[damage](run, other)
+    _STATE_DAMAGES[damage](run, other)
     state = str(run / "state.csv")
-    got = _outcome(state)
-    assert parses == [state]
-    monkeypatch.setattr(profiles, "_load_copy", lambda path: None)
-    assert got == _outcome(state)
+    with pytest.raises(GridError, match="; solve the state again$"):
+        load_state(state)
+    capsys.readouterr()
+    spec = tmp_path / "spec"
+    assert main(["spectrum", "--state", state, "--out", str(spec)]) \
+        == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert err.endswith("; solve the state again\n")
+    assert not (spec / "spectrum.json").exists()
 
 
 @pytest.mark.parametrize("path", ["copy", "csv"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
                          ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("column", ["x", "h", "m"])
-def test_non_finite_state_is_config_error(tmp_path, capsys, parses, column,
-                                          value, path):
-    """A NaN or infinity in x, h or m is a GridError naming the file (exit
-    2) whether the copy or the CSV is read: a NaN in x would pass the x
-    check, which compares, and one in m would stall the power iteration."""
+def test_non_finite_state_is_config_error(tmp_path, capsys, column, value,
+                                          path):
+    """A NaN or infinity in x, h or m of the copy is a GridError naming the
+    file (exit 2): a NaN in x would pass the x check, which compares, and
+    one in m would stall the power iteration.  Without the copy ("csv") the
+    state is refused before any value is read, whatever the CSV holds."""
     from dataclasses import replace
 
     from mesostefan.grids import build_grid
@@ -1552,16 +1563,20 @@ def test_non_finite_state_is_config_error(tmp_path, capsys, parses, column,
     with np.errstate(invalid="ignore"):     # J * m of an infinite m
         stored = _state_of(replace(g, points=cols["x"]), cols["h"], cols["m"])
     save_state(str(state), stored)
+    named = state
     if path == "csv":
-        (tmp_path / "state.npy").unlink()
-    with pytest.raises(GridError, match="non-finite") as info:
+        named = tmp_path / "state.npy"
+        named.unlink()
+    with pytest.raises(GridError, match="non-finite" if path == "copy"
+                       else "; solve the state again$") as info:
         load_state(str(state))
-    assert str(state) in str(info.value)
-    assert parses == ([str(state)] if path == "csv" else [])
+    assert str(named) in str(info.value)
     out = tmp_path / "spec"
     assert main(["spectrum", "--state", str(state), "--out", str(out)]) \
         == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith(f"config error: {state} ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {state} " if path == "copy"
+                          else f"config error: cannot read {named}: ")
     assert not out.exists()
 
 
@@ -1573,7 +1588,7 @@ def test_profile_csv_round_trip(tmp_path):
     values = np.sin(g.points / 3.0) * 1e-7 + 0.123456789012345678
     path = str(tmp_path / "p.csv")
     save_profile(path, g, values)
-    x, back = load_columns(path, ("x", "value"))
+    x, back = _columns(path, "x", "value")
     assert np.array_equal(back, values)
     assert np.array_equal(x, g.points)
     grid = json.loads((tmp_path / "p.grid.json").read_text())

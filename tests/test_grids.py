@@ -83,6 +83,22 @@ def test_build_kernel_tap_cap():
             build_kernel(spacing)
 
 
+@pytest.mark.parametrize("spacing", [0.0, -0.05, np.nan, np.inf])
+def test_build_kernel_rejects_bad_spacing(spacing):
+    with pytest.raises(GridError, match="positive and finite"):
+        build_kernel(spacing)
+
+
+def test_index_of_refuses_what_is_not_a_point():
+    """index_of gives a grid point's index; an abscissa between points or
+    outside the grid is a GridError, not the nearest index."""
+    g = build_grid(0.1, 1.0, 1.0, 0.05)
+    assert g.index_of(g.points[7]) == 7
+    for x in (g.points[7] + 0.02, g.a - 0.05, g.b + 0.05):
+        with pytest.raises(GridError, match="is not a point of the grid"):
+            g.index_of(x)
+
+
 def test_grid_descriptor_json():
     g = build_grid(0.1, 1.0, 1.0, 0.05)
     d = json.loads(g.descriptor())

@@ -1,5 +1,7 @@
 """Standing interface profile: certification, decay, transfer diagnostics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.stats import linregress
@@ -95,8 +97,23 @@ def test_unsaturated_betas_converge(beta):
 
 def test_preconditions():
     p = make_params(2.0)
-    with pytest.raises(GridError):
+    with pytest.raises(GridError, match="spacing must be <="):
         compute_instanton(p, build_kernel(0.08))
+    # at beta = 1 + 1e-12 the tail decays at rate 5.5e-6: a window of 37
+    # decays needs 2.7e8 points, refused before any array is formed
+    with pytest.raises(GridError, match="needs more than"):
+        compute_instanton(make_params(1.0 + 1e-12), build_kernel(0.05))
+
+
+def test_decay_root_refuses_a_newton_budget_it_exhausts(monkeypatch,
+                                                        params2, kernel05):
+    """From the bracket's upper end at beta = 2, Newton's method lowers the
+    rate five times and stops at the sixth step; a budget of 2 is a
+    ConvergenceError, not the unsettled rate."""
+    p_beta = mobility(params2, params2.m_beta)
+    monkeypatch.setattr(instanton, "_MAX_NEWTON", 2)
+    with pytest.raises(ConvergenceError, match="did not settle in 2 steps"):
+        instanton.decay_root(p_beta, kernel05)
 
 
 def test_threshold_abscissa_edges(inst05, params2):
@@ -104,10 +121,21 @@ def test_threshold_abscissa_edges(inst05, params2):
     assert threshold_abscissa(inst05, params2.m_beta - 1e-12) < 1e-6
     vals = [threshold_abscissa(inst05, e) for e in (0.1, 0.05, 0.025, 1e-3)]
     assert all(a < b for a, b in zip(vals, vals[1:]))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="must be in"):
         threshold_abscissa(inst05, 2.0)
-    with pytest.raises(DomainError):
-        threshold_abscissa(inst05, 1e-30)   # beyond the truncation window
+    # 1e-30 < 10 max(residual, 1e-14): the gap underflows before it
+    with pytest.raises(DomainError, match="below the numerical resolution"):
+        threshold_abscissa(inst05, 1e-30)
+    # the full window's last gap is below that floor, so only a profile
+    # cut short, here to |x| <= 2, ends before a resolved threshold
+    c = inst05.center_index
+    short = dataclasses.replace(inst05, x=inst05.x[c - 40:c + 41],
+                                profile=inst05.profile[c - 40:c + 41])
+    assert short.half_width == pytest.approx(2.0)
+    end_gap = params2.m_beta - short.profile[-1]
+    assert threshold_abscissa(short, 2.0 * end_gap) < 2.0
+    with pytest.raises(DomainError, match="beyond the truncation window"):
+        threshold_abscissa(short, 0.5 * end_gap)
 
 
 def test_threshold_scales_like_log(inst05):

@@ -53,6 +53,17 @@ def test_effective_field_round_trip(params2, kernel05, wide_grid):
     assert make_state(params2, kernel05, wide_grid, h, m).residual_norm < 1e-14
 
 
+@pytest.mark.parametrize("edge", [1.0, -1.0])
+def test_effective_field_refuses_saturation(params2, kernel05, wide_grid,
+                                            edge):
+    """artanh(+-1) is infinite: no finite field makes m = +-1 a fixed
+    point."""
+    m = 0.5 * np.tanh(wide_grid.points)
+    m[3] = edge
+    with pytest.raises(DomainError, match="saturates"):
+        exact_state(params2, kernel05, wide_grid, m)
+
+
 def test_effective_field_instanton_bulk(params2, kernel05, wide_grid, inst05):
     m = np.interp(wide_grid.points, inst05.x, inst05.profile)
     h = exact_state(params2, kernel05, wide_grid, m).h

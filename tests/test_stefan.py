@@ -190,6 +190,18 @@ def test_metastable_breakdown_error(maximal_meta):
     assert exc.value.ell_j == pytest.approx(maximal_meta.end)
 
 
+@pytest.mark.parametrize("branch", ["stable", "metastable"])
+def test_sampling_past_the_end_is_infeasible(maximal_stable, maximal_meta,
+                                             branch):
+    """An abscissa past the branch's end, on either side, is an
+    InfeasibleError carrying the end, not a value clamped to it."""
+    mx = {"stable": maximal_stable, "metastable": maximal_meta}[branch]
+    for x in (1.01 * mx.end, np.array([0.0, -1.01 * mx.end])):
+        with pytest.raises(InfeasibleError, match="beyond") as exc:
+            mx.m_of_x(x)
+        assert exc.value.ell_j == mx.end
+
+
 def test_metastable_needs_positive_current(params2):
     with pytest.raises(DomainError):
         _metastable_maximal(params2, -0.02)

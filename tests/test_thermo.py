@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mesostefan.errors import DomainError
+from mesostefan.errors import ConvergenceError, DomainError
 from mesostefan.grids import (build_grid, build_kernel, conv_values,
                               KERNEL_SHAPES)
 from mesostefan.thermo import (bulk_root, convex_envelope, entropy,
@@ -147,6 +147,19 @@ def test_mean_field_root_argmin_oracle():
     assert abs(root - s_min) < 2e-6
 
 
+def test_mean_field_root_refuses_a_newton_budget_it_exhausts(monkeypatch):
+    """With fewer Newton steps than the root needs, bulk_root is a
+    ConvergenceError carrying the last iterate, not an unsettled root."""
+    from mesostefan import thermo
+
+    m_beta = solve_m_beta(2.0)
+    monkeypatch.setattr(thermo, "_MAX_NEWTON", 2)
+    with pytest.raises(ConvergenceError, match="did not settle in 2") as exc:
+        bulk_root(2.0, np.array([0.0, 0.1]))
+    assert exc.value.last.shape == (2,)
+    assert np.all(exc.value.last > m_beta)
+
+
 def test_mean_field_root_saturates():
     p = make_params(2.0)
     vals = [float(bulk_root(p.beta, h)) for h in (1.0, 5.0, 20.0)]
@@ -232,6 +245,12 @@ def test_envelope_against_hull_oracle():
 
 
 # ------------------------------------------------------------ pressure
+
+@pytest.mark.parametrize("h", [np.nan, np.inf, [0.1, -np.inf]])
+def test_pressure_refuses_a_non_finite_field(h):
+    with pytest.raises(DomainError, match="finite"):
+        pressure(make_params(2.0), h)
+
 
 def test_pressure_at_zero_and_symmetry():
     p = make_params(2.0)
