@@ -45,9 +45,8 @@ class SweepRow:
     eps_x_eps: float = float("nan")
     iters: int = 0
     picard_steps: int = 0       # fixed-point updates of m in the row
-    power_steps: int = 0        # power iteration steps of the leading pair
     picard_extrapolations: int = 0  # of the updates, those that extrapolated
-    power_extrapolations: int = 0   # of the power steps, likewise
+    lambda_steps: int = 0       # Lanczos steps of the leading eigenvalue
     error: str = ""             # exception class and message of a failed row
 
     def csv_line(self) -> str:
@@ -199,12 +198,13 @@ def _solve_one(cfg: RunConfig, eps, shared: tuple):
 
     Every mode runs one pipeline on the shared inputs: the mode's solver,
     the hydrodynamic error against the Stefan limit shifted to the
-    interface x0, and the leading eigenpair; the extra column is I_eps for
-    metastable, eps_x_eps off center.  A centred result is odd about x = 0,
-    and so are the closed forms, so both checks run on the half line it
-    holds (:meth:`meso.MesoState.even_half`), the pair from the interface
-    slope (:func:`spectral.slope_start`); off center on the state, the pair
-    from u* restricted to the grid.
+    interface x0, and the leading eigenvalue, the top Ritz value of a
+    Lanczos recurrence (:func:`spectral.leading_eigenvalue`); the extra
+    column is I_eps for metastable, eps_x_eps off center.  A centred result
+    is odd about x = 0, and so are the closed forms, so both checks run on
+    the half line it holds (:meth:`meso.MesoState.even_half`), lambda from
+    the interface slope (:func:`spectral.slope_start`); off center on the
+    state, lambda from u* restricted to the grid.
     """
     _, _, solve, arg = _mode(cfg)
     inst = shared[2]
@@ -223,11 +223,8 @@ def _solve_one(cfg: RunConfig, eps, shared: tuple):
     row.picard_extrapolations = sum(len(t.extrapolated) for t in traces)
     row.hydro_m, row.hydro_h = antisym.hydrodynamic_error(
         checked, res.macro, x0, eps * res.xi_eps)
-    # handed over unnamed, the start is freed in the pair
-    sp = spectral.leading_eigenpair(checked, start=start())
-    row.lam_gap_ratio = (1.0 - sp.lambda_) / eps
-    row.power_steps = sp.iterations
-    row.power_extrapolations = sp.extrapolations
+    lam = spectral.leading_eigenvalue(checked, start())
+    row.lam_gap_ratio, row.lambda_steps = (1.0 - lam) / eps, lam.steps
     if cfg.mode == "metastable":
         row.i_eps = res.increase_interval
     return row, res
@@ -260,8 +257,7 @@ def _row_record(row: SweepRow) -> dict:
         record["error"] = row.error
     else:
         record |= {k: getattr(row, k) for k in (
-            "picard_steps", "power_steps", "picard_extrapolations",
-            "power_extrapolations")}
+            "picard_steps", "picard_extrapolations", "lambda_steps")}
     return record
 
 

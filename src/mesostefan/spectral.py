@@ -6,15 +6,16 @@ spectral gap that stays open as the scale parameter shrinks.  Everything
 here is matrix-free, every inner product a sum against the state's
 quadrature weights.  Where only an eigenvalue is read it is the top Ritz
 value of one Lanczos recurrence, stopped once that value is exact to
-rounding: lambda2 on the weighted complement of the leading eigenvector,
-and ``mesostefan spectrum`` on an exactly odd state, solved in its two
-reflection sectors on the half line (lambda on the even one, lambda2 as
-the odd one's top eigenvalue).  Where a caller reads the vector, power
-iteration gives the leading pair, extrapolating as the fixed-point loop
-does: the sweep rows, the deflation on a full grid, and the extended
-centred state's pair, the off-center Newton direction
-(:func:`asym.build_problem`).  Each loop keeps its vectors and its
-convolution's workspace for its whole run.
+rounding: lambda of every sweep row, from the row's start (the interface
+slope on a centred state's even half line, u* off center), lambda2 on the
+weighted complement of the leading eigenvector, and ``mesostefan
+spectrum`` on an exactly odd state, solved in its two reflection sectors
+on the half line (lambda on the even one, lambda2 as the odd one's top
+eigenvalue).  Where a caller reads the vector, power iteration gives the
+leading pair, extrapolating as the fixed-point loop does: the deflation on
+a full grid, and the extended centred state's pair, the off-center Newton
+direction u* (:func:`asym.build_problem`).  Each loop keeps its vectors
+and its convolution's workspace for its whole run.
 """
 
 from __future__ import annotations
@@ -58,17 +59,16 @@ def leading_eigenpair(state: MesoState, tol=1e-12,
     the quotient is stationary: the rule is an AND, so the stopping step is
     the same.  It extrapolates as :func:`meso.iterate` does, over rho^2 from
     the quotient's changes while they reach ``tol``, then over rho from the
-    residuals, keeping the iterate above _START_FLOOR times the plain one.
-    The sweeps and the off-center set-up hand it a centred state's even
-    half line (:meth:`meso.MesoState.even_half`), where the leading pair
-    lives.  p's bulk part shrinks only by the bulk value of p per step, so
-    the sweeps start from the eigenvector's known shape, the interface
-    slope (:func:`slope_start`), or off center from u*.  ``mesostefan
-    spectrum`` starts from p on the full grid of a state that is not
-    exactly odd, where it deflates the vector for lambda2.  Every iterate
-    stays positive, so u needs no sign fix: the start and p are positive,
-    the kernel is nonnegative, and an extrapolated step is clamped above
-    _START_FLOOR times the plain one.
+    residuals, clamping the iterate at or above _START_FLOOR times the plain
+    one.  The off-center set-up starts it from the interface slope
+    (:func:`slope_start`) on the extended centred state's even half line, as
+    p's bulk part shrinks only by the bulk value of p per step; ``mesostefan
+    spectrum`` from p on the full grid of a state that is not exactly odd,
+    where it deflates the vector for lambda2.  Every iterate stays
+    nonnegative, as the start, p, the kernel and the clamp are, so u needs
+    no sign fix; not positive: clamps compounding over extrapolated steps
+    underflow tail entries to 0 (269 of u*'s 1 921 at beta = 1.01, x0 = 0.2,
+    eps = 0.0125).
     """
     _check_weight(state)
     if start is None:
@@ -119,10 +119,11 @@ def leading_eigenpair(state: MesoState, tol=1e-12,
 
 
 def slope_start(state: MesoState, instanton: Instanton) -> np.ndarray:
-    """Power iteration start on a centred state's even half line
+    """Start on a centred state's even half line
     (:meth:`meso.MesoState.even_half`): the instanton's slope from x = 0 on,
     zero where it is not positive and past its window, plus
-    _START_FLOOR * p, which keeps it positive at every point.
+    _START_FLOOR * p, which keeps it positive at every point: a centred
+    row's lambda and u* (:func:`asym.build_problem`) start from it.
 
     The maximal eigenvector is the normalised interface slope to O(eps).
     The layout check matched the instanton's spacing to the grid's, so the
@@ -159,11 +160,12 @@ class RitzValue(float):
         return ritz
 
 
-def leading_eigenvalue(state: MesoState) -> RitzValue:
+def leading_eigenvalue(state: MesoState, start=None) -> RitzValue:
     """The maximal eigenvalue alone, as the top Ritz value of the Lanczos
-    recurrence from p (:func:`_top_ritz`): ``mesostefan spectrum`` on an
-    exactly odd state's even view, where no caller reads the vector."""
-    return _top_ritz(state, state.p.copy())
+    recurrence from ``start`` (p when None; :func:`_top_ritz`), which it
+    overwrites: a sweep row from its start, ``mesostefan spectrum`` from p
+    on an exactly odd state's even view; no caller reads the vector."""
+    return _top_ritz(state, state.p.copy() if start is None else start)
 
 
 def second_eigenvalue(state: MesoState, result: SpectralResult | None = None

@@ -275,11 +275,12 @@ def test_centred_solves_convolve_on_the_half_line(mode, params2, kernel05,
                                                   monkeypatch):
     """Every convolution of a centred solve runs on the (n + 1) / 2 points
     of x >= 0, odd: its seed's, then one per fixed-point step but the first,
-    which reuses the seed's.  So does every one of the power iteration that
-    follows it, even: the sweep row's check of a stable or metastable
-    state, the u* pair of the off-center set-up.  A sweep row's shared
-    inputs (the instanton's own loop among them) are built before the
-    recording starts."""
+    which reuses the seed's.  So does every one of the spectral loop that
+    follows it, even: the Lanczos steps of the sweep row's lambda on a
+    stable or metastable state, which runs no power iteration, and the
+    power steps of the off-center set-up's u* pair, plus its residual's.
+    A sweep row's shared inputs (the instanton's own loop among them) are
+    built before the recording starts."""
     if mode != "extended":
         cfg = RunConfig(beta=params2.beta, ell=ELL, n0=N0, eps_list=[0.1],
                         **_ROW_CASES[mode]).validate_fields()
@@ -291,27 +292,23 @@ def test_centred_solves_convolve_on_the_half_line(mode, params2, kernel05,
         sizes.append((values.size, grid.n, grid.odd))
         return real(kernel, grid, values, *args)
 
-    pairs = []
-    real_pair = spectral.leading_eigenpair
-
-    def counted(state, *args, **kwargs):
-        pairs.append(real_pair(state, *args, **kwargs))
-        return pairs[-1]
+    def refused(*args, **kwargs):
+        raise AssertionError("a sweep row runs no power iteration")
 
     monkeypatch.setattr(meso, "conv_values", recorded)
-    monkeypatch.setattr(spectral, "leading_eigenpair", counted)
+    monkeypatch.setattr(spectral, "leading_eigenpair", refused)
     if mode == "extended":
         problem, _ = asym.build_problem(maximal_stable, kernel05, inst05, 0.1,
                                         X0, N0)
         n, trace = 2 * problem.interface_index + 1, problem.extended_trace
-        power_steps = problem.u_star.iterations
+        spectral_steps = problem.u_star.iterations + 1
     else:
-        _, res = cli._solve_one(cfg, 0.1, shared)
+        row, res = cli._solve_one(cfg, 0.1, shared)
         n, trace = res.state.grid.n, res.trace
-        power_steps = pairs[0].iterations
+        spectral_steps = row.lambda_steps
     half = (n + 1) // 2
     assert sizes == [(half, half, True)] * len(trace.increments) \
-        + [(half, half, False)] * (power_steps + 1)
+        + [(half, half, False)] * spectral_steps
 
 
 #: the centred sweep rows whose checks run on the half line, as RunConfig

@@ -382,9 +382,8 @@ def test_solve_command_round_trip(tmp_path):
     assert np.all(np.diff(m) > 0)
     summary = json.loads((out / "solve.json").read_text())
     assert summary["monotone"] is True
-    assert summary["power_steps"] == 10
-    assert (summary["picard_extrapolations"],
-            summary["power_extrapolations"]) == (3, 2)
+    assert summary["lambda_steps"] == 6
+    assert summary["picard_extrapolations"] == 3
     assert summary["residual"] < 1e-8
     trace = (out / "trace.csv").read_text().splitlines()
     assert trace[0] == TRACE_HEADER
@@ -540,21 +539,20 @@ NOT_APPLICABLE = {"antisym": {"I_eps", "eps_x_eps"},
 ROW_VALUES = {"hydro_m", "hydro_h", "lam_gap_ratio", "C_instanton", "I_eps",
               "eps_x_eps"}
 #: the step counts of a solved row's row.json, which a failed row has not
-STEP_KEYS = {"picard_steps", "power_steps", "picard_extrapolations",
-             "power_extrapolations"}
+STEP_KEYS = {"picard_steps", "picard_extrapolations", "lambda_steps"}
 #: every key of a solved row's row.json; a failed row has "error" in place
 #: of the step counts
 SOLVED_ROW_KEYS = ROW_VALUES | STEP_KEYS | {"eps", "mode", "iters"}
-#: power steps of the shipped rows at eps 0.025, 0.05, 0.1 (glob order):
-#: centred from the interface slope, off center from u*
-SHIPPED_POWER_STEPS = {"antisym": [10, 10, 10], "metastable": [10, 10, 11],
-                       "asym": [2, 2, 2]}
+#: Lanczos steps of the shipped rows' lambda at eps 0.025, 0.05, 0.1 (glob
+#: order): centred from the interface slope, off center from u*
+SHIPPED_LAMBDA_STEPS = {"antisym": [5, 5, 6], "metastable": [5, 5, 6],
+                        "asym": [1, 1, 1]}
 
 
 def test_json_artifacts_are_strict(tmp_path):
     """Every shipped row, an error row and a spectrum run without --j parse
     as strict JSON: a value that does not apply is null.  A shipped row has
-    every solved key, with its power steps."""
+    every solved key, with its Lanczos steps."""
     for path in sorted(glob.glob(os.path.join(CONFIGS, "*.txt"))):
         out = tmp_path / os.path.basename(path)
         with open(path) as fh:
@@ -568,8 +566,8 @@ def test_json_artifacts_are_strict(tmp_path):
             nulls = {k for k in ROW_VALUES if row[k] is None}
             assert nulls == NOT_APPLICABLE[row["mode"]], path
             assert set(row) == SOLVED_ROW_KEYS, path
-        assert [row["power_steps"] for row in rows] \
-            == SHIPPED_POWER_STEPS[rows[0]["mode"]], path
+        assert [row["lambda_steps"] for row in rows] \
+            == SHIPPED_LAMBDA_STEPS[rows[0]["mode"]], path
 
     out = tmp_path / "bad"
     cfg_file.write_text("beta = 2.0\nj = -0.2\nell = 1.0\nmode = antisym\n"
@@ -790,7 +788,7 @@ def test_non_package_error_becomes_row(tmp_path, monkeypatch, exc_type):
     bad = json.loads((out / "eps_0.05" / "row.json").read_text())
     assert "error" not in ok and ok["iters"] > 0
     assert ok["picard_steps"] == ok["iters"] - 1 > 0
-    assert ok["power_steps"] >= 1
+    assert ok["lambda_steps"] >= 1
     assert "projected_solves" not in ok
     assert bad["iters"] == -EXIT_NUMERICAL
     assert bad["error"] == f"{exc_type.__name__}: injected"

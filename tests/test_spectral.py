@@ -264,9 +264,9 @@ def test_a_field_that_overflows_cosh_is_refused(params2, kernel05):
 
 
 def _row_start(mode, res, instanton):
-    """The state a sweep row's pair runs on and the start it takes there:
-    a centred state's even half line and the interface slope, off center
-    the state and u* restricted to its grid."""
+    """The state a sweep row's leading eigenvalue is taken on and the start
+    it takes there: a centred state's even half line and the interface
+    slope, off center the state and u* restricted to its grid."""
     if mode == "asym":
         return res.state, res.problem.u_star_restricted
     half = res.state.even_half()
@@ -298,21 +298,22 @@ def test_leading_pair_matches_residual_every_step(mode, tol, stable_sweep,
     assert jumps[0] > 0, jumps
 
 
-#: power steps of the sweep rows' pairs at the benchmark's eps ladder, in
-#: the order 0.0125, 0.0025, 0.001, from their starts and from p
-LADDER_POWER_STEPS = {"antisym": ((9, 9, 9), (13, 13, 13)),
-                      "metastable": ((10, 8, 9), (16, 16, 16)),
-                      "asym": ((2, 2, 2), (13, 13, 13))}
+#: steps of the sweep rows' leading eigenvalues at the benchmark's eps
+#: ladder, in the order 0.0125, 0.0025, 0.001: the row's Lanczos steps from
+#: its start, and the power steps of the pair from p
+LADDER_STEPS = {"antisym": ((5, 5, 5), (13, 13, 13)),
+                "metastable": ((5, 5, 4), (16, 16, 16)),
+                "asym": ((1, 1, 1), (13, 13, 13))}
 LADDER_EPS = (0.0125, 0.0025, 0.001)
 
 
 @pytest.mark.parametrize("k", range(len(LADDER_EPS)),
                          ids=[str(e) for e in LADDER_EPS])
-@pytest.mark.parametrize("mode", list(LADDER_POWER_STEPS))
+@pytest.mark.parametrize("mode", list(LADDER_STEPS))
 def test_row_start_gives_the_p_start_pair(mode, k, params2):
-    """A sweep row's pair, from the interface slope (centred) or from u*
-    (off center), is the pair from p: lambda to 1e-14, (1 - lambda)/eps to
-    1e-10 relative, u to 1e-12, in fewer power steps."""
+    """A sweep row's lambda, the top Ritz value of the Lanczos recurrence
+    from the interface slope (centred) or from u* (off center), is the
+    power pair's from p: to 1e-14, (1 - lambda)/eps to 1e-10 relative."""
     eps = LADDER_EPS[k]
     cfg = RunConfig(beta=params2.beta, j=J_META if mode == "metastable"
                     else J_STABLE, ell=ELL, x0=X0 if mode == "asym" else 0.0,
@@ -320,16 +321,34 @@ def test_row_start_gives_the_p_start_pair(mode, k, params2):
     shared = cli._shared_inputs(cfg)
     row, res = cli._solve_one(cfg, eps, shared)
     state, u0 = _row_start(mode, res, shared[2])
-    warm = leading_eigenpair(state, start=u0)
+    lam = leading_eigenvalue(state, u0)
     cold = leading_eigenpair(state)
-    assert (warm.iterations, cold.iterations) == tuple(
-        steps[k] for steps in LADDER_POWER_STEPS[mode])
-    assert row.power_steps == warm.iterations
-    assert row.lam_gap_ratio == (1.0 - warm.lambda_) / eps
-    assert abs(warm.lambda_ - cold.lambda_) <= 1e-14
+    assert (lam.steps, cold.iterations) == tuple(
+        steps[k] for steps in LADDER_STEPS[mode])
+    assert row.lambda_steps == lam.steps
+    assert row.lam_gap_ratio == (1.0 - lam) / eps
+    assert abs(lam - cold.lambda_) <= 1e-14
     gap = (1.0 - cold.lambda_) / eps
     assert abs(row.lam_gap_ratio - gap) <= 1e-10 * abs(gap)
-    assert np.max(np.abs(warm.u - cold.u)) <= 1e-12
+
+
+def test_one_step_stop_holds_at_a_small_gap():
+    """The Lanczos stop at k = 1 takes the distance to the next Ritz value
+    as 1, as there is none.  Where the true gap lambda - lambda2 is about
+    0.05 (an off-center row at beta = 1.01, ell_j = 2, eps = 0.0125), the
+    Kato-Temple bound |theta - lambda| <= _ROUNDING lambda / gap is 20
+    times looser than the stop assumes, and the row's one step from u* and
+    the 27 from p give values within twice that bound of each other."""
+    eps = 0.0125
+    cfg = RunConfig(beta=1.01, j=-0.16334, x0=X0, mode="asym",
+                    eps_list=[eps], n0=N0).validate_fields()
+    row, res = cli._solve_one(cfg, eps, cli._shared_inputs(cfg))
+    lam_p = leading_eigenvalue(res.state)
+    gap = lam_p - second_eigenvalue(res.state, leading_eigenpair(res.state))
+    assert 0.04 < gap < 0.06
+    assert (row.lambda_steps, lam_p.steps) == (1, 27)
+    lam = 1.0 - eps * row.lam_gap_ratio
+    assert abs(lam - lam_p) <= 2.0 * spectral._ROUNDING * lam_p / gap
 
 
 def test_slope_start_is_positive_past_the_instanton(stable_sweep, inst05):
