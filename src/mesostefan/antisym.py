@@ -195,14 +195,11 @@ def solve_half_line(macro, kernel, instanton, half, xi_index
         lambda m, out, scratch: t_map(macro, half, m, out, scratch))
 
 
-def extension(values: np.ndarray, center: int, size: int,
-              odd=True) -> np.ndarray:
-    """The first ``size`` points of the odd (or even) extension of a half
-    line's ``values`` about index ``center``."""
+def extension(values: np.ndarray, center: int, size: int) -> np.ndarray:
+    """The first ``size`` points of the odd extension of a half line's
+    ``values`` about index ``center``."""
     out = np.empty(size)
-    out[:center] = values[center:0:-1]
-    if odd:
-        np.negative(out[:center], out=out[:center])
+    np.negative(values[center:0:-1], out=out[:center])
     out[center:] = values[:size - center]
     return out
 

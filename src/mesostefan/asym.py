@@ -13,8 +13,9 @@ boundary-anchored exponentially weighted norm.  The solver iterates the
 coupled fixed point of the two instead, in the loop every solver shares
 (:func:`meso.iterate`), with a Newton step along u* at its eigenvalue
 lambda*, which turns the slow 1 - O(eps) mode into a fast one.  u* stays
-on the extended half line, whose centre is the interface, read on
-eps^-1[-1, 1] by mirrored index: nothing of the extended length is kept.
+on its window of the extended half line, whose centre is the interface,
+read on eps^-1[-1, 1] by mirrored index: nothing of the extended length is
+kept, and the loop keeps nothing of u* past its window.
 
 check_off_center, with the solve's arguments, holds every check
 build_problem makes before the extended solve, and ``mesostefan validate``
@@ -106,10 +107,9 @@ class OffCenterProblem:
     extended_trace: IterationTrace   # of the solve on eps^-1[-1, ell*]
     xi_eps: float                    # gluing point of the extended seed
     res_grid: Grid
-    u_star: SpectralResult           # on the extended half line
+    u_star: SpectralResult           # on a window of the extended half line
     r_tail: np.ndarray               # r_eps on the last k + 1 res_grid points
     h_eps: np.ndarray                # quasi-solution field on res_grid
-    u_mass: float                    # trapezoid sum of u* on res_grid / spacing
     a_plus: float                    # right rate of the boundary weight
     interface_index: int             # index of eps^-1 x0 in res_grid
 
@@ -119,20 +119,39 @@ class OffCenterProblem:
         return build_weight(self.res_grid, self.x0, self.a_plus)
 
     @property
+    def u_span(self) -> tuple[int, int]:
+        """(lo, hi): u*'s window on res_grid, the points lo .. hi - 1."""
+        c, size = self.interface_index, self.u_star.u.size
+        return max(c - size + 1, 0), min(c + size, self.res_grid.n)
+
+    def u_star_on(self, lo: int, hi: int) -> np.ndarray:
+        """u* on the points lo .. hi - 1 of res_grid, or of the extended
+        grid, which shares its left end: index i reads the half line at
+        |i - c|, c the interface, the extended grid's centre, 0 past u*'s
+        window."""
+        u = self.u_star.u
+        at = np.abs(np.arange(lo, hi) - self.interface_index)
+        return np.where(at < u.size, u[np.minimum(at, u.size - 1)], 0.0)
+
+    @property
     def u_star_restricted(self) -> np.ndarray:
-        """u* on res_grid, built on each read: index i reads the half line
-        at |i - c|, c the interface, the extended grid's centre."""
-        return antisym.extension(self.u_star.u, self.interface_index,
-                                 self.res_grid.n, odd=False)
+        """u* on res_grid, built on each read."""
+        return self.u_star_on(0, self.res_grid.n)
+
+    @cached_property
+    def _u_weights(self) -> np.ndarray:
+        """u* on its window of res_grid times the trapezoid weights (1/2 at
+        the grid's ends), scaled to sum to 1."""
+        (lo, hi), n = self.u_span, self.res_grid.n
+        u = self.u_star_on(lo, hi)
+        u[[0, -1]] *= [0.5 if lo == 0 else 1.0, 0.5 if hi == n else 1.0]
+        return u / u.sum()
 
     def along_u_star(self, f: np.ndarray) -> float:
-        """The trapezoid integral of f u* on res_grid over that of u*, u*
-        read by mirrored index."""
-        u, c, n = self.u_star.u, self.interface_index, f.size
-        total = np.einsum("i,i->", f[:c], u[c:0:-1]) \
-            + np.einsum("i,i->", f[c:], u[:n - c]) \
-            - 0.5 * (f[0] * u[c] + f[-1] * u[n - 1 - c])
-        return float(total) / self.u_mass
+        """The trapezoid integral of f u* on res_grid over that of u*, on
+        u*'s window."""
+        lo, hi = self.u_span
+        return float(np.einsum("i,i->", f[lo:hi], self._u_weights))
 
     @property
     def r_eps(self) -> np.ndarray:
@@ -178,10 +197,10 @@ def build_problem(macro: MaximalSolution, kernel: Kernel,
     The extended centred loop runs on check_off_center's half line
     (:func:`antisym.solve_half_line`).  Its state is odd, so u* is the
     leading pair of its even half line (:meth:`meso.MesoState.even_half`),
-    from the instanton's slope (:func:`spectral.slope_start`), normalised as
-    on the extended grid and kept there.  Of the rest only the restriction
-    to res_grid is odd-extended: h, J^neum*m, and m* one kernel range
-    further.  r_eps, the extended minus the restricted reflected
+    from the instanton's slope (:func:`spectral.slope_start`), and is kept
+    on its interface window, normalised there.  Of the rest only the
+    restriction to res_grid is odd-extended: h, J^neum*m, and m* one kernel
+    range further.  r_eps, the extended minus the restricted reflected
     convolution of m*, is 0 more than one kernel range left of eps^-1, so
     both are formed on the last k + 1 points from the 3k + 1 values of m*
     around them; elsewhere the restricted convolution is the loop's.  So
@@ -192,7 +211,8 @@ def build_problem(macro: MaximalSolution, kernel: Kernel,
     last, trace = antisym.solve_half_line(macro, kernel, instanton, half,
                                           xi_index)
     even = last.even_half()
-    u_star = leading_eigenpair(even, start=slope_start(even, instanton))
+    u_star = leading_eigenpair(
+        even, start=lambda window, lo: slope_start(window, instanton))
     del even
 
     n_res, k = res_grid.n, kernel.half_points
@@ -215,25 +235,20 @@ def build_problem(macro: MaximalSolution, kernel: Kernel,
     if start.residual_norm > 1e-9:
         raise ConvergenceError(f"quasi-solution residual "
                                f"{start.residual_norm:.3e} exceeds 1e-9")
-
-    # u* at indices 0 .. c and c .. n_res - 1 of res_grid, by trapezoids
-    u, right = u_star.u, n_res - 1 - c
-    u_mass = float(u[:c + 1].sum() + u[:right + 1].sum()
-                   - u[0] - 0.5 * (u[c] + u[right]))
     a_plus = default_a_plus(instanton, res_grid.epsilon, x0)
     r_tail.setflags(write=False)
     return OffCenterProblem(macro, float(x0), trace,
                             float(xi_index * half.spacing), res_grid, u_star,
-                            r_tail, start.h, u_mass, a_plus, c), start
+                            r_tail, start.h, a_plus, c), start
 
 
 def extended_u_star(problem: OffCenterProblem) -> tuple[Grid, np.ndarray]:
     """The extended grid eps^-1[-1, 1 + 2 x0] and u* on it, the even
-    extension of the half line's about its centre, the interface."""
+    extension of the half line's about its centre, the interface, 0 past
+    u*'s window."""
     g = problem.res_grid
     grid = grids.build_grid(g.epsilon, 1.0, 1.0 + 2.0 * problem.x0, g.spacing)
-    return grid, antisym.extension(problem.u_star.u, problem.interface_index,
-                                   grid.n, odd=False)
+    return grid, problem.u_star_on(0, grid.n)
 
 
 def projected_field(problem: OffCenterProblem, m: np.ndarray, out=None,
@@ -277,14 +292,17 @@ def solve_off_center(macro: MaximalSolution, kernel: Kernel,
 
     :func:`meso.iterate` runs from the quasi-solution's state with the
     projected field and the Newton direction (u*, lambda*) restricted to the
-    grid, weighted once by the quasi-solution's 1/p, so the returned field
-    is the projected current integral of the returned m exactly.  The
-    field's and the magnetization's zeros near the interface are located by
-    bracketing plus linear interpolation (they need not coincide).
+    grid on u*'s window, weighted once by the quasi-solution's 1/p there, so
+    the returned field is the projected current integral of the returned m
+    exactly.  The field's and the magnetization's zeros near the interface
+    are located by bracketing plus linear interpolation (they need not
+    coincide).
     """
     problem, start = build_problem(macro, kernel, instanton, eps, x0, n0)
-    u = problem.u_star_restricted
-    newton = (u, problem.u_star.lambda_, start.weighted(u))
+    lo, hi = problem.u_span
+    u = problem.u_star_on(lo, hi)
+    newton = (u, problem.u_star.lambda_, start.window(lo, hi).quadrature * u,
+              lo)
     # handed over with no name left here, the start is freed after the
     # loop's first step; of it only the weighted direction stays alive
     held = [start]

@@ -47,6 +47,7 @@ class SweepRow:
     picard_steps: int = 0       # fixed-point updates of m in the row
     picard_extrapolations: int = 0  # of the updates, those that extrapolated
     lambda_steps: int = 0       # Lanczos steps of the leading eigenvalue
+    lambda_points: int = 0      # points of the window it ran on
     error: str = ""             # exception class and message of a failed row
 
     def csv_line(self) -> str:
@@ -204,7 +205,7 @@ def _solve_one(cfg: RunConfig, eps, shared: tuple):
     is odd about x = 0, and so are the closed forms, so both checks run on
     the half line it holds (:meth:`meso.MesoState.even_half`), lambda from
     the interface slope (:func:`spectral.slope_start`); off center on the
-    state, lambda from u* restricted to the grid.
+    state, lambda from u* restricted to the grid, on its interface window.
     """
     _, _, solve, arg = _mode(cfg)
     inst = shared[2]
@@ -212,19 +213,22 @@ def _solve_one(cfg: RunConfig, eps, shared: tuple):
     row = SweepRow(eps=eps, mode=cfg.mode, iters=len(res.trace.increments))
     row.c_instanton = abs(res.macro.j) * inst.mean / inst.norm_sq
     if cfg.mode == "asym":
-        checked, start = res.state, lambda: res.problem.u_star_restricted
+        prob = res.problem
+        checked, center = res.state, prob.interface_index
+        start = lambda window, lo: prob.u_star_on(lo, lo + window.grid.n)
         # the extended centred solve made updates too
-        x0, traces = res.problem.x0, [res.problem.extended_trace, res.trace]
+        x0, traces = prob.x0, [prob.extended_trace, res.trace]
         row.eps_x_eps = res.eps_field_zero
     else:
         checked, x0, traces = res.half.even_half(), 0.0, [res.trace]
-        start = lambda: spectral.slope_start(checked, inst)
+        center, start = 0, lambda window, _: spectral.slope_start(window, inst)
     row.picard_steps = sum(len(t.increments) - 1 for t in traces)
     row.picard_extrapolations = sum(len(t.extrapolated) for t in traces)
     row.hydro_m, row.hydro_h = antisym.hydrodynamic_error(
         checked, res.macro, x0, eps * res.xi_eps)
-    lam = spectral.leading_eigenvalue(checked, start())
-    row.lam_gap_ratio, row.lambda_steps = (1.0 - lam) / eps, lam.steps
+    lam = spectral.leading_eigenvalue(checked, start, center)
+    row.lam_gap_ratio = (1.0 - lam) / eps
+    row.lambda_steps, row.lambda_points = lam.steps, lam.points
     if cfg.mode == "metastable":
         row.i_eps = res.increase_interval
     return row, res
@@ -257,7 +261,8 @@ def _row_record(row: SweepRow) -> dict:
         record["error"] = row.error
     else:
         record |= {k: getattr(row, k) for k in (
-            "picard_steps", "picard_extrapolations", "lambda_steps")}
+            "picard_steps", "picard_extrapolations", "lambda_steps",
+            "lambda_points")}
     return record
 
 
@@ -292,12 +297,13 @@ def cmd_solve(args) -> int:
 
 def cmd_spectrum(args) -> int:
     """lambda and lambda2 of a stored state, under its sidecar's beta and
-    kernel, and the steps each took.  An exactly odd state, as every centred
-    solve writes it, is solved in its two sectors on its odd half line by
-    Lanczos: lambda on its even view (:meth:`meso.MesoState.even_half`) from
-    p, lambda2 as the odd sector's top eigenvalue; any other state on the
-    full grid, the pair from p, lambda2 on its complement.  --j must be the
-    sidecar's j, if it records one."""
+    kernel, and the steps and window points each took.  An exactly odd
+    state, as every centred solve writes it, is solved in its two sectors on
+    its odd half line by Lanczos: lambda on its even view
+    (:meth:`meso.MesoState.even_half`) from p, lambda2 as the odd sector's
+    top eigenvalue; any other state about the peak of p, the pair from p,
+    lambda2 on its complement.  --j must be the sidecar's j, if it records
+    one."""
     if args.j is not None and not np.isfinite(args.j):
         raise DomainError("--j must be finite")
     grid, h, m, beta, shape, j = load_state(args.state)
@@ -313,11 +319,11 @@ def cmd_spectrum(args) -> int:
     if odd:
         lam = spectral.leading_eigenvalue(state.even_half())
         lam2 = spectral.second_eigenvalue(state)
-        lambda_steps = lam.steps
+        lambda_steps, lambda_points = lam.steps, lam.points
     else:
         sp = spectral.leading_eigenpair(state)
         lam2 = spectral.second_eigenvalue(state, sp)
-        lam, lambda_steps = sp.lambda_, sp.iterations
+        lam, lambda_steps, lambda_points = sp.lambda_, sp.iterations, sp.u.size
     c_inst = None       # only C_instanton reads the instanton
     if args.j is not None:
         _, _, inst = _fixed_inputs(beta, grid.spacing, shape)
@@ -329,6 +335,8 @@ def cmd_spectrum(args) -> int:
         "odd_sectors": odd,
         "lambda_steps": lambda_steps,
         "lambda2_steps": lam2.steps,
+        "lambda_points": lambda_points,
+        "lambda2_points": lam2.points,
         "C_check": {
             "one_minus_lambda_over_eps": (1.0 - lam) / grid.epsilon,
             "C_instanton": c_inst,

@@ -92,7 +92,11 @@ class MesoState:
     def p(self) -> np.ndarray:
         """Linearization weight beta / cosh^2(beta (J^neum*m + h)), built on
         first use from the arithmetic of the solve's own field argument."""
-        p = self._p()
+        p = np.add(self.conv, self.h)
+        p *= self.params.beta
+        np.cosh(p, out=p)
+        np.square(p, out=p)
+        np.divide(self.params.beta, p, out=p)
         p.setflags(write=False)
         return p
 
@@ -103,29 +107,11 @@ class MesoState:
         product of two functions of one parity sums as on the full grid.
         Products against them run in einsum: a BLAS dot's sum depends on
         its thread count."""
-        q = self._quadrature(self.p.copy())
-        q.setflags(write=False)
-        return q
-
-    def weighted(self, u: np.ndarray) -> np.ndarray:
-        """The bits of ``quadrature * u``, caching neither p nor the
-        weights."""
-        q = self._quadrature(self._p())
-        q *= u
-        return q
-
-    def _p(self) -> np.ndarray:
-        p = np.add(self.conv, self.h)
-        p *= self.params.beta
-        np.cosh(p, out=p)
-        np.square(p, out=p)
-        return np.divide(self.params.beta, p, out=p)
-
-    def _quadrature(self, p: np.ndarray) -> np.ndarray:
-        q = np.divide(self.grid.spacing, p, out=p)
+        q = np.divide(self.grid.spacing, self.p)
         q[[0, -1]] *= 0.5
         if self.grid.left == 0.0:
             q *= 2.0
+        q.setflags(write=False)
         return q
 
     def copy(self) -> MesoState:
@@ -146,6 +132,20 @@ class MesoState:
         c = self.grid.center_index
         return replace(self, grid=self.grid.half_line(odd=False),
                        h=self.h[c:], m=self.m[c:], conv=self.conv[c:])
+
+    def window(self, lo: int, hi: int) -> MesoState:
+        """The state on the points lo .. hi - 1: its h, m and J^neum*m there,
+        so p is its own to the bit, under J^neum reflected at the window's
+        ends.  Only a window from a half line's first point is a half line:
+        one from x = 0 of a full grid keeps its left (left = 0 marks half
+        lines)."""
+        g = self.grid
+        x = g.points[lo:hi]
+        left = -x[0] * g.epsilon if lo and x[0] else g.left
+        grid = Grid(g.epsilon, left, x[-1] * g.epsilon, g.spacing, x,
+                    g.odd and lo == 0)
+        return MesoState(self.params, self.kernel, grid, self.h[lo:hi],
+                         self.m[lo:hi], self.conv[lo:hi], self.residual_norm)
 
     def weighted_dot(self, f, g) -> float:
         """Inner product with weight 1/p (trapezoid quadrature)."""
@@ -240,10 +240,11 @@ def iterate(start: MesoState, field_of, newton=None
     ``scratch`` free to use, or any array), F = tanh(beta (J^neum*m + h))
     and the residual r = sup|F - m| of the pair (h, m), which it returns
     once r < INNER_TOL (so h is the field of the returned m exactly).
-    Otherwise m <- F; with ``newton`` = (u, lambda, wu), wu the direction
-    times the weights w of the 1/p inner product
-    (:meth:`MesoState.weighted`), m <- F + lambda/(1 - lambda) <F - m, u>_w
-    u instead: a Newton step along u, Picard on the rest.  When two
+    Otherwise m <- F; with ``newton`` = (u, lambda, wu, lo), u a direction
+    on the points lo .. lo + u.size - 1 (0 past them) and wu u times the
+    weights w of the 1/p inner product there, m <- F + lambda/(1 - lambda)
+    <F - m, u>_w u instead: a Newton step along u, Picard on the rest, on
+    u's points only.  When two
     increment ratios agree (:func:`settled_ratio`) and the step before did
     not extrapolate, the update m' becomes m' + rho/(1 - rho) (m' - m), rho
     the last ratio.  The first step reuses the start's convolution.
@@ -261,7 +262,8 @@ def iterate(start: MesoState, field_of, newton=None
     del start
     out, work = np.empty(grid.n), Workspace(kernel, grid.n)
     if newton is not None:
-        u, lam, weighted = newton
+        u, lam, weighted, lo = newton
+        on_u = slice(lo, lo + u.size)
         if lam == 1.0:
             raise DomainError("leading eigenvalue 1: no Newton step along u")
         gain = lam / (1.0 - lam)
@@ -280,9 +282,10 @@ def iterate(start: MesoState, field_of, newton=None
             raise ConvergenceError("fixed-point iteration stopped contracting",
                                    last=trace)
         if newton is not None:
-            step = np.subtract(target, m, out=work.scratch)
+            step = np.subtract(target[on_u], m[on_u],
+                               out=work.scratch[:u.size])
             along = gain * float(np.einsum("i,i->", step, weighted))
-            target += np.multiply(along, u, out=step)
+            target[on_u] += np.multiply(along, u, out=step)
         rho = settled_ratio(*trace.increments[-3:]) \
             if k >= 2 and k - 1 not in trace.extrapolated else 0.0
         if rho:

@@ -13,8 +13,9 @@ spectrum`` on an exactly odd state, solved in its two reflection sectors
 on the half line (lambda on the even one, lambda2 as the odd one's top
 eigenvalue).  Where a caller reads the vector, power iteration gives the
 leading pair, extrapolating as the fixed-point loop does: the deflation on
-a full grid, and the extended centred state's pair, the off-center Newton
-direction u* (:func:`asym.build_problem`).  Each loop keeps its vectors
+a state that is not odd, and the extended centred state's pair, the
+off-center Newton direction u* (:func:`asym.build_problem`).  Each runs on
+the interface window (:func:`_windowed`), each loop keeping its vectors
 and its convolution's workspace for its whole run.
 """
 
@@ -26,13 +27,18 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .grids import conv_workspace
-from .instanton import Instanton
+from .instanton import TAIL_DECAYS, Instanton, decay_root
 from .meso import MesoState, extrapolate, settled_ratio
+from .thermo import mobility
 
 _POWER_STEPS = 100_000    # power iteration steps for the leading pair
 _ROUNDING = 1e-16         # |theta - lambda| <= _ROUNDING |theta| stops Lanczos
 _LANCZOS_STEPS = 300      # Lanczos steps: 7-14 at beta = 2, up to 47 at 1.05
 _START_FLOOR = 1e-12      # multiple of p under the slope start, below any tol
+_SCAN_POINTS = 8_192      # points per pass of the scan of p off a window
+# _windowed's first half-width by (params, kernel spacing, shape), which
+# fixes the kernel (grids.build_kernel): one decay_root per key and process
+_FIRST_HALF = {}
 
 
 @dataclass(frozen=True)
@@ -41,40 +47,94 @@ class SpectralResult:
     u: np.ndarray            # positive, normalized <u^2>_{1/p} = 1
     iterations: int
     residual: float          # sup |A u - lambda u|
-    extrapolations: int
+    lo: int                  # u is on the points lo .. lo + u.size - 1
 
 
 def _normalize(state: MesoState, u: np.ndarray, out=None) -> np.ndarray:
     return np.divide(u, np.sqrt(state.weighted_dot(u, u)), out=out)
 
 
+def _windowed(state: MesoState, center, solve, within=None):
+    """``solve(window, lo, rows)``'s result on the first window
+    (:meth:`meso.MesoState.window`) where its eigenvalue theta exceeds p at
+    every point outside (an eigenvector peaks where p is at least its
+    eigenvalue) and its second output holds: its vector is small on
+    ``rows``, a kernel range at each cut.  Windows reach TAIL_DECAYS / a
+    from ``center`` (0 on a half line, else the peak of p), a the leading
+    eigenvector's decay rate (:func:`instanton.decay_root`), rounded up to
+    the spacing and over two kernel ranges, then twice as far, up to the
+    whole state; past a refused one, those with p >= its theta outside or
+    not holding ``within`` are skipped."""
+    grid, kernel = state.grid, state.kernel
+    k = kernel.half_points
+    if center is None:
+        center = 0 if grid.left == 0.0 else int(
+            np.argmin(np.abs(state.conv + state.h)))
+    key = (state.params, kernel.spacing, kernel.shape)
+    if key not in _FIRST_HALF:
+        rate = decay_root(mobility(state.params, state.params.m_beta), kernel)
+        _FIRST_HALF[key] = max(2 * k + 1, int(np.ceil(TAIL_DECAYS / rate
+                                                      / kernel.spacing)))
+    half, theta = _FIRST_HALF[key], np.inf
+    while True:
+        lo, hi = max(center - half, 0), min(center + half + 1, grid.n)
+        half *= 2
+        if hi - lo == grid.n:
+            return solve(state, 0, np.arange(0))[0]
+        peak = _peak_weight(state, lo, hi)
+        if peak >= theta or within and not lo <= within[0] <= within[1] <= hi:
+            continue
+        n = hi - lo     # the last k + 1 points, then the first, at cuts
+        rows = np.arange(n - k - 1 if hi < grid.n else n,
+                         n + k + 1 if lo else n) % n
+        result, tail = solve(state.window(lo, hi), lo, rows)
+        theta = getattr(result, "lambda_", result)
+        if tail and peak < theta:
+            return result
+
+
+def _peak_weight(state: MesoState, lo: int, hi: int) -> float:
+    """max p off the points lo .. hi - 1, 4 beta e / (1 + e)^2 with e =
+    exp(-2 beta z) at the least z = |J^neum*m + h| there."""
+    z, buf = np.inf, np.empty(_SCAN_POINTS)
+    for first, end in ((0, lo), (hi, state.grid.n)):
+        for a in range(first, end, _SCAN_POINTS):
+            b = min(a + _SCAN_POINTS, end)
+            part = np.add(state.conv[a:b], state.h[a:b], out=buf[:b - a])
+            z = min(z, float(np.abs(part, out=part).min()))
+    e = np.exp(-2.0 * state.params.beta * z)
+    return 4.0 * state.params.beta * e / (1.0 + e) ** 2
+
+
+def _tail_share(state: MesoState, u: np.ndarray, rows) -> float:
+    """<u^2>_{1/p} of u's values on the points ``rows``."""
+    return float(np.einsum("i,i,i->", u, state.quadrature[rows], u))
+
+
 def leading_eigenpair(state: MesoState, tol=1e-12,
                       start=None) -> SpectralResult:
-    """Power iteration with weighted normalization from ``start``, a vector
-    positive at every point of the state's grid (p when None).
+    """Power iteration with weighted normalization from ``start(window,
+    lo)`` (p when None) on the interface window (:func:`_windowed`) where
+    at most ``tol`` of u's weighted norm is at a cut.
 
-    Stops when both the Rayleigh quotient is stationary to ``tol`` and the
-    residual sup|A u - rq u| drops below ``tol`` (downstream deflations
-    inherit the eigenvector's error).  The residual is formed only once
-    the quotient is stationary: the rule is an AND, so the stopping step is
-    the same.  It extrapolates as :func:`meso.iterate` does, over rho^2 from
-    the quotient's changes while they reach ``tol``, then over rho from the
+    Stops when the Rayleigh quotient is stationary to ``tol`` and then the
+    residual sup|A u - rq u|, formed only from then on, drops below ``tol``.
+    It extrapolates as :func:`meso.iterate` does, over rho^2 from the
+    quotient's changes while they reach ``tol``, then over rho from the
     residuals, clamping the iterate at or above _START_FLOOR times the plain
-    one.  The off-center set-up starts it from the interface slope
-    (:func:`slope_start`) on the extended centred state's even half line, as
-    p's bulk part shrinks only by the bulk value of p per step; ``mesostefan
-    spectrum`` from p on the full grid of a state that is not exactly odd,
-    where it deflates the vector for lambda2.  Every iterate stays
-    nonnegative, as the start, p, the kernel and the clamp are, so u needs
-    no sign fix; not positive: clamps compounding over extrapolated steps
-    underflow tail entries to 0 (269 of u*'s 1 921 at beta = 1.01, x0 = 0.2,
-    eps = 0.0125).
+    one, so every iterate stays nonnegative.  u* starts from the interface
+    slope (:func:`slope_start`), as p's bulk part shrinks only by the bulk
+    value of p per step; ``mesostefan spectrum`` from p, for lambda2's
+    deflation on a state that is not exactly odd.
     """
+    return _windowed(state, None, lambda win, lo, rows: _power_pair(
+        win, tol, win.p if start is None else start(win, lo), lo, rows))
+
+
+def _power_pair(state: MesoState, tol, start, lo, rows):
+    """The pair on ``state``, recording ``lo``, and whether at most ``tol``
+    of u's weighted norm is on ``rows``."""
     _check_weight(state)
-    if start is None:
-        start = state.p
-    elif np.any(start <= 0.0):
-        raise DomainError("power iteration start must be positive")
     n = state.grid.n
     work = conv_workspace(state.kernel, n)
     # the iterate alternates between u and u_prev, which holds the residual
@@ -84,7 +144,7 @@ def leading_eigenpair(state: MesoState, tol=1e-12,
     del start
     u_prev = np.empty(n)
     rq_prev, older, old, stationary = np.inf, 0.0, 0.0, False
-    jumps, last_jump = 0, 0
+    last_jump = 0
     for it in range(1, _POWER_STEPS + 1):
         au = state.apply_linearized(u, work)
         rq = state.weighted_dot(u, au)
@@ -108,22 +168,24 @@ def leading_eigenpair(state: MesoState, tol=1e-12,
             extrapolate(u, u_prev, ratio if stationary else np.sqrt(ratio),
                         u_prev)
             _normalize(state, np.maximum(u, floor, out=u), u)
-            jumps, last_jump = jumps + 1, it
+            last_jump = it
     else:
         raise ConvergenceError(
             f"power iteration stagnated (last Rayleigh {rq:.12g}, residual "
             f"{_sup_residual(au, rq, u_prev, np.empty(n)):.3e})", last=u)
     res = _sup_residual(state.apply_linearized(u, work), rq, u, u_prev)
     u.setflags(write=False)
-    return SpectralResult(float(rq), u, it, res, jumps)
+    return SpectralResult(float(rq), u, it, res, lo), \
+        _tail_share(state, u[rows], rows) <= tol ** 2
 
 
 def slope_start(state: MesoState, instanton: Instanton) -> np.ndarray:
     """Start on a centred state's even half line
-    (:meth:`meso.MesoState.even_half`): the instanton's slope from x = 0 on,
-    zero where it is not positive and past its window, plus
-    _START_FLOOR * p, which keeps it positive at every point: a centred
-    row's lambda and u* (:func:`asym.build_problem`) start from it.
+    (:meth:`meso.MesoState.even_half`), or a window from x = 0: the
+    instanton's slope from x = 0 on, zero where it is not positive and past
+    its window, plus _START_FLOOR * p, which keeps it positive at every
+    point: a centred row's lambda and u* (:func:`asym.build_problem`) start
+    from it.
 
     The maximal eigenvector is the normalised interface slope to O(eps).
     The layout check matched the instanton's spacing to the grid's, so the
@@ -152,20 +214,24 @@ def _check_weight(state: MesoState) -> None:
 
 class RitzValue(float):
     """A top Ritz value, exact to rounding, that records ``steps``, the
-    operator applications its Lanczos recurrence took."""
+    operator applications its Lanczos recurrence took, and its window's
+    ``points``."""
 
-    def __new__(cls, value: float, steps: int):
+    def __new__(cls, value: float, steps: int, points: int):
         ritz = super().__new__(cls, value)
-        ritz.steps = steps
+        ritz.steps, ritz.points = steps, points
         return ritz
 
 
-def leading_eigenvalue(state: MesoState, start=None) -> RitzValue:
+def leading_eigenvalue(state: MesoState, start=None, center=None
+                       ) -> RitzValue:
     """The maximal eigenvalue alone, as the top Ritz value of the Lanczos
-    recurrence from ``start`` (p when None; :func:`_top_ritz`), which it
-    overwrites: a sweep row from its start, ``mesostefan spectrum`` from p
-    on an exactly odd state's even view; no caller reads the vector."""
-    return _top_ritz(state, state.p.copy() if start is None else start)
+    recurrence from ``start(window, lo)`` (p when None; :func:`_top_ritz`)
+    on the window about ``center`` (:func:`_windowed`): a sweep row from its
+    start, ``mesostefan spectrum`` from p on an exactly odd state's even
+    view; no caller reads the vector."""
+    return _windowed(state, center, lambda win, lo, rows: _top_ritz(
+        win, win.p.copy() if start is None else start(win, lo), (), rows))
 
 
 def second_eigenvalue(state: MesoState, result: SpectralResult | None = None
@@ -173,28 +239,39 @@ def second_eigenvalue(state: MesoState, result: SpectralResult | None = None
     """Dominant growth rate on the complement of the maximal eigenvector.
 
     The top Ritz value (:func:`_top_ritz`) on the weighted complement of
-    ``result.u``, from p (1 + x/max|x|).  With ``result`` None it runs on
-    the whole space from p x/max|x|, 0 at x = 0 as an odd grid requires: on
-    a centred state's odd half line (``mesostefan spectrum``) that is the
-    odd sector, whose top is the full grid's lambda2 (to 3.3e-15 relative
-    on perfbench's spectrum-fine states).
+    ``result.u``, from p (1 + x/max|x|), on the interface windows
+    (:func:`_windowed`) from the first that holds u's, u 0 past it.  With
+    ``result`` None it runs on the whole space from p x/max|x|, 0 at x = 0
+    as an odd grid requires: on a centred state's odd half line
+    (``mesostefan spectrum``) that is the odd sector, whose top is the full
+    grid's lambda2 (to 3.3e-15 relative on perfbench's spectrum-fine
+    states).
     """
-    x = state.grid.points
-    ramp = x / np.max(np.abs(x))
-    v = state.p * (ramp if result is None else 1.0 + ramp)
-    return _top_ritz(state, v, () if result is None else (result.u,))
+    def solve(win, lo, rows):
+        x = win.grid.points
+        ramp = x / np.max(np.abs(x))
+        if result is None:
+            return _top_ritz(win, win.p * ramp, (), rows)
+        u = np.zeros(win.grid.n)
+        u[result.lo - lo:result.lo - lo + result.u.size] = result.u
+        return _top_ritz(win, win.p * (1.0 + ramp), (u,), rows)
+    return _windowed(state, None, solve, result and (
+        result.lo, result.lo + result.u.size))
 
 
-def _top_ritz(state: MesoState, v: np.ndarray, against=()) -> RitzValue:
+def _top_ritz(state: MesoState, v: np.ndarray, against=(), rows=()):
     """Largest-magnitude eigenvalue of p J^neum (self-adjoint in
     <.,.>_{1/p}) on the weighted complement of the unit vectors
     ``against``: a Lanczos recurrence from ``v``, which it overwrites,
     keeping two vectors, each new one orthogonalized again against
-    ``against`` and the current one.  It stops at step k once T_k's top Ritz
-    value theta has |beta_k s_k|^2 <= _ROUNDING |theta| min(delta, 1), delta
-    the distance to the nearest other Ritz value, so that the Kato-Temple
-    bound |theta - lambda| <= |beta_k s_k|^2 / delta puts theta within
-    rounding; :class:`ConvergenceError` when the step budget runs out."""
+    ``against`` and the current one, and the earlier ones on ``rows``.  It
+    stops at step k once T_k's top Ritz value theta has |beta_k s_k|^2 <=
+    _ROUNDING |theta| min(delta, 1), delta the distance to the nearest other
+    Ritz value, so that the Kato-Temple bound |theta - lambda| <= |beta_k
+    s_k|^2 / delta puts theta within rounding; :class:`ConvergenceError`
+    when the step budget runs out.  Returns theta as a :class:`RitzValue`
+    and whether its Ritz vector has at most _ROUNDING of its weighted norm
+    on ``rows``."""
     _check_weight(state)
     dot, n = state.weighted_dot, state.grid.n
     for u in against:
@@ -204,8 +281,9 @@ def _top_ritz(state: MesoState, v: np.ndarray, against=()) -> RitzValue:
     # overwrites it
     v, v_prev = _normalize(state, v, v), np.zeros(n)
     work = conv_workspace(state.kernel, n)
-    beta, alphas, betas = 0.0, [], []
+    beta, alphas, betas, tails = 0.0, [], [], []
     for k in range(1, _LANCZOS_STEPS + 1):
+        tails.append(v[rows])
         w = state.apply_linearized(v, work)
         w -= np.multiply(beta, v_prev, out=v_prev)
         alphas.append(dot(v, w))
@@ -223,7 +301,8 @@ def _top_ritz(state: MesoState, v: np.ndarray, against=()) -> RitzValue:
         near = ritz[1:2] if top == 0 else ritz[-2:-1]     # none at k = 1
         delta = np.min(np.abs(near - ritz[top]), initial=1.0)
         if residual ** 2 <= _ROUNDING * abs(ritz[top]) * delta:
-            return RitzValue(abs(ritz[top]), k)
+            share = _tail_share(state, s[:, top] @ np.array(tails), rows)
+            return RitzValue(abs(ritz[top]), k, n), share <= _ROUNDING
         betas.append(beta)
         v, v_prev = np.divide(w, beta, out=v_prev), v
     raise ConvergenceError(f"Lanczos recurrence: Ritz residual "
@@ -238,11 +317,12 @@ def eigenvector_shape_report(state: MesoState, result: SpectralResult,
     Reports the sup difference over an interface window of
     max(1, 2 log(1/eps) / a) mesoscopic units, a the instanton decay rate,
     and the largest relative deviation from a of the eigenvector's local
-    log-slope on the right tail beyond it, where u > 1e-10 max u.
+    log-slope on the right tail beyond it, where u > 1e-10 max u, both on
+    u's window.
     """
     grid = state.grid
     window = max(1.0, 2.0 * np.log(1.0 / grid.epsilon) / instanton.decay_rate)
-    x, u = grid.points, result.u
+    x, u = grid.points[result.lo:result.lo + result.u.size], result.u
     md_unit = np.interp(x, instanton.x, instanton.unit_derivative(),
                         left=0.0, right=0.0)
     inside = np.abs(x) <= window

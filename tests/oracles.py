@@ -1,6 +1,7 @@
 """Dense reference operators that the solvers only apply matrix-free, the
 direct padded convolution that the blocked product replaces, the power
-iteration that forms its residual on every step, and the interface profile
+iteration that forms its residual on every step, the Lanczos recurrence on
+the whole grid that the interface window replaces, and the interface profile
 reached from a second start."""
 
 import numpy as np
@@ -61,7 +62,8 @@ def convolve_reference(kernel, values, mode, fills=(0.0, 0.0)):
 
 def leading_eigenpair_every_step(state, tol=1e-12, steps=100_000,
                                  start=None):
-    """(lambda, u, iterations, residual) of the power iteration from
+    """(lambda, u, iterations, residual, extrapolations) of the power
+    iteration on the whole of ``state``'s grid from
     ``start`` (p when None) that forms the sup residual sup|A u - rq u| on
     every step, stopping when both it and the change of the Rayleigh
     quotient are below ``tol``; raises ConvergenceError with the last
@@ -75,7 +77,7 @@ def leading_eigenpair_every_step(state, tol=1e-12, steps=100_000,
     iterate and normalised again."""
     u = (state.p if start is None else start).copy()
     u = u / np.sqrt(state.weighted_dot(u, u))
-    rq_prev, signals, last_jump = np.inf, [], 0
+    rq_prev, signals, last_jump, jumps = np.inf, [], 0, 0
     for it in range(1, steps + 1):
         au = state.apply_linearized(u)
         rq = state.weighted_dot(u, au)
@@ -98,7 +100,7 @@ def leading_eigenpair_every_step(state, tol=1e-12, steps=100_000,
             u_next = u_next + (u_next - u) * (rho / (1.0 - rho))
             u_next = np.maximum(u_next, floor)
             u_next = u_next / np.sqrt(state.weighted_dot(u_next, u_next))
-            last_jump = it
+            last_jump, jumps = it, jumps + 1
         rq_prev = rq
         u = u_next
     else:
@@ -106,7 +108,50 @@ def leading_eigenpair_every_step(state, tol=1e-12, steps=100_000,
             f"power iteration stagnated (last Rayleigh {rq:.12g}, "
             f"residual {res:.3e})", last=u)
     res = float(np.max(np.abs(state.apply_linearized(u) - rq * u)))
-    return float(rq), u, it, res
+    return float(rq), u, it, res, jumps
+
+
+def full_grid_ritz(state, start=None, against=(), steps=300):
+    """(theta, steps) of the Lanczos recurrence on the whole of ``state``'s
+    grid: the top Ritz value of p J^neum on the weighted complement of the
+    unit vectors ``against``, from ``start`` (p when None), each new vector
+    orthogonalized again against ``against`` and the current one, stopped
+    at step k once |beta_k s_k|^2 <= 1e-16 |theta| min(delta, 1), delta
+    the distance to the nearest other Ritz value."""
+    dot = state.weighted_dot
+    v = (state.p if start is None else start).copy()
+    for u in against:
+        v = v - dot(v, u) * u
+    v = v / np.sqrt(dot(v, v))
+    v_prev, beta, alphas, betas = np.zeros(v.size), 0.0, [], []
+    for k in range(1, steps + 1):
+        w = state.apply_linearized(v) - beta * v_prev
+        alphas.append(dot(v, w))
+        w = w - alphas[-1] * v
+        for u in (*against, v):
+            w = w - dot(w, u) * u
+        beta = np.sqrt(dot(w, w))
+        t = np.diag(alphas) + np.diag(betas, -1) + np.diag(betas, 1)
+        ritz, s = np.linalg.eigh(t)
+        top = 0 if -ritz[0] > ritz[-1] else -1
+        near = np.delete(ritz, top if top == 0 else k - 1)
+        delta = np.min(np.abs(near - ritz[top]), initial=1.0)
+        if (beta * s[-1, top]) ** 2 <= 1e-16 * abs(ritz[top]) * delta:
+            return float(abs(ritz[top])), k
+        betas.append(beta)
+        v, v_prev = w / beta, v
+    raise ConvergenceError(f"Lanczos recurrence: no stop in {steps} steps")
+
+
+def full_grid_second(state, u=None):
+    """(lambda2, steps) on the whole grid: on the complement of the unit
+    vector u from p (1 + x/max|x|), or with u None from p x/max|x| (an odd
+    half line's top)."""
+    x = state.grid.points
+    ramp = x / np.max(np.abs(x))
+    if u is None:
+        return full_grid_ritz(state, state.p * ramp)
+    return full_grid_ritz(state, state.p * (1.0 + ramp), (u,))
 
 
 def tanh_start_profile(params, kernel, inst):

@@ -275,12 +275,13 @@ def test_centred_solves_convolve_on_the_half_line(mode, params2, kernel05,
                                                   monkeypatch):
     """Every convolution of a centred solve runs on the (n + 1) / 2 points
     of x >= 0, odd: its seed's, then one per fixed-point step but the first,
-    which reuses the seed's.  So does every one of the spectral loop that
-    follows it, even: the Lanczos steps of the sweep row's lambda on a
-    stable or metastable state, which runs no power iteration, and the
-    power steps of the off-center set-up's u* pair, plus its residual's.
-    A sweep row's shared inputs (the instanton's own loop among them) are
-    built before the recording starts."""
+    which reuses the seed's.  Every one of the spectral loop that follows
+    it runs on the interface window from x = 0, even: the Lanczos steps of
+    the sweep row's lambda on a stable or metastable state, which runs no
+    power iteration, and the power steps of the off-center set-up's u*
+    pair, plus its residual's.  A sweep row's shared inputs (the
+    instanton's own loop among them) are built before the recording
+    starts."""
     if mode != "extended":
         cfg = RunConfig(beta=params2.beta, ell=ELL, n0=N0, eps_list=[0.1],
                         **_ROW_CASES[mode]).validate_fields()
@@ -301,14 +302,15 @@ def test_centred_solves_convolve_on_the_half_line(mode, params2, kernel05,
         problem, _ = asym.build_problem(maximal_stable, kernel05, inst05, 0.1,
                                         X0, N0)
         n, trace = 2 * problem.interface_index + 1, problem.extended_trace
-        spectral_steps = problem.u_star.iterations + 1
+        steps, window = problem.u_star.iterations + 1, problem.u_star.u.size
     else:
         row, res = cli._solve_one(cfg, 0.1, shared)
         n, trace = res.state.grid.n, res.trace
-        spectral_steps = row.lambda_steps
+        steps, window = row.lambda_steps, row.lambda_points
     half = (n + 1) // 2
+    assert window < half
     assert sizes == [(half, half, True)] * len(trace.increments) \
-        + [(half, half, False)] * spectral_steps
+        + [(window, window, False)] * steps
 
 
 #: the centred sweep rows whose checks run on the half line, as RunConfig

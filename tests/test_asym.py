@@ -14,7 +14,8 @@ from mesostefan.errors import (ConvergenceError, DomainError, GridError,
                                InfeasibleError, SaturationError)
 from mesostefan.grids import Grid, Kernel, conv_values
 from mesostefan.meso import INNER_TOL, make_state
-from mesostefan.spectral import leading_eigenpair
+from mesostefan.spectral import leading_eigenpair, slope_start
+from oracles import leading_eigenpair_every_step
 
 
 @pytest.fixture(scope="module")
@@ -142,13 +143,13 @@ def test_quasi_solution_residual(asym_sweep):
 
 def test_no_extended_array_outlives_the_solve(asym_sweep):
     """Of the extended solve the problem and the result keep the trace, the
-    gluing point and the eigenvector on the half line: no field but the
-    shared kernel's holds an array longer than the restricted grid, or a
-    view of one, so none of the extended length."""
+    gluing point and the eigenvector on its window of the half line: no
+    field but the shared kernel's holds an array longer than the restricted
+    grid, or a view of one, so none of the extended length."""
     res = asym_sweep[0.05]
     prob = res.problem
     n_ext, n_res = _ext_grid(prob).n, prob.res_grid.n
-    assert prob.u_star.u.size == prob.interface_index + 1 < n_res < n_ext
+    assert prob.u_star.u.size < prob.interface_index + 1 < n_res < n_ext
 
     def arrays(obj):
         for f in fields(obj):
@@ -198,6 +199,8 @@ def test_boundary_correction_shrinks_with_offset(kernel05, inst05,
 
 
 def test_u_star_symmetry_and_positivity(asym_sweep):
+    """u* is even about the interface, positive on its window and 0 past
+    it."""
     for eps in EPS_SWEEP:
         prob = asym_sweep[eps].problem
         ext_grid, u = asym.extended_u_star(prob)
@@ -205,23 +208,34 @@ def test_u_star_symmetry_and_positivity(asym_sweep):
         k = min(c, u.size - 1 - c)
         seg = u[c - k:c + k + 1]
         assert np.max(np.abs(seg - seg[::-1])) < 1e-8
-        assert np.all(u > 0.0)
+        inside = np.abs(np.arange(u.size) - c) < prob.u_star.u.size
+        assert np.all(u[inside] > 0.0) and np.all(u[~inside] == 0.0)
         assert prob.u_star.lambda_ < 1.0
 
 
 @pytest.mark.parametrize("eps", [0.05, 0.0125])
 def test_u_star_is_the_full_grid_pair(eps, kernel05, inst05, maximal_stable):
-    """u*, found on the extended state's even half line and extended, is
-    the leading pair of the whole relabeled state."""
+    """u*, found on its window of the extended state's even half line and
+    extended, is the power pair from the same start on the whole half line
+    to 1e-13 (lambda* to 1e-15), and the leading pair of the whole
+    relabeled state from p to 1e-12 (lambda* to 1e-14)."""
     args = (maximal_stable, kernel05, inst05, eps, X0, N0)
     problem, _ = build_problem(*args)
     half, xi_index = check_off_center(*args)[:2]
     ext_grid, u = asym.extended_u_star(problem)
+    assert problem.u_star.u.size < half.n
     extended = antisym._iterate(maximal_stable, kernel05, inst05, half,
                                 xi_index)
-    full = leading_eigenpair(replace(extended.state, grid=ext_grid))
-    assert np.max(np.abs(u - full.u)) <= 1e-12
-    assert abs(problem.u_star.lambda_ - full.lambda_) <= 1e-14
+    even = extended.half.even_half()
+    lam, on_half, *_ = leading_eigenpair_every_step(
+        even, start=slope_start(even, inst05))
+    c = problem.interface_index
+    assert np.max(np.abs(u[c:] - on_half)) <= 1e-13
+    assert abs(problem.u_star.lambda_ - lam) <= 1e-15
+    lam, full, *_ = leading_eigenpair_every_step(
+        replace(extended.state, grid=ext_grid))
+    assert np.max(np.abs(u - full)) <= 1e-12
+    assert abs(problem.u_star.lambda_ - lam) <= 1e-14
 
 
 def test_weight_matches_defining_formula(problem01):
@@ -295,9 +309,10 @@ def test_quasi_solution_state(kernel05, inst05, maximal_stable, problem01,
 def test_set_up_convolves_on_the_half_line_and_the_window(
         kernel05, inst05, maximal_stable, monkeypatch):
     """build_problem runs no convolution over the restricted or the
-    extended grid: the extended loop's and its power iteration's run on
-    the half line, and r_eps and the restricted convolution on the last
-    k + 1 points come from two window products over 3k + 1 values."""
+    extended grid: the extended loop's run on the half line and its power
+    iteration's on u*'s window of it, and r_eps and the restricted
+    convolution on the last k + 1 points come from two window products over
+    3k + 1 values."""
     sizes = []
     real = grids._blocked_convolution
 
@@ -309,8 +324,10 @@ def test_set_up_convolves_on_the_half_line_and_the_window(
     problem, _ = build_problem(maximal_stable, kernel05, inst05, 0.05, X0, N0)
     k, half = kernel05.half_points, problem.interface_index + 1
     steps = len(problem.extended_trace.increments)
-    power = problem.u_star.iterations
-    assert sizes == [(half, k, k)] * (steps + power + 1) + [(k + 1, k, k)] * 2
+    power, window = problem.u_star.iterations, problem.u_star.u.size
+    assert window < half
+    assert sizes == [(half, k, k)] * steps + [(window, k, k)] * (power + 1) \
+        + [(k + 1, k, k)] * 2
 
 
 def test_projected_step_checks_the_mobility_floor(problem01, m_star):
@@ -378,13 +395,10 @@ def test_derivative_flat_away_from_interface(asym_sweep, m_star):
 
 def test_eigenvector_stability_under_restriction(asym_sweep):
     """The restricted state's eigenvector matches the extended one."""
-    from mesostefan.spectral import leading_eigenpair
-
     res = asym_sweep[0.1]
     pair = leading_eigenpair(res.state)
-    u_res = pair.u
-    u_ext = res.problem.u_star_restricted
-    assert np.max(np.abs(u_res - u_ext)) < 1e-3
+    u_ext = res.problem.u_star_restricted[pair.lo:pair.lo + pair.u.size]
+    assert np.max(np.abs(pair.u - u_ext)) < 1e-3
 
 
 def test_admissibility_report(asym_sweep, m_star):

@@ -23,6 +23,7 @@ from mesostefan.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_NUMERICAL,
 from mesostefan.config import RunConfig, parse_config
 from mesostefan.errors import DomainError, GridError, InfeasibleError
 from mesostefan.profiles import dump_json, load_state
+from oracles import full_grid_second, leading_eigenpair_every_step
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "scripts", "configs")
 
@@ -538,8 +539,10 @@ NOT_APPLICABLE = {"antisym": {"I_eps", "eps_x_eps"},
                   "metastable": {"eps_x_eps"}, "asym": {"I_eps"}}
 ROW_VALUES = {"hydro_m", "hydro_h", "lam_gap_ratio", "C_instanton", "I_eps",
               "eps_x_eps"}
-#: the step counts of a solved row's row.json, which a failed row has not
-STEP_KEYS = {"picard_steps", "picard_extrapolations", "lambda_steps"}
+#: the step counts and lambda's window of a solved row's row.json, which a
+#: failed row has not
+STEP_KEYS = {"picard_steps", "picard_extrapolations", "lambda_steps",
+             "lambda_points"}
 #: every key of a solved row's row.json; a failed row has "error" in place
 #: of the step counts
 SOLVED_ROW_KEYS = ROW_VALUES | STEP_KEYS | {"eps", "mode", "iters"}
@@ -547,6 +550,10 @@ SOLVED_ROW_KEYS = ROW_VALUES | STEP_KEYS | {"eps", "mode", "iters"}
 #: order): centred from the interface slope, off center from u*
 SHIPPED_LAMBDA_STEPS = {"antisym": [5, 5, 6], "metastable": [5, 5, 6],
                         "asym": [1, 1, 1]}
+#: the points of their interface windows: TAIL_DECAYS / a = 6.55 from x = 0
+#: on the half line, and on each side of the interface off center
+SHIPPED_LAMBDA_POINTS = {"antisym": [132] * 3, "metastable": [132] * 3,
+                         "asym": [263] * 3}
 
 
 def test_json_artifacts_are_strict(tmp_path):
@@ -568,6 +575,8 @@ def test_json_artifacts_are_strict(tmp_path):
             assert set(row) == SOLVED_ROW_KEYS, path
         assert [row["lambda_steps"] for row in rows] \
             == SHIPPED_LAMBDA_STEPS[rows[0]["mode"]], path
+        assert [row["lambda_points"] for row in rows] \
+            == SHIPPED_LAMBDA_POINTS[rows[0]["mode"]], path
 
     out = tmp_path / "bad"
     cfg_file.write_text("beta = 2.0\nj = -0.2\nell = 1.0\nmode = antisym\n"
@@ -584,6 +593,8 @@ def test_json_artifacts_are_strict(tmp_path):
                  "--out", str(spec_dir)]) == EXIT_OK
     spectrum = _strict_json(spec_dir / "spectrum.json")
     assert spectrum["C_check"]["C_instanton"] is None
+    assert (spectrum["lambda_points"], spectrum["lambda2_points"]) \
+        == (132, 201)
 
 
 def test_dump_json_writes_numpy_bools_and_refuses_nan(tmp_path):
@@ -1186,15 +1197,16 @@ def conv_sizes(monkeypatch):
 
 
 def _full_grid_spectrum(path):
-    """The reference: the leading pair from p and lambda2 of a stored state
-    on its full grid, from the arrays spectrum loads."""
-    from mesostefan import meso, spectral
+    """The reference: lambda of the power pair from p and lambda2 on its
+    complement, each on the whole grid of a stored state, from the arrays
+    spectrum loads."""
+    from mesostefan import meso
 
     grid, h, m, beta, shape, _ = load_state(path)
     params, kernel = cli._params_kernel(beta, grid.spacing, shape)
     state = meso.make_state(params, kernel, grid, h, m)
-    pair = spectral.leading_eigenpair(state)
-    return grid, pair, spectral.second_eigenvalue(state, pair)
+    lam, u, *_ = leading_eigenpair_every_step(state)
+    return grid, lam, full_grid_second(state, u)[0]
 
 
 def _odd_half_line(path):
@@ -1219,12 +1231,14 @@ def _spectrum(path, out):
 ], ids=["antisym", "metastable-0.09"])
 def test_spectrum_of_an_odd_state_runs_on_its_sectors(tmp_path, conv_sizes,
                                                       command):
-    """On an exactly odd state spectrum makes every convolution on the odd
-    half line, n/2 + 1 points, and its lambda2 and (1 - lambda)/eps are
-    those of the full grid's pair and Lanczos recurrence on the same state
-    to 1e-12 and 1e-9 relative.  Its step counts are the sector
-    recurrences': lambda's on the even view, lambda2's on the odd half
-    line, one convolution each, the state's own the one more."""
+    """On an exactly odd state spectrum makes the state's convolution on the
+    odd half line, n/2 + 1 points, and every other on a window of it from
+    x = 0, lambda's on less than all of it (metastable lambda2 takes the
+    whole half line).  Its lambda2 and (1 - lambda)/eps are those of the
+    pair and the Lanczos recurrence on the whole full grid of the same
+    state to 1e-14 and 1e-10 relative.  Its step counts are the sector
+    recurrences': lambda's on the even view's window, after the state's
+    own convolution, and last lambda2's on the odd half line's."""
     from mesostefan import spectral
 
     run_dir = tmp_path / "run"
@@ -1233,26 +1247,33 @@ def test_spectrum_of_an_odd_state_runs_on_its_sectors(tmp_path, conv_sizes,
     state = str(run_dir / "state.csv")
     del conv_sizes[:]
     report = _spectrum(state, tmp_path / "spec")
-    sizes, count = set(conv_sizes), len(conv_sizes)
-    grid, pair, lam2 = _full_grid_spectrum(state)
-    assert sizes == {grid.n // 2 + 1}
+    sizes = conv_sizes[:]
+    grid, lam_full, lam2 = _full_grid_spectrum(state)
     assert report["odd_sectors"] is True
-    assert report["lambda2"] == pytest.approx(lam2, rel=1e-12)
-    assert report["C_check"]["one_minus_lambda_over_eps"] == pytest.approx(
-        (1.0 - pair.lambda_) / grid.epsilon, rel=1e-9)
+    assert abs(report["lambda2"] - lam2) <= 1e-14
+    gap = (1.0 - lam_full) / grid.epsilon
+    assert abs(report["C_check"]["one_minus_lambda_over_eps"] - gap) \
+        <= 1e-10 * abs(gap)
     half = _odd_half_line(state)
     lam = spectral.leading_eigenvalue(half.even_half())
-    assert report["lambda"] == lam
-    assert report["lambda_steps"] == lam.steps
-    assert report["lambda2_steps"] == spectral.second_eigenvalue(half).steps
-    assert count == 1 + report["lambda_steps"] + report["lambda2_steps"]
+    lam2 = spectral.second_eigenvalue(half)
+    assert report["lambda"] == lam and report["lambda2"] == lam2
+    steps, points = report["lambda_steps"], report["lambda_points"]
+    assert (steps, points) == (lam.steps, lam.points)
+    assert (report["lambda2_steps"], report["lambda2_points"]) \
+        == (lam2.steps, lam2.points)
+    assert sizes[:1 + steps] == [grid.n // 2 + 1] + [points] * steps
+    assert sizes[-lam2.steps:] == [lam2.points] * lam2.steps
+    assert points < grid.n // 2 + 1 and max(sizes) == grid.n // 2 + 1
 
 
-def test_spectrum_of_a_state_that_is_not_odd_runs_on_the_full_grid(
+def test_spectrum_of_a_state_that_is_not_odd_runs_about_the_peak_of_p(
         tmp_path, conv_sizes):
     """An off-center state, and a centred one with one m value moved by an
-    ulp, take the full grid: every convolution has its n points.  The
-    off-center (1 - lambda)/eps is the row's lam_gap_ratio to 1e-9, and the
+    ulp, are solved on windows of the full grid about the peak of p: every
+    convolution but the state's own has fewer than its n points.  The
+    off-center (1 - lambda)/eps is the row's lam_gap_ratio to 1e-9 and the
+    whole grid's to 1e-10, lambda2 the whole grid's to 1e-14, and the
     moved state's numbers are the odd one's to 1e-9 and 1e-12."""
     from mesostefan.profiles import save_state
 
@@ -1266,11 +1287,16 @@ def test_spectrum_of_a_state_that_is_not_odd_runs_on_the_full_grid(
     row = _strict_json(runs["asym"] / "solve.json")
     del conv_sizes[:]
     report = _spectrum(asym_state, tmp_path / "spec-asym")
-    grid, *_ = load_state(asym_state)
-    assert set(conv_sizes) == {grid.n}
+    sizes = conv_sizes[:]
+    grid, lam, lam2 = _full_grid_spectrum(asym_state)
+    assert sizes[0] == grid.n and max(sizes[1:]) < grid.n
+    assert (report["lambda_points"], report["lambda2_points"]) == (263, 525)
     assert report["odd_sectors"] is False
-    assert report["C_check"]["one_minus_lambda_over_eps"] == pytest.approx(
-        row["lam_gap_ratio"], rel=1e-9)
+    ratio = report["C_check"]["one_minus_lambda_over_eps"]
+    assert ratio == pytest.approx(row["lam_gap_ratio"], rel=1e-9)
+    gap = (1.0 - lam) / grid.epsilon
+    assert abs(ratio - gap) <= 1e-10 * abs(gap)
+    assert abs(report["lambda2"] - lam2) <= 1e-14
 
     odd = _spectrum(str(runs["antisym"] / "state.csv"), tmp_path / "spec-odd")
     grid, h, m, _, _, _ = load_state(str(runs["antisym"] / "state.csv"))
@@ -1281,7 +1307,7 @@ def test_spectrum_of_a_state_that_is_not_odd_runs_on_the_full_grid(
     save_state(moved, _state_of(grid, h, m))
     del conv_sizes[:]
     report = _spectrum(moved, tmp_path / "spec-moved")
-    assert set(conv_sizes) == {grid.n}
+    assert conv_sizes[0] == grid.n and max(conv_sizes[1:]) < grid.n
     assert report["odd_sectors"] is False
     assert report["C_check"]["one_minus_lambda_over_eps"] == pytest.approx(
         odd["C_check"]["one_minus_lambda_over_eps"], rel=1e-9)

@@ -266,12 +266,15 @@ def convolutions(monkeypatch):
 
 def _pushed_along_slow_mode(res):
     """The converged state, its leading pair as a Newton direction
-    (u, lambda, u weighted by 1/p) and its solution pushed by 1e-3 u (sup
-    norm)."""
+    (u, lambda, u weighted by 1/p, u's first point) and its solution pushed
+    by 1e-3 u (sup norm)."""
     st = res.state
     pair = spectral.leading_eigenpair(st)
-    newton = (pair.u, pair.lambda_, st.quadrature * pair.u)
-    return st, newton, st.m + 1e-3 * pair.u / np.max(np.abs(pair.u))
+    on_u = slice(pair.lo, pair.lo + pair.u.size)
+    newton = (pair.u, pair.lambda_, st.quadrature[on_u] * pair.u, pair.lo)
+    m0 = st.m.copy()
+    m0[on_u] += 1e-3 * pair.u / np.max(pair.u)
+    return st, newton, m0
 
 
 @pytest.mark.parametrize("eps,n", [(0.025, 1601), (0.0025, 16001)],
@@ -325,7 +328,9 @@ def test_loop_without_fixed_point_stops_contracting(params2, kernel05, inst05,
     pair = spectral.leading_eigenpair(exact_state(params2, kernel05, grid, m0))
     h = np.full(grid.n, 0.002)
     start = make_state(params2, kernel05, grid, h, m0)
-    for newton in (None, (pair.u, pair.lambda_, start.quadrature * pair.u)):
+    on_u = slice(pair.lo, pair.lo + pair.u.size)
+    for newton in (None, (pair.u, pair.lambda_,
+                          start.quadrature[on_u] * pair.u, pair.lo)):
         with pytest.raises(ConvergenceError, match="stopped contracting") \
                 as info:
             iterate(start, lambda m, out, scratch: h, newton)
@@ -336,11 +341,12 @@ def test_inner_solve_without_gap_raises(params2, kernel05, stable_sweep,
                                         convolutions):
     """A leading eigenvalue equal to 1 leaves no Newton step: the loop
     raises before its first step."""
-    st, (u, _, weights), m0 = _pushed_along_slow_mode(stable_sweep[0.025])
+    st, (u, _, weights, lo), m0 = _pushed_along_slow_mode(
+        stable_sweep[0.025])
     start = make_state(params2, kernel05, st.grid, st.h, m0)
     convolutions.clear()
     with pytest.raises(DomainError, match="no Newton step"):
-        iterate(start, lambda m, out, scratch: st.h, (u, 1.0, weights))
+        iterate(start, lambda m, out, scratch: st.h, (u, 1.0, weights, lo))
     assert convolutions == []
 
 

@@ -7,14 +7,15 @@ from mesostefan import antisym, asym, cli, spectral, stefan
 from mesostefan.config import RunConfig
 from mesostefan.errors import ConvergenceError
 from mesostefan.grids import build_grid, build_kernel, conv_values
-from mesostefan.instanton import compute_instanton
+from mesostefan.instanton import TAIL_DECAYS, compute_instanton
 from mesostefan.meso import exact_state, iterate, make_state
 from mesostefan.errors import DomainError
 from mesostefan.spectral import (eigenvector_shape_report, leading_eigenpair,
                                  leading_eigenvalue, second_eigenvalue,
                                  slope_start)
 from mesostefan.thermo import make_params, mobility
-from oracles import leading_eigenpair_every_step, neumann_matrix
+from oracles import (full_grid_ritz, full_grid_second,
+                     leading_eigenpair_every_step, neumann_matrix)
 
 from conftest import ELL, J_META, J_STABLE, N0, X0
 
@@ -47,16 +48,25 @@ def test_constant_weight_state(params2, kernel05):
     assert np.max(np.abs(u - 1.0)) < 1e-10
 
 
+def _on_window(state, pair):
+    """The state on the window its pair ran on."""
+    return state.window(pair.lo, pair.lo + pair.u.size)
+
+
 def test_interface_eigenvalue_one(fine_instanton_state, fine_pair, inst025):
     res = fine_pair
     assert abs(res.lambda_ - 1.0) < 1e-4
-    md = np.interp(fine_instanton_state.grid.points, inst025.x,
-                   inst025.unit_derivative())
+    md = np.interp(_on_window(fine_instanton_state, res).grid.points,
+                   inst025.x, inst025.unit_derivative())
     assert np.max(np.abs(res.u - md)) < 1e-3
 
 
 def test_eigenpair_contract(fine_instanton_state, fine_pair):
-    st, res = fine_instanton_state, fine_pair
+    """The pair runs on the interface window about the peak of p, where its
+    vector is positive and of unit weighted norm."""
+    st, res = _on_window(fine_instanton_state, fine_pair), fine_pair
+    assert res.u.size < fine_instanton_state.grid.n
+    assert np.argmax(fine_instanton_state.p) == res.lo + res.u.size // 2
     assert np.all(res.u > 0.0)
     assert abs(st.weighted_dot(res.u, res.u) - 1.0) < 1e-10
     assert res.residual < 1e-8 * max(1.0, float(np.max(res.u)))
@@ -107,7 +117,7 @@ def test_half_line_leading_pair_is_the_odd_one(spectral_sweep):
                           st.h[c:], st.m[c:], st.conv[c:])
         pair = leading_eigenpair(half)
         assert abs(pair.lambda_ - entry["lambda2"]) < 1e-12
-        assert pair.u[0] == 0.0
+        assert pair.lo == 0 and pair.u[0] == 0.0
         assert pair.residual < 1e-11
 
 
@@ -232,12 +242,13 @@ def test_leading_eigenvalue_matches_the_dense_even_sector(beta, j, n0):
 
 
 #: Lanczos steps of lambda (even view, from p) and lambda2 (odd half line)
-#: at j = -0.02, by (beta, spacing, eps): the spectrum-fine grids, and beta =
-#: 1.05, where power iteration from p takes 72 steps
-SECTOR_STEPS = {(2.0, 0.0125, 0.05): (7, 13), (2.0, 0.0125, 0.025): (7, 14),
-                (2.0, 0.0125, 0.0125): (7, 14), (2.0, 0.00625, 0.05): (7, 13),
-                (2.0, 0.00625, 0.025): (7, 14), (2.0, 0.00625, 0.0125): (7, 14),
-                (1.05, 0.05, 0.05): (21, 33)}
+#: on their windows at j = -0.02, by (beta, spacing, eps): the spectrum-fine
+#: grids (lambda2 took 13-14 on the whole half line), and beta = 1.05, where
+#: power iteration from p takes 72 steps
+SECTOR_STEPS = {(2.0, 0.0125, 0.05): (7, 13), (2.0, 0.0125, 0.025): (7, 13),
+                (2.0, 0.0125, 0.0125): (7, 13), (2.0, 0.00625, 0.05): (7, 13),
+                (2.0, 0.00625, 0.025): (7, 13),
+                (2.0, 0.00625, 0.0125): (7, 13), (1.05, 0.05, 0.05): (21, 33)}
 
 
 @pytest.mark.parametrize("beta, spacing, eps", list(SECTOR_STEPS),
@@ -257,20 +268,23 @@ def test_a_field_that_overflows_cosh_is_refused(params2, kernel05):
     with np.errstate(over="ignore"):
         state = make_state(params2, kernel05, grid, np.full(grid.n, 1e3), m)
         assert np.all(state.p == 0.0)
-    with pytest.raises(DomainError, match="weight must be positive"):
-        leading_eigenpair(state)
-    with pytest.raises(DomainError, match="weight must be positive"):
-        leading_eigenvalue(state)
+        with pytest.raises(DomainError, match="weight must be positive"):
+            leading_eigenpair(state)
+        with pytest.raises(DomainError, match="weight must be positive"):
+            leading_eigenvalue(state)
 
 
 def _row_start(mode, res, instanton):
-    """The state a sweep row's leading eigenvalue is taken on and the start
-    it takes there: a centred state's even half line and the interface
-    slope, off center the state and u* restricted to its grid."""
+    """The state a sweep row's leading eigenvalue is taken on, the start it
+    takes on a window of it and the window's centre: a centred state's even
+    half line, the interface slope and x = 0, off center the state, u*
+    restricted to its grid and the interface."""
     if mode == "asym":
-        return res.state, res.problem.u_star_restricted
-    half = res.state.even_half()
-    return half, slope_start(half, instanton)
+        prob = res.problem
+        return (res.state, lambda window, lo: prob.u_star_on(
+            lo, lo + window.grid.n), prob.interface_index)
+    return (res.state.even_half(),
+            lambda window, lo: slope_start(window, instanton), 0)
 
 
 @pytest.mark.parametrize("tol", [1e-12, 1e-8], ids=["default", "pair-tol"])
@@ -279,18 +293,20 @@ def test_leading_pair_matches_residual_every_step(mode, tol, stable_sweep,
                                                   metastable_sweep,
                                                   asym_sweep, inst05):
     """Forming the residual only once the quotient is stationary keeps the
-    stopping step and every returned bit of the residual-every-step rule,
-    extrapolations included, from p on the full grid and from the sweep
-    row's start."""
+    stopping step and every returned bit of the residual-every-step rule
+    on the window the pair ran on, extrapolations included, from p about
+    the peak of p and from the sweep row's start."""
     sweep = {"antisym": stable_sweep, "metastable": metastable_sweep,
              "asym": asym_sweep}[mode]
     jumps = []
-    for state, u0 in ((sweep[0.05].state, None),
-                      _row_start(mode, sweep[0.05], inst05)):
-        pair = leading_eigenpair(state, tol, start=u0)
-        jumps.append(pair.extrapolations)
-        lam, u, iterations, res = leading_eigenpair_every_step(state, tol,
-                                                               start=u0)
+    for state, start, _ in ((sweep[0.05].state, None, None),
+                                 _row_start(mode, sweep[0.05], inst05)):
+        pair = leading_eigenpair(state, tol, start)
+        window = state.window(pair.lo, pair.lo + pair.u.size)
+        assert window.grid.n < state.grid.n
+        lam, u, iterations, res, jump = leading_eigenpair_every_step(
+            window, tol, start=start and start(window, pair.lo))
+        jumps.append(jump)
         assert pair.lambda_ == lam
         assert np.array_equal(pair.u, u)
         assert pair.iterations == iterations
@@ -300,10 +316,11 @@ def test_leading_pair_matches_residual_every_step(mode, tol, stable_sweep,
 
 #: steps of the sweep rows' leading eigenvalues at the benchmark's eps
 #: ladder, in the order 0.0125, 0.0025, 0.001: the row's Lanczos steps from
-#: its start, and the power steps of the pair from p
-LADDER_STEPS = {"antisym": ((5, 5, 5), (13, 13, 13)),
-                "metastable": ((5, 5, 4), (16, 16, 16)),
-                "asym": ((1, 1, 1), (13, 13, 13))}
+#: its start, and the power steps of the pair from p on its window (13, 16
+#: and 13 on the whole grid)
+LADDER_STEPS = {"antisym": ((5, 5, 5), (12, 12, 12)),
+                "metastable": ((5, 5, 4), (12, 12, 12)),
+                "asym": ((1, 1, 1), (12, 12, 12))}
 LADDER_EPS = (0.0125, 0.0025, 0.001)
 
 
@@ -312,24 +329,28 @@ LADDER_EPS = (0.0125, 0.0025, 0.001)
 @pytest.mark.parametrize("mode", list(LADDER_STEPS))
 def test_row_start_gives_the_p_start_pair(mode, k, params2):
     """A sweep row's lambda, the top Ritz value of the Lanczos recurrence
-    from the interface slope (centred) or from u* (off center), is the
-    power pair's from p: to 1e-14, (1 - lambda)/eps to 1e-10 relative."""
+    from the interface slope (centred) or from u* (off center) on its
+    window, is the power pair's from p on its own: to 1e-14, (1 - lambda)/eps
+    to 1e-10 relative, and so is the whole grid's recurrence from the
+    row's start."""
     eps = LADDER_EPS[k]
     cfg = RunConfig(beta=params2.beta, j=J_META if mode == "metastable"
                     else J_STABLE, ell=ELL, x0=X0 if mode == "asym" else 0.0,
                     mode=mode, eps_list=[eps], n0=N0).validate_fields()
     shared = cli._shared_inputs(cfg)
     row, res = cli._solve_one(cfg, eps, shared)
-    state, u0 = _row_start(mode, res, shared[2])
-    lam = leading_eigenvalue(state, u0)
+    state, start, center = _row_start(mode, res, shared[2])
+    lam = leading_eigenvalue(state, start, center)
     cold = leading_eigenpair(state)
     assert (lam.steps, cold.iterations) == tuple(
         steps[k] for steps in LADDER_STEPS[mode])
-    assert row.lambda_steps == lam.steps
+    assert (row.lambda_steps, row.lambda_points) == (lam.steps, lam.points)
     assert row.lam_gap_ratio == (1.0 - lam) / eps
     assert abs(lam - cold.lambda_) <= 1e-14
-    gap = (1.0 - cold.lambda_) / eps
-    assert abs(row.lam_gap_ratio - gap) <= 1e-10 * abs(gap)
+    full, _ = full_grid_ritz(state, start(state, 0))
+    for other in (cold.lambda_, full):
+        gap = (1.0 - other) / eps
+        assert abs(row.lam_gap_ratio - gap) <= 1e-10 * abs(gap)
 
 
 def test_one_step_stop_holds_at_a_small_gap():
@@ -362,23 +383,153 @@ def test_slope_start_is_positive_past_the_instanton(stable_sweep, inst05):
     assert np.array_equal(u0[past], 1e-12 * half.p[past])
 
 
-def test_leading_pair_refuses_a_start_that_is_not_positive(stable_sweep):
-    state = stable_sweep[0.1].state.even_half()
-    u0 = state.p.copy()
-    u0[-1] = 0.0
-    with pytest.raises(DomainError, match="start must be positive"):
-        leading_eigenpair(state, start=u0)
-
-
 def test_leading_pair_budget_message_matches_residual_every_step(
         stable_sweep, monkeypatch):
     """On an exhausted budget the message reports the residual of the last
-    iterate, as the residual-every-step rule does."""
-    state = stable_sweep[0.05].state
+    iterate on the first window, as the residual-every-step rule does."""
+    state = stable_sweep[0.05].state.even_half()
+    window = state.window(0, leading_eigenpair(state).u.size)
     monkeypatch.setattr(spectral, "_POWER_STEPS", 3)
     with pytest.raises(ConvergenceError) as mine:
         leading_eigenpair(state)
     with pytest.raises(ConvergenceError) as ref:
-        leading_eigenpair_every_step(state, steps=3)
+        leading_eigenpair_every_step(window, steps=3)
     assert str(mine.value) == str(ref.value)
     assert "residual" in str(mine.value)
+
+
+#: rows checked against the whole grid: (mode, beta, j, x0), each at the
+#: scales of PARITY_EPS that validate feasible (the near-critical rows at
+#: ell_j = 2 are infeasible at eps = 0.1), and at eps = 1e-4 those marked
+PARITY_ROWS = [("antisym", 2.0, J_STABLE, 0.0),
+               ("antisym", 1.5, J_STABLE, 0.0),
+               ("antisym", 1.2, J_STABLE, 0.0),
+               ("antisym", 1.05, -0.15035, 0.0),
+               ("antisym", 1.01, -0.16334, 0.0),
+               ("metastable", 2.0, J_META, 0.0),
+               ("metastable", 2.0, 0.09, 0.0),
+               ("metastable", 1.2, J_META, 0.0),
+               ("asym", 2.0, J_STABLE, 0.2), ("asym", 2.0, J_STABLE, 0.5),
+               ("asym", 1.2, J_STABLE, 0.2), ("asym", 1.2, J_STABLE, 0.5)]
+PARITY_EPS = (0.1, 0.05, 0.001)
+PARITY_FINEST = {("antisym", 2.0), ("metastable", 2.0), ("asym", 2.0)}
+PARITY = [(row, eps) for row in PARITY_ROWS for eps in PARITY_EPS
+          if not (row[1] < 1.1 and eps == 0.1)] \
+    + [(row, 1e-4) for row in PARITY_ROWS
+       if row[:2] in PARITY_FINEST and row[2] in (J_STABLE, 0.09)
+       and row[3] != 0.5]
+
+
+def _parity_row(mode, beta, j, x0, eps):
+    cfg = RunConfig(beta=beta, j=j, ell=ELL, x0=x0, mode=mode,
+                    eps_list=[eps], n0=N0).validate_fields()
+    assert cli.validate(cfg) == []
+    shared = cli._shared_inputs(cfg)
+    row, res = cli._solve_one(cfg, eps, shared)
+    return shared, row, res
+
+
+@pytest.mark.parametrize("case, eps", PARITY,
+                         ids=[f"{c[0]}-{c[1]:g}-{c[2]:g}-{c[3]:g}-{e:g}"
+                              for c, e in PARITY])
+def test_windowed_spectra_are_the_whole_grid_ones(case, eps):
+    """A row's lambda and the spectrum of its state, on interface windows,
+    against the whole-grid routines of oracles.py from the same starts:
+    (1 - lambda)/eps of the row to 1e-10 relative, lambda from p to 1e-14
+    and lambda2 to 1e-14, and off center u* to 1e-13 in the sup norm and
+    lambda* to 1e-15.  On an odd state spectrum's sectors run on the half
+    line, on the off-center state about the peak of p."""
+    mode = case[0]
+    shared, row, res = _parity_row(*case, eps)
+    inst = shared[2]
+    if mode == "asym":
+        prob = res.problem
+        half, xi_index = asym.check_off_center(*shared, eps, case[3], N0)[:2]
+        even = antisym.solve_half_line(*shared, half, xi_index)[0].even_half()
+        lam_star, u_full, *_ = leading_eigenpair_every_step(
+            even, start=slope_start(even, inst))
+        u = np.zeros(u_full.size)
+        u[:prob.u_star.u.size] = prob.u_star.u
+        assert np.max(np.abs(u - u_full)) <= 1e-13
+        assert abs(prob.u_star.lambda_ - lam_star) <= 1e-15
+        state = res.state
+        full = antisym.extension(u_full, prob.interface_index, state.grid.n)
+        lam, _ = full_grid_ritz(state, np.abs(full))
+        pair = leading_eigenpair(state)
+        lam_p, u_p, *_ = leading_eigenpair_every_step(state)
+        lam2, lam2_full = second_eigenvalue(state, pair), \
+            full_grid_second(state, u_p)[0]
+        sector = pair.lambda_
+    else:
+        state = res.half.even_half()
+        lam, _ = full_grid_ritz(state, slope_start(state, inst))
+        sector = leading_eigenvalue(state)
+        lam_p, _ = full_grid_ritz(state)
+        lam2, lam2_full = second_eigenvalue(res.half), \
+            full_grid_second(res.half)[0]
+    gap = (1.0 - lam) / eps
+    assert abs(row.lam_gap_ratio - gap) <= 1e-10 * abs(gap)
+    assert abs(sector - lam_p) <= 1e-14
+    assert abs(lam2 - lam2_full) <= 1e-14
+
+
+#: rows whose first window is the whole grid (half line) the spectral
+#: routines run on: (mode, beta, j, x0, eps)
+WHOLE_GRID_ROWS = [("antisym", 1.05, -0.15035, 0.0, 0.05),
+                   ("antisym", 1.01, -0.16334, 0.0, 0.05),
+                   ("asym", 1.05, -0.15035, 0.2, 0.05)]
+
+
+@pytest.mark.parametrize("case", WHOLE_GRID_ROWS,
+                         ids=[f"{c[0]}-{c[1]:g}" for c in WHOLE_GRID_ROWS])
+def test_a_window_that_reaches_the_grid_is_the_whole_grid_run(case):
+    """Where the first window is the whole grid, every number is the
+    whole-grid oracle's (oracles.py) to the bit, its step counts included:
+    the row's lambda, u* and lambda* off center, and spectrum's sectors."""
+    mode, eps = case[0], case[4]
+    shared, row, res = _parity_row(*case[:4], eps)
+    if mode == "asym":
+        prob = res.problem
+        half, xi_index = asym.check_off_center(*shared, eps, case[3], N0)[:2]
+        even = antisym.solve_half_line(*shared, half, xi_index)[0].even_half()
+        lam_star, u_full, iterations, *_ = leading_eigenpair_every_step(
+            even, start=slope_start(even, shared[2]))
+        assert prob.u_star.u.size == even.grid.n
+        assert np.array_equal(prob.u_star.u, u_full)
+        assert (prob.u_star.lambda_, prob.u_star.iterations) \
+            == (lam_star, iterations)
+        state, start = res.state, prob.u_star_restricted
+    else:
+        state = res.half.even_half()
+        start = slope_start(state, shared[2])
+        lam2 = second_eigenvalue(res.half)
+        assert (lam2, lam2.steps) == full_grid_second(res.half)
+        assert lam2.points == res.half.grid.n
+    lam, steps = full_grid_ritz(state, start)
+    assert (row.lambda_points, row.lambda_steps) == (state.grid.n, steps)
+    assert row.lam_gap_ratio == (1.0 - lam) / eps
+
+
+def test_a_window_whose_vector_reaches_a_cut_is_refused():
+    """At beta = 1.2, metastable j = 0.0115, eps = 0.05, lambda2 on the
+    first window (TAIL_DECAYS / a from x = 0) is off by 1.7e-14, though p
+    outside it, 0.738, is below lambda2 = 0.757: only the weighted share of
+    its Ritz vector at the cut refuses it, and the next window is the whole
+    half line, where lambda2 is the whole grid's to the bit."""
+    shared, _, res = _parity_row("metastable", 1.2, 0.0115, 0.0, 0.05)
+    half = res.half
+    first = int(np.ceil(TAIL_DECAYS / shared[2].decay_rate
+                        / half.grid.spacing))
+    window = half.window(0, first + 1)
+    x = window.grid.points
+    rows = np.arange(first - half.kernel.half_points, first + 1)
+    lam2_first, tail = spectral._top_ritz(window, window.p * x / x[-1], (),
+                                          rows)
+    lam2, steps = full_grid_second(half)
+    outside = float(np.max(half.p[first + 1:]))
+    assert (window.grid.n, half.grid.n) == (300, 401)
+    assert 1.5e-14 < lam2_first - lam2 < 2e-14 and not tail
+    assert outside < lam2
+    assert (round(outside, 3), round(lam2, 3)) == (0.738, 0.757)
+    windowed = second_eigenvalue(half)
+    assert (windowed, windowed.steps, windowed.points) == (lam2, steps, 401)

@@ -20,6 +20,7 @@ from mesostefan.instanton import compute_instanton
 from mesostefan.thermo import make_params
 
 from conftest import ELL, N0, SPACING, X0
+from oracles import leading_eigenpair_every_step
 
 #: minor faults of a repeated stable solve at eps = 0.001 (n = 40 001),
 #: twice the 1 073 measured for it in a fresh interpreter (1 062 with this
@@ -98,13 +99,17 @@ def test_repeated_extrapolating_solve_faults_in_few_pages(kernel05):
 
     def solve():
         res = antisym.solve_centred(macro, kernel05, inst, 0.001, ELL, N0)
-        half = res.state.even_half()
         return res, spectral.leading_eigenpair(
-            half, start=spectral.slope_start(half, inst))
+            res.state.even_half(),
+            start=lambda window, lo: spectral.slope_start(window, inst))
 
     faults, (res, pair) = _repeat_faults(solve)
     assert faults <= REPEAT_FAULT_BOUND, faults
-    assert len(res.trace.extrapolated) > 50 and pair.extrapolations > 10
+    window = res.state.even_half().window(0, pair.u.size)
+    lam, u, _, _, jumps = leading_eigenpair_every_step(
+        window, start=spectral.slope_start(window, inst))
+    assert np.array_equal(u, pair.u)
+    assert len(res.trace.extrapolated) > 50 and jumps > 10
 
 
 #: bound, in bytes, on the traced peak of one off-center sweep row at
