@@ -197,8 +197,11 @@ def build_problem(macro: MaximalSolution, kernel: Kernel,
     The extended centred loop runs on check_off_center's half line
     (:func:`antisym.solve_half_line`).  Its state is odd, so u* is the
     leading pair of its even half line (:meth:`meso.MesoState.even_half`),
-    from the instanton's slope (:func:`spectral.slope_start`), and is kept
-    on its interface window, normalised there.  Of the rest only the
+    the top Ritz pair from the instanton's slope
+    (:func:`spectral.slope_start`), and is kept on its interface window,
+    normalised there with sum u* > 0; only ``u_star.csv`` reads that sign,
+    as the projection divides by sum u*
+    (:attr:`OffCenterProblem._u_weights`).  Of the rest only the
     restriction to res_grid is odd-extended: h, J^neum*m, and m* one kernel
     range further.  r_eps, the extended minus the restricted reflected
     convolution of m*, is 0 more than one kernel range left of eps^-1, so

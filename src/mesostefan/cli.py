@@ -299,11 +299,11 @@ def cmd_spectrum(args) -> int:
     """lambda and lambda2 of a stored state, under its sidecar's beta and
     kernel, and the steps and window points each took.  An exactly odd
     state, as every centred solve writes it, is solved in its two sectors on
-    its odd half line by Lanczos: lambda on its even view
+    its odd half line: lambda on its even view
     (:meth:`meso.MesoState.even_half`) from p, lambda2 as the odd sector's
     top eigenvalue; any other state about the peak of p, the pair from p,
-    lambda2 on its complement.  --j must be the sidecar's j, if it records
-    one."""
+    lambda2 on its complement; each by a Lanczos recurrence.  --j must be
+    the sidecar's j, if it records one."""
     if args.j is not None and not np.isfinite(args.j):
         raise DomainError("--j must be finite")
     grid, h, m, beta, shape, j = load_state(args.state)

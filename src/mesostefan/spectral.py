@@ -4,19 +4,17 @@ The operator A psi = p (J^neum * psi) is self-adjoint under the weight 1/p,
 has a positive maximal eigenvalue with a positive eigenvector, and a
 spectral gap that stays open as the scale parameter shrinks.  Everything
 here is matrix-free, every inner product a sum against the state's
-quadrature weights.  Where only an eigenvalue is read it is the top Ritz
-value of one Lanczos recurrence, stopped once that value is exact to
-rounding: lambda of every sweep row, from the row's start (the interface
-slope on a centred state's even half line, u* off center), lambda2 on the
-weighted complement of the leading eigenvector, and ``mesostefan
-spectrum`` on an exactly odd state, solved in its two reflection sectors
-on the half line (lambda on the even one, lambda2 as the odd one's top
-eigenvalue).  Where a caller reads the vector, power iteration gives the
-leading pair, extrapolating as the fixed-point loop does: the deflation on
-a state that is not odd, and the extended centred state's pair, the
-off-center Newton direction u* (:func:`asym.build_problem`).  Each runs on
-the interface window (:func:`_windowed`), each loop keeping its vectors
-and its convolution's workspace for its whole run.
+quadrature weights, and every eigen job one Lanczos recurrence
+(:func:`_top_ritz`) on an interface window (:func:`_windowed`), stopped
+once its top Ritz value, or the Ritz vector where a caller reads one, is
+exact to rounding: lambda of every sweep row, from the row's start (the
+interface slope on a centred state's even half line, u* off center); the
+leading pair, u* (:func:`asym.build_problem`) and ``mesostefan spectrum``'s
+deflation on a state that is not exactly odd; lambda2 on the weighted
+complement of the leading eigenvector, or on an exactly odd state as its
+odd half line's top eigenvalue, lambda there from its even view.  Each
+recurrence keeps its vectors and its convolution's workspace for its whole
+run.
 """
 
 from __future__ import annotations
@@ -28,13 +26,14 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .grids import conv_workspace
 from .instanton import TAIL_DECAYS, Instanton, decay_root
-from .meso import MesoState, extrapolate, settled_ratio
+from .meso import MesoState
 from .thermo import mobility
 
-_POWER_STEPS = 100_000    # power iteration steps for the leading pair
 _ROUNDING = 1e-16         # |theta - lambda| <= _ROUNDING |theta| stops Lanczos
-_LANCZOS_STEPS = 300      # Lanczos steps: 7-14 at beta = 2, up to 47 at 1.05
-_START_FLOOR = 1e-12      # multiple of p under the slope start, below any tol
+_PAIR_ROUNDING = 1e-15    # |beta_k s_k| <= this theta stops it for a pair
+_PAIR_CUT = 1e-24         # share of a pair's weighted norm allowed at a cut
+_LANCZOS_STEPS = 300      # Lanczos steps: 1-13 at beta = 2, up to 60 at 1.01
+_START_FLOOR = 1e-12      # multiple of p under the slope start
 _SCAN_POINTS = 8_192      # points per pass of the scan of p off a window
 # _windowed's first half-width by (params, kernel spacing, shape), which
 # fixes the kernel (grids.build_kernel): one decay_root per key and process
@@ -44,14 +43,10 @@ _FIRST_HALF = {}
 @dataclass(frozen=True)
 class SpectralResult:
     lambda_: float
-    u: np.ndarray            # positive, normalized <u^2>_{1/p} = 1
-    iterations: int
-    residual: float          # sup |A u - lambda u|
+    u: np.ndarray            # <u^2>_{1/p} = 1, sum u > 0
+    iterations: int          # Lanczos steps
+    residual: float          # Ritz residual |beta_k s_k| at the stop
     lo: int                  # u is on the points lo .. lo + u.size - 1
-
-
-def _normalize(state: MesoState, u: np.ndarray, out=None) -> np.ndarray:
-    return np.divide(u, np.sqrt(state.weighted_dot(u, u)), out=out)
 
 
 def _windowed(state: MesoState, center, solve, within=None):
@@ -111,72 +106,15 @@ def _tail_share(state: MesoState, u: np.ndarray, rows) -> float:
     return float(np.einsum("i,i,i->", u, state.quadrature[rows], u))
 
 
-def leading_eigenpair(state: MesoState, tol=1e-12,
-                      start=None) -> SpectralResult:
-    """Power iteration with weighted normalization from ``start(window,
-    lo)`` (p when None) on the interface window (:func:`_windowed`) where
-    at most ``tol`` of u's weighted norm is at a cut.
-
-    Stops when the Rayleigh quotient is stationary to ``tol`` and then the
-    residual sup|A u - rq u|, formed only from then on, drops below ``tol``.
-    It extrapolates as :func:`meso.iterate` does, over rho^2 from the
-    quotient's changes while they reach ``tol``, then over rho from the
-    residuals, clamping the iterate at or above _START_FLOOR times the plain
-    one, so every iterate stays nonnegative.  u* starts from the interface
-    slope (:func:`slope_start`), as p's bulk part shrinks only by the bulk
-    value of p per step; ``mesostefan spectrum`` from p, for lambda2's
-    deflation on a state that is not exactly odd.
-    """
-    return _windowed(state, None, lambda win, lo, rows: _power_pair(
-        win, tol, win.p if start is None else start(win, lo), lo, rows))
-
-
-def _power_pair(state: MesoState, tol, start, lo, rows):
-    """The pair on ``state``, recording ``lo``, and whether at most ``tol``
-    of u's weighted norm is on ``rows``."""
-    _check_weight(state)
-    n = state.grid.n
-    work = conv_workspace(state.kernel, n)
-    # the iterate alternates between u and u_prev, which holds the residual
-    # until the next iterate overwrites it; a start handed over unnamed is
-    # freed once u is formed
-    u = _normalize(state, start, np.empty(n))
-    del start
-    u_prev = np.empty(n)
-    rq_prev, older, old, stationary = np.inf, 0.0, 0.0, False
-    last_jump = 0
-    for it in range(1, _POWER_STEPS + 1):
-        au = state.apply_linearized(u, work)
-        rq = state.weighted_dot(u, au)
-        change = abs(rq - rq_prev)
-        was, stationary = stationary, change < tol
-        if stationary != was:
-            older = old = 0.0
-        if stationary:
-            res = _sup_residual(au, rq, u, u_prev)
-            if res < tol * max(1.0, abs(rq)):
-                u, u_prev = _normalize(state, au, u_prev), u
-                break
-        rq_prev = rq
-        u, u_prev = _normalize(state, au, u_prev), u
-        signal = res if stationary else change
-        ratio = settled_ratio(older, old, signal) if last_jump < it - 1 \
-            else 0.0
-        older, old = old, signal
-        if ratio:
-            floor = np.multiply(u, _START_FLOOR, out=au)   # au is free
-            extrapolate(u, u_prev, ratio if stationary else np.sqrt(ratio),
-                        u_prev)
-            _normalize(state, np.maximum(u, floor, out=u), u)
-            last_jump = it
-    else:
-        raise ConvergenceError(
-            f"power iteration stagnated (last Rayleigh {rq:.12g}, residual "
-            f"{_sup_residual(au, rq, u_prev, np.empty(n)):.3e})", last=u)
-    res = _sup_residual(state.apply_linearized(u, work), rq, u, u_prev)
-    u.setflags(write=False)
-    return SpectralResult(float(rq), u, it, res, lo), \
-        _tail_share(state, u[rows], rows) <= tol ** 2
+def leading_eigenpair(state: MesoState, start=None) -> SpectralResult:
+    """The maximal eigenpair, as the top Ritz pair of the Lanczos
+    recurrence from ``start(window, lo)`` (p when None; :func:`_top_ritz`)
+    on the interface window about the peak of p (:func:`_windowed`): u*
+    from the interface slope (:func:`slope_start`), ``mesostefan spectrum``
+    from p, for lambda2's deflation on a state that is not exactly odd."""
+    return _windowed(state, None, lambda win, lo, rows: _top_ritz(
+        win, win.p.copy() if start is None else start(win, lo), (), rows,
+        lo))
 
 
 def slope_start(state: MesoState, instanton: Instanton) -> np.ndarray:
@@ -198,13 +136,6 @@ def slope_start(state: MesoState, instanton: Instanton) -> np.ndarray:
     u = _START_FLOOR * state.p
     u[:k] += np.maximum(instanton.derivative[ic:ic + k], 0.0)
     return u
-
-
-def _sup_residual(au, rq, u, scratch) -> float:
-    """sup |au - rq u|, formed in ``scratch``."""
-    np.multiply(rq, u, out=scratch)
-    np.subtract(au, scratch, out=scratch)
-    return float(np.abs(scratch, out=scratch).max())
 
 
 def _check_weight(state: MesoState) -> None:
@@ -259,7 +190,8 @@ def second_eigenvalue(state: MesoState, result: SpectralResult | None = None
         result.lo, result.lo + result.u.size))
 
 
-def _top_ritz(state: MesoState, v: np.ndarray, against=(), rows=()):
+def _top_ritz(state: MesoState, v: np.ndarray, against=(), rows=(),
+              lo=None):
     """Largest-magnitude eigenvalue of p J^neum (self-adjoint in
     <.,.>_{1/p}) on the weighted complement of the unit vectors
     ``against``: a Lanczos recurrence from ``v``, which it overwrites,
@@ -271,25 +203,42 @@ def _top_ritz(state: MesoState, v: np.ndarray, against=(), rows=()):
     s_k|^2 / delta puts theta within rounding; :class:`ConvergenceError`
     when the step budget runs out.  Returns theta as a :class:`RitzValue`
     and whether its Ritz vector has at most _ROUNDING of its weighted norm
-    on ``rows``."""
+    on ``rows``.
+
+    With ``lo``, the window's first point, it returns the top Ritz pair as
+    a :class:`SpectralResult` instead, and whether at most _PAIR_CUT of the
+    vector's weighted norm is on ``rows``.  It then keeps every vector, a
+    row per step, orthogonalizes each new one again against them all, and
+    stops once |beta_k s_k| <= _PAIR_ROUNDING theta, which bounds the
+    vector's error as well.  On an odd grid v is 0 at x = 0, as every
+    profile there is (:func:`grids.conv_values`)."""
     _check_weight(state)
     dot, n = state.weighted_dot, state.grid.n
+    if state.grid.odd:
+        v[0] = 0.0
     for u in against:
         v -= dot(v, u) * u
     # v_prev starts at 0: beta * 0 leaves the first image as it is; once
     # subtracted it is free, and holds each product until the next vector
     # overwrites it
-    v, v_prev = _normalize(state, v, v), np.zeros(n)
+    v, v_prev = np.divide(v, np.sqrt(dot(v, v)), out=v), np.zeros(n)
     work = conv_workspace(state.kernel, n)
+    basis = None if lo is None else np.empty((_LANCZOS_STEPS, n))
     beta, alphas, betas, tails = 0.0, [], [], []
     for k in range(1, _LANCZOS_STEPS + 1):
-        tails.append(v[rows])
+        if basis is None:
+            tails.append(v[rows])
         w = state.apply_linearized(v, work)
         w -= np.multiply(beta, v_prev, out=v_prev)
         alphas.append(dot(v, w))
         w -= np.multiply(alphas[-1], v, out=v_prev)
-        for u in (*against, v):
-            w -= np.multiply(dot(w, u), u, out=v_prev)
+        if basis is None:
+            for u in (*against, v):
+                w -= np.multiply(dot(w, u), u, out=v_prev)
+        else:
+            basis[k - 1] = v
+            kept = basis[:k]
+            w -= (kept @ np.multiply(state.quadrature, w, out=v_prev)) @ kept
         beta = np.sqrt(dot(w, w))
         # eigh reads T_k's lower triangle and sorts the Ritz values, so the
         # top one is at an end and its nearest neighbour next to it
@@ -297,12 +246,20 @@ def _top_ritz(state: MesoState, v: np.ndarray, against=(), rows=()):
         t.flat[::k + 1], t.flat[k::k + 1] = alphas, betas
         ritz, s = np.linalg.eigh(t)
         top = 0 if -ritz[0] > ritz[-1] else -1
-        residual = abs(beta * s[-1, top])
-        near = ritz[1:2] if top == 0 else ritz[-2:-1]     # none at k = 1
-        delta = np.min(np.abs(near - ritz[top]), initial=1.0)
-        if residual ** 2 <= _ROUNDING * abs(ritz[top]) * delta:
-            share = _tail_share(state, s[:, top] @ np.array(tails), rows)
-            return RitzValue(abs(ritz[top]), k, n), share <= _ROUNDING
+        theta, residual = abs(ritz[top]), abs(beta * s[-1, top])
+        if basis is None:
+            near = ritz[1:2] if top == 0 else ritz[-2:-1]   # none at k = 1
+            delta = np.min(np.abs(near - ritz[top]), initial=1.0)
+            if residual ** 2 <= _ROUNDING * theta * delta:
+                share = _tail_share(state, s[:, top] @ np.array(tails), rows)
+                return RitzValue(theta, k, n), share <= _ROUNDING
+        elif residual <= _PAIR_ROUNDING * theta:
+            u = s[:, top] @ kept
+            if u.sum() < 0.0:
+                np.negative(u, out=u)
+            u.setflags(write=False)
+            return SpectralResult(theta, u, k, residual, lo), \
+                _tail_share(state, u[rows], rows) <= _PAIR_CUT
         betas.append(beta)
         v, v_prev = np.divide(w, beta, out=v_prev), v
     raise ConvergenceError(f"Lanczos recurrence: Ritz residual "

@@ -1,31 +1,33 @@
 """Dense reference operators that the solvers only apply matrix-free, the
-direct padded convolution that the blocked product replaces, the power
-iteration that forms its residual on every step, the Lanczos recurrence on
-the whole grid that the interface window replaces, and the interface profile
-reached from a second start."""
+direct padded convolution that the blocked product replaces, the leading
+pair of a dense eigensolve, the Lanczos recurrence on the whole grid that
+the interface window replaces, and the interface profile reached from a
+second start."""
 
 import numpy as np
 
 from mesostefan import meso
 from mesostefan.errors import ConvergenceError
 from mesostefan.grids import KERNEL_SHAPES, Grid
-from mesostefan.meso import settled_ratio
 
 
 def neumann_matrix(kernel, grid):
     """Dense W with (W f)_i = trapezoid quadrature of J^neum(x_i, y) f(y).
 
     Built from the kernel shape with the images about both endpoints written
-    out, so it checks :func:`mesostefan.grids.conv_values` (``"neumann"``)
-    independently of its padding.  O(n^2) memory: small grids only.
+    out, the one about x = 0 negated on an odd grid, so it checks
+    :func:`mesostefan.grids.conv_values` (``"neumann"``) independently of
+    its padding.  The distances x_i - x_j and x_i + x_j - 2a (or - 2b) are
+    index offsets times the spacing, each rounded once, however far the
+    points are from 0.  O(n^2) memory: small grids only.
     """
     assert abs(kernel.spacing - grid.spacing) <= 1e-12 * max(1.0, grid.spacing)
-    x = grid.points
-    a2, b2 = 2.0 * grid.a, 2.0 * grid.b
+    h, i = grid.spacing, np.arange(grid.n)
+    assert np.max(np.abs(grid.points - (grid.a + i * h))) <= 1e-9
     shape_fn = KERNEL_SHAPES[kernel.shape]
-    diff = x[:, None] - x[None, :]
-    w = shape_fn(diff) + shape_fn(x[:, None] + x[None, :] - b2) \
-        + shape_fn(x[:, None] + x[None, :] - a2)
+    w = shape_fn((i[:, None] - i[None, :]) * h) \
+        + shape_fn((i[:, None] + i[None, :] - 2 * (grid.n - 1)) * h) \
+        + (-1.0 if grid.odd else 1.0) * shape_fn((i[:, None] + i[None, :]) * h)
     trap = np.full(grid.n, grid.spacing)
     trap[0] *= 0.5
     trap[-1] *= 0.5
@@ -60,55 +62,21 @@ def convolve_reference(kernel, values, mode, fills=(0.0, 0.0)):
     return np.convolve(padded, kernel.weights, mode="valid")
 
 
-def leading_eigenpair_every_step(state, tol=1e-12, steps=100_000,
-                                 start=None):
-    """(lambda, u, iterations, residual, extrapolations) of the power
-    iteration on the whole of ``state``'s grid from
-    ``start`` (p when None) that forms the sup residual sup|A u - rq u| on
-    every step, stopping when both it and the change of the Rayleigh
-    quotient are below ``tol``; raises ConvergenceError with the last
-    quotient and residual after ``steps``.
-
-    It extrapolates as the package's does: over the ratio
-    (:func:`mesostefan.meso.settled_ratio`) of the last three quotient
-    changes, square-rooted, while the quotient moves by ``tol`` or more,
-    and of the last three residuals once it moves by less, never on two
-    steps in a row, with the result kept above 1e-12 times the plain
-    iterate and normalised again."""
-    u = (state.p if start is None else start).copy()
-    u = u / np.sqrt(state.weighted_dot(u, u))
-    rq_prev, signals, last_jump, jumps = np.inf, [], 0, 0
-    for it in range(1, steps + 1):
-        au = state.apply_linearized(u)
-        rq = state.weighted_dot(u, au)
-        res = float(np.max(np.abs(au - rq * u)))
-        change = abs(rq - rq_prev)
-        u_next = au / np.sqrt(state.weighted_dot(au, au))
-        if res < tol * max(1.0, abs(rq)) and change < tol:
-            u = u_next
-            break
-        stationary = change < tol
-        if signals and signals[-1][1] != stationary:
-            signals = []
-        signals.append((res if stationary else change, stationary))
-        ratio = 0.0
-        if len(signals) >= 3 and last_jump < it - 1:
-            ratio = settled_ratio(*(value for value, _ in signals[-3:]))
-        if ratio:
-            rho = ratio if stationary else np.sqrt(ratio)
-            floor = u_next * 1e-12
-            u_next = u_next + (u_next - u) * (rho / (1.0 - rho))
-            u_next = np.maximum(u_next, floor)
-            u_next = u_next / np.sqrt(state.weighted_dot(u_next, u_next))
-            last_jump, jumps = it, jumps + 1
-        rq_prev = rq
-        u = u_next
-    else:
-        raise ConvergenceError(
-            f"power iteration stagnated (last Rayleigh {rq:.12g}, "
-            f"residual {res:.3e})", last=u)
-    res = float(np.max(np.abs(state.apply_linearized(u) - rq * u)))
-    return float(rq), u, it, res, jumps
+def dense_leading_pair(state):
+    """(lambda, u) of p W on the whole of ``state``'s grid, W the
+    :func:`neumann_matrix`, from ``numpy.linalg.eigh`` of the symmetric
+    Q^(1/2) diag(p) W Q^(-1/2), Q the state's quadrature weights: the
+    largest-magnitude eigenvalue and its eigenvector, scaled to
+    <u^2>_{1/p} = 1 with sum u > 0.  O(n^2) memory: up to about 2 000
+    points."""
+    root = np.sqrt(state.quadrature)
+    s = state.p[:, None] * neumann_matrix(state.kernel, state.grid)
+    s *= root[:, None]
+    s /= root[None, :]
+    values, vectors = np.linalg.eigh(0.5 * (s + s.T))
+    top = int(np.argmax(np.abs(values)))
+    u = vectors[:, top] / root
+    return float(abs(values[top])), u if u.sum() > 0.0 else -u
 
 
 def full_grid_ritz(state, start=None, against=(), steps=300):

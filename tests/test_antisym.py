@@ -277,11 +277,10 @@ def test_centred_solves_convolve_on_the_half_line(mode, params2, kernel05,
     of x >= 0, odd: its seed's, then one per fixed-point step but the first,
     which reuses the seed's.  Every one of the spectral loop that follows
     it runs on the interface window from x = 0, even: the Lanczos steps of
-    the sweep row's lambda on a stable or metastable state, which runs no
-    power iteration, and the power steps of the off-center set-up's u*
-    pair, plus its residual's.  A sweep row's shared inputs (the
-    instanton's own loop among them) are built before the recording
-    starts."""
+    the sweep row's lambda on a stable or metastable state, which forms no
+    leading pair, and those of the off-center set-up's u* pair.  A sweep
+    row's shared inputs (the instanton's own loop among them) are built
+    before the recording starts."""
     if mode != "extended":
         cfg = RunConfig(beta=params2.beta, ell=ELL, n0=N0, eps_list=[0.1],
                         **_ROW_CASES[mode]).validate_fields()
@@ -294,7 +293,7 @@ def test_centred_solves_convolve_on_the_half_line(mode, params2, kernel05,
         return real(kernel, grid, values, *args)
 
     def refused(*args, **kwargs):
-        raise AssertionError("a sweep row runs no power iteration")
+        raise AssertionError("a sweep row forms no leading pair")
 
     monkeypatch.setattr(meso, "conv_values", recorded)
     monkeypatch.setattr(spectral, "leading_eigenpair", refused)
@@ -302,7 +301,8 @@ def test_centred_solves_convolve_on_the_half_line(mode, params2, kernel05,
         problem, _ = asym.build_problem(maximal_stable, kernel05, inst05, 0.1,
                                         X0, N0)
         n, trace = 2 * problem.interface_index + 1, problem.extended_trace
-        steps, window = problem.u_star.iterations + 1, problem.u_star.u.size
+        steps, window = problem.u_star.iterations, problem.u_star.u.size
+        assert (steps, window) == (10, 132)
     else:
         row, res = cli._solve_one(cfg, 0.1, shared)
         n, trace = res.state.grid.n, res.trace

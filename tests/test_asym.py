@@ -15,7 +15,7 @@ from mesostefan.errors import (ConvergenceError, DomainError, GridError,
 from mesostefan.grids import Grid, Kernel, conv_values
 from mesostefan.meso import INNER_TOL, make_state
 from mesostefan.spectral import leading_eigenpair, slope_start
-from oracles import leading_eigenpair_every_step
+from oracles import dense_leading_pair, full_grid_ritz
 
 
 @pytest.fixture(scope="module")
@@ -216,9 +216,11 @@ def test_u_star_symmetry_and_positivity(asym_sweep):
 @pytest.mark.parametrize("eps", [0.05, 0.0125])
 def test_u_star_is_the_full_grid_pair(eps, kernel05, inst05, maximal_stable):
     """u*, found on its window of the extended state's even half line and
-    extended, is the power pair from the same start on the whole half line
-    to 1e-13 (lambda* to 1e-15), and the leading pair of the whole
-    relabeled state from p to 1e-12 (lambda* to 1e-14)."""
+    extended, is the dense leading pair (oracles.py) of the whole half line
+    (n = 481 and 1 921) to 1e-14, lambda* the whole half line's Lanczos
+    recurrence from the same start to 1e-15, and u* the dense pair of the
+    whole relabeled state (n = 961), or of the 4 |u*| - 1 points about its
+    centre where that has more than 2 001, to 1e-14 (lambda* to 1e-14)."""
     args = (maximal_stable, kernel05, inst05, eps, X0, N0)
     problem, _ = build_problem(*args)
     half, xi_index = check_off_center(*args)[:2]
@@ -227,14 +229,18 @@ def test_u_star_is_the_full_grid_pair(eps, kernel05, inst05, maximal_stable):
     extended = antisym._iterate(maximal_stable, kernel05, inst05, half,
                                 xi_index)
     even = extended.half.even_half()
-    lam, on_half, *_ = leading_eigenpair_every_step(
-        even, start=slope_start(even, inst05))
+    assert even.grid.n == {0.05: 481, 0.0125: 1921}[eps]
+    _, on_half = dense_leading_pair(even)
     c = problem.interface_index
-    assert np.max(np.abs(u[c:] - on_half)) <= 1e-13
+    assert np.max(np.abs(u[c:] - on_half)) <= 1e-14
+    lam, _ = full_grid_ritz(even, slope_start(even, inst05))
     assert abs(problem.u_star.lambda_ - lam) <= 1e-15
-    lam, full, *_ = leading_eigenpair_every_step(
-        replace(extended.state, grid=ext_grid))
-    assert np.max(np.abs(u - full)) <= 1e-12
+    relabeled = replace(extended.state, grid=ext_grid)
+    size = problem.u_star.u.size
+    lo, hi = (0, ext_grid.n) if ext_grid.n <= 2_001 \
+        else (c - 2 * size + 1, c + 2 * size)
+    lam, full = dense_leading_pair(relabeled.window(lo, hi))
+    assert np.max(np.abs(u[lo:hi] - full)) <= 1e-14
     assert abs(problem.u_star.lambda_ - lam) <= 1e-14
 
 
@@ -309,8 +315,8 @@ def test_quasi_solution_state(kernel05, inst05, maximal_stable, problem01,
 def test_set_up_convolves_on_the_half_line_and_the_window(
         kernel05, inst05, maximal_stable, monkeypatch):
     """build_problem runs no convolution over the restricted or the
-    extended grid: the extended loop's run on the half line and its power
-    iteration's on u*'s window of it, and r_eps and the restricted
+    extended grid: the extended loop's run on the half line and u*'s
+    Lanczos steps on its window of it, and r_eps and the restricted
     convolution on the last k + 1 points come from two window products over
     3k + 1 values."""
     sizes = []
@@ -324,9 +330,9 @@ def test_set_up_convolves_on_the_half_line_and_the_window(
     problem, _ = build_problem(maximal_stable, kernel05, inst05, 0.05, X0, N0)
     k, half = kernel05.half_points, problem.interface_index + 1
     steps = len(problem.extended_trace.increments)
-    power, window = problem.u_star.iterations, problem.u_star.u.size
-    assert window < half
-    assert sizes == [(half, k, k)] * steps + [(window, k, k)] * (power + 1) \
+    lanczos, window = problem.u_star.iterations, problem.u_star.u.size
+    assert (lanczos, window) == (11, 132) and window < half
+    assert sizes == [(half, k, k)] * steps + [(window, k, k)] * lanczos \
         + [(k + 1, k, k)] * 2
 
 

@@ -23,7 +23,8 @@ from mesostefan.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_NUMERICAL,
 from mesostefan.config import RunConfig, parse_config
 from mesostefan.errors import DomainError, GridError, InfeasibleError
 from mesostefan.profiles import dump_json, load_state
-from oracles import full_grid_second, leading_eigenpair_every_step
+from oracles import (dense_leading_pair, full_grid_ritz,
+                     full_grid_second)
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "scripts", "configs")
 
@@ -1197,15 +1198,15 @@ def conv_sizes(monkeypatch):
 
 
 def _full_grid_spectrum(path):
-    """The reference: lambda of the power pair from p and lambda2 on its
-    complement, each on the whole grid of a stored state, from the arrays
-    spectrum loads."""
+    """The reference: lambda of the dense leading pair and lambda2 on its
+    vector's complement, each on the whole grid of a stored state (of at
+    most about 2 000 points), from the arrays spectrum loads."""
     from mesostefan import meso
 
     grid, h, m, beta, shape, _ = load_state(path)
     params, kernel = cli._params_kernel(beta, grid.spacing, shape)
     state = meso.make_state(params, kernel, grid, h, m)
-    lam, u, *_ = leading_eigenpair_every_step(state)
+    lam, u = dense_leading_pair(state)
     return grid, lam, full_grid_second(state, u)[0]
 
 
@@ -1312,6 +1313,53 @@ def test_spectrum_of_a_state_that_is_not_odd_runs_about_the_peak_of_p(
     assert report["C_check"]["one_minus_lambda_over_eps"] == pytest.approx(
         odd["C_check"]["one_minus_lambda_over_eps"], rel=1e-9)
     assert report["lambda2"] == pytest.approx(odd["lambda2"], rel=1e-12)
+
+
+@pytest.fixture(scope="module")
+def fine_states(tmp_path_factory):
+    """The stored states of a solve at eps = 1e-4 (n = 400 001), centred
+    and off center at x0 = 0.2, and spectrum's report on each."""
+    root = tmp_path_factory.mktemp("fine")
+    runs = {}
+    for name, command in (("antisym", ["--mode", "antisym", "--ell", "1"]),
+                          ("asym", ["--mode", "asym", "--x0", "0.2"])):
+        run = root / name
+        assert main(["solve", "--eps", "0.0001", "--j", "-0.02", *command,
+                     "--out", str(run)]) == EXIT_OK
+        runs[name] = (str(run / "state.csv"),
+                      _spectrum(str(run / "state.csv"), run / "spectrum"))
+    return runs
+
+
+@pytest.mark.parametrize("name", ["antisym", "asym"])
+def test_spectrum_of_a_fine_state_is_the_whole_grid_one(fine_states, name):
+    """spectrum's lambda and lambda2 of a stored state at eps = 1e-4, run on
+    interface windows, are the whole-grid Lanczos recurrences' of oracles.py
+    to 1e-14: on the centred state's sectors, lambda from p on its even view
+    and lambda2 as its odd half line's top; off center lambda from p, and
+    lambda2 on the complement of the dense leading pair on the window of
+    the package's pair, 0 past it."""
+    from mesostefan import meso, spectral
+
+    path, report = fine_states[name]
+    grid, h, m, beta, shape, _ = load_state(path)
+    params, kernel = cli._params_kernel(beta, grid.spacing, shape)
+    assert grid.n == 400_001
+    if name == "asym":
+        state = meso.make_state(params, kernel, grid, h, m)
+        pair = spectral.leading_eigenpair(state)
+        lo, hi = pair.lo, pair.lo + pair.u.size
+        u = np.zeros(grid.n)
+        u[lo:hi] = dense_leading_pair(state.window(lo, hi))[1]
+        lam, lam2 = full_grid_ritz(state)[0], full_grid_second(state, u)[0]
+    else:
+        c = grid.center_index
+        odd = meso.make_state(params, kernel, grid.half_line(), h[c:], m[c:])
+        lam, lam2 = full_grid_ritz(odd.even_half())[0], \
+            full_grid_second(odd)[0]
+    assert report["odd_sectors"] is (name == "antisym")
+    assert abs(report["lambda"] - lam) <= 1e-14
+    assert abs(report["lambda2"] - lam2) <= 1e-14
 
 
 def test_state_sidecar_mismatch_is_config_error(tmp_path, capsys):
@@ -1572,7 +1620,7 @@ def test_non_finite_state_is_config_error(tmp_path, capsys, column, value,
                                           path):
     """A NaN or infinity in x, h or m of the copy is a GridError naming the
     file (exit 2): a NaN in x would pass the x check, which compares, and
-    one in m would stall the power iteration.  Without the copy ("csv") the
+    one in m would reach the eigen recurrences.  Without the copy ("csv") the
     state is refused before any value is read, whatever the CSV holds."""
     from dataclasses import replace
 

@@ -154,8 +154,8 @@ def test_centred_row_near_the_critical_temperature(case, k):
 #: off-center rows near the critical temperature, with j so that ell_j = 2:
 #: (beta, j) -> (steps of the off-center loop, fixed-point updates of the
 #: row) at each of NEAR_CRITICAL_ASYM_SCALES; at beta = 1.01, eps = 0.0125
-#: u* has exact zeros in its tail, which the row's power pair refused as a
-#: start, failing the row with a config error
+#: u* from power iteration had exact zeros in its tail, which the row's
+#: power pair refused as a start, failing the row with a config error
 NEAR_CRITICAL_ASYM_STEPS = {(1.01, -0.16334): ((19, 77), (16, 95)),
                             (1.02, -0.16004): ((18, 73), (16, 93)),
                             (1.05, -0.15035): ((17, 69), (15, 72)),

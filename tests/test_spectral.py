@@ -14,8 +14,8 @@ from mesostefan.spectral import (eigenvector_shape_report, leading_eigenpair,
                                  leading_eigenvalue, second_eigenvalue,
                                  slope_start)
 from mesostefan.thermo import make_params, mobility
-from oracles import (full_grid_ritz, full_grid_second,
-                     leading_eigenpair_every_step, neumann_matrix)
+from oracles import (dense_leading_pair, full_grid_ritz, full_grid_second,
+                     neumann_matrix)
 
 from conftest import ELL, J_META, J_STABLE, N0, X0
 
@@ -107,8 +107,9 @@ def test_shape_report_on_interface_state(fine_instanton_state, fine_pair,
 def test_half_line_leading_pair_is_the_odd_one(spectral_sweep):
     """On the odd half line of a centred state the leading pair is the
     leading odd pair of the full grid's operator: its eigenvalue is the full
-    lambda2 (the full leading eigenvector is even) and its eigenvector
-    vanishes exactly at x = 0."""
+    lambda2 (the full leading eigenvector is even), and its eigenvector
+    vanishes exactly at x = 0 and is the dense odd sector's to 1e-14 in
+    the sup norm."""
     for eps in (0.1, 0.05):
         entry = spectral_sweep[eps]
         st = entry["result"].state
@@ -118,7 +119,10 @@ def test_half_line_leading_pair_is_the_odd_one(spectral_sweep):
         pair = leading_eigenpair(half)
         assert abs(pair.lambda_ - entry["lambda2"]) < 1e-12
         assert pair.lo == 0 and pair.u[0] == 0.0
-        assert pair.residual < 1e-11
+        assert pair.residual <= 1e-15 * pair.lambda_
+        lam, u = dense_leading_pair(half.window(0, pair.u.size))
+        assert abs(pair.lambda_ - lam) <= 1e-15
+        assert np.max(np.abs(pair.u - u)) <= 1e-14
 
 
 def test_sweep_gap_stays_open(spectral_sweep):
@@ -243,8 +247,7 @@ def test_leading_eigenvalue_matches_the_dense_even_sector(beta, j, n0):
 
 #: Lanczos steps of lambda (even view, from p) and lambda2 (odd half line)
 #: on their windows at j = -0.02, by (beta, spacing, eps): the spectrum-fine
-#: grids (lambda2 took 13-14 on the whole half line), and beta = 1.05, where
-#: power iteration from p takes 72 steps
+#: grids (lambda2 took 13-14 on the whole half line), and beta = 1.05
 SECTOR_STEPS = {(2.0, 0.0125, 0.05): (7, 13), (2.0, 0.0125, 0.025): (7, 13),
                 (2.0, 0.0125, 0.0125): (7, 13), (2.0, 0.00625, 0.05): (7, 13),
                 (2.0, 0.00625, 0.025): (7, 13),
@@ -287,37 +290,16 @@ def _row_start(mode, res, instanton):
             lambda window, lo: slope_start(window, instanton), 0)
 
 
-@pytest.mark.parametrize("tol", [1e-12, 1e-8], ids=["default", "pair-tol"])
-@pytest.mark.parametrize("mode", ["antisym", "metastable", "asym"])
-def test_leading_pair_matches_residual_every_step(mode, tol, stable_sweep,
-                                                  metastable_sweep,
-                                                  asym_sweep, inst05):
-    """Forming the residual only once the quotient is stationary keeps the
-    stopping step and every returned bit of the residual-every-step rule
-    on the window the pair ran on, extrapolations included, from p about
-    the peak of p and from the sweep row's start."""
-    sweep = {"antisym": stable_sweep, "metastable": metastable_sweep,
-             "asym": asym_sweep}[mode]
-    jumps = []
-    for state, start, _ in ((sweep[0.05].state, None, None),
-                                 _row_start(mode, sweep[0.05], inst05)):
-        pair = leading_eigenpair(state, tol, start)
-        window = state.window(pair.lo, pair.lo + pair.u.size)
-        assert window.grid.n < state.grid.n
-        lam, u, iterations, res, jump = leading_eigenpair_every_step(
-            window, tol, start=start and start(window, pair.lo))
-        jumps.append(jump)
-        assert pair.lambda_ == lam
-        assert np.array_equal(pair.u, u)
-        assert pair.iterations == iterations
-        assert pair.residual == res
-    assert jumps[0] > 0, jumps
-
+#: bound on a sweep row's lambda against another correct routine's, in
+#: ulps of lambda (numpy.spacing, 1.1e-16 below 1): the ladder and parity
+#: rows measured at most 5, the one-step Rayleigh quotient from u* of the
+#: off-center row at beta = 2, x0 = 0.2, eps = 0.1 against the whole
+#: grid's recurrence from the dense u*
+ROW_LAMBDA_ULPS = 6
 
 #: steps of the sweep rows' leading eigenvalues at the benchmark's eps
 #: ladder, in the order 0.0125, 0.0025, 0.001: the row's Lanczos steps from
-#: its start, and the power steps of the pair from p on its window (13, 16
-#: and 13 on the whole grid)
+#: its start, and those of the pair from p on its window
 LADDER_STEPS = {"antisym": ((5, 5, 5), (12, 12, 12)),
                 "metastable": ((5, 5, 4), (12, 12, 12)),
                 "asym": ((1, 1, 1), (12, 12, 12))}
@@ -330,9 +312,8 @@ LADDER_EPS = (0.0125, 0.0025, 0.001)
 def test_row_start_gives_the_p_start_pair(mode, k, params2):
     """A sweep row's lambda, the top Ritz value of the Lanczos recurrence
     from the interface slope (centred) or from u* (off center) on its
-    window, is the power pair's from p on its own: to 1e-14, (1 - lambda)/eps
-    to 1e-10 relative, and so is the whole grid's recurrence from the
-    row's start."""
+    window, is the pair's from p on its own window, and the whole grid's
+    recurrence from the row's start, to ROW_LAMBDA_ULPS ulps."""
     eps = LADDER_EPS[k]
     cfg = RunConfig(beta=params2.beta, j=J_META if mode == "metastable"
                     else J_STABLE, ell=ELL, x0=X0 if mode == "asym" else 0.0,
@@ -346,11 +327,9 @@ def test_row_start_gives_the_p_start_pair(mode, k, params2):
         steps[k] for steps in LADDER_STEPS[mode])
     assert (row.lambda_steps, row.lambda_points) == (lam.steps, lam.points)
     assert row.lam_gap_ratio == (1.0 - lam) / eps
-    assert abs(lam - cold.lambda_) <= 1e-14
     full, _ = full_grid_ritz(state, start(state, 0))
     for other in (cold.lambda_, full):
-        gap = (1.0 - other) / eps
-        assert abs(row.lam_gap_ratio - gap) <= 1e-10 * abs(gap)
+        assert abs(lam - other) <= ROW_LAMBDA_ULPS * np.spacing(lam)
 
 
 def test_one_step_stop_holds_at_a_small_gap():
@@ -383,19 +362,11 @@ def test_slope_start_is_positive_past_the_instanton(stable_sweep, inst05):
     assert np.array_equal(u0[past], 1e-12 * half.p[past])
 
 
-def test_leading_pair_budget_message_matches_residual_every_step(
-        stable_sweep, monkeypatch):
-    """On an exhausted budget the message reports the residual of the last
-    iterate on the first window, as the residual-every-step rule does."""
-    state = stable_sweep[0.05].state.even_half()
-    window = state.window(0, leading_eigenpair(state).u.size)
-    monkeypatch.setattr(spectral, "_POWER_STEPS", 3)
-    with pytest.raises(ConvergenceError) as mine:
-        leading_eigenpair(state)
-    with pytest.raises(ConvergenceError) as ref:
-        leading_eigenpair_every_step(window, steps=3)
-    assert str(mine.value) == str(ref.value)
-    assert "residual" in str(mine.value)
+def test_leading_pair_budget_raises(stable_sweep, monkeypatch):
+    """The pair's recurrence has the Lanczos step budget of the others."""
+    monkeypatch.setattr(spectral, "_LANCZOS_STEPS", 3)
+    with pytest.raises(ConvergenceError, match="Lanczos"):
+        leading_eigenpair(stable_sweep[0.05].state.even_half())
 
 
 #: rows checked against the whole grid: (mode, beta, j, x0), each at the
@@ -416,8 +387,7 @@ PARITY_FINEST = {("antisym", 2.0), ("metastable", 2.0), ("asym", 2.0)}
 PARITY = [(row, eps) for row in PARITY_ROWS for eps in PARITY_EPS
           if not (row[1] < 1.1 and eps == 0.1)] \
     + [(row, 1e-4) for row in PARITY_ROWS
-       if row[:2] in PARITY_FINEST and row[2] in (J_STABLE, 0.09)
-       and row[3] != 0.5]
+       if row[:2] in PARITY_FINEST and row[3] != 0.5]
 
 
 def _parity_row(mode, beta, j, x0, eps):
@@ -429,16 +399,37 @@ def _parity_row(mode, beta, j, x0, eps):
     return shared, row, res
 
 
+#: the most points the dense oracle runs on (oracles.dense_leading_pair)
+DENSE_POINTS = 2_001
+#: bound on a leading pair's vector against the dense one, sup norm: the
+#: parity rows measured at most 5.6e-15 for u* and 2.9e-15 for the pair
+PAIR_SUP = 1e-14
+
+
+def _dense_pair(state, pair):
+    """The dense leading pair (oracles.py) on the whole of ``state``'s grid
+    where it has at most DENSE_POINTS points, else on ``pair``'s window,
+    with ``pair``'s vector and the dense one on the whole grid, 0 past the
+    points each holds."""
+    n, size = state.grid.n, pair.u.size
+    lo, hi = (0, n) if n <= DENSE_POINTS else (pair.lo, pair.lo + size)
+    lam, dense = dense_leading_pair(state.window(lo, hi))
+    u, v = np.zeros(n), np.zeros(n)
+    u[pair.lo:pair.lo + size], v[lo:hi] = pair.u, dense
+    return lam, u, v
+
+
 @pytest.mark.parametrize("case, eps", PARITY,
                          ids=[f"{c[0]}-{c[1]:g}-{c[2]:g}-{c[3]:g}-{e:g}"
                               for c, e in PARITY])
 def test_windowed_spectra_are_the_whole_grid_ones(case, eps):
     """A row's lambda and the spectrum of its state, on interface windows,
-    against the whole-grid routines of oracles.py from the same starts:
-    (1 - lambda)/eps of the row to 1e-10 relative, lambda from p to 1e-14
-    and lambda2 to 1e-14, and off center u* to 1e-13 in the sup norm and
-    lambda* to 1e-15.  On an odd state spectrum's sectors run on the half
-    line, on the off-center state about the peak of p."""
+    against the whole-grid and dense routines of oracles.py from the same
+    starts: the row's lambda to ROW_LAMBDA_ULPS ulps, lambda from p to
+    1e-14 and lambda2 to 1e-14, and off center u* and the pair from p to
+    PAIR_SUP in the sup norm and lambda* to 1e-15.  On an odd state
+    spectrum's sectors run on the half line, on the off-center state about
+    the peak of p."""
     mode = case[0]
     shared, row, res = _parity_row(*case, eps)
     inst = shared[2]
@@ -446,17 +437,17 @@ def test_windowed_spectra_are_the_whole_grid_ones(case, eps):
         prob = res.problem
         half, xi_index = asym.check_off_center(*shared, eps, case[3], N0)[:2]
         even = antisym.solve_half_line(*shared, half, xi_index)[0].even_half()
-        lam_star, u_full, *_ = leading_eigenpair_every_step(
-            even, start=slope_start(even, inst))
-        u = np.zeros(u_full.size)
-        u[:prob.u_star.u.size] = prob.u_star.u
-        assert np.max(np.abs(u - u_full)) <= 1e-13
+        _, u, u_full = _dense_pair(even, prob.u_star)
+        assert np.max(np.abs(u - u_full)) <= PAIR_SUP
+        lam_star, _ = full_grid_ritz(even, slope_start(even, inst))
         assert abs(prob.u_star.lambda_ - lam_star) <= 1e-15
         state = res.state
         full = antisym.extension(u_full, prob.interface_index, state.grid.n)
         lam, _ = full_grid_ritz(state, np.abs(full))
         pair = leading_eigenpair(state)
-        lam_p, u_p, *_ = leading_eigenpair_every_step(state)
+        _, u, u_p = _dense_pair(state, pair)
+        assert np.max(np.abs(u - u_p)) <= PAIR_SUP
+        lam_p, _ = full_grid_ritz(state)
         lam2, lam2_full = second_eigenvalue(state, pair), \
             full_grid_second(state, u_p)[0]
         sector = pair.lambda_
@@ -467,8 +458,9 @@ def test_windowed_spectra_are_the_whole_grid_ones(case, eps):
         lam_p, _ = full_grid_ritz(state)
         lam2, lam2_full = second_eigenvalue(res.half), \
             full_grid_second(res.half)[0]
-    gap = (1.0 - lam) / eps
-    assert abs(row.lam_gap_ratio - gap) <= 1e-10 * abs(gap)
+    row_lambda = leading_eigenvalue(*_row_start(mode, res, inst))
+    assert row.lam_gap_ratio == (1.0 - row_lambda) / eps
+    assert abs(row_lambda - lam) <= ROW_LAMBDA_ULPS * np.spacing(lam)
     assert abs(sector - lam_p) <= 1e-14
     assert abs(lam2 - lam2_full) <= 1e-14
 
@@ -484,20 +476,22 @@ WHOLE_GRID_ROWS = [("antisym", 1.05, -0.15035, 0.0, 0.05),
                          ids=[f"{c[0]}-{c[1]:g}" for c in WHOLE_GRID_ROWS])
 def test_a_window_that_reaches_the_grid_is_the_whole_grid_run(case):
     """Where the first window is the whole grid, every number is the
-    whole-grid oracle's (oracles.py) to the bit, its step counts included:
-    the row's lambda, u* and lambda* off center, and spectrum's sectors."""
+    whole-grid run's to the bit, its step counts included: the row's lambda
+    and spectrum's sectors against the oracle's (oracles.py), u* and lambda*
+    off center against the package's recurrence on the whole half line."""
     mode, eps = case[0], case[4]
     shared, row, res = _parity_row(*case[:4], eps)
     if mode == "asym":
         prob = res.problem
         half, xi_index = asym.check_off_center(*shared, eps, case[3], N0)[:2]
         even = antisym.solve_half_line(*shared, half, xi_index)[0].even_half()
-        lam_star, u_full, iterations, *_ = leading_eigenpair_every_step(
-            even, start=slope_start(even, shared[2]))
+        whole, _ = spectral._top_ritz(even, slope_start(even, shared[2]),
+                                      lo=0)
         assert prob.u_star.u.size == even.grid.n
-        assert np.array_equal(prob.u_star.u, u_full)
-        assert (prob.u_star.lambda_, prob.u_star.iterations) \
-            == (lam_star, iterations)
+        assert np.array_equal(prob.u_star.u, whole.u)
+        assert (prob.u_star.lambda_, prob.u_star.iterations,
+                prob.u_star.residual) \
+            == (whole.lambda_, whole.iterations, whole.residual)
         state, start = res.state, prob.u_star_restricted
     else:
         state = res.half.even_half()

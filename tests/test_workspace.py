@@ -1,7 +1,7 @@
 """Loops that reuse their buffers: what they return is never a buffer.
 
-Every outer loop, auxiliary solve and power or Lanczos iteration keeps its
-n-point arrays for its whole run and hands back copies, so a result stays
+Every outer loop, auxiliary solve and Lanczos recurrence keeps its n-point
+arrays for its whole run and hands back copies, so a result stays
 as it was when a later solve in the same process reuses buffers of its
 own, and no two returned arrays share memory.
 """
@@ -20,7 +20,6 @@ from mesostefan.instanton import compute_instanton
 from mesostefan.thermo import make_params
 
 from conftest import ELL, N0, SPACING, X0
-from oracles import leading_eigenpair_every_step
 
 #: minor faults of a repeated stable solve at eps = 0.001 (n = 40 001),
 #: twice the 1 073 measured for it in a fresh interpreter (1 062 with this
@@ -90,9 +89,10 @@ def test_repeated_solve_faults_in_few_pages(kernel05, inst05, maximal_stable):
                     reason="ru_minflt counts minor page faults on Linux")
 def test_repeated_extrapolating_solve_faults_in_few_pages(kernel05):
     """So do a centred solve near the critical temperature (beta = 1.01,
-    ell_j = 2, eps = 0.001) and its leading pair from the interface slope,
-    whose loops extrapolate on 59 of 181 fixed-point steps and on 50 of 160
-    power steps: an extrapolated step allocates no n-point array either."""
+    ell_j = 2, eps = 0.001), whose loop extrapolates on 59 of 181
+    fixed-point steps, and its leading pair from the interface slope, 60
+    Lanczos steps on a 1 339-point window that keep their vectors: the
+    repeated pair is bitwise the recurrence's own run on that window."""
     params = make_params(1.01)
     macro = stefan.solve_maximal(params, -0.16334)
     inst = compute_instanton(params, kernel05)
@@ -105,11 +105,12 @@ def test_repeated_extrapolating_solve_faults_in_few_pages(kernel05):
 
     faults, (res, pair) = _repeat_faults(solve)
     assert faults <= REPEAT_FAULT_BOUND, faults
+    assert (pair.iterations, pair.u.size) == (60, 1339)
     window = res.state.even_half().window(0, pair.u.size)
-    lam, u, _, _, jumps = leading_eigenpair_every_step(
-        window, start=spectral.slope_start(window, inst))
-    assert np.array_equal(u, pair.u)
-    assert len(res.trace.extrapolated) > 50 and jumps > 10
+    own, _ = spectral._top_ritz(window, spectral.slope_start(window, inst),
+                                lo=0)
+    assert np.array_equal(own.u, pair.u)
+    assert len(res.trace.extrapolated) > 50
 
 
 #: bound, in bytes, on the traced peak of one off-center sweep row at
