@@ -14,7 +14,10 @@ deflation on a state that is not exactly odd; lambda2 on the weighted
 complement of the leading eigenvector, or on an exactly odd state as its
 odd half line's top eigenvalue, lambda there from its even view.  Each
 recurrence keeps its vectors and its convolution's workspace for its whole
-run.
+run.  A window refused only for its Ritz vector's weight at the cuts hands
+that vector on as the next window's start; one refused because p outside
+reaches its eigenvalue hands nothing on, as that eigenvalue is not the top
+one, and the whole state always runs from the caller's start.
 """
 
 from __future__ import annotations
@@ -49,17 +52,26 @@ class SpectralResult:
     lo: int                  # u is on the points lo .. lo + u.size - 1
 
 
-def _windowed(state: MesoState, center, solve, within=None):
-    """``solve(window, lo, rows)``'s result on the first window
+def _windowed(state: MesoState, center, start, against=None, pair=False,
+              within=None):
+    """The top Ritz value of :func:`_top_ritz` (with ``pair`` its pair)
+    from ``start(window, lo)`` on the weighted complement of
+    ``against(window, lo)``, on the first window
     (:meth:`meso.MesoState.window`) where its eigenvalue theta exceeds p at
     every point outside (an eigenvector peaks where p is at least its
-    eigenvalue) and its second output holds: its vector is small on
-    ``rows``, a kernel range at each cut.  Windows reach TAIL_DECAYS / a
-    from ``center`` (0 on a half line, else the peak of p), a the leading
-    eigenvector's decay rate (:func:`instanton.decay_root`), rounded up to
-    the spacing and over two kernel ranges, then twice as far, up to the
-    whole state; past a refused one, those with p >= its theta outside or
-    not holding ``within`` are skipped."""
+    eigenvalue) and its vector is small on a kernel range at each cut.
+    Windows reach TAIL_DECAYS / a from ``center`` (0 on a half line, else
+    the peak of p), a the leading eigenvector's decay rate
+    (:func:`instanton.decay_root`), rounded up to the spacing and over two
+    kernel ranges, then twice as far, up to the whole state; past a refused
+    one, those with p >= its theta outside or not holding ``within`` are
+    skipped.  A window refused only at its cuts hands its Ritz vector, 0
+    past them, to the next as its start: every point where p >= theta lies
+    inside it, so that vector overlaps the top eigenvector there.  One
+    refused for p >= theta outside hands nothing on, as neither its theta
+    nor its vector is the top one.  The whole state runs from ``start``,
+    the whole-grid computation to the bit.  The result counts the steps of
+    every window run."""
     grid, kernel = state.grid, state.kernel
     k = kernel.half_points
     if center is None:
@@ -70,22 +82,33 @@ def _windowed(state: MesoState, center, solve, within=None):
         rate = decay_root(mobility(state.params, state.params.m_beta), kernel)
         _FIRST_HALF[key] = max(2 * k + 1, int(np.ceil(TAIL_DECAYS / rate
                                                       / kernel.spacing)))
-    half, theta = _FIRST_HALF[key], np.inf
+    deflate = against or (lambda win, lo: ())
+    half, theta, spent, handed = _FIRST_HALF[key], np.inf, 0, None
     while True:
         lo, hi = max(center - half, 0), min(center + half + 1, grid.n)
         half *= 2
         if hi - lo == grid.n:
-            return solve(state, 0, np.arange(0))[0]
+            return _top_ritz(state, start(state, 0), deflate(state, 0),
+                             np.arange(0), 0 if pair else None, spent)[0]
         peak = _peak_weight(state, lo, hi)
         if peak >= theta or within and not lo <= within[0] <= within[1] <= hi:
             continue
-        n = hi - lo     # the last k + 1 points, then the first, at cuts
+        n, win = hi - lo, state.window(lo, hi)
+        # the last k + 1 points, then the first, at cuts
         rows = np.arange(n - k - 1 if hi < grid.n else n,
                          n + k + 1 if lo else n) % n
-        result, tail = solve(state.window(lo, hi), lo, rows)
-        theta = getattr(result, "lambda_", result)
-        if tail and peak < theta:
+        if handed is None:
+            v = start(win, lo)
+        else:
+            v = np.zeros(n)
+            v[handed[0] - lo:handed[0] - lo + handed[1].size] = handed[1]
+        result, ritz = _top_ritz(win, v, deflate(win, lo), rows,
+                                 lo if pair else None, spent)
+        theta = result.lambda_ if pair else result
+        if peak < theta and ritz is None:
             return result
+        spent = result.iterations if pair else result.steps
+        handed = (lo, ritz) if peak < theta else None
 
 
 def _peak_weight(state: MesoState, lo: int, hi: int) -> float:
@@ -112,9 +135,7 @@ def leading_eigenpair(state: MesoState, start=None) -> SpectralResult:
     on the interface window about the peak of p (:func:`_windowed`): u*
     from the interface slope (:func:`slope_start`), ``mesostefan spectrum``
     from p, for lambda2's deflation on a state that is not exactly odd."""
-    return _windowed(state, None, lambda win, lo, rows: _top_ritz(
-        win, win.p.copy() if start is None else start(win, lo), (), rows,
-        lo))
+    return _windowed(state, None, start or _p_start, pair=True)
 
 
 def slope_start(state: MesoState, instanton: Instanton) -> np.ndarray:
@@ -161,8 +182,11 @@ def leading_eigenvalue(state: MesoState, start=None, center=None
     on the window about ``center`` (:func:`_windowed`): a sweep row from its
     start, ``mesostefan spectrum`` from p on an exactly odd state's even
     view; no caller reads the vector."""
-    return _windowed(state, center, lambda win, lo, rows: _top_ritz(
-        win, win.p.copy() if start is None else start(win, lo), (), rows))
+    return _windowed(state, center, start or _p_start)
+
+
+def _p_start(state: MesoState, lo: int) -> np.ndarray:
+    return state.p.copy()
 
 
 def second_eigenvalue(state: MesoState, result: SpectralResult | None = None
@@ -175,43 +199,47 @@ def second_eigenvalue(state: MesoState, result: SpectralResult | None = None
     ``result`` None it runs on the whole space from p x/max|x|, 0 at x = 0
     as an odd grid requires: on a centred state's odd half line
     (``mesostefan spectrum``) that is the odd sector, whose top is the full
-    grid's lambda2 (to 3.3e-15 relative on perfbench's spectrum-fine
+    grid's lambda2 (to 4.0e-15 relative on perfbench's spectrum-fine
     states).
     """
-    def solve(win, lo, rows):
+    def start(win, lo):
         x = win.grid.points
         ramp = x / np.max(np.abs(x))
-        if result is None:
-            return _top_ritz(win, win.p * ramp, (), rows)
+        return win.p * (ramp if result is None else 1.0 + ramp)
+
+    def against(win, lo):
         u = np.zeros(win.grid.n)
         u[result.lo - lo:result.lo - lo + result.u.size] = result.u
-        return _top_ritz(win, win.p * (1.0 + ramp), (u,), rows)
-    return _windowed(state, None, solve, result and (
-        result.lo, result.lo + result.u.size))
+        return (u,)
+    return _windowed(state, None, start, result and against,
+                     within=result and (result.lo, result.lo + result.u.size))
 
 
 def _top_ritz(state: MesoState, v: np.ndarray, against=(), rows=(),
-              lo=None):
+              lo=None, spent=0):
     """Largest-magnitude eigenvalue of p J^neum (self-adjoint in
     <.,.>_{1/p}) on the weighted complement of the unit vectors
     ``against``: a Lanczos recurrence from ``v``, which it overwrites,
-    keeping two vectors, each new one orthogonalized again against
-    ``against`` and the current one, and the earlier ones on ``rows``.  It
-    stops at step k once T_k's top Ritz value theta has |beta_k s_k|^2 <=
-    _ROUNDING |theta| min(delta, 1), delta the distance to the nearest other
-    Ritz value, so that the Kato-Temple bound |theta - lambda| <= |beta_k
-    s_k|^2 / delta puts theta within rounding; :class:`ConvergenceError`
-    when the step budget runs out.  Returns theta as a :class:`RitzValue`
-    and whether its Ritz vector has at most _ROUNDING of its weighted norm
-    on ``rows``.
+    orthogonalizing each new vector again against ``against`` and the
+    current one.  It stops at step k once T_k's top Ritz value theta has
+    |beta_k s_k|^2 <= _ROUNDING |theta| min(delta, 1), delta the distance to
+    the nearest other Ritz value, so that the Kato-Temple bound |theta -
+    lambda| <= |beta_k s_k|^2 / delta puts theta within rounding;
+    :class:`ConvergenceError` when the step budget runs out.  Returns theta
+    as a :class:`RitzValue` of spent + k steps, ``spent`` those of the
+    windows refused before, and None if at most _ROUNDING of its Ritz
+    vector's weighted norm is on ``rows``, else that Ritz vector, which
+    :func:`_windowed` hands to the next window as its start where p outside
+    is below theta.  With ``rows``, a window's cuts, it keeps a copy of each
+    Lanczos vector to form it; the whole state, with none, keeps none.
 
     With ``lo``, the window's first point, it returns the top Ritz pair as
-    a :class:`SpectralResult` instead, and whether at most _PAIR_CUT of the
-    vector's weighted norm is on ``rows``.  It then keeps every vector, a
-    row per step, orthogonalizes each new one again against them all, and
-    stops once |beta_k s_k| <= _PAIR_ROUNDING theta, which bounds the
-    vector's error as well.  On an odd grid v is 0 at x = 0, as every
-    profile there is (:func:`grids.conv_values`)."""
+    a :class:`SpectralResult` instead, and its vector if more than
+    _PAIR_CUT of its weighted norm is on ``rows``, else None.  It then
+    keeps every vector, a row per step, orthogonalizes each new one again
+    against them all, and stops once |beta_k s_k| <= _PAIR_ROUNDING theta,
+    which bounds the vector's error as well.  On an odd grid v is 0 at
+    x = 0, as every profile there is (:func:`grids.conv_values`)."""
     _check_weight(state)
     dot, n = state.weighted_dot, state.grid.n
     if state.grid.odd:
@@ -224,10 +252,10 @@ def _top_ritz(state: MesoState, v: np.ndarray, against=(), rows=(),
     v, v_prev = np.divide(v, np.sqrt(dot(v, v)), out=v), np.zeros(n)
     work = conv_workspace(state.kernel, n)
     basis = None if lo is None else np.empty((_LANCZOS_STEPS, n))
-    beta, alphas, betas, tails = 0.0, [], [], []
+    beta, alphas, betas, kept = 0.0, [], [], []
     for k in range(1, _LANCZOS_STEPS + 1):
-        if basis is None:
-            tails.append(v[rows])
+        if basis is None and len(rows):
+            kept.append(v.copy())
         w = state.apply_linearized(v, work)
         w -= np.multiply(beta, v_prev, out=v_prev)
         alphas.append(dot(v, w))
@@ -251,15 +279,19 @@ def _top_ritz(state: MesoState, v: np.ndarray, against=(), rows=(),
             near = ritz[1:2] if top == 0 else ritz[-2:-1]   # none at k = 1
             delta = np.min(np.abs(near - ritz[top]), initial=1.0)
             if residual ** 2 <= _ROUNDING * theta * delta:
-                share = _tail_share(state, s[:, top] @ np.array(tails), rows)
-                return RitzValue(theta, k, n), share <= _ROUNDING
+                value = RitzValue(theta, spent + k, n)
+                if not len(rows):
+                    return value, None
+                kept = np.array(kept)
+                share = _tail_share(state, s[:, top] @ kept[:, rows], rows)
+                return value, None if share <= _ROUNDING else s[:, top] @ kept
         elif residual <= _PAIR_ROUNDING * theta:
             u = s[:, top] @ kept
             if u.sum() < 0.0:
                 np.negative(u, out=u)
             u.setflags(write=False)
-            return SpectralResult(theta, u, k, residual, lo), \
-                _tail_share(state, u[rows], rows) <= _PAIR_CUT
+            return SpectralResult(theta, u, spent + k, residual, lo), \
+                None if _tail_share(state, u[rows], rows) <= _PAIR_CUT else u
         betas.append(beta)
         v, v_prev = np.divide(w, beta, out=v_prev), v
     raise ConvergenceError(f"Lanczos recurrence: Ritz residual "

@@ -1226,20 +1226,29 @@ def _spectrum(path, out):
     return _strict_json(out / "spectrum.json")
 
 
+#: lambda2's (points, Lanczos steps) per window run at eps = 0.05: the
+#: stable odd sector's first window is refused at its cut and hands its
+#: Ritz vector on; the metastable one's for p >= theta outside, and the
+#: whole half line runs from the cold start
+LAMBDA2_WINDOWS = {"antisym": ((132, 12), (263, 1)),
+                   "metastable-0.09": ((132, 15), (401, 19))}
+
+
 @pytest.mark.parametrize("command", [
     ["--mode", "antisym", "--j", "-0.02"],
     ["--mode", "metastable", "--j", "0.09"],
-], ids=["antisym", "metastable-0.09"])
+], ids=list(LAMBDA2_WINDOWS))
 def test_spectrum_of_an_odd_state_runs_on_its_sectors(tmp_path, conv_sizes,
-                                                      command):
+                                                      command, request):
     """On an exactly odd state spectrum makes the state's convolution on the
     odd half line, n/2 + 1 points, and every other on a window of it from
-    x = 0, lambda's on less than all of it (metastable lambda2 takes the
+    x = 0, lambda's on less than all of it (metastable lambda2 ends on the
     whole half line).  Its lambda2 and (1 - lambda)/eps are those of the
     pair and the Lanczos recurrence on the whole full grid of the same
     state to 1e-14 and 1e-10 relative.  Its step counts are the sector
     recurrences': lambda's on the even view's window, after the state's
-    own convolution, and last lambda2's on the odd half line's."""
+    own convolution, and last lambda2's, those of every window it ran
+    (LAMBDA2_WINDOWS)."""
     from mesostefan import spectral
 
     run_dir = tmp_path / "run"
@@ -1264,7 +1273,10 @@ def test_spectrum_of_an_odd_state_runs_on_its_sectors(tmp_path, conv_sizes,
     assert (report["lambda2_steps"], report["lambda2_points"]) \
         == (lam2.steps, lam2.points)
     assert sizes[:1 + steps] == [grid.n // 2 + 1] + [points] * steps
-    assert sizes[-lam2.steps:] == [lam2.points] * lam2.steps
+    windows = LAMBDA2_WINDOWS[request.node.callspec.id]
+    assert sizes[1 + steps:] == [n for n, k in windows for _ in range(k)]
+    assert (lam2.steps, lam2.points) == (sum(k for _, k in windows),
+                                         windows[-1][0])
     assert points < grid.n // 2 + 1 and max(sizes) == grid.n // 2 + 1
 
 
@@ -1360,6 +1372,66 @@ def test_spectrum_of_a_fine_state_is_the_whole_grid_one(fine_states, name):
     assert report["odd_sectors"] is (name == "antisym")
     assert abs(report["lambda"] - lam) <= 1e-14
     assert abs(report["lambda2"] - lam2) <= 1e-14
+
+
+@pytest.mark.parametrize("flags", [
+    ["--mode", "antisym", "--j", "-0.02"],
+    ["--mode", "metastable", "--j", "0.02"],
+    ["--mode", "antisym", "--j", "-0.02", "--kernel", "quartic", "--beta",
+     "1.5"],
+], ids=["antisym", "metastable", "quartic"])
+def test_slope_started_lambda_is_spectrums_on_the_stored_state(tmp_path,
+                                                               flags):
+    """A centred solve takes lambda on its even half line from the
+    interface slope, on the state it solved; spectrum from p, on the state
+    read back from its files under the beta and kernel its sidecar records.
+    Both are the top Ritz value of a Lanczos recurrence: (1 - lambda)/eps
+    agrees to 1e-9 relative at eps = 0.0125."""
+    out = tmp_path / "solve"
+    assert main(["solve", "--eps", "0.0125", "--ell", "1", *flags, "--out",
+                 str(out)]) == EXIT_OK
+    slope = _strict_json(out / "solve.json")["lam_gap_ratio"]
+    stored = _spectrum(str(out / "state.csv"), tmp_path / "spectrum")
+    ratio = stored["C_check"]["one_minus_lambda_over_eps"]
+    assert abs(slope - ratio) <= 1e-9 * abs(ratio)
+
+
+def test_solves_and_spectra_are_byte_identical_with_one_and_two_blas_threads(
+        tmp_path):
+    """A centred and an off-center solve at n = 12 801, and spectrum on each
+    stored state, write the same bytes with one and two OpenBLAS threads,
+    each command in its own process.  OpenBLAS splits a 1-D dot across
+    threads from about 10 000 points, so a BLAS dot over the grid would
+    show.  The spectra run on interface windows (a few hundred to two
+    thousand points) of the odd half line (6 401 points), where lambda2's
+    first window hands its Ritz vector on, and of the full grid, as do u*
+    and the off-center Newton step."""
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..",
+                                       "src"))
+    solve = ["solve", "--eps", "0.0125", "--spacing", "0.0125", "--j",
+             "-0.02"]
+    for t in (1, 2):
+        env = {**os.environ, "PYTHONPATH": src,
+               "OPENBLAS_NUM_THREADS": str(t)}
+        for argv in ([*solve, "--ell", "1", "--n0", "2", "--out",
+                      f"solve{t}"],
+                     ["spectrum", "--state", f"solve{t}/state.csv", "--j",
+                      "-0.02", "--out", f"spectrum{t}"],
+                     [*solve, "--mode", "asym", "--x0", "0.2", "--out",
+                      f"asym{t}"],
+                     ["spectrum", "--state", f"asym{t}/state.csv", "--j",
+                      "-0.02", "--out", f"asym-spectrum{t}"]):
+            subprocess.run([sys.executable, "-m", "mesostefan.cli", *argv],
+                           cwd=tmp_path, env=env, check=True,
+                           capture_output=True)
+    # u* and r_eps: the window products of the off-center set-up
+    for path in ("solve{}/state.csv", "solve{}/state.npy",
+                 "spectrum{}/spectrum.json", "asym{}/state.csv",
+                 "asym{}/state.npy", "asym{}/solve.json",
+                 "asym{}/u_star.csv", "asym{}/r_eps.csv",
+                 "asym-spectrum{}/spectrum.json"):
+        one, two = (tmp_path / path.format(t) for t in (1, 2))
+        assert one.read_bytes() == two.read_bytes(), path
 
 
 def test_state_sidecar_mismatch_is_config_error(tmp_path, capsys):

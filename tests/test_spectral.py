@@ -1,5 +1,7 @@
 """Spectral analysis of the linearized map: eigenpair, gap, eigenvector shape."""
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
@@ -247,7 +249,9 @@ def test_leading_eigenvalue_matches_the_dense_even_sector(beta, j, n0):
 
 #: Lanczos steps of lambda (even view, from p) and lambda2 (odd half line)
 #: on their windows at j = -0.02, by (beta, spacing, eps): the spectrum-fine
-#: grids (lambda2 took 13-14 on the whole half line), and beta = 1.05
+#: grids, where lambda2's 13 are 12 on the first window, refused at its cut,
+#: and 1 on the next from its Ritz vector (13-14 on the whole half line),
+#: and beta = 1.05, whose first windows are the whole half line
 SECTOR_STEPS = {(2.0, 0.0125, 0.05): (7, 13), (2.0, 0.0125, 0.025): (7, 13),
                 (2.0, 0.0125, 0.0125): (7, 13), (2.0, 0.00625, 0.05): (7, 13),
                 (2.0, 0.00625, 0.025): (7, 13),
@@ -509,7 +513,8 @@ def test_a_window_whose_vector_reaches_a_cut_is_refused():
     first window (TAIL_DECAYS / a from x = 0) is off by 1.7e-14, though p
     outside it, 0.738, is below lambda2 = 0.757: only the weighted share of
     its Ritz vector at the cut refuses it, and the next window is the whole
-    half line, where lambda2 is the whole grid's to the bit."""
+    half line, where lambda2 is the whole grid's cold run to the bit.  The
+    count is the steps of both windows."""
     shared, _, res = _parity_row("metastable", 1.2, 0.0115, 0.0, 0.05)
     half = res.half
     first = int(np.ceil(TAIL_DECAYS / shared[2].decay_rate
@@ -517,13 +522,146 @@ def test_a_window_whose_vector_reaches_a_cut_is_refused():
     window = half.window(0, first + 1)
     x = window.grid.points
     rows = np.arange(first - half.kernel.half_points, first + 1)
-    lam2_first, tail = spectral._top_ritz(window, window.p * x / x[-1], (),
+    lam2_first, ritz = spectral._top_ritz(window, window.p * x / x[-1], (),
                                           rows)
     lam2, steps = full_grid_second(half)
     outside = float(np.max(half.p[first + 1:]))
     assert (window.grid.n, half.grid.n) == (300, 401)
-    assert 1.5e-14 < lam2_first - lam2 < 2e-14 and not tail
+    assert 1.5e-14 < lam2_first - lam2 < 2e-14 and ritz is not None
     assert outside < lam2
     assert (round(outside, 3), round(lam2, 3)) == (0.738, 0.757)
     windowed = second_eigenvalue(half)
-    assert (windowed, windowed.steps, windowed.points) == (lam2, steps, 401)
+    assert (lam2_first.steps, steps) == (29, 37)
+    assert (windowed, windowed.steps, windowed.points) \
+        == (lam2, lam2_first.steps + steps, 401)
+
+
+#: one run of spectral._top_ritz: its window, start, against, rows and
+#: lo, the steps of that run alone, and the Ritz vector it hands back on a
+#: refusal at the cuts (None when its window passes there)
+Run = namedtuple("Run", "window start against rows lo steps ritz")
+
+
+def _spied_runs(monkeypatch):
+    """Every :class:`Run` of spectral._top_ritz from here on."""
+    runs, real = [], spectral._top_ritz
+
+    def spy(state, v, against=(), rows=(), lo=None, spent=0):
+        start = v.copy()
+        result, ritz = real(state, v, against, rows, lo, spent)
+        steps = result.steps if lo is None else result.iterations
+        runs.append(Run(state, start, against, rows, lo, steps - spent,
+                        ritz))
+        return result, ritz
+
+    monkeypatch.setattr(spectral, "_top_ritz", spy)
+    return runs
+
+
+def _ramp(win):
+    x = win.grid.points
+    return x / np.max(np.abs(x))
+
+
+def _handed_on(state, before, after):
+    """``after``'s start is ``before``'s Ritz vector, 0 past its cuts, and
+    ``before`` refused its window at the cuts alone."""
+    assert before.ritz is not None
+    placed = np.zeros(after.window.grid.n)
+    offset = _first_point(state, before.window) \
+        - _first_point(state, after.window)
+    placed[offset:offset + before.window.grid.n] = before.ritz
+    assert np.array_equal(after.start, placed)
+
+
+def _first_point(state, window):
+    """The index in ``state`` of a window view's first point."""
+    return int(np.flatnonzero(state.grid.points == window.grid.points[0])[0])
+
+
+#: windows refused at their cuts alone, by case: (caller, spacing, eps,
+#: (points, steps) of each window run, steps of a cold run on the last):
+#: lambda2 on the spectrum-fine odd half lines (beta = 2, j = -0.02), on
+#: the complement of the pair off center (x0 = 0.2), and the pair from p
+#: with the first half-width cut to two kernel ranges and one point
+HANDED_ON = {f"odd-{h:g}/{e:g}": ("odd", h, e, ((n, 12), (2 * n - 1, 1)), 13)
+             for h, n in ((0.0125, 523), (0.00625, 1045))
+             for e in (0.05, 0.025, 0.0125)}
+HANDED_ON.update({
+    "complement": ("complement", 0.05, 0.05, ((263, 13), (525, 1)), 14),
+    "pair": ("pair", 0.05, 0.05, ((83, 8), (165, 9), (329, 5)), 12)})
+
+
+@pytest.mark.parametrize("name", list(HANDED_ON))
+def test_a_window_refused_at_its_cuts_hands_on_its_ritz_vector(name,
+                                                               monkeypatch):
+    """A window refused only for its vector's share at the cuts, with p
+    outside below its theta, starts the next from its Ritz vector, 0 past
+    the old cuts.  The accepted run takes fewer steps than a cold run on
+    the same window, the count is every window's, and the result is the
+    whole grid's: lambda2 within 1e-14 of oracles.py's recurrence, the pair
+    within PAIR_SUP of the dense pair and its lambda within 1e-14 of the
+    whole grid's recurrence from p."""
+    kind, spacing, eps, windows, cold_steps = HANDED_ON[name]
+    if kind == "odd":
+        state = _centred(2.0, J_STABLE, eps, spacing).half
+        run, cold_start = lambda: second_eigenvalue(state), \
+            lambda win: win.p * _ramp(win)
+    else:
+        state = _parity_row("asym", 2.0, J_STABLE, X0, eps)[2].state
+        pair = leading_eigenpair(state)
+    if kind == "complement":
+        run, cold_start = lambda: second_eigenvalue(state, pair), \
+            lambda win: win.p * (1.0 + _ramp(win))
+    if kind == "pair":
+        monkeypatch.setitem(spectral._FIRST_HALF, (
+            state.params, state.kernel.spacing, state.kernel.shape),
+            2 * state.kernel.half_points + 1)
+        run, cold_start = lambda: leading_eigenpair(state), \
+            lambda win: win.p.copy()
+    runs = _spied_runs(monkeypatch)
+    found = run()
+    assert [(r.window.grid.n, r.steps) for r in runs] == list(windows)
+    for before, after in zip(runs, runs[1:]):
+        _handed_on(state, before, after)
+    last = runs[-1]
+    cold = spectral._top_ritz(last.window, cold_start(last.window),
+                              last.against, last.rows, last.lo)[0]
+    steps = (cold.iterations, found.iterations) if kind == "pair" \
+        else (cold.steps, found.steps)
+    assert steps == (cold_steps, sum(k for _, k in windows))
+    assert windows[-1][1] < cold_steps
+    if kind == "pair":
+        _, u, u_dense = _dense_pair(state, found)
+        assert np.max(np.abs(u - u_dense)) <= PAIR_SUP
+        assert abs(found.lambda_ - full_grid_ritz(state)[0]) <= 1e-14
+    else:
+        u_p = None if kind == "odd" else _dense_pair(state, pair)[2]
+        assert abs(found - full_grid_second(state, u_p)[0]) <= 1e-14
+
+
+def test_a_window_refused_for_p_outside_hands_nothing_on(monkeypatch):
+    """A window refused because p outside it is at least its theta hands
+    nothing on: neither its theta nor its vector is the top one.  With p
+    outside the stable odd sector's first window read as the largest p
+    (2.0, above lambda2 = 0.31), lambda2's next window (263 points) runs
+    from the cold start p x / max|x|, in the 13 steps of a cold run, and
+    gives the cold run's value to the bit."""
+    state = _centred(2.0, J_STABLE, 0.05).half
+    real, scans = spectral._peak_weight, []
+
+    def peak(state, lo, hi):
+        scans.append(hi - lo)
+        return float(np.max(state.p)) if len(scans) == 1 \
+            else real(state, lo, hi)
+
+    monkeypatch.setattr(spectral, "_peak_weight", peak)
+    runs = _spied_runs(monkeypatch)
+    found = second_eigenvalue(state)
+    ran, win = [r.steps for r in runs], runs[-1].window
+    assert [r.window.grid.n for r in runs] == [132, 263]
+    assert runs[0].ritz is not None
+    assert np.array_equal(runs[-1].start, win.p * _ramp(win))
+    cold = spectral._top_ritz(win, win.p * _ramp(win), (), runs[-1].rows)[0]
+    assert ran == [12, 13] and cold.steps == 13
+    assert (found, found.steps, found.points) == (cold, 25, 263)
